@@ -117,6 +117,21 @@ class BudgetReport:
         }
 
 
+def _analytic_bounds(
+    config: EstimatorConfig, c_disc: float | None, c_trunc: float | None
+) -> tuple[float, float, float, float]:
+    """(c_disc, c_trunc, disc_bound, trunc_bound), each constant defaulting to 1.
+
+    Needs only the config, so a caller can reject delta outside (0, 1) or a
+    nonpositive constant before any path is simulated.
+    """
+    cd = 1.0 if c_disc is None else float(c_disc)
+    ct = 1.0 if c_trunc is None else float(c_trunc)
+    disc = discretization_bound(config.delta, config.alpha, cd)
+    trunc = truncation_bound(config.horizon, config.alpha, ct)
+    return cd, ct, disc, trunc
+
+
 def total_budget(
     config: EstimatorConfig,
     result: EstimateResult,
@@ -127,10 +142,7 @@ def total_budget(
     if result.config != config:
         raise ValueError("result was not produced under the given config")
     up_to_constant = c_disc is None or c_trunc is None
-    cd = 1.0 if c_disc is None else float(c_disc)
-    ct = 1.0 if c_trunc is None else float(c_trunc)
-    disc = discretization_bound(config.delta, config.alpha, cd)
-    trunc = truncation_bound(config.horizon, config.alpha, ct)
+    cd, ct, disc, trunc = _analytic_bounds(config, c_disc, c_trunc)
     stat = result.stat_error()
     return BudgetReport(
         delta=config.delta,

@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .budget import (
     BudgetReport,
+    _analytic_bounds,
     discretization_bound,
     plan_horizon,
     total_budget,
@@ -132,6 +133,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         replications=args.reps,
         seed=args.seed,
     )
+    # The budget's inputs are checked before the simulation, not after it.
+    _analytic_bounds(config, args.c_disc, args.c_trunc)
     result = estimate_constant(config, threads=args.threads)
     budget = total_budget(config, result, c_disc=args.c_disc, c_trunc=args.c_trunc)
     manifest = _manifest(

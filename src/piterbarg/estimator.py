@@ -21,7 +21,9 @@ robust location estimates, not unbiased means.
 
 Replication r derives its random stream from (seed, r) through a Philox
 counter offset, so results are bit-identical no matter how replications are
-batched or spread over threads.
+batched or spread over threads.  At alpha = 1 a replication draws its n
+increments directly as iid normals; otherwise it draws the m normals of the
+circulant embedding.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.stats
 
 from .fbm import PathGrid, _cached_spectrum, _fgn_from_normals, _two_sided_values
 
@@ -232,10 +233,11 @@ def subsampled_functionals(
     return records
 
 
-def _batch_size(m: int) -> int:
-    # ~64 MB of complex spectrum workspace per batch; fixed by m alone so
-    # batching never depends on the thread count.
-    return max(16, min(4096, (1 << 22) // max(m, 1)))
+def _batch_size(width: int) -> int:
+    # ~32 MiB of normals per batch (and as much complex spectrum where an
+    # embedding is used); fixed by the row width alone so batching never
+    # depends on the thread count.
+    return max(16, min(4096, (1 << 22) // max(width, 1)))
 
 
 def _simulate_functionals(
@@ -246,7 +248,13 @@ def _simulate_functionals(
     Row r reproduces bit-for-bit what the per-path pipeline
     (replication_stream -> sample_two_sided_path -> rescale_path ->
     subsampled_functionals) yields for replication r; the batching here only
-    amortizes the FFTs.
+    amortizes the FFTs.  Like the per-path sampler, alpha = 1 and single-
+    increment grids skip the embedding and use n iid normals per row.
+
+    Each worker gets one set of batch buffers, allocated here on the
+    calling thread and reused for all of its batches, so memory follows
+    from the config and the worker count alone: pool threads allocate
+    nothing large, and a lone batch runs on the calling thread.
     """
     neg, pos = config.side_counts()
     n = neg + pos
@@ -257,34 +265,49 @@ def _simulate_functionals(
         if s < 1:
             raise ValueError(f"strides must be positive integers, got {s}")
 
-    spectrum = _cached_spectrum(config.alpha, n) if n >= 2 else None
-    m = spectrum.m if spectrum is not None else 1
+    iid = n == 1 or config.alpha == 1.0
+    spectrum = None if iid else _cached_spectrum(config.alpha, n)
+    width = n if iid else spectrum.m
     scale = config.delta ** (config.alpha / 2.0)
     drift = _drift(neg, pos, config.delta, config.alpha, config.d)
 
     reps = int(config.replications)
     out = np.empty((reps, len(strides)))
-    bsize = _batch_size(m)
+    bsize = min(_batch_size(width), reps)
+    starts = range(0, reps, bsize)
+    workers = max(1, min(threads, len(starts)))
 
-    def run(start: int) -> None:
-        stop = min(start + bsize, reps)
-        z = np.empty((stop - start, m))
-        for i in range(stop - start):
-            z[i] = replication_stream(config.seed, start + i).standard_normal(m)
-        fgn = z if spectrum is None else _fgn_from_normals(spectrum, z)[:, :n]
-        values = _two_sided_values(fgn, neg)
-        field = _SQRT2 * (scale * values) - drift
+    def buffers():
+        # Normals (overwritten by the fGn), half-spectrum, path values.
+        w = None if iid else np.empty((bsize, width // 2 + 1), dtype=np.complex128)
+        return np.empty((bsize, width)), w, np.empty((bsize, n + 1))
+
+    def run(start: int, z: np.ndarray, w: np.ndarray | None, values: np.ndarray) -> None:
+        rows = min(bsize, reps - start)
+        z = z[:rows]
+        for i in range(rows):
+            replication_stream(config.seed, start + i).standard_normal(out=z[i])
+        fgn = z if iid else _fgn_from_normals(spectrum, z, w[:rows], out=z)[:, :n]
+        field = _two_sided_values(fgn, neg, out=values[:rows])
+        # sqrt(2) * (scale * values) - drift, in place.
+        np.multiply(field, scale, out=field)
+        np.multiply(field, _SQRT2, out=field)
+        np.subtract(field, drift, out=field)
         for j, s in enumerate(strides):
             start_col = neg if config.domain is Domain.HALF_LINE else neg % s
-            out[start:stop, j] = np.exp(field[:, start_col::s].max(axis=1))
+            out[start : start + rows, j] = np.exp(field[:, start_col::s].max(axis=1))
 
-    starts = range(0, reps, bsize)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
+    spaces = [buffers() for _ in range(workers)]
+    if workers > 1:
+        def work(k: int) -> None:
+            for s0 in starts[k::workers]:
+                run(s0, *spaces[k])
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
     else:
         for s0 in starts:
-            run(s0)
+            run(s0, *spaces[0])
     return out
 
 
@@ -293,13 +316,15 @@ def _mom_ci_rank(blocks: int) -> int | None:
 
     The interval (mean_(r), mean_(K+1-r)) then covers the block-mean median
     with >= 95% probability; returns None when even (min, max) falls short.
+    The CDF is summed in exact integers: P(X <= r) <= 2.5% = 1/40 exactly
+    when 40 * sum_{i <= r} C(K, i) <= 2^K.
     """
-    if scipy.stats.binom.cdf(0, blocks, 0.5) > 0.025:
-        return None
-    r = 1
-    while scipy.stats.binom.cdf(r, blocks, 0.5) <= 0.025:
+    total = 1 << blocks
+    r, mass = 0, 1
+    while 40 * mass <= total:
         r += 1
-    return r
+        mass += math.comb(blocks, r)
+    return r or None
 
 
 def _aggregate(functionals: np.ndarray, config: EstimatorConfig) -> EstimateResult:

@@ -12,9 +12,13 @@ stationary with autocovariance
 
 The sampler embeds the Toeplitz covariance of fGn in a circulant matrix
 diagonalized by the FFT (Davies-Harte method), which is exact and costs
-O(m log m) per draw. A dense Cholesky factorization of the same covariance
-is kept as a slow oracle for cross-validation; it is never used in the
-estimation pipeline.
+O(m log m) per draw. The spectrum stores the weights that turn standard
+normals into its Hermitian half-spectrum, so a draw only multiplies and
+inverts. At alpha = 1 every lag beyond 0 vanishes and the increments are
+iid N(0, 1): the samplers then draw them directly, with no embedding and no
+FFT. A dense Cholesky factorization of the same covariance is kept as a
+slow oracle for cross-validation; it is never used in the estimation
+pipeline.
 
 Paths are always simulated on the unit grid and rescaled by self-similarity
 (B(delta * k) has the law of delta^(alpha/2) * B(k)), so one spectrum per
@@ -25,11 +29,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "FgnSpec",
@@ -82,12 +85,29 @@ class CirculantSpectrum:
     the DFT of the periodized autocovariance sequence
     gamma(0), ..., gamma(m/2), gamma(m/2 - 1), ..., gamma(1).  All entries
     are nonnegative; inverting the transform recovers gamma(0..m/2).
+
+    ``weights`` holds the m/2 + 1 read-only factors that scale standard
+    normals into the Hermitian half-spectrum: sqrt(lambda_0),
+    sqrt(lambda_k / 2) for 1 <= k < m/2, and sqrt(lambda_{m/2}).  They are
+    derived from ``eigenvalues`` once, when the instance is built.
     Instances are immutable and safe to share across concurrent samplers.
+    The path samplers use none at alpha = 1, whose increments are iid.
     """
 
     alpha: float
     m: int
     eigenvalues: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lam = self.eigenvalues
+        half = self.m // 2
+        weights = np.empty(half + 1)
+        weights[0] = np.sqrt(lam[0])
+        weights[1:half] = np.sqrt(0.5 * lam[1:half])
+        weights[half] = np.sqrt(lam[half])
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     def max_draw_length(self) -> int:
         """Longest exact fGn draw this embedding supports (m/2 + 1)."""
@@ -185,22 +205,33 @@ def _cached_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     return circulant_spectrum(alpha, n)
 
 
-def _fgn_from_normals(spectrum: CirculantSpectrum, z: np.ndarray) -> np.ndarray:
+def _fgn_from_normals(
+    spectrum: CirculantSpectrum,
+    z: np.ndarray,
+    w: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Map (batch, m) standard normals to (batch, m) exact fGn sequences.
 
     Builds the Hermitian half-spectrum from the first m/2+1 normals (real
-    parts) and the remaining m/2-1 (imaginary parts), then inverts with a
+    parts) and the remaining m/2-1 (imaginary parts), written straight into
+    the real and imaginary views of one complex array, then inverts with a
     real FFT. Row i depends only on z[i], so batching cannot change values.
+    ``w`` (batch, m/2+1 complex) and ``out`` (batch, m) are optional
+    buffers for the half-spectrum and the result; ``out`` may be ``z``.
     """
-    lam = spectrum.eigenvalues
+    weights = spectrum.weights
     m = spectrum.m
     half = m // 2
-    w = np.empty((z.shape[0], half + 1), dtype=np.complex128)
-    w[:, 0] = np.sqrt(lam[0]) * z[:, 0]
-    w[:, half] = np.sqrt(lam[half]) * z[:, half]
-    mid = np.sqrt(0.5 * lam[1:half])
-    w[:, 1:half] = mid * (z[:, 1:half] + 1j * z[:, half + 1 :])
-    return np.fft.irfft(w, n=m, axis=1) * math.sqrt(m)
+    if w is None:
+        w = np.empty((z.shape[0], half + 1), dtype=np.complex128)
+    np.multiply(z[:, : half + 1], weights, out=w.real)
+    np.multiply(z[:, half + 1 :], weights[1:half], out=w.imag[:, 1:half])
+    w.imag[:, 0] = 0.0
+    w.imag[:, half] = 0.0
+    fgn = np.fft.irfft(w, n=m, axis=1, out=out)
+    fgn *= math.sqrt(m)
+    return fgn
 
 
 def sample_fgn(
@@ -235,7 +266,8 @@ def cholesky_sample(alpha: float, n: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError(
             f"cholesky_sample is an oracle capped at n <= {_CHOLESKY_MAX_N}, got {n}"
         )
-    cov = scipy.linalg.toeplitz(_autocovariances(alpha, n - 1))
+    idx = np.arange(n)
+    cov = _autocovariances(alpha, n - 1)[np.abs(idx[:, None] - idx[None, :])]
     try:
         lower = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -246,16 +278,19 @@ def cholesky_sample(alpha: float, n: int, rng: np.random.Generator) -> np.ndarra
     return lower @ rng.standard_normal(n)
 
 
-def _two_sided_values(fgn: np.ndarray, neg_count: int) -> np.ndarray:
+def _two_sided_values(
+    fgn: np.ndarray, neg_count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Cumulate a (batch, n) increment block into (batch, n+1) path values.
 
     The running sum is anchored so the column at index ``neg_count`` is
     exactly zero; entries left of the anchor are then the negated backward
     sums, which keeps the two sides driven by one stationary sequence (they
-    are dependent for alpha != 1).
+    are dependent for alpha != 1).  ``out`` is an optional (batch, n+1)
+    buffer for the result.
     """
     batch, n = fgn.shape
-    values = np.empty((batch, n + 1))
+    values = np.empty((batch, n + 1)) if out is None else out
     values[:, 0] = 0.0
     np.cumsum(fgn, axis=1, out=values[:, 1:])
     if neg_count:
@@ -272,15 +307,17 @@ def sample_two_sided_path(
     One stationary fGn sequence of length ``neg_count + pos_count`` is drawn
     and cumulated around the t = 0 anchor, so the resulting grid process has
     exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
-    increments.  Returns a :class:`PathGrid` with ``delta = 1``.
+    increments.  At alpha = 1 (or for a single increment) the sequence is
+    iid N(0, 1) and is drawn as n normals, without an embedding.  Returns a
+    :class:`PathGrid` with ``delta = 1``.
     """
     alpha = _check_alpha(alpha)
     neg_count, pos_count = int(neg_count), int(pos_count)
     if neg_count < 0 or pos_count < 0 or neg_count + pos_count < 1:
         raise ValueError("need at least one increment across both sides")
     n = neg_count + pos_count
-    if n == 1:
-        fgn = rng.standard_normal(1)  # gamma(0) = 1: a single N(0,1)
+    if n == 1 or alpha == 1.0:
+        fgn = rng.standard_normal(n)  # gamma(k) = 0 for k >= 1: iid N(0,1)
     else:
         fgn = sample_fgn(_cached_spectrum(alpha, n), rng, n)
     values = _two_sided_values(fgn[None, :], neg_count)[0]

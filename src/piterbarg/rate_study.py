@@ -98,6 +98,15 @@ def _nested_strides(deltas: Sequence[float]) -> tuple[list[float], list[int]]:
     return deltas, strides
 
 
+def _check_finite_variance(d: float) -> None:
+    """The studies report CLT stderrs, which need d > 1 (finite variance)."""
+    if not d > 1.0:
+        raise ValueError(
+            f"rate studies report CLT standard errors, which need d > 1 "
+            f"(the functional has infinite variance for d <= 1), got d={d}"
+        )
+
+
 def run_rate_study_bm(
     d: float,
     domain: Domain,
@@ -110,9 +119,10 @@ def run_rate_study_bm(
 
     Simulates at the finest spacing with horizon T = plan_horizon(finest, 1)
     and evaluates every coarser grid on the same paths.  P_exact comes from
-    the closed forms; d > 1 is recommended so the sample mean has a finite
+    the closed forms; d must exceed 1 so the sample mean has a finite
     variance.  Returns one :class:`RatePoint` per spacing, in input order.
     """
+    _check_finite_variance(d)
     deltas, strides = _nested_strides(deltas)
     finest = deltas[-1]
     horizon = plan_horizon(finest, 1.0)
@@ -164,12 +174,14 @@ def run_gap_decay(
     functional(finest) - functional(delta) is averaged over common paths;
     the fitted slope of ln(gap) against ln(delta) is returned with its OLS
     standard error for comparison against the alpha/2 envelope exponent.
+    Like the rate study it needs d > 1.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 2.0 or alpha == 1.0:
         raise ValueError(
             f"gap decay study needs alpha in (0, 2) excluding 1, got {alpha}"
         )
+    _check_finite_variance(d)
     deltas, strides = _nested_strides(deltas)
     finest = deltas[-1]
     horizon = plan_horizon(finest, alpha)

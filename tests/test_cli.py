@@ -74,6 +74,25 @@ class TestEstimate:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--delta", "1.5", "--horizon", "3000"],
+         "delta must lie strictly in (0, 1), got 1.5"),
+        (["--delta", "0.05", "--c-disc", "0"], "c_disc must be positive"),
+        (["--delta", "0.05", "--c-trunc", "-1"], "c_trunc must be positive"),
+    ], ids=["delta", "c_disc", "c_trunc"])
+    def test_budget_inputs_rejected_before_simulating(
+        self, capsys, monkeypatch, extra, message
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("estimate_constant ran before validation")
+
+        monkeypatch.setattr("piterbarg.cli.estimate_constant", must_not_run)
+        code, _, err = run_cli(capsys, "estimate", "--alpha", "1", "--d", "2",
+                               "--domain", "half", *extra,
+                               "--reps", "2000", "--seed", "1")
+        assert code == 2
+        assert message in err
+
     def test_rerun_reproduces_results_fields(self, capsys):
         _, out1, _ = run_cli(capsys, *self.ARGS)
         _, out2, _ = run_cli(capsys, *self.ARGS, "--threads", "3")

@@ -9,6 +9,7 @@ from piterbarg import (
     Domain,
     EstimatorConfig,
     PathGrid,
+    circulant_spectrum,
     estimate_constant,
     grid_count,
     plan_horizon,
@@ -19,7 +20,12 @@ from piterbarg import (
     subsampled_functionals,
     sup_functional,
 )
-from piterbarg.estimator import _aggregate, _simulate_functionals
+from piterbarg.estimator import (
+    _aggregate,
+    _batch_size,
+    _mom_ci_rank,
+    _simulate_functionals,
+)
 
 
 def make_path(alpha, delta, neg, pos, rng):
@@ -238,6 +244,59 @@ class TestEstimateConstant:
             assert recs[0].functional == table[r, 0]
             assert recs[1].functional == table[r, 1]
 
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_brownian_rows_use_raw_normals(self, domain):
+        # alpha = 1 has iid increments, so row r is the penalized sup of the
+        # cumulated first n normals of stream r, with no embedding in between
+        cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
+                              horizon=2.0, replications=5, seed=31)
+        table = _simulate_functionals(cfg, strides=[1], threads=1)
+        neg, pos = cfg.side_counts()
+        n = neg + pos
+        k = np.arange(-neg, pos + 1, dtype=float)
+        drift = (1.0 + cfg.d) * np.abs(k * cfg.delta) ** cfg.alpha
+        first = neg if domain is Domain.HALF_LINE else 0
+        for r in range(cfg.replications):
+            z = replication_stream(cfg.seed, r).standard_normal(n)
+            values = np.concatenate([[0.0], np.cumsum(z)])
+            values -= values[neg]
+            values[neg] = 0.0
+            field = math.sqrt(2.0) * (cfg.delta ** 0.5 * values) - drift
+            assert table[r, 0] == np.exp(field[first:].max())
+            # the per-path sampler takes the same shortcut
+            path = rescale_path(
+                sample_two_sided_path(cfg.alpha, neg, pos,
+                                      replication_stream(cfg.seed, r)),
+                cfg.delta,
+            )
+            assert sup_functional(path, cfg.d, domain).functional == table[r, 0]
+
+    def test_brownian_deterministic_across_threads_and_batches(self):
+        n = sum(self._config().side_counts())
+        cfg = self._config(replications=_batch_size(n) + 7)
+        t1 = _simulate_functionals(cfg, [1, 2], threads=1)
+        t2 = _simulate_functionals(cfg, [1, 2], threads=2)
+        assert np.array_equal(t1, t2)
+
+    def test_embedded_deterministic_across_threads_and_batches(self):
+        # n = 20 increments embed in m = 64, so this is three batches, run
+        # by two and three workers that each reuse one set of buffers
+        cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
+                           horizon=0.5, replications=2 * _batch_size(64) + 9)
+        assert circulant_spectrum(cfg.alpha, sum(cfg.side_counts())).m == 64
+        t1 = _simulate_functionals(cfg, [1, 3], threads=1)
+        for threads in (2, 3):
+            assert np.array_equal(t1, _simulate_functionals(cfg, [1, 3], threads=threads))
+
+    def test_lone_batch_runs_on_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single batch must not start a thread pool")
+
+        cfg = self._config(replications=50)
+        t1 = _simulate_functionals(cfg, [1])
+        monkeypatch.setattr("piterbarg.estimator.ThreadPoolExecutor", no_pool)
+        assert np.array_equal(t1, _simulate_functionals(cfg, [1], threads=4))
+
     def test_replication_prefix_stability(self):
         cfg_small = self._config(replications=40)
         cfg_large = self._config(replications=80)
@@ -276,6 +335,13 @@ class TestAggregation:
         assert res.ci_low == 13.5
         assert res.ci_high == 35.5
         assert res.method == "median-of-means"
+
+    def test_median_of_means_ci_rank_table(self):
+        # Binom(K, 1/2) order-statistic ranks for K = 1..24, as scipy's
+        # binom.cdf gives them
+        expected = [None] * 5 + [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5,
+                                 6, 6, 6, 7, 7]
+        assert [_mom_ci_rank(k) for k in range(1, 25)] == expected
 
     def test_sample_mean_known_values(self):
         values = np.arange(1.0, 49.0)

@@ -21,6 +21,7 @@ from piterbarg import (
     spectrum_from_json,
     spectrum_to_json,
 )
+from piterbarg.fbm import _fgn_from_normals
 
 
 def gamma_matrix(alpha: float, n: int) -> np.ndarray:
@@ -111,6 +112,30 @@ class TestCirculantSpectrum:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             circulant_spectrum(0.5, 1)
+
+    @pytest.mark.parametrize("alpha,n", [(0.5, 300), (1.5, 33)])
+    def test_stored_weights_match_complex_temporary_formula(self, alpha, n):
+        # Reference: the half-spectrum built from sqrt(eigenvalues) and
+        # complex temporaries on every call; the stored weights must give
+        # the same bits.
+        spec = circulant_spectrum(alpha, n)
+        lam, m = spec.eigenvalues, spec.m
+        half = m // 2
+        z = np.random.default_rng(5).standard_normal((7, m))
+        w = np.empty((z.shape[0], half + 1), dtype=np.complex128)
+        w[:, 0] = np.sqrt(lam[0]) * z[:, 0]
+        w[:, half] = np.sqrt(lam[half]) * z[:, half]
+        mid = np.sqrt(0.5 * lam[1:half])
+        w[:, 1:half] = mid * (z[:, 1:half] + 1j * z[:, half + 1 :])
+        reference = np.fft.irfft(w, n=m, axis=1) * math.sqrt(m)
+        assert np.array_equal(_fgn_from_normals(spec, z), reference)
+        # the batched engine's form: its own half-spectrum buffer, with the
+        # fGn written over the normals
+        buf = z.copy()
+        fgn = _fgn_from_normals(spec, buf, np.empty_like(w), out=buf)
+        assert np.shares_memory(fgn, buf) and np.array_equal(fgn, reference)
+        assert len(spec.weights) == half + 1
+        assert not spec.weights.flags.writeable
 
     def test_json_round_trip_is_bit_exact(self, tmp_path):
         spec = circulant_spectrum(0.7, 50)
@@ -230,6 +255,15 @@ class TestTwoSidedPath:
         path = sample_two_sided_path(0.8, 10, 20, rng)
         assert path.values[10] == 0.0
         assert len(path.values) == 31
+
+    def test_brownian_path_cumulates_iid_normals(self):
+        # alpha = 1 skips the embedding: the increments are the raw normals
+        z = np.random.default_rng(12).standard_normal(9)
+        path = sample_two_sided_path(1.0, 3, 6, np.random.default_rng(12))
+        expected = np.concatenate([[0.0], np.cumsum(z)])
+        expected -= expected[3]
+        expected[3] = 0.0
+        assert np.array_equal(path.values, expected)
 
     def test_single_increment_path(self):
         path = sample_two_sided_path(0.7, 0, 1, np.random.default_rng(3))

@@ -21,6 +21,10 @@ from piterbarg.estimator import _simulate_functionals
 from piterbarg.rate_study import RATE_CSV_HEADER, _nested_strides
 
 
+def _must_not_simulate(*args, **kwargs):
+    raise AssertionError("simulated before rejecting the request")
+
+
 class TestNestedValidation:
     def test_accepts_power_of_two_ladder(self):
         deltas, strides = _nested_strides([0.04, 0.01, 0.0025])
@@ -75,6 +79,14 @@ class TestRateStudyBm:
             run_rate_study_bm(d=0.0, domain=Domain.HALF_LINE,
                               deltas=[0.2, 0.05], replications=10, seed=1)
 
+    @pytest.mark.parametrize("d", [0.5, 1.0])
+    def test_infinite_variance_penalty_rejected(self, d, monkeypatch):
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
+                            _must_not_simulate)
+        with pytest.raises(ValueError, match="d > 1"):
+            run_rate_study_bm(d=d, domain=Domain.HALF_LINE,
+                              deltas=[0.2, 0.05], replications=10, seed=1)
+
     def test_non_nested_rejected(self):
         with pytest.raises(ValueError):
             run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
@@ -103,6 +115,14 @@ class TestGapDecay:
     def test_brownian_alpha_rejected(self):
         with pytest.raises(ValueError):
             run_gap_decay(alpha=1.0, d=2.0, domain=Domain.HALF_LINE,
+                          deltas=[0.4, 0.2], replications=10, seed=1)
+
+    @pytest.mark.parametrize("d", [0.5, 1.0])
+    def test_infinite_variance_penalty_rejected(self, d, monkeypatch):
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
+                            _must_not_simulate)
+        with pytest.raises(ValueError, match="d > 1"):
+            run_gap_decay(alpha=0.5, d=d, domain=Domain.HALF_LINE,
                           deltas=[0.4, 0.2], replications=10, seed=1)
 
     def test_exponent_regression_reported_with_stderr(self):

@@ -14,18 +14,13 @@ truncation, and statistical error components of the approximation.
 
 from .fbm import (
     CirculantSpectrum,
-    FgnSpec,
     PathGrid,
     cholesky_sample,
     circulant_spectrum,
     fgn_autocovariance,
-    load_spectrum,
     rescale_path,
     sample_fgn,
     sample_two_sided_path,
-    save_spectrum,
-    spectrum_from_json,
-    spectrum_to_json,
 )
 from .estimator import (
     Domain,
@@ -65,18 +60,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CirculantSpectrum",
-    "FgnSpec",
     "PathGrid",
     "cholesky_sample",
     "circulant_spectrum",
     "fgn_autocovariance",
-    "load_spectrum",
     "rescale_path",
     "sample_fgn",
     "sample_two_sided_path",
-    "save_spectrum",
-    "spectrum_from_json",
-    "spectrum_to_json",
     "Domain",
     "EstimateResult",
     "EstimatorConfig",

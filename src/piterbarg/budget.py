@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .estimator import EstimateResult, EstimatorConfig
+from .fbm import _check_alpha
 
 __all__ = [
     "BudgetReport",
@@ -35,13 +36,6 @@ def _check_delta(delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie strictly in (0, 1), got {delta}")
     return delta
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie strictly in (0, 2), got {alpha}")
-    return alpha
 
 
 def plan_horizon(delta: float, alpha: float) -> float:

@@ -21,9 +21,11 @@ robust location estimates, not unbiased means.
 
 Replication r derives its random stream from (seed, r) through a Philox
 counter offset, so results are bit-identical no matter how replications are
-batched or spread over threads.  At alpha = 1 a replication draws its n
-increments directly as iid normals; otherwise it draws the m normals of the
-circulant embedding.
+batched or spread over threads.  Each worker keeps one Philox keyed by the
+seed and resets its counter to r << 128 for replication r, which yields the
+numbers a freshly built stream would, without building one.  At alpha = 1 a
+replication draws its n increments directly as iid normals; otherwise it
+draws the m normals of the circulant embedding.
 """
 
 from __future__ import annotations
@@ -36,7 +38,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .fbm import PathGrid, _cached_spectrum, _fgn_from_normals, _two_sided_values
+from .fbm import (
+    PathGrid,
+    _cached_spectrum,
+    _check_alpha,
+    _fgn_from_normals,
+    _two_sided_values,
+)
 
 __all__ = [
     "Domain",
@@ -82,7 +90,9 @@ def replication_stream(seed: int, index: int) -> np.random.Generator:
     Uses the Philox counter-based generator keyed by the seed with the
     counter advanced to block ``index * 2**128``: streams never overlap, and
     replication r sees the same numbers regardless of execution order or
-    thread count.
+    thread count.  This is the one definition of the stream; the batched
+    engine reproduces it by resetting one Philox per worker to counter
+    ``index << 128`` instead of building a generator per replication.
     """
     if index < 0:
         raise ValueError(f"replication index must be nonnegative, got {index}")
@@ -107,8 +117,7 @@ class EstimatorConfig:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie strictly in (0, 2), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.d <= 0.0:
             raise ValueError(f"penalty d must be positive, got {self.d}")
         if not isinstance(self.domain, Domain):
@@ -203,6 +212,16 @@ def sup_functional(path: PathGrid, d: float, domain: Domain) -> SupRecord:
     return SupRecord(z_max=z_max, functional=float(np.exp(z_max)))
 
 
+def _check_strides(strides: Sequence[int]) -> list[int]:
+    strides = [int(s) for s in strides]
+    if not strides:
+        raise ValueError("strides must be a nonempty list")
+    for s in strides:
+        if s < 1:
+            raise ValueError(f"strides must be positive integers, got {s}")
+    return strides
+
+
 def subsampled_functionals(
     path: PathGrid, d: float, domain: Domain, strides: Sequence[int]
 ) -> list[SupRecord]:
@@ -214,12 +233,7 @@ def subsampled_functionals(
     common-random-numbers workhorse: coarser grids are read off the same
     path, so paired differences between strides carry no between-path noise.
     """
-    strides = [int(s) for s in strides]
-    if not strides:
-        raise ValueError("strides must be a nonempty list")
-    for s in strides:
-        if s < 1:
-            raise ValueError(f"strides must be positive integers, got {s}")
+    strides = _check_strides(strides)
     z = _penalized_field(path, d)
     neg = path.neg_count
     records = []
@@ -234,10 +248,10 @@ def subsampled_functionals(
 
 
 def _batch_size(width: int) -> int:
-    # ~32 MiB of normals per batch (and as much complex spectrum where an
-    # embedding is used); fixed by the row width alone so batching never
-    # depends on the thread count.
-    return max(16, min(4096, (1 << 22) // max(width, 1)))
+    # At most ~32 MiB of normals per batch (and as much complex spectrum
+    # where an embedding is used) down to a single row; fixed by the row
+    # width alone so batching never depends on the thread count.
+    return max(1, min(4096, (1 << 22) // width))
 
 
 def _simulate_functionals(
@@ -251,19 +265,18 @@ def _simulate_functionals(
     amortizes the FFTs.  Like the per-path sampler, alpha = 1 and single-
     increment grids skip the embedding and use n iid normals per row.
 
-    Each worker gets one set of batch buffers, allocated here on the
-    calling thread and reused for all of its batches, so memory follows
-    from the config and the worker count alone: pool threads allocate
-    nothing large, and a lone batch runs on the calling thread.
+    Each worker gets one set of batch buffers and one Philox generator,
+    built here on the calling thread and reused for all of its batches, so
+    memory follows from the config and the worker count alone: pool threads
+    allocate nothing large, and a lone batch runs on the calling thread.
+    Per replication r the worker writes r into counter word 2 (the counter
+    is r << 128, as in replication_stream) and assigns its cached state
+    back, which also empties the buffered bits; a bit generator is never
+    shared between threads.
     """
     neg, pos = config.side_counts()
     n = neg + pos
-    strides = [int(s) for s in strides]
-    if not strides:
-        raise ValueError("strides must be a nonempty list")
-    for s in strides:
-        if s < 1:
-            raise ValueError(f"strides must be positive integers, got {s}")
+    strides = _check_strides(strides)
 
     iid = n == 1 or config.alpha == 1.0
     spectrum = None if iid else _cached_spectrum(config.alpha, n)
@@ -278,15 +291,22 @@ def _simulate_functionals(
     workers = max(1, min(threads, len(starts)))
 
     def buffers():
-        # Normals (overwritten by the fGn), half-spectrum, path values.
+        # Normals (overwritten by the fGn), half-spectrum, path values, and
+        # the worker's own Philox, its generator and a fresh state dict.
         w = None if iid else np.empty((bsize, width // 2 + 1), dtype=np.complex128)
-        return np.empty((bsize, width)), w, np.empty((bsize, n + 1))
+        bits = np.random.Philox(key=config.seed)
+        z, values = np.empty((bsize, width)), np.empty((bsize, n + 1))
+        return z, w, values, bits, np.random.Generator(bits), bits.state
 
-    def run(start: int, z: np.ndarray, w: np.ndarray | None, values: np.ndarray) -> None:
+    def run(start: int, z: np.ndarray, w: np.ndarray | None, values: np.ndarray,
+            bits: np.random.Philox, gen: np.random.Generator, state: dict) -> None:
         rows = min(bsize, reps - start)
         z = z[:rows]
+        counter = state["state"]["counter"]
         for i in range(rows):
-            replication_stream(config.seed, start + i).standard_normal(out=z[i])
+            counter[2] = start + i
+            bits.state = state
+            gen.standard_normal(out=z[i])
         fgn = z if iid else _fgn_from_normals(spectrum, z, w[:rows], out=z)[:, :n]
         field = _two_sided_values(fgn, neg, out=values[:rows])
         # sqrt(2) * (scale * values) - drift, in place.

@@ -27,7 +27,6 @@ Paths are always simulated on the unit grid and rescaled by self-similarity
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "FgnSpec",
     "CirculantSpectrum",
     "PathGrid",
     "fgn_autocovariance",
@@ -44,10 +42,6 @@ __all__ = [
     "cholesky_sample",
     "sample_two_sided_path",
     "rescale_path",
-    "spectrum_to_json",
-    "spectrum_from_json",
-    "save_spectrum",
-    "load_spectrum",
 ]
 
 # Relative floor below which a negative FFT eigenvalue is treated as roundoff
@@ -62,19 +56,6 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie strictly in (0, 2), got {alpha}")
     return alpha
-
-
-@dataclass(frozen=True)
-class FgnSpec:
-    """Roughness exponent and length of a unit-spaced fGn draw."""
-
-    alpha: float
-    n: int
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        if int(self.n) < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -349,33 +330,3 @@ def rescale_path(path: PathGrid, delta: float) -> PathGrid:
         values=path.values * delta ** (path.alpha / 2.0),
     )
 
-
-def spectrum_to_json(spectrum: CirculantSpectrum) -> str:
-    """Serialize a spectrum to the on-disk JSON format {alpha, m, eigenvalues}."""
-    return json.dumps(
-        {
-            "alpha": spectrum.alpha,
-            "m": spectrum.m,
-            "eigenvalues": spectrum.eigenvalues.tolist(),
-        }
-    )
-
-
-def spectrum_from_json(text: str) -> CirculantSpectrum:
-    """Inverse of :func:`spectrum_to_json`; round-trips bit-exactly."""
-    obj = json.loads(text)
-    lam = np.asarray(obj["eigenvalues"], dtype=float)
-    if len(lam) != int(obj["m"]):
-        raise ValueError("eigenvalue count does not match embedding length m")
-    lam.flags.writeable = False
-    return CirculantSpectrum(alpha=float(obj["alpha"]), m=int(obj["m"]), eigenvalues=lam)
-
-
-def save_spectrum(spectrum: CirculantSpectrum, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(spectrum_to_json(spectrum))
-
-
-def load_spectrum(path) -> CirculantSpectrum:
-    with open(path, encoding="ascii") as fh:
-        return spectrum_from_json(fh.read())

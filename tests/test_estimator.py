@@ -158,6 +158,24 @@ class TestReplicationStreams:
         with pytest.raises(ValueError):
             replication_stream(1, -1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_reset_philox_matches_fresh_stream(self, seed):
+        # the engine's form: one Philox and Generator per worker, reseated
+        # to counter index << 128 by assigning a cached state dict back
+        bits = np.random.Philox(key=seed)
+        gen = np.random.Generator(bits)
+        state = bits.state
+        for index in (0, 1, 2**32, 2**63):
+            # leave a partly used buffer and a cached uint32 behind
+            gen.integers(0, 2**32, 3, dtype=np.uint32)
+            gen.standard_normal(7)
+            state["state"]["counter"][2] = index
+            bits.state = state
+            fresh = replication_stream(seed, index)
+            assert np.array_equal(gen.standard_normal(513), fresh.standard_normal(513))
+            assert np.array_equal(gen.integers(0, 2**32, 5, dtype=np.uint32),
+                                  fresh.integers(0, 2**32, 5, dtype=np.uint32))
+
 
 class TestEstimatorConfig:
     def test_zero_replications_rejected(self):
@@ -194,6 +212,18 @@ class TestEstimatorConfig:
         assert grid_count(0.3, 0.1) == 3
         assert grid_count(1.0, 0.1) == 10
         assert grid_count(0.29, 0.1) == 2
+
+
+class TestBatchSize:
+    def test_batch_normals_stay_within_budget(self):
+        widths = np.arange(1, 2**22 + 1)
+        rows = np.fromiter(map(_batch_size, range(1, 2**22 + 1)), dtype=np.int64,
+                           count=len(widths))
+        assert rows.min() >= 1
+        assert (rows * widths).max() <= 2**22
+
+    def test_huge_rows_run_one_at_a_time(self):
+        assert _batch_size(2**30) == 1
 
 
 class TestEstimateConstant:

@@ -1,25 +1,19 @@
 """Validation of the fGn/fBM samplers: exact identities, spectrum properties,
 statistical fidelity, and circulant-vs-Cholesky cross-checks."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from piterbarg import (
-    FgnSpec,
     PathGrid,
     cholesky_sample,
     circulant_spectrum,
     fgn_autocovariance,
-    load_spectrum,
     rescale_path,
     sample_fgn,
     sample_two_sided_path,
-    save_spectrum,
-    spectrum_from_json,
-    spectrum_to_json,
 )
 from piterbarg.fbm import _fgn_from_normals
 
@@ -60,13 +54,6 @@ class TestAutocovariance:
             fgn_autocovariance(0.0, 1)
         with pytest.raises(ValueError):
             fgn_autocovariance(0.5, -1)
-
-    def test_fgn_spec_invariants(self):
-        with pytest.raises(ValueError):
-            FgnSpec(alpha=2.0, n=4)
-        with pytest.raises(ValueError):
-            FgnSpec(alpha=0.5, n=0)
-        FgnSpec(alpha=0.5, n=1)
 
 
 class TestCirculantSpectrum:
@@ -136,23 +123,6 @@ class TestCirculantSpectrum:
         assert np.shares_memory(fgn, buf) and np.array_equal(fgn, reference)
         assert len(spec.weights) == half + 1
         assert not spec.weights.flags.writeable
-
-    def test_json_round_trip_is_bit_exact(self, tmp_path):
-        spec = circulant_spectrum(0.7, 50)
-        back = spectrum_from_json(spectrum_to_json(spec))
-        assert back.alpha == spec.alpha
-        assert back.m == spec.m
-        assert np.array_equal(back.eigenvalues, spec.eigenvalues)
-        target = tmp_path / "spec.json"
-        save_spectrum(spec, target)
-        loaded = load_spectrum(target)
-        assert np.array_equal(loaded.eigenvalues, spec.eigenvalues)
-
-    def test_json_length_mismatch_rejected(self):
-        blob = json.loads(spectrum_to_json(circulant_spectrum(0.7, 8)))
-        blob["m"] = 4
-        with pytest.raises(ValueError):
-            spectrum_from_json(json.dumps(blob))
 
 
 class TestSampleFgn:

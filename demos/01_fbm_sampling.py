@@ -10,7 +10,7 @@ Run:  python demos/01_fbm_sampling.py
 
 import numpy as np
 
-from piterbarg import circulant_spectrum, rescale_path, sample_two_sided_path
+from piterbarg import circulant_spectrum, sample_two_sided_path
 
 rng = np.random.default_rng(1)
 
@@ -20,9 +20,10 @@ steps = 200
 paths = {}
 for alpha in (0.5, 1.0, 1.5):
     unit = sample_two_sided_path(alpha, steps, steps, rng)
-    paths[alpha] = rescale_path(unit, delta)
-    print(f"alpha={alpha}: sampled {len(paths[alpha].values)} grid points, "
-          f"B(0) = {paths[alpha].values[steps]}")
+    # self-similarity: B(delta * k) has the law of delta^(alpha/2) * B(k)
+    paths[alpha] = unit * delta ** (alpha / 2.0)
+    print(f"alpha={alpha}: sampled {len(paths[alpha])} grid points, "
+          f"B(0) = {paths[alpha][steps]}")
 
 # --- variance scaling check --------------------------------------------------
 print("\nVar B(t) vs t^alpha over 4000 paths (unit grid):")
@@ -30,7 +31,7 @@ draws = 4000
 for alpha in (0.5, 1.0, 1.5):
     rng_v = np.random.default_rng(7)
     endpoints = np.array(
-        [sample_two_sided_path(alpha, 0, 32, rng_v).values[32] for _ in range(draws)]
+        [sample_two_sided_path(alpha, 0, 32, rng_v)[32] for _ in range(draws)]
     )
     target = 32.0**alpha
     print(f"  alpha={alpha}: sample Var(B(32)) = {endpoints.var(ddof=1):8.2f}  "
@@ -52,7 +53,7 @@ try:
     fig, ax = plt.subplots(figsize=(8, 4.5))
     for alpha, path in paths.items():
         t = np.arange(-steps, steps + 1) * delta
-        ax.plot(t, path.values, lw=0.8, label=f"alpha = {alpha}")
+        ax.plot(t, path, lw=0.8, label=f"alpha = {alpha}")
     ax.set_xlabel("t")
     ax.set_ylabel("B(t)")
     ax.legend()

@@ -14,27 +14,21 @@ truncation, and statistical error components of the approximation.
 
 from .fbm import (
     CirculantSpectrum,
-    PathGrid,
     cholesky_sample,
     circulant_spectrum,
     fgn_autocovariance,
-    rescale_path,
-    sample_fgn,
     sample_two_sided_path,
 )
 from .estimator import (
     Domain,
     EstimateResult,
     EstimatorConfig,
-    SupRecord,
     estimate_constant,
     grid_count,
-    replication_stream,
-    sup_functional,
-    subsampled_functionals,
 )
 from .budget import (
     BudgetReport,
+    budget_report,
     discretization_bound,
     plan_horizon,
     total_budget,
@@ -60,23 +54,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CirculantSpectrum",
-    "PathGrid",
     "cholesky_sample",
     "circulant_spectrum",
     "fgn_autocovariance",
-    "rescale_path",
-    "sample_fgn",
     "sample_two_sided_path",
     "Domain",
     "EstimateResult",
     "EstimatorConfig",
-    "SupRecord",
     "estimate_constant",
     "grid_count",
-    "replication_stream",
-    "sup_functional",
-    "subsampled_functionals",
     "BudgetReport",
+    "budget_report",
     "discretization_bound",
     "plan_horizon",
     "total_budget",

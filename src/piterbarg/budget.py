@@ -24,6 +24,7 @@ from .fbm import _check_alpha
 
 __all__ = [
     "BudgetReport",
+    "budget_report",
     "plan_horizon",
     "discretization_bound",
     "truncation_bound",
@@ -111,19 +112,36 @@ class BudgetReport:
         }
 
 
-def _analytic_bounds(
-    config: EstimatorConfig, c_disc: float | None, c_trunc: float | None
-) -> tuple[float, float, float, float]:
-    """(c_disc, c_trunc, disc_bound, trunc_bound), each constant defaulting to 1.
+def budget_report(
+    alpha: float,
+    delta: float,
+    horizon: float,
+    c_disc: float | None = None,
+    c_trunc: float | None = None,
+    stat_error: float | None = None,
+) -> BudgetReport:
+    """Error report for a run on the delta grid truncated at ``horizon``.
 
-    Needs only the config, so a caller can reject delta outside (0, 1) or a
-    nonpositive constant before any path is simulated.
+    Each constant left as None defaults to 1 and flags the report
+    ``up_to_constant``.  Needs no simulation, so it also serves to plan a
+    run and to reject delta outside (0, 1) or a nonpositive constant before
+    any path is simulated.
     """
     cd = 1.0 if c_disc is None else float(c_disc)
     ct = 1.0 if c_trunc is None else float(c_trunc)
-    disc = discretization_bound(config.delta, config.alpha, cd)
-    trunc = truncation_bound(config.horizon, config.alpha, ct)
-    return cd, ct, disc, trunc
+    disc = discretization_bound(delta, alpha, cd)
+    trunc = truncation_bound(horizon, alpha, ct)
+    return BudgetReport(
+        delta=delta,
+        horizon=horizon,
+        disc_bound=disc,
+        trunc_bound=trunc,
+        stat_error=stat_error,
+        constants={"c_disc": cd, "c_trunc": ct},
+        total=disc + trunc + (stat_error if stat_error is not None else 0.0),
+        up_to_constant=c_disc is None or c_trunc is None,
+        horizon_below_comfort=horizon < 1.0,
+    )
 
 
 def total_budget(
@@ -135,17 +153,6 @@ def total_budget(
     """Assemble the full error report for ``result`` produced under ``config``."""
     if result.config != config:
         raise ValueError("result was not produced under the given config")
-    up_to_constant = c_disc is None or c_trunc is None
-    cd, ct, disc, trunc = _analytic_bounds(config, c_disc, c_trunc)
-    stat = result.stat_error()
-    return BudgetReport(
-        delta=config.delta,
-        horizon=config.horizon,
-        disc_bound=disc,
-        trunc_bound=trunc,
-        stat_error=stat,
-        constants={"c_disc": cd, "c_trunc": ct},
-        total=disc + trunc + (stat if stat is not None else 0.0),
-        up_to_constant=up_to_constant,
-        horizon_below_comfort=config.horizon < 1.0,
+    return budget_report(
+        config.alpha, config.delta, config.horizon, c_disc, c_trunc, result.stat_error()
     )

@@ -28,14 +28,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .budget import (
-    BudgetReport,
-    _analytic_bounds,
-    discretization_bound,
-    plan_horizon,
-    total_budget,
-    truncation_bound,
-)
+from .budget import budget_report, plan_horizon, total_budget
 from .closed_form import piterbarg_bm_full, piterbarg_bm_half, rate_constant
 from .estimator import Domain, EstimateResult, EstimatorConfig, estimate_constant
 from .rate_study import RATE_CSV_HEADER, rate_points_csv, run_rate_study_bm
@@ -134,7 +127,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     # The budget's inputs are checked before the simulation, not after it.
-    _analytic_bounds(config, args.c_disc, args.c_trunc)
+    budget_report(config.alpha, config.delta, config.horizon, args.c_disc, args.c_trunc)
     result = estimate_constant(config, threads=args.threads)
     budget = total_budget(config, result, c_disc=args.c_disc, c_trunc=args.c_trunc)
     manifest = _manifest(
@@ -235,21 +228,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     horizon = args.horizon
     if horizon is None:
         horizon = plan_horizon(args.delta, args.alpha)
-    up_to_constant = args.c_disc is None or args.c_trunc is None
-    cd = 1.0 if args.c_disc is None else args.c_disc
-    ct = 1.0 if args.c_trunc is None else args.c_trunc
-    report = BudgetReport(
-        delta=args.delta,
-        horizon=horizon,
-        disc_bound=discretization_bound(args.delta, args.alpha, cd),
-        trunc_bound=truncation_bound(horizon, args.alpha, ct),
-        stat_error=None,
-        constants={"c_disc": cd, "c_trunc": ct},
-        total=discretization_bound(args.delta, args.alpha, cd)
-        + truncation_bound(horizon, args.alpha, ct),
-        up_to_constant=up_to_constant,
-        horizon_below_comfort=horizon < 1.0,
-    )
+    report = budget_report(args.alpha, args.delta, horizon, args.c_disc, args.c_trunc)
     started = _now()
     manifest = _manifest(
         "plan",

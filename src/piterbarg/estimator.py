@@ -19,11 +19,11 @@ blocks, whose interval comes from block-mean order statistics.  Median-of-
 means results carry extra bias under heavy skew and should be read as
 robust location estimates, not unbiased means.
 
-Replication r derives its random stream from (seed, r) through a Philox
-counter offset, so results are bit-identical no matter how replications are
-batched or spread over threads.  Each worker keeps one Philox keyed by the
-seed and resets its counter to r << 128 for replication r, which yields the
-numbers a freshly built stream would, without building one.  At alpha = 1 a
+Replication r draws from the stream ``Philox(key=seed, counter=r << 128)``,
+so results are bit-identical no matter how replications are batched or
+spread over threads.  Each worker keeps one Philox keyed by the seed and
+resets its counter to r << 128 for replication r, which yields the numbers
+a freshly built stream would, without building one.  At alpha = 1 a
 replication draws its n increments directly as iid normals; otherwise it
 draws the m normals of the circulant embedding.
 """
@@ -32,29 +32,20 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .fbm import (
-    PathGrid,
-    _cached_spectrum,
-    _check_alpha,
-    _fgn_from_normals,
-    _two_sided_values,
-)
+from .fbm import _cached_spectrum, _check_alpha, _fgn_from_normals, _two_sided_values
 
 __all__ = [
     "Domain",
     "EstimatorConfig",
-    "SupRecord",
     "EstimateResult",
-    "replication_stream",
     "grid_count",
-    "sup_functional",
-    "subsampled_functionals",
     "estimate_constant",
 ]
 
@@ -84,19 +75,9 @@ def grid_count(horizon: float, delta: float) -> int:
     return int(math.floor(ratio * (1.0 + 1e-12) + 1e-12))
 
 
-def replication_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent random stream for replication ``index`` under ``seed``.
-
-    Uses the Philox counter-based generator keyed by the seed with the
-    counter advanced to block ``index * 2**128``: streams never overlap, and
-    replication r sees the same numbers regardless of execution order or
-    thread count.  This is the one definition of the stream; the batched
-    engine reproduces it by resetting one Philox per worker to counter
-    ``index << 128`` instead of building a generator per replication.
-    """
-    if index < 0:
-        raise ValueError(f"replication index must be nonnegative, got {index}")
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
+def _is_integer(value) -> bool:
+    # bool is an Integral too, but True is no replication count or seed.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -130,33 +111,20 @@ class EstimatorConfig:
             raise ValueError(
                 f"delta={self.delta} exceeds horizon={self.horizon}: empty grid"
             )
-        if grid_count(self.horizon, self.delta) < 1:
-            raise ValueError("grid must contain at least one point besides t=0")
-        if int(self.replications) < 1:
+        if not _is_integer(self.replications) or self.replications < 1:
             raise ValueError(
                 f"replications must be a positive integer, got {self.replications}"
             )
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError(
+                f"seed must be an integer that fits in 64 unsigned bits, got {self.seed}"
+            )
 
     def side_counts(self) -> tuple[int, int]:
         """(neg_count, pos_count) of the simulated grid."""
         pos = grid_count(self.horizon, self.delta)
         neg = pos if self.domain is Domain.FULL_LINE else 0
         return neg, pos
-
-
-@dataclass(frozen=True)
-class SupRecord:
-    """Maximum of the penalized field on one path, in log and level form.
-
-    ``functional == exp(z_max)`` exactly: the sup of the exponential equals
-    the exponential of the sup, and the grid contains t = 0 where the field
-    vanishes, so ``functional >= 1`` always.
-    """
-
-    z_max: float
-    functional: float
 
 
 @dataclass(frozen=True)
@@ -191,27 +159,6 @@ def _drift(neg_count: int, pos_count: int, delta: float, alpha: float, d: float)
     return (1.0 + d) * np.abs(k * delta) ** alpha
 
 
-def _penalized_field(path: PathGrid, d: float) -> np.ndarray:
-    if d <= 0.0:
-        raise ValueError(f"penalty d must be positive, got {d}")
-    drift = _drift(path.neg_count, path.pos_count, path.delta, path.alpha, d)
-    return _SQRT2 * path.values - drift
-
-
-def sup_functional(path: PathGrid, d: float, domain: Domain) -> SupRecord:
-    """Evaluate the penalized supremum functional on one path.
-
-    For ``Domain.HALF_LINE`` the points left of t = 0 are ignored.  The
-    maximum is taken in log space and exponentiated once.
-    """
-    z = _penalized_field(path, d)
-    included = z[path.neg_count :] if domain is Domain.HALF_LINE else z
-    if included.size == 0:
-        raise ValueError("no grid points included in the domain")
-    z_max = float(included.max())
-    return SupRecord(z_max=z_max, functional=float(np.exp(z_max)))
-
-
 def _check_strides(strides: Sequence[int]) -> list[int]:
     strides = [int(s) for s in strides]
     if not strides:
@@ -220,31 +167,6 @@ def _check_strides(strides: Sequence[int]) -> list[int]:
         if s < 1:
             raise ValueError(f"strides must be positive integers, got {s}")
     return strides
-
-
-def subsampled_functionals(
-    path: PathGrid, d: float, domain: Domain, strides: Sequence[int]
-) -> list[SupRecord]:
-    """Evaluate the functional on nested sub-grids {t = k * stride * delta}.
-
-    Record i restricts the maximum to grid indices divisible by strides[i];
-    stride 1 reproduces :func:`sup_functional`.  A stride beyond pos_count
-    leaves only t = 0 on the half-line, giving functional 1.  This is the
-    common-random-numbers workhorse: coarser grids are read off the same
-    path, so paired differences between strides carry no between-path noise.
-    """
-    strides = _check_strides(strides)
-    z = _penalized_field(path, d)
-    neg = path.neg_count
-    records = []
-    for s in strides:
-        if domain is Domain.HALF_LINE:
-            sub = z[neg::s]
-        else:
-            sub = z[neg % s :: s]
-        z_max = float(sub.max())
-        records.append(SupRecord(z_max=z_max, functional=float(np.exp(z_max))))
-    return records
 
 
 def _batch_size(width: int) -> int:
@@ -259,18 +181,19 @@ def _simulate_functionals(
 ) -> np.ndarray:
     """Per-replication functionals, shape (replications, len(strides)).
 
-    Row r reproduces bit-for-bit what the per-path pipeline
-    (replication_stream -> sample_two_sided_path -> rescale_path ->
-    subsampled_functionals) yields for replication r; the batching here only
-    amortizes the FFTs.  Like the per-path sampler, alpha = 1 and single-
-    increment grids skip the embedding and use n iid normals per row.
+    Row r reproduces bit-for-bit what the per-path reference in
+    ``tests/oracle.py`` yields for replication r (a fresh Philox stream,
+    one path, a self-similarity rescale and the sup over each stride's
+    sub-grid); the batching here only amortizes the FFTs.  Like the path
+    sampler, alpha = 1 and single-increment grids skip the embedding and
+    use n iid normals per row.
 
     Each worker gets one set of batch buffers and one Philox generator,
     built here on the calling thread and reused for all of its batches, so
     memory follows from the config and the worker count alone: pool threads
     allocate nothing large, and a lone batch runs on the calling thread.
     Per replication r the worker writes r into counter word 2 (the counter
-    is r << 128, as in replication_stream) and assigns its cached state
+    is r << 128, the stream of replication r) and assigns its cached state
     back, which also empties the buffered bits; a bit generator is never
     shared between threads.
     """
@@ -347,12 +270,17 @@ def _mom_ci_rank(blocks: int) -> int | None:
     return r or None
 
 
+def _std_error(values: np.ndarray) -> float:
+    """CLT standard error of the sample mean: std(ddof=1) / sqrt(len)."""
+    return float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
 def _aggregate(functionals: np.ndarray, config: EstimatorConfig) -> EstimateResult:
     reps = len(functionals)
     if config.d > 1.0:
         estimate = float(functionals.mean())
         if reps >= 2:
-            stderr = float(functionals.std(ddof=1) / math.sqrt(reps))
+            stderr = _std_error(functionals)
             ci_low, ci_high = estimate - _Z95 * stderr, estimate + _Z95 * stderr
         else:
             stderr = ci_low = ci_high = None

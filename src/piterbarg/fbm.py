@@ -35,13 +35,10 @@ import numpy as np
 
 __all__ = [
     "CirculantSpectrum",
-    "PathGrid",
     "fgn_autocovariance",
     "circulant_spectrum",
-    "sample_fgn",
     "cholesky_sample",
     "sample_two_sided_path",
-    "rescale_path",
 ]
 
 # Relative floor below which a negative FFT eigenvalue is treated as roundoff
@@ -89,39 +86,6 @@ class CirculantSpectrum:
         weights[half] = np.sqrt(lam[half])
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-
-    def max_draw_length(self) -> int:
-        """Longest exact fGn draw this embedding supports (m/2 + 1)."""
-        return self.m // 2 + 1
-
-
-@dataclass
-class PathGrid:
-    """Values of a two-sided fBM path on a uniform grid anchored at 0.
-
-    ``values[neg_count + k]`` is B(k * delta) for k = -neg_count..pos_count;
-    the anchor ``values[neg_count]`` is exactly 0.
-    """
-
-    alpha: float
-    delta: float
-    neg_count: int
-    pos_count: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.neg_count < 0 or self.pos_count < 0:
-            raise ValueError("grid point counts must be nonnegative")
-        expected = self.neg_count + self.pos_count + 1
-        if len(self.values) != expected:
-            raise ValueError(
-                f"values has length {len(self.values)}, expected {expected}"
-            )
-        if self.values[self.neg_count] != 0.0:
-            raise ValueError("path value at t = 0 must be exactly 0")
 
 
 def fgn_autocovariance(alpha: float, k: int) -> float:
@@ -215,29 +179,11 @@ def _fgn_from_normals(
     return fgn
 
 
-def sample_fgn(
-    spectrum: CirculantSpectrum, rng: np.random.Generator, n: int | None = None
-) -> np.ndarray:
-    """Draw one exact stationary fGn sequence of length n from the spectrum.
-
-    Consumes exactly ``spectrum.m`` standard normals from ``rng``.  ``n``
-    defaults to the longest exact length the embedding supports.
-    """
-    nmax = spectrum.max_draw_length()
-    if n is None:
-        n = nmax
-    n = int(n)
-    if not 1 <= n <= nmax:
-        raise ValueError(f"draw length must be in [1, {nmax}], got {n}")
-    z = rng.standard_normal(spectrum.m)
-    return _fgn_from_normals(spectrum, z[None, :])[0, :n]
-
-
 def cholesky_sample(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact fGn draw by dense Cholesky factorization of the Toeplitz covariance.
 
-    O(n^3) cross-validation oracle for :func:`sample_fgn`; capped at
-    n <= 4096 because it exists only to check the FFT sampler.
+    O(n^3) cross-validation oracle for the circulant-embedding draw; capped
+    at n <= 4096 because it exists only to check the FFT sampler.
     """
     alpha = _check_alpha(alpha)
     n = int(n)
@@ -282,15 +228,17 @@ def _two_sided_values(
 
 def sample_two_sided_path(
     alpha: float, neg_count: int, pos_count: int, rng: np.random.Generator
-) -> PathGrid:
+) -> np.ndarray:
     """Sample a two-sided fBM path on the unit grid -neg_count..pos_count.
 
     One stationary fGn sequence of length ``neg_count + pos_count`` is drawn
     and cumulated around the t = 0 anchor, so the resulting grid process has
     exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
     increments.  At alpha = 1 (or for a single increment) the sequence is
-    iid N(0, 1) and is drawn as n normals, without an embedding.  Returns a
-    :class:`PathGrid` with ``delta = 1``.
+    iid N(0, 1) and is drawn as n normals, without an embedding; otherwise
+    the draw consumes the m normals of the circulant embedding.  Returns the
+    values B(k) for k = -neg_count..pos_count, so ``values[neg_count]`` is
+    exactly 0.  Scaling by delta^(alpha/2) gives the path on the delta grid.
     """
     alpha = _check_alpha(alpha)
     neg_count, pos_count = int(neg_count), int(pos_count)
@@ -298,35 +246,8 @@ def sample_two_sided_path(
         raise ValueError("need at least one increment across both sides")
     n = neg_count + pos_count
     if n == 1 or alpha == 1.0:
-        fgn = rng.standard_normal(n)  # gamma(k) = 0 for k >= 1: iid N(0,1)
+        fgn = rng.standard_normal((1, n))  # gamma(k) = 0 for k >= 1: iid N(0,1)
     else:
-        fgn = sample_fgn(_cached_spectrum(alpha, n), rng, n)
-    values = _two_sided_values(fgn[None, :], neg_count)[0]
-    return PathGrid(
-        alpha=alpha,
-        delta=1.0,
-        neg_count=neg_count,
-        pos_count=pos_count,
-        values=values,
-    )
-
-
-def rescale_path(path: PathGrid, delta: float) -> PathGrid:
-    """Turn a unit-grid path into a delta-grid path by self-similarity.
-
-    B(delta * k) has the law of delta^(alpha/2) * B(k), so rescaling amounts
-    to one multiplication; grid point k then represents time k * delta.
-    """
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if path.delta != 1.0:
-        raise ValueError(f"expected a unit-spacing path, got delta={path.delta}")
-    return PathGrid(
-        alpha=path.alpha,
-        delta=delta,
-        neg_count=path.neg_count,
-        pos_count=path.pos_count,
-        values=path.values * delta ** (path.alpha / 2.0),
-    )
-
+        spectrum = _cached_spectrum(alpha, n)
+        fgn = _fgn_from_normals(spectrum, rng.standard_normal((1, spectrum.m)))[:, :n]
+    return _two_sided_values(fgn, neg_count)[0]

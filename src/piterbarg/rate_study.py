@@ -25,7 +25,8 @@ import numpy as np
 
 from .budget import plan_horizon
 from .closed_form import piterbarg_bm_full, piterbarg_bm_half
-from .estimator import Domain, EstimatorConfig, _simulate_functionals
+from .estimator import Domain, EstimatorConfig, _simulate_functionals, _std_error
+from .fbm import _check_alpha
 
 __all__ = [
     "RatePoint",
@@ -98,13 +99,38 @@ def _nested_strides(deltas: Sequence[float]) -> tuple[list[float], list[int]]:
     return deltas, strides
 
 
-def _check_finite_variance(d: float) -> None:
-    """The studies report CLT stderrs, which need d > 1 (finite variance)."""
+def _finest_grid_functionals(
+    alpha: float,
+    d: float,
+    domain: Domain,
+    deltas: Sequence[float],
+    replications: int,
+    seed: int,
+    threads: int,
+) -> tuple[list[float], np.ndarray]:
+    """Simulate at the finest spacing and read every coarser one off the paths.
+
+    Returns the validated spacings and the (replications, len(deltas))
+    functionals; the horizon is plan_horizon(finest, alpha).  The studies
+    report CLT stderrs, which need d > 1 (finite variance).
+    """
     if not d > 1.0:
         raise ValueError(
             f"rate studies report CLT standard errors, which need d > 1 "
             f"(the functional has infinite variance for d <= 1), got d={d}"
         )
+    deltas, strides = _nested_strides(deltas)
+    finest = deltas[-1]
+    config = EstimatorConfig(
+        alpha=alpha,
+        d=d,
+        domain=domain,
+        delta=finest,
+        horizon=plan_horizon(finest, alpha),
+        replications=replications,
+        seed=seed,
+    )
+    return deltas, _simulate_functionals(config, strides, threads=threads)
 
 
 def run_rate_study_bm(
@@ -122,29 +148,17 @@ def run_rate_study_bm(
     the closed forms; d must exceed 1 so the sample mean has a finite
     variance.  Returns one :class:`RatePoint` per spacing, in input order.
     """
-    _check_finite_variance(d)
-    deltas, strides = _nested_strides(deltas)
-    finest = deltas[-1]
-    horizon = plan_horizon(finest, 1.0)
-    config = EstimatorConfig(
-        alpha=1.0,
-        d=d,
-        domain=domain,
-        delta=finest,
-        horizon=horizon,
-        replications=replications,
-        seed=seed,
+    deltas, functionals = _finest_grid_functionals(
+        1.0, d, domain, deltas, replications, seed, threads
     )
-    functionals = _simulate_functionals(config, strides, threads=threads)
     exact = (
         piterbarg_bm_half(d) if domain is Domain.HALF_LINE else piterbarg_bm_full(d)
     )
-    reps = functionals.shape[0]
     points = []
     for j, delta in enumerate(deltas):
         col = functionals[:, j]
         p_hat = float(col.mean())
-        stderr = float(col.std(ddof=1) / math.sqrt(reps))
+        stderr = _std_error(col)
         gap = exact - p_hat
         points.append(
             RatePoint(
@@ -176,42 +190,26 @@ def run_gap_decay(
     standard error for comparison against the alpha/2 envelope exponent.
     Like the rate study it needs d > 1.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 2.0 or alpha == 1.0:
+    alpha = _check_alpha(alpha)
+    if alpha == 1.0:
         raise ValueError(
             f"gap decay study needs alpha in (0, 2) excluding 1, got {alpha}"
         )
-    _check_finite_variance(d)
-    deltas, strides = _nested_strides(deltas)
-    finest = deltas[-1]
-    horizon = plan_horizon(finest, alpha)
-    config = EstimatorConfig(
-        alpha=alpha,
-        d=d,
-        domain=domain,
-        delta=finest,
-        horizon=horizon,
-        replications=replications,
-        seed=seed,
+    deltas, functionals = _finest_grid_functionals(
+        alpha, d, domain, deltas, replications, seed, threads
     )
-    functionals = _simulate_functionals(config, strides, threads=threads)
-    reps = functionals.shape[0]
     fine = functionals[:, -1]
     points = []
     for j, delta in enumerate(deltas[:-1]):
         diff = fine - functionals[:, j]
         points.append(
-            GapPoint(
-                delta=delta,
-                gap=float(diff.mean()),
-                gap_stderr=float(diff.std(ddof=1) / math.sqrt(reps)),
-            )
+            GapPoint(delta=delta, gap=float(diff.mean()), gap_stderr=_std_error(diff))
         )
     exponent, exponent_stderr = _loglog_slope(
         [p.delta for p in points], [p.gap for p in points]
     )
     return GapDecayResult(
-        finest_delta=finest,
+        finest_delta=deltas[-1],
         points=points,
         exponent=exponent,
         exponent_stderr=exponent_stderr,

@@ -4,21 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import piterbarg.estimator as estimator
+from oracle import (
+    PathGrid,
+    replication_path,
+    replication_stream,
+    subsampled_functionals,
+    sup_functional,
+)
 from piterbarg import (
     Domain,
     EstimatorConfig,
-    PathGrid,
     circulant_spectrum,
     estimate_constant,
     grid_count,
     plan_horizon,
     rate_constant,
-    replication_stream,
-    rescale_path,
     sample_two_sided_path,
-    subsampled_functionals,
-    sup_functional,
 )
 from piterbarg.estimator import (
     _aggregate,
@@ -154,10 +159,6 @@ class TestReplicationStreams:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            replication_stream(1, -1)
-
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_reset_philox_matches_fresh_stream(self, seed):
         # the engine's form: one Philox and Generator per worker, reseated
@@ -190,7 +191,8 @@ class TestEstimatorConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("alpha", 2.0), ("alpha", 0.0), ("d", 0.0), ("delta", -0.1),
-        ("horizon", 0.0), ("seed", -1),
+        ("horizon", 0.0), ("seed", -1), ("seed", 2**64), ("seed", 1.7),
+        ("seed", True), ("replications", 2.5), ("replications", True),
     ])
     def test_invalid_fields_rejected(self, field, value):
         kwargs = dict(alpha=1.0, d=1.0, domain=Domain.HALF_LINE,
@@ -206,6 +208,37 @@ class TestEstimatorConfig:
         cfg = EstimatorConfig(alpha=1.0, d=1.0, domain=Domain.HALF_LINE,
                               delta=0.1, horizon=1.05, replications=1, seed=0)
         assert cfg.side_counts() == (0, 10)
+
+    @given(
+        delta=st.floats(1e-6, 1e6),
+        horizon=st.floats(1e-6, 1e6),
+        domain=st.sampled_from(list(Domain)),
+    )
+    def test_accepted_grid_is_never_empty(self, delta, horizon, domain):
+        # delta <= horizon is all the config demands, and it is enough
+        kwargs = dict(alpha=1.0, d=1.0, domain=domain, delta=delta,
+                      horizon=horizon, replications=1, seed=0)
+        if delta > horizon:
+            with pytest.raises(ValueError):
+                EstimatorConfig(**kwargs)
+        else:
+            assert EstimatorConfig(**kwargs).side_counts()[1] >= 1
+
+    @given(k=st.integers(1, 10**6), j=st.integers(1, 999), p=st.integers(1, 6))
+    def test_grid_count_exact_on_decimal_multiples(self, k, j, p):
+        delta = j / 10**p
+        assert grid_count(k * delta, delta) == k
+
+    @given(seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(max_value=-1),
+                          st.integers(min_value=2**64)))
+    def test_seed_range(self, seed):
+        kwargs = dict(alpha=1.0, d=1.0, domain=Domain.HALF_LINE,
+                      delta=0.1, horizon=1.0, replications=1)
+        if 0 <= seed < 2**64:
+            assert EstimatorConfig(seed=seed, **kwargs).seed == seed
+        else:
+            with pytest.raises(ValueError):
+                EstimatorConfig(seed=seed, **kwargs)
 
     def test_grid_count_decimal_forgiveness(self):
         # 0.3/0.1 = 2.999...96 in binary; the count must still be 3
@@ -260,19 +293,26 @@ class TestEstimateConstant:
         # and across repeated runs
         assert estimate_constant(cfg, threads=2) == r1
 
-    def test_batched_matches_per_path_pipeline(self):
-        # the batched engine must reproduce the public per-path ops bit-for-bit
-        cfg = EstimatorConfig(alpha=0.7, d=0.3, domain=Domain.FULL_LINE,
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_batched_matches_per_path_pipeline(self, alpha, domain, threads,
+                                               monkeypatch):
+        # the batched engine, run here in three batches of two rows, must
+        # reproduce the per-path oracle and the public path sampler
+        # bit-for-bit, including the alpha = 1 shortcut
+        monkeypatch.setattr(estimator, "_batch_size", lambda width: 2)
+        cfg = EstimatorConfig(alpha=alpha, d=0.3, domain=domain,
                               delta=0.3, horizon=3.0, replications=6, seed=99)
-        table = _simulate_functionals(cfg, strides=[1, 2], threads=1)
+        table = _simulate_functionals(cfg, strides=[1, 2, 3], threads=threads)
         neg, pos = cfg.side_counts()
         for r in range(cfg.replications):
-            rng = replication_stream(cfg.seed, r)
-            path = rescale_path(sample_two_sided_path(cfg.alpha, neg, pos, rng),
-                                cfg.delta)
-            recs = subsampled_functionals(path, cfg.d, cfg.domain, [1, 2])
-            assert recs[0].functional == table[r, 0]
-            assert recs[1].functional == table[r, 1]
+            path = replication_path(cfg, r)
+            recs = subsampled_functionals(path, cfg.d, cfg.domain, [1, 2, 3])
+            assert [rec.functional for rec in recs] == list(table[r])
+            unit = sample_two_sided_path(cfg.alpha, neg, pos,
+                                         replication_stream(cfg.seed, r))
+            assert np.array_equal(unit * cfg.delta ** (cfg.alpha / 2.0), path.values)
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_brownian_rows_use_raw_normals(self, domain):
@@ -293,13 +333,6 @@ class TestEstimateConstant:
             values[neg] = 0.0
             field = math.sqrt(2.0) * (cfg.delta ** 0.5 * values) - drift
             assert table[r, 0] == np.exp(field[first:].max())
-            # the per-path sampler takes the same shortcut
-            path = rescale_path(
-                sample_two_sided_path(cfg.alpha, neg, pos,
-                                      replication_stream(cfg.seed, r)),
-                cfg.delta,
-            )
-            assert sup_functional(path, cfg.d, domain).functional == table[r, 0]
 
     def test_brownian_deterministic_across_threads_and_batches(self):
         n = sum(self._config().side_counts())

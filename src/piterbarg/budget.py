@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimator import EstimateResult, EstimatorConfig
+from .estimator import EstimateResult, EstimatorConfig, _check_positive
 from .fbm import _check_alpha
 
 __all__ = [
@@ -47,7 +47,16 @@ def plan_horizon(delta: float, alpha: float) -> float:
     """
     delta = _check_delta(delta)
     alpha = _check_alpha(alpha)
-    return (-math.log(delta)) ** (2.0 / alpha)
+    try:
+        horizon = (-math.log(delta)) ** (2.0 / alpha)
+    except OverflowError:
+        horizon = math.inf
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(
+            f"the planned horizon (-ln delta)^(2/alpha) at delta={delta}, "
+            f"alpha={alpha} is {horizon}, outside the float range"
+        )
+    return horizon
 
 
 def discretization_bound(delta: float, alpha: float, c_disc: float = 1.0) -> float:
@@ -58,8 +67,7 @@ def discretization_bound(delta: float, alpha: float, c_disc: float = 1.0) -> flo
     """
     delta = _check_delta(delta)
     alpha = _check_alpha(alpha)
-    if c_disc <= 0.0:
-        raise ValueError(f"c_disc must be positive, got {c_disc}")
+    c_disc = _check_positive("c_disc", c_disc)
     return c_disc * delta ** (alpha / 2.0) * math.sqrt(-math.log(delta))
 
 
@@ -69,13 +77,13 @@ def truncation_bound(horizon: float, alpha: float, c_trunc: float = 1.0) -> floa
     Valid for sufficiently large T; reports flag horizons below 1 as outside
     the bound's comfort zone without refusing them.
     """
-    horizon = float(horizon)
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    horizon = _check_positive("horizon", horizon)
     alpha = _check_alpha(alpha)
-    if c_trunc <= 0.0:
-        raise ValueError(f"c_trunc must be positive, got {c_trunc}")
-    return math.exp(-c_trunc * horizon**alpha)
+    c_trunc = _check_positive("c_trunc", c_trunc)
+    try:
+        return math.exp(-c_trunc * horizon**alpha)
+    except OverflowError:  # T^alpha beyond the float range: the bound is 0
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,9 @@ def budget_report(
     ct = 1.0 if c_trunc is None else float(c_trunc)
     disc = discretization_bound(delta, alpha, cd)
     trunc = truncation_bound(horizon, alpha, ct)
+    total = disc + trunc + (stat_error if stat_error is not None else 0.0)
+    if not math.isfinite(total):
+        raise ValueError(f"the error budget {disc} + {trunc} + {stat_error} is not finite")
     return BudgetReport(
         delta=delta,
         horizon=horizon,
@@ -138,7 +149,7 @@ def budget_report(
         trunc_bound=trunc,
         stat_error=stat_error,
         constants={"c_disc": cd, "c_trunc": ct},
-        total=disc + trunc + (stat_error if stat_error is not None else 0.0),
+        total=total,
         up_to_constant=c_disc is None or c_trunc is None,
         horizon_below_comfort=horizon < 1.0,
     )

@@ -19,13 +19,15 @@ blocks, whose interval comes from block-mean order statistics.  Median-of-
 means results carry extra bias under heavy skew and should be read as
 robust location estimates, not unbiased means.
 
-Replication r draws from the stream ``Philox(key=seed, counter=r << 128)``,
-so results are bit-identical no matter how replications are batched or
-spread over threads.  Each worker keeps one Philox keyed by the seed and
-resets its counter to r << 128 for replication r, which yields the numbers
-a freshly built stream would, without building one.  At alpha = 1 a
-replication draws its n increments directly as iid normals; otherwise it
-draws the m normals of the circulant embedding.
+A replication draws one row of normals: its n increments directly as iid
+normals at alpha = 1, otherwise the m normals of the circulant embedding.
+Rows are grouped into blocks of B, where B depends on the row width alone.
+Block b is the stream ``Philox(key=seed, counter=b << 128)`` drawn row after
+row, and replication r is row r mod B of block r // B.  Batches start on
+block boundaries, so results are bit-identical no matter how replications
+are batched or spread over threads.  Each worker keeps one Philox keyed by
+the seed and resets its counter to b << 128 for block b, which yields the
+numbers a freshly built stream would, without building one.
 """
 
 from __future__ import annotations
@@ -71,8 +73,21 @@ def grid_count(horizon: float, delta: float) -> int:
     A one-part-in-1e12 forgiveness absorbs binary-representation artifacts
     such as 0.3/0.1 = 2.999...96 so that decimal-exact multiples count.
     """
-    ratio = horizon / delta
-    return int(math.floor(ratio * (1.0 + 1e-12) + 1e-12))
+    count = horizon / delta * (1.0 + 1e-12) + 1e-12
+    if not math.isfinite(count):
+        raise ValueError(
+            f"the grid of spacing delta={delta} up to horizon T={horizon} has "
+            f"T/delta = {count} points, which is not a finite count"
+        )
+    return int(math.floor(count))
+
+
+def _check_positive(name: str, value: float) -> float:
+    """``value`` as a float, if it is positive and finite; else ValueError."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def _is_integer(value) -> bool:
@@ -99,14 +114,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.d <= 0.0:
-            raise ValueError(f"penalty d must be positive, got {self.d}")
+        _check_positive("penalty d", self.d)
         if not isinstance(self.domain, Domain):
             raise ValueError(f"domain must be a Domain, got {self.domain!r}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        _check_positive("delta", self.delta)
+        _check_positive("horizon", self.horizon)
         if self.delta > self.horizon:
             raise ValueError(
                 f"delta={self.delta} exceeds horizon={self.horizon}: empty grid"
@@ -119,6 +131,7 @@ class EstimatorConfig:
             raise ValueError(
                 f"seed must be an integer that fits in 64 unsigned bits, got {self.seed}"
             )
+        self.side_counts()  # a grid too fine to count fails here, not mid-run
 
     def side_counts(self) -> tuple[int, int]:
         """(neg_count, pos_count) of the simulated grid."""
@@ -169,11 +182,37 @@ def _check_strides(strides: Sequence[int]) -> list[int]:
     return strides
 
 
+def _block_rows(width: int) -> int:
+    # Largest power of two B with B * width <= 2^15, and at least 1: one
+    # counter reset and one standard_normal call, run without the GIL, per
+    # block of rows.  Fixed by the row width alone, so the stream never
+    # depends on the thread count.
+    return 1 << max(0, ((1 << 15) // width).bit_length() - 1)
+
+
 def _batch_size(width: int) -> int:
     # At most ~32 MiB of normals per batch (and as much complex spectrum
-    # where an embedding is used) down to a single row; fixed by the row
-    # width alone so batching never depends on the thread count.
-    return max(1, min(4096, (1 << 22) // width))
+    # where an embedding is used), in whole blocks and at least one block;
+    # fixed by the row width alone.
+    block = _block_rows(width)
+    return block * max(1, min(4096, (1 << 22) // width) // block)
+
+
+def _fill_normals(gen: np.random.Generator, state: dict, z: np.ndarray,
+                  first: int, block: int) -> None:
+    """Fill the rows of ``z`` from blocks first, first + 1, ... of ``block`` rows.
+
+    Block b is the stream ``Philox(key=seed, counter=b << 128)``: ``state``
+    is a cached state dict of ``gen``'s Philox, and writing b into counter
+    word 2 and assigning it back reseats the stream and empties its buffered
+    bits.  Each block is one ``standard_normal`` call, which draws row after
+    row, so a short last block is a prefix of its full block.
+    """
+    counter = state["state"]["counter"]
+    for b, i in enumerate(range(0, len(z), block), start=first):
+        counter[2] = b
+        gen.bit_generator.state = state
+        gen.standard_normal(out=z[i : i + block])
 
 
 def _simulate_functionals(
@@ -182,20 +221,21 @@ def _simulate_functionals(
     """Per-replication functionals, shape (replications, len(strides)).
 
     Row r reproduces bit-for-bit what the per-path reference in
-    ``tests/oracle.py`` yields for replication r (a fresh Philox stream,
-    one path, a self-similarity rescale and the sup over each stride's
-    sub-grid); the batching here only amortizes the FFTs.  Like the path
-    sampler, alpha = 1 and single-increment grids skip the embedding and
-    use n iid normals per row.
+    ``tests/oracle.py`` yields for replication r (row r mod B of the Philox
+    stream of block r // B, one path, a self-similarity rescale and the sup
+    over each stride's sub-grid); the batching here only amortizes the
+    FFTs.  Like the path sampler, alpha = 1 and single-increment grids skip
+    the embedding and use n iid normals per row.
 
-    Each worker gets one set of batch buffers and one Philox generator,
-    built here on the calling thread and reused for all of its batches, so
-    memory follows from the config and the worker count alone: pool threads
-    allocate nothing large, and a lone batch runs on the calling thread.
-    Per replication r the worker writes r into counter word 2 (the counter
-    is r << 128, the stream of replication r) and assigns its cached state
-    back, which also empties the buffered bits; a bit generator is never
-    shared between threads.
+    Batches are whole blocks of ``_block_rows(width)`` rows, except a short
+    last one.  A run smaller than one batch per worker is cut into equal
+    block-aligned shares, so every worker gets one.  Each worker gets one set
+    of batch buffers and one Philox generator, built here on the calling
+    thread and reused for all of its batches, so memory follows from the
+    config and the worker count alone: pool threads allocate nothing large,
+    and a lone batch runs on the calling thread.  For block b the worker
+    resets its counter to b << 128 (see ``_fill_normals``); a bit generator
+    is never shared between threads.
     """
     neg, pos = config.side_counts()
     n = neg + pos
@@ -209,27 +249,25 @@ def _simulate_functionals(
 
     reps = int(config.replications)
     out = np.empty((reps, len(strides)))
-    bsize = min(_batch_size(width), reps)
+    block = _block_rows(width)
+    share = block * -(-reps // (block * max(1, threads)))  # whole blocks per worker
+    bsize = min(_batch_size(width), share, reps)
     starts = range(0, reps, bsize)
     workers = max(1, min(threads, len(starts)))
 
     def buffers():
         # Normals (overwritten by the fGn), half-spectrum, path values, and
-        # the worker's own Philox, its generator and a fresh state dict.
+        # the worker's own generator with a fresh state dict of its Philox.
         w = None if iid else np.empty((bsize, width // 2 + 1), dtype=np.complex128)
-        bits = np.random.Philox(key=config.seed)
+        gen = np.random.Generator(np.random.Philox(key=config.seed))
         z, values = np.empty((bsize, width)), np.empty((bsize, n + 1))
-        return z, w, values, bits, np.random.Generator(bits), bits.state
+        return z, w, values, gen, gen.bit_generator.state
 
     def run(start: int, z: np.ndarray, w: np.ndarray | None, values: np.ndarray,
-            bits: np.random.Philox, gen: np.random.Generator, state: dict) -> None:
+            gen: np.random.Generator, state: dict) -> None:
         rows = min(bsize, reps - start)
         z = z[:rows]
-        counter = state["state"]["counter"]
-        for i in range(rows):
-            counter[2] = start + i
-            bits.state = state
-            gen.standard_normal(out=z[i])
+        _fill_normals(gen, state, z, start // block, block)
         fgn = z if iid else _fgn_from_normals(spectrum, z, w[:rows], out=z)[:, :n]
         field = _two_sided_values(fgn, neg, out=values[:rows])
         # sqrt(2) * (scale * values) - drift, in place.

@@ -12,13 +12,14 @@ stationary with autocovariance
 
 The sampler embeds the Toeplitz covariance of fGn in a circulant matrix
 diagonalized by the FFT (Davies-Harte method), which is exact and costs
-O(m log m) per draw. The spectrum stores the weights that turn standard
-normals into its Hermitian half-spectrum, so a draw only multiplies and
-inverts. At alpha = 1 every lag beyond 0 vanishes and the increments are
-iid N(0, 1): the samplers then draw them directly, with no embedding and no
-FFT. A dense Cholesky factorization of the same covariance is kept as a
-slow oracle for cross-validation; it is never used in the estimation
-pipeline.
+O(m log m) per draw.  The embedding length m is the shortest even 5-smooth
+one (Wood and Chan 1994), which numpy's FFT transforms fast. The spectrum
+stores the weights that turn standard normals into its Hermitian
+half-spectrum, so a draw only multiplies and inverts. At alpha = 1 every lag beyond 0
+vanishes and the increments are iid N(0, 1): the samplers then draw them
+directly, with no embedding and no FFT. A dense Cholesky factorization of
+the same covariance is kept as a slow oracle for cross-validation; it is
+never used in the estimation pipeline.
 
 Paths are always simulated on the unit grid and rescaled by self-similarity
 (B(delta * k) has the law of delta^(alpha/2) * B(k)), so one spectrum per
@@ -59,7 +60,7 @@ def _check_alpha(alpha: float) -> float:
 class CirculantSpectrum:
     """FFT eigenvalues of the circulant extension of the fGn covariance.
 
-    ``eigenvalues`` has length ``m`` (even, a power of two >= 2(n-1)) and is
+    ``eigenvalues`` has length ``m`` (even, 5-smooth and >= 2(n-1)) and is
     the DFT of the periodized autocovariance sequence
     gamma(0), ..., gamma(m/2), gamma(m/2 - 1), ..., gamma(1).  All entries
     are nonnegative; inverting the transform recovers gamma(0..m/2).
@@ -111,14 +112,25 @@ def _autocovariances(alpha: float, kmax: int) -> np.ndarray:
     return g
 
 
-def _next_pow2(x: int) -> int:
-    return 1 << (x - 1).bit_length()
+def _next_fast_len(x: int) -> int:
+    """Smallest even 5-smooth integer 2^a 3^b 5^c (a >= 1) that is >= x."""
+    best = 1 << max(1, (x - 1).bit_length())
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest 2^a * p35 >= x with a >= 1
+            best = min(best, p35 << max(1, (-(-x // p35) - 1).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def circulant_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     """Eigenvalues of the circulant embedding of gamma(0..n-1).
 
-    The embedding length m is the smallest power of two >= 2(n-1); the
+    The embedding length m is the smallest even 5-smooth integer >= 2(n-1),
+    a length pocketfft transforms fast (Wood and Chan 1994); the
     circulant first row is the true autocovariance out to lag m/2 and its
     mirror, so draws of length up to m/2 + 1 are exact.  For fGn the
     eigenvalues are nonnegative in theory; tiny negative roundoff is clamped
@@ -129,7 +141,7 @@ def circulant_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     n = int(n)
     if n < 2:
         raise ValueError(f"embedding needs n >= 2 increments, got {n}")
-    m = _next_pow2(2 * (n - 1))
+    m = _next_fast_len(2 * (n - 1))
     half = m // 2
     g = _autocovariances(alpha, half)
     first_row = np.concatenate([g, g[half - 1 : 0 : -1]])

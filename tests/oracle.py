@@ -1,13 +1,15 @@
 """Per-path reference pipeline that the batched engine is checked against.
 
 ``piterbarg.estimator._simulate_functionals`` simulates replications in
-batches, in reused buffers and with one reseated Philox per worker.  This
-module computes the same numbers one path at a time, each step in its
-plainest form: a freshly built Philox stream per replication, the circulant
-draw built from the eigenvalues with complex temporaries, the anchored
-running sum, the self-similarity rescale and the penalized supremum over
-each stride's sub-grid.  It calls none of the engine's kernels, so tests can
-require bit-equality without comparing the engine with itself.
+batches, in reused buffers and with one reseated Philox per worker that
+fills a block of rows per call.  This module computes the same numbers one
+path at a time, each step in its plainest form: a freshly built Philox
+stream per replication, advanced past the earlier rows of its block, the
+circulant draw built from the eigenvalues with complex temporaries, the
+anchored running sum, the self-similarity rescale and the penalized
+supremum over each stride's sub-grid.  It calls none of the engine's
+kernels, so tests can require bit-equality without comparing the engine
+with itself.
 """
 
 from __future__ import annotations
@@ -21,13 +23,30 @@ import numpy as np
 from piterbarg import CirculantSpectrum, Domain, EstimatorConfig, circulant_spectrum
 
 
-def replication_stream(seed: int, index: int) -> np.random.Generator:
-    """Stream of replication ``index``: Philox keyed by the seed, counter index << 128.
+def block_rows(width: int) -> int:
+    """Rows per Philox block: the largest power of two B with B * width <= 2^15, at least 1."""
+    block = 1
+    while 2 * block * width <= 2**15:
+        block *= 2
+    return block
 
-    Streams never overlap, and replication r sees the same numbers
-    regardless of execution order or thread count.
+
+def replication_stream(
+    seed: int, index: int, width: int = 1, block: int = 1
+) -> np.random.Generator:
+    """Stream of replication ``index`` when rows of ``width`` normals come in blocks.
+
+    A fresh Philox keyed by the seed at counter (index // block) << 128, the
+    stream of the block, with the index % block earlier rows of the block
+    drawn and dropped one at a time.  With block = 1 it is the stream at
+    counter index << 128.  Streams of distinct replications never overlap,
+    and replication r sees the same numbers regardless of execution order or
+    thread count.
     """
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=(index // block) << 128))
+    for _ in range(index % block):
+        rng.standard_normal(width)
+    return rng
 
 
 def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -53,15 +72,23 @@ class PathGrid:
     values: np.ndarray
 
 
-def replication_path(config: EstimatorConfig, index: int) -> PathGrid:
-    """Path of replication ``index`` under ``config`` on its delta grid."""
+def replication_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
+    """Path of replication ``index`` under ``config`` on its delta grid.
+
+    ``block`` is the rows per Philox block, by default ``block_rows`` of
+    the row width: n normals at alpha = 1, else the embedding length m.
+    """
     neg, pos = config.side_counts()
     n = neg + pos
-    rng = replication_stream(config.seed, index)
-    if n == 1 or config.alpha == 1.0:
+    iid = n == 1 or config.alpha == 1.0
+    spectrum = None if iid else circulant_spectrum(config.alpha, n)
+    width = n if iid else spectrum.m
+    block = block_rows(width) if block is None else block
+    rng = replication_stream(config.seed, index, width, block)
+    if iid:
         fgn = rng.standard_normal(n)  # iid increments: no embedding
     else:
-        fgn = sample_fgn(circulant_spectrum(config.alpha, n), rng, n)
+        fgn = sample_fgn(spectrum, rng, n)
     unit = np.concatenate([[0.0], np.cumsum(fgn)])
     unit -= unit[neg]
     unit[neg] = 0.0

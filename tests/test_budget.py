@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from piterbarg import (
     Domain,
     EstimatorConfig,
+    budget_report,
     discretization_bound,
     estimate_constant,
     plan_horizon,
@@ -160,3 +163,50 @@ class TestTotalBudget:
             "constants", "total", "up_to_constant", "horizon_below_comfort",
         }
         assert set(blob["constants"]) == {"c_disc", "c_trunc"}
+
+
+# Every float, NaN and both infinities included, with extra weight on the
+# extremes of the float range.
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([5e-324, 1e-300, 1e-30, 1e30, 1e300, 1.7976931348623157e308]),
+)
+
+
+class TestNonFiniteAndExtremeInputs:
+    @pytest.mark.parametrize("field", ["alpha", "delta", "horizon", "c_disc", "c_trunc"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(alpha=1.0, delta=0.01, horizon=21.0, c_disc=1.0, c_trunc=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            budget_report(**kwargs)
+
+    @given(alpha=ANY_FLOAT, delta=ANY_FLOAT, horizon=ANY_FLOAT,
+           c_disc=ANY_FLOAT, c_trunc=ANY_FLOAT)
+    def test_report_is_finite_or_rejected(self, alpha, delta, horizon, c_disc, c_trunc):
+        # a report either comes out with finite numbers, so its JSON is
+        # valid, or the inputs are refused with a ValueError
+        try:
+            report = budget_report(alpha, delta, horizon, c_disc, c_trunc)
+        except ValueError:
+            return
+        for value in (report.delta, report.horizon, report.disc_bound,
+                      report.trunc_bound, report.total, c_disc, c_trunc):
+            assert math.isfinite(value)
+
+    @given(delta=ANY_FLOAT, alpha=ANY_FLOAT)
+    def test_planned_horizon_is_finite_or_rejected(self, delta, alpha):
+        try:
+            horizon = plan_horizon(delta, alpha)
+        except ValueError:
+            return
+        assert 0.0 < horizon < math.inf
+
+    def test_overflowing_plan_rejected(self):
+        with pytest.raises(ValueError, match="outside the float range"):
+            plan_horizon(1e-300, 0.01)
+
+    def test_truncation_bound_vanishes_beyond_float_range(self):
+        # T^alpha = 1e450 is no float, but the bound exp(-T^alpha) is 0
+        assert truncation_bound(1e300, 1.5, 1.0) == 0.0

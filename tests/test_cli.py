@@ -43,6 +43,30 @@ class TestPlan:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--horizon", "nan"], "horizon must be positive and finite"),
+        (["--horizon", "inf"], "horizon must be positive and finite"),
+        (["--c-disc", "nan"], "c_disc must be positive and finite"),
+        (["--c-trunc", "inf"], "c_trunc must be positive and finite"),
+    ], ids=["horizon-nan", "horizon-inf", "c_disc-nan", "c_trunc-inf"])
+    def test_non_finite_input_is_usage_error(self, capsys, extra, message):
+        code, out, err = run_cli(capsys, "plan", "--alpha", "1", "--delta", "0.01",
+                                 *extra)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_overflowing_planned_horizon_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "plan", "--alpha", "0.01", "--delta", "1e-300")
+        assert code == 2
+        assert "outside the float range" in err
+
+    def test_huge_horizon_gives_valid_json(self, capsys):
+        code, out, _ = run_cli(capsys, "plan", "--alpha", "1.5", "--delta", "0.01",
+                               "--horizon", "1e300")
+        assert code == 0
+        assert json.loads(out)["results"]["budget"]["trunc_bound"] == 0.0
+
 
 class TestEstimate:
     ARGS = ["estimate", "--alpha", "1", "--d", "1", "--domain", "half",
@@ -79,7 +103,10 @@ class TestEstimate:
          "delta must lie strictly in (0, 1), got 1.5"),
         (["--delta", "0.05", "--c-disc", "0"], "c_disc must be positive"),
         (["--delta", "0.05", "--c-trunc", "-1"], "c_trunc must be positive"),
-    ], ids=["delta", "c_disc", "c_trunc"])
+        (["--delta", "0.01", "--horizon", "nan"], "horizon must be positive and finite"),
+        (["--delta", "1e-300", "--horizon", "1e300"],
+         "delta=1e-300 up to horizon T=1e+300"),
+    ], ids=["delta", "c_disc", "c_trunc", "horizon-nan", "grid-overflow"])
     def test_budget_inputs_rejected_before_simulating(
         self, capsys, monkeypatch, extra, message
     ):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import piterbarg.estimator as estimator
 from oracle import (
     PathGrid,
+    block_rows,
     replication_path,
     replication_stream,
     subsampled_functionals,
@@ -28,6 +29,7 @@ from piterbarg import (
 from piterbarg.estimator import (
     _aggregate,
     _batch_size,
+    _block_rows,
     _mom_ci_rank,
     _simulate_functionals,
 )
@@ -193,6 +195,9 @@ class TestEstimatorConfig:
         ("alpha", 2.0), ("alpha", 0.0), ("d", 0.0), ("delta", -0.1),
         ("horizon", 0.0), ("seed", -1), ("seed", 2**64), ("seed", 1.7),
         ("seed", True), ("replications", 2.5), ("replications", True),
+        ("alpha", math.nan), ("d", math.nan), ("d", math.inf),
+        ("delta", math.nan), ("delta", math.inf), ("horizon", math.nan),
+        ("horizon", math.inf), ("horizon", -math.inf),
     ])
     def test_invalid_fields_rejected(self, field, value):
         kwargs = dict(alpha=1.0, d=1.0, domain=Domain.HALF_LINE,
@@ -223,6 +228,35 @@ class TestEstimatorConfig:
                 EstimatorConfig(**kwargs)
         else:
             assert EstimatorConfig(**kwargs).side_counts()[1] >= 1
+
+    @given(
+        delta=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([5e-324, 1e-300, 1e300])),
+        horizon=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                          st.sampled_from([1e-300, 1e300, 1.7976931348623157e308])),
+        domain=st.sampled_from(list(Domain)),
+    )
+    def test_grid_is_countable_or_rejected(self, delta, horizon, domain):
+        # NaN, infinities and grids whose point count T/delta is no finite
+        # number fail in the constructor with a ValueError, before anything
+        # is simulated; an accepted config always counts its grid
+        kwargs = dict(alpha=1.0, d=1.0, domain=domain, delta=delta,
+                      horizon=horizon, replications=1, seed=0)
+        countable = (0.0 < delta <= horizon < math.inf
+                     and math.isfinite(horizon / delta * (1.0 + 1e-12)))
+        if not countable:
+            with pytest.raises(ValueError):
+                EstimatorConfig(**kwargs)
+        else:
+            neg, pos = EstimatorConfig(**kwargs).side_counts()
+            assert pos >= 1 and neg in (0, pos)
+
+    def test_uncountable_grid_names_delta_and_horizon(self):
+        with pytest.raises(ValueError, match=r"delta=1e-300.*T=1e\+300"):
+            grid_count(1e300, 1e-300)
+        with pytest.raises(ValueError, match="not a finite count"):
+            EstimatorConfig(alpha=1.0, d=1.0, domain=Domain.HALF_LINE,
+                            delta=1e-300, horizon=1e300, replications=1, seed=0)
 
     @given(k=st.integers(1, 10**6), j=st.integers(1, 999), p=st.integers(1, 6))
     def test_grid_count_exact_on_decimal_multiples(self, k, j, p):
@@ -257,6 +291,32 @@ class TestBatchSize:
 
     def test_huge_rows_run_one_at_a_time(self):
         assert _batch_size(2**30) == 1
+
+
+class TestBlockRows:
+    def test_largest_power_of_two_within_block_budget(self):
+        widths = list(range(1, 2**16 + 1)) + [90_000, 2**22, 2**30]
+        for w in widths:
+            block = _block_rows(w)
+            assert block & (block - 1) == 0
+            assert block == 1 or block * w <= 2**15
+            assert 2 * block * w > 2**15
+            assert block == block_rows(w)
+            assert _batch_size(w) % block == 0
+        assert [_block_rows(w) for w in (360, 2120, 90_000)] == [64, 8, 1]
+
+    def test_depends_on_width_alone(self, monkeypatch):
+        # the engine asks for the block size of its row width only, and
+        # the thread count and replication count do not change the answer
+        seen = []
+        monkeypatch.setattr(estimator, "_block_rows",
+                            lambda width: seen.append(width) or block_rows(width))
+        cfg = EstimatorConfig(alpha=1.5, d=0.5, domain=Domain.FULL_LINE,
+                              delta=0.05, horizon=4.0, replications=300, seed=5)
+        tables = [_simulate_functionals(cfg, [1], threads=t) for t in (1, 2, 3)]
+        m = circulant_spectrum(1.5, sum(cfg.side_counts())).m
+        assert set(seen) == {m}
+        assert all(np.array_equal(tables[0], t) for t in tables[1:])
 
 
 class TestEstimateConstant:
@@ -298,36 +358,50 @@ class TestEstimateConstant:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_batched_matches_per_path_pipeline(self, alpha, domain, threads,
                                                monkeypatch):
-        # the batched engine, run here in three batches of two rows, must
-        # reproduce the per-path oracle and the public path sampler
-        # bit-for-bit, including the alpha = 1 shortcut
-        monkeypatch.setattr(estimator, "_batch_size", lambda width: 2)
+        # blocks of two rows in batches of four: seven rows make two batches
+        # of two blocks each, the second batch starts on a block boundary and
+        # its last block is short.  The engine must reproduce the per-path
+        # oracle and the public path sampler bit-for-bit, including the
+        # alpha = 1 shortcut.
+        monkeypatch.setattr(estimator, "_block_rows", lambda width: 2)
+        monkeypatch.setattr(estimator, "_batch_size", lambda width: 4)
         cfg = EstimatorConfig(alpha=alpha, d=0.3, domain=domain,
-                              delta=0.3, horizon=3.0, replications=6, seed=99)
+                              delta=0.3, horizon=3.0, replications=7, seed=99)
         table = _simulate_functionals(cfg, strides=[1, 2, 3], threads=threads)
         neg, pos = cfg.side_counts()
+        n = neg + pos
+        width = n if alpha == 1.0 else circulant_spectrum(alpha, n).m
         for r in range(cfg.replications):
-            path = replication_path(cfg, r)
+            path = replication_path(cfg, r, block=2)
             recs = subsampled_functionals(path, cfg.d, cfg.domain, [1, 2, 3])
             assert [rec.functional for rec in recs] == list(table[r])
             unit = sample_two_sided_path(cfg.alpha, neg, pos,
-                                         replication_stream(cfg.seed, r))
+                                         replication_stream(cfg.seed, r, width, 2))
             assert np.array_equal(unit * cfg.delta ** (cfg.alpha / 2.0), path.values)
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_brownian_rows_use_raw_normals(self, domain):
         # alpha = 1 has iid increments, so row r is the penalized sup of the
-        # cumulated first n normals of stream r, with no embedding in between
-        cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
-                              horizon=2.0, replications=5, seed=31)
-        table = _simulate_functionals(cfg, strides=[1], threads=1)
-        neg, pos = cfg.side_counts()
+        # cumulated row r mod B of block r // B, with no embedding in
+        # between; block b is B rows of n normals drawn in one call from the
+        # Philox stream at counter b << 128.  The run ends in a short block.
+        neg, pos = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
+                                   horizon=2.0, replications=1, seed=31).side_counts()
         n = neg + pos
+        block = _block_rows(n)
+        cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
+                              horizon=2.0, replications=block + 5, seed=31)
+        table = _simulate_functionals(cfg, strides=[1], threads=1)
+        blocks = [
+            np.random.Generator(np.random.Philox(key=cfg.seed, counter=b << 128))
+            .standard_normal((block, n))
+            for b in range(2)
+        ]
         k = np.arange(-neg, pos + 1, dtype=float)
         drift = (1.0 + cfg.d) * np.abs(k * cfg.delta) ** cfg.alpha
         first = neg if domain is Domain.HALF_LINE else 0
         for r in range(cfg.replications):
-            z = replication_stream(cfg.seed, r).standard_normal(n)
+            z = blocks[r // block][r % block]
             values = np.concatenate([[0.0], np.cumsum(z)])
             values -= values[neg]
             values[neg] = 0.0
@@ -342,14 +416,47 @@ class TestEstimateConstant:
         assert np.array_equal(t1, t2)
 
     def test_embedded_deterministic_across_threads_and_batches(self):
-        # n = 20 increments embed in m = 64, so this is three batches, run
+        # n = 20 increments embed in m = 40, so this is three batches, run
         # by two and three workers that each reuse one set of buffers
         cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
-                           horizon=0.5, replications=2 * _batch_size(64) + 9)
-        assert circulant_spectrum(cfg.alpha, sum(cfg.side_counts())).m == 64
+                           horizon=0.5, replications=2 * _batch_size(40) + 9)
+        assert circulant_spectrum(cfg.alpha, sum(cfg.side_counts())).m == 40
         t1 = _simulate_functionals(cfg, [1, 3], threads=1)
         for threads in (2, 3):
             assert np.array_equal(t1, _simulate_functionals(cfg, [1, 3], threads=threads))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
+    def test_block_stream_matches_oracle(self, alpha):
+        # the real block size: rows 0, B - 1, B and the short last block
+        # against the per-path oracle, which draws and drops earlier rows
+        cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
+                           delta=0.05, horizon=2.0, replications=1)
+        n = sum(cfg.side_counts())
+        block = block_rows(n if alpha == 1.0 else circulant_spectrum(alpha, n).m)
+        cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
+                           delta=0.05, horizon=2.0, replications=2 * block + 3)
+        table = _simulate_functionals(cfg, [1, 2], threads=2)
+        for r in (0, block - 1, block, 2 * block, 2 * block + 2):
+            recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 2])
+            assert [rec.functional for rec in recs] == list(table[r])
+
+    def test_small_run_splits_over_workers(self, monkeypatch):
+        # 1000 rows of width 100 are one batch of four blocks of 256 rows;
+        # two threads take two blocks each and give the one-thread result
+        firsts = []
+        fill = estimator._fill_normals
+
+        def spy(gen, state, z, first, block):
+            firsts.append((first, len(z)))
+            fill(gen, state, z, first, block)
+
+        cfg = self._config(replications=1000)
+        assert sum(cfg.side_counts()) == 100 and _batch_size(100) > 1000
+        t1 = _simulate_functionals(cfg, [1, 2], threads=1)
+        monkeypatch.setattr(estimator, "_fill_normals", spy)
+        t2 = _simulate_functionals(cfg, [1, 2], threads=2)
+        assert sorted(firsts) == [(0, 512), (2, 488)]
+        assert np.array_equal(t1, t2)
 
     def test_lone_batch_runs_on_calling_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -13,7 +13,14 @@ from piterbarg import (
     fgn_autocovariance,
     sample_two_sided_path,
 )
-from piterbarg.fbm import _fgn_from_normals
+from piterbarg.fbm import _fgn_from_normals, _next_fast_len
+
+
+def _is_5_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
 
 
 def gamma_matrix(alpha: float, n: int) -> np.ndarray:
@@ -67,13 +74,28 @@ class TestCirculantSpectrum:
             np.sort(spec.eigenvalues), np.sort([1 + g1, 1 - g1]), rtol=1e-14
         )
 
-    def test_embedding_length_is_power_of_two(self):
-        for n in [2, 3, 5, 17, 100, 1024, 1025]:
-            spec = circulant_spectrum(0.8, n)
-            assert spec.m >= 2 * (n - 1)
-            assert spec.m & (spec.m - 1) == 0
-            assert spec.m % 2 == 0
-            assert len(spec.eigenvalues) == spec.m
+    @pytest.mark.parametrize("alpha", [round(0.1 * k, 1) for k in range(1, 20)])
+    def test_embedding_length_is_even_5_smooth(self, alpha):
+        # n from 2 to about 70000, dense where the smooth numbers are dense;
+        # every embedding must be built without tripping the eigenvalue check
+        sizes = sorted({2, 3, 4, 5, 17, 181, 1025, 22_501, 44_976, 70_001}
+                       | {int(x) for x in np.geomspace(2, 70_000, 25)})
+        for n in sizes:
+            spec = circulant_spectrum(alpha, n)
+            m = spec.m
+            assert m % 2 == 0 and m >= 2 * (n - 1)
+            assert _is_5_smooth(m)
+            assert len(spec.eigenvalues) == m
+            assert spec.eigenvalues.min() >= 0.0, (alpha, n)
+
+    def test_next_fast_len_matches_brute_force(self):
+        smooth = [m for m in range(2, 20_002, 2) if _is_5_smooth(m)]
+        expected = np.searchsorted(smooth, np.arange(1, 20_001))
+        assert [_next_fast_len(x) for x in range(1, 20_001)] == [
+            smooth[i] for i in expected
+        ]
+        assert _next_fast_len(2 * 44_975) == 90_000  # the gap_decay grid
+        assert _next_fast_len(2 * 171) == 360  # the full_heavy grid
 
     def test_nonnegative_scan(self):
         for alpha in np.arange(0.1, 2.0, 0.1):

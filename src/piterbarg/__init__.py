@@ -14,9 +14,7 @@ truncation, and statistical error components of the approximation.
 
 from .fbm import (
     CirculantSpectrum,
-    cholesky_sample,
     circulant_spectrum,
-    fgn_autocovariance,
     sample_two_sided_path,
 )
 from .estimator import (
@@ -54,9 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CirculantSpectrum",
-    "cholesky_sample",
     "circulant_spectrum",
-    "fgn_autocovariance",
     "sample_two_sided_path",
     "Domain",
     "EstimateResult",

@@ -35,13 +35,20 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .fbm import _cached_spectrum, _check_alpha, _fgn_from_normals, _two_sided_values
+from .fbm import (
+    _cached_spectrum,
+    _check_alpha,
+    _fgn_from_normals,
+    _next_fast_len,
+    _two_sided_values,
+)
 
 __all__ = [
     "Domain",
@@ -190,12 +197,78 @@ def _block_rows(width: int) -> int:
     return 1 << max(0, ((1 << 15) // width).bit_length() - 1)
 
 
-def _batch_size(width: int) -> int:
-    # At most ~32 MiB of normals per batch (and as much complex spectrum
-    # where an embedding is used), in whole blocks and at least one block;
-    # fixed by the row width alone.
+# Working set of one batch: its normals, complex half-spectrum and path
+# values fit one core's L2 cache.
+_BATCH_BYTES = 2 << 20
+
+# numpy builds its FFT plan anew on every call, so a batch that runs an FFT
+# keeps at least this many rows to spread that cost.
+_FFT_MIN_ROWS = 8
+
+
+def _row_bytes(n: int, width: int, embedded: bool) -> int:
+    # Normals, the complex half-spectrum where there is an embedding, and
+    # the n + 1 path values of one row.
+    return 8 * width + (16 * (width // 2 + 1) if embedded else 0) + 8 * (n + 1)
+
+
+def _batch_rows(n: int, width: int, embedded: bool) -> int:
+    """Rows per batch: whole blocks that fit ``_BATCH_BYTES``, at least one block.
+
+    Where an FFT runs, at least ``_FFT_MIN_ROWS`` rows (blocks are powers of
+    two, so the floor is whole blocks too).  Fixed by the row shape alone.
+    """
+    fit = _BATCH_BYTES // _row_bytes(n, width, embedded)
+    if embedded:
+        fit = max(fit, _FFT_MIN_ROWS)
     block = _block_rows(width)
-    return block * max(1, min(4096, (1 << 22) // width) // block)
+    return block * max(1, fit // block)
+
+
+@dataclass(frozen=True)
+class _BatchPlan:
+    """How a run's rows are batched, shared among workers and held in memory."""
+
+    block: int  # rows per Philox block
+    rows: int  # rows per batch buffer
+    shares: tuple[tuple[int, int], ...]  # (first row, stop row) per worker
+    nbytes: int  # drift, spectrum, output table and every worker's buffers
+
+
+def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
+                columns: int) -> _BatchPlan:
+    """Contiguous near-equal block shares, one per worker, walked in batches.
+
+    The run's ``N`` blocks go to ``W = min(threads, N)`` workers, worker k
+    taking blocks ``[k N / W, (k + 1) N / W)``.  Raises ValueError for a
+    thread count below 1, and for a run whose memory, worked out here before
+    anything is allocated, exceeds the machine's physical memory.
+    """
+    if not _is_integer(threads) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads}")
+    block = _block_rows(width)
+    nblocks = -(-reps // block)
+    workers = min(threads, nblocks)
+    shares = tuple(
+        (min(reps, k * nblocks // workers * block),
+         min(reps, (k + 1) * nblocks // workers * block))
+        for k in range(workers)
+    )
+    rows = min(_batch_rows(n, width, embedded), max(hi - lo for lo, hi in shares))
+    # Drift and output table, the eigenvalues and weights of the spectrum,
+    # and one set of batch buffers per worker.
+    nbytes = 8 * (n + 1) + 8 * reps * columns
+    if embedded:
+        nbytes += 8 * width + 8 * (width // 2 + 1)
+    nbytes += workers * rows * _row_bytes(n, width, embedded)
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        m = width if embedded else "none"
+        raise ValueError(
+            f"a run with n={n} increments and embedding length m={m} needs "
+            f"{nbytes} bytes, more than the {physical} bytes of physical memory"
+        )
+    return _BatchPlan(block, rows, shares, nbytes)
 
 
 def _fill_normals(gen: np.random.Generator, state: dict, z: np.ndarray,
@@ -227,47 +300,43 @@ def _simulate_functionals(
     FFTs.  Like the path sampler, alpha = 1 and single-increment grids skip
     the embedding and use n iid normals per row.
 
-    Batches are whole blocks of ``_block_rows(width)`` rows, except a short
-    last one.  A run smaller than one batch per worker is cut into equal
-    block-aligned shares, so every worker gets one.  Each worker gets one set
-    of batch buffers and one Philox generator, built here on the calling
-    thread and reused for all of its batches, so memory follows from the
-    config and the worker count alone: pool threads allocate nothing large,
-    and a lone batch runs on the calling thread.  For block b the worker
-    resets its counter to b << 128 (see ``_fill_normals``); a bit generator
-    is never shared between threads.
+    ``_batch_plan`` lays the run out before anything is allocated: each
+    worker gets one contiguous share of whole blocks of
+    ``_block_rows(width)`` rows, and walks it in batches whose working set
+    is about ``_BATCH_BYTES``, whatever the replication count.  Each worker
+    gets one set of batch buffers and one Philox generator, built here on
+    the calling thread and reused for all of its batches, so memory follows
+    from the config and the worker count alone: pool threads allocate
+    nothing large, and a run with one worker runs on the calling thread.
+    For block b the worker resets its counter to b << 128 (see
+    ``_fill_normals``); a bit generator is never shared between threads.
     """
     neg, pos = config.side_counts()
     n = neg + pos
     strides = _check_strides(strides)
 
     iid = n == 1 or config.alpha == 1.0
+    width = n if iid else _next_fast_len(2 * (n - 1))
+    reps = int(config.replications)
+    plan = _batch_plan(reps, n, width, not iid, threads, len(strides))
     spectrum = None if iid else _cached_spectrum(config.alpha, n)
-    width = n if iid else spectrum.m
     scale = config.delta ** (config.alpha / 2.0)
     drift = _drift(neg, pos, config.delta, config.alpha, config.d)
-
-    reps = int(config.replications)
     out = np.empty((reps, len(strides)))
-    block = _block_rows(width)
-    share = block * -(-reps // (block * max(1, threads)))  # whole blocks per worker
-    bsize = min(_batch_size(width), share, reps)
-    starts = range(0, reps, bsize)
-    workers = max(1, min(threads, len(starts)))
 
     def buffers():
         # Normals (overwritten by the fGn), half-spectrum, path values, and
         # the worker's own generator with a fresh state dict of its Philox.
-        w = None if iid else np.empty((bsize, width // 2 + 1), dtype=np.complex128)
+        rows = plan.rows
+        w = None if iid else np.empty((rows, width // 2 + 1), dtype=np.complex128)
         gen = np.random.Generator(np.random.Philox(key=config.seed))
-        z, values = np.empty((bsize, width)), np.empty((bsize, n + 1))
+        z, values = np.empty((rows, width)), np.empty((rows, n + 1))
         return z, w, values, gen, gen.bit_generator.state
 
-    def run(start: int, z: np.ndarray, w: np.ndarray | None, values: np.ndarray,
-            gen: np.random.Generator, state: dict) -> None:
-        rows = min(bsize, reps - start)
+    def run(start: int, rows: int, z: np.ndarray, w: np.ndarray | None,
+            values: np.ndarray, gen: np.random.Generator, state: dict) -> None:
         z = z[:rows]
-        _fill_normals(gen, state, z, start // block, block)
+        _fill_normals(gen, state, z, start // plan.block, plan.block)
         fgn = z if iid else _fgn_from_normals(spectrum, z, w[:rows], out=z)[:, :n]
         field = _two_sided_values(fgn, neg, out=values[:rows])
         # sqrt(2) * (scale * values) - drift, in place.
@@ -278,17 +347,17 @@ def _simulate_functionals(
             start_col = neg if config.domain is Domain.HALF_LINE else neg % s
             out[start : start + rows, j] = np.exp(field[:, start_col::s].max(axis=1))
 
-    spaces = [buffers() for _ in range(workers)]
-    if workers > 1:
-        def work(k: int) -> None:
-            for s0 in starts[k::workers]:
-                run(s0, *spaces[k])
+    def work(k: int, space: tuple) -> None:
+        lo, hi = plan.shares[k]
+        for start in range(lo, hi, plan.rows):
+            run(start, min(plan.rows, hi - start), *space)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
+    spaces = [buffers() for _ in plan.shares]
+    if len(spaces) > 1:
+        with ThreadPoolExecutor(max_workers=len(spaces)) as pool:
+            list(pool.map(work, range(len(spaces)), spaces))
     else:
-        for s0 in starts:
-            run(s0, *spaces[0])
+        work(0, spaces[0])
     return out
 
 

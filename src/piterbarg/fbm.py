@@ -17,9 +17,8 @@ one (Wood and Chan 1994), which numpy's FFT transforms fast. The spectrum
 stores the weights that turn standard normals into its Hermitian
 half-spectrum, so a draw only multiplies and inverts. At alpha = 1 every lag beyond 0
 vanishes and the increments are iid N(0, 1): the samplers then draw them
-directly, with no embedding and no FFT. A dense Cholesky factorization of
-the same covariance is kept as a slow oracle for cross-validation; it is
-never used in the estimation pipeline.
+directly, with no embedding and no FFT. The tests check the sampler
+against a dense Cholesky factorization of the same covariance.
 
 Paths are always simulated on the unit grid and rescaled by self-similarity
 (B(delta * k) has the law of delta^(alpha/2) * B(k)), so one spectrum per
@@ -36,17 +35,13 @@ import numpy as np
 
 __all__ = [
     "CirculantSpectrum",
-    "fgn_autocovariance",
     "circulant_spectrum",
-    "cholesky_sample",
     "sample_two_sided_path",
 ]
 
 # Relative floor below which a negative FFT eigenvalue is treated as roundoff
 # and clamped; anything more negative is a genuine embedding failure.
 _EIGENVALUE_CLAMP_REL = 1e-9
-
-_CHOLESKY_MAX_N = 4096
 
 
 def _check_alpha(alpha: float) -> float:
@@ -87,21 +82,6 @@ class CirculantSpectrum:
         weights[half] = np.sqrt(lam[half])
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-
-
-def fgn_autocovariance(alpha: float, k: int) -> float:
-    """Autocovariance gamma(k) of unit-spaced fGn at integer lag k >= 0.
-
-    gamma(0) = 1 for every alpha; for alpha = 1 all higher lags vanish
-    (independent Brownian increments).
-    """
-    alpha = _check_alpha(alpha)
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"lag must be nonnegative, got {k}")
-    if k == 0:
-        return 1.0
-    return 0.5 * ((k + 1.0) ** alpha - 2.0 * k**alpha + (k - 1.0) ** alpha)
 
 
 def _autocovariances(alpha: float, kmax: int) -> np.ndarray:
@@ -189,32 +169,6 @@ def _fgn_from_normals(
     fgn = np.fft.irfft(w, n=m, axis=1, out=out)
     fgn *= math.sqrt(m)
     return fgn
-
-
-def cholesky_sample(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact fGn draw by dense Cholesky factorization of the Toeplitz covariance.
-
-    O(n^3) cross-validation oracle for the circulant-embedding draw; capped
-    at n <= 4096 because it exists only to check the FFT sampler.
-    """
-    alpha = _check_alpha(alpha)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > _CHOLESKY_MAX_N:
-        raise ValueError(
-            f"cholesky_sample is an oracle capped at n <= {_CHOLESKY_MAX_N}, got {n}"
-        )
-    idx = np.arange(n)
-    cov = _autocovariances(alpha, n - 1)[np.abs(idx[:, None] - idx[None, :])]
-    try:
-        lower = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"fGn covariance not numerically positive definite for "
-            f"alpha={alpha}, n={n}"
-        ) from exc
-    return lower @ rng.standard_normal(n)
 
 
 def _two_sided_values(

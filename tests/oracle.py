@@ -9,7 +9,8 @@ circulant draw built from the eigenvalues with complex temporaries, the
 anchored running sum, the self-similarity rescale and the penalized
 supremum over each stride's sub-grid.  It calls none of the engine's
 kernels, so tests can require bit-equality without comparing the engine
-with itself.
+with itself.  The fGn autocovariance and a dense Cholesky draw from it
+check the circulant sampler in law.
 """
 
 from __future__ import annotations
@@ -47,6 +48,38 @@ def replication_stream(
     for _ in range(index % block):
         rng.standard_normal(width)
     return rng
+
+
+CHOLESKY_MAX_N = 4096
+
+
+def fgn_autocovariance(alpha: float, k: int) -> float:
+    """Autocovariance gamma(k) of unit-spaced fGn at integer lag k >= 0.
+
+    gamma(0) = 1 for every alpha; for alpha = 1 all higher lags vanish
+    (independent Brownian increments).
+    """
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie strictly in (0, 2), got {alpha}")
+    if k < 0:
+        raise ValueError(f"lag must be nonnegative, got {k}")
+    if k == 0:
+        return 1.0
+    return 0.5 * ((k + 1.0) ** alpha - 2.0 * k**alpha + (k - 1.0) ** alpha)
+
+
+def cholesky_sample(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Exact fGn draw by dense Cholesky factorization of the Toeplitz covariance.
+
+    O(n^3), so capped at n <= CHOLESKY_MAX_N; it exists only to check the
+    FFT sampler.
+    """
+    if not 1 <= n <= CHOLESKY_MAX_N:
+        raise ValueError(f"n must lie in [1, {CHOLESKY_MAX_N}], got {n}")
+    gamma = np.array([fgn_autocovariance(alpha, k) for k in range(n)])
+    idx = np.arange(n)
+    lower = np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx[None, :])])
+    return lower @ rng.standard_normal(n)
 
 
 def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int) -> np.ndarray:

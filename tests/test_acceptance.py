@@ -13,11 +13,16 @@ import math
 import numpy as np
 import pytest
 
-from oracle import PathGrid, sample_fgn, subsampled_functionals, sup_functional
+from oracle import (
+    PathGrid,
+    cholesky_sample,
+    sample_fgn,
+    subsampled_functionals,
+    sup_functional,
+)
 from piterbarg import (
     Domain,
     EstimatorConfig,
-    cholesky_sample,
     circulant_spectrum,
     estimate_constant,
     piterbarg_bm_full,

@@ -120,6 +120,35 @@ class TestEstimate:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--alpha", "1", "--d", "2", "--domain", "half", "--delta", "0.1"],
+        ["validate", "--d", "2", "--domain", "half", "--delta", "0.1"],
+        ["rate", "--d", "2", "--domain", "half", "--deltas", "0.2,0.1"],
+    ], ids=["estimate", "validate", "rate"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, capsys, command, threads):
+        code, out, err = run_cli(capsys, *command, "--reps", "10", "--seed", "1",
+                                 "--threads", threads)
+        assert code == 2
+        assert out == ""
+        assert f"threads must be a positive integer, got {threads}" in err
+
+    @pytest.mark.parametrize("alpha", ["1", "0.5"])
+    def test_grid_beyond_physical_memory_exits_2(self, capsys, monkeypatch, alpha):
+        # n = 10^11 increments: rejected from the plan's byte figure, before
+        # the drift or the spectrum is built
+        def unreachable(*args):
+            raise AssertionError("allocated before the memory check")
+
+        monkeypatch.setattr("piterbarg.estimator._drift", unreachable)
+        monkeypatch.setattr("piterbarg.estimator._cached_spectrum", unreachable)
+        code, out, err = run_cli(capsys, "estimate", "--alpha", alpha, "--d", "2",
+                                 "--domain", "half", "--delta", "1e-9",
+                                 "--horizon", "100", "--reps", "1", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "n=100000000000" in err and "bytes of physical memory" in err
+
     def test_rerun_reproduces_results_fields(self, capsys):
         _, out1, _ = run_cli(capsys, *self.ARGS)
         _, out2, _ = run_cli(capsys, *self.ARGS, "--threads", "3")

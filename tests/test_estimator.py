@@ -27,12 +27,17 @@ from piterbarg import (
     sample_two_sided_path,
 )
 from piterbarg.estimator import (
+    _BATCH_BYTES,
+    _FFT_MIN_ROWS,
     _aggregate,
-    _batch_size,
+    _batch_plan,
+    _batch_rows,
     _block_rows,
     _mom_ci_rank,
+    _row_bytes,
     _simulate_functionals,
 )
+from piterbarg.fbm import _next_fast_len
 
 
 def make_path(alpha, delta, neg, pos, rng):
@@ -281,16 +286,81 @@ class TestEstimatorConfig:
         assert grid_count(0.29, 0.1) == 2
 
 
-class TestBatchSize:
-    def test_batch_normals_stay_within_budget(self):
-        widths = np.arange(1, 2**22 + 1)
-        rows = np.fromiter(map(_batch_size, range(1, 2**22 + 1)), dtype=np.int64,
-                           count=len(widths))
-        assert rows.min() >= 1
-        assert (rows * widths).max() <= 2**22
+def _row_shapes():
+    """(n, width, embedded) over iid and embedded rows, narrow to very wide."""
+    ns = list(range(1, 4097)) + [5000, 44976, 70001, 2**20 + 1, 10**7]
+    for n in ns:
+        yield n, n, False
+        if n >= 2:
+            yield n, _next_fast_len(2 * (n - 1)), True
 
-    def test_huge_rows_run_one_at_a_time(self):
-        assert _batch_size(2**30) == 1
+
+class TestBatchPlan:
+    def test_working_set_within_budget(self):
+        # whole blocks, as many as fit 2 MiB; more only for the one-block
+        # and the 8-row FFT floors
+        for n, width, embedded in _row_shapes():
+            rows, block = _batch_rows(n, width, embedded), _block_rows(width)
+            row_bytes = _row_bytes(n, width, embedded)
+            assert rows % block == 0
+            floor = max(block, _FFT_MIN_ROWS if embedded else 1)
+            assert rows * row_bytes <= _BATCH_BYTES or rows == floor
+            assert rows == floor or (rows + block) * row_bytes > _BATCH_BYTES
+
+    def test_huge_rows(self):
+        assert _batch_rows(2**30, 2**30, False) == 1
+        assert _batch_rows(2**29, 2**30, True) == _FFT_MIN_ROWS
+
+    @pytest.mark.parametrize("n,width,embedded", [
+        (172, 360, True), (2120, 2120, False), (44976, 90000, True), (20, 40, True),
+    ])
+    def test_batch_rows_do_not_grow_with_replications(self, n, width, embedded):
+        rows = _batch_rows(n, width, embedded)
+        for reps in (1, 7, 100, 10**4, 10**6, 10**8):
+            for threads in (1, 2, 4):
+                plan = _batch_plan(reps, n, width, embedded, threads, 1)
+                assert plan.rows <= rows
+                assert plan.rows == min(rows, max(hi - lo for lo, hi in plan.shares))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("reps", [1, 7, 64, 65, 320, 1000, 4099])
+    def test_shares_are_contiguous_and_near_equal(self, reps, threads):
+        plan = _batch_plan(reps, 100, 512, True, threads, 1)  # blocks of 64 rows
+        nblocks = -(-reps // 64)
+        assert len(plan.shares) == min(threads, nblocks)
+        assert plan.shares[0][0] == 0 and plan.shares[-1][1] == reps
+        for (_, hi), (lo, _) in zip(plan.shares, plan.shares[1:]):
+            assert hi == lo and lo % 64 == 0
+        sizes = [-(-(hi - lo) // 64) for lo, hi in plan.shares]
+        assert sum(sizes) == nblocks and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, True])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            _batch_plan(10, 10, 10, False, threads, 1)
+        cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=Domain.HALF_LINE,
+                              delta=0.1, horizon=1.0, replications=10, seed=1)
+        with pytest.raises(ValueError, match="threads"):
+            estimate_constant(cfg, threads=threads)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_grid_beyond_physical_memory_rejected_before_allocating(
+            self, alpha, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("allocated before the memory check")
+
+        monkeypatch.setattr(estimator, "_drift", unreachable)
+        monkeypatch.setattr(estimator, "_cached_spectrum", unreachable)
+        cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE,
+                              delta=1e-9, horizon=100.0, replications=1, seed=1)
+        m = "none" if alpha == 1.0 else _next_fast_len(2 * (10**11 - 1))
+        with pytest.raises(ValueError, match=rf"n=100000000000 .* m={m} needs \d+ bytes"):
+            _simulate_functionals(cfg, [1])
+
+    def test_plan_bytes(self):
+        plan = _batch_plan(1000, 172, 360, True, 2, 3)
+        assert plan.nbytes == (8 * 173 + 8 * 3000 + 8 * 360 + 8 * 181
+                               + 2 * plan.rows * _row_bytes(172, 360, True))
 
 
 class TestBlockRows:
@@ -302,7 +372,7 @@ class TestBlockRows:
             assert block == 1 or block * w <= 2**15
             assert 2 * block * w > 2**15
             assert block == block_rows(w)
-            assert _batch_size(w) % block == 0
+            assert _batch_rows(w, w, False) % block == 0
         assert [_block_rows(w) for w in (360, 2120, 90_000)] == [64, 8, 1]
 
     def test_depends_on_width_alone(self, monkeypatch):
@@ -364,7 +434,7 @@ class TestEstimateConstant:
         # oracle and the public path sampler bit-for-bit, including the
         # alpha = 1 shortcut.
         monkeypatch.setattr(estimator, "_block_rows", lambda width: 2)
-        monkeypatch.setattr(estimator, "_batch_size", lambda width: 4)
+        monkeypatch.setattr(estimator, "_batch_rows", lambda n, width, embedded: 4)
         cfg = EstimatorConfig(alpha=alpha, d=0.3, domain=domain,
                               delta=0.3, horizon=3.0, replications=7, seed=99)
         table = _simulate_functionals(cfg, strides=[1, 2, 3], threads=threads)
@@ -410,16 +480,17 @@ class TestEstimateConstant:
 
     def test_brownian_deterministic_across_threads_and_batches(self):
         n = sum(self._config().side_counts())
-        cfg = self._config(replications=_batch_size(n) + 7)
+        cfg = self._config(replications=_batch_rows(n, n, False) + 7)
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
         assert np.array_equal(t1, t2)
 
     def test_embedded_deterministic_across_threads_and_batches(self):
-        # n = 20 increments embed in m = 40, so this is three batches, run
-        # by two and three workers that each reuse one set of buffers
+        # n = 20 increments embed in m = 40, so this is two batches and a
+        # short third, run by two and three workers that each reuse one set
+        # of buffers
         cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
-                           horizon=0.5, replications=2 * _batch_size(40) + 9)
+                           horizon=0.5, replications=2 * _batch_rows(20, 40, True) + 9)
         assert circulant_spectrum(cfg.alpha, sum(cfg.side_counts())).m == 40
         t1 = _simulate_functionals(cfg, [1, 3], threads=1)
         for threads in (2, 3):
@@ -441,8 +512,9 @@ class TestEstimateConstant:
             assert [rec.functional for rec in recs] == list(table[r])
 
     def test_small_run_splits_over_workers(self, monkeypatch):
-        # 1000 rows of width 100 are one batch of four blocks of 256 rows;
-        # two threads take two blocks each and give the one-thread result
+        # 1000 rows of width 100 are four blocks of 256 rows, the last one
+        # short; two threads take two contiguous blocks each, in one batch
+        # each, and give the one-thread result
         firsts = []
         fill = estimator._fill_normals
 
@@ -451,12 +523,33 @@ class TestEstimateConstant:
             fill(gen, state, z, first, block)
 
         cfg = self._config(replications=1000)
-        assert sum(cfg.side_counts()) == 100 and _batch_size(100) > 1000
+        assert sum(cfg.side_counts()) == 100 and _batch_rows(100, 100, False) >= 512
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         monkeypatch.setattr(estimator, "_fill_normals", spy)
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
         assert sorted(firsts) == [(0, 512), (2, 488)]
         assert np.array_equal(t1, t2)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_uneven_block_shares_match_one_thread_and_oracle(self, alpha, monkeypatch):
+        # five blocks, the last one short, in batches of one block: two
+        # workers take blocks [0, 2) and [2, 5), three take [0, 1), [1, 3)
+        # and [3, 5)
+        cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
+                           delta=0.05, horizon=2.0, replications=1)
+        n = sum(cfg.side_counts())
+        block = block_rows(n if alpha == 1.0 else circulant_spectrum(alpha, n).m)
+        monkeypatch.setattr(estimator, "_batch_rows",
+                            lambda n, width, embedded: block_rows(width))
+        cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
+                           delta=0.05, horizon=2.0, replications=4 * block + 3)
+        t1 = _simulate_functionals(cfg, [1, 2], threads=1)
+        for threads in (2, 3):
+            assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=threads))
+        for r in (0, block - 1, block, 2 * block - 1, 2 * block, 3 * block - 1,
+                  3 * block, 4 * block, 4 * block + 2):
+            recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 2])
+            assert [rec.functional for rec in recs] == list(t1[r])
 
     def test_lone_batch_runs_on_calling_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):

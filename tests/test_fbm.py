@@ -6,13 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from oracle import sample_fgn
-from piterbarg import (
-    cholesky_sample,
-    circulant_spectrum,
-    fgn_autocovariance,
-    sample_two_sided_path,
-)
+from oracle import cholesky_sample, fgn_autocovariance, sample_fgn
+from piterbarg import circulant_spectrum, sample_two_sided_path
 from piterbarg.fbm import _fgn_from_normals, _next_fast_len
 
 

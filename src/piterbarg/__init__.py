@@ -37,7 +37,6 @@ from .closed_form import (
     piterbarg_bm_full,
     piterbarg_bm_half,
     rate_constant,
-    zeta_half,
 )
 from .rate_study import (
     GapDecayResult,
@@ -69,7 +68,6 @@ __all__ = [
     "piterbarg_bm_full",
     "piterbarg_bm_half",
     "rate_constant",
-    "zeta_half",
     "GapDecayResult",
     "GapPoint",
     "RatePoint",

@@ -57,9 +57,11 @@ def _delta_list(text: str) -> list[float]:
 
 
 def _default_threads() -> int:
+    # An integer below 1 is kept, so that main rejects it; anything else
+    # that is not an integer (or an unset variable) means 1.
     env = os.environ.get("PITERBARG_THREADS", "")
     try:
-        return max(1, int(env))
+        return int(env)
     except ValueError:
         return 1
 
@@ -376,6 +378,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(
+                f"threads must be a positive integer, got {args.threads} "
+                "(from --threads or $PITERBARG_THREADS)"
+            )
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -29,7 +27,6 @@ __all__ = [
     "piterbarg_bm_full",
     "piterbarg_bm_half",
     "rate_constant",
-    "zeta_half",
 ]
 
 
@@ -69,43 +66,6 @@ def _eta_euler_transform(s: float, terms: int = 48) -> float:
     return float(row[0])
 
 
-def _eta_borwein(s: float, n: int = 32) -> float:
-    """Dirichlet eta(s) by Borwein's Chebyshev-weighted partial sums.
-
-    Independent of the Euler transform above; carries an explicit remainder
-    bound of 3 / ((3 + sqrt(8))^n * d_n), i.e. ~1e-24 at n = 32.  The d_k
-    are built in exact rational arithmetic so the only rounding is the final
-    float conversion.
-    """
-    acc = Fraction(0)
-    d = []
-    for i in range(n + 1):
-        acc += Fraction(factorial(n + i - 1) * 4**i, factorial(n - i) * factorial(2 * i))
-        d.append(n * acc)
-    dn = d[n]
-    total = 0.0
-    for k in range(n):
-        total += (-1) ** k * float(Fraction(d[k] - dn, dn)) / (k + 1) ** s
-    return -total
-
-
-def zeta_half(method: str = "accelerated") -> float:
-    """Riemann zeta at 1/2 via the eta function: zeta(s) = eta(s)/(1 - 2^(1-s)).
-
-    ``method`` selects the eta evaluation: "accelerated" (Euler-van
-    Wijngaarden) or "borwein" (weighted partial sums with an explicit
-    remainder bound). The two agree to well below 1e-10 and serve as each
-    other's cross-check.
-    """
-    if method == "accelerated":
-        eta = _eta_euler_transform(0.5)
-    elif method == "borwein":
-        eta = _eta_borwein(0.5)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return eta / (1.0 - math.sqrt(2.0))
-
-
 @dataclass(frozen=True)
 class RateConstant:
     """The constant -zeta(1/2)/sqrt(pi) governing the sqrt(delta) grid gap.
@@ -119,6 +79,9 @@ class RateConstant:
 
 
 def rate_constant() -> RateConstant:
-    """Compute -zeta(1/2)/sqrt(pi) from the accelerated eta series."""
-    z = zeta_half()
+    """Compute -zeta(1/2)/sqrt(pi) from the accelerated eta series.
+
+    zeta(1/2) = eta(1/2) / (1 - 2^(1/2)), the eta function's relation to zeta.
+    """
+    z = _eta_euler_transform(0.5) / (1.0 - math.sqrt(2.0))
     return RateConstant(zeta_half=z, value=-z / math.sqrt(math.pi))

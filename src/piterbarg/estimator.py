@@ -21,13 +21,14 @@ robust location estimates, not unbiased means.
 
 A replication draws one row of normals: its n increments directly as iid
 normals at alpha = 1, otherwise the m normals of the circulant embedding.
-Rows are grouped into blocks of B, where B depends on the row width alone.
-Block b is the stream ``Philox(key=seed, counter=b << 128)`` drawn row after
-row, and replication r is row r mod B of block r // B.  Batches start on
+Under stream contract v3, rows are grouped into blocks of B, the largest
+power of two with B * width <= 2^17 (at least 1), so B depends on the row
+width alone.  Block b is the stream
+``SFC64(SeedSequence(seed, spawn_key=(b,)))``, which is
+``SeedSequence(seed).spawn(b + 1)[b]``, numpy's spawning recipe, drawn row
+after row; replication r is row r mod B of block r // B.  Batches start on
 block boundaries, so results are bit-identical no matter how replications
-are batched or spread over threads.  Each worker keeps one Philox keyed by
-the seed and resets its counter to b << 128 for block b, which yields the
-numbers a freshly built stream would, without building one.
+are batched or spread over threads.
 """
 
 from __future__ import annotations
@@ -190,11 +191,11 @@ def _check_strides(strides: Sequence[int]) -> list[int]:
 
 
 def _block_rows(width: int) -> int:
-    # Largest power of two B with B * width <= 2^15, and at least 1: one
-    # counter reset and one standard_normal call, run without the GIL, per
-    # block of rows.  Fixed by the row width alone, so the stream never
-    # depends on the thread count.
-    return 1 << max(0, ((1 << 15) // width).bit_length() - 1)
+    # Largest power of two B with B * width <= 2^17, and at least 1: one
+    # generator build (about 20 us, under the GIL) and one standard_normal
+    # call, run without the GIL, per block of rows.  Fixed by the row width
+    # alone, so the stream never depends on the thread count.
+    return 1 << max(0, ((1 << 17) // width).bit_length() - 1)
 
 
 # Working set of one batch: its normals, complex half-spectrum and path
@@ -229,7 +230,7 @@ def _batch_rows(n: int, width: int, embedded: bool) -> int:
 class _BatchPlan:
     """How a run's rows are batched, shared among workers and held in memory."""
 
-    block: int  # rows per Philox block
+    block: int  # rows per stream block
     rows: int  # rows per batch buffer
     shares: tuple[tuple[int, int], ...]  # (first row, stop row) per worker
     nbytes: int  # drift, spectrum, output table and every worker's buffers
@@ -242,7 +243,7 @@ def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
     The run's ``N`` blocks go to ``W = min(threads, N)`` workers, worker k
     taking blocks ``[k N / W, (k + 1) N / W)``.  Raises ValueError for a
     thread count below 1, and for a run whose memory, worked out here before
-    anything is allocated, exceeds the machine's physical memory.
+    anything is allocated, exceeds ``_memory_limit()``.
     """
     if not _is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
@@ -255,37 +256,56 @@ def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
         for k in range(workers)
     )
     rows = min(_batch_rows(n, width, embedded), max(hi - lo for lo, hi in shares))
-    # Drift and output table, the eigenvalues and weights of the spectrum,
-    # and one set of batch buffers per worker.
+    # Drift and output table, the spectrum at the peak of its build (the
+    # autocovariances, the first row, and the complex input and output of
+    # its FFT; it then holds less), and one set of batch buffers per worker.
     nbytes = 8 * (n + 1) + 8 * reps * columns
     if embedded:
-        nbytes += 8 * width + 8 * (width // 2 + 1)
+        nbytes += 8 * (width // 2 + 1) + 8 * width + 32 * width
     nbytes += workers * rows * _row_bytes(n, width, embedded)
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > physical:
+    limit, source = _memory_limit()
+    if nbytes > limit:
         m = width if embedded else "none"
         raise ValueError(
             f"a run with n={n} increments and embedding length m={m} needs "
-            f"{nbytes} bytes, more than the {physical} bytes of physical memory"
+            f"{nbytes} bytes, more than the {limit} bytes of {source}"
         )
     return _BatchPlan(block, rows, shares, nbytes)
 
 
-def _fill_normals(gen: np.random.Generator, state: dict, z: np.ndarray,
-                  first: int, block: int) -> None:
+def _cgroup_memory_max() -> int | None:
+    """This process's cgroup v2 ``memory.max`` in bytes; None if unreadable or "max"."""
+    try:
+        with open("/proc/self/cgroup", encoding="ascii") as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(os.path.join("/sys/fs/cgroup", path.lstrip("/"), "memory.max"),
+                  encoding="ascii") as fh:
+            text = fh.read().strip()
+        return None if text == "max" else int(text)
+    except (OSError, StopIteration, ValueError):
+        return None
+
+
+def _memory_limit() -> tuple[int, str]:
+    """(bytes, what they are): physical memory, or the cgroup's memory.max if smaller."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    cgroup = _cgroup_memory_max()
+    if cgroup is not None and cgroup < physical:
+        return cgroup, "the cgroup's memory.max"
+    return physical, "physical memory"
+
+
+def _fill_normals(seed: int, z: np.ndarray, first: int, block: int) -> None:
     """Fill the rows of ``z`` from blocks first, first + 1, ... of ``block`` rows.
 
-    Block b is the stream ``Philox(key=seed, counter=b << 128)``: ``state``
-    is a cached state dict of ``gen``'s Philox, and writing b into counter
-    word 2 and assigning it back reseats the stream and empties its buffered
-    bits.  Each block is one ``standard_normal`` call, which draws row after
-    row, so a short last block is a prefix of its full block.
+    Block b is the stream ``SFC64(SeedSequence(seed, spawn_key=(b,)))``,
+    built afresh for each block.  Each block is one ``standard_normal``
+    call, which draws row after row, so a short last block is a prefix of
+    its full block.
     """
-    counter = state["state"]["counter"]
     for b, i in enumerate(range(0, len(z), block), start=first):
-        counter[2] = b
-        gen.bit_generator.state = state
-        gen.standard_normal(out=z[i : i + block])
+        bits = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,)))
+        np.random.Generator(bits).standard_normal(out=z[i : i + block])
 
 
 def _simulate_functionals(
@@ -294,22 +314,23 @@ def _simulate_functionals(
     """Per-replication functionals, shape (replications, len(strides)).
 
     Row r reproduces bit-for-bit what the per-path reference in
-    ``tests/oracle.py`` yields for replication r (row r mod B of the Philox
-    stream of block r // B, one path, a self-similarity rescale and the sup
-    over each stride's sub-grid); the batching here only amortizes the
-    FFTs.  Like the path sampler, alpha = 1 and single-increment grids skip
-    the embedding and use n iid normals per row.
+    ``tests/oracle.py`` yields for replication r (row r mod B of the SFC64
+    stream of block r // B under stream contract v3, one path, a
+    self-similarity rescale and the sup over each stride's sub-grid); the
+    batching here only amortizes the FFTs.  Like the path sampler, alpha = 1
+    and single-increment grids skip the embedding and use n iid normals per
+    row.
 
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of
     ``_block_rows(width)`` rows, and walks it in batches whose working set
     is about ``_BATCH_BYTES``, whatever the replication count.  Each worker
-    gets one set of batch buffers and one Philox generator, built here on
-    the calling thread and reused for all of its batches, so memory follows
-    from the config and the worker count alone: pool threads allocate
-    nothing large, and a run with one worker runs on the calling thread.
-    For block b the worker resets its counter to b << 128 (see
-    ``_fill_normals``); a bit generator is never shared between threads.
+    gets one set of batch buffers, built here on the calling thread and
+    reused for all of its batches, so memory follows from the config and
+    the worker count alone: pool threads allocate nothing large, and a run
+    with one worker runs on the calling thread.  ``_fill_normals`` builds
+    the generator of each block (B * width <= 2^17 normals) where it draws
+    it, so no generator is shared between threads.
     """
     neg, pos = config.side_counts()
     n = neg + pos
@@ -325,18 +346,15 @@ def _simulate_functionals(
     out = np.empty((reps, len(strides)))
 
     def buffers():
-        # Normals (overwritten by the fGn), half-spectrum, path values, and
-        # the worker's own generator with a fresh state dict of its Philox.
+        # Normals (overwritten by the fGn), half-spectrum and path values.
         rows = plan.rows
         w = None if iid else np.empty((rows, width // 2 + 1), dtype=np.complex128)
-        gen = np.random.Generator(np.random.Philox(key=config.seed))
-        z, values = np.empty((rows, width)), np.empty((rows, n + 1))
-        return z, w, values, gen, gen.bit_generator.state
+        return np.empty((rows, width)), w, np.empty((rows, n + 1))
 
     def run(start: int, rows: int, z: np.ndarray, w: np.ndarray | None,
-            values: np.ndarray, gen: np.random.Generator, state: dict) -> None:
+            values: np.ndarray) -> None:
         z = z[:rows]
-        _fill_normals(gen, state, z, start // plan.block, plan.block)
+        _fill_normals(config.seed, z, start // plan.block, plan.block)
         fgn = z if iid else _fgn_from_normals(spectrum, z, w[:rows], out=z)[:, :n]
         field = _two_sided_values(fgn, neg, out=values[:rows])
         # sqrt(2) * (scale * values) - drift, in place.

@@ -125,7 +125,8 @@ def circulant_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     half = m // 2
     g = _autocovariances(alpha, half)
     first_row = np.concatenate([g, g[half - 1 : 0 : -1]])
-    lam = np.fft.fft(first_row).real
+    # A copy, so the complex transform is freed rather than kept alive by a view.
+    lam = np.fft.fft(first_row).real.copy()
     floor = -_EIGENVALUE_CLAMP_REL * lam.max()
     if lam.min() < floor:
         raise RuntimeError(

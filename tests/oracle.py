@@ -1,33 +1,43 @@
 """Per-path reference pipeline that the batched engine is checked against.
 
 ``piterbarg.estimator._simulate_functionals`` simulates replications in
-batches, in reused buffers and with one reseated Philox per worker that
-fills a block of rows per call.  This module computes the same numbers one
-path at a time, each step in its plainest form: a freshly built Philox
-stream per replication, advanced past the earlier rows of its block, the
-circulant draw built from the eigenvalues with complex temporaries, the
-anchored running sum, the self-similarity rescale and the penalized
-supremum over each stride's sub-grid.  It calls none of the engine's
-kernels, so tests can require bit-equality without comparing the engine
-with itself.  The fGn autocovariance and a dense Cholesky draw from it
-check the circulant sampler in law.
+batches, in reused buffers, filling a block of rows per ``standard_normal``
+call.  This module computes the same numbers one path at a time, each step
+in its plainest form: the stream of replication r's block, spawned from the
+seed's SeedSequence as stream contract v3 defines it (blocks of B rows,
+B * width <= 2^17, block b from ``SeedSequence(seed).spawn(b + 1)[b]``
+through SFC64), advanced one row at a time past the earlier rows of its
+block; the circulant draw built from the eigenvalues with complex
+temporaries; the anchored running sum, the self-similarity rescale and the
+penalized supremum over each stride's sub-grid.  It calls none of the
+engine's kernels, so tests can require bit-equality without comparing the
+engine with itself.  The fGn autocovariance and a dense Cholesky draw from
+it check the circulant sampler in law, and Borwein's eta series checks the
+package's accelerated zeta(1/2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from piterbarg import CirculantSpectrum, Domain, EstimatorConfig, circulant_spectrum
+from piterbarg import (
+    CirculantSpectrum,
+    Domain,
+    EstimatorConfig,
+    circulant_spectrum,
+    rate_constant,
+)
 
 
 def block_rows(width: int) -> int:
-    """Rows per Philox block: the largest power of two B with B * width <= 2^15, at least 1."""
+    """Rows per stream block: the largest power of two B with B * width <= 2^17, at least 1."""
     block = 1
-    while 2 * block * width <= 2**15:
+    while 2 * block * width <= 2**17:
         block *= 2
     return block
 
@@ -37,14 +47,17 @@ def replication_stream(
 ) -> np.random.Generator:
     """Stream of replication ``index`` when rows of ``width`` normals come in blocks.
 
-    A fresh Philox keyed by the seed at counter (index // block) << 128, the
-    stream of the block, with the index % block earlier rows of the block
-    drawn and dropped one at a time.  With block = 1 it is the stream at
-    counter index << 128.  Streams of distinct replications never overlap,
-    and replication r sees the same numbers regardless of execution order or
-    thread count.
+    The stream of block b = index // block is SFC64 seeded by child b of
+    the seed's SeedSequence, the one with spawn key (b,) that
+    ``SeedSequence(seed).spawn(b + 1)[b]`` returns (built here from its key,
+    so that a large b costs no more than a small one); the index % block
+    earlier rows of the block are drawn and dropped one at a time.  With
+    block = 1 it is the stream of child ``index``.  Distinct blocks draw
+    from independently seeded streams, and replication r sees the same
+    numbers regardless of execution order or thread count.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=(index // block) << 128))
+    child = np.random.SeedSequence(seed, spawn_key=(index // block,))
+    rng = np.random.Generator(np.random.SFC64(child))
     for _ in range(index % block):
         rng.standard_normal(width)
     return rng
@@ -108,7 +121,7 @@ class PathGrid:
 def replication_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
     """Path of replication ``index`` under ``config`` on its delta grid.
 
-    ``block`` is the rows per Philox block, by default ``block_rows`` of
+    ``block`` is the rows per stream block, by default ``block_rows`` of
     the row width: n normals at alpha = 1, else the embedding length m.
     """
     neg, pos = config.side_counts()
@@ -164,3 +177,40 @@ def subsampled_functionals(
         z_max = float(sub.max())
         records.append(SupRecord(z_max=z_max, functional=float(np.exp(z_max))))
     return records
+
+
+def _eta_borwein(s: float, n: int = 32) -> float:
+    """Dirichlet eta(s) by Borwein's Chebyshev-weighted partial sums.
+
+    Independent of the package's Euler transform; carries an explicit
+    remainder bound of 3 / ((3 + sqrt(8))^n * d_n), i.e. ~1e-24 at n = 32.
+    The d_k are built in exact rational arithmetic so the only rounding is
+    the final float conversion.
+    """
+    acc = Fraction(0)
+    d = []
+    for i in range(n + 1):
+        acc += Fraction(
+            math.factorial(n + i - 1) * 4**i, math.factorial(n - i) * math.factorial(2 * i)
+        )
+        d.append(n * acc)
+    dn = d[n]
+    total = 0.0
+    for k in range(n):
+        total += (-1) ** k * float(Fraction(d[k] - dn, dn)) / (k + 1) ** s
+    return -total
+
+
+def zeta_half(method: str = "accelerated") -> float:
+    """Riemann zeta at 1/2 by one of two independent eta evaluations.
+
+    "accelerated" is the package's Euler-van Wijngaarden value, as
+    ``rate_constant`` reports it; "borwein" is zeta(s) = eta(s)/(1 - 2^(1-s))
+    from Borwein's partial sums above.  The two agree to well below 1e-10
+    and serve as each other's cross-check.
+    """
+    if method == "accelerated":
+        return rate_constant().zeta_half
+    if method == "borwein":
+        return _eta_borwein(0.5) / (1.0 - math.sqrt(2.0))
+    raise ValueError(f"unknown method {method!r}")

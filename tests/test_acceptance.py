@@ -19,6 +19,7 @@ from oracle import (
     sample_fgn,
     subsampled_functionals,
     sup_functional,
+    zeta_half,
 )
 from piterbarg import (
     Domain,
@@ -32,7 +33,6 @@ from piterbarg import (
     run_gap_decay,
     run_rate_study_bm,
     sample_two_sided_path,
-    zeta_half,
 )
 
 SEED = 20260810

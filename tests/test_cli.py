@@ -142,6 +142,7 @@ class TestEstimate:
 
         monkeypatch.setattr("piterbarg.estimator._drift", unreachable)
         monkeypatch.setattr("piterbarg.estimator._cached_spectrum", unreachable)
+        monkeypatch.setattr("piterbarg.estimator._cgroup_memory_max", lambda: None)
         code, out, err = run_cli(capsys, "estimate", "--alpha", alpha, "--d", "2",
                                  "--domain", "half", "--delta", "1e-9",
                                  "--horizon", "100", "--reps", "1", "--seed", "1")
@@ -216,6 +217,22 @@ class TestThreadsEnvFallback:
              "--reps", "10", "--seed", "1"]
         )
         assert args.threads == 1
+
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_env_below_one_exits_2(self, monkeypatch, capsys, env):
+        monkeypatch.setenv("PITERBARG_THREADS", env)
+        code, out, err = run_cli(capsys, "estimate", "--alpha", "1", "--d", "2",
+                                 "--domain", "half", "--delta", "0.1",
+                                 "--reps", "10", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert f"got {env}" in err and "PITERBARG_THREADS" in err
+        # a flag still overrides the variable, and commands without threads ignore it
+        code, _, _ = run_cli(capsys, "estimate", "--alpha", "1", "--d", "2",
+                             "--domain", "half", "--delta", "0.1",
+                             "--reps", "10", "--seed", "1", "--threads", "2")
+        assert code == 0
+        assert run_cli(capsys, "plan", "--alpha", "1", "--delta", "0.1")[0] == 0
 
     def test_flag_overrides_env(self, monkeypatch, capsys):
         monkeypatch.setenv("PITERBARG_THREADS", "2")

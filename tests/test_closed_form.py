@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracle import zeta_half
 from piterbarg import (
     piterbarg_bm_full,
     piterbarg_bm_half,
     rate_constant,
-    zeta_half,
 )
 
 # zeta(1/2) cross-checked against mpmath.zeta at 30 decimal digits:

@@ -1,6 +1,9 @@
 """Tests for the supremum functional, subsampling, and the MC estimator."""
 
+import io
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -167,22 +170,43 @@ class TestReplicationStreams:
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
-    def test_reset_philox_matches_fresh_stream(self, seed):
-        # the engine's form: one Philox and Generator per worker, reseated
-        # to counter index << 128 by assigning a cached state dict back
-        bits = np.random.Philox(key=seed)
-        gen = np.random.Generator(bits)
-        state = bits.state
-        for index in (0, 1, 2**32, 2**63):
-            # leave a partly used buffer and a cached uint32 behind
-            gen.integers(0, 2**32, 3, dtype=np.uint32)
-            gen.standard_normal(7)
-            state["state"]["counter"][2] = index
-            bits.state = state
-            fresh = replication_stream(seed, index)
-            assert np.array_equal(gen.standard_normal(513), fresh.standard_normal(513))
-            assert np.array_equal(gen.integers(0, 2**32, 5, dtype=np.uint32),
-                                  fresh.integers(0, 2**32, 5, dtype=np.uint32))
+    def test_spawn_key_matches_spawned_child(self, seed):
+        # the engine's blocks are the children of SeedSequence(seed).spawn,
+        # and the oracle's streams, up to block 2^63 + 3
+        z = np.empty((4, 513))
+        estimator._fill_normals(seed, z, 0, 1)
+        for row, child in zip(z, np.random.SeedSequence(seed).spawn(4)):
+            gen = np.random.Generator(np.random.SFC64(child))
+            assert np.array_equal(row, gen.standard_normal(513))
+        for first in (0, 1, 2**32, 2**63):
+            estimator._fill_normals(seed, z, first, 1)
+            for i in range(len(z)):
+                fresh = replication_stream(seed, first + i)
+                assert np.array_equal(z[i], fresh.standard_normal(513))
+
+
+class TestStreamContract:
+    """Golden values of stream contract v3, so that a change of numpy or of
+    the engine that moves the random stream fails here first."""
+
+    @pytest.mark.parametrize("seed,expected", [
+        (20260810, [[-0.7106466287240609, -1.5193291055445692, -0.16140177030471745],
+                    [-1.2705850255154623, -0.6039167116623679, -0.5555342284751827]]),
+        (2**64 - 1, [[-0.8644459760634886, 1.2559994570417141, -1.646172560941406],
+                     [1.2868691173071367, 0.8839781720725656, -1.1073156575756218]]),
+    ])
+    def test_first_normals_of_blocks_0_and_1(self, seed, expected):
+        z = np.empty((2, 3))
+        estimator._fill_normals(seed, z, 0, 1)
+        assert z.tolist() == expected
+
+    def test_functional_row(self):
+        # the embedding's FFT may round differently on another platform, so
+        # the row is pinned to 1e-12, far below what a moved stream changes
+        cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
+                              delta=0.05, horizon=2.0, replications=3, seed=20260810)
+        row = _simulate_functionals(cfg, [1, 2])[2]
+        assert row.tolist() == pytest.approx([1.906386072738009, 1.464313457011905], rel=1e-12)
 
 
 class TestEstimatorConfig:
@@ -325,7 +349,7 @@ class TestBatchPlan:
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     @pytest.mark.parametrize("reps", [1, 7, 64, 65, 320, 1000, 4099])
     def test_shares_are_contiguous_and_near_equal(self, reps, threads):
-        plan = _batch_plan(reps, 100, 512, True, threads, 1)  # blocks of 64 rows
+        plan = _batch_plan(reps, 100, 2048, True, threads, 1)  # blocks of 64 rows
         nblocks = -(-reps // 64)
         assert len(plan.shares) == min(threads, nblocks)
         assert plan.shares[0][0] == 0 and plan.shares[-1][1] == reps
@@ -351,6 +375,7 @@ class TestBatchPlan:
 
         monkeypatch.setattr(estimator, "_drift", unreachable)
         monkeypatch.setattr(estimator, "_cached_spectrum", unreachable)
+        monkeypatch.setattr(estimator, "_cgroup_memory_max", lambda: None)
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE,
                               delta=1e-9, horizon=100.0, replications=1, seed=1)
         m = "none" if alpha == 1.0 else _next_fast_len(2 * (10**11 - 1))
@@ -358,22 +383,85 @@ class TestBatchPlan:
             _simulate_functionals(cfg, [1])
 
     def test_plan_bytes(self):
+        # drift, table, the spectrum's build (autocovariances, first row,
+        # complex FFT input and output) and two workers' buffers
         plan = _batch_plan(1000, 172, 360, True, 2, 3)
-        assert plan.nbytes == (8 * 173 + 8 * 3000 + 8 * 360 + 8 * 181
+        assert plan.nbytes == (8 * 173 + 8 * 3000 + 8 * 181 + 8 * 360 + 32 * 360
                                + 2 * plan.rows * _row_bytes(172, 360, True))
+        plan = _batch_plan(1000, 172, 172, False, 2, 3)
+        assert plan.nbytes == (8 * 173 + 8 * 3000
+                               + 2 * plan.rows * _row_bytes(172, 172, False))
+
+    def test_plan_bytes_cover_spectrum_build(self):
+        # the build's peak, measured, stays within what the plan counts
+        import tracemalloc
+
+        n = 44976  # the gap study's grid, m = 90000
+        m = _next_fast_len(2 * (n - 1))
+        tracemalloc.start()
+        try:
+            circulant_spectrum(0.7, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plan = _batch_plan(1, n, m, True, 1, 1)
+        counted = plan.nbytes - 8 * (n + 1) - 8 - plan.rows * _row_bytes(n, m, True)
+        assert 0.5 * counted <= peak <= 1.1 * counted
+
+    def test_eigenvalues_own_their_memory(self):
+        # a real copy of the transform, not a view that keeps the complex
+        # FFT output alive
+        spectrum = circulant_spectrum(0.5, 1000)
+        assert spectrum.eigenvalues.base is None
+        assert spectrum.eigenvalues.nbytes == 8 * spectrum.m
+
+    @pytest.mark.parametrize("cgroup,limit,source", [
+        (None, None, "physical memory"),
+        (2**70, None, "physical memory"),
+        (10**6, 10**6, "the cgroup's memory.max"),
+    ])
+    def test_memory_limit_is_the_smaller_of_physical_and_cgroup(
+            self, monkeypatch, cgroup, limit, source):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        monkeypatch.setattr(estimator, "_cgroup_memory_max", lambda: cgroup)
+        assert estimator._memory_limit() == (limit or physical, source)
+        if limit:
+            with pytest.raises(ValueError, match=r"needs \d+ bytes, more than the "
+                                                 r"1000000 bytes of the cgroup's memory.max"):
+                _batch_plan(1000, 2120, 2120, False, 1, 1)
+
+    @pytest.mark.parametrize("files,expected", [
+        ({"/proc/self/cgroup": "0::/a/b\n",
+          "/sys/fs/cgroup/a/b/memory.max": "1073741824\n"}, 2**30),
+        ({"/proc/self/cgroup": "4:memory:/x\n0::/\n",
+          "/sys/fs/cgroup/memory.max": "536870912\n"}, 2**29),
+        ({"/proc/self/cgroup": "0::/a\n", "/sys/fs/cgroup/a/memory.max": "max\n"}, None),
+        ({"/proc/self/cgroup": "0::/a\n"}, None),
+        ({"/proc/self/cgroup": "4:memory:/x\n"}, None),
+        ({}, None),
+    ], ids=["limit", "root", "max", "no-file", "v1-only", "no-proc"])
+    def test_cgroup_reader(self, monkeypatch, files, expected):
+        # the reader sees only the fake files, never the real hierarchy
+        def fake_open(path, *args, **kwargs):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return io.StringIO(files[path])
+
+        monkeypatch.setattr(estimator, "open", fake_open, raising=False)
+        assert estimator._cgroup_memory_max() == expected
 
 
 class TestBlockRows:
     def test_largest_power_of_two_within_block_budget(self):
-        widths = list(range(1, 2**16 + 1)) + [90_000, 2**22, 2**30]
+        widths = list(range(1, 2**16 + 1)) + [90_000, 2**17, 2**17 + 1, 2**22, 2**30]
         for w in widths:
             block = _block_rows(w)
             assert block & (block - 1) == 0
-            assert block == 1 or block * w <= 2**15
-            assert 2 * block * w > 2**15
+            assert block == 1 or block * w <= 2**17
+            assert 2 * block * w > 2**17
             assert block == block_rows(w)
             assert _batch_rows(w, w, False) % block == 0
-        assert [_block_rows(w) for w in (360, 2120, 90_000)] == [64, 8, 1]
+        assert [_block_rows(w) for w in (360, 2120, 90_000)] == [256, 32, 1]
 
     def test_depends_on_width_alone(self, monkeypatch):
         # the engine asks for the block size of its row width only, and
@@ -453,8 +541,9 @@ class TestEstimateConstant:
     def test_brownian_rows_use_raw_normals(self, domain):
         # alpha = 1 has iid increments, so row r is the penalized sup of the
         # cumulated row r mod B of block r // B, with no embedding in
-        # between; block b is B rows of n normals drawn in one call from the
-        # Philox stream at counter b << 128.  The run ends in a short block.
+        # between; block b is B rows of n normals drawn in one call from
+        # SFC64 seeded by child b of the seed's SeedSequence.  The run ends
+        # in a short block.
         neg, pos = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
                                    horizon=2.0, replications=1, seed=31).side_counts()
         n = neg + pos
@@ -463,9 +552,8 @@ class TestEstimateConstant:
                               horizon=2.0, replications=block + 5, seed=31)
         table = _simulate_functionals(cfg, strides=[1], threads=1)
         blocks = [
-            np.random.Generator(np.random.Philox(key=cfg.seed, counter=b << 128))
-            .standard_normal((block, n))
-            for b in range(2)
+            np.random.Generator(np.random.SFC64(child)).standard_normal((block, n))
+            for child in np.random.SeedSequence(cfg.seed).spawn(2)
         ]
         k = np.arange(-neg, pos + 1, dtype=float)
         drift = (1.0 + cfg.d) * np.abs(k * cfg.delta) ** cfg.alpha
@@ -512,22 +600,24 @@ class TestEstimateConstant:
             assert [rec.functional for rec in recs] == list(table[r])
 
     def test_small_run_splits_over_workers(self, monkeypatch):
-        # 1000 rows of width 100 are four blocks of 256 rows, the last one
-        # short; two threads take two contiguous blocks each, in one batch
-        # each, and give the one-thread result
-        firsts = []
+        # 4000 rows of width 100 are four blocks of 1024 rows, the last one
+        # short, and a batch is one block; two threads take two contiguous
+        # blocks each and give the one-thread result
+        fills = []
         fill = estimator._fill_normals
 
-        def spy(gen, state, z, first, block):
-            firsts.append((first, len(z)))
-            fill(gen, state, z, first, block)
+        def spy(seed, z, first, block):
+            fills.append((first, len(z), threading.get_ident()))
+            fill(seed, z, first, block)
 
-        cfg = self._config(replications=1000)
-        assert sum(cfg.side_counts()) == 100 and _batch_rows(100, 100, False) >= 512
+        cfg = self._config(replications=4000)
+        assert sum(cfg.side_counts()) == 100 and _batch_rows(100, 100, False) == 1024
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         monkeypatch.setattr(estimator, "_fill_normals", spy)
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
-        assert sorted(firsts) == [(0, 512), (2, 488)]
+        fills.sort()
+        assert [f[:2] for f in fills] == [(0, 1024), (1, 1024), (2, 1024), (3, 928)]
+        assert fills[0][2] == fills[1][2] != fills[2][2] == fills[3][2]
         assert np.array_equal(t1, t2)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])

@@ -204,20 +204,21 @@ _BATCH_BYTES = 2 << 20
 
 # numpy builds its FFT plan anew on every call, so a batch that runs an FFT
 # keeps at least this many rows to spread that cost.
-_FFT_MIN_ROWS = 8
+_FFT_MIN_ROWS = 4
 
 
 def _row_bytes(n: int, width: int, embedded: bool) -> int:
-    # Normals, the complex half-spectrum where there is an embedding, and
-    # the n + 1 path values of one row.
-    return 8 * width + (16 * (width // 2 + 1) if embedded else 0) + 8 * (n + 1)
+    # Normals, and the complex half-spectrum where there is an embedding,
+    # whose m + 2 floats then take the n + 1 path values; else the values.
+    return 8 * width + (16 * (width // 2 + 1) if embedded else 8 * (n + 1))
 
 
 def _batch_rows(n: int, width: int, embedded: bool) -> int:
     """Rows per batch: whole blocks that fit ``_BATCH_BYTES``, at least one block.
 
     Where an FFT runs, at least ``_FFT_MIN_ROWS`` rows (blocks are powers of
-    two, so the floor is whole blocks too).  Fixed by the row shape alone.
+    two, so the floor is whole blocks too).  Fixed by the row shape alone;
+    ``_batch_plan`` cuts it to one block where only that fits in memory.
     """
     fit = _BATCH_BYTES // _row_bytes(n, width, embedded)
     if embedded:
@@ -243,7 +244,7 @@ def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
     The run's ``N`` blocks go to ``W = min(threads, N)`` workers, worker k
     taking blocks ``[k N / W, (k + 1) N / W)``.  Raises ValueError for a
     thread count below 1, and for a run whose memory, worked out here before
-    anything is allocated, exceeds ``_memory_limit()``.
+    anything is allocated, exceeds ``_memory_limit()`` at one block per batch.
     """
     if not _is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
@@ -259,11 +260,13 @@ def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
     # Drift and output table, the spectrum at the peak of its build (the
     # autocovariances, the first row, and the complex input and output of
     # its FFT; it then holds less), and one set of batch buffers per worker.
-    nbytes = 8 * (n + 1) + 8 * reps * columns
+    fixed = 8 * (n + 1) + 8 * reps * columns
     if embedded:
-        nbytes += 8 * (width // 2 + 1) + 8 * width + 32 * width
-    nbytes += workers * rows * _row_bytes(n, width, embedded)
+        fixed += 8 * (width // 2 + 1) + 8 * width + 32 * width
     limit, source = _memory_limit()
+    if fixed + workers * rows * _row_bytes(n, width, embedded) > limit:
+        rows = min(rows, block)  # the batch floors yield to memory
+    nbytes = fixed + workers * rows * _row_bytes(n, width, embedded)
     if nbytes > limit:
         m = width if embedded else "none"
         raise ValueError(
@@ -274,20 +277,27 @@ def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
 
 
 def _cgroup_memory_max() -> int | None:
-    """This process's cgroup v2 ``memory.max`` in bytes; None if unreadable or "max"."""
+    """This process's cgroup (v1 or v2) memory limit; None if unreadable or "max"."""
     try:
         with open("/proc/self/cgroup", encoding="ascii") as fh:
-            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        with open(os.path.join("/sys/fs/cgroup", path.lstrip("/"), "memory.max"),
-                  encoding="ascii") as fh:
-            text = fh.read().strip()
-        return None if text == "max" else int(text)
-    except (OSError, StopIteration, ValueError):
+            entries = [line.strip().split(":", 2) for line in fh]
+    except OSError:
         return None
+    # The first readable limit of an N:memory:<path> (v1) or 0::<path> (v2) line.
+    for _, kind, path in (e for e in entries if len(e) == 3 and e[1] in ("", "memory")):
+        leaf = "memory.limit_in_bytes" if kind else "memory.max"
+        try:
+            with open(os.path.join("/sys/fs/cgroup", kind, path.lstrip("/"), leaf),
+                      encoding="ascii") as fh:
+                text = fh.read().strip()
+            return None if text == "max" else int(text)
+        except (OSError, ValueError):
+            continue
+    return None
 
 
 def _memory_limit() -> tuple[int, str]:
-    """(bytes, what they are): physical memory, or the cgroup's memory.max if smaller."""
+    """(bytes, what they are): physical memory, or the cgroup's limit if smaller."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     cgroup = _cgroup_memory_max()
     if cgroup is not None and cgroup < physical:
@@ -322,15 +332,18 @@ def _simulate_functionals(
     row.
 
     ``_batch_plan`` lays the run out before anything is allocated: each
-    worker gets one contiguous share of whole blocks of
-    ``_block_rows(width)`` rows, and walks it in batches whose working set
-    is about ``_BATCH_BYTES``, whatever the replication count.  Each worker
-    gets one set of batch buffers, built here on the calling thread and
-    reused for all of its batches, so memory follows from the config and
-    the worker count alone: pool threads allocate nothing large, and a run
-    with one worker runs on the calling thread.  ``_fill_normals`` builds
-    the generator of each block (B * width <= 2^17 normals) where it draws
-    it, so no generator is shared between threads.
+    worker gets one contiguous share of whole blocks of ``_block_rows(width)``
+    rows, and walks it in batches whose working set is about
+    ``_BATCH_BYTES``, whatever the replication count.  Each worker gets one
+    set of batch buffers, built here on the calling thread and reused for
+    all of its batches: the normals, which the fGn overwrites, and the
+    complex half-spectrum, whose m + 2 floats a row take the path values once
+    the irfft has consumed it (at alpha = 1, normals and values).  So memory
+    follows from the config and the worker count alone: pool threads
+    allocate nothing large, and a run with one worker runs on the calling
+    thread.  ``_fill_normals`` builds the generator of each block
+    (B * width <= 2^17 normals) where it draws it, so no generator is
+    shared between threads.
     """
     neg, pos = config.side_counts()
     n = neg + pos
@@ -346,10 +359,12 @@ def _simulate_functionals(
     out = np.empty((reps, len(strides)))
 
     def buffers():
-        # Normals (overwritten by the fGn), half-spectrum and path values.
+        # Normals (later the fGn) and half-spectrum (later the path values,
+        # packed row after row so that the elementwise passes run unbroken).
         rows = plan.rows
         w = None if iid else np.empty((rows, width // 2 + 1), dtype=np.complex128)
-        return np.empty((rows, width)), w, np.empty((rows, n + 1))
+        flat = np.empty(rows * (n + 1)) if iid else w.view(np.float64).reshape(-1)
+        return np.empty((rows, width)), w, flat[: rows * (n + 1)].reshape(rows, n + 1)
 
     def run(start: int, rows: int, z: np.ndarray, w: np.ndarray | None,
             values: np.ndarray) -> None:

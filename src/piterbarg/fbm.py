@@ -138,7 +138,7 @@ def circulant_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     return CirculantSpectrum(alpha=alpha, m=m, eigenvalues=lam)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)  # the one spectrum a run's memory plan counts
 def _cached_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     return circulant_spectrum(alpha, n)
 

@@ -322,7 +322,7 @@ def _row_shapes():
 class TestBatchPlan:
     def test_working_set_within_budget(self):
         # whole blocks, as many as fit 2 MiB; more only for the one-block
-        # and the 8-row FFT floors
+        # floor and, where an FFT runs, the _FFT_MIN_ROWS floor
         for n, width, embedded in _row_shapes():
             rows, block = _batch_rows(n, width, embedded), _block_rows(width)
             row_bytes = _row_bytes(n, width, embedded)
@@ -392,6 +392,24 @@ class TestBatchPlan:
         assert plan.nbytes == (8 * 173 + 8 * 3000
                                + 2 * plan.rows * _row_bytes(172, 172, False))
 
+    def test_fft_floor_yields_to_memory(self, monkeypatch):
+        # n = 2.5e7 on two workers: 8.20 GiB at the 4-row floor, over an
+        # 8 GiB limit, but 3.73 GiB at one block (one row) per batch
+        n, m = 25_000_000, 50_000_000
+        assert _next_fast_len(2 * (n - 1)) == m and _block_rows(m) == 1
+        fixed = 8 * (n + 1) + 8 * 100 + 8 * (m // 2 + 1) + 40 * m
+        monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
+        plan = _batch_plan(100, n, m, True, 2, 1)
+        assert plan.rows == _FFT_MIN_ROWS == 4
+        assert plan.nbytes == fixed + 2 * 4 * _row_bytes(n, m, True) > 8 * 2**30
+        monkeypatch.setattr(estimator, "_memory_limit", lambda: (8 * 2**30, "physical memory"))
+        plan = _batch_plan(100, n, m, True, 2, 1)
+        assert plan.rows == 1 and plan.shares == ((0, 50), (50, 100))
+        assert plan.nbytes == fixed + 2 * _row_bytes(n, m, True) < 4 * 2**30
+        monkeypatch.setattr(estimator, "_memory_limit", lambda: (3 * 2**30, "physical memory"))
+        with pytest.raises(ValueError, match=rf"needs {plan.nbytes} bytes"):
+            _batch_plan(100, n, m, True, 2, 1)
+
     def test_plan_bytes_cover_spectrum_build(self):
         # the build's peak, measured, stays within what the plan counts
         import tracemalloc
@@ -407,6 +425,33 @@ class TestBatchPlan:
         plan = _batch_plan(1, n, m, True, 1, 1)
         counted = plan.nbytes - 8 * (n + 1) - 8 - plan.rows * _row_bytes(n, m, True)
         assert 0.5 * counted <= peak <= 1.1 * counted
+
+    def test_plan_bytes_cover_batch_buffers(self):
+        # the gap study's grid on two workers of one 4-row batch each: once
+        # a first run has cached the spectrum and made numpy's lazy imports,
+        # the measured peak is the drift, the table and the buffers, with the
+        # path values in the half-spectrum buffer (a separate values buffer
+        # would add 2.9 MB, a quarter more)
+        import tracemalloc
+
+        cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
+                              horizon=449.76, replications=8, seed=3)
+        n = sum(cfg.side_counts())
+        m = _next_fast_len(2 * (n - 1))
+        assert (n, m) == (44976, 90000)
+        plan = _batch_plan(8, n, m, True, 2, 1)
+        assert plan.rows == 4 and len(plan.shares) == 2
+        assert _row_bytes(n, m, True) == 8 * m + 16 * (m // 2 + 1)
+        counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
+        first = _simulate_functionals(cfg, [1], threads=2)
+        tracemalloc.start()
+        try:
+            again = _simulate_functionals(cfg, [1], threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, again)
+        assert 0.9 * counted <= peak <= 1.05 * counted
 
     def test_eigenvalues_own_their_memory(self):
         # a real copy of the transform, not a view that keeps the complex
@@ -439,7 +484,17 @@ class TestBatchPlan:
         ({"/proc/self/cgroup": "0::/a\n"}, None),
         ({"/proc/self/cgroup": "4:memory:/x\n"}, None),
         ({}, None),
-    ], ids=["limit", "root", "max", "no-file", "v1-only", "no-proc"])
+        ({"/proc/self/cgroup": "4:memory:/x\n0::/\n",
+          "/sys/fs/cgroup/memory/x/memory.limit_in_bytes": "1073741824\n",
+          "/sys/fs/cgroup/memory.max": "536870912\n"}, 2**30),
+        ({"/proc/self/cgroup": "5:cpu:/y\n4:memory:/\n0::/\n",
+          "/sys/fs/cgroup/cpu/y/memory.limit_in_bytes": "1\n",
+          "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n"},
+         9223372036854771712),
+        ({"/proc/self/cgroup": "bad line\n4:memory:/x\n",
+          "/sys/fs/cgroup/memory/x/memory.limit_in_bytes": "junk\n"}, None),
+    ], ids=["limit", "root", "max", "no-file", "v1-only", "no-proc",
+            "v1-limit", "v1-unlimited", "v1-junk"])
     def test_cgroup_reader(self, monkeypatch, files, expected):
         # the reader sees only the fake files, never the real hierarchy
         def fake_open(path, *args, **kwargs):
@@ -536,6 +591,21 @@ class TestEstimateConstant:
             unit = sample_two_sided_path(cfg.alpha, neg, pos,
                                          replication_stream(cfg.seed, r, width, 2))
             assert np.array_equal(unit * cfg.delta ** (cfg.alpha / 2.0), path.values)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_real_fft_floor_matches_oracle(self, threads):
+        # nothing patched: m = 34560 gives blocks of 2 rows and the 4-row
+        # FFT floor, so 9 rows are batches of 4, 4 and 1 on one thread and
+        # blocks [0, 2) and [2, 5) on two
+        cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.HALF_LINE, delta=0.01,
+                              horizon=170.0, replications=9, seed=41)
+        n = sum(cfg.side_counts())
+        m = _next_fast_len(2 * (n - 1))
+        assert (n, m, _block_rows(m), _batch_rows(n, m, True)) == (17000, 34560, 2, 4)
+        table = _simulate_functionals(cfg, [1, 3], threads=threads)
+        for r in range(cfg.replications):
+            recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 3])
+            assert [rec.functional for rec in recs] == list(table[r])
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_brownian_rows_use_raw_normals(self, domain):

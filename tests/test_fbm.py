@@ -8,7 +8,7 @@ import pytest
 
 from oracle import cholesky_sample, fgn_autocovariance, sample_fgn
 from piterbarg import circulant_spectrum, sample_two_sided_path
-from piterbarg.fbm import _fgn_from_normals, _next_fast_len
+from piterbarg.fbm import _cached_spectrum, _fgn_from_normals, _next_fast_len
 
 
 def _is_5_smooth(m: int) -> bool:
@@ -110,6 +110,16 @@ class TestCirculantSpectrum:
         half = spec.m // 2
         expected = np.array([fgn_autocovariance(alpha, k) for k in range(half + 1)])
         np.testing.assert_allclose(recovered[: half + 1], expected, atol=1e-10)
+
+    def test_cache_keeps_one_spectrum(self):
+        # a second (alpha, n) evicts the first, so the cache holds only the
+        # spectrum a run's memory plan counts
+        _cached_spectrum.cache_clear()
+        first = _cached_spectrum(0.5, 100)
+        assert _cached_spectrum(0.5, 100) is first
+        _cached_spectrum(0.7, 100)
+        assert _cached_spectrum.cache_info().currsize == 1
+        assert _cached_spectrum(0.5, 100) is not first
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

@@ -19,16 +19,20 @@ blocks, whose interval comes from block-mean order statistics.  Median-of-
 means results carry extra bias under heavy skew and should be read as
 robust location estimates, not unbiased means.
 
-A replication draws one row of normals: its n increments directly as iid
-normals at alpha = 1, otherwise the m normals of the circulant embedding.
-Under stream contract v3, rows are grouped into blocks of B, the largest
-power of two with B * width <= 2^17 (at least 1), so B depends on the row
-width alone.  Block b is the stream
-``SFC64(SeedSequence(seed, spawn_key=(b,)))``, which is
-``SeedSequence(seed).spawn(b + 1)[b]``, numpy's spawning recipe, drawn row
-after row; replication r is row r mod B of block r // B.  Batches start on
-block boundaries, so results are bit-identical no matter how replications
-are batched or spread over threads.
+A replication draws one row of normals and maps it to its path in one of
+three ways.  At alpha = 1 (and for a single increment) the row holds the n
+increments, iid.  Otherwise, on grids of at most ``_DENSE_MAX_N``
+increments, it holds n normals, which one product with the dense map of
+``fbm._dense_map`` turns into the scaled path values.  On longer grids it
+holds the m normals of the circulant embedding.  Under stream contract v4,
+rows are grouped into blocks of B, the largest power of two with
+B * width <= 2^17 (at least 1), so B depends on the row width alone.
+Block b is the stream ``SFC64(SeedSequence(seed, spawn_key=(b,)))``, which
+is ``SeedSequence(seed).spawn(b + 1)[b]``, numpy's spawning recipe, drawn
+row after row; replication r is row r mod B of block r // B.  Batches start
+on block boundaries, and dense rows are multiplied in fixed chunks of
+``_gemm_rows(n)`` rows that tile the blocks, so results are bit-identical
+no matter how replications are batched or spread over threads.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ from typing import Sequence
 import numpy as np
 
 from .fbm import (
+    _cached,
     _cached_spectrum,
     _check_alpha,
+    _dense_map,
     _fgn_from_normals,
     _next_fast_len,
     _two_sided_values,
@@ -202,9 +208,33 @@ def _block_rows(width: int) -> int:
 # values fit one core's L2 cache.
 _BATCH_BYTES = 2 << 20
 
-# numpy builds its FFT plan anew on every call, so a batch that runs an FFT
-# keeps at least this many rows to spread that cost.
+# A batch that runs an FFT keeps at least this many rows: numpy builds its
+# FFT plan anew on every call (about 170 us at m = 90000, page faults
+# aside), and a 2-row floor, though it would save 5.4 MiB of peak RSS on the
+# gap study's grid, made that run 12-17% slower through the extra page
+# faults of buffers that glibc returns to the system and maps again.
 _FFT_MIN_ROWS = 4
+
+# Grids of at most this many increments (alpha != 1) map n normals through
+# the dense (n, n + 1) matrix of ``fbm._dense_map`` instead of embedding:
+# the largest n whose products take 4 rows or more (``_gemm_rows``).  On one
+# core such a row costs about half an FFT row (4.4 against 8.9 us at n = 172,
+# 7.2 against 12.0 at n = 255); at 2 rows a product it costs about as much.
+_DENSE_MAX_N = 255
+
+# OpenBLAS runs a product of at most this many multiply-adds on the calling
+# thread (64Ki times its GEMM_MULTITHREAD_THRESHOLD of 4), larger ones on
+# its own thread pool, which the engine's workers would then oversubscribe.
+_GEMM_MAX_MADDS = 1 << 18
+
+
+def _gemm_rows(n: int) -> int:
+    """Rows per dense product: the largest power of two c with c n (n + 1) <= 2^18.
+
+    At least 1; ``_DENSE_MAX_N`` keeps it at 4 or more, so no product is a
+    one-row gemv, which rounds differently from a gemm.
+    """
+    return 1 << max(0, (_GEMM_MAX_MADDS // (n * (n + 1))).bit_length() - 1)
 
 
 def _row_bytes(n: int, width: int, embedded: bool) -> int:
@@ -234,17 +264,20 @@ class _BatchPlan:
     block: int  # rows per stream block
     rows: int  # rows per batch buffer
     shares: tuple[tuple[int, int], ...]  # (first row, stop row) per worker
-    nbytes: int  # drift, spectrum, output table and every worker's buffers
+    nbytes: int  # drift, spectrum or dense map, output table, every worker's buffers
 
 
 def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
-                columns: int) -> _BatchPlan:
+                columns: int, dense: bool = False) -> _BatchPlan:
     """Contiguous near-equal block shares, one per worker, walked in batches.
 
     The run's ``N`` blocks go to ``W = min(threads, N)`` workers, worker k
-    taking blocks ``[k N / W, (k + 1) N / W)``.  Raises ValueError for a
-    thread count below 1, and for a run whose memory, worked out here before
-    anything is allocated, exceeds ``_memory_limit()`` at one block per batch.
+    taking blocks ``[k N / W, (k + 1) N / W)``.  ``dense`` rows (width n,
+    not embedded) run their products ``_gemm_rows(n)`` rows at a time, so
+    their buffers hold whole such chunks even where a share is shorter.
+    Raises ValueError for a thread count below 1, and for a run whose
+    memory, worked out here before anything is allocated, exceeds
+    ``_memory_limit()`` at one block per batch.
     """
     if not _is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
@@ -257,12 +290,17 @@ def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
         for k in range(workers)
     )
     rows = min(_batch_rows(n, width, embedded), max(hi - lo for lo, hi in shares))
+    if dense:
+        rows = -(-rows // _gemm_rows(n)) * _gemm_rows(n)
     # Drift and output table, the spectrum at the peak of its build (the
     # autocovariances, the first row, and the complex input and output of
-    # its FFT; it then holds less), and one set of batch buffers per worker.
+    # its FFT; it then holds less) or the dense map and the Schur factor it
+    # is cumulated from, and one set of batch buffers per worker.
     fixed = 8 * (n + 1) + 8 * reps * columns
     if embedded:
         fixed += 8 * (width // 2 + 1) + 8 * width + 32 * width
+    if dense:
+        fixed += 8 * n * (n + 1) + 8 * n * n
     limit, source = _memory_limit()
     if fixed + workers * rows * _row_bytes(n, width, embedded) > limit:
         rows = min(rows, block)  # the batch floors yield to memory
@@ -276,8 +314,11 @@ def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
     return _BatchPlan(block, rows, shares, nbytes)
 
 
-def _cgroup_memory_max() -> int | None:
-    """This process's cgroup (v1 or v2) memory limit; None if unreadable or "max"."""
+def _cgroup_memory_max() -> tuple[int, str] | None:
+    """(bytes, file name) of this process's cgroup (v1 or v2) memory limit.
+
+    None if no limit is readable or the limit is "max".
+    """
     try:
         with open("/proc/self/cgroup", encoding="ascii") as fh:
             entries = [line.strip().split(":", 2) for line in fh]
@@ -290,7 +331,7 @@ def _cgroup_memory_max() -> int | None:
             with open(os.path.join("/sys/fs/cgroup", kind, path.lstrip("/"), leaf),
                       encoding="ascii") as fh:
                 text = fh.read().strip()
-            return None if text == "max" else int(text)
+            return None if text == "max" else (int(text), leaf)
         except (OSError, ValueError):
             continue
     return None
@@ -300,8 +341,8 @@ def _memory_limit() -> tuple[int, str]:
     """(bytes, what they are): physical memory, or the cgroup's limit if smaller."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     cgroup = _cgroup_memory_max()
-    if cgroup is not None and cgroup < physical:
-        return cgroup, "the cgroup's memory.max"
+    if cgroup is not None and cgroup[0] < physical:
+        return cgroup[0], f"the cgroup's {cgroup[1]}"
     return physical, "physical memory"
 
 
@@ -323,13 +364,17 @@ def _simulate_functionals(
 ) -> np.ndarray:
     """Per-replication functionals, shape (replications, len(strides)).
 
-    Row r reproduces bit-for-bit what the per-path reference in
-    ``tests/oracle.py`` yields for replication r (row r mod B of the SFC64
-    stream of block r // B under stream contract v3, one path, a
-    self-similarity rescale and the sup over each stride's sub-grid); the
-    batching here only amortizes the FFTs.  Like the path sampler, alpha = 1
-    and single-increment grids skip the embedding and use n iid normals per
-    row.
+    Row r is what the per-path reference in ``tests/oracle.py`` yields for
+    replication r: row r mod B of the SFC64 stream of block r // B under
+    stream contract v4, one path, a self-similarity rescale and the sup over
+    each stride's sub-grid.  It is the same bit for bit where the row holds
+    iid increments or an embedding; the batching here only amortizes the
+    FFTs.  Dense rows are multiplied in chunks of c = ``_gemm_rows(n)``
+    rows, each a (c, n) @ (n, n + 1) product, the last chunk padded with
+    zero rows, so that a row's result depends on its own normals alone,
+    never on the batching, the thread count or a one-row product (which BLAS
+    computes as a gemv, rounding differently); the oracle's LAPACK factor
+    and gemv agree with them to rounding.
 
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
@@ -338,8 +383,8 @@ def _simulate_functionals(
     set of batch buffers, built here on the calling thread and reused for
     all of its batches: the normals, which the fGn overwrites, and the
     complex half-spectrum, whose m + 2 floats a row take the path values once
-    the irfft has consumed it (at alpha = 1, normals and values).  So memory
-    follows from the config and the worker count alone: pool threads
+    the irfft has consumed it (iid and dense rows: normals and values).  So
+    memory follows from the config and the worker count alone: pool threads
     allocate nothing large, and a run with one worker runs on the calling
     thread.  ``_fill_normals`` builds the generator of each block
     (B * width <= 2^17 normals) where it draws it, so no generator is
@@ -350,11 +395,14 @@ def _simulate_functionals(
     strides = _check_strides(strides)
 
     iid = n == 1 or config.alpha == 1.0
-    width = n if iid else _next_fast_len(2 * (n - 1))
+    dense = not iid and n <= _DENSE_MAX_N
+    embedded = not (iid or dense)
+    width = _next_fast_len(2 * (n - 1)) if embedded else n
     reps = int(config.replications)
-    plan = _batch_plan(reps, n, width, not iid, threads, len(strides))
-    spectrum = None if iid else _cached_spectrum(config.alpha, n)
+    plan = _batch_plan(reps, n, width, embedded, threads, len(strides), dense)
     scale = config.delta ** (config.alpha / 2.0)
+    gmap = _cached(_dense_map, config.alpha, n, neg, _SQRT2 * scale) if dense else None
+    spectrum = _cached_spectrum(config.alpha, n) if embedded else None
     drift = _drift(neg, pos, config.delta, config.alpha, config.d)
     out = np.empty((reps, len(strides)))
 
@@ -362,19 +410,29 @@ def _simulate_functionals(
         # Normals (later the fGn) and half-spectrum (later the path values,
         # packed row after row so that the elementwise passes run unbroken).
         rows = plan.rows
-        w = None if iid else np.empty((rows, width // 2 + 1), dtype=np.complex128)
-        flat = np.empty(rows * (n + 1)) if iid else w.view(np.float64).reshape(-1)
+        w = np.empty((rows, width // 2 + 1), dtype=np.complex128) if embedded else None
+        flat = w.view(np.float64).reshape(-1) if embedded else np.empty(rows * (n + 1))
         return np.empty((rows, width)), w, flat[: rows * (n + 1)].reshape(rows, n + 1)
 
     def run(start: int, rows: int, z: np.ndarray, w: np.ndarray | None,
             values: np.ndarray) -> None:
-        z = z[:rows]
-        _fill_normals(config.seed, z, start // plan.block, plan.block)
-        fgn = z if iid else _fgn_from_normals(spectrum, z, w[:rows], out=z)[:, :n]
-        field = _two_sided_values(fgn, neg, out=values[:rows])
-        # sqrt(2) * (scale * values) - drift, in place.
-        np.multiply(field, scale, out=field)
-        np.multiply(field, _SQRT2, out=field)
+        _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
+        field = values[:rows]
+        if dense:
+            # One (c, n) @ (n, n + 1) product per chunk of c rows, the last
+            # one padded with zero rows.
+            c = _gemm_rows(n)
+            padded = -(-rows // c) * c
+            z[rows:padded] = 0.0
+            np.matmul(z[:padded].reshape(-1, c, n), gmap,
+                      out=values[:padded].reshape(-1, c, n + 1))
+        else:
+            fgn = z[:rows] if iid else _fgn_from_normals(spectrum, z[:rows], w[:rows],
+                                                         out=z[:rows])[:, :n]
+            _two_sided_values(fgn, neg, out=field)
+            # sqrt(2) * (scale * values), in place.
+            np.multiply(field, scale, out=field)
+            np.multiply(field, _SQRT2, out=field)
         np.subtract(field, drift, out=field)
         for j, s in enumerate(strides):
             start_col = neg if config.domain is Domain.HALF_LINE else neg % s

@@ -20,6 +20,12 @@ vanishes and the increments are iid N(0, 1): the samplers then draw them
 directly, with no embedding and no FFT. The tests check the sampler
 against a dense Cholesky factorization of the same covariance.
 
+On short grids a dense map is cheaper than the embedding: n normals times
+the (n, n + 1) matrix ``_dense_map`` give the anchored, scaled path values
+in one product.  It is built from the Cholesky factor of the covariance,
+which the Schur algorithm computes in O(n^2) elementwise passes, so the
+factor does not depend on the BLAS build or its thread count.
+
 Paths are always simulated on the unit grid and rescaled by self-similarity
 (B(delta * k) has the law of delta^(alpha/2) * B(k)), so one spectrum per
 (alpha, length) serves every grid spacing.
@@ -138,9 +144,51 @@ def circulant_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     return CirculantSpectrum(alpha=alpha, m=m, eigenvalues=lam)
 
 
-@lru_cache(maxsize=1)  # the one spectrum a run's memory plan counts
+def _schur_cholesky(alpha: float, n: int) -> np.ndarray:
+    """Upper factor R, R^T R = [gamma(|i - j|)], of the fGn covariance (n >= 1).
+
+    The Schur algorithm for Toeplitz matrices (Kailath and Sayed 1995, SIAM
+    Review 37): row k of R is the first generator, shifted, after k
+    hyperbolic rotations of the generator pair.  Elementwise numpy only, so
+    the factor is the same whatever BLAS numpy links and however many
+    threads it runs.
+    """
+    upper = np.zeros((n, n))
+    a = _autocovariances(alpha, n - 1)  # gamma(0) = 1
+    b = a[1:]
+    for k in range(n):
+        upper[k, k:] = a
+        a = a[:-1]
+        if not b.size:
+            break
+        rho = b[0] / a[0]
+        s = math.sqrt((1.0 - rho) * (1.0 + rho))
+        a, b = (a - rho * b) / s, ((b - rho * a) / s)[1:]
+    return upper
+
+
+def _dense_map(alpha: float, n: int, neg_count: int, scale: float) -> np.ndarray:
+    """(n, n + 1) matrix G with z @ G the path of ``_two_sided_values``, times scale.
+
+    z is a row of n standard normals; z @ R is an fGn row, where R is the
+    Schur factor, so G is R cumulated along its rows behind a zero column,
+    anchored at column ``neg_count`` and scaled.  Build peak: R and G.
+    """
+    gmap = np.zeros((n, n + 1))
+    np.cumsum(_schur_cholesky(alpha, n), axis=1, out=gmap[:, 1:])
+    gmap -= gmap[:, neg_count : neg_count + 1]
+    gmap *= scale
+    gmap.flags.writeable = False
+    return gmap
+
+
+@lru_cache(maxsize=1)  # the one spectrum or dense map a run's memory plan counts
+def _cached(build, *args):
+    return build(*args)
+
+
 def _cached_spectrum(alpha: float, n: int) -> CirculantSpectrum:
-    return circulant_spectrum(alpha, n)
+    return _cached(circulant_spectrum, alpha, n)
 
 
 def _fgn_from_normals(
@@ -203,9 +251,12 @@ def sample_two_sided_path(
     exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
     increments.  At alpha = 1 (or for a single increment) the sequence is
     iid N(0, 1) and is drawn as n normals, without an embedding; otherwise
-    the draw consumes the m normals of the circulant embedding.  Returns the
-    values B(k) for k = -neg_count..pos_count, so ``values[neg_count]`` is
-    exactly 0.  Scaling by delta^(alpha/2) gives the path on the delta grid.
+    the draw consumes the m normals of the circulant embedding.  It always
+    embeds, even on grids where the estimator uses its dense map (at most
+    ``estimator._DENSE_MAX_N`` increments), so it shares the estimator's
+    stream only on grids the estimator embeds too.  Returns the values B(k)
+    for k = -neg_count..pos_count, so ``values[neg_count]`` is exactly 0.
+    Scaling by delta^(alpha/2) gives the path on the delta grid.
     """
     alpha = _check_alpha(alpha)
     neg_count, pos_count = int(neg_count), int(pos_count)

@@ -217,11 +217,17 @@ def run_gap_decay(
 
 
 def _loglog_slope(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """OLS slope of ln y on ln x with its regression standard error."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    if len(lx) < 2:
+    """OLS slope of ln y on ln x with its regression standard error.
+
+    (nan, nan) for fewer than two points, or where some y is not positive
+    (a paired gap can be 0 or negative at small replication counts) and so
+    has no logarithm.
+    """
+    y = np.asarray(y, dtype=float)
+    if len(y) < 2 or not np.all(y > 0.0):
         return float("nan"), float("nan")
+    lx = np.log(np.asarray(x, dtype=float))
+    ly = np.log(y)
     (slope, intercept), residuals, *_ = np.polyfit(lx, ly, 1, full=True)[:2]
     dof = len(lx) - 2
     if dof <= 0 or residuals.size == 0:

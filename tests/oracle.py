@@ -4,16 +4,21 @@
 batches, in reused buffers, filling a block of rows per ``standard_normal``
 call.  This module computes the same numbers one path at a time, each step
 in its plainest form: the stream of replication r's block, spawned from the
-seed's SeedSequence as stream contract v3 defines it (blocks of B rows,
+seed's SeedSequence as stream contract v4 defines it (blocks of B rows,
 B * width <= 2^17, block b from ``SeedSequence(seed).spawn(b + 1)[b]``
 through SFC64), advanced one row at a time past the earlier rows of its
-block; the circulant draw built from the eigenvalues with complex
-temporaries; the anchored running sum, the self-similarity rescale and the
-penalized supremum over each stride's sub-grid.  It calls none of the
-engine's kernels, so tests can require bit-equality without comparing the
-engine with itself.  The fGn autocovariance and a dense Cholesky draw from
-it check the circulant sampler in law, and Borwein's eta series checks the
-package's accelerated zeta(1/2).
+block; the row's map to fGn; the anchored running sum, the self-similarity
+rescale and the penalized supremum over each stride's sub-grid.  The map is
+one of three, as in the engine: n iid increments at alpha = 1; n normals
+times the LAPACK Cholesky factor, one gemv, for the engine's dense rows;
+or the circulant draw of m normals, built from the eigenvalues with complex
+temporaries.  It calls none of the engine's kernels, so tests can require
+bit-equality of iid and circulant rows without comparing the engine with
+itself; the engine's dense rows come from a gemm over its Schur factor, so
+they agree with the dense oracle to rounding only.  The fGn
+autocovariance and the dense Cholesky draw from it also check the circulant
+sampler in law, and Borwein's eta series checks the package's accelerated
+zeta(1/2).
 """
 
 from __future__ import annotations
@@ -84,8 +89,8 @@ def fgn_autocovariance(alpha: float, k: int) -> float:
 def cholesky_sample(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact fGn draw by dense Cholesky factorization of the Toeplitz covariance.
 
-    O(n^3), so capped at n <= CHOLESKY_MAX_N; it exists only to check the
-    FFT sampler.
+    LAPACK's factor times n normals, one gemv.  O(n^3), so capped at
+    n <= CHOLESKY_MAX_N; it exists only to check the samplers.
     """
     if not 1 <= n <= CHOLESKY_MAX_N:
         raise ValueError(f"n must lie in [1, {CHOLESKY_MAX_N}], got {n}")
@@ -118,21 +123,27 @@ class PathGrid:
     values: np.ndarray
 
 
-def replication_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
+def replication_path(config: EstimatorConfig, index: int, block: int | None = None,
+                     dense: bool = False) -> PathGrid:
     """Path of replication ``index`` under ``config`` on its delta grid.
 
-    ``block`` is the rows per stream block, by default ``block_rows`` of
-    the row width: n normals at alpha = 1, else the embedding length m.
+    At alpha != 1, ``dense`` maps n normals through the Cholesky factor of
+    the covariance, as the engine does on short grids; else the row is the
+    circulant draw.  ``block`` is the rows per stream block, by default
+    ``block_rows`` of the row width: n normals at alpha = 1 or dense, else
+    the embedding length m.
     """
     neg, pos = config.side_counts()
     n = neg + pos
     iid = n == 1 or config.alpha == 1.0
-    spectrum = None if iid else circulant_spectrum(config.alpha, n)
-    width = n if iid else spectrum.m
+    spectrum = None if iid or dense else circulant_spectrum(config.alpha, n)
+    width = n if spectrum is None else spectrum.m
     block = block_rows(width) if block is None else block
     rng = replication_stream(config.seed, index, width, block)
     if iid:
         fgn = rng.standard_normal(n)  # iid increments: no embedding
+    elif dense:
+        fgn = cholesky_sample(config.alpha, n, rng)
     else:
         fgn = sample_fgn(spectrum, rng, n)
     unit = np.concatenate([[0.0], np.cumsum(fgn)])

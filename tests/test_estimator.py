@@ -1,9 +1,14 @@
 """Tests for the supremum functional, subsampling, and the MC estimator."""
 
+import hashlib
 import io
 import math
 import os
+import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,15 +36,19 @@ from piterbarg import (
 )
 from piterbarg.estimator import (
     _BATCH_BYTES,
+    _DENSE_MAX_N,
     _FFT_MIN_ROWS,
+    _GEMM_MAX_MADDS,
     _aggregate,
     _batch_plan,
     _batch_rows,
     _block_rows,
+    _gemm_rows,
     _mom_ci_rank,
     _row_bytes,
     _simulate_functionals,
 )
+from piterbarg.fbm import _dense_map
 from piterbarg.fbm import _next_fast_len
 
 
@@ -186,7 +195,7 @@ class TestReplicationStreams:
 
 
 class TestStreamContract:
-    """Golden values of stream contract v3, so that a change of numpy or of
+    """Golden values of stream contract v4, so that a change of numpy or of
     the engine that moves the random stream fails here first."""
 
     @pytest.mark.parametrize("seed,expected", [
@@ -200,13 +209,24 @@ class TestStreamContract:
         estimator._fill_normals(seed, z, 0, 1)
         assert z.tolist() == expected
 
-    def test_functional_row(self):
+    def test_functional_row(self, monkeypatch):
         # the embedding's FFT may round differently on another platform, so
-        # the row is pinned to 1e-12, far below what a moved stream changes
+        # the row is pinned to 1e-12, far below what a moved stream changes;
+        # n = 80 would take the dense map, so the embedding is forced
+        monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
                               delta=0.05, horizon=2.0, replications=3, seed=20260810)
         row = _simulate_functionals(cfg, [1, 2])[2]
         assert row.tolist() == pytest.approx([1.906386072738009, 1.464313457011905], rel=1e-12)
+
+    def test_dense_functional_row(self):
+        # the same config on the dense map (n = 80 normals a row); BLAS
+        # kernels may round differently on another platform, hence 1e-12
+        cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
+                              delta=0.05, horizon=2.0, replications=3, seed=20260810)
+        assert sum(cfg.side_counts()) <= estimator._DENSE_MAX_N
+        row = _simulate_functionals(cfg, [1, 2])[1]
+        assert row.tolist() == pytest.approx([9.63341434872447, 5.062553222673725], rel=1e-12)
 
 
 class TestEstimatorConfig:
@@ -391,6 +411,38 @@ class TestBatchPlan:
         plan = _batch_plan(1000, 172, 172, False, 2, 3)
         assert plan.nbytes == (8 * 173 + 8 * 3000
                                + 2 * plan.rows * _row_bytes(172, 172, False))
+        # the dense map and the Schur factor it is cumulated from
+        plan = _batch_plan(1000, 172, 172, False, 2, 3, dense=True)
+        assert plan.nbytes == (8 * 173 + 8 * 3000 + 8 * 172 * 173 + 8 * 172 * 172
+                               + 2 * plan.rows * _row_bytes(172, 172, False))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("reps", [1, 3, 7, 100, 1027, 10**4])
+    def test_dense_buffers_hold_whole_products(self, reps, threads):
+        # a share shorter than one product still gets a whole (c, n) buffer
+        n = 172
+        c = _gemm_rows(n)
+        plan = _batch_plan(reps, n, n, False, threads, 1, dense=True)
+        assert plan.rows % c == 0 and plan.block % c == 0
+        assert plan.rows >= min(_batch_rows(n, n, False),
+                                max(hi - lo for lo, hi in plan.shares))
+        assert plan.rows - c < min(_batch_rows(n, n, False),
+                                   max(hi - lo for lo, hi in plan.shares))
+
+    def test_plan_bytes_cover_dense_map_build(self):
+        import tracemalloc
+
+        n = _DENSE_MAX_N
+        tracemalloc.start()
+        try:
+            _dense_map(0.7, n, n // 2, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plan = _batch_plan(1, n, n, False, 1, 1, dense=True)
+        counted = plan.nbytes - 8 * (n + 1) - 8 - plan.rows * _row_bytes(n, n, False)
+        assert counted == 8 * n * (n + 1) + 8 * n * n
+        assert 0.9 * counted <= peak <= 1.1 * counted
 
     def test_fft_floor_yields_to_memory(self, monkeypatch):
         # n = 2.5e7 on two workers: 8.20 GiB at the 4-row floor, over an
@@ -460,37 +512,41 @@ class TestBatchPlan:
         assert spectrum.eigenvalues.base is None
         assert spectrum.eigenvalues.nbytes == 8 * spectrum.m
 
-    @pytest.mark.parametrize("cgroup,limit,source", [
-        (None, None, "physical memory"),
-        (2**70, None, "physical memory"),
-        (10**6, 10**6, "the cgroup's memory.max"),
+    @pytest.mark.parametrize("cgroup,leaf,limit,source", [
+        (None, None, None, "physical memory"),
+        (2**70, "memory.max", None, "physical memory"),
+        (10**6, "memory.max", 10**6, "the cgroup's memory.max"),
+        (10**6, "memory.limit_in_bytes", 10**6, "the cgroup's memory.limit_in_bytes"),
     ])
     def test_memory_limit_is_the_smaller_of_physical_and_cgroup(
-            self, monkeypatch, cgroup, limit, source):
+            self, monkeypatch, cgroup, leaf, limit, source):
+        # the error names the file the limit came from: v2 memory.max or
+        # v1 memory.limit_in_bytes
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        monkeypatch.setattr(estimator, "_cgroup_memory_max", lambda: cgroup)
+        monkeypatch.setattr(estimator, "_cgroup_memory_max",
+                            lambda: None if cgroup is None else (cgroup, leaf))
         assert estimator._memory_limit() == (limit or physical, source)
         if limit:
-            with pytest.raises(ValueError, match=r"needs \d+ bytes, more than the "
-                                                 r"1000000 bytes of the cgroup's memory.max"):
+            with pytest.raises(ValueError, match=rf"needs \d+ bytes, more than the "
+                                                 rf"1000000 bytes of {re.escape(source)}$"):
                 _batch_plan(1000, 2120, 2120, False, 1, 1)
 
     @pytest.mark.parametrize("files,expected", [
         ({"/proc/self/cgroup": "0::/a/b\n",
-          "/sys/fs/cgroup/a/b/memory.max": "1073741824\n"}, 2**30),
+          "/sys/fs/cgroup/a/b/memory.max": "1073741824\n"}, (2**30, "memory.max")),
         ({"/proc/self/cgroup": "4:memory:/x\n0::/\n",
-          "/sys/fs/cgroup/memory.max": "536870912\n"}, 2**29),
+          "/sys/fs/cgroup/memory.max": "536870912\n"}, (2**29, "memory.max")),
         ({"/proc/self/cgroup": "0::/a\n", "/sys/fs/cgroup/a/memory.max": "max\n"}, None),
         ({"/proc/self/cgroup": "0::/a\n"}, None),
         ({"/proc/self/cgroup": "4:memory:/x\n"}, None),
         ({}, None),
         ({"/proc/self/cgroup": "4:memory:/x\n0::/\n",
           "/sys/fs/cgroup/memory/x/memory.limit_in_bytes": "1073741824\n",
-          "/sys/fs/cgroup/memory.max": "536870912\n"}, 2**30),
+          "/sys/fs/cgroup/memory.max": "536870912\n"}, (2**30, "memory.limit_in_bytes")),
         ({"/proc/self/cgroup": "5:cpu:/y\n4:memory:/\n0::/\n",
           "/sys/fs/cgroup/cpu/y/memory.limit_in_bytes": "1\n",
           "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n"},
-         9223372036854771712),
+         (9223372036854771712, "memory.limit_in_bytes")),
         ({"/proc/self/cgroup": "bad line\n4:memory:/x\n",
           "/sys/fs/cgroup/memory/x/memory.limit_in_bytes": "junk\n"}, None),
     ], ids=["limit", "root", "max", "no-file", "v1-only", "no-proc",
@@ -527,8 +583,7 @@ class TestBlockRows:
         cfg = EstimatorConfig(alpha=1.5, d=0.5, domain=Domain.FULL_LINE,
                               delta=0.05, horizon=4.0, replications=300, seed=5)
         tables = [_simulate_functionals(cfg, [1], threads=t) for t in (1, 2, 3)]
-        m = circulant_spectrum(1.5, sum(cfg.side_counts())).m
-        assert set(seen) == {m}
+        assert set(seen) == {sum(cfg.side_counts())}  # dense rows: n normals
         assert all(np.array_equal(tables[0], t) for t in tables[1:])
 
 
@@ -575,7 +630,8 @@ class TestEstimateConstant:
         # of two blocks each, the second batch starts on a block boundary and
         # its last block is short.  The engine must reproduce the per-path
         # oracle and the public path sampler bit-for-bit, including the
-        # alpha = 1 shortcut.
+        # alpha = 1 shortcut.  The grid is short, so the embedding is forced.
+        monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         monkeypatch.setattr(estimator, "_block_rows", lambda width: 2)
         monkeypatch.setattr(estimator, "_batch_rows", lambda n, width, embedded: 4)
         cfg = EstimatorConfig(alpha=alpha, d=0.3, domain=domain,
@@ -643,10 +699,11 @@ class TestEstimateConstant:
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
         assert np.array_equal(t1, t2)
 
-    def test_embedded_deterministic_across_threads_and_batches(self):
-        # n = 20 increments embed in m = 40, so this is two batches and a
-        # short third, run by two and three workers that each reuse one set
-        # of buffers
+    def test_embedded_deterministic_across_threads_and_batches(self, monkeypatch):
+        # n = 20 increments embed in m = 40 (forced: the grid is short), so
+        # this is two batches and a short third, run by two and three
+        # workers that each reuse one set of buffers
+        monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
                            horizon=0.5, replications=2 * _batch_rows(20, 40, True) + 9)
         assert circulant_spectrum(cfg.alpha, sum(cfg.side_counts())).m == 40
@@ -655,9 +712,11 @@ class TestEstimateConstant:
             assert np.array_equal(t1, _simulate_functionals(cfg, [1, 3], threads=threads))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
-    def test_block_stream_matches_oracle(self, alpha):
+    def test_block_stream_matches_oracle(self, alpha, monkeypatch):
         # the real block size: rows 0, B - 1, B and the short last block
-        # against the per-path oracle, which draws and drops earlier rows
+        # against the per-path oracle, which draws and drops earlier rows;
+        # the embedding is forced on this short grid
+        monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
                            delta=0.05, horizon=2.0, replications=1)
         n = sum(cfg.side_counts())
@@ -694,7 +753,8 @@ class TestEstimateConstant:
     def test_uneven_block_shares_match_one_thread_and_oracle(self, alpha, monkeypatch):
         # five blocks, the last one short, in batches of one block: two
         # workers take blocks [0, 2) and [2, 5), three take [0, 1), [1, 3)
-        # and [3, 5)
+        # and [3, 5); the embedding is forced on this short grid
+        monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
                            delta=0.05, horizon=2.0, replications=1)
         n = sum(cfg.side_counts())
@@ -742,6 +802,100 @@ class TestEstimateConstant:
             f"estimate {res.estimate:.4f} vs predicted {predicted:.4f} "
             f"(tol {tol:.4f})"
         )
+
+
+class TestDenseRows:
+    """Grids of at most ``_DENSE_MAX_N`` increments at alpha != 1: n normals
+    a row, mapped by one product per chunk of ``_gemm_rows(n)`` rows."""
+
+    def _config(self, **kw):
+        # n = 80 increments, blocks of 1024 rows, products of 32 rows
+        base = dict(alpha=0.5, d=0.7, domain=Domain.FULL_LINE, delta=0.05,
+                    horizon=2.0, replications=2 * 1024 + 3, seed=23)
+        base.update(kw)
+        return EstimatorConfig(**base)
+
+    def test_products_stay_below_the_one_thread_gemm_size(self):
+        # 4 rows or more, so no product is a gemv, and at most 2^18
+        # multiply-adds, which OpenBLAS runs on the calling thread; chunks
+        # tile the stream blocks, so batches and shares start on a chunk
+        for n in range(2, _DENSE_MAX_N + 1):
+            c = _gemm_rows(n)
+            assert c >= 4 and c & (c - 1) == 0
+            assert c * n * (n + 1) <= _GEMM_MAX_MADDS < 2 * c * n * (n + 1)
+            assert _block_rows(n) % c == 0
+        assert _gemm_rows(_DENSE_MAX_N + 1) < 4
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.5, 1.9])
+    def test_rows_match_cholesky_oracle(self, alpha, domain):
+        # the per-path oracle's LAPACK factor and gemv round differently
+        # from the engine's Schur factor and gemm, so the rows agree to
+        # rounding: rows 0, B - 1, B and the short last block
+        block = block_rows(sum(self._config(domain=domain).side_counts()))
+        cfg = self._config(alpha=alpha, domain=domain, replications=2 * block + 3)
+        table = _simulate_functionals(cfg, [1, 2, 3], threads=2)
+        for r in (0, 1, block - 1, block, 2 * block, 2 * block + 2):
+            recs = subsampled_functionals(replication_path(cfg, r, dense=True),
+                                          cfg.d, cfg.domain, [1, 2, 3])
+            np.testing.assert_allclose(table[r], [rec.functional for rec in recs],
+                                       rtol=1e-12)
+
+    def test_one_product_shape(self, monkeypatch):
+        # every product is (k, c, n) @ (n, n + 1), the short last block
+        # padded to whole chunks
+        shapes = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            shapes.append((a.shape, b.shape))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(estimator.np, "matmul", spy)
+        _simulate_functionals(self._config(replications=1024 + 35), [1])
+        c, n = _gemm_rows(80), 80
+        assert shapes == [((1024 // c, c, n), (n, n + 1)), ((2, c, n), (n, n + 1))]
+
+    def test_bit_identical_across_threads_batchings_and_counts(self, monkeypatch):
+        # three and a bit blocks: one, two and three workers, batches of one
+        # block and of two, and a count that ends the run mid-block
+        cfg = self._config(replications=3 * 1024 + 70)
+        reference = _simulate_functionals(cfg, [1, 2], threads=1)
+        for threads in (2, 3):
+            assert np.array_equal(reference, _simulate_functionals(cfg, [1, 2], threads=threads))
+        monkeypatch.setattr(estimator, "_batch_rows",
+                            lambda n, width, embedded: 2 * _block_rows(width))
+        for threads in (1, 2, 3):
+            assert np.array_equal(reference, _simulate_functionals(cfg, [1, 2], threads=threads))
+        for reps in (1, 5, 1024 + 3, 3 * 1024 + 33):
+            short = _simulate_functionals(self._config(replications=reps), [1, 2], threads=2)
+            assert np.array_equal(short, reference[:reps])
+
+    def test_bit_identical_across_openblas_threads(self):
+        # the products are small enough for OpenBLAS to run on the calling
+        # thread, so its thread count cannot change a bit
+        script = (
+            "import hashlib\n"
+            "from piterbarg import Domain, EstimatorConfig\n"
+            "from piterbarg.estimator import _simulate_functionals\n"
+            "cfg = EstimatorConfig(alpha=1.5, d=0.5, domain=Domain.FULL_LINE, "
+            "delta=0.05, horizon=4.3, replications=3000, seed=9)\n"
+            "table = _simulate_functionals(cfg, [1, 2], threads=2)\n"
+            "print(hashlib.sha256(table.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(estimator.__file__).resolve().parents[1])
+        digests = []
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True, timeout=120)
+            digests.append(proc.stdout.strip())
+        cfg = EstimatorConfig(alpha=1.5, d=0.5, domain=Domain.FULL_LINE, delta=0.05,
+                              horizon=4.3, replications=3000, seed=9)
+        assert sum(cfg.side_counts()) == 172  # the full_heavy grid
+        here = _simulate_functionals(cfg, [1, 2], threads=1)
+        assert digests == [hashlib.sha256(here.tobytes()).hexdigest()] * 2
 
 
 class TestAggregation:

@@ -8,7 +8,15 @@ import pytest
 
 from oracle import cholesky_sample, fgn_autocovariance, sample_fgn
 from piterbarg import circulant_spectrum, sample_two_sided_path
-from piterbarg.fbm import _cached_spectrum, _fgn_from_normals, _next_fast_len
+from piterbarg.estimator import _DENSE_MAX_N
+from piterbarg.fbm import (
+    _cached,
+    _cached_spectrum,
+    _dense_map,
+    _fgn_from_normals,
+    _next_fast_len,
+    _schur_cholesky,
+)
 
 
 def _is_5_smooth(m: int) -> bool:
@@ -54,6 +62,34 @@ class TestAutocovariance:
             fgn_autocovariance(0.0, 1)
         with pytest.raises(ValueError):
             fgn_autocovariance(0.5, -1)
+
+
+class TestDenseMap:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 172, _DENSE_MAX_N])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.5, 1.9])
+    def test_schur_factor_matches_lapack(self, alpha, n):
+        upper = _schur_cholesky(alpha, n)
+        assert np.array_equal(upper, np.triu(upper))
+        lower = np.linalg.cholesky(gamma_matrix(alpha, n))
+        assert np.abs(upper.T - lower).max() <= 1e-13
+
+    def test_schur_factor_of_iid_increments_is_identity(self):
+        assert np.array_equal(_schur_cholesky(1.0, 40), np.eye(40))
+
+    @pytest.mark.parametrize("neg", [0, 1, 7, 12])
+    def test_map_gives_anchored_scaled_path(self, neg):
+        # z @ G against the cumulated, anchored and scaled LAPACK draw of
+        # the same normals, row by row
+        alpha, n, scale = 0.7, 12, 0.3
+        gmap = _dense_map(alpha, n, neg, scale)
+        assert gmap.shape == (n, n + 1) and not gmap.flags.writeable
+        assert np.all(gmap[:, neg] == 0.0)
+        z = np.random.default_rng(4).standard_normal((5, n))
+        lower = np.linalg.cholesky(gamma_matrix(alpha, n))
+        for row, values in zip(z, z @ gmap):
+            path = np.concatenate([[0.0], np.cumsum(lower @ row)])
+            expected = scale * (path - path[neg])
+            np.testing.assert_allclose(values, expected, rtol=1e-13, atol=1e-14)
 
 
 class TestCirculantSpectrum:
@@ -112,14 +148,20 @@ class TestCirculantSpectrum:
         np.testing.assert_allclose(recovered[: half + 1], expected, atol=1e-10)
 
     def test_cache_keeps_one_spectrum(self):
-        # a second (alpha, n) evicts the first, so the cache holds only the
-        # spectrum a run's memory plan counts
-        _cached_spectrum.cache_clear()
+        # a second (alpha, n) evicts the first, and so does a dense map, so
+        # the cache holds only the spectrum or map a run's memory plan counts
+        _cached.cache_clear()
         first = _cached_spectrum(0.5, 100)
         assert _cached_spectrum(0.5, 100) is first
         _cached_spectrum(0.7, 100)
-        assert _cached_spectrum.cache_info().currsize == 1
+        assert _cached.cache_info().currsize == 1
         assert _cached_spectrum(0.5, 100) is not first
+        gmap = _cached(_dense_map, 0.5, 100, 0, 1.0)
+        assert _cached(_dense_map, 0.5, 100, 0, 1.0) is gmap
+        assert _cached.cache_info().currsize == 1
+        misses = _cached.cache_info().misses
+        _cached_spectrum(0.5, 100)
+        assert _cached.cache_info().misses == misses + 1
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

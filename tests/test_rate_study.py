@@ -18,7 +18,7 @@ from piterbarg import (
 )
 from piterbarg.budget import plan_horizon
 from piterbarg.estimator import _simulate_functionals
-from piterbarg.rate_study import RATE_CSV_HEADER, _nested_strides
+from piterbarg.rate_study import RATE_CSV_HEADER, _loglog_slope, _nested_strides
 
 
 def _must_not_simulate(*args, **kwargs):
@@ -111,6 +111,20 @@ class TestGapDecay:
                                deltas=[0.4, 0.1], replications=300, seed=2)
         assert len(result.points) == 1
         assert result.points[0].gap >= 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonpositive_gap_gives_nan_exponent_without_warning(self):
+        # three replications on these grids leave the finer gap at 0, which
+        # has no logarithm; the fit is nan and numpy is not asked to warn
+        result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
+                               deltas=[0.4, 0.2, 0.1], replications=3, seed=3)
+        assert min(p.gap for p in result.points) == 0.0
+        assert math.isnan(result.exponent) and math.isnan(result.exponent_stderr)
+        for gaps in ([0.1, 0.0], [0.1, -0.01], [0.0, 0.0], [0.1, math.nan]):
+            slope, stderr = _loglog_slope([0.4, 0.2], gaps)
+            assert math.isnan(slope) and math.isnan(stderr)
+        slope, _ = _loglog_slope([0.4, 0.2], [0.2, 0.1])
+        assert slope == pytest.approx(1.0, rel=1e-12)
 
     def test_brownian_alpha_rejected(self):
         with pytest.raises(ValueError):

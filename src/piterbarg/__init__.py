@@ -12,25 +12,19 @@ the paths exactly via circulant embedding, and reports the discretization,
 truncation, and statistical error components of the approximation.
 """
 
-from .fbm import (
-    CirculantSpectrum,
-    circulant_spectrum,
-    sample_two_sided_path,
-)
+from .fbm import circulant_spectrum
 from .estimator import (
     Domain,
     EstimateResult,
     EstimatorConfig,
     estimate_constant,
-    grid_count,
+    sample_two_sided_path,
 )
 from .budget import (
     BudgetReport,
     budget_report,
-    discretization_bound,
     plan_horizon,
     total_budget,
-    truncation_bound,
 )
 from .closed_form import (
     RateConstant,
@@ -50,20 +44,16 @@ from .rate_study import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CirculantSpectrum",
     "circulant_spectrum",
     "sample_two_sided_path",
     "Domain",
     "EstimateResult",
     "EstimatorConfig",
     "estimate_constant",
-    "grid_count",
     "BudgetReport",
     "budget_report",
-    "discretization_bound",
     "plan_horizon",
     "total_budget",
-    "truncation_bound",
     "RateConstant",
     "piterbarg_bm_full",
     "piterbarg_bm_half",

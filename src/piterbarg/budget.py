@@ -26,8 +26,6 @@ __all__ = [
     "BudgetReport",
     "budget_report",
     "plan_horizon",
-    "discretization_bound",
-    "truncation_bound",
     "total_budget",
 ]
 

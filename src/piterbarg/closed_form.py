@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import _check_positive
+
 __all__ = [
     "RateConstant",
     "piterbarg_bm_full",
@@ -36,19 +38,14 @@ def piterbarg_bm_half(d: float) -> float:
     Parameters
     ----------
     d : float
-        Drift-penalty parameter, must be > 0.
+        Drift-penalty parameter, must be positive and finite.
     """
-    d = float(d)
-    if d <= 0.0:
-        raise ValueError(f"penalty d must be positive, got {d}")
-    return 1.0 + 1.0 / d
+    return 1.0 + 1.0 / _check_positive("penalty d", d)
 
 
 def piterbarg_bm_full(d: float) -> float:
     """Piterbarg constant for Brownian motion on the full line: 1 + 2/d - 1/(2d+1)."""
-    d = float(d)
-    if d <= 0.0:
-        raise ValueError(f"penalty d must be positive, got {d}")
+    d = _check_positive("penalty d", d)
     return 1.0 + 2.0 / d - 1.0 / (2.0 * d + 1.0)
 
 

@@ -20,13 +20,14 @@ means results carry extra bias under heavy skew and should be read as
 robust location estimates, not unbiased means.
 
 A replication draws one row of normals and maps it to its path in one of
-three ways.  At alpha = 1 (and for a single increment) the row holds the n
-increments, iid.  Otherwise, on grids of at most ``_DENSE_MAX_N``
-increments, it holds n normals, which one product with the dense map of
-``fbm._dense_map`` turns into the scaled path values.  On longer grids it
-holds the m normals of the circulant embedding.  Under stream contract v4,
-rows are grouped into blocks of B, the largest power of two with
-B * width <= 2^17 (at least 1), so B depends on the row width alone.
+three ways, which ``_row_map`` picks and ``_map_rows`` applies, for the
+engine and ``sample_two_sided_path`` alike.  At alpha = 1 (and for a single
+increment) the row holds the n increments, iid.  Otherwise, on grids of at
+most ``_DENSE_MAX_N`` increments, it holds n normals, which one product with
+the dense map of ``fbm._dense_map`` turns into the scaled path values.  On
+longer grids it holds the m normals of the circulant embedding.  Under
+stream contract v4, rows are grouped into blocks of B, the largest power of
+two with B * width <= 2^17 (at least 1), so B depends on the row width alone.
 Block b is the stream ``SFC64(SeedSequence(seed, spawn_key=(b,)))``, which
 is ``SeedSequence(seed).spawn(b + 1)[b]``, numpy's spawning recipe, drawn
 row after row; replication r is row r mod B of block r // B.  Batches start
@@ -49,8 +50,8 @@ import numpy as np
 
 from .fbm import (
     _cached,
-    _cached_spectrum,
     _check_alpha,
+    circulant_spectrum,
     _dense_map,
     _fgn_from_normals,
     _next_fast_len,
@@ -61,8 +62,8 @@ __all__ = [
     "Domain",
     "EstimatorConfig",
     "EstimateResult",
-    "grid_count",
     "estimate_constant",
+    "sample_two_sided_path",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -186,16 +187,6 @@ def _drift(neg_count: int, pos_count: int, delta: float, alpha: float, d: float)
     return (1.0 + d) * np.abs(k * delta) ** alpha
 
 
-def _check_strides(strides: Sequence[int]) -> list[int]:
-    strides = [int(s) for s in strides]
-    if not strides:
-        raise ValueError("strides must be a nonempty list")
-    for s in strides:
-        if s < 1:
-            raise ValueError(f"strides must be positive integers, got {s}")
-    return strides
-
-
 def _block_rows(width: int) -> int:
     # Largest power of two B with B * width <= 2^17, and at least 1: one
     # generator build (about 20 us, under the GIL) and one standard_normal
@@ -237,23 +228,47 @@ def _gemm_rows(n: int) -> int:
     return 1 << max(0, (_GEMM_MAX_MADDS // (n * (n + 1))).bit_length() - 1)
 
 
-def _row_bytes(n: int, width: int, embedded: bool) -> int:
+@dataclass(frozen=True)
+class _RowMap:
+    """How a row of ``width`` normals becomes a path of n + 1 values anchored at
+    column ``neg``: "iid" (the n increments), "dense" (n normals times
+    ``fbm._dense_map``) or "circulant" (the m normals of the embedding)."""
+
+    kind: str
+    alpha: float
+    neg: int
+    n: int
+    width: int
+
+
+def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
+    """The row map of the unit grid -neg..pos, the engine's and the sampler's."""
+    n = neg + pos
+    if n == 1 or alpha == 1.0:  # gamma(k) = 0 for k >= 1: iid N(0, 1)
+        return _RowMap("iid", alpha, neg, n, n)
+    if n <= _DENSE_MAX_N:
+        return _RowMap("dense", alpha, neg, n, n)
+    return _RowMap("circulant", alpha, neg, n, _next_fast_len(2 * (n - 1)))
+
+
+def _row_bytes(rmap: _RowMap) -> int:
     # Normals, and the complex half-spectrum where there is an embedding,
     # whose m + 2 floats then take the n + 1 path values; else the values.
-    return 8 * width + (16 * (width // 2 + 1) if embedded else 8 * (n + 1))
+    width = rmap.width
+    return 8 * width + (16 * (width // 2 + 1) if rmap.kind == "circulant" else 8 * (rmap.n + 1))
 
 
-def _batch_rows(n: int, width: int, embedded: bool) -> int:
+def _batch_rows(rmap: _RowMap) -> int:
     """Rows per batch: whole blocks that fit ``_BATCH_BYTES``, at least one block.
 
     Where an FFT runs, at least ``_FFT_MIN_ROWS`` rows (blocks are powers of
     two, so the floor is whole blocks too).  Fixed by the row shape alone;
     ``_batch_plan`` cuts it to one block where only that fits in memory.
     """
-    fit = _BATCH_BYTES // _row_bytes(n, width, embedded)
-    if embedded:
+    fit = _BATCH_BYTES // _row_bytes(rmap)
+    if rmap.kind == "circulant":
         fit = max(fit, _FFT_MIN_ROWS)
-    block = _block_rows(width)
+    block = _block_rows(rmap.width)
     return block * max(1, fit // block)
 
 
@@ -267,20 +282,20 @@ class _BatchPlan:
     nbytes: int  # drift, spectrum or dense map, output table, every worker's buffers
 
 
-def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
-                columns: int, dense: bool = False) -> _BatchPlan:
+def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
     """Contiguous near-equal block shares, one per worker, walked in batches.
 
     The run's ``N`` blocks go to ``W = min(threads, N)`` workers, worker k
-    taking blocks ``[k N / W, (k + 1) N / W)``.  ``dense`` rows (width n,
-    not embedded) run their products ``_gemm_rows(n)`` rows at a time, so
-    their buffers hold whole such chunks even where a share is shorter.
-    Raises ValueError for a thread count below 1, and for a run whose
-    memory, worked out here before anything is allocated, exceeds
-    ``_memory_limit()`` at one block per batch.
+    taking blocks ``[k N / W, (k + 1) N / W)``.  Dense rows run their
+    products ``_gemm_rows(n)`` rows at a time, so their buffers hold whole
+    such chunks even where a share is shorter.  Raises ValueError for a
+    thread count below 1, and for a run whose memory, worked out here before
+    anything is allocated, exceeds ``_memory_limit()`` at one block per
+    batch.
     """
     if not _is_integer(threads) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads}")
+    n, width = rmap.n, rmap.width
     block = _block_rows(width)
     nblocks = -(-reps // block)
     workers = min(threads, nblocks)
@@ -289,24 +304,24 @@ def _batch_plan(reps: int, n: int, width: int, embedded: bool, threads: int,
          min(reps, (k + 1) * nblocks // workers * block))
         for k in range(workers)
     )
-    rows = min(_batch_rows(n, width, embedded), max(hi - lo for lo, hi in shares))
-    if dense:
+    rows = min(_batch_rows(rmap), max(hi - lo for lo, hi in shares))
+    if rmap.kind == "dense":
         rows = -(-rows // _gemm_rows(n)) * _gemm_rows(n)
     # Drift and output table, the spectrum at the peak of its build (the
     # autocovariances, the first row, and the complex input and output of
     # its FFT; it then holds less) or the dense map and the Schur factor it
     # is cumulated from, and one set of batch buffers per worker.
     fixed = 8 * (n + 1) + 8 * reps * columns
-    if embedded:
+    if rmap.kind == "circulant":
         fixed += 8 * (width // 2 + 1) + 8 * width + 32 * width
-    if dense:
+    if rmap.kind == "dense":
         fixed += 8 * n * (n + 1) + 8 * n * n
     limit, source = _memory_limit()
-    if fixed + workers * rows * _row_bytes(n, width, embedded) > limit:
+    if fixed + workers * rows * _row_bytes(rmap) > limit:
         rows = min(rows, block)  # the batch floors yield to memory
-    nbytes = fixed + workers * rows * _row_bytes(n, width, embedded)
+    nbytes = fixed + workers * rows * _row_bytes(rmap)
     if nbytes > limit:
-        m = width if embedded else "none"
+        m = width if rmap.kind == "circulant" else "none"
         raise ValueError(
             f"a run with n={n} increments and embedding length m={m} needs "
             f"{nbytes} bytes, more than the {limit} bytes of {source}"
@@ -359,6 +374,77 @@ def _fill_normals(seed: int, z: np.ndarray, first: int, block: int) -> None:
         np.random.Generator(bits).standard_normal(out=z[i : i + block])
 
 
+def _row_operator(rmap: _RowMap, gains: Sequence[float]):
+    """None (iid rows), the cached spectrum, or the cached dense map times the
+    product of ``gains``."""
+    if rmap.kind == "dense":
+        return _cached(_dense_map, rmap.alpha, rmap.n, rmap.neg, math.prod(gains))
+    return _cached(circulant_spectrum, rmap.alpha, rmap.n) if rmap.kind == "circulant" else None
+
+
+def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
+    """Normals (later the fGn), half-spectrum and path values for ``rows`` rows;
+    the values take the floats of the half-spectrum once the irfft has
+    consumed it, row after row, so the elementwise passes run unbroken."""
+    n, embedded = rmap.n, rmap.kind == "circulant"
+    w = np.empty((rows, rmap.width // 2 + 1), dtype=np.complex128) if embedded else None
+    flat = w.view(np.float64).reshape(-1) if embedded else np.empty(rows * (n + 1))
+    return np.empty((rows, rmap.width)), w, flat[: rows * (n + 1)].reshape(rows, n + 1)
+
+
+def _dense_product(z: np.ndarray, gmap: np.ndarray, values: np.ndarray, rows: int) -> None:
+    """values[:rows] = z[:rows] @ gmap, one (c, n) @ (n, n + 1) product per
+    chunk of c = ``_gemm_rows(n)`` rows, the last one padded with zero rows."""
+    n = gmap.shape[0]
+    c = _gemm_rows(n)
+    padded = -(-rows // c) * c
+    z[rows:padded] = 0.0
+    np.matmul(z[:padded].reshape(-1, c, n), gmap,
+              out=values[:padded].reshape(-1, c, n + 1))
+
+
+def _map_rows(rmap: _RowMap, z: np.ndarray, w: np.ndarray | None, values: np.ndarray,
+              rows: int, gains: Sequence[float] = ()) -> None:
+    """Paths of the normals z[:rows] into values[:rows], in ``_row_buffers``:
+    iid and circulant paths multiplied by each of ``gains`` in turn, dense
+    ones by their product, folded into the map."""
+    op = _row_operator(rmap, gains)
+    if rmap.kind == "dense":
+        _dense_product(z, op, values, rows)
+        return
+    fgn = z[:rows]
+    if rmap.kind == "circulant":
+        fgn = _fgn_from_normals(op, fgn, w[:rows], out=fgn)[:, : rmap.n]
+    field = _two_sided_values(fgn, rmap.neg, out=values[:rows])
+    for gain in gains:
+        np.multiply(field, gain, out=field)
+
+
+def sample_two_sided_path(
+    alpha: float, neg_count: int, pos_count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Sample a two-sided fBM path on the unit grid -neg_count..pos_count.
+
+    One stationary fGn sequence of length ``neg_count + pos_count`` is drawn
+    and cumulated around the t = 0 anchor, so the resulting grid process has
+    exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
+    increments.  It is one row of the engine's ``_row_map``, drawn from
+    ``rng`` (n normals, or the m of an embedding) into buffers laid out as
+    the engine's.  Returns B(k) for k = -neg_count..pos_count, so
+    ``values[neg_count]`` is exactly 0; times delta^(alpha/2), the path on
+    the delta grid.
+    """
+    alpha = _check_alpha(alpha)
+    neg_count, pos_count = int(neg_count), int(pos_count)
+    if neg_count < 0 or pos_count < 0 or neg_count + pos_count < 1:
+        raise ValueError("need at least one increment across both sides")
+    rmap = _row_map(alpha, neg_count, pos_count)
+    z, w, values = _row_buffers(rmap, _gemm_rows(rmap.n) if rmap.kind == "dense" else 1)
+    rng.standard_normal(out=z[0])
+    _map_rows(rmap, z, w, values, 1)
+    return values[0].copy()
+
+
 def _simulate_functionals(
     config: EstimatorConfig, strides: Sequence[int], threads: int = 1
 ) -> np.ndarray:
@@ -367,72 +453,41 @@ def _simulate_functionals(
     Row r is what the per-path reference in ``tests/oracle.py`` yields for
     replication r: row r mod B of the SFC64 stream of block r // B under
     stream contract v4, one path, a self-similarity rescale and the sup over
-    each stride's sub-grid.  It is the same bit for bit where the row holds
-    iid increments or an embedding; the batching here only amortizes the
-    FFTs.  Dense rows are multiplied in chunks of c = ``_gemm_rows(n)``
-    rows, each a (c, n) @ (n, n + 1) product, the last chunk padded with
-    zero rows, so that a row's result depends on its own normals alone,
-    never on the batching, the thread count or a one-row product (which BLAS
-    computes as a gemv, rounding differently); the oracle's LAPACK factor
-    and gemv agree with them to rounding.
+    each stride's sub-grid (positive integers; the callers validate them).
+    It is the same bit for bit where the row holds iid increments or an
+    embedding; the batching here only amortizes the FFTs.  Dense rows are
+    multiplied in chunks of c = ``_gemm_rows(n)`` rows (``_dense_product``),
+    so that a row's result depends on its own normals alone, never on the
+    batching, the thread count or a one-row product (which BLAS computes as
+    a gemv, rounding differently); the oracle's LAPACK factor and gemv agree
+    with them to rounding.
 
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
     rows, and walks it in batches whose working set is about
     ``_BATCH_BYTES``, whatever the replication count.  Each worker gets one
-    set of batch buffers, built here on the calling thread and reused for
-    all of its batches: the normals, which the fGn overwrites, and the
-    complex half-spectrum, whose m + 2 floats a row take the path values once
-    the irfft has consumed it (iid and dense rows: normals and values).  So
-    memory follows from the config and the worker count alone: pool threads
-    allocate nothing large, and a run with one worker runs on the calling
-    thread.  ``_fill_normals`` builds the generator of each block
-    (B * width <= 2^17 normals) where it draws it, so no generator is
-    shared between threads.
+    set of ``_row_buffers``, built here on the calling thread and reused for
+    all of its batches.  So memory follows from the config and the worker
+    count alone: pool threads allocate nothing large, and a run with one
+    worker runs on the calling thread.  ``_fill_normals`` builds the
+    generator of each block (B * width <= 2^17 normals) where it draws it,
+    so no generator is shared between threads.
     """
     neg, pos = config.side_counts()
-    n = neg + pos
-    strides = _check_strides(strides)
-
-    iid = n == 1 or config.alpha == 1.0
-    dense = not iid and n <= _DENSE_MAX_N
-    embedded = not (iid or dense)
-    width = _next_fast_len(2 * (n - 1)) if embedded else n
+    rmap = _row_map(config.alpha, neg, pos)
     reps = int(config.replications)
-    plan = _batch_plan(reps, n, width, embedded, threads, len(strides), dense)
-    scale = config.delta ** (config.alpha / 2.0)
-    gmap = _cached(_dense_map, config.alpha, n, neg, _SQRT2 * scale) if dense else None
-    spectrum = _cached_spectrum(config.alpha, n) if embedded else None
+    plan = _batch_plan(reps, rmap, threads, len(strides))
+    # sqrt(2) * (scale * values): folded into the dense map, else in place.
+    gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
+    _row_operator(rmap, gains)  # built once, here, not by two workers at once
     drift = _drift(neg, pos, config.delta, config.alpha, config.d)
     out = np.empty((reps, len(strides)))
-
-    def buffers():
-        # Normals (later the fGn) and half-spectrum (later the path values,
-        # packed row after row so that the elementwise passes run unbroken).
-        rows = plan.rows
-        w = np.empty((rows, width // 2 + 1), dtype=np.complex128) if embedded else None
-        flat = w.view(np.float64).reshape(-1) if embedded else np.empty(rows * (n + 1))
-        return np.empty((rows, width)), w, flat[: rows * (n + 1)].reshape(rows, n + 1)
 
     def run(start: int, rows: int, z: np.ndarray, w: np.ndarray | None,
             values: np.ndarray) -> None:
         _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
+        _map_rows(rmap, z, w, values, rows, gains)
         field = values[:rows]
-        if dense:
-            # One (c, n) @ (n, n + 1) product per chunk of c rows, the last
-            # one padded with zero rows.
-            c = _gemm_rows(n)
-            padded = -(-rows // c) * c
-            z[rows:padded] = 0.0
-            np.matmul(z[:padded].reshape(-1, c, n), gmap,
-                      out=values[:padded].reshape(-1, c, n + 1))
-        else:
-            fgn = z[:rows] if iid else _fgn_from_normals(spectrum, z[:rows], w[:rows],
-                                                         out=z[:rows])[:, :n]
-            _two_sided_values(fgn, neg, out=field)
-            # sqrt(2) * (scale * values), in place.
-            np.multiply(field, scale, out=field)
-            np.multiply(field, _SQRT2, out=field)
         np.subtract(field, drift, out=field)
         for j, s in enumerate(strides):
             start_col = neg if config.domain is Domain.HALF_LINE else neg % s
@@ -443,7 +498,7 @@ def _simulate_functionals(
         for start in range(lo, hi, plan.rows):
             run(start, min(plan.rows, hi - start), *space)
 
-    spaces = [buffers() for _ in plan.shares]
+    spaces = [_row_buffers(rmap, plan.rows) for _ in plan.shares]
     if len(spaces) > 1:
         with ThreadPoolExecutor(max_workers=len(spaces)) as pool:
             list(pool.map(work, range(len(spaces)), spaces))

@@ -1,4 +1,4 @@
-"""Exact sampling of fractional Gaussian noise and two-sided fBM paths.
+"""Covariance math for exact fractional Gaussian noise and two-sided fBM paths.
 
 Fractional Brownian motion B with roughness exponent ``alpha`` in (0, 2)
 (``alpha = 2H`` for Hurst index H) is the centered Gaussian process with
@@ -10,15 +10,16 @@ stationary with autocovariance
 
     gamma(k) = (|k+1|^alpha - 2|k|^alpha + |k-1|^alpha) / 2.
 
-The sampler embeds the Toeplitz covariance of fGn in a circulant matrix
-diagonalized by the FFT (Davies-Harte method), which is exact and costs
-O(m log m) per draw.  The embedding length m is the shortest even 5-smooth
-one (Wood and Chan 1994), which numpy's FFT transforms fast. The spectrum
-stores the weights that turn standard normals into its Hermitian
-half-spectrum, so a draw only multiplies and inverts. At alpha = 1 every lag beyond 0
-vanishes and the increments are iid N(0, 1): the samplers then draw them
-directly, with no embedding and no FFT. The tests check the sampler
-against a dense Cholesky factorization of the same covariance.
+The one sampler, ``estimator.sample_two_sided_path``, and the engine pick
+among the maps built here and draw the normals.  The circulant spectrum
+embeds the Toeplitz covariance of fGn in a circulant matrix diagonalized by
+the FFT (Davies-Harte method), which is exact and costs O(m log m) per
+draw.  The embedding length m is the shortest even 5-smooth one (Wood and
+Chan 1994), which numpy's FFT transforms fast. The spectrum stores the
+weights that turn standard normals into its Hermitian half-spectrum, so a
+draw only multiplies and inverts. At alpha = 1 every lag beyond 0 vanishes
+and the increments are iid N(0, 1), drawn with no map at all. The tests
+check the maps against a dense Cholesky factorization of the same covariance.
 
 On short grids a dense map is cheaper than the embedding: n normals times
 the (n, n + 1) matrix ``_dense_map`` give the anchored, scaled path values
@@ -39,11 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "CirculantSpectrum",
-    "circulant_spectrum",
-    "sample_two_sided_path",
-]
+__all__ = ["circulant_spectrum"]
 
 # Relative floor below which a negative FFT eigenvalue is treated as roundoff
 # and clamped; anything more negative is a genuine embedding failure.
@@ -70,8 +67,8 @@ class CirculantSpectrum:
     normals into the Hermitian half-spectrum: sqrt(lambda_0),
     sqrt(lambda_k / 2) for 1 <= k < m/2, and sqrt(lambda_{m/2}).  They are
     derived from ``eigenvalues`` once, when the instance is built.
-    Instances are immutable and safe to share across concurrent samplers.
-    The path samplers use none at alpha = 1, whose increments are iid.
+    Instances are immutable and safe to share across threads.  No spectrum
+    is used at alpha = 1, whose increments are iid.
     """
 
     alpha: float
@@ -187,15 +184,8 @@ def _cached(build, *args):
     return build(*args)
 
 
-def _cached_spectrum(alpha: float, n: int) -> CirculantSpectrum:
-    return _cached(circulant_spectrum, alpha, n)
-
-
 def _fgn_from_normals(
-    spectrum: CirculantSpectrum,
-    z: np.ndarray,
-    w: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    spectrum: CirculantSpectrum, z: np.ndarray, w: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Map (batch, m) standard normals to (batch, m) exact fGn sequences.
 
@@ -203,14 +193,12 @@ def _fgn_from_normals(
     parts) and the remaining m/2-1 (imaginary parts), written straight into
     the real and imaginary views of one complex array, then inverts with a
     real FFT. Row i depends only on z[i], so batching cannot change values.
-    ``w`` (batch, m/2+1 complex) and ``out`` (batch, m) are optional
-    buffers for the half-spectrum and the result; ``out`` may be ``z``.
+    ``w`` (batch, m/2+1 complex) and ``out`` (batch, m) are the buffers for
+    the half-spectrum and the result; ``out`` may be ``z``.
     """
     weights = spectrum.weights
     m = spectrum.m
     half = m // 2
-    if w is None:
-        w = np.empty((z.shape[0], half + 1), dtype=np.complex128)
     np.multiply(z[:, : half + 1], weights, out=w.real)
     np.multiply(z[:, half + 1 :], weights[1:half], out=w.imag[:, 1:half])
     w.imag[:, 0] = 0.0
@@ -220,52 +208,18 @@ def _fgn_from_normals(
     return fgn
 
 
-def _two_sided_values(
-    fgn: np.ndarray, neg_count: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def _two_sided_values(fgn: np.ndarray, neg_count: int, out: np.ndarray) -> np.ndarray:
     """Cumulate a (batch, n) increment block into (batch, n+1) path values.
 
     The running sum is anchored so the column at index ``neg_count`` is
     exactly zero; entries left of the anchor are then the negated backward
     sums, which keeps the two sides driven by one stationary sequence (they
-    are dependent for alpha != 1).  ``out`` is an optional (batch, n+1)
-    buffer for the result.
+    are dependent for alpha != 1).  ``out`` is the (batch, n+1) buffer for
+    the result, which is returned.
     """
-    batch, n = fgn.shape
-    values = np.empty((batch, n + 1)) if out is None else out
-    values[:, 0] = 0.0
-    np.cumsum(fgn, axis=1, out=values[:, 1:])
+    out[:, 0] = 0.0
+    np.cumsum(fgn, axis=1, out=out[:, 1:])
     if neg_count:
-        values -= values[:, neg_count][:, None]
-        values[:, neg_count] = 0.0
-    return values
-
-
-def sample_two_sided_path(
-    alpha: float, neg_count: int, pos_count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample a two-sided fBM path on the unit grid -neg_count..pos_count.
-
-    One stationary fGn sequence of length ``neg_count + pos_count`` is drawn
-    and cumulated around the t = 0 anchor, so the resulting grid process has
-    exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
-    increments.  At alpha = 1 (or for a single increment) the sequence is
-    iid N(0, 1) and is drawn as n normals, without an embedding; otherwise
-    the draw consumes the m normals of the circulant embedding.  It always
-    embeds, even on grids where the estimator uses its dense map (at most
-    ``estimator._DENSE_MAX_N`` increments), so it shares the estimator's
-    stream only on grids the estimator embeds too.  Returns the values B(k)
-    for k = -neg_count..pos_count, so ``values[neg_count]`` is exactly 0.
-    Scaling by delta^(alpha/2) gives the path on the delta grid.
-    """
-    alpha = _check_alpha(alpha)
-    neg_count, pos_count = int(neg_count), int(pos_count)
-    if neg_count < 0 or pos_count < 0 or neg_count + pos_count < 1:
-        raise ValueError("need at least one increment across both sides")
-    n = neg_count + pos_count
-    if n == 1 or alpha == 1.0:
-        fgn = rng.standard_normal((1, n))  # gamma(k) = 0 for k >= 1: iid N(0,1)
-    else:
-        spectrum = _cached_spectrum(alpha, n)
-        fgn = _fgn_from_normals(spectrum, rng.standard_normal((1, spectrum.m)))[:, :n]
-    return _two_sided_values(fgn, neg_count)[0]
+        out -= out[:, neg_count][:, None]
+        out[:, neg_count] = 0.0
+    return out

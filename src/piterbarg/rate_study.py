@@ -112,7 +112,8 @@ def _finest_grid_functionals(
 
     Returns the validated spacings and the (replications, len(deltas))
     functionals; the horizon is plan_horizon(finest, alpha).  The studies
-    report CLT stderrs, which need d > 1 (finite variance).
+    report CLT stderrs, which need d > 1 (finite variance) and at least two
+    replications.
     """
     if not d > 1.0:
         raise ValueError(
@@ -130,6 +131,9 @@ def _finest_grid_functionals(
         replications=replications,
         seed=seed,
     )
+    if config.replications < 2:
+        raise ValueError(f"rate studies report CLT standard errors, which need at "
+                         f"least 2 replications, got {config.replications}")
     return deltas, _simulate_functionals(config, strides, threads=threads)
 
 

@@ -31,12 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from piterbarg import (
-    CirculantSpectrum,
     Domain,
     EstimatorConfig,
     circulant_spectrum,
     rate_constant,
 )
+from piterbarg.fbm import CirculantSpectrum
 
 
 def block_rows(width: int) -> int:

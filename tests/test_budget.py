@@ -11,12 +11,11 @@ from piterbarg import (
     Domain,
     EstimatorConfig,
     budget_report,
-    discretization_bound,
     estimate_constant,
     plan_horizon,
     total_budget,
-    truncation_bound,
 )
+from piterbarg.budget import discretization_bound, truncation_bound
 
 
 class TestPlanHorizon:

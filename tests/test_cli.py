@@ -9,6 +9,10 @@ import pytest
 from piterbarg.cli import main
 
 
+def _must_not_simulate(*args, **kwargs):
+    raise AssertionError("simulated before rejecting the request")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -141,7 +145,7 @@ class TestEstimate:
             raise AssertionError("allocated before the memory check")
 
         monkeypatch.setattr("piterbarg.estimator._drift", unreachable)
-        monkeypatch.setattr("piterbarg.estimator._cached_spectrum", unreachable)
+        monkeypatch.setattr("piterbarg.estimator._cached", unreachable)
         monkeypatch.setattr("piterbarg.estimator._cgroup_memory_max", lambda: None)
         code, out, err = run_cli(capsys, "estimate", "--alpha", alpha, "--d", "2",
                                  "--domain", "half", "--delta", "1e-9",
@@ -199,6 +203,15 @@ class TestRate:
                                "--seed", "1")
         assert code == 2
         assert "power of two" in err
+
+    def test_single_replication_exits_2(self, capsys, monkeypatch):
+        # one replication has no CLT stderr; rejected before any path
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals", _must_not_simulate)
+        code, out, err = run_cli(capsys, "rate", "--d", "2", "--domain", "half",
+                                 "--deltas", "0.2,0.05", "--reps", "1", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "at least 2 replications" in err
 
 
 class TestThreadsEnvFallback:

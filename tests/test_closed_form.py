@@ -32,7 +32,7 @@ class TestClosedForms:
         assert piterbarg_bm_full(1e9) == pytest.approx(1.0, abs=1e-8)
         assert piterbarg_bm_half(1e9) == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9, math.nan, math.inf, -math.inf])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             piterbarg_bm_half(bad)

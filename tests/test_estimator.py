@@ -29,7 +29,6 @@ from piterbarg import (
     EstimatorConfig,
     circulant_spectrum,
     estimate_constant,
-    grid_count,
     plan_horizon,
     rate_constant,
     sample_two_sided_path,
@@ -46,10 +45,19 @@ from piterbarg.estimator import (
     _gemm_rows,
     _mom_ci_rank,
     _row_bytes,
+    _RowMap,
     _simulate_functionals,
+    grid_count,
 )
 from piterbarg.fbm import _dense_map
 from piterbarg.fbm import _next_fast_len
+
+
+def _rmap(n, width, embedded=False, dense=False):
+    """A row map of n increments and rows of ``width`` normals; the plan
+    reads only its kind, n and width."""
+    kind = "circulant" if embedded else "dense" if dense else "iid"
+    return _RowMap(kind, 0.5, 0, n, width)
 
 
 def make_path(alpha, delta, neg, pos, rng):
@@ -344,32 +352,32 @@ class TestBatchPlan:
         # whole blocks, as many as fit 2 MiB; more only for the one-block
         # floor and, where an FFT runs, the _FFT_MIN_ROWS floor
         for n, width, embedded in _row_shapes():
-            rows, block = _batch_rows(n, width, embedded), _block_rows(width)
-            row_bytes = _row_bytes(n, width, embedded)
+            rows, block = _batch_rows(_rmap(n, width, embedded)), _block_rows(width)
+            row_bytes = _row_bytes(_rmap(n, width, embedded))
             assert rows % block == 0
             floor = max(block, _FFT_MIN_ROWS if embedded else 1)
             assert rows * row_bytes <= _BATCH_BYTES or rows == floor
             assert rows == floor or (rows + block) * row_bytes > _BATCH_BYTES
 
     def test_huge_rows(self):
-        assert _batch_rows(2**30, 2**30, False) == 1
-        assert _batch_rows(2**29, 2**30, True) == _FFT_MIN_ROWS
+        assert _batch_rows(_rmap(2**30, 2**30, False)) == 1
+        assert _batch_rows(_rmap(2**29, 2**30, True)) == _FFT_MIN_ROWS
 
     @pytest.mark.parametrize("n,width,embedded", [
         (172, 360, True), (2120, 2120, False), (44976, 90000, True), (20, 40, True),
     ])
     def test_batch_rows_do_not_grow_with_replications(self, n, width, embedded):
-        rows = _batch_rows(n, width, embedded)
+        rows = _batch_rows(_rmap(n, width, embedded))
         for reps in (1, 7, 100, 10**4, 10**6, 10**8):
             for threads in (1, 2, 4):
-                plan = _batch_plan(reps, n, width, embedded, threads, 1)
+                plan = _batch_plan(reps, _rmap(n, width, embedded), threads, 1)
                 assert plan.rows <= rows
                 assert plan.rows == min(rows, max(hi - lo for lo, hi in plan.shares))
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     @pytest.mark.parametrize("reps", [1, 7, 64, 65, 320, 1000, 4099])
     def test_shares_are_contiguous_and_near_equal(self, reps, threads):
-        plan = _batch_plan(reps, 100, 2048, True, threads, 1)  # blocks of 64 rows
+        plan = _batch_plan(reps, _rmap(100, 2048, True), threads, 1)  # blocks of 64 rows
         nblocks = -(-reps // 64)
         assert len(plan.shares) == min(threads, nblocks)
         assert plan.shares[0][0] == 0 and plan.shares[-1][1] == reps
@@ -381,7 +389,7 @@ class TestBatchPlan:
     @pytest.mark.parametrize("threads", [0, -3, 1.5, True])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
-            _batch_plan(10, 10, 10, False, threads, 1)
+            _batch_plan(10, _rmap(10, 10, False), threads, 1)
         cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=Domain.HALF_LINE,
                               delta=0.1, horizon=1.0, replications=10, seed=1)
         with pytest.raises(ValueError, match="threads"):
@@ -394,7 +402,7 @@ class TestBatchPlan:
             raise AssertionError("allocated before the memory check")
 
         monkeypatch.setattr(estimator, "_drift", unreachable)
-        monkeypatch.setattr(estimator, "_cached_spectrum", unreachable)
+        monkeypatch.setattr(estimator, "_cached", unreachable)
         monkeypatch.setattr(estimator, "_cgroup_memory_max", lambda: None)
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE,
                               delta=1e-9, horizon=100.0, replications=1, seed=1)
@@ -405,16 +413,16 @@ class TestBatchPlan:
     def test_plan_bytes(self):
         # drift, table, the spectrum's build (autocovariances, first row,
         # complex FFT input and output) and two workers' buffers
-        plan = _batch_plan(1000, 172, 360, True, 2, 3)
+        plan = _batch_plan(1000, _rmap(172, 360, True), 2, 3)
         assert plan.nbytes == (8 * 173 + 8 * 3000 + 8 * 181 + 8 * 360 + 32 * 360
-                               + 2 * plan.rows * _row_bytes(172, 360, True))
-        plan = _batch_plan(1000, 172, 172, False, 2, 3)
+                               + 2 * plan.rows * _row_bytes(_rmap(172, 360, True)))
+        plan = _batch_plan(1000, _rmap(172, 172, False), 2, 3)
         assert plan.nbytes == (8 * 173 + 8 * 3000
-                               + 2 * plan.rows * _row_bytes(172, 172, False))
+                               + 2 * plan.rows * _row_bytes(_rmap(172, 172, False)))
         # the dense map and the Schur factor it is cumulated from
-        plan = _batch_plan(1000, 172, 172, False, 2, 3, dense=True)
+        plan = _batch_plan(1000, _rmap(172, 172, dense=True), 2, 3)
         assert plan.nbytes == (8 * 173 + 8 * 3000 + 8 * 172 * 173 + 8 * 172 * 172
-                               + 2 * plan.rows * _row_bytes(172, 172, False))
+                               + 2 * plan.rows * _row_bytes(_rmap(172, 172, dense=True)))
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("reps", [1, 3, 7, 100, 1027, 10**4])
@@ -422,11 +430,11 @@ class TestBatchPlan:
         # a share shorter than one product still gets a whole (c, n) buffer
         n = 172
         c = _gemm_rows(n)
-        plan = _batch_plan(reps, n, n, False, threads, 1, dense=True)
+        plan = _batch_plan(reps, _rmap(n, n, dense=True), threads, 1)
         assert plan.rows % c == 0 and plan.block % c == 0
-        assert plan.rows >= min(_batch_rows(n, n, False),
+        assert plan.rows >= min(_batch_rows(_rmap(n, n, dense=True)),
                                 max(hi - lo for lo, hi in plan.shares))
-        assert plan.rows - c < min(_batch_rows(n, n, False),
+        assert plan.rows - c < min(_batch_rows(_rmap(n, n, dense=True)),
                                    max(hi - lo for lo, hi in plan.shares))
 
     def test_plan_bytes_cover_dense_map_build(self):
@@ -439,8 +447,8 @@ class TestBatchPlan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        plan = _batch_plan(1, n, n, False, 1, 1, dense=True)
-        counted = plan.nbytes - 8 * (n + 1) - 8 - plan.rows * _row_bytes(n, n, False)
+        plan = _batch_plan(1, _rmap(n, n, dense=True), 1, 1)
+        counted = plan.nbytes - 8 * (n + 1) - 8 - plan.rows * _row_bytes(_rmap(n, n, dense=True))
         assert counted == 8 * n * (n + 1) + 8 * n * n
         assert 0.9 * counted <= peak <= 1.1 * counted
 
@@ -451,16 +459,16 @@ class TestBatchPlan:
         assert _next_fast_len(2 * (n - 1)) == m and _block_rows(m) == 1
         fixed = 8 * (n + 1) + 8 * 100 + 8 * (m // 2 + 1) + 40 * m
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
-        plan = _batch_plan(100, n, m, True, 2, 1)
+        plan = _batch_plan(100, _rmap(n, m, True), 2, 1)
         assert plan.rows == _FFT_MIN_ROWS == 4
-        assert plan.nbytes == fixed + 2 * 4 * _row_bytes(n, m, True) > 8 * 2**30
+        assert plan.nbytes == fixed + 2 * 4 * _row_bytes(_rmap(n, m, True)) > 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (8 * 2**30, "physical memory"))
-        plan = _batch_plan(100, n, m, True, 2, 1)
+        plan = _batch_plan(100, _rmap(n, m, True), 2, 1)
         assert plan.rows == 1 and plan.shares == ((0, 50), (50, 100))
-        assert plan.nbytes == fixed + 2 * _row_bytes(n, m, True) < 4 * 2**30
+        assert plan.nbytes == fixed + 2 * _row_bytes(_rmap(n, m, True)) < 4 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (3 * 2**30, "physical memory"))
         with pytest.raises(ValueError, match=rf"needs {plan.nbytes} bytes"):
-            _batch_plan(100, n, m, True, 2, 1)
+            _batch_plan(100, _rmap(n, m, True), 2, 1)
 
     def test_plan_bytes_cover_spectrum_build(self):
         # the build's peak, measured, stays within what the plan counts
@@ -474,8 +482,8 @@ class TestBatchPlan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        plan = _batch_plan(1, n, m, True, 1, 1)
-        counted = plan.nbytes - 8 * (n + 1) - 8 - plan.rows * _row_bytes(n, m, True)
+        plan = _batch_plan(1, _rmap(n, m, True), 1, 1)
+        counted = plan.nbytes - 8 * (n + 1) - 8 - plan.rows * _row_bytes(_rmap(n, m, True))
         assert 0.5 * counted <= peak <= 1.1 * counted
 
     def test_plan_bytes_cover_batch_buffers(self):
@@ -491,9 +499,9 @@ class TestBatchPlan:
         n = sum(cfg.side_counts())
         m = _next_fast_len(2 * (n - 1))
         assert (n, m) == (44976, 90000)
-        plan = _batch_plan(8, n, m, True, 2, 1)
+        plan = _batch_plan(8, _rmap(n, m, True), 2, 1)
         assert plan.rows == 4 and len(plan.shares) == 2
-        assert _row_bytes(n, m, True) == 8 * m + 16 * (m // 2 + 1)
+        assert _row_bytes(_rmap(n, m, True)) == 8 * m + 16 * (m // 2 + 1)
         counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
         first = _simulate_functionals(cfg, [1], threads=2)
         tracemalloc.start()
@@ -529,7 +537,7 @@ class TestBatchPlan:
         if limit:
             with pytest.raises(ValueError, match=rf"needs \d+ bytes, more than the "
                                                  rf"1000000 bytes of {re.escape(source)}$"):
-                _batch_plan(1000, 2120, 2120, False, 1, 1)
+                _batch_plan(1000, _rmap(2120, 2120, False), 1, 1)
 
     @pytest.mark.parametrize("files,expected", [
         ({"/proc/self/cgroup": "0::/a/b\n",
@@ -571,7 +579,7 @@ class TestBlockRows:
             assert block == 1 or block * w <= 2**17
             assert 2 * block * w > 2**17
             assert block == block_rows(w)
-            assert _batch_rows(w, w, False) % block == 0
+            assert _batch_rows(_rmap(w, w, False)) % block == 0
         assert [_block_rows(w) for w in (360, 2120, 90_000)] == [256, 32, 1]
 
     def test_depends_on_width_alone(self, monkeypatch):
@@ -633,7 +641,7 @@ class TestEstimateConstant:
         # alpha = 1 shortcut.  The grid is short, so the embedding is forced.
         monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         monkeypatch.setattr(estimator, "_block_rows", lambda width: 2)
-        monkeypatch.setattr(estimator, "_batch_rows", lambda n, width, embedded: 4)
+        monkeypatch.setattr(estimator, "_batch_rows", lambda rmap: 4)
         cfg = EstimatorConfig(alpha=alpha, d=0.3, domain=domain,
                               delta=0.3, horizon=3.0, replications=7, seed=99)
         table = _simulate_functionals(cfg, strides=[1, 2, 3], threads=threads)
@@ -657,7 +665,7 @@ class TestEstimateConstant:
                               horizon=170.0, replications=9, seed=41)
         n = sum(cfg.side_counts())
         m = _next_fast_len(2 * (n - 1))
-        assert (n, m, _block_rows(m), _batch_rows(n, m, True)) == (17000, 34560, 2, 4)
+        assert (n, m, _block_rows(m), _batch_rows(_rmap(n, m, True))) == (17000, 34560, 2, 4)
         table = _simulate_functionals(cfg, [1, 3], threads=threads)
         for r in range(cfg.replications):
             recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 3])
@@ -694,7 +702,7 @@ class TestEstimateConstant:
 
     def test_brownian_deterministic_across_threads_and_batches(self):
         n = sum(self._config().side_counts())
-        cfg = self._config(replications=_batch_rows(n, n, False) + 7)
+        cfg = self._config(replications=_batch_rows(_rmap(n, n, False)) + 7)
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
         assert np.array_equal(t1, t2)
@@ -705,7 +713,7 @@ class TestEstimateConstant:
         # workers that each reuse one set of buffers
         monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
-                           horizon=0.5, replications=2 * _batch_rows(20, 40, True) + 9)
+                           horizon=0.5, replications=2 * _batch_rows(_rmap(20, 40, True)) + 9)
         assert circulant_spectrum(cfg.alpha, sum(cfg.side_counts())).m == 40
         t1 = _simulate_functionals(cfg, [1, 3], threads=1)
         for threads in (2, 3):
@@ -740,7 +748,7 @@ class TestEstimateConstant:
             fill(seed, z, first, block)
 
         cfg = self._config(replications=4000)
-        assert sum(cfg.side_counts()) == 100 and _batch_rows(100, 100, False) == 1024
+        assert sum(cfg.side_counts()) == 100 and _batch_rows(_rmap(100, 100, False)) == 1024
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         monkeypatch.setattr(estimator, "_fill_normals", spy)
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
@@ -760,7 +768,7 @@ class TestEstimateConstant:
         n = sum(cfg.side_counts())
         block = block_rows(n if alpha == 1.0 else circulant_spectrum(alpha, n).m)
         monkeypatch.setattr(estimator, "_batch_rows",
-                            lambda n, width, embedded: block_rows(width))
+                            lambda rmap: block_rows(rmap.width))
         cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
                            delta=0.05, horizon=2.0, replications=4 * block + 3)
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
@@ -864,7 +872,7 @@ class TestDenseRows:
         for threads in (2, 3):
             assert np.array_equal(reference, _simulate_functionals(cfg, [1, 2], threads=threads))
         monkeypatch.setattr(estimator, "_batch_rows",
-                            lambda n, width, embedded: 2 * _block_rows(width))
+                            lambda rmap: 2 * _block_rows(rmap.width))
         for threads in (1, 2, 3):
             assert np.array_equal(reference, _simulate_functionals(cfg, [1, 2], threads=threads))
         for reps in (1, 5, 1024 + 3, 3 * 1024 + 33):
@@ -896,6 +904,38 @@ class TestDenseRows:
         assert sum(cfg.side_counts()) == 172  # the full_heavy grid
         here = _simulate_functionals(cfg, [1, 2], threads=1)
         assert digests == [hashlib.sha256(here.tobytes()).hexdigest()] * 2
+
+
+class TestPathSampler:
+    """``sample_two_sided_path`` draws one row of the engine's row map."""
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_dense_row_matches_cholesky_oracle(self, domain):
+        # alpha = 0.7, n = 30 or 60: a dense row of n normals; the oracle's
+        # LAPACK factor rounds differently from the Schur factor
+        cfg = EstimatorConfig(alpha=0.7, d=2.0, domain=domain, delta=0.1,
+                              horizon=3.0, replications=4, seed=2026)
+        neg, pos = cfg.side_counts()
+        n = neg + pos
+        assert n <= _DENSE_MAX_N
+        for r in (0, 3):
+            unit = sample_two_sided_path(cfg.alpha, neg, pos,
+                                         replication_stream(cfg.seed, r, n, block_rows(n)))
+            expected = replication_path(cfg, r, dense=True).values / cfg.delta ** (cfg.alpha / 2)
+            assert unit[neg] == 0.0
+            np.testing.assert_allclose(unit, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("alpha,neg,pos", [
+        (0.7, 10, 20), (1.0, 10, 20), (1.5, 0, 1), (0.7, 150, 150),
+    ])
+    def test_consumes_one_row(self, alpha, neg, pos):
+        # dense and iid rows take n normals, circulant ones (n = 300) the m
+        # of the embedding: the next draw is the stream's normal width + 1
+        n = neg + pos
+        width = circulant_spectrum(alpha, n).m if n > _DENSE_MAX_N else n
+        rng = np.random.default_rng(8)
+        sample_two_sided_path(alpha, neg, pos, rng)
+        assert rng.standard_normal() == np.random.default_rng(8).standard_normal(width + 1)[-1]
 
 
 class TestAggregation:

@@ -11,7 +11,6 @@ from piterbarg import circulant_spectrum, sample_two_sided_path
 from piterbarg.estimator import _DENSE_MAX_N
 from piterbarg.fbm import (
     _cached,
-    _cached_spectrum,
     _dense_map,
     _fgn_from_normals,
     _next_fast_len,
@@ -151,16 +150,16 @@ class TestCirculantSpectrum:
         # a second (alpha, n) evicts the first, and so does a dense map, so
         # the cache holds only the spectrum or map a run's memory plan counts
         _cached.cache_clear()
-        first = _cached_spectrum(0.5, 100)
-        assert _cached_spectrum(0.5, 100) is first
-        _cached_spectrum(0.7, 100)
+        first = _cached(circulant_spectrum, 0.5, 100)
+        assert _cached(circulant_spectrum, 0.5, 100) is first
+        _cached(circulant_spectrum, 0.7, 100)
         assert _cached.cache_info().currsize == 1
-        assert _cached_spectrum(0.5, 100) is not first
+        assert _cached(circulant_spectrum, 0.5, 100) is not first
         gmap = _cached(_dense_map, 0.5, 100, 0, 1.0)
         assert _cached(_dense_map, 0.5, 100, 0, 1.0) is gmap
         assert _cached.cache_info().currsize == 1
         misses = _cached.cache_info().misses
-        _cached_spectrum(0.5, 100)
+        _cached(circulant_spectrum, 0.5, 100)
         assert _cached.cache_info().misses == misses + 1
 
     def test_small_n_rejected(self):
@@ -182,9 +181,9 @@ class TestCirculantSpectrum:
         mid = np.sqrt(0.5 * lam[1:half])
         w[:, 1:half] = mid * (z[:, 1:half] + 1j * z[:, half + 1 :])
         reference = np.fft.irfft(w, n=m, axis=1) * math.sqrt(m)
-        assert np.array_equal(_fgn_from_normals(spec, z), reference)
-        # the batched engine's form: its own half-spectrum buffer, with the
-        # fGn written over the normals
+        fgn = _fgn_from_normals(spec, z, np.empty_like(w), out=np.empty_like(z))
+        assert np.array_equal(fgn, reference)
+        # the batched engine's form: the fGn written over the normals
         buf = z.copy()
         fgn = _fgn_from_normals(spec, buf, np.empty_like(w), out=buf)
         assert np.shares_memory(fgn, buf) and np.array_equal(fgn, reference)

@@ -92,6 +92,14 @@ class TestRateStudyBm:
             run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
                               deltas=[0.01, 0.003], replications=10, seed=1)
 
+    def test_single_replication_rejected(self, monkeypatch):
+        # one replication has no CLT stderr (std with ddof=1 of one value)
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
+                            _must_not_simulate)
+        with pytest.raises(ValueError, match="at least 2 replications, got 1"):
+            run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
+                              deltas=[0.2, 0.05], replications=1, seed=1)
+
 
 class TestGapDecay:
     def test_small_study(self):
@@ -138,6 +146,13 @@ class TestGapDecay:
         with pytest.raises(ValueError, match="d > 1"):
             run_gap_decay(alpha=0.5, d=d, domain=Domain.HALF_LINE,
                           deltas=[0.4, 0.2], replications=10, seed=1)
+
+    def test_single_replication_rejected(self, monkeypatch):
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
+                            _must_not_simulate)
+        with pytest.raises(ValueError, match="at least 2 replications, got 1"):
+            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
+                          deltas=[0.4, 0.2, 0.1], replications=1, seed=1)
 
     def test_exponent_regression_reported_with_stderr(self):
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,

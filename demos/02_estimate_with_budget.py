@@ -10,13 +10,14 @@ Run:  python demos/02_estimate_with_budget.py
 """
 
 import json
+from dataclasses import asdict
 
 from piterbarg import (
     Domain,
     EstimatorConfig,
+    budget_report,
     estimate_constant,
     plan_horizon,
-    total_budget,
 )
 
 alpha, d, delta = 1.2, 2.0, 0.02
@@ -37,9 +38,9 @@ print(f"\nestimate = {result.estimate:.5f} +/- {result.stderr:.5f} "
       f"({result.method}, {result.replications} replications)")
 print(f"95% CI = [{result.ci_low:.5f}, {result.ci_high:.5f}]")
 
-report = total_budget(config, result)
+report = budget_report(alpha, delta, horizon, stat_error=result.stat_error())
 print("\nerror budget (constants defaulted to 1, hence 'up to constant'):")
-print(json.dumps(report.to_dict(), indent=2))
+print(json.dumps(asdict(report), indent=2))
 
 # the same numbers are available from the command line:
 print("\nequivalent CLI call:")

@@ -24,7 +24,6 @@ from .budget import (
     BudgetReport,
     budget_report,
     plan_horizon,
-    total_budget,
 )
 from .closed_form import (
     RateConstant,
@@ -53,7 +52,6 @@ __all__ = [
     "BudgetReport",
     "budget_report",
     "plan_horizon",
-    "total_budget",
     "RateConstant",
     "piterbarg_bm_full",
     "piterbarg_bm_half",

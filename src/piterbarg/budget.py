@@ -1,4 +1,4 @@
-"""Error budgeting: discretization and truncation bounds plus horizon planning.
+"""Error budgeting: the one builder of budget reports, and horizon planning.
 
 The approximation error of the grid-and-truncation estimator splits into
 
@@ -12,6 +12,9 @@ and every report produced with defaults is flagged ``up_to_constant``.  The
 planning rule T = (-ln delta)^(2/alpha) drives the truncation term to
 exp(-c (-ln delta)^2) = delta^(c (-ln delta)), asymptotically negligible
 against the discretization term for every c > 0.
+
+``budget_report`` builds every report, from the estimate's ``stat_error()``
+where there is one; ``dataclasses.asdict`` serializes it.
 """
 
 from __future__ import annotations
@@ -19,14 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimator import EstimateResult, EstimatorConfig, _check_positive
+from .estimator import _check_positive
 from .fbm import _check_alpha
 
 __all__ = [
     "BudgetReport",
     "budget_report",
     "plan_horizon",
-    "total_budget",
 ]
 
 
@@ -57,33 +59,6 @@ def plan_horizon(delta: float, alpha: float) -> float:
     return horizon
 
 
-def discretization_bound(delta: float, alpha: float, c_disc: float = 1.0) -> float:
-    """Grid-gap bound c_disc * delta^(alpha/2) * sqrt(-ln delta).
-
-    An upper bound up to the unknown constant; with the default c_disc = 1
-    it is a shape, not a certified number.
-    """
-    delta = _check_delta(delta)
-    alpha = _check_alpha(alpha)
-    c_disc = _check_positive("c_disc", c_disc)
-    return c_disc * delta ** (alpha / 2.0) * math.sqrt(-math.log(delta))
-
-
-def truncation_bound(horizon: float, alpha: float, c_trunc: float = 1.0) -> float:
-    """Horizon-tail bound exp(-c_trunc * T^alpha).
-
-    Valid for sufficiently large T; reports flag horizons below 1 as outside
-    the bound's comfort zone without refusing them.
-    """
-    horizon = _check_positive("horizon", horizon)
-    alpha = _check_alpha(alpha)
-    c_trunc = _check_positive("c_trunc", c_trunc)
-    try:
-        return math.exp(-c_trunc * horizon**alpha)
-    except OverflowError:  # T^alpha beyond the float range: the bound is 0
-        return 0.0
-
-
 @dataclass(frozen=True)
 class BudgetReport:
     """Three-component error report for one estimation run.
@@ -104,19 +79,6 @@ class BudgetReport:
     up_to_constant: bool
     horizon_below_comfort: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "horizon": self.horizon,
-            "disc_bound": self.disc_bound,
-            "trunc_bound": self.trunc_bound,
-            "stat_error": self.stat_error,
-            "constants": dict(self.constants),
-            "total": self.total,
-            "up_to_constant": self.up_to_constant,
-            "horizon_below_comfort": self.horizon_below_comfort,
-        }
-
 
 def budget_report(
     alpha: float,
@@ -128,15 +90,23 @@ def budget_report(
 ) -> BudgetReport:
     """Error report for a run on the delta grid truncated at ``horizon``.
 
-    Each constant left as None defaults to 1 and flags the report
-    ``up_to_constant``.  Needs no simulation, so it also serves to plan a
-    run and to reject delta outside (0, 1) or a nonpositive constant before
-    any path is simulated.
+    The discretization term is c_disc * delta^(alpha/2) * sqrt(-ln delta),
+    the truncation term exp(-c_trunc * T^alpha), which is 0 where T^alpha
+    leaves the float range.  Each constant left as None defaults to 1 and
+    flags the report ``up_to_constant``.  Needs no simulation, so it also
+    serves to plan a run and to reject delta outside (0, 1) or a nonpositive
+    constant before any path is simulated.
     """
-    cd = 1.0 if c_disc is None else float(c_disc)
-    ct = 1.0 if c_trunc is None else float(c_trunc)
-    disc = discretization_bound(delta, alpha, cd)
-    trunc = truncation_bound(horizon, alpha, ct)
+    delta = _check_delta(delta)
+    alpha = _check_alpha(alpha)
+    cd = _check_positive("c_disc", 1.0 if c_disc is None else c_disc)
+    horizon = _check_positive("horizon", horizon)
+    ct = _check_positive("c_trunc", 1.0 if c_trunc is None else c_trunc)
+    disc = cd * delta ** (alpha / 2.0) * math.sqrt(-math.log(delta))
+    try:
+        trunc = math.exp(-ct * horizon**alpha)
+    except OverflowError:
+        trunc = 0.0
     total = disc + trunc + (stat_error if stat_error is not None else 0.0)
     if not math.isfinite(total):
         raise ValueError(f"the error budget {disc} + {trunc} + {stat_error} is not finite")
@@ -150,18 +120,4 @@ def budget_report(
         total=total,
         up_to_constant=c_disc is None or c_trunc is None,
         horizon_below_comfort=horizon < 1.0,
-    )
-
-
-def total_budget(
-    config: EstimatorConfig,
-    result: EstimateResult,
-    c_disc: float | None = None,
-    c_trunc: float | None = None,
-) -> BudgetReport:
-    """Assemble the full error report for ``result`` produced under ``config``."""
-    if result.config != config:
-        raise ValueError("result was not produced under the given config")
-    return budget_report(
-        config.alpha, config.delta, config.horizon, c_disc, c_trunc, result.stat_error()
     )

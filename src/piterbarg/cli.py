@@ -23,12 +23,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .budget import budget_report, plan_horizon, total_budget
+from .budget import budget_report, plan_horizon
 from .closed_form import piterbarg_bm_full, piterbarg_bm_half, rate_constant
 from .estimator import Domain, EstimateResult, EstimatorConfig, estimate_constant
 from .rate_study import RATE_CSV_HEADER, rate_points_csv, run_rate_study_bm
@@ -67,26 +68,11 @@ def _default_threads() -> int:
 
 
 def _config_dict(config: EstimatorConfig) -> dict:
-    return {
-        "alpha": config.alpha,
-        "d": config.d,
-        "domain": config.domain.value,
-        "delta": config.delta,
-        "horizon": config.horizon,
-        "replications": config.replications,
-        "seed": config.seed,
-    }
+    return {**asdict(config), "domain": config.domain.value}
 
 
 def _estimate_dict(result: EstimateResult) -> dict:
-    return {
-        "estimate": result.estimate,
-        "stderr": result.stderr,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "method": result.method,
-        "replications": result.replications,
-    }
+    return {k: v for k, v in asdict(result).items() if k != "config"}
 
 
 def _manifest(command: str, config: dict | None, started: str, results: dict) -> dict:
@@ -131,12 +117,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     # The budget's inputs are checked before the simulation, not after it.
     budget_report(config.alpha, config.delta, config.horizon, args.c_disc, args.c_trunc)
     result = estimate_constant(config, threads=args.threads)
-    budget = total_budget(config, result, c_disc=args.c_disc, c_trunc=args.c_trunc)
+    budget = budget_report(config.alpha, config.delta, config.horizon,
+                           args.c_disc, args.c_trunc, result.stat_error())
     manifest = _manifest(
         "estimate",
         _config_dict(config),
         started,
-        {"estimate": _estimate_dict(result), "budget": budget.to_dict()},
+        {"estimate": _estimate_dict(result), "budget": asdict(budget)},
     )
     _emit(json.dumps(manifest, indent=2), args.out)
     return 0
@@ -236,7 +223,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         "plan",
         {"alpha": args.alpha, "delta": args.delta},
         started,
-        {"budget": report.to_dict()},
+        {"budget": asdict(report)},
     )
     _emit(json.dumps(manifest, indent=2), args.out)
     return 0

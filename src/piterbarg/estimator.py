@@ -394,9 +394,10 @@ def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
 
 def _dense_product(z: np.ndarray, gmap: np.ndarray, values: np.ndarray, rows: int) -> None:
     """values[:rows] = z[:rows] @ gmap, one (c, n) @ (n, n + 1) product per
-    chunk of c = ``_gemm_rows(n)`` rows, the last one padded with zero rows."""
+    chunk of c = ``_gemm_rows(n)`` rows, the last one padded with zero rows;
+    a buffer shorter than a chunk (the sampler's) is one product of its rows."""
     n = gmap.shape[0]
-    c = _gemm_rows(n)
+    c = min(_gemm_rows(n), len(z))
     padded = -(-rows // c) * c
     z[rows:padded] = 0.0
     np.matmul(z[:padded].reshape(-1, c, n), gmap,
@@ -430,7 +431,8 @@ def sample_two_sided_path(
     exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
     increments.  It is one row of the engine's ``_row_map``, drawn from
     ``rng`` (n normals, or the m of an embedding) into buffers laid out as
-    the engine's.  Returns B(k) for k = -neg_count..pos_count, so
+    the engine's; a dense row is padded to the 4 rows of the engine's
+    smallest product.  Returns B(k) for k = -neg_count..pos_count, so
     ``values[neg_count]`` is exactly 0; times delta^(alpha/2), the path on
     the delta grid.
     """
@@ -439,7 +441,7 @@ def sample_two_sided_path(
     if neg_count < 0 or pos_count < 0 or neg_count + pos_count < 1:
         raise ValueError("need at least one increment across both sides")
     rmap = _row_map(alpha, neg_count, pos_count)
-    z, w, values = _row_buffers(rmap, _gemm_rows(rmap.n) if rmap.kind == "dense" else 1)
+    z, w, values = _row_buffers(rmap, _gemm_rows(_DENSE_MAX_N) if rmap.kind == "dense" else 1)
     rng.standard_normal(out=z[0])
     _map_rows(rmap, z, w, values, 1)
     return values[0].copy()
@@ -530,42 +532,25 @@ def _std_error(values: np.ndarray) -> float:
 
 def _aggregate(functionals: np.ndarray, config: EstimatorConfig) -> EstimateResult:
     reps = len(functionals)
+    stderr = ci_low = ci_high = None
     if config.d > 1.0:
+        method = "sample-mean"
         estimate = float(functionals.mean())
         if reps >= 2:
             stderr = _std_error(functionals)
             ci_low, ci_high = estimate - _Z95 * stderr, estimate + _Z95 * stderr
-        else:
-            stderr = ci_low = ci_high = None
-        return EstimateResult(
-            estimate=estimate,
-            stderr=stderr,
-            ci_low=ci_low,
-            ci_high=ci_high,
-            method="sample-mean",
-            replications=reps,
-            config=config,
-        )
-    # d <= 1: infinite variance, CLT intervals invalid; median-of-means over
-    # contiguous blocks (replication order is already exchangeable).
-    blocks = min(_MOM_BLOCKS, reps)
-    block_means = np.sort([b.mean() for b in np.array_split(functionals, blocks)])
-    estimate = float(np.median(block_means))
-    rank = _mom_ci_rank(blocks)
-    if rank is None:
-        ci_low = ci_high = None
     else:
-        ci_low = float(block_means[rank - 1])
-        ci_high = float(block_means[blocks - rank])
-    return EstimateResult(
-        estimate=estimate,
-        stderr=None,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        method="median-of-means",
-        replications=reps,
-        config=config,
-    )
+        # d <= 1: infinite variance, CLT intervals invalid; median-of-means
+        # over contiguous blocks (replication order is already exchangeable).
+        method = "median-of-means"
+        blocks = min(_MOM_BLOCKS, reps)
+        block_means = np.sort([b.mean() for b in np.array_split(functionals, blocks)])
+        estimate = float(np.median(block_means))
+        rank = _mom_ci_rank(blocks)
+        if rank is not None:
+            ci_low = float(block_means[rank - 1])
+            ci_high = float(block_means[blocks - rank])
+    return EstimateResult(estimate, stderr, ci_low, ci_high, method, reps, config)
 
 
 def estimate_constant(config: EstimatorConfig, threads: int = 1) -> EstimateResult:

@@ -1,8 +1,8 @@
 """Tests for the error-budget formulas, horizon planning, and report assembly."""
 
 import math
+from dataclasses import asdict
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,9 +13,17 @@ from piterbarg import (
     budget_report,
     estimate_constant,
     plan_horizon,
-    total_budget,
 )
-from piterbarg.budget import discretization_bound, truncation_bound
+
+
+def discretization_bound(delta, alpha, c_disc):
+    """The discretization term of a report, whatever its horizon."""
+    return budget_report(alpha, delta, 1.0, c_disc=c_disc).disc_bound
+
+
+def truncation_bound(horizon, alpha, c_trunc):
+    """The truncation term of a report, whatever its spacing."""
+    return budget_report(alpha, 0.5, horizon, c_trunc=c_trunc).trunc_bound
 
 
 class TestPlanHorizon:
@@ -113,36 +121,35 @@ class TestTotalBudget:
                               delta=0.05, horizon=3.0, replications=200, seed=3)
         return cfg, estimate_constant(cfg)
 
+    @staticmethod
+    def _report(cfg, res, c_disc=None, c_trunc=None):
+        return budget_report(cfg.alpha, cfg.delta, cfg.horizon, c_disc, c_trunc,
+                             res.stat_error())
+
     def test_assembles_components(self):
         cfg, res = self._run()
-        report = total_budget(cfg, res)
+        report = self._report(cfg, res)
         assert report.disc_bound == pytest.approx(
-            discretization_bound(0.05, 1.0, 1.0), rel=1e-15
+            math.sqrt(0.05) * math.sqrt(-math.log(0.05)), rel=1e-15
         )
-        assert report.trunc_bound == pytest.approx(
-            truncation_bound(3.0, 1.0, 1.0), rel=1e-15
-        )
+        assert report.trunc_bound == pytest.approx(math.exp(-3.0), rel=1e-15)
         assert report.stat_error == res.stderr  # copied verbatim
         assert report.total == pytest.approx(
             report.disc_bound + report.trunc_bound + report.stat_error, rel=1e-15
         )
+        assert budget_report(cfg.alpha, cfg.delta, cfg.horizon).total == pytest.approx(
+            report.disc_bound + report.trunc_bound, rel=1e-15
+        )
 
     def test_up_to_constant_flag(self):
         cfg, res = self._run()
-        assert total_budget(cfg, res).up_to_constant
-        assert total_budget(cfg, res, c_disc=0.4).up_to_constant
-        assert not total_budget(cfg, res, c_disc=0.4, c_trunc=2.0).up_to_constant
-
-    def test_mismatched_config_rejected(self):
-        cfg, res = self._run()
-        other = EstimatorConfig(alpha=1.0, d=2.0, domain=Domain.HALF_LINE,
-                                delta=0.05, horizon=3.0, replications=201, seed=3)
-        with pytest.raises(ValueError):
-            total_budget(other, res)
+        assert self._report(cfg, res).up_to_constant
+        assert self._report(cfg, res, c_disc=0.4).up_to_constant
+        assert not self._report(cfg, res, c_disc=0.4, c_trunc=2.0).up_to_constant
 
     def test_median_of_means_stat_error_is_half_width(self):
         cfg, res = self._run(d=0.5)
-        report = total_budget(cfg, res)
+        report = self._report(cfg, res)
         assert report.stat_error == pytest.approx(
             0.5 * (res.ci_high - res.ci_low), rel=1e-15
         )
@@ -151,17 +158,18 @@ class TestTotalBudget:
         cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=Domain.HALF_LINE,
                               delta=0.1, horizon=0.8, replications=50, seed=5)
         res = estimate_constant(cfg)
-        report = total_budget(cfg, res)
+        report = self._report(cfg, res)
         assert report.horizon_below_comfort
+        assert not budget_report(1.0, 0.1, 1.0).horizon_below_comfort
 
     def test_report_serialization_field_names(self):
         cfg, res = self._run()
-        blob = total_budget(cfg, res, c_disc=1.0, c_trunc=1.0).to_dict()
-        assert set(blob) == {
+        blob = asdict(self._report(cfg, res, c_disc=1.0, c_trunc=1.0))
+        assert list(blob) == [
             "delta", "horizon", "disc_bound", "trunc_bound", "stat_error",
             "constants", "total", "up_to_constant", "horizon_below_comfort",
-        }
-        assert set(blob["constants"]) == {"c_disc", "c_trunc"}
+        ]
+        assert list(blob["constants"]) == ["c_disc", "c_trunc"]
 
 
 # Every float, NaN and both infinities included, with extra weight on the
@@ -205,6 +213,16 @@ class TestNonFiniteAndExtremeInputs:
     def test_overflowing_plan_rejected(self):
         with pytest.raises(ValueError, match="outside the float range"):
             plan_horizon(1e-300, 0.01)
+
+    def test_validation_order(self):
+        # delta, alpha and c_disc are checked before horizon and c_trunc
+        bad = dict(alpha=2.0, delta=1.0, horizon=0.0, c_disc=0.0, c_trunc=0.0)
+        good = dict(alpha=1.0, delta=0.01, horizon=21.0, c_disc=1.0, c_trunc=1.0)
+        for field in ("delta", "alpha", "c_disc", "horizon", "c_trunc"):
+            with pytest.raises(ValueError, match=field):
+                budget_report(**bad)
+            bad[field] = good[field]
+        budget_report(**bad)
 
     def test_truncation_bound_vanishes_beyond_float_range(self):
         # T^alpha = 1e450 is no float, but the bound exp(-T^alpha) is 0

@@ -6,7 +6,19 @@ import math
 
 import pytest
 
+from piterbarg import RatePoint, rate_points_csv
 from piterbarg.cli import main
+from piterbarg.rate_study import RATE_CSV_HEADER
+
+
+# Output formats as they stand: ordered key lists and the CSV header.
+MANIFEST_KEYS = ["command", "tool_version", "started_at", "finished_at", "config", "results"]
+CONFIG_KEYS = ["alpha", "d", "domain", "delta", "horizon", "replications", "seed"]
+ESTIMATE_KEYS = ["estimate", "stderr", "ci_low", "ci_high", "method", "replications"]
+BUDGET_KEYS = ["delta", "horizon", "disc_bound", "trunc_bound", "stat_error",
+               "constants", "total", "up_to_constant", "horizon_below_comfort"]
+VALIDATION_KEYS = ["exact", "correction_factor", "corrected_estimate", "abs_error",
+                   "model_tolerance", "stat_tolerance", "status"]
 
 
 def _must_not_simulate(*args, **kwargs):
@@ -23,7 +35,13 @@ class TestPlan:
     def test_brownian_hand_values(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--alpha", "1", "--delta", "0.01")
         assert code == 0
-        budget = json.loads(out)["results"]["budget"]
+        manifest = json.loads(out)
+        assert list(manifest) == MANIFEST_KEYS
+        assert manifest["config"] == {"alpha": 1.0, "delta": 0.01}
+        assert list(manifest["results"]) == ["budget"]
+        budget = manifest["results"]["budget"]
+        assert list(budget) == BUDGET_KEYS
+        assert budget["constants"] == {"c_disc": 1.0, "c_trunc": 1.0}
         assert budget["horizon"] == pytest.approx(21.2076, abs=1e-3)
         assert budget["disc_bound"] == pytest.approx(0.214597, abs=1e-5)
         assert budget["trunc_bound"] == pytest.approx(
@@ -81,7 +99,13 @@ class TestEstimate:
         assert code == 0
         manifest = json.loads(out)
         assert manifest["command"] == "estimate"
+        assert list(manifest) == MANIFEST_KEYS
+        assert list(manifest["config"]) == CONFIG_KEYS
+        assert list(manifest["results"]) == ["estimate", "budget"]
+        assert list(manifest["results"]["estimate"]) == ESTIMATE_KEYS
+        assert list(manifest["results"]["budget"]) == BUDGET_KEYS
         config = manifest["config"]
+        assert config["domain"] == "half"
         # omitted --horizon defaults to the planning rule
         assert config["horizon"] == pytest.approx(math.log(20.0) ** 2, rel=1e-9)
         est = manifest["results"]["estimate"]
@@ -173,7 +197,12 @@ class TestValidate:
                                  "--delta", "0.05", "--reps", "10", "--seed", "3")
         assert code == 0
         manifest = json.loads(out)
+        assert list(manifest) == MANIFEST_KEYS
+        assert list(manifest["config"]) == CONFIG_KEYS
+        assert list(manifest["results"]) == ["estimate", "validation"]
+        assert list(manifest["results"]["estimate"]) == ESTIMATE_KEYS
         validation = manifest["results"]["validation"]
+        assert list(validation) == VALIDATION_KEYS
         assert validation["status"] == "inconclusive"
         assert "warning" in err
 
@@ -194,8 +223,19 @@ class TestRate:
                                "--seed", "11")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "delta,p_hat,stderr,gap,gap_stderr,empirical_rate"
+        assert lines[0] == RATE_CSV_HEADER == "delta,p_hat,stderr,gap,gap_stderr,empirical_rate"
         assert len(lines) == 3
+        for row in lines[1:]:  # repr-exact cells
+            assert all(repr(float(cell)) == cell for cell in row.split(","))
+
+    def test_row_is_repr_exact(self):
+        point = RatePoint(0.2, 1.1512060915223474, 0.0210884520842877,
+                          0.34879390847765257, 0.0210884520842877, 0.6774867638708384)
+        assert rate_points_csv([point]) == (
+            "delta,p_hat,stderr,gap,gap_stderr,empirical_rate\n"
+            "0.2,1.1512060915223474,0.0210884520842877,0.34879390847765257,"
+            "0.0210884520842877,0.6774867638708384\n"
+        )
 
     def test_non_nested_deltas_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--d", "2", "--domain", "half",

@@ -42,9 +42,13 @@ from piterbarg.estimator import (
     _batch_plan,
     _batch_rows,
     _block_rows,
+    _fill_normals,
     _gemm_rows,
+    _map_rows,
     _mom_ci_rank,
+    _row_buffers,
     _row_bytes,
+    _row_map,
     _RowMap,
     _simulate_functionals,
     grid_count,
@@ -826,7 +830,9 @@ class TestDenseRows:
     def test_products_stay_below_the_one_thread_gemm_size(self):
         # 4 rows or more, so no product is a gemv, and at most 2^18
         # multiply-adds, which OpenBLAS runs on the calling thread; chunks
-        # tile the stream blocks, so batches and shares start on a chunk
+        # tile the stream blocks, so batches and shares start on a chunk,
+        # and a batch that _batch_plan cuts to one block for memory holds
+        # whole chunks
         for n in range(2, _DENSE_MAX_N + 1):
             c = _gemm_rows(n)
             assert c >= 4 and c & (c - 1) == 0
@@ -926,10 +932,31 @@ class TestPathSampler:
             np.testing.assert_allclose(unit, expected, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("alpha,neg,pos", [
-        (0.7, 10, 20), (1.0, 10, 20), (1.5, 0, 1), (0.7, 150, 150),
+        (0.7, 1, 1), (0.3, 0, 4), (1.5, 15, 15), (0.7, 86, 86), (1.9, 0, 255),
+    ])
+    def test_dense_row_is_the_engines_row(self, alpha, neg, pos):
+        # the engine's batch buffers, normals and products (its gains left
+        # out) give the sampler's row bit for bit: in a full chunk and in
+        # the short last one, which both pad differently from the sampler
+        rmap = _row_map(alpha, neg, pos)
+        n, c = rmap.n, _gemm_rows(rmap.n)
+        assert rmap.kind == "dense"
+        reps = c + 3
+        plan = _batch_plan(reps, rmap, 1, 1)
+        assert reps < plan.rows
+        z, w, values = _row_buffers(rmap, plan.rows)
+        _fill_normals(2027, z[:reps], 0, plan.block)
+        _map_rows(rmap, z, w, values, reps)
+        for r in (0, 1, c - 1, c, c + 2):
+            row = sample_two_sided_path(alpha, neg, pos,
+                                        replication_stream(2027, r, n, plan.block))
+            assert np.array_equal(row, values[r]), r
+
+    @pytest.mark.parametrize("alpha,neg,pos", [
+        (0.7, 10, 20), (1.0, 10, 20), (1.5, 0, 1), (0.7, 150, 150), (0.7, 1, 1),
     ])
     def test_consumes_one_row(self, alpha, neg, pos):
-        # dense and iid rows take n normals, circulant ones (n = 300) the m
+        # dense (n = 30 and 2) and iid rows take n normals, circulant ones (n = 300) the m
         # of the embedding: the next draw is the stream's normal width + 1
         n = neg + pos
         width = circulant_spectrum(alpha, n).m if n > _DENSE_MAX_N else n

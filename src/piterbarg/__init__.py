@@ -8,59 +8,20 @@ Brownian motion,
 with K the half-line or the whole line.  Exact values are known only for
 the Brownian case alpha = 1; this package approximates the general case by
 restricting the supremum to a grid delta * Z truncated to [-T, T], samples
-the paths exactly via circulant embedding, and reports the discretization,
-truncation, and statistical error components of the approximation.
+the paths exactly through one of three row maps (iid increments at
+alpha = 1, a dense Cholesky map on short grids, circulant embedding
+otherwise), and reports the discretization, truncation, and statistical
+error components of the approximation.
 """
 
-from .fbm import circulant_spectrum
-from .estimator import (
-    Domain,
-    EstimateResult,
-    EstimatorConfig,
-    estimate_constant,
-    sample_two_sided_path,
-)
-from .budget import (
-    BudgetReport,
-    budget_report,
-    plan_horizon,
-)
-from .closed_form import (
-    RateConstant,
-    piterbarg_bm_full,
-    piterbarg_bm_half,
-    rate_constant,
-)
-from .rate_study import (
-    GapDecayResult,
-    GapPoint,
-    RatePoint,
-    rate_points_csv,
-    run_gap_decay,
-    run_rate_study_bm,
-)
+from . import fbm, estimator, budget, closed_form, rate_study
+from .fbm import *
+from .estimator import *
+from .budget import *
+from .closed_form import *
+from .rate_study import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "circulant_spectrum",
-    "sample_two_sided_path",
-    "Domain",
-    "EstimateResult",
-    "EstimatorConfig",
-    "estimate_constant",
-    "BudgetReport",
-    "budget_report",
-    "plan_horizon",
-    "RateConstant",
-    "piterbarg_bm_full",
-    "piterbarg_bm_half",
-    "rate_constant",
-    "GapDecayResult",
-    "GapPoint",
-    "RatePoint",
-    "rate_points_csv",
-    "run_gap_decay",
-    "run_rate_study_bm",
-    "__version__",
-]
+__all__ = [*fbm.__all__, *estimator.__all__, *budget.__all__, *closed_form.__all__,
+           *rate_study.__all__, "__version__"]

@@ -20,6 +20,7 @@ where there is one; ``dataclasses.asdict`` serializes it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .estimator import _check_positive
@@ -95,13 +96,21 @@ def budget_report(
     leaves the float range.  Each constant left as None defaults to 1 and
     flags the report ``up_to_constant``.  Needs no simulation, so it also
     serves to plan a run and to reject delta outside (0, 1) or a nonpositive
-    constant before any path is simulated.
+    constant before any path is simulated.  ``stat_error`` is None or a
+    finite half-width >= 0.
     """
     delta = _check_delta(delta)
     alpha = _check_alpha(alpha)
     cd = _check_positive("c_disc", 1.0 if c_disc is None else c_disc)
     horizon = _check_positive("horizon", horizon)
     ct = _check_positive("c_trunc", 1.0 if c_trunc is None else c_trunc)
+    # bool is a Real too, but True is no half-width
+    if stat_error is not None and (
+        isinstance(stat_error, bool)
+        or not isinstance(stat_error, numbers.Real)
+        or not 0.0 <= stat_error < math.inf
+    ):
+        raise ValueError(f"stat_error must be None or finite and >= 0, got {stat_error!r}")
     disc = cd * delta ** (alpha / 2.0) * math.sqrt(-math.log(delta))
     try:
         trunc = math.exp(-ct * horizon**alpha)

@@ -67,25 +67,6 @@ def _default_threads() -> int:
         return 1
 
 
-def _config_dict(config: EstimatorConfig) -> dict:
-    return {**asdict(config), "domain": config.domain.value}
-
-
-def _estimate_dict(result: EstimateResult) -> dict:
-    return {k: v for k, v in asdict(result).items() if k != "config"}
-
-
-def _manifest(command: str, config: dict | None, started: str, results: dict) -> dict:
-    return {
-        "command": command,
-        "tool_version": __version__,
-        "started_at": started,
-        "finished_at": _now(),
-        "config": config,
-        "results": results,
-    }
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -100,47 +81,59 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _horizon(args: argparse.Namespace) -> float:
+    """``--horizon``, or the planning rule's horizon where it is omitted."""
+    if args.horizon is None:
+        return plan_horizon(args.delta, args.alpha)
+    return args.horizon
+
+
+def _config(args: argparse.Namespace, alpha: float, horizon: float) -> EstimatorConfig:
+    return EstimatorConfig(alpha=alpha, d=args.d, domain=args.domain, delta=args.delta,
+                           horizon=horizon, replications=args.reps, seed=args.seed)
+
+
+def _emit_manifest(
+    args: argparse.Namespace, started: str, config: EstimatorConfig | dict, **results
+) -> None:
+    """Write the JSON manifest of ``args.command`` to ``--out`` or stdout.
+
+    Dataclasses, the config among them, are written field by field; an
+    EstimateResult leaves out its config, which the manifest already holds.
+    """
+    if isinstance(config, EstimatorConfig):
+        config = {**asdict(config), "domain": config.domain.value}
+    for name, value in results.items():
+        if not isinstance(value, dict):
+            results[name] = asdict(value)
+            if isinstance(value, EstimateResult):
+                del results[name]["config"]
+    manifest = {
+        "command": args.command,
+        "tool_version": __version__,
+        "started_at": started,
+        "finished_at": _now(),
+        "config": config,
+        "results": results,
+    }
+    _emit(json.dumps(manifest, indent=2), args.out)
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     started = _now()
-    horizon = args.horizon
-    if horizon is None:
-        horizon = plan_horizon(args.delta, args.alpha)
-    config = EstimatorConfig(
-        alpha=args.alpha,
-        d=args.d,
-        domain=args.domain,
-        delta=args.delta,
-        horizon=horizon,
-        replications=args.reps,
-        seed=args.seed,
-    )
+    config = _config(args, args.alpha, _horizon(args))
     # The budget's inputs are checked before the simulation, not after it.
     budget_report(config.alpha, config.delta, config.horizon, args.c_disc, args.c_trunc)
     result = estimate_constant(config, threads=args.threads)
     budget = budget_report(config.alpha, config.delta, config.horizon,
                            args.c_disc, args.c_trunc, result.stat_error())
-    manifest = _manifest(
-        "estimate",
-        _config_dict(config),
-        started,
-        {"estimate": _estimate_dict(result), "budget": asdict(budget)},
-    )
-    _emit(json.dumps(manifest, indent=2), args.out)
+    _emit_manifest(args, started, config, estimate=result, budget=budget)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     started = _now()
-    horizon = plan_horizon(args.delta, 1.0)
-    config = EstimatorConfig(
-        alpha=1.0,
-        d=args.d,
-        domain=args.domain,
-        delta=args.delta,
-        horizon=horizon,
-        replications=args.reps,
-        seed=args.seed,
-    )
+    config = _config(args, 1.0, plan_horizon(args.delta, 1.0))
     result = estimate_constant(config, threads=args.threads)
     exact = (
         piterbarg_bm_half(args.d)
@@ -167,24 +160,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
     else:
         status = "pass" if error <= model_tol + stat_width else "fail"
-    manifest = _manifest(
-        "validate",
-        _config_dict(config),
-        started,
-        {
-            "estimate": _estimate_dict(result),
-            "validation": {
-                "exact": exact,
-                "correction_factor": correction,
-                "corrected_estimate": corrected,
-                "abs_error": error,
-                "model_tolerance": model_tol,
-                "stat_tolerance": None if stat is None else stat_width,
-                "status": status,
-            },
-        },
-    )
-    _emit(json.dumps(manifest, indent=2), args.out)
+    _emit_manifest(args, started, config, estimate=result, validation={
+        "exact": exact,
+        "correction_factor": correction,
+        "corrected_estimate": corrected,
+        "abs_error": error,
+        "model_tolerance": model_tol,
+        "stat_tolerance": None if stat is None else stat_width,
+        "status": status,
+    })
     print(
         f"validate [{status}] corrected={corrected:.6f} exact={exact:.6f}",
         file=sys.stderr,
@@ -214,18 +198,8 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    horizon = args.horizon
-    if horizon is None:
-        horizon = plan_horizon(args.delta, args.alpha)
-    report = budget_report(args.alpha, args.delta, horizon, args.c_disc, args.c_trunc)
-    started = _now()
-    manifest = _manifest(
-        "plan",
-        {"alpha": args.alpha, "delta": args.delta},
-        started,
-        {"budget": asdict(report)},
-    )
-    _emit(json.dumps(manifest, indent=2), args.out)
+    report = budget_report(args.alpha, args.delta, _horizon(args), args.c_disc, args.c_trunc)
+    _emit_manifest(args, _now(), {"alpha": args.alpha, "delta": args.delta}, budget=report)
     return 0
 
 
@@ -290,18 +264,6 @@ def _cmd_check_manifest(args: argparse.Namespace) -> int:
     return 0 if not problems else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
-    parser.add_argument("--reps", type=int, required=True, help="replication count")
-    parser.add_argument("--out", help="write the result to this file instead of stdout")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker threads (default: $PITERBARG_THREADS or 1); results do not depend on this",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="piterbarg",
@@ -310,48 +272,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", help="estimate one constant plus its error budget")
-    p.add_argument("--alpha", type=float, required=True, help="roughness exponent in (0,2)")
-    p.add_argument("--d", type=float, required=True, help="drift-penalty parameter > 0")
-    p.add_argument("--domain", type=_domain, required=True, help="half or full")
-    p.add_argument("--delta", type=float, required=True, help="grid spacing")
-    p.add_argument(
+    # Parent parsers: each flag is declared once, for every command that takes it.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--delta", type=float, required=True, help="grid spacing")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--alpha", type=float, required=True, help="roughness exponent in (0,2)")
+    budget.add_argument(
         "--horizon",
         type=float,
         default=None,
         help="truncation horizon T (default: (-ln delta)^(2/alpha))",
     )
-    p.add_argument("--c-disc", type=float, default=None, help="calibrated discretization constant")
-    p.add_argument("--c-trunc", type=float, default=None, help="calibrated truncation constant")
-    _add_common(p)
+    budget.add_argument("--c-disc", type=float, default=None, help="calibrated discretization constant")
+    budget.add_argument("--c-trunc", type=float, default=None, help="calibrated truncation constant")
+    sample = argparse.ArgumentParser(add_help=False)
+    sample.add_argument("--d", type=float, required=True, help="drift-penalty parameter > 0")
+    sample.add_argument("--domain", type=_domain, required=True, help="half or full")
+    sample.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
+    sample.add_argument("--reps", type=int, required=True, help="replication count")
+    sample.add_argument(
+        "--threads",
+        type=int,
+        default=_default_threads(),
+        help="worker threads (default: $PITERBARG_THREADS or 1); results do not depend on this",
+    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the result to this file instead of stdout")
+
+    p = sub.add_parser("estimate", parents=[budget, grid, sample, out],
+                       help="estimate one constant plus its error budget")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("validate", help="check the corrected estimate against the Brownian closed form")
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--domain", type=_domain, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    _add_common(p)
+    p = sub.add_parser("validate", parents=[grid, sample, out],
+                       help="check the corrected estimate against the Brownian closed form")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("rate", help="nested-grid Brownian convergence-rate study (CSV)")
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--domain", type=_domain, required=True)
+    p = sub.add_parser("rate", parents=[sample, out],
+                       help="nested-grid Brownian convergence-rate study (CSV)")
     p.add_argument(
         "--deltas",
         type=_delta_list,
         required=True,
         help="comma-separated descending spacings, each the finest times a power of two",
     )
-    _add_common(p)
     p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("plan", help="error budget for (alpha, delta) without simulating")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--c-disc", type=float, default=None)
-    p.add_argument("--c-trunc", type=float, default=None)
-    p.add_argument("--out", help="write the result to this file instead of stdout")
+    p = sub.add_parser("plan", parents=[budget, grid, out],
+                       help="error budget for (alpha, delta) without simulating")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("check-manifest", help="validate a manifest JSON or study CSV")

@@ -35,7 +35,7 @@ Paths are always simulated on the unit grid and rescaled by self-similarity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,26 +65,15 @@ class CirculantSpectrum:
 
     ``weights`` holds the m/2 + 1 read-only factors that scale standard
     normals into the Hermitian half-spectrum: sqrt(lambda_0),
-    sqrt(lambda_k / 2) for 1 <= k < m/2, and sqrt(lambda_{m/2}).  They are
-    derived from ``eigenvalues`` once, when the instance is built.
+    sqrt(lambda_k / 2) for 1 <= k < m/2, and sqrt(lambda_{m/2}).
+    ``circulant_spectrum`` derives them from ``eigenvalues`` once.
     Instances are immutable and safe to share across threads.  No spectrum
     is used at alpha = 1, whose increments are iid.
     """
 
-    alpha: float
     m: int
     eigenvalues: np.ndarray
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        lam = self.eigenvalues
-        half = self.m // 2
-        weights = np.empty(half + 1)
-        weights[0] = np.sqrt(lam[0])
-        weights[1:half] = np.sqrt(0.5 * lam[1:half])
-        weights[half] = np.sqrt(lam[half])
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
+    weights: np.ndarray
 
 
 def _autocovariances(alpha: float, kmax: int) -> np.ndarray:
@@ -137,8 +126,11 @@ def circulant_spectrum(alpha: float, n: int) -> CirculantSpectrum:
             f"eigenvalue {lam.min():.3e} below clamp floor {floor:.3e}"
         )
     np.clip(lam, 0.0, None, out=lam)
+    weights = np.sqrt(lam[: half + 1])
+    weights[1:half] = np.sqrt(0.5 * lam[1:half])
     lam.flags.writeable = False
-    return CirculantSpectrum(alpha=alpha, m=m, eigenvalues=lam)
+    weights.flags.writeable = False
+    return CirculantSpectrum(m=m, eigenvalues=lam, weights=weights)
 
 
 def _schur_cholesky(alpha: float, n: int) -> np.ndarray:

@@ -181,7 +181,8 @@ ANY_FLOAT = st.one_of(
 
 
 class TestNonFiniteAndExtremeInputs:
-    @pytest.mark.parametrize("field", ["alpha", "delta", "horizon", "c_disc", "c_trunc"])
+    @pytest.mark.parametrize("field", ["alpha", "delta", "horizon", "c_disc", "c_trunc",
+                                       "stat_error"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):
         kwargs = dict(alpha=1.0, delta=0.01, horizon=21.0, c_disc=1.0, c_trunc=1.0)
@@ -214,11 +215,19 @@ class TestNonFiniteAndExtremeInputs:
         with pytest.raises(ValueError, match="outside the float range"):
             plan_horizon(1e-300, 0.01)
 
+    @pytest.mark.parametrize("value", [-5.0, True], ids=["negative", "bool"])
+    def test_stat_error_below_zero_or_bool_rejected(self, value):
+        with pytest.raises(ValueError, match="stat_error must be None or finite and >= 0"):
+            budget_report(1.0, 0.01, 21.0, stat_error=value)
+        assert budget_report(1.0, 0.01, 21.0, stat_error=0.0).stat_error == 0.0
+
     def test_validation_order(self):
-        # delta, alpha and c_disc are checked before horizon and c_trunc
-        bad = dict(alpha=2.0, delta=1.0, horizon=0.0, c_disc=0.0, c_trunc=0.0)
-        good = dict(alpha=1.0, delta=0.01, horizon=21.0, c_disc=1.0, c_trunc=1.0)
-        for field in ("delta", "alpha", "c_disc", "horizon", "c_trunc"):
+        # delta, alpha and c_disc are checked before horizon, c_trunc and stat_error
+        bad = dict(alpha=2.0, delta=1.0, horizon=0.0, c_disc=0.0, c_trunc=0.0,
+                   stat_error=-1.0)
+        good = dict(alpha=1.0, delta=0.01, horizon=21.0, c_disc=1.0, c_trunc=1.0,
+                    stat_error=None)
+        for field in ("delta", "alpha", "c_disc", "horizon", "c_trunc", "stat_error"):
             with pytest.raises(ValueError, match=field):
                 budget_report(**bad)
             bad[field] = good[field]

@@ -1,13 +1,14 @@
 """End-to-end tests of the command-line interface: flags, exit codes,
 manifest/CSV formats, and rerun determinism."""
 
+import argparse
 import json
 import math
 
 import pytest
 
 from piterbarg import RatePoint, rate_points_csv
-from piterbarg.cli import main
+from piterbarg.cli import _delta_list, _domain, build_parser, main
 from piterbarg.rate_study import RATE_CSV_HEADER
 
 
@@ -20,6 +21,36 @@ BUDGET_KEYS = ["delta", "horizon", "disc_bound", "trunc_bound", "stat_error",
 VALIDATION_KEYS = ["exact", "correction_factor", "corrected_estimate", "abs_error",
                    "model_tolerance", "stat_tolerance", "status"]
 
+# Each subcommand's flags: option string -> (required, default, type);
+# --threads defaults to 1 with $PITERBARG_THREADS unset.
+FLAGS = {
+    "estimate": {
+        "--alpha": (True, None, float), "--d": (True, None, float),
+        "--domain": (True, None, _domain), "--delta": (True, None, float),
+        "--horizon": (False, None, float), "--c-disc": (False, None, float),
+        "--c-trunc": (False, None, float), "--seed": (True, None, int),
+        "--reps": (True, None, int), "--out": (False, None, None),
+        "--threads": (False, 1, int),
+    },
+    "validate": {
+        "--d": (True, None, float), "--domain": (True, None, _domain),
+        "--delta": (True, None, float), "--seed": (True, None, int),
+        "--reps": (True, None, int), "--out": (False, None, None),
+        "--threads": (False, 1, int),
+    },
+    "rate": {
+        "--d": (True, None, float), "--domain": (True, None, _domain),
+        "--deltas": (True, None, _delta_list), "--seed": (True, None, int),
+        "--reps": (True, None, int), "--out": (False, None, None),
+        "--threads": (False, 1, int),
+    },
+    "plan": {
+        "--alpha": (True, None, float), "--delta": (True, None, float),
+        "--horizon": (False, None, float), "--c-disc": (False, None, float),
+        "--c-trunc": (False, None, float), "--out": (False, None, None),
+    },
+}
+
 
 def _must_not_simulate(*args, **kwargs):
     raise AssertionError("simulated before rejecting the request")
@@ -29,6 +60,29 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flag_table(self, monkeypatch, command):
+        monkeypatch.delenv("PITERBARG_THREADS", raising=False)
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in sub.choices[command]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        flags = {a.option_strings[0]: (a.required, a.default, a.type) for a in actions}
+        assert len(flags) == len(actions) == sum(len(a.option_strings) for a in actions)
+        assert flags == FLAGS[command]
+        assert all(a.help for a in actions)
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: piterbarg {command}")
+        assert all(flag in out for flag in FLAGS[command])
 
 
 class TestPlan:
@@ -256,8 +310,6 @@ class TestRate:
 
 class TestThreadsEnvFallback:
     def test_env_variable_sets_default(self, monkeypatch):
-        from piterbarg.cli import build_parser
-
         monkeypatch.setenv("PITERBARG_THREADS", "3")
         args = build_parser().parse_args(
             ["estimate", "--alpha", "1", "--d", "1", "--domain", "half",

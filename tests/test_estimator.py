@@ -792,11 +792,20 @@ class TestEstimateConstant:
         monkeypatch.setattr("piterbarg.estimator.ThreadPoolExecutor", no_pool)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1], threads=4))
 
-    def test_replication_prefix_stability(self):
-        cfg_small = self._config(replications=40)
-        cfg_large = self._config(replications=80)
-        f_small = _simulate_functionals(cfg_small, [1])
-        f_large = _simulate_functionals(cfg_large, [1])
+    @pytest.mark.parametrize("kind,kw", [
+        ("iid", {}),
+        ("dense", dict(alpha=1.5, domain=Domain.FULL_LINE)),
+        ("circulant", dict(alpha=0.5, horizon=15.0)),
+        ("circulant", dict(alpha=0.5, horizon=15.0, domain=Domain.FULL_LINE)),
+    ], ids=["iid", "dense-full", "circulant-half", "circulant-full"])
+    def test_replication_prefix_stability(self, kind, kw):
+        # a run is the first rows of any longer one, across blocks and
+        # batches, at any thread count
+        cfg_small = self._config(replications=40, **kw)
+        cfg_large = self._config(replications=1100, **kw)
+        assert _row_map(cfg_small.alpha, *cfg_small.side_counts()).kind == kind
+        f_small = _simulate_functionals(cfg_small, [1, 2])
+        f_large = _simulate_functionals(cfg_large, [1, 2], threads=2)
         assert np.array_equal(f_small, f_large[:40])
 
     def test_brownian_estimate_tracks_corrected_closed_form(self):

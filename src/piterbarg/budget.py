@@ -20,11 +20,9 @@ where there is one; ``dataclasses.asdict`` serializes it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .estimator import _check_positive
-from .fbm import _check_alpha
+from .fbm import _check_alpha, _check_real
 
 __all__ = [
     "BudgetReport",
@@ -33,20 +31,13 @@ __all__ = [
 ]
 
 
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie strictly in (0, 1), got {delta}")
-    return delta
-
-
 def plan_horizon(delta: float, alpha: float) -> float:
     """Truncation horizon (-ln delta)^(2/alpha) balancing the two error terms.
 
     Only defined for delta in (0, 1); the rule has no sensible extension to
     coarser grids.
     """
-    delta = _check_delta(delta)
+    delta = _check_real("delta", delta, 0.0, 1.0, "lie strictly in (0, 1)")
     alpha = _check_alpha(alpha)
     try:
         horizon = (-math.log(delta)) ** (2.0 / alpha)
@@ -99,18 +90,14 @@ def budget_report(
     constant before any path is simulated.  ``stat_error`` is None or a
     finite half-width >= 0.
     """
-    delta = _check_delta(delta)
+    delta = _check_real("delta", delta, 0.0, 1.0, "lie strictly in (0, 1)")
     alpha = _check_alpha(alpha)
-    cd = _check_positive("c_disc", 1.0 if c_disc is None else c_disc)
-    horizon = _check_positive("horizon", horizon)
-    ct = _check_positive("c_trunc", 1.0 if c_trunc is None else c_trunc)
-    # bool is a Real too, but True is no half-width
-    if stat_error is not None and (
-        isinstance(stat_error, bool)
-        or not isinstance(stat_error, numbers.Real)
-        or not 0.0 <= stat_error < math.inf
-    ):
-        raise ValueError(f"stat_error must be None or finite and >= 0, got {stat_error!r}")
+    cd = _check_real("c_disc", 1.0 if c_disc is None else c_disc)
+    horizon = _check_real("horizon", horizon)
+    ct = _check_real("c_trunc", 1.0 if c_trunc is None else c_trunc)
+    if stat_error is not None:
+        stat_error = _check_real("stat_error", stat_error,
+                                 rule="be None or finite and >= 0", closed=True)
     disc = cd * delta ** (alpha / 2.0) * math.sqrt(-math.log(delta))
     try:
         trunc = math.exp(-ct * horizon**alpha)

@@ -57,16 +57,6 @@ def _delta_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad spacing list {text!r}") from None
 
 
-def _default_threads() -> int:
-    # An integer below 1 is kept, so that main rejects it; anything else
-    # that is not an integer (or an unset variable) means 1.
-    env = os.environ.get("PITERBARG_THREADS", "")
-    try:
-        return int(env)
-    except ValueError:
-        return 1
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -293,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
-        help="worker threads (default: $PITERBARG_THREADS or 1); results do not depend on this",
+        default=1,
+        help="worker threads (default: 1); results do not depend on this",
     )
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write the result to this file instead of stdout")
@@ -332,11 +322,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError(
-                f"threads must be a positive integer, got {args.threads} "
-                "(from --threads or $PITERBARG_THREADS)"
-            )
+        # an --out that cannot be written fails here, not after the simulation
+        out = getattr(args, "out", None)
+        if out and not os.access(os.path.dirname(out) or ".", os.W_OK):
+            raise ValueError(f"cannot write --out {out}: its directory is missing or read-only")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _check_positive
+from .fbm import _check_real
 
 __all__ = [
     "RateConstant",
@@ -40,12 +40,12 @@ def piterbarg_bm_half(d: float) -> float:
     d : float
         Drift-penalty parameter, must be positive and finite.
     """
-    return 1.0 + 1.0 / _check_positive("penalty d", d)
+    return 1.0 + 1.0 / _check_real("penalty d", d)
 
 
 def piterbarg_bm_full(d: float) -> float:
     """Piterbarg constant for Brownian motion on the full line: 1 + 2/d - 1/(2d+1)."""
-    d = _check_positive("penalty d", d)
+    d = _check_real("penalty d", d)
     return 1.0 + 2.0 / d - 1.0 / (2.0 * d + 1.0)
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,6 +50,8 @@ import numpy as np
 from .fbm import (
     _cached,
     _check_alpha,
+    _check_count,
+    _check_real,
     circulant_spectrum,
     _dense_map,
     _fgn_from_normals,
@@ -97,19 +98,6 @@ def grid_count(horizon: float, delta: float) -> int:
     return int(math.floor(count))
 
 
-def _check_positive(name: str, value: float) -> float:
-    """``value`` as a float, if it is positive and finite; else ValueError."""
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
-def _is_integer(value) -> bool:
-    # bool is an Integral too, but True is no replication count or seed.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Full problem description for one estimation run.
@@ -129,23 +117,17 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        _check_positive("penalty d", self.d)
+        _check_real("penalty d", self.d)
         if not isinstance(self.domain, Domain):
             raise ValueError(f"domain must be a Domain, got {self.domain!r}")
-        _check_positive("delta", self.delta)
-        _check_positive("horizon", self.horizon)
+        _check_real("delta", self.delta)
+        _check_real("horizon", self.horizon)
         if self.delta > self.horizon:
             raise ValueError(
                 f"delta={self.delta} exceeds horizon={self.horizon}: empty grid"
             )
-        if not _is_integer(self.replications) or self.replications < 1:
-            raise ValueError(
-                f"replications must be a positive integer, got {self.replications}"
-            )
-        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(
-                f"seed must be an integer that fits in 64 unsigned bits, got {self.seed}"
-            )
+        _check_count("replications", self.replications)
+        _check_count("seed", self.seed, 0, 2**64, "be an integer that fits in 64 unsigned bits")
         self.side_counts()  # a grid too fine to count fails here, not mid-run
 
     def side_counts(self) -> tuple[int, int]:
@@ -293,8 +275,7 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     anything is allocated, exceeds ``_memory_limit()`` at one block per
     batch.
     """
-    if not _is_integer(threads) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads}")
+    threads = _check_count("threads", threads)
     n, width = rmap.n, rmap.width
     block = _block_rows(width)
     nblocks = -(-reps // block)
@@ -437,8 +418,9 @@ def sample_two_sided_path(
     the delta grid.
     """
     alpha = _check_alpha(alpha)
-    neg_count, pos_count = int(neg_count), int(pos_count)
-    if neg_count < 0 or pos_count < 0 or neg_count + pos_count < 1:
+    neg_count = _check_count("neg_count", neg_count, 0, rule="be a nonnegative integer")
+    pos_count = _check_count("pos_count", pos_count, 0, rule="be a nonnegative integer")
+    if neg_count + pos_count < 1:
         raise ValueError("need at least one increment across both sides")
     rmap = _row_map(alpha, neg_count, pos_count)
     z, w, values = _row_buffers(rmap, _gemm_rows(_DENSE_MAX_N) if rmap.kind == "dense" else 1)

@@ -30,11 +30,15 @@ factor does not depend on the BLAS build or its thread count.
 Paths are always simulated on the unit grid and rescaled by self-similarity
 (B(delta * k) has the law of delta^(alpha/2) * B(k)), so one spectrum per
 (alpha, length) serves every grid spacing.
+
+The module also holds the package's input checks, ``_check_real`` for a
+real parameter and ``_check_count`` for a count, which the other modules import.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,11 +51,29 @@ __all__ = ["circulant_spectrum"]
 _EIGENVALUE_CLAMP_REL = 1e-9
 
 
+def _check_real(name: str, value, low: float = 0.0, high: float = math.inf,
+                rule: str = "be positive and finite", closed: bool = False) -> float:
+    """``value`` as a float, if it is a real number other than a bool with
+    low < value < high (low <= value where ``closed``); else a ValueError
+    that names the parameter.  A numeric string is no real number."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value if closed else low < value) or not value < high):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return float(value)
+
+
+def _check_count(name: str, value, low: int = 1, high: float = math.inf,
+                 rule: str = "be a positive integer") -> int:
+    """``value`` as an int, if it is an integer other than a bool with
+    low <= value < high; else a ValueError that names the parameter."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not low <= value < high):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return int(value)
+
+
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie strictly in (0, 2), got {alpha}")
-    return alpha
+    return _check_real("alpha", alpha, 0.0, 2.0, "lie strictly in (0, 2)")
 
 
 @dataclass(frozen=True)
@@ -110,9 +132,7 @@ def circulant_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     indicate a bug rather than an unlucky covariance.
     """
     alpha = _check_alpha(alpha)
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"embedding needs n >= 2 increments, got {n}")
+    n = _check_count("n", n, 2, rule="be an integer >= 2 (increments to embed)")
     m = _next_fast_len(2 * (n - 1))
     half = m // 2
     g = _autocovariances(alpha, half)

@@ -25,7 +25,7 @@ import numpy as np
 from .budget import plan_horizon
 from .closed_form import piterbarg_bm_full, piterbarg_bm_half
 from .estimator import Domain, EstimatorConfig, _simulate_functionals, _std_error
-from .fbm import _check_alpha
+from .fbm import _check_alpha, _check_count, _check_real
 
 __all__ = [
     "RatePoint",
@@ -78,23 +78,22 @@ class GapDecayResult:
 
 def _nested_strides(deltas: Sequence[float]) -> tuple[list[float], list[int]]:
     """Validate a descending power-of-two-nested spacing list; return strides."""
-    deltas = [float(x) for x in deltas]
+    deltas = [_check_real("spacing", x) for x in deltas]
     if len(deltas) < 2:
         raise ValueError("need at least two spacings")
-    if any(x <= 0 for x in deltas):
-        raise ValueError("spacings must be positive")
     if any(later >= earlier for later, earlier in zip(deltas[1:], deltas)):
         raise ValueError(f"spacings must be strictly descending, got {deltas}")
     finest = deltas[-1]
     strides = []
     for x in deltas:
+        # ratio = 2^k within 1e-9 relative; a ratio beyond the floats is no power
         ratio = x / finest
-        stride = 2 ** round(math.log2(ratio))
-        if abs(ratio - stride) > 1e-9 * stride:
+        k = round(math.log2(ratio)) if ratio < math.inf else 0
+        if abs(math.ldexp(ratio, -k) - 1.0) > 1e-9:
             raise ValueError(
                 f"spacing {x} is not the finest ({finest}) times a power of two"
             )
-        strides.append(int(stride))
+        strides.append(1 << k)
     return deltas, strides
 
 
@@ -114,11 +113,10 @@ def _finest_grid_functionals(
     report CLT stderrs, which need d > 1 (finite variance) and at least two
     replications.
     """
-    if not d > 1.0:
-        raise ValueError(
-            f"rate studies report CLT standard errors, which need d > 1 "
-            f"(the functional has infinite variance for d <= 1), got d={d}"
-        )
+    _check_real("penalty d", d, 1.0, rule="exceed 1: rate studies report CLT standard errors, "
+                "which need d > 1 (the functional has infinite variance for d <= 1)")
+    _check_count("replications", replications, 2, rule="be an integer >= 2: rate studies report "
+                 "CLT standard errors, which need at least 2 replications")
     deltas, strides = _nested_strides(deltas)
     finest = deltas[-1]
     config = EstimatorConfig(
@@ -130,9 +128,6 @@ def _finest_grid_functionals(
         replications=replications,
         seed=seed,
     )
-    if config.replications < 2:
-        raise ValueError(f"rate studies report CLT standard errors, which need at "
-                         f"least 2 replications, got {config.replications}")
     return deltas, _simulate_functionals(config, strides, threads=threads)
 
 

@@ -183,7 +183,8 @@ ANY_FLOAT = st.one_of(
 class TestNonFiniteAndExtremeInputs:
     @pytest.mark.parametrize("field", ["alpha", "delta", "horizon", "c_disc", "c_trunc",
                                        "stat_error"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # and values that are no real number: a bool, a numeric string
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "2"])
     def test_non_finite_rejected(self, field, value):
         kwargs = dict(alpha=1.0, delta=0.01, horizon=21.0, c_disc=1.0, c_trunc=1.0)
         kwargs[field] = value

@@ -21,8 +21,7 @@ BUDGET_KEYS = ["delta", "horizon", "disc_bound", "trunc_bound", "stat_error",
 VALIDATION_KEYS = ["exact", "correction_factor", "corrected_estimate", "abs_error",
                    "model_tolerance", "stat_tolerance", "status"]
 
-# Each subcommand's flags: option string -> (required, default, type);
-# --threads defaults to 1 with $PITERBARG_THREADS unset.
+# Each subcommand's flags: option string -> (required, default, type).
 FLAGS = {
     "estimate": {
         "--alpha": (True, None, float), "--d": (True, None, float),
@@ -65,7 +64,8 @@ def run_cli(capsys, *argv):
 class TestFlags:
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_flag_table(self, monkeypatch, command):
-        monkeypatch.delenv("PITERBARG_THREADS", raising=False)
+        # the variable an earlier release read is ignored: --threads defaults to 1
+        monkeypatch.setenv("PITERBARG_THREADS", "3")
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         actions = [a for a in sub.choices[command]._actions
@@ -307,45 +307,38 @@ class TestRate:
         assert out == ""
         assert "at least 2 replications" in err
 
-
-class TestThreadsEnvFallback:
-    def test_env_variable_sets_default(self, monkeypatch):
-        monkeypatch.setenv("PITERBARG_THREADS", "3")
-        args = build_parser().parse_args(
-            ["estimate", "--alpha", "1", "--d", "1", "--domain", "half",
-             "--delta", "0.1", "--reps", "10", "--seed", "1"]
-        )
-        assert args.threads == 3
-        monkeypatch.setenv("PITERBARG_THREADS", "junk")
-        args = build_parser().parse_args(
-            ["validate", "--d", "1", "--domain", "half", "--delta", "0.1",
-             "--reps", "10", "--seed", "1"]
-        )
-        assert args.threads == 1
-
-    @pytest.mark.parametrize("env", ["0", "-3"])
-    def test_env_below_one_exits_2(self, monkeypatch, capsys, env):
-        monkeypatch.setenv("PITERBARG_THREADS", env)
-        code, out, err = run_cli(capsys, "estimate", "--alpha", "1", "--d", "2",
-                                 "--domain", "half", "--delta", "0.1",
-                                 "--reps", "10", "--seed", "1")
+    @pytest.mark.parametrize("deltas,message", [
+        ("inf,0.01", "spacing must be positive and finite, got inf"),
+        ("nan,0.01", "spacing must be positive and finite, got nan"),
+        ("1e300,1e-300", "spacing 1e+300 is not the finest (1e-300) times a power of two"),
+    ], ids=["inf", "nan", "ratio-overflow"])
+    def test_non_finite_spacing_or_ratio_exits_2(self, capsys, monkeypatch, deltas, message):
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals", _must_not_simulate)
+        code, out, err = run_cli(capsys, "rate", "--d", "2", "--domain", "half",
+                                 "--deltas", deltas, "--reps", "10", "--seed", "1")
         assert code == 2
         assert out == ""
-        assert f"got {env}" in err and "PITERBARG_THREADS" in err
-        # a flag still overrides the variable, and commands without threads ignore it
-        code, _, _ = run_cli(capsys, "estimate", "--alpha", "1", "--d", "2",
-                             "--domain", "half", "--delta", "0.1",
-                             "--reps", "10", "--seed", "1", "--threads", "2")
-        assert code == 0
-        assert run_cli(capsys, "plan", "--alpha", "1", "--delta", "0.1")[0] == 0
+        assert message in err
 
-    def test_flag_overrides_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("PITERBARG_THREADS", "2")
-        code, out, _ = run_cli(capsys, "estimate", "--alpha", "1", "--d", "2",
-                               "--domain", "half", "--delta", "0.1",
-                               "--reps", "60", "--seed", "4", "--threads", "1")
-        assert code == 0
-        assert json.loads(out)["results"]["estimate"]["replications"] == 60
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--alpha", "0.5", "--d", "2", "--domain", "half", "--delta", "0.01"],
+        ["validate", "--d", "2", "--domain", "half", "--delta", "0.01"],
+        ["rate", "--d", "2", "--domain", "half", "--deltas", "0.02,0.01"],
+    ], ids=["estimate", "validate", "rate"])
+    def test_missing_directory_exits_2_before_simulating(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        monkeypatch.setattr("piterbarg.estimator._simulate_functionals", _must_not_simulate)
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals", _must_not_simulate)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, *command, "--reps", "2000", "--seed", "1",
+                                 "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert f"cannot write --out {target}" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCheckManifest:

@@ -40,6 +40,19 @@ class TestNestedValidation:
         with pytest.raises(ValueError):
             _nested_strides([0.01, 0.01])
 
+    @pytest.mark.parametrize("deltas,message", [
+        ([math.inf, 0.01], "spacing must be positive and finite, got inf"),
+        ([math.nan, 0.01], "spacing must be positive and finite, got nan"),
+        ([1e300, 1e-300], r"spacing 1e\+300 is not the finest \(1e-300\) times a power of two"),
+    ], ids=["inf", "nan", "ratio-overflow"])
+    def test_rejects_non_finite_spacing_or_ratio(self, monkeypatch, deltas, message):
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals", _must_not_simulate)
+        with pytest.raises(ValueError, match=message):
+            _nested_strides(deltas)
+        with pytest.raises(ValueError, match=message):
+            run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE, deltas=deltas,
+                              replications=10, seed=1)
+
     def test_rejects_short_or_nonpositive(self):
         with pytest.raises(ValueError):
             _nested_strides([0.01])

@@ -324,8 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # an --out that cannot be written fails here, not after the simulation
         out = getattr(args, "out", None)
-        if out and not os.access(os.path.dirname(out) or ".", os.W_OK):
-            raise ValueError(f"cannot write --out {out}: its directory is missing or read-only")
+        if out and (os.path.isdir(out) or not os.access(os.path.dirname(out) or ".", os.W_OK)):
+            raise ValueError(f"cannot write --out {out}: it is a directory, "
+                             "or its directory is missing or read-only")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

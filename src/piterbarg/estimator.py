@@ -172,14 +172,11 @@ def _drift(neg_count: int, pos_count: int, delta: float, alpha: float, d: float)
 def _block_rows(width: int) -> int:
     # Largest power of two B with B * width <= 2^17, and at least 1: one
     # generator build (about 20 us, under the GIL) and one standard_normal
-    # call, run without the GIL, per block of rows.  Fixed by the row width
-    # alone, so the stream never depends on the thread count.
+    # call, run without the GIL, per block.  A block is also a batch, about
+    # 2 MiB of buffers (one core's L2).  Fixed by the row width alone, so
+    # the stream never depends on the thread count.
     return 1 << max(0, ((1 << 17) // width).bit_length() - 1)
 
-
-# Working set of one batch: its normals, complex half-spectrum and path
-# values fit one core's L2 cache.
-_BATCH_BYTES = 2 << 20
 
 # A batch that runs an FFT keeps at least this many rows: numpy builds its
 # FFT plan anew on every call (about 170 us at m = 90000, page faults
@@ -241,17 +238,11 @@ def _row_bytes(rmap: _RowMap) -> int:
 
 
 def _batch_rows(rmap: _RowMap) -> int:
-    """Rows per batch: whole blocks that fit ``_BATCH_BYTES``, at least one block.
-
-    Where an FFT runs, at least ``_FFT_MIN_ROWS`` rows (blocks are powers of
-    two, so the floor is whole blocks too).  Fixed by the row shape alone;
-    ``_batch_plan`` cuts it to one block where only that fits in memory.
-    """
-    fit = _BATCH_BYTES // _row_bytes(rmap)
-    if rmap.kind == "circulant":
-        fit = max(fit, _FFT_MIN_ROWS)
+    """Rows per batch: one stream block, or ``_FFT_MIN_ROWS`` where an FFT runs
+    and the block is shorter (blocks are powers of two, so whole blocks).
+    ``_batch_plan`` cuts it to one block where only that fits in memory."""
     block = _block_rows(rmap.width)
-    return block * max(1, fit // block)
+    return max(block, _FFT_MIN_ROWS) if rmap.kind == "circulant" else block
 
 
 @dataclass(frozen=True)
@@ -448,14 +439,13 @@ def _simulate_functionals(
 
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
-    rows, and walks it in batches whose working set is about
-    ``_BATCH_BYTES``, whatever the replication count.  Each worker gets one
-    set of ``_row_buffers``, built here on the calling thread and reused for
-    all of its batches.  So memory follows from the config and the worker
-    count alone: pool threads allocate nothing large, and a run with one
-    worker runs on the calling thread.  ``_fill_normals`` builds the
-    generator of each block (B * width <= 2^17 normals) where it draws it,
-    so no generator is shared between threads.
+    rows and walks it one block a batch (``_batch_rows``), whatever the
+    replication count, with one set of ``_row_buffers`` built here on the
+    calling thread and reused for all of its batches.  So memory follows
+    from the config and the worker count alone: pool threads allocate
+    nothing large, and a run with one worker runs on the calling thread.
+    ``_fill_normals`` builds the generator of each block (B * width <= 2^17
+    normals) where it draws it, so no generator is shared between threads.
     """
     neg, pos = config.side_counts()
     rmap = _row_map(config.alpha, neg, pos)

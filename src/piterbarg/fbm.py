@@ -53,13 +53,17 @@ _EIGENVALUE_CLAMP_REL = 1e-9
 
 def _check_real(name: str, value, low: float = 0.0, high: float = math.inf,
                 rule: str = "be positive and finite", closed: bool = False) -> float:
-    """``value`` as a float, if it is a real number other than a bool with
-    low < value < high (low <= value where ``closed``); else a ValueError
-    that names the parameter.  A numeric string is no real number."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (low <= value if closed else low < value) or not value < high):
+    """``value`` as a float x, if it is a real number other than a bool, within
+    the floats, with low < x < high (low <= x where ``closed``); else a
+    ValueError that names the parameter.  A numeric string is no real number."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.nan
+    if not (low <= x if closed else low < x) or not x < high:
         raise ValueError(f"{name} must {rule}, got {value!r}")
-    return float(value)
+    return x
 
 
 def _check_count(name: str, value, low: int = 1, high: float = math.inf,
@@ -231,7 +235,6 @@ def _two_sided_values(fgn: np.ndarray, neg_count: int, out: np.ndarray) -> np.nd
     """
     out[:, 0] = 0.0
     np.cumsum(fgn, axis=1, out=out[:, 1:])
-    if neg_count:
+    if neg_count:  # x - x is +0.0: numpy buffers the overlapping anchor column
         out -= out[:, neg_count][:, None]
-        out[:, neg_count] = 0.0
     return out

@@ -183,8 +183,10 @@ ANY_FLOAT = st.one_of(
 class TestNonFiniteAndExtremeInputs:
     @pytest.mark.parametrize("field", ["alpha", "delta", "horizon", "c_disc", "c_trunc",
                                        "stat_error"])
-    # and values that are no real number: a bool, a numeric string
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "2"])
+    # and values that are no real number: a bool, a numeric string, an int
+    # beyond the floats
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "2",
+                                       pytest.param(10**400, id="10**400")])
     def test_non_finite_rejected(self, field, value):
         kwargs = dict(alpha=1.0, delta=0.01, horizon=21.0, c_disc=1.0, c_trunc=1.0)
         kwargs[field] = value

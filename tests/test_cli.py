@@ -322,11 +322,13 @@ class TestRate:
 
 
 class TestOutPath:
-    @pytest.mark.parametrize("command", [
+    SIMULATING_COMMANDS = pytest.mark.parametrize("command", [
         ["estimate", "--alpha", "0.5", "--d", "2", "--domain", "half", "--delta", "0.01"],
         ["validate", "--d", "2", "--domain", "half", "--delta", "0.01"],
         ["rate", "--d", "2", "--domain", "half", "--deltas", "0.02,0.01"],
     ], ids=["estimate", "validate", "rate"])
+
+    @SIMULATING_COMMANDS
     def test_missing_directory_exits_2_before_simulating(
         self, capsys, monkeypatch, tmp_path, command
     ):
@@ -339,6 +341,21 @@ class TestOutPath:
         assert out == ""
         assert f"cannot write --out {target}" in err
         assert list(tmp_path.iterdir()) == []
+
+    @SIMULATING_COMMANDS
+    def test_existing_directory_exits_2_before_simulating(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        monkeypatch.setattr("piterbarg.estimator._simulate_functionals", _must_not_simulate)
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals", _must_not_simulate)
+        target = tmp_path / "outdir"
+        target.mkdir()
+        code, out, err = run_cli(capsys, *command, "--reps", "2000", "--seed", "1",
+                                 "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert f"cannot write --out {target}: it is a directory" in err
+        assert list(target.iterdir()) == []
 
 
 class TestCheckManifest:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piterbarg.estimator as estimator
@@ -34,7 +34,6 @@ from piterbarg import (
     sample_two_sided_path,
 )
 from piterbarg.estimator import (
-    _BATCH_BYTES,
     _DENSE_MAX_N,
     _FFT_MIN_ROWS,
     _GEMM_MAX_MADDS,
@@ -353,15 +352,15 @@ def _row_shapes():
 
 class TestBatchPlan:
     def test_working_set_within_budget(self):
-        # whole blocks, as many as fit 2 MiB; more only for the one-block
-        # floor and, where an FFT runs, the _FFT_MIN_ROWS floor
+        # a batch is one stream block, or the _FFT_MIN_ROWS floor where an
+        # FFT runs; one block of B * width <= 2^17 normals and their
+        # half-spectrum or path values takes about 2 MiB
         for n, width, embedded in _row_shapes():
             rows, block = _batch_rows(_rmap(n, width, embedded)), _block_rows(width)
             row_bytes = _row_bytes(_rmap(n, width, embedded))
-            assert rows % block == 0
-            floor = max(block, _FFT_MIN_ROWS if embedded else 1)
-            assert rows * row_bytes <= _BATCH_BYTES or rows == floor
-            assert rows == floor or (rows + block) * row_bytes > _BATCH_BYTES
+            assert rows == (max(block, _FFT_MIN_ROWS) if embedded else block)
+            if rows == block and width <= 2**17:
+                assert rows * row_bytes <= 2**21 + 16 * rows
 
     def test_huge_rows(self):
         assert _batch_rows(_rmap(2**30, 2**30, False)) == 1
@@ -807,6 +806,29 @@ class TestEstimateConstant:
         f_small = _simulate_functionals(cfg_small, [1, 2])
         f_large = _simulate_functionals(cfg_large, [1, 2], threads=2)
         assert np.array_equal(f_small, f_large[:40])
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["iid", "dense", "circulant"]),
+           domain=st.sampled_from(list(Domain)), data=st.data())
+    def test_table_independent_of_batching(self, kind, domain, data):
+        # small grids of each row kind: a run of up to three blocks is
+        # bit-equal at 1, 2 and 3 threads, and is the first rows of a
+        # longer run at a drawn thread count
+        alpha, delta, horizons = {"iid": (1.0, 0.01, (6.0, 10.0)),
+                                  "dense": (1.5, 0.05, (3.0, 6.0)),
+                                  "circulant": (0.5, 0.05, (13.0, 15.0))}[kind]
+        kw = dict(alpha=alpha, d=0.7, domain=domain, delta=delta,
+                  horizon=data.draw(st.sampled_from(horizons)))
+        rmap = _row_map(alpha, *self._config(**kw).side_counts())
+        assert rmap.kind == kind
+        block = _block_rows(rmap.width)
+        reps = data.draw(st.integers(1, 3 * block))
+        longer = self._config(replications=reps + data.draw(st.integers(1, block)), **kw)
+        table = _simulate_functionals(longer, [1, 3], threads=data.draw(st.integers(1, 3)))
+        for threads in (1, 2, 3):
+            run = _simulate_functionals(self._config(replications=reps, **kw), [1, 3],
+                                        threads=threads)
+            assert np.array_equal(run, table[:reps])
 
     def test_brownian_estimate_tracks_corrected_closed_form(self):
         # d = 1 puts the estimator in the median-of-means regime; the

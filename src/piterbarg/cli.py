@@ -62,13 +62,12 @@ def _now() -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text``, which ends in a newline, unchanged to ``out`` or stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _horizon(args: argparse.Namespace) -> float:
@@ -106,7 +105,7 @@ def _emit_manifest(
         "config": config,
         "results": results,
     }
-    _emit(json.dumps(manifest, indent=2), args.out)
+    _emit(json.dumps(manifest, indent=2) + "\n", args.out)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -196,9 +195,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _check_json_manifest(text: str) -> list[str]:
     problems = []
     obj = json.loads(text)
-    for key in ("command", "tool_version", "started_at", "finished_at", "results"):
+    for key in ("command", "tool_version", "started_at", "finished_at", "config", "results"):
         if key not in obj:
             problems.append(f"missing manifest key {key!r}")
+        elif key in ("config", "results") and not isinstance(obj[key], dict):
+            problems.append(f"manifest key {key!r} is not a JSON object")
     def walk(node, path):
         if isinstance(node, dict):
             for k, v in node.items():
@@ -215,8 +216,8 @@ def _check_json_manifest(text: str) -> list[str]:
 def _check_csv_table(text: str) -> list[str]:
     problems = []
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        return ["empty CSV"]
+    if len(rows) < 2:
+        return ["CSV has no data rows"]
     header = ",".join(rows[0])
     if header != RATE_CSV_HEADER:
         problems.append(f"unexpected CSV header {header!r}")

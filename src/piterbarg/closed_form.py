@@ -49,20 +49,6 @@ def piterbarg_bm_full(d: float) -> float:
     return 1.0 + 2.0 / d - 1.0 / (2.0 * d + 1.0)
 
 
-def _eta_euler_transform(s: float, terms: int = 48) -> float:
-    """Dirichlet eta(s) by Euler-van Wijngaarden acceleration.
-
-    Repeatedly averages adjacent partial sums of the alternating series
-    sum (-1)^k (k+1)^(-s); the collapsed diagonal converges geometrically
-    even where the raw series crawls (error ~2^-terms for eta-type terms).
-    """
-    k = np.arange(terms, dtype=float)
-    row = np.cumsum((-1.0) ** k * (k + 1.0) ** (-s))
-    while row.size > 1:
-        row = 0.5 * (row[:-1] + row[1:])
-    return float(row[0])
-
-
 @dataclass(frozen=True)
 class RateConstant:
     """The constant -zeta(1/2)/sqrt(pi) governing the sqrt(delta) grid gap.
@@ -79,6 +65,14 @@ def rate_constant() -> RateConstant:
     """Compute -zeta(1/2)/sqrt(pi) from the accelerated eta series.
 
     zeta(1/2) = eta(1/2) / (1 - 2^(1/2)), the eta function's relation to zeta.
+    Dirichlet eta(1/2) comes from Euler-van Wijngaarden acceleration of the
+    alternating series sum (-1)^k (k+1)^(-1/2): repeatedly averaging adjacent
+    partial sums, the collapsed diagonal converges geometrically even where
+    the raw series crawls (error ~2^-48 for 48 terms).
     """
-    z = _eta_euler_transform(0.5) / (1.0 - math.sqrt(2.0))
+    k = np.arange(48, dtype=float)
+    row = np.cumsum((-1.0) ** k * (k + 1.0) ** -0.5)
+    while row.size > 1:
+        row = 0.5 * (row[:-1] + row[1:])
+    z = float(row[0]) / (1.0 - math.sqrt(2.0))
     return RateConstant(zeta_half=z, value=-z / math.sqrt(math.pi))

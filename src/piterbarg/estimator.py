@@ -387,7 +387,7 @@ def _map_rows(rmap: _RowMap, z: np.ndarray, w: np.ndarray | None, values: np.nda
         return
     fgn = z[:rows]
     if rmap.kind == "circulant":
-        fgn = _fgn_from_normals(op, fgn, w[:rows], out=fgn)[:, : rmap.n]
+        fgn = _fgn_from_normals(op, fgn, w[:rows])[:, : rmap.n]
     field = _two_sided_values(fgn, rmap.neg, out=values[:rows])
     for gain in gains:
         np.multiply(field, gain, out=field)

@@ -200,17 +200,15 @@ def _cached(build, *args):
     return build(*args)
 
 
-def _fgn_from_normals(
-    spectrum: CirculantSpectrum, z: np.ndarray, w: np.ndarray, out: np.ndarray
-) -> np.ndarray:
+def _fgn_from_normals(spectrum: CirculantSpectrum, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Map (batch, m) standard normals to (batch, m) exact fGn sequences.
 
     Builds the Hermitian half-spectrum from the first m/2+1 normals (real
     parts) and the remaining m/2-1 (imaginary parts), written straight into
     the real and imaginary views of one complex array, then inverts with a
-    real FFT. Row i depends only on z[i], so batching cannot change values.
-    ``w`` (batch, m/2+1 complex) and ``out`` (batch, m) are the buffers for
-    the half-spectrum and the result; ``out`` may be ``z``.
+    real FFT into ``z`` itself, which is returned. Row i depends only on
+    z[i], so batching cannot change values. ``w`` (batch, m/2+1 complex) is
+    the buffer for the half-spectrum.
     """
     weights = spectrum.weights
     m = spectrum.m
@@ -219,7 +217,7 @@ def _fgn_from_normals(
     np.multiply(z[:, half + 1 :], weights[1:half], out=w.imag[:, 1:half])
     w.imag[:, 0] = 0.0
     w.imag[:, half] = 0.0
-    fgn = np.fft.irfft(w, n=m, axis=1, out=out)
+    fgn = np.fft.irfft(w, n=m, axis=1, out=z)
     fgn *= math.sqrt(m)
     return fgn
 

@@ -5,6 +5,8 @@ off the same path by subsampling.  That makes per-path coarse functionals
 dominated by fine ones *exactly* (not just in expectation), so paired gap
 estimates are nonnegative pathwise and resolvable with ~1e5 paths where
 independent estimates per grid would need many orders of magnitude more.
+Both studies are views of one table, ``_study_table`` (a column per spacing,
+a row per path), read through one reader, ``_paired``.
 
 For Brownian motion (alpha = 1) the exact constants are known, and the gap
 P_exact - P^delta divided by sqrt(delta) * P^delta should approach
@@ -97,7 +99,7 @@ def _nested_strides(deltas: Sequence[float]) -> tuple[list[float], list[int]]:
     return deltas, strides
 
 
-def _finest_grid_functionals(
+def _study_table(
     alpha: float,
     d: float,
     domain: Domain,
@@ -131,6 +133,12 @@ def _finest_grid_functionals(
     return deltas, _simulate_functionals(config, strides, threads=threads)
 
 
+def _paired(table: np.ndarray, i: int, j: int | None = None) -> tuple[float, float]:
+    """Mean and CLT stderr of column i, or of table[:, i] - table[:, j]."""
+    x = table[:, i] if j is None else table[:, i] - table[:, j]
+    return float(x.mean()), _std_error(x)
+
+
 def run_rate_study_bm(
     d: float,
     domain: Domain,
@@ -146,17 +154,13 @@ def run_rate_study_bm(
     the closed forms; d must exceed 1 so the sample mean has a finite
     variance.  Returns one :class:`RatePoint` per spacing, in input order.
     """
-    deltas, functionals = _finest_grid_functionals(
-        1.0, d, domain, deltas, replications, seed, threads
-    )
+    deltas, table = _study_table(1.0, d, domain, deltas, replications, seed, threads)
     exact = (
         piterbarg_bm_half(d) if domain is Domain.HALF_LINE else piterbarg_bm_full(d)
     )
     points = []
     for j, delta in enumerate(deltas):
-        col = functionals[:, j]
-        p_hat = float(col.mean())
-        stderr = _std_error(col)
+        p_hat, stderr = _paired(table, j)
         gap = exact - p_hat
         points.append(
             RatePoint(
@@ -193,16 +197,8 @@ def run_gap_decay(
         raise ValueError(
             f"gap decay study needs alpha in (0, 2) excluding 1, got {alpha}"
         )
-    deltas, functionals = _finest_grid_functionals(
-        alpha, d, domain, deltas, replications, seed, threads
-    )
-    fine = functionals[:, -1]
-    points = []
-    for j, delta in enumerate(deltas[:-1]):
-        diff = fine - functionals[:, j]
-        points.append(
-            GapPoint(delta=delta, gap=float(diff.mean()), gap_stderr=_std_error(diff))
-        )
+    deltas, table = _study_table(alpha, d, domain, deltas, replications, seed, threads)
+    points = [GapPoint(delta, *_paired(table, -1, j)) for j, delta in enumerate(deltas[:-1])]
     exponent, exponent_stderr = _loglog_slope(
         [p.delta for p in points], [p.gap for p in points]
     )

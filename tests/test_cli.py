@@ -386,3 +386,49 @@ class TestCheckManifest:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "check-manifest", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def _check_edited_manifest(self, capsys, tmp_path, edit):
+        target = tmp_path / "m.json"
+        run_cli(capsys, "validate", "--d", "2", "--domain", "half", "--delta", "0.1",
+                "--reps", "50", "--seed", "2", "--out", str(target))
+        manifest = json.loads(target.read_text())
+        edit(manifest)
+        target.write_text(json.dumps(manifest))
+        return run_cli(capsys, "check-manifest", str(target))
+
+    def test_rejects_manifest_without_config(self, capsys, tmp_path):
+        code, out, err = self._check_edited_manifest(
+            capsys, tmp_path, lambda m: m.pop("config"))
+        assert code == 1
+        assert "[invalid]" in out
+        assert "missing manifest key 'config'" in err
+
+    @pytest.mark.parametrize("key", ["config", "results"])
+    def test_rejects_non_object_inputs_or_results(self, capsys, tmp_path, key):
+        code, _, err = self._check_edited_manifest(
+            capsys, tmp_path, lambda m: m.update({key: 5}))
+        assert code == 1
+        assert f"manifest key {key!r} is not a JSON object" in err
+
+    def test_rejects_csv_without_rows(self, capsys, tmp_path):
+        target = tmp_path / "r.csv"
+        target.write_text(RATE_CSV_HEADER + "\n")
+        code, out, err = run_cli(capsys, "check-manifest", str(target))
+        assert code == 1
+        assert "CSV has no data rows" in err
+
+
+class TestOutNewline:
+    def test_out_file_is_the_stdout_manifest(self, capsys, tmp_path):
+        target = tmp_path / "plan.json"
+        argv = ["plan", "--alpha", "1", "--delta", "0.01"]
+        _, stdout_text, _ = run_cli(capsys, *argv)
+        run_cli(capsys, *argv, "--out", str(target))
+        text = target.read_text()
+        assert text.endswith("}\n") and stdout_text.endswith("}\n")
+        timestamps = ("started_at", "finished_at")
+        written, printed = json.loads(text), json.loads(stdout_text)
+        for manifest in (written, printed):
+            for key in timestamps:
+                del manifest[key]
+        assert written == printed

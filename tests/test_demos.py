@@ -1,5 +1,6 @@
-"""Smoke tests: the demos run to their end against the package, and the
-package exports exactly the names its callers use."""
+"""Smoke tests: the demos run to their end against the package, the
+package exports exactly the names its callers use, and no module imports a
+name it does not use."""
 
 import ast
 import runpy
@@ -52,3 +53,23 @@ def test_public_names_are_the_used_ones():
     for path in callers:
         used |= _root_imports(path)
     assert set(piterbarg.__all__) == used
+
+
+PACKAGE = ROOT / "src" / "piterbarg"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unused_imports(module):
+    # every name a module imports is read in it or listed in its __all__
+    imported, used = set(), set()
+    for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names if a.name != "*"}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in {
+                getattr(t, "id", None) for t in node.targets}:
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    assert imported <= used, f"unused imports: {sorted(imported - used)}"

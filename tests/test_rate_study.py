@@ -179,6 +179,40 @@ class TestGapDecay:
         assert 0.05 < result.exponent < 1.2
 
 
+def _table(alpha, domain, deltas, reps, seed):
+    """The study's table, built here from its inputs: the finest spacing at
+    the planned horizon, every spacing as a stride of it."""
+    finest = deltas[-1]
+    config = EstimatorConfig(alpha=alpha, d=2.0, domain=domain, delta=finest,
+                             horizon=plan_horizon(finest, alpha),
+                             replications=reps, seed=seed)
+    return _simulate_functionals(config, [round(x / finest) for x in deltas])
+
+
+def _mean_stderr(x):
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
+
+
+class TestStudiesAreViewsOfOneTable:
+    def test_rate_study_reads_each_column(self):
+        deltas = [0.2, 0.1, 0.05]
+        points = run_rate_study_bm(d=2.0, domain=Domain.FULL_LINE, deltas=deltas,
+                                   replications=300, seed=17)
+        table = _table(1.0, Domain.FULL_LINE, deltas, 300, 17)
+        assert len(points) == 3
+        for j, p in enumerate(points):
+            assert (p.p_hat, p.stderr) == _mean_stderr(table[:, j])
+
+    def test_gap_study_reads_paired_differences(self):
+        deltas = [0.4, 0.2, 0.1]
+        result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
+                               deltas=deltas, replications=300, seed=19)
+        table = _table(0.5, Domain.HALF_LINE, deltas, 300, 19)
+        assert len(result.points) == 2
+        for j, p in enumerate(result.points):
+            assert (p.gap, p.gap_stderr) == _mean_stderr(table[:, -1] - table[:, j])
+
+
 class TestCsvOutput:
     def test_round_trips_through_csv_reader(self):
         points = run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,

@@ -111,7 +111,8 @@ def _study_table(
     """Simulate at the finest spacing and read every coarser one off the paths.
 
     Returns the validated spacings and the (replications, len(deltas))
-    functionals; the horizon is plan_horizon(finest, alpha).  The studies
+    functionals; the horizon is plan_horizon(finest, alpha), and a spacing
+    beyond it, whose grid would be the anchor alone, is refused.  The studies
     report CLT stderrs, which need d > 1 (finite variance) and at least two
     replications.
     """
@@ -121,12 +122,16 @@ def _study_table(
                  "CLT standard errors, which need at least 2 replications")
     deltas, strides = _nested_strides(deltas)
     finest = deltas[-1]
+    horizon = plan_horizon(finest, alpha)
+    if deltas[0] > horizon:  # named here as a spacing; the engine refuses its stride too
+        raise ValueError(f"spacing {deltas[0]} exceeds the horizon T={horizon} of the finest "
+                         f"spacing {finest}: its grid is empty")
     config = EstimatorConfig(
         alpha=alpha,
         d=d,
         domain=domain,
         delta=finest,
-        horizon=plan_horizon(finest, alpha),
+        horizon=horizon,
         replications=replications,
         seed=seed,
     )

@@ -307,6 +307,14 @@ class TestRate:
         assert out == ""
         assert "at least 2 replications" in err
 
+    def test_spacing_beyond_horizon_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals", _must_not_simulate)
+        code, out, err = run_cli(capsys, "rate", "--d", "2", "--domain", "half",
+                                 "--deltas", "40.96,0.01", "--reps", "200", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "spacing 40.96 exceeds the horizon" in err
+
     @pytest.mark.parametrize("deltas,message", [
         ("inf,0.01", "spacing must be positive and finite, got inf"),
         ("nan,0.01", "spacing must be positive and finite, got nan"),

@@ -782,13 +782,28 @@ class TestEstimateConstant:
             recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 2])
             assert [rec.functional for rec in recs] == list(t1[r])
 
+    @pytest.mark.parametrize("stride", [-1, 0, 25, 2.0, True],
+                             ids=["negative", "zero", "beyond-grid", "float", "bool"])
+    def test_bad_stride_refused_before_anything_is_built(self, monkeypatch, stride):
+        # 20 grid points: a stride of 25 (or -1) would keep the anchor alone
+        def unreachable(*args):
+            raise AssertionError("built or drew before checking the strides")
+
+        for name in ("_batch_plan", "_cached", "_fill_normals"):
+            monkeypatch.setattr(estimator, name, unreachable)
+        cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=Domain.HALF_LINE, delta=0.1,
+                              horizon=2.0, replications=4, seed=1)
+        with pytest.raises(ValueError, match=r"stride must be an integer from 1 to the 20 "
+                           rf"grid points of the positive side, got {stride!r}"):
+            _simulate_functionals(cfg, [1, stride])
+
     def test_lone_batch_runs_on_calling_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a single batch must not start a thread pool")
 
         cfg = self._config(replications=50)
         t1 = _simulate_functionals(cfg, [1])
-        monkeypatch.setattr("piterbarg.estimator.ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1], threads=4))
 
     @pytest.mark.parametrize("kind,kw", [
@@ -1010,6 +1025,36 @@ class TestAggregation:
         assert res.ci_low == 13.5
         assert res.ci_high == 35.5
         assert res.method == "median-of-means"
+
+    @pytest.mark.parametrize("infs", [0, 1, 13], ids=["finite", "one-inf", "inf-majority"])
+    def test_median_of_means_is_np_median(self, infs):
+        # the median read off the sorted block means is np.median's, bit for
+        # bit, at every block count, odd and even, and with +inf block means
+        rng = np.random.default_rng(5)
+        for blocks in range(1, 25):
+            for reps in (blocks, 3 * blocks + 1):
+                values = 1.0 + rng.pareto(0.7, reps)
+                values[rng.permutation(reps)[:min(infs, reps)]] = np.inf
+                res = _aggregate(values, self._config(d=0.5))
+                split = np.array_split(values, min(reps, 24))
+                expected = float(np.median(np.sort([b.mean() for b in split])))
+                assert repr(res.estimate) == repr(expected), (blocks, reps)
+
+    def test_one_worker_run_imports_no_pool_or_masked_arrays(self):
+        script = (
+            "import sys\n"
+            "from piterbarg import Domain, EstimatorConfig, estimate_constant\n"
+            "cfg = EstimatorConfig(alpha=1.5, d=0.5, domain=Domain.FULL_LINE, "
+            "delta=0.05, horizon=4.3, replications=100, seed=9)\n"
+            "assert estimate_constant(cfg).method == 'median-of-means'\n"
+            "print(sorted({'numpy.ma', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        src = str(Path(estimator.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "[]"
 
     def test_median_of_means_ci_rank_table(self):
         # Binom(K, 1/2) order-statistic ranks for K = 1..24, as scipy's

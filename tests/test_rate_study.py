@@ -53,6 +53,19 @@ class TestNestedValidation:
             run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE, deltas=deltas,
                               replications=10, seed=1)
 
+    @pytest.mark.parametrize("study,deltas,spacing,horizon", [
+        (lambda deltas: run_rate_study_bm(2.0, Domain.HALF_LINE, deltas, 200, 1),
+         [40.96, 0.01], "40.96", "21.2"),
+        (lambda deltas: run_gap_decay(1.5, 2.0, Domain.HALF_LINE, deltas, 200, 1),
+         [10.24, 0.64, 0.01], "10.24", "7.66"),
+    ], ids=["rate", "gap"])
+    def test_rejects_spacing_beyond_horizon(self, monkeypatch, study, deltas, spacing, horizon):
+        # the coarse grid would hold the anchor alone: a column of ones
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals", _must_not_simulate)
+        with pytest.raises(ValueError, match=rf"spacing {spacing} exceeds the horizon "
+                           rf"T={horizon}\d* of the finest spacing 0.01: its grid is empty"):
+            study(deltas)
+
     def test_rejects_short_or_nonpositive(self):
         with pytest.raises(ValueError):
             _nested_strides([0.01])

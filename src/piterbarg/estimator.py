@@ -257,19 +257,19 @@ class _BatchPlan:
 def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
     """Contiguous near-equal block shares, one per worker, walked in batches.
 
-    The run's ``N`` blocks go to ``W = min(threads, N)`` workers, worker k
-    taking blocks ``[k N / W, (k + 1) N / W)``.  Dense rows run their
-    products ``_gemm_rows(n)`` rows at a time, so their buffers hold whole
-    such chunks even where a share is shorter.  Raises ValueError for a
-    thread count below 1, and for a run whose memory, worked out here before
-    anything is allocated, exceeds ``_memory_limit()`` at one block per
-    batch.
+    The run's ``N`` blocks go to ``W = min(threads, CPUs, N)`` workers, CPUs
+    being ``_cpu_count()``, worker k taking blocks ``[k N / W, (k + 1) N / W)``.
+    Dense rows run their products ``_gemm_rows(n)`` rows at a time, so their
+    buffers hold whole such chunks even where a share is shorter.  Raises
+    ValueError for a thread count below 1, and for a run whose memory, worked
+    out here before anything is allocated, exceeds ``_memory_limit()`` at one
+    block per batch.
     """
     threads = _check_count("threads", threads)
     n, width = rmap.n, rmap.width
     block = _block_rows(width)
     nblocks = -(-reps // block)
-    workers = min(threads, nblocks)
+    workers = min(threads, _cpu_count(), nblocks)
     shares = tuple(
         (min(reps, k * nblocks // workers * block),
          min(reps, (k + 1) * nblocks // workers * block))
@@ -298,6 +298,11 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
             f"{nbytes} bytes, more than the {limit} bytes of {source}"
         )
     return _BatchPlan(block, rows, shares, nbytes)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on; all of them where affinity is unknown."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _cgroup_memory_max() -> tuple[int, str] | None:
@@ -375,12 +380,11 @@ def _dense_product(z: np.ndarray, gmap: np.ndarray, values: np.ndarray, rows: in
               out=values[:padded].reshape(-1, c, n + 1))
 
 
-def _map_rows(rmap: _RowMap, z: np.ndarray, w: np.ndarray | None, values: np.ndarray,
+def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, values: np.ndarray,
               rows: int, gains: Sequence[float] = ()) -> None:
-    """Paths of the normals z[:rows] into values[:rows], in ``_row_buffers``:
-    iid and circulant paths multiplied by each of ``gains`` in turn, dense
-    ones by their product, folded into the map."""
-    op = _row_operator(rmap, gains)
+    """Paths of the normals z[:rows] into values[:rows], in ``_row_buffers``, by
+    ``op = _row_operator(rmap, gains)``: iid and circulant paths multiplied by
+    each of ``gains`` in turn, dense ones by their product, folded into the map."""
     if rmap.kind == "dense":
         _dense_product(z, op, values, rows)
         return
@@ -415,7 +419,7 @@ def sample_two_sided_path(
     rmap = _row_map(alpha, neg_count, pos_count)
     z, w, values = _row_buffers(rmap, _gemm_rows(_DENSE_MAX_N) if rmap.kind == "dense" else 1)
     rng.standard_normal(out=z[0])
-    _map_rows(rmap, z, w, values, 1)
+    _map_rows(rmap, _row_operator(rmap, ()), z, w, values, 1)
     return values[0].copy()
 
 
@@ -441,10 +445,10 @@ def _simulate_functionals(
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
     rows and walks it one block a batch (``_batch_rows``), whatever the
-    replication count, with one set of ``_row_buffers`` built here on the
-    calling thread and reused for all of its batches.  So memory follows
-    from the config and the worker count alone: pool threads allocate
-    nothing large, and a run with one worker runs on the calling thread.
+    replication count, with one set of ``_row_buffers`` and the row operator
+    built here on the calling thread and reused for all of its batches.  So
+    memory follows from the config and the worker count alone: pool threads
+    build nothing, and a run with one worker runs on the calling thread.
     ``_fill_normals`` builds the generator of each block (B * width <= 2^17
     normals) where it draws it, so no generator is shared between threads.
     """
@@ -461,31 +465,28 @@ def _simulate_functionals(
         from concurrent.futures import ThreadPoolExecutor
     # sqrt(2) * (scale * values): folded into the dense map, else in place.
     gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
-    _row_operator(rmap, gains)  # built once, here, not by two workers at once
+    op = _row_operator(rmap, gains)
     drift = _drift(neg, pos, config.delta, config.alpha, config.d)
     out = np.empty((reps, len(strides)))
+    columns = [(j, neg % s, s) for j, s in enumerate(strides)]  # each sub-grid holds the anchor
 
-    def run(start: int, rows: int, z: np.ndarray, w: np.ndarray | None,
-            values: np.ndarray) -> None:
-        _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
-        _map_rows(rmap, z, w, values, rows, gains)
-        field = values[:rows]
-        np.subtract(field, drift, out=field)
-        for j, s in enumerate(strides):
-            start_col = neg if config.domain is Domain.HALF_LINE else neg % s
-            out[start : start + rows, j] = np.exp(field[:, start_col::s].max(axis=1))
-
-    def work(k: int, space: tuple) -> None:
-        lo, hi = plan.shares[k]
+    def work(share: tuple, space: tuple) -> None:
+        (lo, hi), (z, w, values) = share, space
         for start in range(lo, hi, plan.rows):
-            run(start, min(plan.rows, hi - start), *space)
+            rows = min(plan.rows, hi - start)
+            _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
+            _map_rows(rmap, op, z, w, values, rows, gains)
+            field = values[:rows]
+            np.subtract(field, drift, out=field)
+            for j, first, s in columns:
+                out[start : start + rows, j] = np.exp(field[:, first::s].max(axis=1))
 
     spaces = [_row_buffers(rmap, plan.rows) for _ in plan.shares]
     if len(spaces) > 1:
         with ThreadPoolExecutor(max_workers=len(spaces)) as pool:
-            list(pool.map(work, range(len(spaces)), spaces))
+            list(pool.map(work, plan.shares, spaces))
     else:
-        work(0, spaces[0])
+        work(plan.shares[0], spaces[0])
     return out
 
 

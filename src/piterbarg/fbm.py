@@ -195,7 +195,7 @@ def _dense_map(alpha: float, n: int, neg_count: int, scale: float) -> np.ndarray
     return gmap
 
 
-@lru_cache(maxsize=1)  # the one spectrum or dense map a run's memory plan counts
+@lru_cache(maxsize=1)  # a run holds its own map; the slot spares a later run a rebuild
 def _cached(build, *args):
     return build(*args)
 

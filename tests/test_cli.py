@@ -232,9 +232,22 @@ class TestEstimate:
         assert out == ""
         assert "n=100000000000" in err and "bytes of physical memory" in err
 
-    def test_rerun_reproduces_results_fields(self, capsys):
-        _, out1, _ = run_cli(capsys, *self.ARGS)
-        _, out2, _ = run_cli(capsys, *self.ARGS, "--threads", "3")
+    def test_failed_embedding_exits_1(self, capsys, monkeypatch):
+        # the spectrum's eigenvalue check, forced to fail, is the numerical
+        # failure the CLI maps to exit 1
+        monkeypatch.setattr("piterbarg.fbm._EIGENVALUE_CLAMP_REL", -1.0)
+        code, out, err = run_cli(capsys, "estimate", "--alpha", "0.55", "--d", "2",
+                                 "--domain", "half", "--delta", "0.01", "--horizon", "3.01",
+                                 "--reps", "4", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "numerical failure: circulant embedding failed for alpha=0.55, n=301" in err
+
+    def test_rerun_reproduces_results_fields(self, capsys, pool_sizes):
+        # 1100 rows of width 179 are three blocks of 512: three workers
+        _, out1, _ = run_cli(capsys, *self.ARGS, "--reps", "1100")
+        _, out2, _ = run_cli(capsys, *self.ARGS, "--reps", "1100", "--threads", "3")
+        assert pool_sizes == [3]
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["results"] == r2["results"]  # timestamps excluded by design
         assert r1["config"] == r2["config"]

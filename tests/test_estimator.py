@@ -12,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import piterbarg.estimator as estimator
+import piterbarg.fbm as fbm
+import piterbarg.rate_study as rate_study
 from oracle import (
     PathGrid,
     block_rows,
@@ -48,6 +50,7 @@ from piterbarg.estimator import (
     _row_buffers,
     _row_bytes,
     _row_map,
+    _row_operator,
     _RowMap,
     _simulate_functionals,
     grid_count,
@@ -61,6 +64,18 @@ def _rmap(n, width, embedded=False, dense=False):
     reads only its kind, n and width."""
     kind = "circulant" if embedded else "dense" if dense else "iid"
     return _RowMap(kind, 0.5, 0, n, width)
+
+
+def _counted(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that logs each call; the log."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def make_path(alpha, delta, neg, pos, rng):
@@ -351,6 +366,11 @@ def _row_shapes():
 
 
 class TestBatchPlan:
+    @pytest.fixture(autouse=True)
+    def _many_cpus(self, monkeypatch):
+        # a plan starts no thread: lay out more workers than the host has CPUs
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 64)
+
     def test_working_set_within_budget(self):
         # a batch is one stream block, or the _FFT_MIN_ROWS floor where an
         # FFT runs; one block of B * width <= 2^17 normals and their
@@ -388,6 +408,19 @@ class TestBatchPlan:
             assert hi == lo and lo % 64 == 0
         sizes = [-(-(hi - lo) // 64) for lo, hi in plan.shares]
         assert sum(sizes) == nblocks and max(sizes) - min(sizes) <= 1
+
+    def test_workers_capped_at_the_cpus(self, monkeypatch):
+        # 5000 threads on 2 CPUs: 2 shares and 2 buffer sets, not 5000 of
+        # each (5.13 GiB at the uncapped plan); the cap leaves shares whole
+        rmap = _row_map(1.0, 0, 2120)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(estimator, "_cpu_count", lambda: cpus)
+            plan = _batch_plan(10**7, rmap, 5000, 1)
+            assert len(plan.shares) == cpus
+            assert plan.shares[0][0] == 0 and plan.shares[-1][1] == 10**7
+            assert plan.nbytes == 8 * 2121 + 8 * 10**7 + cpus * plan.rows * _row_bytes(rmap)
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        assert len(_batch_plan(64, _rmap(100, 2048, True), 5000, 1).shares) == 1
 
     @pytest.mark.parametrize("threads", [0, -3, 1.5, True])
     def test_threads_below_one_rejected(self, threads):
@@ -573,6 +606,18 @@ class TestBatchPlan:
         assert estimator._cgroup_memory_max() == expected
 
 
+def test_cpu_count_is_the_affinity_set(monkeypatch):
+    # the CPUs the process may run on; all of them where the OS keeps no
+    # affinity set, and one where it cannot say
+    if hasattr(os, "sched_getaffinity"):
+        assert estimator._cpu_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(estimator.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 6)
+    assert estimator._cpu_count() == 6
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: None)
+    assert estimator._cpu_count() == 1
+
+
 class TestBlockRows:
     def test_largest_power_of_two_within_block_budget(self):
         widths = list(range(1, 2**16 + 1)) + [90_000, 2**17, 2**17 + 1, 2**22, 2**30]
@@ -624,13 +669,14 @@ class TestEstimateConstant:
         assert res.ci_low <= res.estimate <= res.ci_high
         assert res.stderr is None
 
-    def test_deterministic_across_thread_counts(self):
-        cfg = self._config(replications=300)
+    def test_deterministic_across_thread_counts(self, pool_sizes):
+        cfg = self._config(replications=4000)  # four blocks of 1024 rows
         r1 = estimate_constant(cfg, threads=1)
         r4 = estimate_constant(cfg, threads=4)
         assert r1 == r4
         # and across repeated runs
         assert estimate_constant(cfg, threads=2) == r1
+        assert pool_sizes == [4, 2]
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
@@ -710,7 +756,7 @@ class TestEstimateConstant:
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
         assert np.array_equal(t1, t2)
 
-    def test_embedded_deterministic_across_threads_and_batches(self, monkeypatch):
+    def test_embedded_deterministic_across_threads_and_batches(self, monkeypatch, pool_sizes):
         # n = 20 increments embed in m = 40 (forced: the grid is short), so
         # this is two batches and a short third, run by two and three
         # workers that each reuse one set of buffers
@@ -721,6 +767,7 @@ class TestEstimateConstant:
         t1 = _simulate_functionals(cfg, [1, 3], threads=1)
         for threads in (2, 3):
             assert np.array_equal(t1, _simulate_functionals(cfg, [1, 3], threads=threads))
+        assert pool_sizes == [2, 3]
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
     def test_block_stream_matches_oracle(self, alpha, monkeypatch):
@@ -753,6 +800,7 @@ class TestEstimateConstant:
         cfg = self._config(replications=4000)
         assert sum(cfg.side_counts()) == 100 and _batch_rows(_rmap(100, 100, False)) == 1024
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         monkeypatch.setattr(estimator, "_fill_normals", spy)
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
         fills.sort()
@@ -761,7 +809,8 @@ class TestEstimateConstant:
         assert np.array_equal(t1, t2)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-    def test_uneven_block_shares_match_one_thread_and_oracle(self, alpha, monkeypatch):
+    def test_uneven_block_shares_match_one_thread_and_oracle(self, alpha, monkeypatch,
+                                                             pool_sizes):
         # five blocks, the last one short, in batches of one block: two
         # workers take blocks [0, 2) and [2, 5), three take [0, 1), [1, 3)
         # and [3, 5); the embedding is forced on this short grid
@@ -777,6 +826,7 @@ class TestEstimateConstant:
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         for threads in (2, 3):
             assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=threads))
+        assert pool_sizes == [2, 3]
         for r in (0, block - 1, block, 2 * block - 1, 2 * block, 3 * block - 1,
                   3 * block, 4 * block, 4 * block + 2):
             recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 2])
@@ -803,8 +853,64 @@ class TestEstimateConstant:
 
         cfg = self._config(replications=50)
         t1 = _simulate_functionals(cfg, [1])
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 4)
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1], threads=4))
+
+    def test_pool_capped_at_the_cpus(self, monkeypatch, pool_sizes):
+        # the pool stand-in records its size: 5000 threads on 2 CPUs ask
+        # for 2 workers, and give the one-thread table
+        cfg = self._config(replications=4000)  # four blocks of 1024 rows
+        t1 = _simulate_functionals(cfg, [1, 2])
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=5000))
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("iid", dict(replications=4000)),
+        ("dense", dict(alpha=1.5, domain=Domain.FULL_LINE, replications=2048)),
+        ("circulant", dict(alpha=0.5, horizon=15.0, replications=1100)),
+    ])
+    def test_row_operator_built_once_on_calling_thread(self, monkeypatch, kind, kw):
+        # two workers and several batches each: the run builds its operator
+        # once, before any worker starts, and no batch enters the cache
+        caller, built = threading.get_ident(), []
+        row_operator = estimator._row_operator
+
+        def spy_operator(*args):
+            built.append((threading.get_ident(), len(fills)))
+            return row_operator(*args)
+
+        cfg = self._config(**kw)
+        assert _row_map(cfg.alpha, *cfg.side_counts()).kind == kind
+        t1 = _simulate_functionals(cfg, [1, 2])
+        fills = _counted(monkeypatch, estimator, "_fill_normals")
+        cached = _counted(monkeypatch, estimator, "_cached")
+        monkeypatch.setattr(estimator, "_row_operator", spy_operator)
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=2))
+        assert len(fills) >= 4 and caller not in fills  # pool threads ran the batches
+        assert built == [(caller, 0)]
+        assert cached == ([] if kind == "iid" else [caller])
+
+    def test_another_cache_entry_mid_run_builds_no_second_map(self, monkeypatch):
+        # a dense run of three batches whose second batch first caches a
+        # spectrum (as another run or a sampler call would) builds its
+        # dense map once, and keeps its table
+        fill = estimator._fill_normals
+
+        def evicting_fill(seed, z, first, block):
+            if first == 1:
+                fbm._cached(circulant_spectrum, 0.7, 300)
+            fill(seed, z, first, block)
+
+        cfg = self._config(alpha=1.5, replications=2 * 1024 + 5)  # n = 100, blocks of 1024
+        assert _row_map(cfg.alpha, *cfg.side_counts()).kind == "dense"
+        t1 = _simulate_functionals(cfg, [1, 2])
+        builds = _counted(monkeypatch, estimator, "_dense_map")
+        monkeypatch.setattr(estimator, "_fill_normals", evicting_fill)
+        assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2]))
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("kind,kw", [
         ("iid", {}),
@@ -822,10 +928,11 @@ class TestEstimateConstant:
         f_large = _simulate_functionals(cfg_large, [1, 2], threads=2)
         assert np.array_equal(f_small, f_large[:40])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(kind=st.sampled_from(["iid", "dense", "circulant"]),
            domain=st.sampled_from(list(Domain)), data=st.data())
-    def test_table_independent_of_batching(self, kind, domain, data):
+    def test_table_independent_of_batching(self, kind, domain, data, pool_sizes):
         # small grids of each row kind: a run of up to three blocks is
         # bit-equal at 1, 2 and 3 threads, and is the first rows of a
         # longer run at a drawn thread count
@@ -860,6 +967,37 @@ class TestEstimateConstant:
             f"estimate {res.estimate:.4f} vs predicted {predicted:.4f} "
             f"(tol {tol:.4f})"
         )
+
+class TestStageSeams:
+    """A caller times a stage by replacing its name in the module globals
+    (the traced benchmark does), so each name is called once per stage run."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind,alpha,horizon", [
+        ("iid", 1.0, 5.0), ("dense", 1.5, 5.0), ("circulant", 0.5, 15.0),
+    ])
+    def test_engine_stages_once_per_batch(self, monkeypatch, kind, alpha, horizon, threads):
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.FULL_LINE, delta=0.05,
+                              horizon=horizon, replications=1500, seed=5)
+        rmap = _row_map(alpha, *cfg.side_counts())
+        assert rmap.kind == kind
+        plan = _batch_plan(cfg.replications, rmap, threads, 1)
+        batches = sum(-(-(hi - lo) // plan.rows) for lo, hi in plan.shares)
+        assert batches >= 3
+        fgn, cumsum, aggregate = (_counted(monkeypatch, estimator, name) for name in
+                                  ("_fgn_from_normals", "_two_sided_values", "_aggregate"))
+        estimate_constant(cfg, threads=threads)
+        assert len(fgn) == (batches if kind == "circulant" else 0)
+        assert len(cumsum) == (0 if kind == "dense" else batches)
+        assert len(aggregate) == 1
+
+    def test_studies_simulate_once(self, monkeypatch):
+        simulate = _counted(monkeypatch, rate_study, "_simulate_functionals")
+        rate_study.run_rate_study_bm(2.0, Domain.HALF_LINE, [0.04, 0.02], 50, 3)
+        assert len(simulate) == 1
+        rate_study.run_gap_decay(1.5, 2.0, Domain.HALF_LINE, [0.1, 0.05], 50, 3)
+        assert len(simulate) == 2
 
 
 class TestDenseRows:
@@ -916,7 +1054,7 @@ class TestDenseRows:
         c, n = _gemm_rows(80), 80
         assert shapes == [((1024 // c, c, n), (n, n + 1)), ((2, c, n), (n, n + 1))]
 
-    def test_bit_identical_across_threads_batchings_and_counts(self, monkeypatch):
+    def test_bit_identical_across_threads_batchings_and_counts(self, monkeypatch, pool_sizes):
         # three and a bit blocks: one, two and three workers, batches of one
         # block and of two, and a count that ends the run mid-block
         cfg = self._config(replications=3 * 1024 + 70)
@@ -930,6 +1068,7 @@ class TestDenseRows:
         for reps in (1, 5, 1024 + 3, 3 * 1024 + 33):
             short = _simulate_functionals(self._config(replications=reps), [1, 2], threads=2)
             assert np.array_equal(short, reference[:reps])
+        assert max(pool_sizes) == 3
 
     def test_bit_identical_across_openblas_threads(self):
         # the products are small enough for OpenBLAS to run on the calling
@@ -992,7 +1131,7 @@ class TestPathSampler:
         assert reps < plan.rows
         z, w, values = _row_buffers(rmap, plan.rows)
         _fill_normals(2027, z[:reps], 0, plan.block)
-        _map_rows(rmap, z, w, values, reps)
+        _map_rows(rmap, _row_operator(rmap, ()), z, w, values, reps)
         for r in (0, 1, c - 1, c, c + 2):
             row = sample_two_sided_path(alpha, neg, pos,
                                         replication_stream(2027, r, n, plan.block))

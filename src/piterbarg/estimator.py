@@ -19,21 +19,32 @@ blocks, whose interval comes from block-mean order statistics.  Median-of-
 means results carry extra bias under heavy skew and should be read as
 robust location estimates, not unbiased means.
 
-A replication draws one row of normals and maps it to its path in one of
-three ways, which ``_row_map`` picks and ``_map_rows`` applies, for the
-engine and ``sample_two_sided_path`` alike.  At alpha = 1 (and for a single
-increment) the row holds the n increments, iid.  Otherwise, on grids of at
+Each stream row of normals maps to paths in one of three ways, which
+``_row_map`` picks and ``_map_rows`` applies, for the engine and
+``sample_two_sided_path`` alike.  At alpha = 1 (and for a single increment)
+the row holds the n increments, iid: one path.  Otherwise, on grids of at
 most ``_DENSE_MAX_N`` increments, it holds n normals, which one product with
-the dense map of ``fbm._dense_map`` turns into the scaled path values.  On
-longer grids it holds the m normals of the circulant embedding.  Under
-stream contract v4, rows are grouped into blocks of B, the largest power of
+the dense map of ``fbm._dense_map`` turns into the scaled values of one path.
+On longer grids it holds the m normals of the circulant embedding, m the
+smallest even 5-smooth length >= 2n, whose fGn sequence gives two paths: its
+increments [0, n) and [m/2, m/2 + n), disjoint windows that are each exact
+in law but are not independent of each other.
+
+Stream contract v5: rows are grouped into blocks of B, the largest power of
 two with B * width <= 2^17 (at least 1), so B depends on the row width alone.
 Block b is the stream ``SFC64(SeedSequence(seed, spawn_key=(b,)))``, which
 is ``SeedSequence(seed).spawn(b + 1)[b]``, numpy's spawning recipe, drawn
-row after row; replication r is row r mod B of block r // B.  Batches start
-on block boundaries, and dense rows are multiplied in fixed chunks of
+row after row; stream row e is row e mod B of block e // B.  Replication r
+is window r mod 2 of stream row r // 2 on circulant rows, and stream row r
+otherwise; an odd count drops the second window of its last row, so a run
+is the first replications of any longer one.  Batches start on block
+boundaries, and dense rows are multiplied in fixed chunks of
 ``_gemm_rows(n)`` rows that tile the blocks, so results are bit-identical
 no matter how replications are batched or spread over threads.
+
+Every reported error treats a stream row, not a path, as the independent
+unit: the CLT stderr is computed from per-row sums of deviations
+(``_std_error``), and median-of-means blocks are runs of whole rows.
 """
 
 from __future__ import annotations
@@ -140,9 +151,9 @@ class EstimatorConfig:
 class EstimateResult:
     """Point estimate with uncertainty and aggregation metadata.
 
-    ``stderr`` is present only for the sample-mean method; median-of-means
-    reports an order-statistic interval instead (``ci_low``/``ci_high`` may
-    be absent for very small replication counts).
+    ``stderr`` is present only for the sample-mean method over at least two
+    stream rows; median-of-means reports an order-statistic interval instead
+    (``ci_low``/``ci_high`` may be absent for very small replication counts).
     """
 
     estimate: float
@@ -186,9 +197,11 @@ _FFT_MIN_ROWS = 4
 
 # Grids of at most this many increments (alpha != 1) map n normals through
 # the dense (n, n + 1) matrix of ``fbm._dense_map`` instead of embedding:
-# the largest n whose products take 4 rows or more (``_gemm_rows``).  On one
-# core such a row costs about half an FFT row (4.4 against 8.9 us at n = 172,
-# 7.2 against 12.0 at n = 255); at 2 rows a product it costs about as much.
+# the largest n whose products take 4 rows or more (``_gemm_rows``).  Per
+# path on one core, dense against an embedding row's two windows: 3.65
+# against 5.05 us at n = 172, 7.12 against 6.20 us at n = 254, so the
+# crossover now lies below this bound; it stays, since moving it would
+# change which grids draw dense rows.
 _DENSE_MAX_N = 255
 
 # OpenBLAS runs a product of at most this many multiply-adds on the calling
@@ -208,15 +221,21 @@ def _gemm_rows(n: int) -> int:
 
 @dataclass(frozen=True)
 class _RowMap:
-    """How a row of ``width`` normals becomes a path of n + 1 values anchored at
-    column ``neg``: "iid" (the n increments), "dense" (n normals times
-    ``fbm._dense_map``) or "circulant" (the m normals of the embedding)."""
+    """How a stream row of ``width`` normals becomes ``paths`` paths of n + 1
+    values anchored at column ``neg``: "iid" (the n increments), "dense" (n
+    normals times ``fbm._dense_map``) or "circulant" (the m normals of the
+    embedding, two windows)."""
 
     kind: str
     alpha: float
     neg: int
     n: int
     width: int
+
+    @property
+    def paths(self) -> int:
+        """Replications per stream row, the unit of every reported error."""
+        return 2 if self.kind == "circulant" else 1
 
 
 def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
@@ -226,12 +245,13 @@ def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
         return _RowMap("iid", alpha, neg, n, n)
     if n <= _DENSE_MAX_N:
         return _RowMap("dense", alpha, neg, n, n)
-    return _RowMap("circulant", alpha, neg, n, _next_fast_len(2 * (n - 1)))
+    return _RowMap("circulant", alpha, neg, n, _next_fast_len(2 * n))
 
 
 def _row_bytes(rmap: _RowMap) -> int:
     # Normals, and the complex half-spectrum where there is an embedding,
-    # whose m + 2 floats then take the n + 1 path values; else the values.
+    # whose m + 2 floats then take the 2(n + 1) values of its two paths
+    # (m >= 2n); else the values.
     width = rmap.width
     return 8 * width + (16 * (width // 2 + 1) if rmap.kind == "circulant" else 8 * (rmap.n + 1))
 
@@ -249,16 +269,18 @@ class _BatchPlan:
     """How a run's rows are batched, shared among workers and held in memory."""
 
     block: int  # rows per stream block
-    rows: int  # rows per batch buffer
-    shares: tuple[tuple[int, int], ...]  # (first row, stop row) per worker
+    rows: int  # stream rows per batch buffer
+    shares: tuple[tuple[int, int], ...]  # (first, stop) stream row per worker
     nbytes: int  # drift, spectrum or dense map, output table, every worker's buffers
 
 
 def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
     """Contiguous near-equal block shares, one per worker, walked in batches.
 
-    The run's ``N`` blocks go to ``W = min(threads, CPUs, N)`` workers, CPUs
-    being ``_cpu_count()``, worker k taking blocks ``[k N / W, (k + 1) N / W)``.
+    ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows, and
+    the table holds ``reps`` rows of ``columns``.  The rows' ``N`` blocks go
+    to ``W = min(threads, CPUs, N)`` workers, CPUs being ``_cpu_count()``,
+    worker k taking blocks ``[k N / W, (k + 1) N / W)``.
     Dense rows run their products ``_gemm_rows(n)`` rows at a time, so their
     buffers hold whole such chunks even where a share is shorter.  Raises
     ValueError for a thread count below 1, and for a run whose memory, worked
@@ -268,11 +290,12 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     threads = _check_count("threads", threads)
     n, width = rmap.n, rmap.width
     block = _block_rows(width)
-    nblocks = -(-reps // block)
+    stream = -(-reps // rmap.paths)
+    nblocks = -(-stream // block)
     workers = min(threads, _cpu_count(), nblocks)
     shares = tuple(
-        (min(reps, k * nblocks // workers * block),
-         min(reps, (k + 1) * nblocks // workers * block))
+        (min(stream, k * nblocks // workers * block),
+         min(stream, (k + 1) * nblocks // workers * block))
         for k in range(workers)
     )
     rows = min(_batch_rows(rmap), max(hi - lo for lo, hi in shares))
@@ -351,21 +374,24 @@ def _fill_normals(seed: int, z: np.ndarray, first: int, block: int) -> None:
 
 
 def _row_operator(rmap: _RowMap, gains: Sequence[float]):
-    """None (iid rows), the cached spectrum, or the cached dense map times the
-    product of ``gains``."""
+    """None (iid rows), the cached spectrum of length ``rmap.width`` (that of
+    n + 1 increments), or the cached dense map times the product of ``gains``."""
     if rmap.kind == "dense":
         return _cached(_dense_map, rmap.alpha, rmap.n, rmap.neg, math.prod(gains))
-    return _cached(circulant_spectrum, rmap.alpha, rmap.n) if rmap.kind == "circulant" else None
+    if rmap.kind == "circulant":
+        return _cached(circulant_spectrum, rmap.alpha, rmap.n + 1)
+    return None
 
 
 def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
-    """Normals (later the fGn), half-spectrum and path values for ``rows`` rows;
-    the values take the floats of the half-spectrum once the irfft has
-    consumed it, row after row, so the elementwise passes run unbroken."""
-    n, embedded = rmap.n, rmap.kind == "circulant"
+    """Normals (later the fGn), half-spectrum and path values for ``rows`` stream
+    rows, ``rmap.paths`` paths each; the values take the floats of the
+    half-spectrum once the irfft has consumed it, path after path, so the
+    elementwise passes run unbroken."""
+    n, embedded, paths = rmap.n, rmap.kind == "circulant", rmap.paths * rows
     w = np.empty((rows, rmap.width // 2 + 1), dtype=np.complex128) if embedded else None
-    flat = w.view(np.float64).reshape(-1) if embedded else np.empty(rows * (n + 1))
-    return np.empty((rows, rmap.width)), w, flat[: rows * (n + 1)].reshape(rows, n + 1)
+    flat = w.view(np.float64).reshape(-1) if embedded else np.empty(paths * (n + 1))
+    return np.empty((rows, rmap.width)), w, flat[: paths * (n + 1)].reshape(paths, n + 1)
 
 
 def _dense_product(z: np.ndarray, gmap: np.ndarray, values: np.ndarray, rows: int) -> None:
@@ -382,16 +408,18 @@ def _dense_product(z: np.ndarray, gmap: np.ndarray, values: np.ndarray, rows: in
 
 def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, values: np.ndarray,
               rows: int, gains: Sequence[float] = ()) -> None:
-    """Paths of the normals z[:rows] into values[:rows], in ``_row_buffers``, by
-    ``op = _row_operator(rmap, gains)``: iid and circulant paths multiplied by
-    each of ``gains`` in turn, dense ones by their product, folded into the map."""
+    """Paths of the normals z[:rows] into values[:rmap.paths * rows], in
+    ``_row_buffers``, by ``op = _row_operator(rmap, gains)``: iid and circulant
+    paths multiplied by each of ``gains`` in turn, dense ones by their product,
+    folded into the map.  A circulant row's (m,) fGn is viewed as two (m/2,)
+    halves, whose first n increments are its two paths."""
     if rmap.kind == "dense":
         _dense_product(z, op, values, rows)
         return
     fgn = z[:rows]
     if rmap.kind == "circulant":
-        fgn = _fgn_from_normals(op, fgn, w[:rows])[:, : rmap.n]
-    field = _two_sided_values(fgn, rmap.neg, out=values[:rows])
+        fgn = _fgn_from_normals(op, fgn, w[:rows]).reshape(2 * rows, -1)[:, : rmap.n]
+    field = _two_sided_values(fgn, rmap.neg, out=values[: rmap.paths * rows])
     for gain in gains:
         np.multiply(field, gain, out=field)
 
@@ -405,11 +433,11 @@ def sample_two_sided_path(
     and cumulated around the t = 0 anchor, so the resulting grid process has
     exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
     increments.  It is one row of the engine's ``_row_map``, drawn from
-    ``rng`` (n normals, or the m of an embedding) into buffers laid out as
-    the engine's; a dense row is padded to the 4 rows of the engine's
-    smallest product.  Returns B(k) for k = -neg_count..pos_count, so
-    ``values[neg_count]`` is exactly 0; times delta^(alpha/2), the path on
-    the delta grid.
+    ``rng`` (n normals, or the m of an embedding, whose first window it
+    keeps) into buffers laid out as the engine's; a dense row is padded to
+    the 4 rows of the engine's smallest product.  Returns B(k) for
+    k = -neg_count..pos_count, so ``values[neg_count]`` is exactly 0; times
+    delta^(alpha/2), the path on the delta grid.
     """
     alpha = _check_alpha(alpha)
     neg_count = _check_count("neg_count", neg_count, 0, rule="be a nonnegative integer")
@@ -429,9 +457,10 @@ def _simulate_functionals(
     """Per-replication functionals, shape (replications, len(strides)).
 
     Row r is what the per-path reference in ``tests/oracle.py`` yields for
-    replication r: row r mod B of the SFC64 stream of block r // B under
-    stream contract v4, one path, a self-similarity rescale and the sup over
-    each stride's sub-grid.  A stride is an integer from 1 to the positive
+    replication r under stream contract v5: its stream row (r // 2 on
+    circulant rows, else r) of the SFC64 stream of its block, its window of
+    that row's path, a self-similarity rescale and the sup over each
+    stride's sub-grid.  A stride is an integer from 1 to the positive
     side count, so that its sub-grid keeps a point besides the anchor;
     anything else is a ValueError before anything is built or drawn.
     It is the same bit for bit where the row holds iid increments or an
@@ -444,7 +473,7 @@ def _simulate_functionals(
 
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
-    rows and walks it one block a batch (``_batch_rows``), whatever the
+    stream rows and walks it one block a batch (``_batch_rows``), whatever the
     replication count, with one set of ``_row_buffers`` and the row operator
     built here on the calling thread and reused for all of its batches.  So
     memory follows from the config and the worker count alone: pool threads
@@ -476,10 +505,11 @@ def _simulate_functionals(
             rows = min(plan.rows, hi - start)
             _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
             _map_rows(rmap, op, z, w, values, rows, gains)
-            field = values[:rows]
+            first = rmap.paths * start  # an odd run drops its last row's second path
+            field = values[: min(rmap.paths * rows, reps - first)]
             np.subtract(field, drift, out=field)
-            for j, first, s in columns:
-                out[start : start + rows, j] = np.exp(field[:, first::s].max(axis=1))
+            for j, col, s in columns:
+                out[first : first + len(field), j] = np.exp(field[:, col::s].max(axis=1))
 
     spaces = [_row_buffers(rmap, plan.rows) for _ in plan.shares]
     if len(spaces) > 1:
@@ -506,26 +536,39 @@ def _mom_ci_rank(blocks: int) -> int | None:
     return r or None
 
 
-def _std_error(values: np.ndarray) -> float:
-    """CLT standard error of the sample mean: std(ddof=1) / sqrt(len)."""
-    return float(values.std(ddof=1) / math.sqrt(len(values)))
+def _std_error(values: np.ndarray, unit: int = 1) -> float:
+    """CLT standard error of the mean of R values in G independent rows of
+    ``unit`` (the last one may be short): sqrt(G / (G - 1) * sum_g S_g^2) / R,
+    S_g the sum of row g's deviations from the mean.  At even R that is
+    std(row means, ddof=1) / sqrt(G), and at unit 1 std(ddof=1) / sqrt(R)."""
+    if unit == 1:
+        return float(values.std(ddof=1) / math.sqrt(len(values)))
+    reps = len(values)
+    rows = -(-reps // unit)
+    sums = np.add.reduceat(values - values.mean(), np.arange(0, reps, unit))
+    return math.sqrt(rows / (rows - 1) * float(np.square(sums).sum())) / reps
 
 
 def _aggregate(functionals: np.ndarray, config: EstimatorConfig) -> EstimateResult:
     reps = len(functionals)
+    unit = _row_map(config.alpha, *config.side_counts()).paths
+    rows = -(-reps // unit)
     stderr = ci_low = ci_high = None
     if config.d > 1.0:
         method = "sample-mean"
         estimate = float(functionals.mean())
-        if reps >= 2:
-            stderr = _std_error(functionals)
+        if rows >= 2:
+            stderr = _std_error(functionals, unit)
             ci_low, ci_high = estimate - _Z95 * stderr, estimate + _Z95 * stderr
     else:
         # d <= 1: infinite variance, CLT intervals invalid; median-of-means
-        # over contiguous blocks (replication order is already exchangeable).
+        # over contiguous blocks of whole rows (row order is already
+        # exchangeable), cut where np.array_split cuts the rows.
         method = "median-of-means"
-        blocks = min(_MOM_BLOCKS, reps)
-        block_means = np.sort([b.mean() for b in np.array_split(functionals, blocks)])
+        blocks = min(_MOM_BLOCKS, rows)
+        size, longer = divmod(rows, blocks)
+        cuts = [unit * (k * size + min(k, longer)) for k in range(1, blocks)]
+        block_means = np.sort([b.mean() for b in np.split(functionals, cuts)])
         # The median read off the sorted block means, the middle one or the
         # mean of the middle two: np.median's own value, without the NaN
         # check that imports numpy.ma.
@@ -542,9 +585,10 @@ def _aggregate(functionals: np.ndarray, config: EstimatorConfig) -> EstimateResu
 def estimate_constant(config: EstimatorConfig, threads: int = 1) -> EstimateResult:
     """Estimate the discrete truncated Piterbarg constant for ``config``.
 
-    Runs ``config.replications`` independent path simulations (unit-grid
-    draw, self-similarity rescale to ``config.delta``, penalized supremum)
-    and aggregates by sample mean for d > 1 or median-of-means for d <= 1.
+    Runs ``config.replications`` path simulations (unit-grid draw,
+    self-similarity rescale to ``config.delta``, penalized supremum), two per
+    stream row on circulant grids, and aggregates by sample mean for d > 1 or
+    median-of-means for d <= 1, with errors over the independent rows.
     The result is deterministic given (config, seed) at any thread count.
     """
     functionals = _simulate_functionals(config, strides=(1,), threads=threads)

@@ -17,7 +17,12 @@ the FFT (Davies-Harte method), which is exact and costs O(m log m) per
 draw.  The embedding length m is the shortest even 5-smooth one (Wood and
 Chan 1994), which numpy's FFT transforms fast. The spectrum stores the
 weights that turn standard normals into its Hermitian half-spectrum, so a
-draw only multiplies and inverts. At alpha = 1 every lag beyond 0 vanishes
+draw only multiplies and inverts.  A draw is a stationary sequence of m
+values whose every window of up to m/2 + 1 is exact fGn.  Under stream
+contract v5 the engine embeds n increments in the spectrum of n + 1, whose
+m >= 2n, and keeps two disjoint windows of each draw, increments [0, n) and
+[m/2, m/2 + n): two replications, exact in law but dependent, per row
+(``estimator`` states the contract). At alpha = 1 every lag beyond 0 vanishes
 and the increments are iid N(0, 1), drawn with no map at all. The tests
 check the maps against a dense Cholesky factorization of the same covariance.
 
@@ -40,7 +45,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -195,9 +199,20 @@ def _dense_map(alpha: float, n: int, neg_count: int, scale: float) -> np.ndarray
     return gmap
 
 
-@lru_cache(maxsize=1)  # a run holds its own map; the slot spares a later run a rebuild
+_SLOT: dict = {}  # the last operator built, by its (build, *args) key
+
+
 def _cached(build, *args):
-    return build(*args)
+    """``build(*args)``, kept in one slot: a run holds its own operator, and the
+    slot spares a later run of the same key a rebuild.  A different key first
+    empties the slot, so the previous operator is freed before the next build
+    starts and a run's memory is its own operator's alone."""
+    key = (build, *args)
+    value = _SLOT.get(key)
+    if value is None:
+        _SLOT.clear()
+        value = _SLOT[key] = build(*args)
+    return value
 
 
 def _fgn_from_normals(spectrum: CirculantSpectrum, z: np.ndarray, w: np.ndarray) -> np.ndarray:

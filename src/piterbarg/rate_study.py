@@ -26,7 +26,7 @@ import numpy as np
 
 from .budget import plan_horizon
 from .closed_form import piterbarg_bm_full, piterbarg_bm_half
-from .estimator import Domain, EstimatorConfig, _simulate_functionals, _std_error
+from .estimator import Domain, EstimatorConfig, _row_map, _simulate_functionals, _std_error
 from .fbm import _check_alpha, _check_count, _check_real
 
 __all__ = [
@@ -107,19 +107,18 @@ def _study_table(
     replications: int,
     seed: int,
     threads: int,
-) -> tuple[list[float], np.ndarray]:
+) -> tuple[list[float], np.ndarray, int]:
     """Simulate at the finest spacing and read every coarser one off the paths.
 
-    Returns the validated spacings and the (replications, len(deltas))
-    functionals; the horizon is plan_horizon(finest, alpha), and a spacing
-    beyond it, whose grid would be the anchor alone, is refused.  The studies
-    report CLT stderrs, which need d > 1 (finite variance) and at least two
-    replications.
+    Returns the validated spacings, the (replications, len(deltas))
+    functionals and the replications per independent stream row; the
+    horizon is plan_horizon(finest, alpha), and a spacing beyond it, whose
+    grid would be the anchor alone, is refused.  The studies report CLT
+    stderrs over rows, which need d > 1 (finite variance) and at least two
+    rows: two replications, or three where a circulant row holds two.
     """
     _check_real("penalty d", d, 1.0, rule="exceed 1: rate studies report CLT standard errors, "
                 "which need d > 1 (the functional has infinite variance for d <= 1)")
-    _check_count("replications", replications, 2, rule="be an integer >= 2: rate studies report "
-                 "CLT standard errors, which need at least 2 replications")
     deltas, strides = _nested_strides(deltas)
     finest = deltas[-1]
     horizon = plan_horizon(finest, alpha)
@@ -135,13 +134,19 @@ def _study_table(
         replications=replications,
         seed=seed,
     )
-    return deltas, _simulate_functionals(config, strides, threads=threads)
+    unit = _row_map(alpha, *config.side_counts()).paths
+    _check_count("replications", replications, unit + 1, rule=f"be an integer >= {unit + 1}: "
+                 "rate studies report CLT standard errors, which need at least 2 "
+                 + ("replications" if unit == 1 else "independent rows, and a circulant row "
+                    f"holds {unit} replications"))
+    return deltas, _simulate_functionals(config, strides, threads=threads), unit
 
 
-def _paired(table: np.ndarray, i: int, j: int | None = None) -> tuple[float, float]:
-    """Mean and CLT stderr of column i, or of table[:, i] - table[:, j]."""
+def _paired(table: np.ndarray, unit: int, i: int, j: int | None = None) -> tuple[float, float]:
+    """Mean and CLT stderr, over rows of ``unit``, of column i or of
+    table[:, i] - table[:, j]."""
     x = table[:, i] if j is None else table[:, i] - table[:, j]
-    return float(x.mean()), _std_error(x)
+    return float(x.mean()), _std_error(x, unit)
 
 
 def run_rate_study_bm(
@@ -159,13 +164,13 @@ def run_rate_study_bm(
     the closed forms; d must exceed 1 so the sample mean has a finite
     variance.  Returns one :class:`RatePoint` per spacing, in input order.
     """
-    deltas, table = _study_table(1.0, d, domain, deltas, replications, seed, threads)
+    deltas, table, unit = _study_table(1.0, d, domain, deltas, replications, seed, threads)
     exact = (
         piterbarg_bm_half(d) if domain is Domain.HALF_LINE else piterbarg_bm_full(d)
     )
     points = []
     for j, delta in enumerate(deltas):
-        p_hat, stderr = _paired(table, j)
+        p_hat, stderr = _paired(table, unit, j)
         gap = exact - p_hat
         points.append(
             RatePoint(
@@ -202,8 +207,9 @@ def run_gap_decay(
         raise ValueError(
             f"gap decay study needs alpha in (0, 2) excluding 1, got {alpha}"
         )
-    deltas, table = _study_table(alpha, d, domain, deltas, replications, seed, threads)
-    points = [GapPoint(delta, *_paired(table, -1, j)) for j, delta in enumerate(deltas[:-1])]
+    deltas, table, unit = _study_table(alpha, d, domain, deltas, replications, seed, threads)
+    points = [GapPoint(delta, *_paired(table, unit, -1, j))
+              for j, delta in enumerate(deltas[:-1])]
     exponent, exponent_stderr = _loglog_slope(
         [p.delta for p in points], [p.gap for p in points]
     )

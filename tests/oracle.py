@@ -3,16 +3,18 @@
 ``piterbarg.estimator._simulate_functionals`` simulates replications in
 batches, in reused buffers, filling a block of rows per ``standard_normal``
 call.  This module computes the same numbers one path at a time, each step
-in its plainest form: the stream of replication r's block, spawned from the
-seed's SeedSequence as stream contract v4 defines it (blocks of B rows,
+in its plainest form: the stream of replication r's stream row, spawned from
+the seed's SeedSequence as stream contract v5 defines it (blocks of B rows,
 B * width <= 2^17, block b from ``SeedSequence(seed).spawn(b + 1)[b]``
 through SFC64), advanced one row at a time past the earlier rows of its
 block; the row's map to fGn; the anchored running sum, the self-similarity
 rescale and the penalized supremum over each stride's sub-grid.  The map is
-one of three, as in the engine: n iid increments at alpha = 1; n normals
-times the LAPACK Cholesky factor, one gemv, for the engine's dense rows;
-or the circulant draw of m normals, built from the eigenvalues with complex
-temporaries.  It calls none of the engine's kernels, so tests can require
+one of three, as in the engine: n iid increments at alpha = 1 (stream row
+r); n normals times the LAPACK Cholesky factor, one gemv, for the engine's
+dense rows (stream row r); or the circulant draw of m normals, m that of
+n + 1 increments (>= 2n), built from the eigenvalues with complex
+temporaries, of which replication r keeps window r mod 2 of stream row
+r // 2: increments [0, n) or [m/2, m/2 + n).  It calls none of the engine's kernels, so tests can require
 bit-equality of iid and circulant rows without comparing the engine with
 itself; the engine's dense rows come from a gemm over its Schur factor, so
 they agree with the dense oracle to rounding only.  The fGn
@@ -100,8 +102,10 @@ def cholesky_sample(alpha: float, n: int, rng: np.random.Generator) -> np.ndarra
     return lower @ rng.standard_normal(n)
 
 
-def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw one exact fGn sequence of length n <= m/2 + 1 from ``spectrum.m`` normals."""
+def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int,
+               window: int = 0) -> np.ndarray:
+    """Draw one exact fGn sequence from ``spectrum.m`` normals: its first n <= m/2 + 1
+    values, or with ``window`` 1 the n <= m/2 values from index m/2 on."""
     lam, m = spectrum.eigenvalues, spectrum.m
     half = m // 2
     z = rng.standard_normal(m)
@@ -109,7 +113,8 @@ def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int) ->
     w[0] = np.sqrt(lam[0]) * z[0]
     w[half] = np.sqrt(lam[half]) * z[half]
     w[1:half] = np.sqrt(0.5 * lam[1:half]) * (z[1:half] + 1j * z[half + 1 :])
-    return (np.fft.irfft(w, n=m) * math.sqrt(m))[:n]
+    start = window * half
+    return (np.fft.irfft(w, n=m) * math.sqrt(m))[start : start + n]
 
 
 @dataclass
@@ -129,23 +134,24 @@ def replication_path(config: EstimatorConfig, index: int, block: int | None = No
 
     At alpha != 1, ``dense`` maps n normals through the Cholesky factor of
     the covariance, as the engine does on short grids; else the row is the
-    circulant draw.  ``block`` is the rows per stream block, by default
-    ``block_rows`` of the row width: n normals at alpha = 1 or dense, else
-    the embedding length m.
+    circulant draw, two replications a row.  ``block`` is the rows per
+    stream block, by default ``block_rows`` of the row width: n normals at
+    alpha = 1 or dense, else the embedding length m.
     """
     neg, pos = config.side_counts()
     n = neg + pos
     iid = n == 1 or config.alpha == 1.0
-    spectrum = None if iid or dense else circulant_spectrum(config.alpha, n)
+    spectrum = None if iid or dense else circulant_spectrum(config.alpha, n + 1)
     width = n if spectrum is None else spectrum.m
+    row, window = (index, 0) if spectrum is None else divmod(index, 2)
     block = block_rows(width) if block is None else block
-    rng = replication_stream(config.seed, index, width, block)
+    rng = replication_stream(config.seed, row, width, block)
     if iid:
         fgn = rng.standard_normal(n)  # iid increments: no embedding
     elif dense:
         fgn = cholesky_sample(config.alpha, n, rng)
     else:
-        fgn = sample_fgn(spectrum, rng, n)
+        fgn = sample_fgn(spectrum, rng, n, window)
     unit = np.concatenate([[0.0], np.cumsum(fgn)])
     unit -= unit[neg]
     unit[neg] = 0.0

@@ -1,5 +1,6 @@
 """Tests for the supremum functional, subsampling, and the MC estimator."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -53,6 +54,7 @@ from piterbarg.estimator import (
     _row_operator,
     _RowMap,
     _simulate_functionals,
+    _std_error,
     grid_count,
 )
 from piterbarg.fbm import _dense_map
@@ -221,7 +223,7 @@ class TestReplicationStreams:
 
 
 class TestStreamContract:
-    """Golden values of stream contract v4, so that a change of numpy or of
+    """Golden values of stream contract v5, so that a change of numpy or of
     the engine that moves the random stream fails here first."""
 
     @pytest.mark.parametrize("seed,expected", [
@@ -238,12 +240,13 @@ class TestStreamContract:
     def test_functional_row(self, monkeypatch):
         # the embedding's FFT may round differently on another platform, so
         # the row is pinned to 1e-12, far below what a moved stream changes;
-        # n = 80 would take the dense map, so the embedding is forced
+        # n = 80 would take the dense map, so the embedding is forced.
+        # Replication 2 is the first window of stream row 1 (m = 160).
         monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
                               delta=0.05, horizon=2.0, replications=3, seed=20260810)
         row = _simulate_functionals(cfg, [1, 2])[2]
-        assert row.tolist() == pytest.approx([1.906386072738009, 1.464313457011905], rel=1e-12)
+        assert row.tolist() == pytest.approx([3.3238495930746836, 2.369413850077903], rel=1e-12)
 
     def test_dense_functional_row(self):
         # the same config on the dense map (n = 80 normals a row); BLAS
@@ -253,6 +256,28 @@ class TestStreamContract:
         assert sum(cfg.side_counts()) <= estimator._DENSE_MAX_N
         row = _simulate_functionals(cfg, [1, 2])[1]
         assert row.tolist() == pytest.approx([9.63341434872447, 5.062553222673725], rel=1e-12)
+
+    def test_iid_and_dense_outputs_pinned(self):
+        # contract v5 moved only circulant rows: tables at strides 1, 2 and 4
+        # and estimate reprs of iid (alpha = 1) and dense (alpha = 1.5) runs,
+        # both domains, both aggregation methods, one and two threads, hash
+        # as they did under v4.  The hash covers every bit of the exp and gemm
+        # results, so it was recorded on x86-64 with numpy 2.4.6 (OpenBLAS
+        # 0.3.31); a platform whose kernels round differently fails here
+        digest = hashlib.sha256()
+        for alpha in (1.0, 1.5):
+            for domain in Domain:
+                for d in (0.5, 2.0):
+                    for threads in (1, 2):
+                        cfg = EstimatorConfig(alpha=alpha, d=d, domain=domain, delta=0.05,
+                                              horizon=5.0, replications=2500, seed=20261019)
+                        kind = _row_map(alpha, *cfg.side_counts()).kind
+                        assert kind == ("iid" if alpha == 1.0 else "dense")
+                        table = _simulate_functionals(cfg, (1, 2, 4), threads=threads)
+                        digest.update(table.tobytes())
+                        digest.update(repr(estimate_constant(cfg, threads=threads)).encode())
+        assert digest.hexdigest() == (
+            "a311d77478402bb0bc60b1c46709cdd50916e7f7fb7a9a1d260d4de225f2c125")
 
 
 class TestEstimatorConfig:
@@ -362,7 +387,7 @@ def _row_shapes():
     for n in ns:
         yield n, n, False
         if n >= 2:
-            yield n, _next_fast_len(2 * (n - 1)), True
+            yield n, _next_fast_len(2 * n), True
 
 
 class TestBatchPlan:
@@ -400,10 +425,12 @@ class TestBatchPlan:
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     @pytest.mark.parametrize("reps", [1, 7, 64, 65, 320, 1000, 4099])
     def test_shares_are_contiguous_and_near_equal(self, reps, threads):
-        plan = _batch_plan(reps, _rmap(100, 2048, True), threads, 1)  # blocks of 64 rows
-        nblocks = -(-reps // 64)
+        # circulant rows: two replications a stream row, blocks of 64 rows
+        plan = _batch_plan(reps, _rmap(100, 2048, True), threads, 1)
+        rows = -(-reps // 2)
+        nblocks = -(-rows // 64)
         assert len(plan.shares) == min(threads, nblocks)
-        assert plan.shares[0][0] == 0 and plan.shares[-1][1] == reps
+        assert plan.shares[0][0] == 0 and plan.shares[-1][1] == rows
         for (_, hi), (lo, _) in zip(plan.shares, plan.shares[1:]):
             assert hi == lo and lo % 64 == 0
         sizes = [-(-(hi - lo) // 64) for lo, hi in plan.shares]
@@ -420,7 +447,7 @@ class TestBatchPlan:
             assert plan.shares[0][0] == 0 and plan.shares[-1][1] == 10**7
             assert plan.nbytes == 8 * 2121 + 8 * 10**7 + cpus * plan.rows * _row_bytes(rmap)
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
-        assert len(_batch_plan(64, _rmap(100, 2048, True), 5000, 1).shares) == 1
+        assert len(_batch_plan(128, _rmap(100, 2048, True), 5000, 1).shares) == 1
 
     @pytest.mark.parametrize("threads", [0, -3, 1.5, True])
     def test_threads_below_one_rejected(self, threads):
@@ -442,7 +469,7 @@ class TestBatchPlan:
         monkeypatch.setattr(estimator, "_cgroup_memory_max", lambda: None)
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE,
                               delta=1e-9, horizon=100.0, replications=1, seed=1)
-        m = "none" if alpha == 1.0 else _next_fast_len(2 * (10**11 - 1))
+        m = "none" if alpha == 1.0 else _next_fast_len(2 * 10**11)
         with pytest.raises(ValueError, match=rf"n=100000000000 .* m={m} needs \d+ bytes"):
             _simulate_functionals(cfg, [1])
 
@@ -490,9 +517,10 @@ class TestBatchPlan:
 
     def test_fft_floor_yields_to_memory(self, monkeypatch):
         # n = 2.5e7 on two workers: 8.20 GiB at the 4-row floor, over an
-        # 8 GiB limit, but 3.73 GiB at one block (one row) per batch
+        # 8 GiB limit, but 3.73 GiB at one block (one row) per batch; 100
+        # replications are 50 stream rows
         n, m = 25_000_000, 50_000_000
-        assert _next_fast_len(2 * (n - 1)) == m and _block_rows(m) == 1
+        assert _next_fast_len(2 * n) == m and _block_rows(m) == 1
         fixed = 8 * (n + 1) + 8 * 100 + 8 * (m // 2 + 1) + 40 * m
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
         plan = _batch_plan(100, _rmap(n, m, True), 2, 1)
@@ -500,7 +528,7 @@ class TestBatchPlan:
         assert plan.nbytes == fixed + 2 * 4 * _row_bytes(_rmap(n, m, True)) > 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (8 * 2**30, "physical memory"))
         plan = _batch_plan(100, _rmap(n, m, True), 2, 1)
-        assert plan.rows == 1 and plan.shares == ((0, 50), (50, 100))
+        assert plan.rows == 1 and plan.shares == ((0, 25), (25, 50))
         assert plan.nbytes == fixed + 2 * _row_bytes(_rmap(n, m, True)) < 4 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (3 * 2**30, "physical memory"))
         with pytest.raises(ValueError, match=rf"needs {plan.nbytes} bytes"):
@@ -511,10 +539,10 @@ class TestBatchPlan:
         import tracemalloc
 
         n = 44976  # the gap study's grid, m = 90000
-        m = _next_fast_len(2 * (n - 1))
+        m = _next_fast_len(2 * n)
         tracemalloc.start()
         try:
-            circulant_spectrum(0.7, n)
+            circulant_spectrum(0.7, n + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -523,19 +551,19 @@ class TestBatchPlan:
         assert 0.5 * counted <= peak <= 1.1 * counted
 
     def test_plan_bytes_cover_batch_buffers(self):
-        # the gap study's grid on two workers of one 4-row batch each: once
-        # a first run has cached the spectrum and made numpy's lazy imports,
-        # the measured peak is the drift, the table and the buffers, with the
-        # path values in the half-spectrum buffer (a separate values buffer
-        # would add 2.9 MB, a quarter more)
+        # the gap study's grid on two workers of one 4-row batch each (16
+        # replications, two a row): once a first run has cached the spectrum
+        # and made numpy's lazy imports, the measured peak is the drift, the
+        # table and the buffers, with both windows' path values in the
+        # half-spectrum buffer (a separate values buffer would add 5.8 MB)
         import tracemalloc
 
         cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
-                              horizon=449.76, replications=8, seed=3)
+                              horizon=449.76, replications=16, seed=3)
         n = sum(cfg.side_counts())
-        m = _next_fast_len(2 * (n - 1))
+        m = _next_fast_len(2 * n)
         assert (n, m) == (44976, 90000)
-        plan = _batch_plan(8, _rmap(n, m, True), 2, 1)
+        plan = _batch_plan(16, _rmap(n, m, True), 2, 1)
         assert plan.rows == 4 and len(plan.shares) == 2
         assert _row_bytes(_rmap(n, m, True)) == 8 * m + 16 * (m // 2 + 1)
         counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
@@ -683,37 +711,41 @@ class TestEstimateConstant:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_batched_matches_per_path_pipeline(self, alpha, domain, threads,
                                                monkeypatch):
-        # blocks of two rows in batches of four: seven rows make two batches
-        # of two blocks each, the second batch starts on a block boundary and
-        # its last block is short.  The engine must reproduce the per-path
-        # oracle and the public path sampler bit-for-bit, including the
-        # alpha = 1 shortcut.  The grid is short, so the embedding is forced.
+        # blocks of two rows in batches of four: 13 replications are 13 iid
+        # rows, or 7 embedding rows of two windows each whose last keeps one;
+        # either way a later batch starts on a block boundary and the last
+        # block is short.  The engine must reproduce the per-path oracle and
+        # the public path sampler (a row's first window) bit-for-bit,
+        # including the alpha = 1 shortcut.  The grid is short, so the
+        # embedding is forced.
         monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         monkeypatch.setattr(estimator, "_block_rows", lambda width: 2)
         monkeypatch.setattr(estimator, "_batch_rows", lambda rmap: 4)
         cfg = EstimatorConfig(alpha=alpha, d=0.3, domain=domain,
-                              delta=0.3, horizon=3.0, replications=7, seed=99)
+                              delta=0.3, horizon=3.0, replications=13, seed=99)
         table = _simulate_functionals(cfg, strides=[1, 2, 3], threads=threads)
         neg, pos = cfg.side_counts()
-        n = neg + pos
-        width = n if alpha == 1.0 else circulant_spectrum(alpha, n).m
+        rmap = _row_map(alpha, neg, pos)
+        assert rmap.kind == ("iid" if alpha == 1.0 else "circulant")
         for r in range(cfg.replications):
             path = replication_path(cfg, r, block=2)
             recs = subsampled_functionals(path, cfg.d, cfg.domain, [1, 2, 3])
             assert [rec.functional for rec in recs] == list(table[r])
-            unit = sample_two_sided_path(cfg.alpha, neg, pos,
-                                         replication_stream(cfg.seed, r, width, 2))
-            assert np.array_equal(unit * cfg.delta ** (cfg.alpha / 2.0), path.values)
+            row, window = divmod(r, rmap.paths)
+            if window == 0:
+                unit = sample_two_sided_path(cfg.alpha, neg, pos,
+                                             replication_stream(cfg.seed, row, rmap.width, 2))
+                assert np.array_equal(unit * cfg.delta ** (cfg.alpha / 2.0), path.values)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_real_fft_floor_matches_oracle(self, threads):
         # nothing patched: m = 34560 gives blocks of 2 rows and the 4-row
-        # FFT floor, so 9 rows are batches of 4, 4 and 1 on one thread and
-        # blocks [0, 2) and [2, 5) on two
+        # FFT floor, so 17 replications, 9 stream rows, are batches of 4, 4
+        # and 1 rows on one thread and blocks [0, 2) and [2, 5) on two
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.HALF_LINE, delta=0.01,
-                              horizon=170.0, replications=9, seed=41)
+                              horizon=170.0, replications=17, seed=41)
         n = sum(cfg.side_counts())
-        m = _next_fast_len(2 * (n - 1))
+        m = _next_fast_len(2 * n)
         assert (n, m, _block_rows(m), _batch_rows(_rmap(n, m, True))) == (17000, 34560, 2, 4)
         table = _simulate_functionals(cfg, [1, 3], threads=threads)
         for r in range(cfg.replications):
@@ -757,13 +789,13 @@ class TestEstimateConstant:
         assert np.array_equal(t1, t2)
 
     def test_embedded_deterministic_across_threads_and_batches(self, monkeypatch, pool_sizes):
-        # n = 20 increments embed in m = 40 (forced: the grid is short), so
-        # this is two batches and a short third, run by two and three
-        # workers that each reuse one set of buffers
+        # n = 20 increments embed in m = 40 (forced: the grid is short), two
+        # replications a row, so this is two batches and a short third, run
+        # by two and three workers that each reuse one set of buffers
         monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
-                           horizon=0.5, replications=2 * _batch_rows(_rmap(20, 40, True)) + 9)
-        assert circulant_spectrum(cfg.alpha, sum(cfg.side_counts())).m == 40
+                           horizon=0.5, replications=4 * _batch_rows(_rmap(20, 40, True)) + 9)
+        assert _row_map(cfg.alpha, *cfg.side_counts()).width == 40
         t1 = _simulate_functionals(cfg, [1, 3], threads=1)
         for threads in (2, 3):
             assert np.array_equal(t1, _simulate_functionals(cfg, [1, 3], threads=threads))
@@ -771,20 +803,23 @@ class TestEstimateConstant:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
     def test_block_stream_matches_oracle(self, alpha, monkeypatch):
-        # the real block size: rows 0, B - 1, B and the short last block
-        # against the per-path oracle, which draws and drops earlier rows;
-        # the embedding is forced on this short grid
+        # the real block size: the replications of stream rows 0, B - 1, B
+        # and of the short last block (whose last row keeps one window where
+        # rows hold two) against the per-path oracle, which draws and drops
+        # earlier rows; the embedding is forced on this short grid
         monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
                            delta=0.05, horizon=2.0, replications=1)
-        n = sum(cfg.side_counts())
-        block = block_rows(n if alpha == 1.0 else circulant_spectrum(alpha, n).m)
+        rmap = _row_map(alpha, *cfg.side_counts())
+        block, paths = block_rows(rmap.width), rmap.paths
         cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
-                           delta=0.05, horizon=2.0, replications=2 * block + 3)
+                           delta=0.05, horizon=2.0, replications=paths * (2 * block + 3) - 1)
         table = _simulate_functionals(cfg, [1, 2], threads=2)
-        for r in (0, block - 1, block, 2 * block, 2 * block + 2):
-            recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 2])
-            assert [rec.functional for rec in recs] == list(table[r])
+        for row in (0, block - 1, block, 2 * block, 2 * block + 2):
+            for r in range(paths * row, min(paths * (row + 1), cfg.replications)):
+                recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain,
+                                              [1, 2])
+                assert [rec.functional for rec in recs] == list(table[r])
 
     def test_small_run_splits_over_workers(self, monkeypatch):
         # 4000 rows of width 100 are four blocks of 1024 rows, the last one
@@ -811,24 +846,27 @@ class TestEstimateConstant:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_uneven_block_shares_match_one_thread_and_oracle(self, alpha, monkeypatch,
                                                              pool_sizes):
-        # five blocks, the last one short, in batches of one block: two
-        # workers take blocks [0, 2) and [2, 5), three take [0, 1), [1, 3)
-        # and [3, 5); the embedding is forced on this short grid
+        # five blocks of stream rows, the last one short, in batches of one
+        # block: two workers take blocks [0, 2) and [2, 5), three take
+        # [0, 1), [1, 3) and [3, 5); the embedding is forced on this short
+        # grid, and its odd replication count drops the last row's second window
         monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
         cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
                            delta=0.05, horizon=2.0, replications=1)
-        n = sum(cfg.side_counts())
-        block = block_rows(n if alpha == 1.0 else circulant_spectrum(alpha, n).m)
+        rmap = _row_map(alpha, *cfg.side_counts())
+        block, paths = block_rows(rmap.width), rmap.paths
         monkeypatch.setattr(estimator, "_batch_rows",
                             lambda rmap: block_rows(rmap.width))
         cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
-                           delta=0.05, horizon=2.0, replications=4 * block + 3)
+                           delta=0.05, horizon=2.0, replications=paths * (4 * block + 3) - 1)
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         for threads in (2, 3):
             assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=threads))
         assert pool_sizes == [2, 3]
-        for r in (0, block - 1, block, 2 * block - 1, 2 * block, 3 * block - 1,
-                  3 * block, 4 * block, 4 * block + 2):
+        rows = (0, block - 1, block, 2 * block - 1, 2 * block, 3 * block - 1,
+                3 * block, 4 * block, 4 * block + 2)
+        for r in (r for row in rows
+                  for r in range(paths * row, min(paths * (row + 1), cfg.replications))):
             recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 2])
             assert [rec.functional for rec in recs] == list(t1[r])
 
@@ -1144,7 +1182,7 @@ class TestPathSampler:
         # dense (n = 30 and 2) and iid rows take n normals, circulant ones (n = 300) the m
         # of the embedding: the next draw is the stream's normal width + 1
         n = neg + pos
-        width = circulant_spectrum(alpha, n).m if n > _DENSE_MAX_N else n
+        width = circulant_spectrum(alpha, n + 1).m if n > _DENSE_MAX_N else n
         rng = np.random.default_rng(8)
         sample_two_sided_path(alpha, neg, pos, rng)
         assert rng.standard_normal() == np.random.default_rng(8).standard_normal(width + 1)[-1]
@@ -1201,6 +1239,70 @@ class TestAggregation:
         expected = [None] * 5 + [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5,
                                  6, 6, 6, 7, 7]
         assert [_mom_ci_rank(k) for k in range(1, 25)] == expected
+
+    def test_row_stderr_is_the_spread_of_row_means(self):
+        # at an even count, the stderr over rows of two is std(row means,
+        # ddof=1) / sqrt(G); at an odd one the short last row counts as a row
+        rng = np.random.default_rng(6)
+        for reps in (4, 10, 1000):
+            values = 1.0 + rng.pareto(3.0, reps)
+            means = values.reshape(-1, 2).mean(axis=1)
+            expected = means.std(ddof=1) / math.sqrt(len(means))
+            assert _std_error(values, 2) == pytest.approx(expected, rel=1e-12)
+        values = np.array([1.0, 3.0, 2.0, 6.0, 4.0])
+        sums = np.array([1.0 + 3.0, 2.0 + 6.0, 4.0]) - np.array([2, 2, 1]) * values.mean()
+        expected = math.sqrt(3 / 2 * (sums ** 2).sum()) / 5
+        assert _std_error(values, 2) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,kind", [(1.0, "iid"), (1.5, "dense")])
+    def test_unit_one_stderr_is_the_path_stderr(self, alpha, kind):
+        # iid and dense rows hold one path: the reported stderr is the
+        # per-path std(ddof=1) / sqrt(R), bit for bit
+        cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE, delta=0.05,
+                              horizon=5.0, replications=301, seed=2)
+        assert _row_map(alpha, *cfg.side_counts()).kind == kind
+        values = _simulate_functionals(cfg, [1])[:, 0]
+        res = _aggregate(values, cfg)
+        assert res.stderr == _std_error(values) == float(values.std(ddof=1) / math.sqrt(301))
+
+    @pytest.mark.parametrize("reps", [3, 25, 47, 48, 49, 101, 1000])
+    def test_median_of_means_blocks_hold_whole_rows(self, reps):
+        # circulant rows (n = 300) hold two replications: min(24, G) blocks
+        # of whole rows, cut where np.array_split cuts the G rows, so no
+        # block splits a row (an odd count's last row is its lone window)
+        cfg = EstimatorConfig(alpha=0.5, d=0.5, domain=Domain.HALF_LINE, delta=0.01,
+                              horizon=3.0, replications=reps, seed=0)
+        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 2
+        values = 1.0 + np.random.default_rng(reps).pareto(0.7, reps)
+        rows = np.array_split(np.arange(-(-reps // 2)), min(24, -(-reps // 2)))
+        blocks = [values[2 * r[0] : 2 * r[-1] + 2] for r in rows]
+        assert sum(map(len, blocks)) == reps
+        means = np.sort([b.mean() for b in blocks])
+        res = _aggregate(values, cfg)
+        assert repr(res.estimate) == repr(float(np.median(means)))
+        rank = _mom_ci_rank(len(blocks))
+        if rank is not None:
+            assert (res.ci_low, res.ci_high) == (means[rank - 1], means[len(blocks) - rank])
+
+    def test_row_stderr_covers_dependent_windows(self):
+        # at alpha = 1.9 a row's two windows are strongly correlated (rho
+        # about 0.5 here), so the per-path stderr understates the spread of
+        # estimates; over 400 independent runs of 200 replications (whole
+        # rows of one table) the stderr the estimator reports matches the
+        # runs' spread within 10%, and the per-path one does not
+        delta = 0.005
+        cfg = EstimatorConfig(alpha=1.9, d=2.0, domain=Domain.HALF_LINE, delta=delta,
+                              horizon=plan_horizon(delta, 1.9), replications=400 * 200,
+                              seed=3)
+        rmap = _row_map(cfg.alpha, *cfg.side_counts())
+        assert (rmap.kind, rmap.n) == ("circulant", 1156)
+        runs = _simulate_functionals(cfg, [1], threads=2)[:, 0].reshape(400, 200)
+        run_cfg = dataclasses.replace(cfg, replications=200)
+        spread = runs.mean(axis=1).std(ddof=1)
+        reported = math.sqrt(np.mean([_aggregate(r, run_cfg).stderr ** 2 for r in runs]))
+        per_path = math.sqrt(np.mean([_std_error(r) ** 2 for r in runs]))
+        assert abs(reported / spread - 1.0) < 0.1
+        assert not abs(per_path / spread - 1.0) < 0.1
 
     def test_sample_mean_known_values(self):
         values = np.arange(1.0, 49.0)

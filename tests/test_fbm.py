@@ -2,10 +2,12 @@
 statistical fidelity, and circulant-vs-Cholesky cross-checks."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import piterbarg.fbm as fbm
 from oracle import cholesky_sample, fgn_autocovariance, sample_fgn
 from piterbarg import circulant_spectrum, sample_two_sided_path
 from piterbarg.estimator import _DENSE_MAX_N
@@ -124,7 +126,7 @@ class TestCirculantSpectrum:
         assert [_next_fast_len(x) for x in range(1, 20_001)] == [
             smooth[i] for i in expected
         ]
-        assert _next_fast_len(2 * 44_975) == 90_000  # the gap_decay grid
+        assert _next_fast_len(2 * 44_976) == 90_000  # the gap_decay grid, n = 44976
         assert _next_fast_len(2 * 171) == 360  # the full_heavy grid
 
     def test_nonnegative_scan(self):
@@ -149,18 +151,28 @@ class TestCirculantSpectrum:
     def test_cache_keeps_one_spectrum(self):
         # a second (alpha, n) evicts the first, and so does a dense map, so
         # the cache holds only the spectrum or map a run's memory plan counts
-        _cached.cache_clear()
         first = _cached(circulant_spectrum, 0.5, 100)
         assert _cached(circulant_spectrum, 0.5, 100) is first
-        _cached(circulant_spectrum, 0.7, 100)
-        assert _cached.cache_info().currsize == 1
+        second = _cached(circulant_spectrum, 0.7, 100)
+        assert list(fbm._SLOT.values()) == [second]
         assert _cached(circulant_spectrum, 0.5, 100) is not first
         gmap = _cached(_dense_map, 0.5, 100, 0, 1.0)
         assert _cached(_dense_map, 0.5, 100, 0, 1.0) is gmap
-        assert _cached.cache_info().currsize == 1
-        misses = _cached.cache_info().misses
-        _cached(circulant_spectrum, 0.5, 100)
-        assert _cached.cache_info().misses == misses + 1
+        assert len(fbm._SLOT) == 1 and next(iter(fbm._SLOT.values())) is gmap
+
+    def test_previous_operator_freed_before_the_next_build(self):
+        # the slot lets go of its operator before a different key is built,
+        # so no build's peak sits beside a stale spectrum the plan does not count
+        previous = weakref.ref(_cached(circulant_spectrum, 0.5, 1000))
+        alive = []
+
+        def build(alpha, n):
+            alive.append(previous() is not None)
+            return circulant_spectrum(alpha, n)
+
+        assert previous() is not None
+        _cached(build, 0.7, 1000)
+        assert alive == [False]
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

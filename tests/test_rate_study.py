@@ -176,9 +176,23 @@ class TestGapDecay:
     def test_single_replication_rejected(self, monkeypatch):
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
-        with pytest.raises(ValueError, match="at least 2 replications, got 1"):
+        with pytest.raises(ValueError, match="at least 2 independent rows, and a circulant "
+                           "row holds 2 replications, got 1"):
             run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
                           deltas=[0.4, 0.2, 0.1], replications=1, seed=1)
+
+    def test_one_circulant_row_rejected(self, monkeypatch):
+        # circulant rows (n = 281) hold two replications each, so two
+        # replications are one independent row, which has no CLT stderr
+        monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
+                            _must_not_simulate)
+        with pytest.raises(ValueError, match=r"replications must be an integer >= 3: .*, "
+                           "got 2"):
+            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
+                          deltas=[0.4, 0.2, 0.1], replications=2, seed=1)
+        with pytest.raises(ValueError, match="at least 2 replications, got 1"):
+            run_gap_decay(alpha=1.5, d=2.0, domain=Domain.HALF_LINE,  # dense rows, n = 86
+                          deltas=[0.1, 0.05], replications=1, seed=1)
 
     def test_exponent_regression_reported_with_stderr(self):
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
@@ -217,13 +231,18 @@ class TestStudiesAreViewsOfOneTable:
             assert (p.p_hat, p.stderr) == _mean_stderr(table[:, j])
 
     def test_gap_study_reads_paired_differences(self):
+        # circulant rows (n = 281) of two replications: the stderr is that
+        # of the 150 row means
         deltas = [0.4, 0.2, 0.1]
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
                                deltas=deltas, replications=300, seed=19)
         table = _table(0.5, Domain.HALF_LINE, deltas, 300, 19)
         assert len(result.points) == 2
         for j, p in enumerate(result.points):
-            assert (p.gap, p.gap_stderr) == _mean_stderr(table[:, -1] - table[:, j])
+            x = table[:, -1] - table[:, j]
+            rows = x.reshape(150, 2).mean(axis=1)
+            assert p.gap == float(x.mean())
+            assert p.gap_stderr == pytest.approx(_mean_stderr(rows)[1], rel=1e-12)
 
 
 class TestCsvOutput:

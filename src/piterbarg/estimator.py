@@ -62,8 +62,8 @@ from .fbm import (
     _check_alpha,
     _check_count,
     _check_real,
-    circulant_spectrum,
     _dense_map,
+    _embedding_spectrum,
     _fgn_from_normals,
     _next_fast_len,
     _two_sided_values,
@@ -374,12 +374,12 @@ def _fill_normals(seed: int, z: np.ndarray, first: int, block: int) -> None:
 
 
 def _row_operator(rmap: _RowMap, gains: Sequence[float]):
-    """None (iid rows), the cached spectrum of length ``rmap.width`` (that of
-    n + 1 increments), or the cached dense map times the product of ``gains``."""
+    """None (iid rows), the cached spectrum of length ``rmap.width``, or the
+    cached dense map times the product of ``gains``."""
     if rmap.kind == "dense":
         return _cached(_dense_map, rmap.alpha, rmap.n, rmap.neg, math.prod(gains))
     if rmap.kind == "circulant":
-        return _cached(circulant_spectrum, rmap.alpha, rmap.n + 1)
+        return _cached(_embedding_spectrum, rmap.alpha, rmap.width)
     return None
 
 
@@ -536,6 +536,12 @@ def _mom_ci_rank(blocks: int) -> int | None:
     return r or None
 
 
+def _row_unit(config: EstimatorConfig) -> int:
+    """Replications per independent stream row of ``config``'s grid: the unit
+    over which every reported error is computed."""
+    return _row_map(config.alpha, *config.side_counts()).paths
+
+
 def _std_error(values: np.ndarray, unit: int = 1) -> float:
     """CLT standard error of the mean of R values in G independent rows of
     ``unit`` (the last one may be short): sqrt(G / (G - 1) * sum_g S_g^2) / R,
@@ -551,7 +557,7 @@ def _std_error(values: np.ndarray, unit: int = 1) -> float:
 
 def _aggregate(functionals: np.ndarray, config: EstimatorConfig) -> EstimateResult:
     reps = len(functionals)
-    unit = _row_map(config.alpha, *config.side_counts()).paths
+    unit = _row_unit(config)
     rows = -(-reps // unit)
     stderr = ci_low = ci_high = None
     if config.d > 1.0:

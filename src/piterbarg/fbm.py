@@ -19,8 +19,8 @@ Chan 1994), which numpy's FFT transforms fast. The spectrum stores the
 weights that turn standard normals into its Hermitian half-spectrum, so a
 draw only multiplies and inverts.  A draw is a stationary sequence of m
 values whose every window of up to m/2 + 1 is exact fGn.  Under stream
-contract v5 the engine embeds n increments in the spectrum of n + 1, whose
-m >= 2n, and keeps two disjoint windows of each draw, increments [0, n) and
+contract v5 the engine embeds n increments in the shortest such m >= 2n
+(``_embedding_spectrum`` of its row width) and keeps two disjoint windows of each draw, increments [0, n) and
 [m/2, m/2 + n): two replications, exact in law but dependent, per row
 (``estimator`` states the contract). At alpha = 1 every lag beyond 0 vanishes
 and the increments are iid N(0, 1), drawn with no map at all. The tests
@@ -141,7 +141,12 @@ def circulant_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     """
     alpha = _check_alpha(alpha)
     n = _check_count("n", n, 2, rule="be an integer >= 2 (increments to embed)")
-    m = _next_fast_len(2 * (n - 1))
+    return _embedding_spectrum(alpha, _next_fast_len(2 * (n - 1)))
+
+
+def _embedding_spectrum(alpha: float, m: int) -> CirculantSpectrum:
+    """The spectrum of the circulant embedding of even length ``m``, exact for
+    draws of up to m/2 + 1 increments; the engine asks for its row width."""
     half = m // 2
     g = _autocovariances(alpha, half)
     first_row = np.concatenate([g, g[half - 1 : 0 : -1]])
@@ -150,7 +155,7 @@ def circulant_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     floor = -_EIGENVALUE_CLAMP_REL * lam.max()
     if lam.min() < floor:
         raise RuntimeError(
-            f"circulant embedding failed for alpha={alpha}, n={n}: "
+            f"circulant embedding failed for alpha={alpha}, m={m}: "
             f"eigenvalue {lam.min():.3e} below clamp floor {floor:.3e}"
         )
     np.clip(lam, 0.0, None, out=lam)

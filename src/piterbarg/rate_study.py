@@ -26,7 +26,7 @@ import numpy as np
 
 from .budget import plan_horizon
 from .closed_form import piterbarg_bm_full, piterbarg_bm_half
-from .estimator import Domain, EstimatorConfig, _row_map, _simulate_functionals, _std_error
+from .estimator import Domain, EstimatorConfig, _row_unit, _simulate_functionals, _std_error
 from .fbm import _check_alpha, _check_count, _check_real
 
 __all__ = [
@@ -134,7 +134,7 @@ def _study_table(
         replications=replications,
         seed=seed,
     )
-    unit = _row_map(alpha, *config.side_counts()).paths
+    unit = _row_unit(config)
     _check_count("replications", replications, unit + 1, rule=f"be an integer >= {unit + 1}: "
                  "rate studies report CLT standard errors, which need at least 2 "
                  + ("replications" if unit == 1 else "independent rows, and a circulant row "

@@ -241,8 +241,8 @@ class TestEstimate:
                                  "--reps", "4", "--seed", "1")
         assert code == 1
         assert out == ""
-        # the grid's 301 increments embed in the spectrum of 302 (m >= 2n)
-        assert "numerical failure: circulant embedding failed for alpha=0.55, n=302" in err
+        # the grid's 301 increments embed in m = 640, the embedding length named
+        assert "numerical failure: circulant embedding failed for alpha=0.55, m=640" in err
 
     def test_rerun_reproduces_results_fields(self, capsys, pool_sizes):
         # 1100 rows of width 179 are three blocks of 512: three workers

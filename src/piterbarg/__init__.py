@@ -8,10 +8,9 @@ Brownian motion,
 with K the half-line or the whole line.  Exact values are known only for
 the Brownian case alpha = 1; this package approximates the general case by
 restricting the supremum to a grid delta * Z truncated to [-T, T], samples
-the paths exactly through one of three row maps (iid increments at
-alpha = 1, a dense Cholesky map on short grids, circulant embedding
-otherwise), and reports the discretization, truncation, and statistical
-error components of the approximation.
+the paths exactly through one of two row maps (iid increments at
+alpha = 1, circulant embedding otherwise), and reports the discretization,
+truncation, and statistical error components of the approximation.
 """
 
 from . import fbm, estimator, budget, closed_form, rate_study

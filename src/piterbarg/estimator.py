@@ -19,18 +19,16 @@ blocks, whose interval comes from block-mean order statistics.  Median-of-
 means results carry extra bias under heavy skew and should be read as
 robust location estimates, not unbiased means.
 
-Each stream row of normals maps to paths in one of three ways, which
+Each stream row of normals maps to paths in one of two ways, which
 ``_row_map`` picks and ``_map_rows`` applies, for the engine and
 ``sample_two_sided_path`` alike.  At alpha = 1 (and for a single increment)
-the row holds the n increments, iid: one path.  Otherwise, on grids of at
-most ``_DENSE_MAX_N`` increments, it holds n normals, which one product with
-the dense map of ``fbm._dense_map`` turns into the scaled values of one path.
-On longer grids it holds the m normals of the circulant embedding, m the
-smallest even 5-smooth length >= 2n, whose fGn sequence gives two paths: its
-increments [0, n) and [m/2, m/2 + n), disjoint windows that are each exact
-in law but are not independent of each other.
+the row holds the n increments, iid: one path.  Otherwise it holds the m
+normals of the circulant embedding, m the smallest even 5-smooth length
+>= 2n, whose fGn sequence gives two paths: its increments [0, n) and
+[m/2, m/2 + n), disjoint windows that are each exact in law but are not
+independent of each other.
 
-Stream contract v5: rows are grouped into blocks of B, the largest power of
+Stream contract v6: rows are grouped into blocks of B, the largest power of
 two with B * width <= 2^17 (at least 1), so B depends on the row width alone.
 Block b is the stream ``SFC64(SeedSequence(seed, spawn_key=(b,)))``, which
 is ``SeedSequence(seed).spawn(b + 1)[b]``, numpy's spawning recipe, drawn
@@ -38,9 +36,9 @@ row after row; stream row e is row e mod B of block e // B.  Replication r
 is window r mod 2 of stream row r // 2 on circulant rows, and stream row r
 otherwise; an odd count drops the second window of its last row, so a run
 is the first replications of any longer one.  Batches start on block
-boundaries, and dense rows are multiplied in fixed chunks of
-``_gemm_rows(n)`` rows that tile the blocks, so results are bit-identical
-no matter how replications are batched or spread over threads.
+boundaries and a row's values depend on its own normals alone, so results
+are bit-identical no matter how replications are batched or spread over
+threads.
 
 Every reported error treats a stream row, not a path, as the independent
 unit: the CLT stderr is computed from per-row sums of deviations
@@ -62,7 +60,6 @@ from .fbm import (
     _check_alpha,
     _check_count,
     _check_real,
-    _dense_map,
     _embedding_spectrum,
     _fgn_from_normals,
     _next_fast_len,
@@ -195,36 +192,12 @@ def _block_rows(width: int) -> int:
 # faults of buffers that glibc returns to the system and maps again.
 _FFT_MIN_ROWS = 4
 
-# Grids of at most this many increments (alpha != 1) map n normals through
-# the dense (n, n + 1) matrix of ``fbm._dense_map`` instead of embedding:
-# the largest n whose products take 4 rows or more (``_gemm_rows``).  Per
-# path on one core, dense against an embedding row's two windows: 3.65
-# against 5.05 us at n = 172, 7.12 against 6.20 us at n = 254, so the
-# crossover now lies below this bound; it stays, since moving it would
-# change which grids draw dense rows.
-_DENSE_MAX_N = 255
-
-# OpenBLAS runs a product of at most this many multiply-adds on the calling
-# thread (64Ki times its GEMM_MULTITHREAD_THRESHOLD of 4), larger ones on
-# its own thread pool, which the engine's workers would then oversubscribe.
-_GEMM_MAX_MADDS = 1 << 18
-
-
-def _gemm_rows(n: int) -> int:
-    """Rows per dense product: the largest power of two c with c n (n + 1) <= 2^18.
-
-    At least 1; ``_DENSE_MAX_N`` keeps it at 4 or more, so no product is a
-    one-row gemv, which rounds differently from a gemm.
-    """
-    return 1 << max(0, (_GEMM_MAX_MADDS // (n * (n + 1))).bit_length() - 1)
-
 
 @dataclass(frozen=True)
 class _RowMap:
     """How a stream row of ``width`` normals becomes ``paths`` paths of n + 1
-    values anchored at column ``neg``: "iid" (the n increments), "dense" (n
-    normals times ``fbm._dense_map``) or "circulant" (the m normals of the
-    embedding, two windows)."""
+    values anchored at column ``neg``: "iid" (the n increments) or
+    "circulant" (the m normals of the embedding, two windows)."""
 
     kind: str
     alpha: float
@@ -243,15 +216,13 @@ def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
     n = neg + pos
     if n == 1 or alpha == 1.0:  # gamma(k) = 0 for k >= 1: iid N(0, 1)
         return _RowMap("iid", alpha, neg, n, n)
-    if n <= _DENSE_MAX_N:
-        return _RowMap("dense", alpha, neg, n, n)
     return _RowMap("circulant", alpha, neg, n, _next_fast_len(2 * n))
 
 
 def _row_bytes(rmap: _RowMap) -> int:
     # Normals, and the complex half-spectrum where there is an embedding,
     # whose m + 2 floats then take the 2(n + 1) values of its two paths
-    # (m >= 2n); else the values.
+    # (m >= 2n); else the values of the one path.
     width = rmap.width
     return 8 * width + (16 * (width // 2 + 1) if rmap.kind == "circulant" else 8 * (rmap.n + 1))
 
@@ -271,7 +242,7 @@ class _BatchPlan:
     block: int  # rows per stream block
     rows: int  # stream rows per batch buffer
     shares: tuple[tuple[int, int], ...]  # (first, stop) stream row per worker
-    nbytes: int  # drift, spectrum or dense map, output table, every worker's buffers
+    nbytes: int  # drift, spectrum, output table, every worker's buffers
 
 
 def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
@@ -280,12 +251,10 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows, and
     the table holds ``reps`` rows of ``columns``.  The rows' ``N`` blocks go
     to ``W = min(threads, CPUs, N)`` workers, CPUs being ``_cpu_count()``,
-    worker k taking blocks ``[k N / W, (k + 1) N / W)``.
-    Dense rows run their products ``_gemm_rows(n)`` rows at a time, so their
-    buffers hold whole such chunks even where a share is shorter.  Raises
-    ValueError for a thread count below 1, and for a run whose memory, worked
-    out here before anything is allocated, exceeds ``_memory_limit()`` at one
-    block per batch.
+    worker k taking blocks ``[k N / W, (k + 1) N / W)``.  Raises ValueError
+    for a thread count below 1, and for a run whose memory, worked out here
+    before anything is allocated, exceeds ``_memory_limit()`` at one block
+    per batch.
     """
     threads = _check_count("threads", threads)
     n, width = rmap.n, rmap.width
@@ -299,17 +268,12 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
         for k in range(workers)
     )
     rows = min(_batch_rows(rmap), max(hi - lo for lo, hi in shares))
-    if rmap.kind == "dense":
-        rows = -(-rows // _gemm_rows(n)) * _gemm_rows(n)
     # Drift and output table, the spectrum at the peak of its build (the
     # autocovariances, the first row, and the complex input and output of
-    # its FFT; it then holds less) or the dense map and the Schur factor it
-    # is cumulated from, and one set of batch buffers per worker.
+    # its FFT; it then holds less), and one set of batch buffers per worker.
     fixed = 8 * (n + 1) + 8 * reps * columns
     if rmap.kind == "circulant":
         fixed += 8 * (width // 2 + 1) + 8 * width + 32 * width
-    if rmap.kind == "dense":
-        fixed += 8 * n * (n + 1) + 8 * n * n
     limit, source = _memory_limit()
     if fixed + workers * rows * _row_bytes(rmap) > limit:
         rows = min(rows, block)  # the batch floors yield to memory
@@ -373,11 +337,8 @@ def _fill_normals(seed: int, z: np.ndarray, first: int, block: int) -> None:
         np.random.Generator(bits).standard_normal(out=z[i : i + block])
 
 
-def _row_operator(rmap: _RowMap, gains: Sequence[float]):
-    """None (iid rows), the cached spectrum of length ``rmap.width``, or the
-    cached dense map times the product of ``gains``."""
-    if rmap.kind == "dense":
-        return _cached(_dense_map, rmap.alpha, rmap.n, rmap.neg, math.prod(gains))
+def _row_operator(rmap: _RowMap):
+    """None (iid rows) or the cached spectrum of length ``rmap.width``."""
     if rmap.kind == "circulant":
         return _cached(_embedding_spectrum, rmap.alpha, rmap.width)
     return None
@@ -394,28 +355,12 @@ def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
     return np.empty((rows, rmap.width)), w, flat[: paths * (n + 1)].reshape(paths, n + 1)
 
 
-def _dense_product(z: np.ndarray, gmap: np.ndarray, values: np.ndarray, rows: int) -> None:
-    """values[:rows] = z[:rows] @ gmap, one (c, n) @ (n, n + 1) product per
-    chunk of c = ``_gemm_rows(n)`` rows, the last one padded with zero rows;
-    a buffer shorter than a chunk (the sampler's) is one product of its rows."""
-    n = gmap.shape[0]
-    c = min(_gemm_rows(n), len(z))
-    padded = -(-rows // c) * c
-    z[rows:padded] = 0.0
-    np.matmul(z[:padded].reshape(-1, c, n), gmap,
-              out=values[:padded].reshape(-1, c, n + 1))
-
-
 def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, values: np.ndarray,
               rows: int, gains: Sequence[float] = ()) -> None:
     """Paths of the normals z[:rows] into values[:rmap.paths * rows], in
-    ``_row_buffers``, by ``op = _row_operator(rmap, gains)``: iid and circulant
-    paths multiplied by each of ``gains`` in turn, dense ones by their product,
-    folded into the map.  A circulant row's (m,) fGn is viewed as two (m/2,)
+    ``_row_buffers``, by ``op = _row_operator(rmap)``, multiplied by each of
+    ``gains`` in turn.  A circulant row's (m,) fGn is viewed as two (m/2,)
     halves, whose first n increments are its two paths."""
-    if rmap.kind == "dense":
-        _dense_product(z, op, values, rows)
-        return
     fgn = z[:rows]
     if rmap.kind == "circulant":
         fgn = _fgn_from_normals(op, fgn, w[:rows]).reshape(2 * rows, -1)[:, : rmap.n]
@@ -434,8 +379,7 @@ def sample_two_sided_path(
     exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
     increments.  It is one row of the engine's ``_row_map``, drawn from
     ``rng`` (n normals, or the m of an embedding, whose first window it
-    keeps) into buffers laid out as the engine's; a dense row is padded to
-    the 4 rows of the engine's smallest product.  Returns B(k) for
+    keeps) into buffers laid out as the engine's.  Returns B(k) for
     k = -neg_count..pos_count, so ``values[neg_count]`` is exactly 0; times
     delta^(alpha/2), the path on the delta grid.
     """
@@ -445,9 +389,9 @@ def sample_two_sided_path(
     if neg_count + pos_count < 1:
         raise ValueError("need at least one increment across both sides")
     rmap = _row_map(alpha, neg_count, pos_count)
-    z, w, values = _row_buffers(rmap, _gemm_rows(_DENSE_MAX_N) if rmap.kind == "dense" else 1)
+    z, w, values = _row_buffers(rmap, 1)
     rng.standard_normal(out=z[0])
-    _map_rows(rmap, _row_operator(rmap, ()), z, w, values, 1)
+    _map_rows(rmap, _row_operator(rmap), z, w, values, 1)
     return values[0].copy()
 
 
@@ -457,19 +401,13 @@ def _simulate_functionals(
     """Per-replication functionals, shape (replications, len(strides)).
 
     Row r is what the per-path reference in ``tests/oracle.py`` yields for
-    replication r under stream contract v5: its stream row (r // 2 on
-    circulant rows, else r) of the SFC64 stream of its block, its window of
-    that row's path, a self-similarity rescale and the sup over each
-    stride's sub-grid.  A stride is an integer from 1 to the positive
+    replication r under stream contract v6, bit for bit: its stream row
+    (r // 2 on circulant rows, else r) of the SFC64 stream of its block, its
+    window of that row's path, a self-similarity rescale and the sup over
+    each stride's sub-grid.  A stride is an integer from 1 to the positive
     side count, so that its sub-grid keeps a point besides the anchor;
-    anything else is a ValueError before anything is built or drawn.
-    It is the same bit for bit where the row holds iid increments or an
-    embedding; the batching here only amortizes the FFTs.  Dense rows are
-    multiplied in chunks of c = ``_gemm_rows(n)`` rows (``_dense_product``),
-    so that a row's result depends on its own normals alone, never on the
-    batching, the thread count or a one-row product (which BLAS computes as
-    a gemv, rounding differently); the oracle's LAPACK factor and gemv agree
-    with them to rounding.
+    anything else is a ValueError before anything is built or drawn.  The
+    batching here only amortizes the FFTs.
 
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
@@ -492,9 +430,9 @@ def _simulate_functionals(
         # among live buffers, its objects kept the heap from shrinking below
         # them (0.4 MiB more peak RSS on the bench's Brownian validation).
         from concurrent.futures import ThreadPoolExecutor
-    # sqrt(2) * (scale * values): folded into the dense map, else in place.
+    # sqrt(2) * (scale * values), in place.
     gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
-    op = _row_operator(rmap, gains)
+    op = _row_operator(rmap)
     drift = _drift(neg, pos, config.delta, config.alpha, config.d)
     out = np.empty((reps, len(strides)))
     columns = [(j, neg % s, s) for j, s in enumerate(strides)]  # each sub-grid holds the anchor

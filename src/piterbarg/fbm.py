@@ -10,27 +10,22 @@ stationary with autocovariance
 
     gamma(k) = (|k+1|^alpha - 2|k|^alpha + |k-1|^alpha) / 2.
 
-The one sampler, ``estimator.sample_two_sided_path``, and the engine pick
-among the maps built here and draw the normals.  The circulant spectrum
-embeds the Toeplitz covariance of fGn in a circulant matrix diagonalized by
-the FFT (Davies-Harte method), which is exact and costs O(m log m) per
-draw.  The embedding length m is the shortest even 5-smooth one (Wood and
-Chan 1994), which numpy's FFT transforms fast. The spectrum stores the
-weights that turn standard normals into its Hermitian half-spectrum, so a
-draw only multiplies and inverts.  A draw is a stationary sequence of m
-values whose every window of up to m/2 + 1 is exact fGn.  Under stream
-contract v5 the engine embeds n increments in the shortest such m >= 2n
-(``_embedding_spectrum`` of its row width) and keeps two disjoint windows of each draw, increments [0, n) and
-[m/2, m/2 + n): two replications, exact in law but dependent, per row
-(``estimator`` states the contract). At alpha = 1 every lag beyond 0 vanishes
-and the increments are iid N(0, 1), drawn with no map at all. The tests
-check the maps against a dense Cholesky factorization of the same covariance.
-
-On short grids a dense map is cheaper than the embedding: n normals times
-the (n, n + 1) matrix ``_dense_map`` give the anchored, scaled path values
-in one product.  It is built from the Cholesky factor of the covariance,
-which the Schur algorithm computes in O(n^2) elementwise passes, so the
-factor does not depend on the BLAS build or its thread count.
+The one sampler, ``estimator.sample_two_sided_path``, and the engine draw
+the normals and map them with the spectrum built here.  The circulant
+spectrum embeds the Toeplitz covariance of fGn in a circulant matrix
+diagonalized by the FFT (Davies-Harte method), which is exact and costs
+O(m log m) per draw.  The embedding length m is the shortest even 5-smooth
+one (Wood and Chan 1994), which numpy's FFT transforms fast. The spectrum
+stores the weights that turn standard normals into its Hermitian
+half-spectrum, so a draw only multiplies and inverts.  A draw is a
+stationary sequence of m values whose every window of up to m/2 + 1 is
+exact fGn.  n increments embed in the shortest such m >= 2n, and under
+stream contract v6 the engine keeps two disjoint windows of each draw,
+increments [0, n) and [m/2, m/2 + n): two replications, exact in law but
+dependent, per row (``estimator`` states the contract). At alpha = 1 every
+lag beyond 0 vanishes and the increments are iid N(0, 1), drawn with no map
+at all. The tests check the embedding against a Cholesky factorization of
+the same covariance.
 
 Paths are always simulated on the unit grid and rescaled by self-similarity
 (B(delta * k) has the law of delta^(alpha/2) * B(k)), so one spectrum per
@@ -88,7 +83,7 @@ def _check_alpha(alpha: float) -> float:
 class CirculantSpectrum:
     """FFT eigenvalues of the circulant extension of the fGn covariance.
 
-    ``eigenvalues`` has length ``m`` (even, 5-smooth and >= 2(n-1)) and is
+    ``eigenvalues`` has length ``m`` (even, 5-smooth and >= 2n) and is
     the DFT of the periodized autocovariance sequence
     gamma(0), ..., gamma(m/2), gamma(m/2 - 1), ..., gamma(1).  All entries
     are nonnegative; inverting the transform recovers gamma(0..m/2).
@@ -131,17 +126,18 @@ def _next_fast_len(x: int) -> int:
 def circulant_spectrum(alpha: float, n: int) -> CirculantSpectrum:
     """Eigenvalues of the circulant embedding of gamma(0..n-1).
 
-    The embedding length m is the smallest even 5-smooth integer >= 2(n-1),
-    a length pocketfft transforms fast (Wood and Chan 1994); the
-    circulant first row is the true autocovariance out to lag m/2 and its
-    mirror, so draws of length up to m/2 + 1 are exact.  For fGn the
+    The embedding length m is the smallest even 5-smooth integer >= 2n,
+    a length pocketfft transforms fast (Wood and Chan 1994), the engine's
+    rule for a row of n increments; the circulant first row is the true
+    autocovariance out to lag m/2 and its mirror, so draws of length up to
+    m/2 + 1 are exact.  For fGn the
     eigenvalues are nonnegative in theory; tiny negative roundoff is clamped
     to zero and anything below -1e-9 (relative) raises, since it would
     indicate a bug rather than an unlucky covariance.
     """
     alpha = _check_alpha(alpha)
     n = _check_count("n", n, 2, rule="be an integer >= 2 (increments to embed)")
-    return _embedding_spectrum(alpha, _next_fast_len(2 * (n - 1)))
+    return _embedding_spectrum(alpha, _next_fast_len(2 * n))
 
 
 def _embedding_spectrum(alpha: float, m: int) -> CirculantSpectrum:
@@ -164,44 +160,6 @@ def _embedding_spectrum(alpha: float, m: int) -> CirculantSpectrum:
     lam.flags.writeable = False
     weights.flags.writeable = False
     return CirculantSpectrum(m=m, eigenvalues=lam, weights=weights)
-
-
-def _schur_cholesky(alpha: float, n: int) -> np.ndarray:
-    """Upper factor R, R^T R = [gamma(|i - j|)], of the fGn covariance (n >= 1).
-
-    The Schur algorithm for Toeplitz matrices (Kailath and Sayed 1995, SIAM
-    Review 37): row k of R is the first generator, shifted, after k
-    hyperbolic rotations of the generator pair.  Elementwise numpy only, so
-    the factor is the same whatever BLAS numpy links and however many
-    threads it runs.
-    """
-    upper = np.zeros((n, n))
-    a = _autocovariances(alpha, n - 1)  # gamma(0) = 1
-    b = a[1:]
-    for k in range(n):
-        upper[k, k:] = a
-        a = a[:-1]
-        if not b.size:
-            break
-        rho = b[0] / a[0]
-        s = math.sqrt((1.0 - rho) * (1.0 + rho))
-        a, b = (a - rho * b) / s, ((b - rho * a) / s)[1:]
-    return upper
-
-
-def _dense_map(alpha: float, n: int, neg_count: int, scale: float) -> np.ndarray:
-    """(n, n + 1) matrix G with z @ G the path of ``_two_sided_values``, times scale.
-
-    z is a row of n standard normals; z @ R is an fGn row, where R is the
-    Schur factor, so G is R cumulated along its rows behind a zero column,
-    anchored at column ``neg_count`` and scaled.  Build peak: R and G.
-    """
-    gmap = np.zeros((n, n + 1))
-    np.cumsum(_schur_cholesky(alpha, n), axis=1, out=gmap[:, 1:])
-    gmap -= gmap[:, neg_count : neg_count + 1]
-    gmap *= scale
-    gmap.flags.writeable = False
-    return gmap
 
 
 _SLOT: dict = {}  # the last operator built, by its (build, *args) key
@@ -253,6 +211,8 @@ def _two_sided_values(fgn: np.ndarray, neg_count: int, out: np.ndarray) -> np.nd
     """
     out[:, 0] = 0.0
     np.cumsum(fgn, axis=1, out=out[:, 1:])
-    if neg_count:  # x - x is +0.0: numpy buffers the overlapping anchor column
-        out -= out[:, neg_count][:, None]
+    if neg_count:
+        # x - x is +0.0.  The anchor column is copied first: an operand that
+        # overlaps the output sends numpy down its slower buffered path.
+        out -= out[:, neg_count].copy()[:, None]
     return out

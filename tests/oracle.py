@@ -4,23 +4,20 @@
 batches, in reused buffers, filling a block of rows per ``standard_normal``
 call.  This module computes the same numbers one path at a time, each step
 in its plainest form: the stream of replication r's stream row, spawned from
-the seed's SeedSequence as stream contract v5 defines it (blocks of B rows,
+the seed's SeedSequence as stream contract v6 defines it (blocks of B rows,
 B * width <= 2^17, block b from ``SeedSequence(seed).spawn(b + 1)[b]``
 through SFC64), advanced one row at a time past the earlier rows of its
 block; the row's map to fGn; the anchored running sum, the self-similarity
 rescale and the penalized supremum over each stride's sub-grid.  The map is
-one of three, as in the engine: n iid increments at alpha = 1 (stream row
-r); n normals times the LAPACK Cholesky factor, one gemv, for the engine's
-dense rows (stream row r); or the circulant draw of m normals, m that of
-n + 1 increments (>= 2n), built from the eigenvalues with complex
-temporaries, of which replication r keeps window r mod 2 of stream row
-r // 2: increments [0, n) or [m/2, m/2 + n).  It calls none of the engine's kernels, so tests can require
-bit-equality of iid and circulant rows without comparing the engine with
-itself; the engine's dense rows come from a gemm over its Schur factor, so
-they agree with the dense oracle to rounding only.  The fGn
-autocovariance and the dense Cholesky draw from it also check the circulant
-sampler in law, and Borwein's eta series checks the package's accelerated
-zeta(1/2).
+one of two, as in the engine: n iid increments at alpha = 1 (stream row r),
+or the circulant draw of m normals, m that of ``circulant_spectrum(alpha,
+n)`` (>= 2n), built from the eigenvalues with complex temporaries, of which
+replication r keeps window r mod 2 of stream row r // 2: increments [0, n)
+or [m/2, m/2 + n).  It calls none of the engine's kernels, so tests can
+require bit-equality of every row without comparing the engine with
+itself.  The fGn autocovariance and the dense Cholesky draw from it check
+the circulant sampler in law, and Borwein's eta series checks the
+package's accelerated zeta(1/2).
 """
 
 from __future__ import annotations
@@ -128,28 +125,23 @@ class PathGrid:
     values: np.ndarray
 
 
-def replication_path(config: EstimatorConfig, index: int, block: int | None = None,
-                     dense: bool = False) -> PathGrid:
+def replication_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
     """Path of replication ``index`` under ``config`` on its delta grid.
 
-    At alpha != 1, ``dense`` maps n normals through the Cholesky factor of
-    the covariance, as the engine does on short grids; else the row is the
-    circulant draw, two replications a row.  ``block`` is the rows per
-    stream block, by default ``block_rows`` of the row width: n normals at
-    alpha = 1 or dense, else the embedding length m.
+    At alpha != 1 the row is the circulant draw, two replications a row.
+    ``block`` is the rows per stream block, by default ``block_rows`` of the
+    row width: n normals at alpha = 1, else the embedding length m.
     """
     neg, pos = config.side_counts()
     n = neg + pos
     iid = n == 1 or config.alpha == 1.0
-    spectrum = None if iid or dense else circulant_spectrum(config.alpha, n + 1)
+    spectrum = None if iid else circulant_spectrum(config.alpha, n)
     width = n if spectrum is None else spectrum.m
     row, window = (index, 0) if spectrum is None else divmod(index, 2)
     block = block_rows(width) if block is None else block
     rng = replication_stream(config.seed, row, width, block)
     if iid:
         fgn = rng.standard_normal(n)  # iid increments: no embedding
-    elif dense:
-        fgn = cholesky_sample(config.alpha, n, rng)
     else:
         fgn = sample_fgn(spectrum, rng, n, window)
     unit = np.concatenate([[0.0], np.cumsum(fgn)])

@@ -1,7 +1,6 @@
 """Tests for the supremum functional, subsampling, and the MC estimator."""
 
 import dataclasses
-import hashlib
 import io
 import math
 import os
@@ -10,6 +9,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ import piterbarg.rate_study as rate_study
 from oracle import (
     PathGrid,
     block_rows,
+    cholesky_sample,
     replication_path,
     replication_stream,
     subsampled_functionals,
@@ -37,15 +38,12 @@ from piterbarg import (
     sample_two_sided_path,
 )
 from piterbarg.estimator import (
-    _DENSE_MAX_N,
     _FFT_MIN_ROWS,
-    _GEMM_MAX_MADDS,
     _aggregate,
     _batch_plan,
     _batch_rows,
     _block_rows,
     _fill_normals,
-    _gemm_rows,
     _map_rows,
     _mom_ci_rank,
     _row_buffers,
@@ -57,15 +55,13 @@ from piterbarg.estimator import (
     _std_error,
     grid_count,
 )
-from piterbarg.fbm import _dense_map
 from piterbarg.fbm import _next_fast_len
 
 
-def _rmap(n, width, embedded=False, dense=False):
+def _rmap(n, width, embedded=False):
     """A row map of n increments and rows of ``width`` normals; the plan
     reads only its kind, n and width."""
-    kind = "circulant" if embedded else "dense" if dense else "iid"
-    return _RowMap(kind, 0.5, 0, n, width)
+    return _RowMap("circulant" if embedded else "iid", 0.5, 0, n, width)
 
 
 def _counted(monkeypatch, module, name):
@@ -223,7 +219,7 @@ class TestReplicationStreams:
 
 
 class TestStreamContract:
-    """Golden values of stream contract v5, so that a change of numpy or of
+    """Golden values of stream contract v6, so that a change of numpy or of
     the engine that moves the random stream fails here first."""
 
     @pytest.mark.parametrize("seed,expected", [
@@ -237,31 +233,32 @@ class TestStreamContract:
         estimator._fill_normals(seed, z, 0, 1)
         assert z.tolist() == expected
 
-    def test_functional_row(self, monkeypatch):
+    def test_functional_row(self):
         # the embedding's FFT may round differently on another platform, so
-        # the row is pinned to 1e-12, far below what a moved stream changes;
-        # n = 80 would take the dense map, so the embedding is forced.
-        # Replication 2 is the first window of stream row 1 (m = 160).
-        monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
+        # the row is pinned to 1e-12, far below what a moved stream changes.
+        # Replication 2 is the first window of stream row 1 (n = 80, m = 160).
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
                               delta=0.05, horizon=2.0, replications=3, seed=20260810)
         row = _simulate_functionals(cfg, [1, 2])[2]
         assert row.tolist() == pytest.approx([3.3238495930746836, 2.369413850077903], rel=1e-12)
 
     def test_dense_functional_row(self):
-        # the same config on the dense map (n = 80 normals a row); BLAS
-        # kernels may round differently on another platform, hence 1e-12
+        # the same config, which v5 drew from the dense map (the test keeps
+        # its name): replications 0 and 1 are the two windows of stream row
+        # 0; the second one's sup is at the anchor
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
                               delta=0.05, horizon=2.0, replications=3, seed=20260810)
-        assert sum(cfg.side_counts()) <= estimator._DENSE_MAX_N
-        row = _simulate_functionals(cfg, [1, 2])[1]
-        assert row.tolist() == pytest.approx([9.63341434872447, 5.062553222673725], rel=1e-12)
+        assert _row_map(cfg.alpha, *cfg.side_counts()).kind == "circulant"
+        rows = _simulate_functionals(cfg, [1, 2])[:2]
+        assert rows.tolist() == [pytest.approx([5.864606875849611] * 2, rel=1e-12), [1.0, 1.0]]
 
-    # v5 moved only circulant rows: the column sums of the stride-1, 2 and 4
-    # table and the estimate's fields of iid (alpha = 1) and dense (alpha =
-    # 1.5) runs, as under v4.  exp and gemm may round differently on another
-    # platform, hence 1e-12, far below what a moved stream changes
-    _IID_AND_DENSE = {
+    # v6 moved only circulant rows of n <= 255, the grids that v5 drew from
+    # a dense map: the column sums of the stride-1, 2 and 4 table and the
+    # estimate's fields of iid (alpha = 1, as under v4 and v5) and circulant
+    # (alpha = 1.5, n = 100 and 200) runs.  exp and the FFT may round
+    # differently on another platform, hence 1e-12, far below what a moved
+    # stream changes
+    _IID_AND_CIRCULANT = {
         (1.0, "HALF_LINE", 0.5): [
             5606.260006721709, 5262.419206381164, 4842.848816699505, 2.178975189077904,
             1.9966070939298308, 2.429955872348223,
@@ -279,35 +276,36 @@ class TestStreamContract:
             0.016600153502770856, 1.4655125504316155, 1.5305839564381503,
         ],
         (1.5, "HALF_LINE", 0.5): [
-            4152.1630986211985, 4062.027538369712, 3915.4067525671094, 1.6837144593829119,
-            1.500492340873529, 1.8054040620918679,
+            4249.213623008701, 4139.087319892387, 3977.9780652720588, 1.6145043642393422,
+            1.4957419588708432, 1.7690446915332707,
         ],
         (1.5, "HALF_LINE", 2.0): [
-            2983.050830748116, 2924.471428759425, 2833.6740716844943, 1.1932203322992478,
-            0.008944242262168988, 1.1756899395963956, 1.2107507250021001,
+            3000.371178008542, 2943.203365714142, 2856.0514392232617, 1.2001484712034163,
+            0.011180671123609601, 1.1782347584781545, 1.222062183928678,
         ],
         (1.5, "FULL_LINE", 0.5): [
-            5931.281919849334, 5776.755447643751, 5498.158792075262, 2.2222846980437705,
-            1.9628317538305355, 2.42927127992325,
+            5536.436340337107, 5379.447432627447, 5128.106084680582, 2.1864952678986924,
+            1.9939904464166598, 2.3430097585534773,
         ],
         (1.5, "FULL_LINE", 2.0): [
-            3398.0759559506646, 3300.54268554973, 3137.2389107266613, 1.3592303823802678,
-            0.01121694387524741, 1.3372455763681759, 1.3812151883923598,
+            3385.875932767636, 3291.089784657487, 3131.2750159415405, 1.3543503731070548,
+            0.01120972940076336, 1.332379707205119, 1.3763210390089906,
         ],
     }
 
-    @pytest.mark.parametrize("key", list(_IID_AND_DENSE),
+    @pytest.mark.parametrize("key", list(_IID_AND_CIRCULANT),
                              ids=lambda key: "-".join(map(str, key)))
     def test_iid_and_dense_outputs_pinned(self, key):
+        # the name is v5's, whose alpha = 1.5 grids took the dense map
         alpha, domain, d = key
         cfg = EstimatorConfig(alpha=alpha, d=d, domain=Domain[domain], delta=0.05,
                               horizon=5.0, replications=2500, seed=20261019)
-        assert _row_map(alpha, *cfg.side_counts()).kind == ("iid" if alpha == 1.0 else "dense")
+        assert _row_map(alpha, *cfg.side_counts()).kind == ("iid" if alpha == 1.0 else "circulant")
         table = _simulate_functionals(cfg, (1, 2, 4))
         assert np.array_equal(table, _simulate_functionals(cfg, (1, 2, 4), threads=2))
         est = estimate_constant(cfg)
         fields = [x for x in (est.estimate, est.stderr, est.ci_low, est.ci_high) if x is not None]
-        assert list(table.sum(axis=0)) + fields == pytest.approx(self._IID_AND_DENSE[key],
+        assert list(table.sum(axis=0)) + fields == pytest.approx(self._IID_AND_CIRCULANT[key],
                                                                  rel=1e-12)
 
 
@@ -513,38 +511,6 @@ class TestBatchPlan:
         plan = _batch_plan(1000, _rmap(172, 172, False), 2, 3)
         assert plan.nbytes == (8 * 173 + 8 * 3000
                                + 2 * plan.rows * _row_bytes(_rmap(172, 172, False)))
-        # the dense map and the Schur factor it is cumulated from
-        plan = _batch_plan(1000, _rmap(172, 172, dense=True), 2, 3)
-        assert plan.nbytes == (8 * 173 + 8 * 3000 + 8 * 172 * 173 + 8 * 172 * 172
-                               + 2 * plan.rows * _row_bytes(_rmap(172, 172, dense=True)))
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("reps", [1, 3, 7, 100, 1027, 10**4])
-    def test_dense_buffers_hold_whole_products(self, reps, threads):
-        # a share shorter than one product still gets a whole (c, n) buffer
-        n = 172
-        c = _gemm_rows(n)
-        plan = _batch_plan(reps, _rmap(n, n, dense=True), threads, 1)
-        assert plan.rows % c == 0 and plan.block % c == 0
-        assert plan.rows >= min(_batch_rows(_rmap(n, n, dense=True)),
-                                max(hi - lo for lo, hi in plan.shares))
-        assert plan.rows - c < min(_batch_rows(_rmap(n, n, dense=True)),
-                                   max(hi - lo for lo, hi in plan.shares))
-
-    def test_plan_bytes_cover_dense_map_build(self):
-        import tracemalloc
-
-        n = _DENSE_MAX_N
-        tracemalloc.start()
-        try:
-            _dense_map(0.7, n, n // 2, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        plan = _batch_plan(1, _rmap(n, n, dense=True), 1, 1)
-        counted = plan.nbytes - 8 * (n + 1) - 8 - plan.rows * _row_bytes(_rmap(n, n, dense=True))
-        assert counted == 8 * n * (n + 1) + 8 * n * n
-        assert 0.9 * counted <= peak <= 1.1 * counted
 
     def test_fft_floor_yields_to_memory(self, monkeypatch):
         # n = 2.5e7 on two workers: 8.20 GiB at the 4-row floor, over an
@@ -698,7 +664,7 @@ class TestBlockRows:
         cfg = EstimatorConfig(alpha=1.5, d=0.5, domain=Domain.FULL_LINE,
                               delta=0.05, horizon=4.0, replications=300, seed=5)
         tables = [_simulate_functionals(cfg, [1], threads=t) for t in (1, 2, 3)]
-        assert set(seen) == {sum(cfg.side_counts())}  # dense rows: n normals
+        assert set(seen) == {_next_fast_len(2 * sum(cfg.side_counts()))}  # m normals
         assert all(np.array_equal(tables[0], t) for t in tables[1:])
 
 
@@ -747,9 +713,7 @@ class TestEstimateConstant:
         # either way a later batch starts on a block boundary and the last
         # block is short.  The engine must reproduce the per-path oracle and
         # the public path sampler (a row's first window) bit-for-bit,
-        # including the alpha = 1 shortcut.  The grid is short, so the
-        # embedding is forced.
-        monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
+        # including the alpha = 1 shortcut.
         monkeypatch.setattr(estimator, "_block_rows", lambda width: 2)
         monkeypatch.setattr(estimator, "_batch_rows", lambda rmap: 4)
         cfg = EstimatorConfig(alpha=alpha, d=0.3, domain=domain,
@@ -781,6 +745,21 @@ class TestEstimateConstant:
         table = _simulate_functionals(cfg, [1, 3], threads=threads)
         for r in range(cfg.replications):
             recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 3])
+            assert [rec.functional for rec in recs] == list(table[r])
+
+    def test_full_heavy_grid_matches_oracle(self):
+        # alpha = 1.5 on the full line at delta = 0.05, T = 4.3: n = 172
+        # increments embed in m = 360, blocks of 256 rows.  The replications
+        # of stream rows 0, B - 1, B and the lone first window of the short
+        # last block's last row, on two threads, against the per-path oracle
+        cfg = EstimatorConfig(alpha=1.5, d=0.5, domain=Domain.FULL_LINE, delta=0.05,
+                              horizon=4.3, replications=2 * 256 + 5, seed=9)
+        rmap = _row_map(cfg.alpha, *cfg.side_counts())
+        assert (rmap.kind, rmap.n, rmap.width, _block_rows(rmap.width)) == (
+            "circulant", 172, 360, 256)
+        table = _simulate_functionals(cfg, [1, 2], threads=2)
+        for r in (0, 1, 510, 511, 512, 513, 516):
+            recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 2])
             assert [rec.functional for rec in recs] == list(table[r])
 
     @pytest.mark.parametrize("domain", list(Domain))
@@ -819,11 +798,10 @@ class TestEstimateConstant:
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
         assert np.array_equal(t1, t2)
 
-    def test_embedded_deterministic_across_threads_and_batches(self, monkeypatch, pool_sizes):
-        # n = 20 increments embed in m = 40 (forced: the grid is short), two
-        # replications a row, so this is two batches and a short third, run
-        # by two and three workers that each reuse one set of buffers
-        monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
+    def test_embedded_deterministic_across_threads_and_batches(self, pool_sizes):
+        # n = 20 increments embed in m = 40, two replications a row, so this
+        # is two batches and a short third, run by two and three workers
+        # that each reuse one set of buffers
         cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
                            horizon=0.5, replications=4 * _batch_rows(_rmap(20, 40, True)) + 9)
         assert _row_map(cfg.alpha, *cfg.side_counts()).width == 40
@@ -833,12 +811,11 @@ class TestEstimateConstant:
         assert pool_sizes == [2, 3]
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
-    def test_block_stream_matches_oracle(self, alpha, monkeypatch):
+    def test_block_stream_matches_oracle(self, alpha):
         # the real block size: the replications of stream rows 0, B - 1, B
         # and of the short last block (whose last row keeps one window where
         # rows hold two) against the per-path oracle, which draws and drops
-        # earlier rows; the embedding is forced on this short grid
-        monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
+        # earlier rows
         cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
                            delta=0.05, horizon=2.0, replications=1)
         rmap = _row_map(alpha, *cfg.side_counts())
@@ -855,12 +832,17 @@ class TestEstimateConstant:
     def test_small_run_splits_over_workers(self, monkeypatch):
         # 4000 rows of width 100 are four blocks of 1024 rows, the last one
         # short, and a batch is one block; two threads take two contiguous
-        # blocks each and give the one-thread result
+        # blocks each and give the one-thread result.  Each share waits at
+        # its first block until the other share has started, so the pool
+        # cannot run both shares on one thread
         fills = []
         fill = estimator._fill_normals
+        both_started = threading.Barrier(2, timeout=30)
 
         def spy(seed, z, first, block):
             fills.append((first, len(z), threading.get_ident()))
+            if first in (0, 2):
+                both_started.wait()
             fill(seed, z, first, block)
 
         cfg = self._config(replications=4000)
@@ -879,9 +861,8 @@ class TestEstimateConstant:
                                                              pool_sizes):
         # five blocks of stream rows, the last one short, in batches of one
         # block: two workers take blocks [0, 2) and [2, 5), three take
-        # [0, 1), [1, 3) and [3, 5); the embedding is forced on this short
-        # grid, and its odd replication count drops the last row's second window
-        monkeypatch.setattr(estimator, "_DENSE_MAX_N", 0)
+        # [0, 1), [1, 3) and [3, 5); on circulant rows the odd replication
+        # count drops the last row's second window
         cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
                            delta=0.05, horizon=2.0, replications=1)
         rmap = _row_map(alpha, *cfg.side_counts())
@@ -935,9 +916,11 @@ class TestEstimateConstant:
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=5000))
         assert pool_sizes == [2]
 
+    # "dense" names the short circulant grid (n = 200) that v5 mapped densely
     @pytest.mark.parametrize("kind,kw", [
         ("iid", dict(replications=4000)),
-        ("dense", dict(alpha=1.5, domain=Domain.FULL_LINE, replications=2048)),
+        pytest.param("circulant", dict(alpha=1.5, domain=Domain.FULL_LINE, replications=2048),
+                     id="dense-kw1"),
         ("circulant", dict(alpha=0.5, horizon=15.0, replications=1100)),
     ])
     def test_row_operator_built_once_on_calling_thread(self, monkeypatch, kind, kw):
@@ -963,9 +946,9 @@ class TestEstimateConstant:
         assert cached == ([] if kind == "iid" else [caller])
 
     def test_another_cache_entry_mid_run_builds_no_second_map(self, monkeypatch):
-        # a dense run of three batches whose second batch first caches a
-        # spectrum (as another run or a sampler call would) builds its
-        # dense map once, and keeps its table
+        # a circulant run of three batches whose second batch first caches
+        # another spectrum (as another run or a sampler call would) builds
+        # its own spectrum once, and keeps its table
         fill = estimator._fill_normals
 
         def evicting_fill(seed, z, first, block):
@@ -973,20 +956,21 @@ class TestEstimateConstant:
                 fbm._cached(circulant_spectrum, 0.7, 300)
             fill(seed, z, first, block)
 
-        cfg = self._config(alpha=1.5, replications=2 * 1024 + 5)  # n = 100, blocks of 1024
-        assert _row_map(cfg.alpha, *cfg.side_counts()).kind == "dense"
+        # n = 100 and m = 200, blocks of 512 rows of two replications each
+        cfg = self._config(alpha=1.5, replications=2 * 1024 + 5)
+        assert _row_map(cfg.alpha, *cfg.side_counts()).width == 200
         t1 = _simulate_functionals(cfg, [1, 2])
-        builds = _counted(monkeypatch, estimator, "_dense_map")
+        builds = _counted(monkeypatch, estimator, "_embedding_spectrum")
         monkeypatch.setattr(estimator, "_fill_normals", evicting_fill)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2]))
         assert len(builds) == 1
 
     @pytest.mark.parametrize("kind,kw", [
         ("iid", {}),
-        ("dense", dict(alpha=1.5, domain=Domain.FULL_LINE)),
+        ("circulant", dict(alpha=1.5, domain=Domain.FULL_LINE)),
         ("circulant", dict(alpha=0.5, horizon=15.0)),
         ("circulant", dict(alpha=0.5, horizon=15.0, domain=Domain.FULL_LINE)),
-    ], ids=["iid", "dense-full", "circulant-half", "circulant-full"])
+    ], ids=["iid", "dense-full", "circulant-half", "circulant-full"])  # n = 200, dense in v5
     def test_replication_prefix_stability(self, kind, kw):
         # a run is the first rows of any longer one, across blocks and
         # batches, at any thread count
@@ -999,19 +983,20 @@ class TestEstimateConstant:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(kind=st.sampled_from(["iid", "dense", "circulant"]),
+    @given(grid=st.sampled_from(["iid", "short", "long"]),
            domain=st.sampled_from(list(Domain)), data=st.data())
-    def test_table_independent_of_batching(self, kind, domain, data, pool_sizes):
-        # small grids of each row kind: a run of up to three blocks is
-        # bit-equal at 1, 2 and 3 threads, and is the first rows of a
-        # longer run at a drawn thread count
+    def test_table_independent_of_batching(self, grid, domain, data, pool_sizes):
+        # small grids of each row kind, and circulant ones of at most and
+        # more than 255 increments: a run of up to three blocks is bit-equal
+        # at 1, 2 and 3 threads, and is the first rows of a longer run at a
+        # drawn thread count
         alpha, delta, horizons = {"iid": (1.0, 0.01, (6.0, 10.0)),
-                                  "dense": (1.5, 0.05, (3.0, 6.0)),
-                                  "circulant": (0.5, 0.05, (13.0, 15.0))}[kind]
+                                  "short": (1.5, 0.05, (3.0, 6.0)),
+                                  "long": (0.5, 0.05, (13.0, 15.0))}[grid]
         kw = dict(alpha=alpha, d=0.7, domain=domain, delta=delta,
                   horizon=data.draw(st.sampled_from(horizons)))
         rmap = _row_map(alpha, *self._config(**kw).side_counts())
-        assert rmap.kind == kind
+        assert rmap.kind == ("iid" if grid == "iid" else "circulant")
         block = _block_rows(rmap.width)
         reps = data.draw(st.integers(1, 3 * block))
         longer = self._config(replications=reps + data.draw(st.integers(1, block)), **kw)
@@ -1043,7 +1028,9 @@ class TestStageSeams:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind,alpha,horizon", [
-        ("iid", 1.0, 5.0), ("dense", 1.5, 5.0), ("circulant", 0.5, 15.0),
+        ("iid", 1.0, 5.0),
+        pytest.param("circulant", 1.5, 5.0, id="dense-1.5-5.0"),  # n = 200, dense in v5
+        ("circulant", 0.5, 15.0),
     ])
     def test_engine_stages_once_per_batch(self, monkeypatch, kind, alpha, horizon, threads):
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
@@ -1058,7 +1045,7 @@ class TestStageSeams:
                                   ("_fgn_from_normals", "_two_sided_values", "_aggregate"))
         estimate_constant(cfg, threads=threads)
         assert len(fgn) == (batches if kind == "circulant" else 0)
-        assert len(cumsum) == (0 if kind == "dense" else batches)
+        assert len(cumsum) == batches
         assert len(aggregate) == 1
 
     def test_studies_simulate_once(self, monkeypatch):
@@ -1069,64 +1056,64 @@ class TestStageSeams:
         assert len(simulate) == 2
 
 
+def _cholesky_path_covariance(alpha, neg, pos):
+    """Covariance of the unit-grid path -neg..pos that the oracle's Cholesky
+    draw gives: the path is P z for P the anchored running sum of the
+    Cholesky factor (drawn from unit vectors in place of normals), so P P^T."""
+    n = neg + pos
+    factor = cholesky_sample(alpha, n, SimpleNamespace(standard_normal=np.eye))
+    path = np.vstack([np.zeros(n), np.cumsum(factor, axis=0)])
+    path -= path[neg]
+    return path @ path.T
+
+
+class _UnitNormals:
+    """A stand-in generator whose one row of normals is unit vector i."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def standard_normal(self, out):
+        out[:] = 0.0
+        out[self.i] = 1.0
+
+
 class TestDenseRows:
-    """Grids of at most ``_DENSE_MAX_N`` increments at alpha != 1: n normals
-    a row, mapped by one product per chunk of ``_gemm_rows(n)`` rows."""
+    """The grids that stream contract v5 drew from a dense Schur-Cholesky
+    map, 2 <= n <= 255 increments at alpha != 1.  Since v6 they are circulant
+    rows like any longer grid: m = _next_fast_len(2n) normals, two paths."""
 
     def _config(self, **kw):
-        # n = 80 increments, blocks of 1024 rows, products of 32 rows
+        # n = 80 increments in m = 160, blocks of 512 rows of two paths
         base = dict(alpha=0.5, d=0.7, domain=Domain.FULL_LINE, delta=0.05,
                     horizon=2.0, replications=2 * 1024 + 3, seed=23)
         base.update(kw)
         return EstimatorConfig(**base)
 
-    def test_products_stay_below_the_one_thread_gemm_size(self):
-        # 4 rows or more, so no product is a gemv, and at most 2^18
-        # multiply-adds, which OpenBLAS runs on the calling thread; chunks
-        # tile the stream blocks, so batches and shares start on a chunk,
-        # and a batch that _batch_plan cuts to one block for memory holds
-        # whole chunks
-        for n in range(2, _DENSE_MAX_N + 1):
-            c = _gemm_rows(n)
-            assert c >= 4 and c & (c - 1) == 0
-            assert c * n * (n + 1) <= _GEMM_MAX_MADDS < 2 * c * n * (n + 1)
-            assert _block_rows(n) % c == 0
-        assert _gemm_rows(_DENSE_MAX_N + 1) < 4
-
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.5, 1.9])
     def test_rows_match_cholesky_oracle(self, alpha, domain):
-        # the per-path oracle's LAPACK factor and gemv round differently
-        # from the engine's Schur factor and gemm, so the rows agree to
-        # rounding: rows 0, B - 1, B and the short last block
-        block = block_rows(sum(self._config(domain=domain).side_counts()))
-        cfg = self._config(alpha=alpha, domain=domain, replications=2 * block + 3)
-        table = _simulate_functionals(cfg, [1, 2, 3], threads=2)
-        for r in (0, 1, block - 1, block, 2 * block, 2 * block + 2):
-            recs = subsampled_functionals(replication_path(cfg, r, dense=True),
-                                          cfg.d, cfg.domain, [1, 2, 3])
-            np.testing.assert_allclose(table[r], [rec.functional for rec in recs],
-                                       rtol=1e-12)
-
-    def test_one_product_shape(self, monkeypatch):
-        # every product is (k, c, n) @ (n, n + 1), the short last block
-        # padded to whole chunks
-        shapes = []
-        matmul = np.matmul
-
-        def spy(a, b, **kwargs):
-            shapes.append((a.shape, b.shape))
-            return matmul(a, b, **kwargs)
-
-        monkeypatch.setattr(estimator.np, "matmul", spy)
-        _simulate_functionals(self._config(replications=1024 + 35), [1])
-        c, n = _gemm_rows(80), 80
-        assert shapes == [((1024 // c, c, n), (n, n + 1)), ((2, c, n), (n, n + 1))]
+        # in law: the engine maps its m normals linearly, so mapping the m
+        # unit vectors gives each window's map A, and A A^T must be the
+        # covariance of the oracle's Cholesky path to rounding
+        neg, pos = self._config(domain=domain).side_counts()
+        rmap = _row_map(alpha, neg, pos)
+        m = rmap.width
+        assert rmap.kind == "circulant" and m == _next_fast_len(2 * (neg + pos))
+        z, w, values = _row_buffers(rmap, m)
+        z[:] = np.eye(m)
+        _map_rows(rmap, _row_operator(rmap), z, w, values, m)
+        expected = _cholesky_path_covariance(alpha, neg, pos)
+        for window in (0, 1):
+            a = values[window::2]  # row i: the path of unit vector i
+            np.testing.assert_allclose(a.T @ a, expected, rtol=1e-10,
+                                       atol=1e-12 * np.abs(expected).max())
 
     def test_bit_identical_across_threads_batchings_and_counts(self, monkeypatch, pool_sizes):
         # three and a bit blocks: one, two and three workers, batches of one
         # block and of two, and a count that ends the run mid-block
         cfg = self._config(replications=3 * 1024 + 70)
+        assert _block_rows(_row_map(cfg.alpha, *cfg.side_counts()).width) == 512
         reference = _simulate_functionals(cfg, [1, 2], threads=1)
         for threads in (2, 3):
             assert np.array_equal(reference, _simulate_functionals(cfg, [1, 2], threads=threads))
@@ -1139,81 +1126,59 @@ class TestDenseRows:
             assert np.array_equal(short, reference[:reps])
         assert max(pool_sizes) == 3
 
-    def test_bit_identical_across_openblas_threads(self):
-        # the products are small enough for OpenBLAS to run on the calling
-        # thread, so its thread count cannot change a bit
-        script = (
-            "import hashlib\n"
-            "from piterbarg import Domain, EstimatorConfig\n"
-            "from piterbarg.estimator import _simulate_functionals\n"
-            "cfg = EstimatorConfig(alpha=1.5, d=0.5, domain=Domain.FULL_LINE, "
-            "delta=0.05, horizon=4.3, replications=3000, seed=9)\n"
-            "table = _simulate_functionals(cfg, [1, 2], threads=2)\n"
-            "print(hashlib.sha256(table.tobytes()).hexdigest())\n"
-        )
-        src = str(Path(estimator.__file__).resolve().parents[1])
-        digests = []
-        for blas_threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                                  capture_output=True, text=True, timeout=120)
-            digests.append(proc.stdout.strip())
-        cfg = EstimatorConfig(alpha=1.5, d=0.5, domain=Domain.FULL_LINE, delta=0.05,
-                              horizon=4.3, replications=3000, seed=9)
-        assert sum(cfg.side_counts()) == 172  # the full_heavy grid
-        here = _simulate_functionals(cfg, [1, 2], threads=1)
-        assert digests == [hashlib.sha256(here.tobytes()).hexdigest()] * 2
-
 
 class TestPathSampler:
     """``sample_two_sided_path`` draws one row of the engine's row map."""
 
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
     def test_dense_row_matches_cholesky_oracle(self, domain):
-        # alpha = 0.7, n = 30 or 60: a dense row of n normals; the oracle's
-        # LAPACK factor rounds differently from the Schur factor
+        # alpha = 0.7, n = 30 or 60, a grid v5 mapped densely: the sampler's
+        # row is the oracle's first window of the stream row (to the
+        # rounding of its rescale), and has the oracle's Cholesky law
         cfg = EstimatorConfig(alpha=0.7, d=2.0, domain=domain, delta=0.1,
-                              horizon=3.0, replications=4, seed=2026)
+                              horizon=3.0, replications=8, seed=2026)
         neg, pos = cfg.side_counts()
-        n = neg + pos
-        assert n <= _DENSE_MAX_N
+        m = circulant_spectrum(cfg.alpha, neg + pos).m
         for r in (0, 3):
             unit = sample_two_sided_path(cfg.alpha, neg, pos,
-                                         replication_stream(cfg.seed, r, n, block_rows(n)))
-            expected = replication_path(cfg, r, dense=True).values / cfg.delta ** (cfg.alpha / 2)
+                                         replication_stream(cfg.seed, r, m, block_rows(m)))
+            expected = replication_path(cfg, 2 * r).values / cfg.delta ** (cfg.alpha / 2)
             assert unit[neg] == 0.0
             np.testing.assert_allclose(unit, expected, rtol=1e-12, atol=1e-14)
+        a = np.array([sample_two_sided_path(cfg.alpha, neg, pos, _UnitNormals(i))
+                      for i in range(m)])
+        expected = _cholesky_path_covariance(cfg.alpha, neg, pos)
+        np.testing.assert_allclose(a.T @ a, expected, rtol=1e-10,
+                                   atol=1e-12 * np.abs(expected).max())
 
     @pytest.mark.parametrize("alpha,neg,pos", [
         (0.7, 1, 1), (0.3, 0, 4), (1.5, 15, 15), (0.7, 86, 86), (1.9, 0, 255),
     ])
     def test_dense_row_is_the_engines_row(self, alpha, neg, pos):
-        # the engine's batch buffers, normals and products (its gains left
-        # out) give the sampler's row bit for bit: in a full chunk and in
-        # the short last one, which both pad differently from the sampler
+        # grids v5 mapped densely: the engine's batch buffers, normals and
+        # spectrum (its gains left out) give the sampler's row, the first
+        # window of a stream row, bit for bit, in a full block and in the
+        # short next one
         rmap = _row_map(alpha, neg, pos)
-        n, c = rmap.n, _gemm_rows(rmap.n)
-        assert rmap.kind == "dense"
-        reps = c + 3
-        plan = _batch_plan(reps, rmap, 1, 1)
-        assert reps < plan.rows
-        z, w, values = _row_buffers(rmap, plan.rows)
-        _fill_normals(2027, z[:reps], 0, plan.block)
-        _map_rows(rmap, _row_operator(rmap, ()), z, w, values, reps)
-        for r in (0, 1, c - 1, c, c + 2):
+        block = _block_rows(rmap.width)
+        assert rmap.kind == "circulant" and rmap.n <= 255
+        rows = block + 3
+        z, w, values = _row_buffers(rmap, rows)
+        _fill_normals(2027, z, 0, block)
+        _map_rows(rmap, _row_operator(rmap), z, w, values, rows)
+        for r in (0, 1, block - 1, block, block + 2):
             row = sample_two_sided_path(alpha, neg, pos,
-                                        replication_stream(2027, r, n, plan.block))
-            assert np.array_equal(row, values[r]), r
+                                        replication_stream(2027, r, rmap.width, block))
+            assert np.array_equal(row, values[2 * r]), r
 
     @pytest.mark.parametrize("alpha,neg,pos", [
         (0.7, 10, 20), (1.0, 10, 20), (1.5, 0, 1), (0.7, 150, 150), (0.7, 1, 1),
     ])
     def test_consumes_one_row(self, alpha, neg, pos):
-        # dense (n = 30 and 2) and iid rows take n normals, circulant ones (n = 300) the m
+        # iid rows take n normals, circulant ones (n = 30, 300 and 2) the m
         # of the embedding: the next draw is the stream's normal width + 1
         n = neg + pos
-        width = circulant_spectrum(alpha, n + 1).m if n > _DENSE_MAX_N else n
+        width = n if alpha == 1.0 or n == 1 else circulant_spectrum(alpha, n).m
         rng = np.random.default_rng(8)
         sample_two_sided_path(alpha, neg, pos, rng)
         assert rng.standard_normal() == np.random.default_rng(8).standard_normal(width + 1)[-1]
@@ -1285,16 +1250,25 @@ class TestAggregation:
         expected = math.sqrt(3 / 2 * (sums ** 2).sum()) / 5
         assert _std_error(values, 2) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha,kind", [(1.0, "iid"), (1.5, "dense")])
+    @pytest.mark.parametrize("alpha,kind", [(1.0, "iid")])
     def test_unit_one_stderr_is_the_path_stderr(self, alpha, kind):
-        # iid and dense rows hold one path: the reported stderr is the
-        # per-path std(ddof=1) / sqrt(R), bit for bit
+        # iid rows hold one path: the reported stderr is the per-path
+        # std(ddof=1) / sqrt(R), bit for bit
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE, delta=0.05,
                               horizon=5.0, replications=301, seed=2)
         assert _row_map(alpha, *cfg.side_counts()).kind == kind
         values = _simulate_functionals(cfg, [1])[:, 0]
         res = _aggregate(values, cfg)
         assert res.stderr == _std_error(values) == float(values.std(ddof=1) / math.sqrt(301))
+
+    def test_short_circulant_grid_reports_the_row_stderr(self):
+        # n = 100 at alpha = 1.5 embeds like any longer grid: two paths a
+        # row, so the reported stderr is over the 151 rows, not the paths
+        cfg = EstimatorConfig(alpha=1.5, d=2.0, domain=Domain.HALF_LINE, delta=0.05,
+                              horizon=5.0, replications=301, seed=2)
+        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 2
+        values = _simulate_functionals(cfg, [1])[:, 0]
+        assert _aggregate(values, cfg).stderr == _std_error(values, 2) != _std_error(values)
 
     @pytest.mark.parametrize("reps", [3, 25, 47, 48, 49, 101, 1000])
     def test_median_of_means_blocks_hold_whole_rows(self, reps):

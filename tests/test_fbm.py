@@ -10,13 +10,11 @@ import pytest
 import piterbarg.fbm as fbm
 from oracle import cholesky_sample, fgn_autocovariance, sample_fgn
 from piterbarg import circulant_spectrum, sample_two_sided_path
-from piterbarg.estimator import _DENSE_MAX_N
 from piterbarg.fbm import (
     _cached,
-    _dense_map,
+    _embedding_spectrum,
     _fgn_from_normals,
     _next_fast_len,
-    _schur_cholesky,
 )
 
 
@@ -65,45 +63,19 @@ class TestAutocovariance:
             fgn_autocovariance(0.5, -1)
 
 
-class TestDenseMap:
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 172, _DENSE_MAX_N])
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.5, 1.9])
-    def test_schur_factor_matches_lapack(self, alpha, n):
-        upper = _schur_cholesky(alpha, n)
-        assert np.array_equal(upper, np.triu(upper))
-        lower = np.linalg.cholesky(gamma_matrix(alpha, n))
-        assert np.abs(upper.T - lower).max() <= 1e-13
-
-    def test_schur_factor_of_iid_increments_is_identity(self):
-        assert np.array_equal(_schur_cholesky(1.0, 40), np.eye(40))
-
-    @pytest.mark.parametrize("neg", [0, 1, 7, 12])
-    def test_map_gives_anchored_scaled_path(self, neg):
-        # z @ G against the cumulated, anchored and scaled LAPACK draw of
-        # the same normals, row by row
-        alpha, n, scale = 0.7, 12, 0.3
-        gmap = _dense_map(alpha, n, neg, scale)
-        assert gmap.shape == (n, n + 1) and not gmap.flags.writeable
-        assert np.all(gmap[:, neg] == 0.0)
-        z = np.random.default_rng(4).standard_normal((5, n))
-        lower = np.linalg.cholesky(gamma_matrix(alpha, n))
-        for row, values in zip(z, z @ gmap):
-            path = np.concatenate([[0.0], np.cumsum(lower @ row)])
-            expected = scale * (path - path[neg])
-            np.testing.assert_allclose(values, expected, rtol=1e-13, atol=1e-14)
-
-
 class TestCirculantSpectrum:
     def test_brownian_n2_is_flat(self):
         spec = circulant_spectrum(1.0, 2)
-        assert spec.m == 2
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0], atol=1e-15)
+        assert spec.m == 4
+        np.testing.assert_allclose(spec.eigenvalues, [1.0] * 4, atol=1e-15)
 
     def test_n2_closed_form(self):
+        # m = 4: the first row 1, g1, g2, g1 has eigenvalues
+        # 1 + 2 g1 cos(pi k / 2) + g2 cos(pi k), k = 0..3
         spec = circulant_spectrum(1.5, 2)
-        g1 = fgn_autocovariance(1.5, 1)
+        g1, g2 = fgn_autocovariance(1.5, 1), fgn_autocovariance(1.5, 2)
         np.testing.assert_allclose(
-            np.sort(spec.eigenvalues), np.sort([1 + g1, 1 - g1]), rtol=1e-14
+            spec.eigenvalues, [1 + 2 * g1 + g2, 1 - g2, 1 - 2 * g1 + g2, 1 - g2], rtol=1e-14
         )
 
     @pytest.mark.parametrize("alpha", [round(0.1 * k, 1) for k in range(1, 20)])
@@ -115,7 +87,7 @@ class TestCirculantSpectrum:
         for n in sizes:
             spec = circulant_spectrum(alpha, n)
             m = spec.m
-            assert m % 2 == 0 and m >= 2 * (n - 1)
+            assert m % 2 == 0 and m >= 2 * n
             assert _is_5_smooth(m)
             assert len(spec.eigenvalues) == m
             assert spec.eigenvalues.min() >= 0.0, (alpha, n)
@@ -127,7 +99,15 @@ class TestCirculantSpectrum:
             smooth[i] for i in expected
         ]
         assert _next_fast_len(2 * 44_976) == 90_000  # the gap_decay grid, n = 44976
-        assert _next_fast_len(2 * 171) == 360  # the full_heavy grid
+        assert _next_fast_len(2 * 172) == 360  # the full_heavy grid, n = 172
+
+    @pytest.mark.parametrize("alpha", [0.02] + [round(0.1 * k, 1) for k in range(1, 20)] + [1.98])
+    def test_every_short_grid_embeds(self, alpha):
+        # every n from 2 to 255 embeds at the engine's m >= 2n, with no
+        # eigenvalue below the clamp floor and none negative after it
+        for n in range(2, 256):
+            spec = _embedding_spectrum(alpha, _next_fast_len(2 * n))
+            assert spec.eigenvalues.min() >= 0.0, (alpha, n)
 
     def test_nonnegative_scan(self):
         for alpha in np.arange(0.1, 2.0, 0.1):
@@ -149,16 +129,16 @@ class TestCirculantSpectrum:
         np.testing.assert_allclose(recovered[: half + 1], expected, atol=1e-10)
 
     def test_cache_keeps_one_spectrum(self):
-        # a second (alpha, n) evicts the first, and so does a dense map, so
-        # the cache holds only the spectrum or map a run's memory plan counts
+        # a second (alpha, n) evicts the first, and so does another builder,
+        # so the cache holds only the spectrum a run's memory plan counts
         first = _cached(circulant_spectrum, 0.5, 100)
         assert _cached(circulant_spectrum, 0.5, 100) is first
         second = _cached(circulant_spectrum, 0.7, 100)
         assert list(fbm._SLOT.values()) == [second]
         assert _cached(circulant_spectrum, 0.5, 100) is not first
-        gmap = _cached(_dense_map, 0.5, 100, 0, 1.0)
-        assert _cached(_dense_map, 0.5, 100, 0, 1.0) is gmap
-        assert len(fbm._SLOT) == 1 and next(iter(fbm._SLOT.values())) is gmap
+        third = _cached(_embedding_spectrum, 0.5, 200)
+        assert _cached(_embedding_spectrum, 0.5, 200) is third
+        assert len(fbm._SLOT) == 1 and next(iter(fbm._SLOT.values())) is third
 
     def test_previous_operator_freed_before_the_next_build(self):
         # the slot lets go of its operator before a different key is built,

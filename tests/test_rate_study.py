@@ -191,8 +191,8 @@ class TestGapDecay:
             run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
                           deltas=[0.4, 0.2, 0.1], replications=2, seed=1)
         with pytest.raises(ValueError, match="at least 2 replications, got 1"):
-            run_gap_decay(alpha=1.5, d=2.0, domain=Domain.HALF_LINE,  # dense rows, n = 86
-                          deltas=[0.1, 0.05], replications=1, seed=1)
+            run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,  # iid rows, one replication each
+                              deltas=[0.1, 0.05], replications=1, seed=1)
 
     def test_exponent_regression_reported_with_stderr(self):
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,

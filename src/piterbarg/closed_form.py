@@ -13,6 +13,8 @@ the discrete constant; the same ``-zeta(1/2)`` shows up throughout the
 discrete-vs-continuous Brownian supremum literature (e.g. the
 Asmussen-Glynn-Pitman / Broadie-Glasserman-Kou continuity corrections).
 ``rate_constant`` evaluates it from scratch rather than hardcoding digits.
+On the half line the grid-restricted constant itself is exact too:
+``piterbarg_bm_half_discrete`` sums Spitzer's series for it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,48 @@ def piterbarg_bm_full(d: float) -> float:
     """Piterbarg constant for Brownian motion on the full line: 1 + 2/d - 1/(2d+1)."""
     d = _check_real("penalty d", d)
     return 1.0 + 2.0 / d - 1.0 / (2.0 * d + 1.0)
+
+
+# Terms the Spitzer series may need, 60 / (min(d, 1) delta), at most: about
+# a second of scalar erfc calls.
+_SPITZER_MAX_TERMS = 10**6
+
+
+def piterbarg_bm_half_discrete(d: float, delta: float) -> float:
+    """Exact half-line Brownian constant on the grid delta * {0, 1, 2, ...}.
+
+    S_k = sqrt(2) B(k delta) - (1 + d) k delta is a Gaussian random walk, and
+    the constant is E exp(max_k S_k).  Spitzer's identity and the normal
+    integrals of E[exp(S_k^+) - 1] give
+
+        exp( sum_{k >= 1} (1/k) [ e^{-d k delta} Phi((1 - d) sqrt(k delta / 2))
+                                  - Phi(-(1 + d) sqrt(k delta / 2)) ] ),
+
+    whose terms are positive and at most e^{-d k delta} / k.  The sum stops
+    once that bound on the rest falls below 1e-16 of the total, and within
+    60 / (min(d, 1) delta) terms; a (d, delta) whose count exceeds
+    ``_SPITZER_MAX_TERMS`` is a ValueError.  It tends to 1 + 1/d as
+    delta -> 0, the gap shrinking like the rate constant times sqrt(delta).
+    """
+    d = _check_real("penalty d", d)
+    delta = _check_real("delta", delta)
+    if min(d, 1.0) * delta * _SPITZER_MAX_TERMS < 60.0:  # no division: the product may be 0
+        raise ValueError(f"the Spitzer series at d={d}, delta={delta} needs up to "
+                         f"60 / (min(d, 1) delta) terms, more than {_SPITZER_MAX_TERMS}")
+    terms = math.ceil(60.0 / (min(d, 1.0) * delta))
+
+    def phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    parts, total, rate = [], 0.0, d * delta
+    for k in range(1, terms + 1):
+        root = math.sqrt(0.5 * k * delta)
+        parts.append((math.exp(-rate * k) * phi((1.0 - d) * root) - phi(-(1.0 + d) * root)) / k)
+        total += parts[-1]
+        # the rest: sum_{j > k} e^{-rate j} / j <= e^{-rate (k + 1)} / ((k + 1)(1 - e^{-rate}))
+        if math.exp(-rate * (k + 1)) / ((k + 1) * -math.expm1(-rate)) < 1e-16 * total:
+            break
+    return math.exp(math.fsum(parts))  # exactly rounded: a running sum drifts by 1e-14
 
 
 @dataclass(frozen=True)

@@ -22,23 +22,29 @@ robust location estimates, not unbiased means.
 Each stream row of normals maps to paths in one of two ways, which
 ``_row_map`` picks and ``_map_rows`` applies, for the engine and
 ``sample_two_sided_path`` alike.  At alpha = 1 (and for a single increment)
-the row holds the n increments, iid: one path.  Otherwise it holds the m
+the row holds the n increments, iid: one window.  Otherwise it holds the m
 normals of the circulant embedding, m the smallest even 5-smooth length
->= 2n, whose fGn sequence gives two paths: its increments [0, n) and
+>= 2n, whose fGn sequence gives two windows: its increments [0, n) and
 [m/2, m/2 + n), disjoint windows that are each exact in law but are not
-independent of each other.
+independent of each other.  Since -B has the law of B, each window's path
+values v give two paths, v and its sign flip -v (an antithetic pair), so a
+row yields 2 paths (iid) or 4 (circulant).
 
-Stream contract v6: rows are grouped into blocks of B, the largest power of
+Stream contract v7: rows are grouped into blocks of B, the largest power of
 two with B * width <= 2^17 (at least 1), so B depends on the row width alone.
 Block b is the stream ``SFC64(SeedSequence(seed, spawn_key=(b,)))``, which
 is ``SeedSequence(seed).spawn(b + 1)[b]``, numpy's spawning recipe, drawn
-row after row; stream row e is row e mod B of block e // B.  Replication r
-is window r mod 2 of stream row r // 2 on circulant rows, and stream row r
-otherwise; an odd count drops the second window of its last row, so a run
-is the first replications of any longer one.  Batches start on block
-boundaries and a row's values depend on its own normals alone, so results
-are bit-identical no matter how replications are batched or spread over
-threads.
+row after row; stream row e is row e mod B of block e // B.  Window p of the
+run is window p mod 2 of stream row p // 2 on circulant rows, and stream row
+p otherwise (contract v6's replication p).  Replication r is sign r mod 2 of
+window r // 2: the window's path for even r, bit for bit v6's replication
+r / 2, and its flip for odd r, whose functional is exp(-min(field + 2 drift))
+over each sub-grid, field = v - drift being the even replication's.  A run
+that ends inside a row keeps that row's first paths (an odd count drops
+only the last flip), so it is the first replications of any longer one.
+Batches start on block boundaries and a row's values depend on its own
+normals alone, so results are bit-identical no matter how replications are
+batched or spread over threads.
 
 Every reported error treats a stream row, not a path, as the independent
 unit: the CLT stderr is computed from per-row sums of deviations
@@ -195,9 +201,10 @@ _FFT_MIN_ROWS = 4
 
 @dataclass(frozen=True)
 class _RowMap:
-    """How a stream row of ``width`` normals becomes ``paths`` paths of n + 1
-    values anchored at column ``neg``: "iid" (the n increments) or
-    "circulant" (the m normals of the embedding, two windows)."""
+    """How a stream row of ``width`` normals becomes ``windows`` paths of n + 1
+    values anchored at column ``neg``, "iid" (the n increments, one window) or
+    "circulant" (the m normals of the embedding, two windows), and ``paths``
+    replications: each window's path and its sign flip."""
 
     kind: str
     alpha: float
@@ -206,9 +213,14 @@ class _RowMap:
     width: int
 
     @property
+    def windows(self) -> int:
+        """Paths of values per stream row, which ``_row_buffers`` holds."""
+        return 2 if self.kind == "circulant" else 1
+
+    @property
     def paths(self) -> int:
         """Replications per stream row, the unit of every reported error."""
-        return 2 if self.kind == "circulant" else 1
+        return 2 * self.windows
 
 
 def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
@@ -221,8 +233,9 @@ def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
 
 def _row_bytes(rmap: _RowMap) -> int:
     # Normals, and the complex half-spectrum where there is an embedding,
-    # whose m + 2 floats then take the 2(n + 1) values of its two paths
-    # (m >= 2n); else the values of the one path.
+    # whose m + 2 floats then take the 2(n + 1) values of its two windows
+    # (m >= 2n); else the values of the one window.  The sign flips reuse
+    # the values in place.
     width = rmap.width
     return 8 * width + (16 * (width // 2 + 1) if rmap.kind == "circulant" else 8 * (rmap.n + 1))
 
@@ -248,8 +261,9 @@ class _BatchPlan:
 def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
     """Contiguous near-equal block shares, one per worker, walked in batches.
 
-    ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows, and
-    the table holds ``reps`` rows of ``columns``.  The rows' ``N`` blocks go
+    ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows (2
+    replications an iid row, 4 a circulant one), and the table holds
+    ``reps`` rows of ``columns``.  The rows' ``N`` blocks go
     to ``W = min(threads, CPUs, N)`` workers, CPUs being ``_cpu_count()``,
     worker k taking blocks ``[k N / W, (k + 1) N / W)``.  Raises ValueError
     for a thread count below 1, and for a run whose memory, worked out here
@@ -268,10 +282,11 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
         for k in range(workers)
     )
     rows = min(_batch_rows(rmap), max(hi - lo for lo, hi in shares))
-    # Drift and output table, the spectrum at the peak of its build (the
-    # autocovariances, the first row, and the complex input and output of
-    # its FFT; it then holds less), and one set of batch buffers per worker.
-    fixed = 8 * (n + 1) + 8 * reps * columns
+    # Drift, its double for the sign flips, and output table, the spectrum
+    # at the peak of its build (the autocovariances, the first row, and the
+    # complex input and output of its FFT; it then holds less), and one set
+    # of batch buffers per worker.
+    fixed = 16 * (n + 1) + 8 * reps * columns
     if rmap.kind == "circulant":
         fixed += 8 * (width // 2 + 1) + 8 * width + 32 * width
     limit, source = _memory_limit()
@@ -346,10 +361,10 @@ def _row_operator(rmap: _RowMap):
 
 def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
     """Normals (later the fGn), half-spectrum and path values for ``rows`` stream
-    rows, ``rmap.paths`` paths each; the values take the floats of the
-    half-spectrum once the irfft has consumed it, path after path, so the
-    elementwise passes run unbroken."""
-    n, embedded, paths = rmap.n, rmap.kind == "circulant", rmap.paths * rows
+    rows, ``rmap.windows`` paths each (their sign flips need no room); the
+    values take the floats of the half-spectrum once the irfft has consumed
+    it, path after path, so the elementwise passes run unbroken."""
+    n, embedded, paths = rmap.n, rmap.kind == "circulant", rmap.windows * rows
     w = np.empty((rows, rmap.width // 2 + 1), dtype=np.complex128) if embedded else None
     flat = w.view(np.float64).reshape(-1) if embedded else np.empty(paths * (n + 1))
     return np.empty((rows, rmap.width)), w, flat[: paths * (n + 1)].reshape(paths, n + 1)
@@ -357,14 +372,14 @@ def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
 
 def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, values: np.ndarray,
               rows: int, gains: Sequence[float] = ()) -> None:
-    """Paths of the normals z[:rows] into values[:rmap.paths * rows], in
+    """Paths of the normals z[:rows] into values[:rmap.windows * rows], in
     ``_row_buffers``, by ``op = _row_operator(rmap)``, multiplied by each of
     ``gains`` in turn.  A circulant row's (m,) fGn is viewed as two (m/2,)
     halves, whose first n increments are its two paths."""
     fgn = z[:rows]
     if rmap.kind == "circulant":
         fgn = _fgn_from_normals(op, fgn, w[:rows]).reshape(2 * rows, -1)[:, : rmap.n]
-    field = _two_sided_values(fgn, rmap.neg, out=values[: rmap.paths * rows])
+    field = _two_sided_values(fgn, rmap.neg, out=values[: rmap.windows * rows])
     for gain in gains:
         np.multiply(field, gain, out=field)
 
@@ -401,10 +416,11 @@ def _simulate_functionals(
     """Per-replication functionals, shape (replications, len(strides)).
 
     Row r is what the per-path reference in ``tests/oracle.py`` yields for
-    replication r under stream contract v6, bit for bit: its stream row
-    (r // 2 on circulant rows, else r) of the SFC64 stream of its block, its
-    window of that row's path, a self-similarity rescale and the sup over
-    each stride's sub-grid.  A stride is an integer from 1 to the positive
+    replication r under stream contract v7, bit for bit: its stream row
+    (r // 4 on circulant rows, else r // 2) of the SFC64 stream of its
+    block, its window of that row's path, a self-similarity rescale and the
+    sup over each stride's sub-grid, of the penalized field for even r and
+    of its sign flip for odd r.  A stride is an integer from 1 to the positive
     side count, so that its sub-grid keeps a point besides the anchor;
     anything else is a ValueError before anything is built or drawn.  The
     batching here only amortizes the FFTs.
@@ -416,6 +432,8 @@ def _simulate_functionals(
     built here on the calling thread and reused for all of its batches.  So
     memory follows from the config and the worker count alone: pool threads
     build nothing, and a run with one worker runs on the calling thread.
+    A batch's flips take one pass that turns each window's field v - drift
+    into v + drift in place, whose minimum gives -v's supremum.
     ``_fill_normals`` builds the generator of each block (B * width <= 2^17
     normals) where it draws it, so no generator is shared between threads.
     """
@@ -434,6 +452,7 @@ def _simulate_functionals(
     gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
     op = _row_operator(rmap)
     drift = _drift(neg, pos, config.delta, config.alpha, config.d)
+    twice = 2.0 * drift
     out = np.empty((reps, len(strides)))
     columns = [(j, neg % s, s) for j, s in enumerate(strides)]  # each sub-grid holds the anchor
 
@@ -443,11 +462,16 @@ def _simulate_functionals(
             rows = min(plan.rows, hi - start)
             _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
             _map_rows(rmap, op, z, w, values, rows, gains)
-            first = rmap.paths * start  # an odd run drops its last row's second path
-            field = values[: min(rmap.paths * rows, reps - first)]
+            first = rmap.paths * start
+            table = out[first : first + rmap.paths * rows]  # the run's last row may be short
+            field = values[: -(-len(table) // 2)]
             np.subtract(field, drift, out=field)
             for j, col, s in columns:
-                out[first : first + len(field), j] = np.exp(field[:, col::s].max(axis=1))
+                table[0::2, j] = np.exp(field[:, col::s].max(axis=1))
+            field = field[: len(table) // 2]
+            np.add(field, twice, out=field)
+            for j, col, s in columns:
+                table[1::2, j] = np.exp(-field[:, col::s].min(axis=1))
 
     spaces = [_row_buffers(rmap, plan.rows) for _ in plan.shares]
     if len(spaces) > 1:
@@ -480,13 +504,11 @@ def _row_unit(config: EstimatorConfig) -> int:
     return _row_map(config.alpha, *config.side_counts()).paths
 
 
-def _std_error(values: np.ndarray, unit: int = 1) -> float:
+def _std_error(values: np.ndarray, unit: int) -> float:
     """CLT standard error of the mean of R values in G independent rows of
     ``unit`` (the last one may be short): sqrt(G / (G - 1) * sum_g S_g^2) / R,
-    S_g the sum of row g's deviations from the mean.  At even R that is
-    std(row means, ddof=1) / sqrt(G), and at unit 1 std(ddof=1) / sqrt(R)."""
-    if unit == 1:
-        return float(values.std(ddof=1) / math.sqrt(len(values)))
+    S_g the sum of row g's deviations from the mean.  Where ``unit`` divides
+    R that is std(row means, ddof=1) / sqrt(G)."""
     reps = len(values)
     rows = -(-reps // unit)
     sums = np.add.reduceat(values - values.mean(), np.arange(0, reps, unit))
@@ -530,8 +552,9 @@ def estimate_constant(config: EstimatorConfig, threads: int = 1) -> EstimateResu
     """Estimate the discrete truncated Piterbarg constant for ``config``.
 
     Runs ``config.replications`` path simulations (unit-grid draw,
-    self-similarity rescale to ``config.delta``, penalized supremum), two per
-    stream row on circulant grids, and aggregates by sample mean for d > 1 or
+    self-similarity rescale to ``config.delta``, penalized supremum), each
+    window of a stream row with its sign flip, so two per iid row and four
+    per circulant row, and aggregates by sample mean for d > 1 or
     median-of-means for d <= 1, with errors over the independent rows.
     The result is deterministic given (config, seed) at any thread count.
     """

@@ -20,9 +20,10 @@ stores the weights that turn standard normals into its Hermitian
 half-spectrum, so a draw only multiplies and inverts.  A draw is a
 stationary sequence of m values whose every window of up to m/2 + 1 is
 exact fGn.  n increments embed in the shortest such m >= 2n, and under
-stream contract v6 the engine keeps two disjoint windows of each draw,
-increments [0, n) and [m/2, m/2 + n): two replications, exact in law but
-dependent, per row (``estimator`` states the contract). At alpha = 1 every
+stream contract v7 the engine keeps two disjoint windows of each draw,
+increments [0, n) and [m/2, m/2 + n), exact in law but dependent, and with
+each window's path its sign flip: four replications per row (``estimator``
+states the contract). At alpha = 1 every
 lag beyond 0 vanishes and the increments are iid N(0, 1), drawn with no map
 at all. The tests check the embedding against a Cholesky factorization of
 the same covariance.

@@ -115,7 +115,8 @@ def _study_table(
     horizon is plan_horizon(finest, alpha), and a spacing beyond it, whose
     grid would be the anchor alone, is refused.  The studies report CLT
     stderrs over rows, which need d > 1 (finite variance) and at least two
-    rows: two replications, or three where a circulant row holds two.
+    rows: three replications where a row holds two (iid), five where it
+    holds four (circulant).
     """
     _check_real("penalty d", d, 1.0, rule="exceed 1: rate studies report CLT standard errors, "
                 "which need d > 1 (the functional has infinite variance for d <= 1)")
@@ -137,8 +138,7 @@ def _study_table(
     unit = _row_unit(config)
     _check_count("replications", replications, unit + 1, rule=f"be an integer >= {unit + 1}: "
                  "rate studies report CLT standard errors, which need at least 2 "
-                 + ("replications" if unit == 1 else "independent rows, and a circulant row "
-                    f"holds {unit} replications"))
+                 f"independent rows, and a stream row holds {unit} replications")
     return deltas, _simulate_functionals(config, strides, threads=threads), unit
 
 

@@ -4,20 +4,25 @@
 batches, in reused buffers, filling a block of rows per ``standard_normal``
 call.  This module computes the same numbers one path at a time, each step
 in its plainest form: the stream of replication r's stream row, spawned from
-the seed's SeedSequence as stream contract v6 defines it (blocks of B rows,
+the seed's SeedSequence as stream contract v7 defines it (blocks of B rows,
 B * width <= 2^17, block b from ``SeedSequence(seed).spawn(b + 1)[b]``
 through SFC64), advanced one row at a time past the earlier rows of its
 block; the row's map to fGn; the anchored running sum, the self-similarity
-rescale and the penalized supremum over each stride's sub-grid.  The map is
-one of two, as in the engine: n iid increments at alpha = 1 (stream row r),
-or the circulant draw of m normals, m that of ``circulant_spectrum(alpha,
-n)`` (>= 2n), built from the eigenvalues with complex temporaries, of which
-replication r keeps window r mod 2 of stream row r // 2: increments [0, n)
-or [m/2, m/2 + n).  It calls none of the engine's kernels, so tests can
-require bit-equality of every row without comparing the engine with
-itself.  The fGn autocovariance and the dense Cholesky draw from it check
-the circulant sampler in law, and Borwein's eta series checks the
-package's accelerated zeta(1/2).
+rescale, the sign and the penalized supremum over each stride's sub-grid.
+Replication r is sign r mod 2 (+ for even r) of window p = r // 2, the
+replication p of contract v6.  The map is one of two, as in the engine: n
+iid increments at alpha = 1 (stream row p), or the circulant draw of m
+normals, m that of ``circulant_spectrum(alpha, n)`` (>= 2n), built from the
+eigenvalues with complex temporaries, of which window p keeps window p mod 2
+of stream row p // 2: increments [0, n) or [m/2, m/2 + n).  A flipped path's
+supremum is taken with the engine's float operations (the unflipped field
+v - drift, plus 2 drift, its minimum negated), so that it too is bit-equal;
+the tests check it against the plain max of -v - drift to rounding.  It
+calls none of the engine's kernels, so tests can require bit-equality of
+every row without comparing the engine with itself.  The fGn
+autocovariance and the dense Cholesky draw from it check the circulant
+sampler in law, and Borwein's eta series checks the package's accelerated
+zeta(1/2).
 """
 
 from __future__ import annotations
@@ -116,19 +121,22 @@ def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int,
 
 @dataclass
 class PathGrid:
-    """``values[neg_count + k]`` is B(k * delta) for k = -neg_count..pos_count."""
+    """``values[neg_count + k]`` is B(k * delta) for k = -neg_count..pos_count;
+    ``flipped`` marks the sign flip -v of a drawn path v."""
 
     alpha: float
     delta: float
     neg_count: int
     pos_count: int
     values: np.ndarray
+    flipped: bool = False
 
 
-def replication_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
-    """Path of replication ``index`` under ``config`` on its delta grid.
+def window_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
+    """Drawn path of window ``index`` under ``config`` on its delta grid: the
+    replication ``index`` of stream contract v6.
 
-    At alpha != 1 the row is the circulant draw, two replications a row.
+    At alpha != 1 the row is the circulant draw, two windows a row.
     ``block`` is the rows per stream block, by default ``block_rows`` of the
     row width: n normals at alpha = 1, else the embedding length m.
     """
@@ -151,6 +159,16 @@ def replication_path(config: EstimatorConfig, index: int, block: int | None = No
     return PathGrid(config.alpha, config.delta, neg, pos, scaled)
 
 
+def replication_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
+    """Path of replication ``index`` under stream contract v7: the drawn path
+    of window r // 2 for even r, and its sign flip for odd r."""
+    window, flipped = divmod(index, 2)
+    path = window_path(config, window, block)
+    if flipped:
+        path.values, path.flipped = -path.values, True
+    return path
+
+
 @dataclass(frozen=True)
 class SupRecord:
     """Maximum of the penalized field on one path; ``functional == exp(z_max)``."""
@@ -161,7 +179,12 @@ class SupRecord:
 
 def _penalized_field(path: PathGrid, d: float) -> np.ndarray:
     k = np.arange(-path.neg_count, path.pos_count + 1, dtype=float)
-    return math.sqrt(2.0) * path.values - (1.0 + d) * np.abs(k * path.delta) ** path.alpha
+    drift = (1.0 + d) * np.abs(k * path.delta) ** path.alpha
+    if not path.flipped:
+        return math.sqrt(2.0) * path.values - drift
+    # -v's field as the engine forms it: v's field, plus 2 drift, negated
+    # (negation is exact, so -path.values is v bit for bit)
+    return -(math.sqrt(2.0) * -path.values - drift + 2.0 * drift)
 
 
 def sup_functional(path: PathGrid, d: float, domain: Domain) -> SupRecord:

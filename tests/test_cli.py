@@ -245,9 +245,10 @@ class TestEstimate:
         assert "numerical failure: circulant embedding failed for alpha=0.55, m=640" in err
 
     def test_rerun_reproduces_results_fields(self, capsys, pool_sizes):
-        # 1100 rows of width 179 are three blocks of 512: three workers
-        _, out1, _ = run_cli(capsys, *self.ARGS, "--reps", "1100")
-        _, out2, _ = run_cli(capsys, *self.ARGS, "--reps", "1100", "--threads", "3")
+        # 2200 replications are 1100 rows of width 179, three blocks of 512:
+        # three workers
+        _, out1, _ = run_cli(capsys, *self.ARGS, "--reps", "2200")
+        _, out2, _ = run_cli(capsys, *self.ARGS, "--reps", "2200", "--threads", "3")
         assert pool_sizes == [3]
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["results"] == r2["results"]  # timestamps excluded by design
@@ -319,7 +320,7 @@ class TestRate:
                                  "--deltas", "0.2,0.05", "--reps", "1", "--seed", "1")
         assert code == 2
         assert out == ""
-        assert "at least 2 replications" in err
+        assert "at least 2 independent rows" in err
 
     def test_spacing_beyond_horizon_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals", _must_not_simulate)

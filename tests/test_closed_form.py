@@ -7,10 +7,15 @@ import pytest
 
 from oracle import zeta_half
 from piterbarg import (
+    Domain,
+    EstimatorConfig,
+    estimate_constant,
     piterbarg_bm_full,
     piterbarg_bm_half,
+    plan_horizon,
     rate_constant,
 )
+from piterbarg.closed_form import piterbarg_bm_half_discrete
 
 # zeta(1/2) cross-checked against mpmath.zeta at 30 decimal digits:
 # -1.46035450880958681288949915252...
@@ -77,3 +82,52 @@ class TestRateConstant:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             zeta_half("riemann-siegel")
+
+
+class TestDiscreteBrownianConstant:
+    """The half-line Brownian constant on the delta grid, from Spitzer's series."""
+
+    # the series' values quoted to 1e-6, as ROADMAP item 2 tabulates them
+    @pytest.mark.parametrize("d,delta,expected", [
+        (2.0, 0.01, 1.388293), (0.5, 0.01, 2.766276), (2.0, 0.16, 1.167008),
+    ])
+    def test_pinned_values(self, d, delta, expected):
+        assert piterbarg_bm_half_discrete(d, delta) == pytest.approx(expected, abs=1e-6)
+
+    def test_tends_to_the_continuous_constant_at_the_rate(self):
+        # below 1 + 1/d, rising as delta shrinks, and the normalized gap
+        # (P - P^delta) / (sqrt(delta) P^delta) nears -zeta(1/2)/sqrt(pi)
+        for d in (0.5, 1.0, 2.0):
+            exact = piterbarg_bm_half(d)
+            values = [piterbarg_bm_half_discrete(d, 0.04 / 4**j) for j in range(4)]
+            assert all(a < b < exact for a, b in zip(values, values[1:]))
+            ratio = (exact - values[-1]) / (math.sqrt(0.04 / 4**3) * values[-1])
+            assert ratio == pytest.approx(RATE_CONSTANT_REFERENCE, abs=0.01)
+
+    def test_too_many_terms_refused_naming_d_and_delta(self):
+        # 60 / (0.5 * 1e-5) = 1.2e7 terms, and products that underflow;
+        # 6e5 terms are within the cap
+        assert piterbarg_bm_half_discrete(1.0, 1e-4) < 2.0
+        for d, delta in [(0.5, 1e-5), (1e-200, 1e-200), (5e-324, 0.01)]:
+            with pytest.raises(ValueError, match=rf"d={d}, delta={delta} needs up to "
+                                                 r".* terms, more than 1000000"):
+                piterbarg_bm_half_discrete(d, delta)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_domain_errors(self, bad):
+        with pytest.raises(ValueError, match="penalty d"):
+            piterbarg_bm_half_discrete(bad, 0.01)
+        with pytest.raises(ValueError, match="delta"):
+            piterbarg_bm_half_discrete(2.0, bad)
+
+    @pytest.mark.parametrize("d", [1.5, 2.0, 4.0])
+    def test_engine_agrees_within_three_row_stderrs(self, d):
+        # no model tolerance: the engine on the half line at alpha = 1,
+        # delta = 0.04, T = plan_horizon (n = 259), against the exact value
+        delta = 0.04
+        cfg = EstimatorConfig(alpha=1.0, d=d, domain=Domain.HALF_LINE, delta=delta,
+                              horizon=plan_horizon(delta, 1.0), replications=200_000,
+                              seed=20261019)
+        res = estimate_constant(cfg, threads=2)
+        exact = piterbarg_bm_half_discrete(d, delta)
+        assert abs(res.estimate - exact) <= 3.0 * res.stderr, (res.estimate, res.stderr, exact)

@@ -27,6 +27,7 @@ from oracle import (
     replication_stream,
     subsampled_functionals,
     sup_functional,
+    window_path,
 )
 from piterbarg import (
     Domain,
@@ -219,7 +220,7 @@ class TestReplicationStreams:
 
 
 class TestStreamContract:
-    """Golden values of stream contract v6, so that a change of numpy or of
+    """Golden values of stream contract v7, so that a change of numpy or of
     the engine that moves the random stream fails here first."""
 
     @pytest.mark.parametrize("seed,expected", [
@@ -236,60 +237,65 @@ class TestStreamContract:
     def test_functional_row(self):
         # the embedding's FFT may round differently on another platform, so
         # the row is pinned to 1e-12, far below what a moved stream changes.
-        # Replication 2 is the first window of stream row 1 (n = 80, m = 160).
+        # Replication 4 is the first window of stream row 1 (n = 80, m = 160),
+        # v6's replication 2 and its value; replication 5 is its sign flip.
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
-                              delta=0.05, horizon=2.0, replications=3, seed=20260810)
-        row = _simulate_functionals(cfg, [1, 2])[2]
-        assert row.tolist() == pytest.approx([3.3238495930746836, 2.369413850077903], rel=1e-12)
+                              delta=0.05, horizon=2.0, replications=6, seed=20260810)
+        rows = _simulate_functionals(cfg, [1, 2])[4:]
+        assert rows.tolist() == [pytest.approx([3.3238495930746836, 2.369413850077903], rel=1e-12),
+                                 pytest.approx([1.1653361914539049] * 2, rel=1e-12)]
 
     def test_dense_functional_row(self):
         # the same config, which v5 drew from the dense map (the test keeps
-        # its name): replications 0 and 1 are the two windows of stream row
-        # 0; the second one's sup is at the anchor
+        # its name): replications 0 and 2 are the two windows of stream row
+        # 0, v6's replications 0 and 1 (the second one's sup is at the
+        # anchor), and 1 and 3 their sign flips
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
-                              delta=0.05, horizon=2.0, replications=3, seed=20260810)
+                              delta=0.05, horizon=2.0, replications=5, seed=20260810)
         assert _row_map(cfg.alpha, *cfg.side_counts()).kind == "circulant"
-        rows = _simulate_functionals(cfg, [1, 2])[:2]
-        assert rows.tolist() == [pytest.approx([5.864606875849611] * 2, rel=1e-12), [1.0, 1.0]]
+        rows = _simulate_functionals(cfg, [1, 2])[:4]
+        assert rows.tolist() == [pytest.approx([5.864606875849611] * 2, rel=1e-12),
+                                 pytest.approx([3.7359128726663635, 1.7303558049480385], rel=1e-12),
+                                 [1.0, 1.0],
+                                 pytest.approx([12.035699156209427, 3.881287009584371], rel=1e-12)]
 
-    # v6 moved only circulant rows of n <= 255, the grids that v5 drew from
-    # a dense map: the column sums of the stride-1, 2 and 4 table and the
-    # estimate's fields of iid (alpha = 1, as under v4 and v5) and circulant
-    # (alpha = 1.5, n = 100 and 200) runs.  exp and the FFT may round
-    # differently on another platform, hence 1e-12, far below what a moved
-    # stream changes
+    # v7 moved every output (the sign flips join every row): the column sums
+    # of the stride-1, 2 and 4 table and the estimate's fields of iid
+    # (alpha = 1) and circulant (alpha = 1.5, n = 100 and 200) runs.  exp
+    # and the FFT may round differently on another platform, hence 1e-12,
+    # far below what a moved stream changes
     _IID_AND_CIRCULANT = {
         (1.0, "HALF_LINE", 0.5): [
-            5606.260006721709, 5262.419206381164, 4842.848816699505, 2.178975189077904,
-            1.9966070939298308, 2.429955872348223,
+            6096.021312916038, 5712.02664945906, 5250.455997105447, 2.2231554476257562,
+            2.0460879556013882, 2.7558475220572314,
         ],
         (1.0, "HALF_LINE", 2.0): [
-            3175.564821071924, 3019.2965484865836, 2840.8557012439896, 1.2702259284287696,
-            0.011725487393101877, 1.2472443954371115, 1.2932074614204276,
+            3227.04830475586, 3059.326128525957, 2876.530287413811, 1.290819321902347,
+            0.012291960206498379, 1.2667275225982106, 1.3149111212064832,
         ],
         (1.0, "FULL_LINE", 0.5): [
-            8509.90489011813, 7908.785662691027, 7111.768334338915, 3.2049969653018606,
-            2.966865416869952, 3.8071918328932446,
+            8587.374829551676, 7995.26445396183, 7232.095056193184, 3.2321622597174464,
+            2.9927946461719586, 3.554146780573966,
         ],
         (1.0, "FULL_LINE", 2.0): [
-            3745.120633587207, 3497.055854290023, 3168.436510330726, 1.498048253434883,
-            0.016600153502770856, 1.4655125504316155, 1.5305839564381503,
+            3722.3324769604587, 3474.9441063878817, 3157.367370332342, 1.4889329907841828,
+            0.014603009797535515, 1.4603116175151276, 1.517554364053238,
         ],
         (1.5, "HALF_LINE", 0.5): [
-            4249.213623008701, 4139.087319892387, 3977.9780652720588, 1.6145043642393422,
-            1.4957419588708432, 1.7690446915332707,
+            4129.04252263989, 4025.97408960192, 3866.0801302453006, 1.583641059310497,
+            1.4547565742756943, 1.6574344958878053,
         ],
         (1.5, "HALF_LINE", 2.0): [
-            3000.371178008542, 2943.203365714142, 2856.0514392232617, 1.2001484712034163,
-            0.011180671123609601, 1.1782347584781545, 1.222062183928678,
+            2995.1428468897057, 2933.7397169038936, 2851.2000915778904, 1.198057138755883,
+            0.009981316153261859, 1.1784941185771818, 1.217620158934584,
         ],
         (1.5, "FULL_LINE", 0.5): [
-            5536.436340337107, 5379.447432627447, 5128.106084680582, 2.1864952678986924,
-            1.9939904464166598, 2.3430097585534773,
+            5511.185682966447, 5360.446836548889, 5109.135897932676, 2.1052838340407245,
+            1.9186251628293998, 2.2709631597287503,
         ],
         (1.5, "FULL_LINE", 2.0): [
-            3385.875932767636, 3291.089784657487, 3131.2750159415405, 1.3543503731070548,
-            0.01120972940076336, 1.332379707205119, 1.3763210390089906,
+            3379.94752604649, 3283.257311693754, 3118.8347148130492, 1.3519790104185931,
+            0.012926866544397439, 1.3266428175586185, 1.3773152032785678,
         ],
     }
 
@@ -307,6 +313,78 @@ class TestStreamContract:
         fields = [x for x in (est.estimate, est.stderr, est.ci_low, est.ci_high) if x is not None]
         assert list(table.sum(axis=0)) + fields == pytest.approx(self._IID_AND_CIRCULANT[key],
                                                                  rel=1e-12)
+
+
+    # grids of each row kind, both domains: iid (alpha = 1, n = 40 or 80),
+    # circulant (alpha = 0.5 and 1.5, m = 80 or 160)
+    _SIGN_GRIDS = [(alpha, domain) for alpha in (0.5, 1.0, 1.5) for domain in Domain]
+
+    @pytest.mark.parametrize("alpha,domain", _SIGN_GRIDS,
+                             ids=lambda x: getattr(x, "value", x))
+    def test_plus_replications_are_the_v6_windows(self, alpha, domain, monkeypatch):
+        # replication 2p is window p, v6's replication p, bit for bit, across
+        # block boundaries (blocks of two rows)
+        monkeypatch.setattr(estimator, "_block_rows", lambda width: 2)
+        cfg = EstimatorConfig(alpha=alpha, d=0.7, domain=domain, delta=0.05,
+                              horizon=2.0, replications=23, seed=7)
+        table = _simulate_functionals(cfg, [1, 2, 3])
+        for p in range(12):
+            recs = subsampled_functionals(window_path(cfg, p, block=2), cfg.d, cfg.domain,
+                                          [1, 2, 3])
+            assert [rec.functional for rec in recs] == list(table[2 * p])
+
+    @pytest.mark.parametrize("alpha,domain", _SIGN_GRIDS,
+                             ids=lambda x: getattr(x, "value", x))
+    def test_flipped_functional_is_the_sup_of_the_negated_path(self, alpha, domain):
+        # replication 2p + 1 is exp(max over each stride's sub-grid of
+        # -sqrt(2) v - drift), v window p's path, to rounding: the engine
+        # forms it as -min(v's field + 2 drift)
+        cfg = EstimatorConfig(alpha=alpha, d=0.7, domain=domain, delta=0.05,
+                              horizon=2.0, replications=40, seed=8)
+        neg, pos = cfg.side_counts()  # neg is 0 on the half line
+        k = np.arange(-neg, pos + 1, dtype=float)
+        drift = (1.0 + cfg.d) * np.abs(k * cfg.delta) ** cfg.alpha
+        strides = [1, 2, 3, 5]
+        table = _simulate_functionals(cfg, strides)
+        for p in range(20):
+            field = -math.sqrt(2.0) * window_path(cfg, p).values - drift
+            expected = [math.exp(field[neg % s :: s].max()) for s in strides]
+            assert table[2 * p + 1].tolist() == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_odd_count_is_a_prefix_of_the_next_even_one(self, alpha):
+        # R = 2k + 1 drops only the last flip of R = 2k + 2, at short and
+        # block-crossing counts (blocks of 64 rows or more)
+        kw = dict(alpha=alpha, d=0.7, domain=Domain.FULL_LINE, delta=0.05, horizon=2.0,
+                  seed=9)
+        for k in (0, 1, 2, 3, 64, 129, 258):
+            odd = _simulate_functionals(EstimatorConfig(replications=2 * k + 1, **kw), [1, 2])
+            even = _simulate_functionals(EstimatorConfig(replications=2 * k + 2, **kw), [1, 2],
+                                         threads=2)
+            assert np.array_equal(odd, even[:-1]), k
+
+    @pytest.mark.parametrize("alpha,domain", _SIGN_GRIDS,
+                             ids=lambda x: getattr(x, "value", x))
+    def test_flipped_crn_gaps_are_nonnegative(self, alpha, domain):
+        # nested strides: each flipped path's functional on a coarser grid
+        # is at most its functional on a finer one, path by path
+        cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=domain, delta=0.05,
+                              horizon=2.0, replications=2001, seed=10)
+        table = _simulate_functionals(cfg, [1, 2, 4, 8])
+        flips = table[1::2]
+        assert np.all(flips[:, :-1] >= flips[:, 1:])
+        assert np.all(flips >= 1.0)
+
+    @pytest.mark.parametrize("alpha,domain", _SIGN_GRIDS,
+                             ids=lambda x: getattr(x, "value", x))
+    def test_one_and_two_threads_agree(self, alpha, domain, pool_sizes):
+        # a run of several blocks and an odd count, so that the last row is
+        # short, is bit-identical at one and two threads
+        cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=domain, delta=0.05,
+                              horizon=2.0, replications=4 * 1024 + 7, seed=11)
+        assert np.array_equal(_simulate_functionals(cfg, [1, 3]),
+                              _simulate_functionals(cfg, [1, 3], threads=2))
+        assert pool_sizes == [2]
 
 
 class TestEstimatorConfig:
@@ -454,9 +532,9 @@ class TestBatchPlan:
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     @pytest.mark.parametrize("reps", [1, 7, 64, 65, 320, 1000, 4099])
     def test_shares_are_contiguous_and_near_equal(self, reps, threads):
-        # circulant rows: two replications a stream row, blocks of 64 rows
+        # circulant rows: four replications a stream row, blocks of 64 rows
         plan = _batch_plan(reps, _rmap(100, 2048, True), threads, 1)
-        rows = -(-reps // 2)
+        rows = -(-reps // 4)
         nblocks = -(-rows // 64)
         assert len(plan.shares) == min(threads, nblocks)
         assert plan.shares[0][0] == 0 and plan.shares[-1][1] == rows
@@ -467,14 +545,16 @@ class TestBatchPlan:
 
     def test_workers_capped_at_the_cpus(self, monkeypatch):
         # 5000 threads on 2 CPUs: 2 shares and 2 buffer sets, not 5000 of
-        # each (5.13 GiB at the uncapped plan); the cap leaves shares whole
+        # each (5.13 GiB at the uncapped plan); the cap leaves shares whole.
+        # 2 * 10^7 replications are 10^7 iid rows of two
         rmap = _row_map(1.0, 0, 2120)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(estimator, "_cpu_count", lambda: cpus)
-            plan = _batch_plan(10**7, rmap, 5000, 1)
+            plan = _batch_plan(2 * 10**7, rmap, 5000, 1)
             assert len(plan.shares) == cpus
             assert plan.shares[0][0] == 0 and plan.shares[-1][1] == 10**7
-            assert plan.nbytes == 8 * 2121 + 8 * 10**7 + cpus * plan.rows * _row_bytes(rmap)
+            assert plan.nbytes == (16 * 2121 + 16 * 10**7
+                                   + cpus * plan.rows * _row_bytes(rmap))
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert len(_batch_plan(128, _rmap(100, 2048, True), 5000, 1).shares) == 1
 
@@ -503,33 +583,35 @@ class TestBatchPlan:
             _simulate_functionals(cfg, [1])
 
     def test_plan_bytes(self):
-        # drift, table, the spectrum's build (autocovariances, first row,
-        # complex FFT input and output) and two workers' buffers
-        plan = _batch_plan(1000, _rmap(172, 360, True), 2, 3)
-        assert plan.nbytes == (8 * 173 + 8 * 3000 + 8 * 181 + 8 * 360 + 32 * 360
+        # drift and its double, table, the spectrum's build (autocovariances,
+        # first row, complex FFT input and output) and two workers' buffers
+        plan = _batch_plan(2000, _rmap(172, 360, True), 2, 3)
+        assert len(plan.shares) == 2
+        assert plan.nbytes == (16 * 173 + 8 * 6000 + 8 * 181 + 8 * 360 + 32 * 360
                                + 2 * plan.rows * _row_bytes(_rmap(172, 360, True)))
-        plan = _batch_plan(1000, _rmap(172, 172, False), 2, 3)
-        assert plan.nbytes == (8 * 173 + 8 * 3000
+        plan = _batch_plan(2000, _rmap(172, 172, False), 2, 3)
+        assert len(plan.shares) == 2
+        assert plan.nbytes == (16 * 173 + 8 * 6000
                                + 2 * plan.rows * _row_bytes(_rmap(172, 172, False)))
 
     def test_fft_floor_yields_to_memory(self, monkeypatch):
-        # n = 2.5e7 on two workers: 8.20 GiB at the 4-row floor, over an
-        # 8 GiB limit, but 3.73 GiB at one block (one row) per batch; 100
+        # n = 2.5e7 on two workers: 8.38 GiB at the 4-row floor, over an
+        # 8 GiB limit, but 3.91 GiB at one block (one row) per batch; 200
         # replications are 50 stream rows
         n, m = 25_000_000, 50_000_000
         assert _next_fast_len(2 * n) == m and _block_rows(m) == 1
-        fixed = 8 * (n + 1) + 8 * 100 + 8 * (m // 2 + 1) + 40 * m
+        fixed = 16 * (n + 1) + 8 * 200 + 8 * (m // 2 + 1) + 40 * m
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
-        plan = _batch_plan(100, _rmap(n, m, True), 2, 1)
+        plan = _batch_plan(200, _rmap(n, m, True), 2, 1)
         assert plan.rows == _FFT_MIN_ROWS == 4
         assert plan.nbytes == fixed + 2 * 4 * _row_bytes(_rmap(n, m, True)) > 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (8 * 2**30, "physical memory"))
-        plan = _batch_plan(100, _rmap(n, m, True), 2, 1)
+        plan = _batch_plan(200, _rmap(n, m, True), 2, 1)
         assert plan.rows == 1 and plan.shares == ((0, 25), (25, 50))
         assert plan.nbytes == fixed + 2 * _row_bytes(_rmap(n, m, True)) < 4 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (3 * 2**30, "physical memory"))
         with pytest.raises(ValueError, match=rf"needs {plan.nbytes} bytes"):
-            _batch_plan(100, _rmap(n, m, True), 2, 1)
+            _batch_plan(200, _rmap(n, m, True), 2, 1)
 
     def test_plan_bytes_cover_spectrum_build(self):
         # the build's peak, measured, stays within what the plan counts
@@ -544,23 +626,24 @@ class TestBatchPlan:
         finally:
             tracemalloc.stop()
         plan = _batch_plan(1, _rmap(n, m, True), 1, 1)
-        counted = plan.nbytes - 8 * (n + 1) - 8 - plan.rows * _row_bytes(_rmap(n, m, True))
+        counted = plan.nbytes - 16 * (n + 1) - 8 - plan.rows * _row_bytes(_rmap(n, m, True))
         assert 0.5 * counted <= peak <= 1.1 * counted
 
     def test_plan_bytes_cover_batch_buffers(self):
-        # the gap study's grid on two workers of one 4-row batch each (16
-        # replications, two a row): once a first run has cached the spectrum
-        # and made numpy's lazy imports, the measured peak is the drift, the
-        # table and the buffers, with both windows' path values in the
-        # half-spectrum buffer (a separate values buffer would add 5.8 MB)
+        # the gap study's grid on two workers of one 4-row batch each (32
+        # replications, four a row): once a first run has cached the
+        # spectrum and made numpy's lazy imports, the measured peak is the
+        # drift and its double, the table and the buffers, with both
+        # windows' path values in the half-spectrum buffer (a separate values
+        # buffer would add 5.8 MB) and their sign flips in place
         import tracemalloc
 
         cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
-                              horizon=449.76, replications=16, seed=3)
+                              horizon=449.76, replications=32, seed=3)
         n = sum(cfg.side_counts())
         m = _next_fast_len(2 * n)
         assert (n, m) == (44976, 90000)
-        plan = _batch_plan(16, _rmap(n, m, True), 2, 1)
+        plan = _batch_plan(32, _rmap(n, m, True), 2, 1)
         assert plan.rows == 4 and len(plan.shares) == 2
         assert _row_bytes(_rmap(n, m, True)) == 8 * m + 16 * (m // 2 + 1)
         counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
@@ -695,7 +778,7 @@ class TestEstimateConstant:
         assert res.stderr is None
 
     def test_deterministic_across_thread_counts(self, pool_sizes):
-        cfg = self._config(replications=4000)  # four blocks of 1024 rows
+        cfg = self._config(replications=8000)  # four blocks of 1024 rows of two
         r1 = estimate_constant(cfg, threads=1)
         r4 = estimate_constant(cfg, threads=4)
         assert r1 == r4
@@ -764,17 +847,17 @@ class TestEstimateConstant:
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_brownian_rows_use_raw_normals(self, domain):
-        # alpha = 1 has iid increments, so row r is the penalized sup of the
-        # cumulated row r mod B of block r // B, with no embedding in
-        # between; block b is B rows of n normals drawn in one call from
-        # SFC64 seeded by child b of the seed's SeedSequence.  The run ends
-        # in a short block.
+        # alpha = 1 has iid increments, so replication 2r is the penalized
+        # sup of the cumulated row r mod B of block r // B, with no embedding
+        # in between, and 2r + 1 that of its sign flip; block b is B rows of
+        # n normals drawn in one call from SFC64 seeded by child b of the
+        # seed's SeedSequence.  The run ends in a short block.
         neg, pos = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
                                    horizon=2.0, replications=1, seed=31).side_counts()
         n = neg + pos
         block = _block_rows(n)
         cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
-                              horizon=2.0, replications=block + 5, seed=31)
+                              horizon=2.0, replications=2 * (block + 5), seed=31)
         table = _simulate_functionals(cfg, strides=[1], threads=1)
         blocks = [
             np.random.Generator(np.random.SFC64(child)).standard_normal((block, n))
@@ -783,13 +866,14 @@ class TestEstimateConstant:
         k = np.arange(-neg, pos + 1, dtype=float)
         drift = (1.0 + cfg.d) * np.abs(k * cfg.delta) ** cfg.alpha
         first = neg if domain is Domain.HALF_LINE else 0
-        for r in range(cfg.replications):
+        for r in range(block + 5):
             z = blocks[r // block][r % block]
             values = np.concatenate([[0.0], np.cumsum(z)])
             values -= values[neg]
             values[neg] = 0.0
             field = math.sqrt(2.0) * (cfg.delta ** 0.5 * values) - drift
-            assert table[r, 0] == np.exp(field[first:].max())
+            assert table[2 * r, 0] == np.exp(field[first:].max())
+            assert table[2 * r + 1, 0] == np.exp(-(field + 2.0 * drift)[first:].min())
 
     def test_brownian_deterministic_across_threads_and_batches(self):
         n = sum(self._config().side_counts())
@@ -799,11 +883,11 @@ class TestEstimateConstant:
         assert np.array_equal(t1, t2)
 
     def test_embedded_deterministic_across_threads_and_batches(self, pool_sizes):
-        # n = 20 increments embed in m = 40, two replications a row, so this
+        # n = 20 increments embed in m = 40, four replications a row, so this
         # is two batches and a short third, run by two and three workers
         # that each reuse one set of buffers
         cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
-                           horizon=0.5, replications=4 * _batch_rows(_rmap(20, 40, True)) + 9)
+                           horizon=0.5, replications=8 * _batch_rows(_rmap(20, 40, True)) + 9)
         assert _row_map(cfg.alpha, *cfg.side_counts()).width == 40
         t1 = _simulate_functionals(cfg, [1, 3], threads=1)
         for threads in (2, 3):
@@ -830,11 +914,11 @@ class TestEstimateConstant:
                 assert [rec.functional for rec in recs] == list(table[r])
 
     def test_small_run_splits_over_workers(self, monkeypatch):
-        # 4000 rows of width 100 are four blocks of 1024 rows, the last one
-        # short, and a batch is one block; two threads take two contiguous
-        # blocks each and give the one-thread result.  Each share waits at
-        # its first block until the other share has started, so the pool
-        # cannot run both shares on one thread
+        # 8000 replications are 4000 rows of width 100, four blocks of 1024
+        # rows, the last one short, and a batch is one block; two threads
+        # take two contiguous blocks each and give the one-thread result.
+        # Each share waits at its first block until the other share has
+        # started, so the pool cannot run both shares on one thread
         fills = []
         fill = estimator._fill_normals
         both_started = threading.Barrier(2, timeout=30)
@@ -845,7 +929,7 @@ class TestEstimateConstant:
                 both_started.wait()
             fill(seed, z, first, block)
 
-        cfg = self._config(replications=4000)
+        cfg = self._config(replications=8000)
         assert sum(cfg.side_counts()) == 100 and _batch_rows(_rmap(100, 100, False)) == 1024
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
@@ -910,7 +994,7 @@ class TestEstimateConstant:
     def test_pool_capped_at_the_cpus(self, monkeypatch, pool_sizes):
         # the pool stand-in records its size: 5000 threads on 2 CPUs ask
         # for 2 workers, and give the one-thread table
-        cfg = self._config(replications=4000)  # four blocks of 1024 rows
+        cfg = self._config(replications=8000)  # four blocks of 1024 rows of two
         t1 = _simulate_functionals(cfg, [1, 2])
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=5000))
@@ -918,10 +1002,10 @@ class TestEstimateConstant:
 
     # "dense" names the short circulant grid (n = 200) that v5 mapped densely
     @pytest.mark.parametrize("kind,kw", [
-        ("iid", dict(replications=4000)),
-        pytest.param("circulant", dict(alpha=1.5, domain=Domain.FULL_LINE, replications=2048),
+        ("iid", dict(replications=8000)),
+        pytest.param("circulant", dict(alpha=1.5, domain=Domain.FULL_LINE, replications=4096),
                      id="dense-kw1"),
-        ("circulant", dict(alpha=0.5, horizon=15.0, replications=1100)),
+        ("circulant", dict(alpha=0.5, horizon=15.0, replications=2200)),
     ])
     def test_row_operator_built_once_on_calling_thread(self, monkeypatch, kind, kw):
         # two workers and several batches each: the run builds its operator
@@ -956,8 +1040,8 @@ class TestEstimateConstant:
                 fbm._cached(circulant_spectrum, 0.7, 300)
             fill(seed, z, first, block)
 
-        # n = 100 and m = 200, blocks of 512 rows of two replications each
-        cfg = self._config(alpha=1.5, replications=2 * 1024 + 5)
+        # n = 100 and m = 200, blocks of 512 rows of four replications each
+        cfg = self._config(alpha=1.5, replications=4 * 1024 + 5)
         assert _row_map(cfg.alpha, *cfg.side_counts()).width == 200
         t1 = _simulate_functionals(cfg, [1, 2])
         builds = _counted(monkeypatch, estimator, "_embedding_spectrum")
@@ -1035,7 +1119,7 @@ class TestStageSeams:
     def test_engine_stages_once_per_batch(self, monkeypatch, kind, alpha, horizon, threads):
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.FULL_LINE, delta=0.05,
-                              horizon=horizon, replications=1500, seed=5)
+                              horizon=horizon, replications=3000, seed=5)
         rmap = _row_map(alpha, *cfg.side_counts())
         assert rmap.kind == kind
         plan = _batch_plan(cfg.replications, rmap, threads, 1)
@@ -1081,10 +1165,10 @@ class _UnitNormals:
 class TestDenseRows:
     """The grids that stream contract v5 drew from a dense Schur-Cholesky
     map, 2 <= n <= 255 increments at alpha != 1.  Since v6 they are circulant
-    rows like any longer grid: m = _next_fast_len(2n) normals, two paths."""
+    rows like any longer grid: m = _next_fast_len(2n) normals, two windows."""
 
     def _config(self, **kw):
-        # n = 80 increments in m = 160, blocks of 512 rows of two paths
+        # n = 80 increments in m = 160, blocks of 512 rows of two windows
         base = dict(alpha=0.5, d=0.7, domain=Domain.FULL_LINE, delta=0.05,
                     horizon=2.0, replications=2 * 1024 + 3, seed=23)
         base.update(kw)
@@ -1110,9 +1194,10 @@ class TestDenseRows:
                                        atol=1e-12 * np.abs(expected).max())
 
     def test_bit_identical_across_threads_batchings_and_counts(self, monkeypatch, pool_sizes):
-        # three and a bit blocks: one, two and three workers, batches of one
-        # block and of two, and a count that ends the run mid-block
-        cfg = self._config(replications=3 * 1024 + 70)
+        # three and a bit blocks of 512 rows of four replications: one, two
+        # and three workers, batches of one block and of two, and a count
+        # that ends the run mid-block
+        cfg = self._config(replications=6 * 1024 + 140)
         assert _block_rows(_row_map(cfg.alpha, *cfg.side_counts()).width) == 512
         reference = _simulate_functionals(cfg, [1, 2], threads=1)
         for threads in (2, 3):
@@ -1121,7 +1206,7 @@ class TestDenseRows:
                             lambda rmap: 2 * _block_rows(rmap.width))
         for threads in (1, 2, 3):
             assert np.array_equal(reference, _simulate_functionals(cfg, [1, 2], threads=threads))
-        for reps in (1, 5, 1024 + 3, 3 * 1024 + 33):
+        for reps in (1, 5, 2 * 1024 + 3, 6 * 1024 + 33):
             short = _simulate_functionals(self._config(replications=reps), [1, 2], threads=2)
             assert np.array_equal(short, reference[:reps])
         assert max(pool_sizes) == 3
@@ -1142,7 +1227,7 @@ class TestPathSampler:
         for r in (0, 3):
             unit = sample_two_sided_path(cfg.alpha, neg, pos,
                                          replication_stream(cfg.seed, r, m, block_rows(m)))
-            expected = replication_path(cfg, 2 * r).values / cfg.delta ** (cfg.alpha / 2)
+            expected = replication_path(cfg, 4 * r).values / cfg.delta ** (cfg.alpha / 2)
             assert unit[neg] == 0.0
             np.testing.assert_allclose(unit, expected, rtol=1e-12, atol=1e-14)
         a = np.array([sample_two_sided_path(cfg.alpha, neg, pos, _UnitNormals(i))
@@ -1202,14 +1287,16 @@ class TestAggregation:
     @pytest.mark.parametrize("infs", [0, 1, 13], ids=["finite", "one-inf", "inf-majority"])
     def test_median_of_means_is_np_median(self, infs):
         # the median read off the sorted block means is np.median's, bit for
-        # bit, at every block count, odd and even, and with +inf block means
+        # bit, at every block count, odd and even, and with +inf block means;
+        # iid rows hold two replications, and blocks hold whole rows
         rng = np.random.default_rng(5)
         for blocks in range(1, 25):
-            for reps in (blocks, 3 * blocks + 1):
+            for reps in (2 * blocks, 6 * blocks + 1):
                 values = 1.0 + rng.pareto(0.7, reps)
                 values[rng.permutation(reps)[:min(infs, reps)]] = np.inf
                 res = _aggregate(values, self._config(d=0.5))
-                split = np.array_split(values, min(reps, 24))
+                rows = np.array_split(np.arange(-(-reps // 2)), min(-(-reps // 2), 24))
+                split = [values[2 * r[0] : 2 * r[-1] + 2] for r in rows]
                 expected = float(np.median(np.sort([b.mean() for b in split])))
                 assert repr(res.estimate) == repr(expected), (blocks, reps)
 
@@ -1237,50 +1324,64 @@ class TestAggregation:
         assert [_mom_ci_rank(k) for k in range(1, 25)] == expected
 
     def test_row_stderr_is_the_spread_of_row_means(self):
-        # at an even count, the stderr over rows of two is std(row means,
-        # ddof=1) / sqrt(G); at an odd one the short last row counts as a row
+        # where the unit divides the count, the stderr over rows of two or
+        # four is std(row means, ddof=1) / sqrt(G), and over rows of one
+        # the per-path std(ddof=1) / sqrt(R); at an odd count the short last
+        # row counts as a row
         rng = np.random.default_rng(6)
-        for reps in (4, 10, 1000):
+        for reps in (8, 12, 1000):
             values = 1.0 + rng.pareto(3.0, reps)
-            means = values.reshape(-1, 2).mean(axis=1)
-            expected = means.std(ddof=1) / math.sqrt(len(means))
-            assert _std_error(values, 2) == pytest.approx(expected, rel=1e-12)
+            for unit in (1, 2, 4):
+                means = values.reshape(-1, unit).mean(axis=1)
+                expected = means.std(ddof=1) / math.sqrt(len(means))
+                assert _std_error(values, unit) == pytest.approx(expected, rel=1e-12)
         values = np.array([1.0, 3.0, 2.0, 6.0, 4.0])
         sums = np.array([1.0 + 3.0, 2.0 + 6.0, 4.0]) - np.array([2, 2, 1]) * values.mean()
         expected = math.sqrt(3 / 2 * (sums ** 2).sum()) / 5
         assert _std_error(values, 2) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("alpha,kind", [(1.0, "iid")])
-    def test_unit_one_stderr_is_the_path_stderr(self, alpha, kind):
-        # iid rows hold one path: the reported stderr is the per-path
-        # std(ddof=1) / sqrt(R), bit for bit
+    def test_iid_pair_stderr_is_the_row_stderr(self, alpha, kind):
+        # iid rows hold a path and its sign flip: the reported stderr is
+        # that of the pair means, std(ddof=1) / sqrt(G) at an even count,
+        # and at an odd one the lone last path counts as a row
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE, delta=0.05,
-                              horizon=5.0, replications=301, seed=2)
+                              horizon=5.0, replications=302, seed=2)
         assert _row_map(alpha, *cfg.side_counts()).kind == kind
+        assert _row_map(alpha, *cfg.side_counts()).paths == 2
         values = _simulate_functionals(cfg, [1])[:, 0]
+        pairs = values.reshape(151, 2).mean(axis=1)
         res = _aggregate(values, cfg)
-        assert res.stderr == _std_error(values) == float(values.std(ddof=1) / math.sqrt(301))
+        assert res.stderr == _std_error(values, 2)
+        assert res.stderr == pytest.approx(pairs.std(ddof=1) / math.sqrt(151), rel=1e-12)
+        assert res.stderr != _std_error(values, 1)
+        odd = dataclasses.replace(cfg, replications=301)
+        sums = np.append(values[:300].reshape(150, 2).sum(axis=1), values[300])
+        sums -= np.append(np.full(150, 2.0), 1.0) * values[:301].mean()
+        expected = math.sqrt(151 / 150 * float(np.square(sums).sum())) / 301
+        assert _aggregate(values[:301], odd).stderr == pytest.approx(expected, rel=1e-12)
 
     def test_short_circulant_grid_reports_the_row_stderr(self):
-        # n = 100 at alpha = 1.5 embeds like any longer grid: two paths a
-        # row, so the reported stderr is over the 151 rows, not the paths
+        # n = 100 at alpha = 1.5 embeds like any longer grid: two windows
+        # and their flips, four paths a row, so the reported stderr is over
+        # the 76 rows, not the paths
         cfg = EstimatorConfig(alpha=1.5, d=2.0, domain=Domain.HALF_LINE, delta=0.05,
                               horizon=5.0, replications=301, seed=2)
-        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 2
+        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 4
         values = _simulate_functionals(cfg, [1])[:, 0]
-        assert _aggregate(values, cfg).stderr == _std_error(values, 2) != _std_error(values)
+        assert _aggregate(values, cfg).stderr == _std_error(values, 4) != _std_error(values, 1)
 
     @pytest.mark.parametrize("reps", [3, 25, 47, 48, 49, 101, 1000])
     def test_median_of_means_blocks_hold_whole_rows(self, reps):
-        # circulant rows (n = 300) hold two replications: min(24, G) blocks
+        # circulant rows (n = 300) hold four replications: min(24, G) blocks
         # of whole rows, cut where np.array_split cuts the G rows, so no
-        # block splits a row (an odd count's last row is its lone window)
+        # block splits a row (a short count's last row keeps its first paths)
         cfg = EstimatorConfig(alpha=0.5, d=0.5, domain=Domain.HALF_LINE, delta=0.01,
                               horizon=3.0, replications=reps, seed=0)
-        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 2
+        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 4
         values = 1.0 + np.random.default_rng(reps).pareto(0.7, reps)
-        rows = np.array_split(np.arange(-(-reps // 2)), min(24, -(-reps // 2)))
-        blocks = [values[2 * r[0] : 2 * r[-1] + 2] for r in rows]
+        rows = np.array_split(np.arange(-(-reps // 4)), min(24, -(-reps // 4)))
+        blocks = [values[4 * r[0] : 4 * r[-1] + 4] for r in rows]
         assert sum(map(len, blocks)) == reps
         means = np.sort([b.mean() for b in blocks])
         res = _aggregate(values, cfg)
@@ -1290,29 +1391,34 @@ class TestAggregation:
             assert (res.ci_low, res.ci_high) == (means[rank - 1], means[len(blocks) - rank])
 
     def test_row_stderr_covers_dependent_windows(self):
-        # at alpha = 1.9 a row's two windows are strongly correlated (rho
-        # about 0.5 here), so the per-path stderr understates the spread of
-        # estimates; over 400 independent runs of 200 replications (whole
-        # rows of one table) the stderr the estimator reports matches the
-        # runs' spread within 10%, and the per-path one does not
-        delta = 0.005
-        cfg = EstimatorConfig(alpha=1.9, d=2.0, domain=Domain.HALF_LINE, delta=delta,
-                              horizon=plan_horizon(delta, 1.9), replications=400 * 200,
-                              seed=3)
-        rmap = _row_map(cfg.alpha, *cfg.side_counts())
-        assert (rmap.kind, rmap.n) == ("circulant", 1156)
-        runs = _simulate_functionals(cfg, [1], threads=2)[:, 0].reshape(400, 200)
-        run_cfg = dataclasses.replace(cfg, replications=200)
-        spread = runs.mean(axis=1).std(ddof=1)
-        reported = math.sqrt(np.mean([_aggregate(r, run_cfg).stderr ** 2 for r in runs]))
-        per_path = math.sqrt(np.mean([_std_error(r) ** 2 for r in runs]))
-        assert abs(reported / spread - 1.0) < 0.1
-        assert not abs(per_path / spread - 1.0) < 0.1
+        # a row's paths are dependent: at alpha = 1.9 its two windows are
+        # strongly correlated (rho about 0.5) and each path's sign flip is
+        # negatively correlated with it, so the per-path stderr misstates
+        # the spread of estimates.  Over 400 independent runs of 200
+        # replications (whole rows of one table) the stderr the estimator
+        # reports matches the runs' spread within 10%, for rows of four
+        # paths (alpha = 1.9) and of two (iid, alpha = 1), and the per-path
+        # one does not
+        for alpha, delta, kind, n, paths in [(1.9, 0.005, "circulant", 1156, 4),
+                                             (1.0, 0.01, "iid", 2120, 2)]:
+            cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE, delta=delta,
+                                  horizon=plan_horizon(delta, alpha), replications=400 * 200,
+                                  seed=3)
+            rmap = _row_map(cfg.alpha, *cfg.side_counts())
+            assert (rmap.kind, rmap.n, rmap.paths) == (kind, n, paths)
+            runs = _simulate_functionals(cfg, [1], threads=2)[:, 0].reshape(400, 200)
+            run_cfg = dataclasses.replace(cfg, replications=200)
+            spread = runs.mean(axis=1).std(ddof=1)
+            reported = math.sqrt(np.mean([_aggregate(r, run_cfg).stderr ** 2 for r in runs]))
+            per_path = math.sqrt(np.mean([_std_error(r, 1) ** 2 for r in runs]))
+            assert abs(reported / spread - 1.0) < 0.1, alpha
+            assert not abs(per_path / spread - 1.0) < 0.1, alpha
 
     def test_sample_mean_known_values(self):
+        # iid rows hold two replications: the stderr of the 24 pair means
         values = np.arange(1.0, 49.0)
         res = _aggregate(values, self._config(d=2.0))
         assert res.estimate == values.mean()
-        expected_se = values.std(ddof=1) / math.sqrt(48)
+        expected_se = values.reshape(24, 2).mean(axis=1).std(ddof=1) / math.sqrt(24)
         assert res.stderr == pytest.approx(expected_se, rel=1e-15)
         assert res.stat_error() == res.stderr

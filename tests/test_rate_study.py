@@ -122,7 +122,8 @@ class TestRateStudyBm:
         # one replication has no CLT stderr (std with ddof=1 of one value)
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
-        with pytest.raises(ValueError, match="at least 2 replications, got 1"):
+        with pytest.raises(ValueError, match="at least 2 independent rows, and a stream row "
+                           "holds 2 replications, got 1"):
             run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
                               deltas=[0.2, 0.05], replications=1, seed=1)
 
@@ -148,10 +149,11 @@ class TestGapDecay:
 
     @pytest.mark.filterwarnings("error")
     def test_nonpositive_gap_gives_nan_exponent_without_warning(self):
-        # three replications on these grids leave the finer gap at 0, which
-        # has no logarithm; the fit is nan and numpy is not asked to warn
+        # five replications, the fewest a study takes on these grids (two
+        # rows of four), leave the gaps at 0, which has no logarithm; the fit
+        # is nan and numpy is not asked to warn
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                               deltas=[0.4, 0.2, 0.1], replications=3, seed=3)
+                               deltas=[0.4, 0.2, 0.1], replications=5, seed=3)
         assert min(p.gap for p in result.points) == 0.0
         assert math.isnan(result.exponent) and math.isnan(result.exponent_stderr)
         for gaps in ([0.1, 0.0], [0.1, -0.01], [0.0, 0.0], [0.1, math.nan]):
@@ -176,23 +178,25 @@ class TestGapDecay:
     def test_single_replication_rejected(self, monkeypatch):
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
-        with pytest.raises(ValueError, match="at least 2 independent rows, and a circulant "
-                           "row holds 2 replications, got 1"):
+        with pytest.raises(ValueError, match="at least 2 independent rows, and a stream "
+                           "row holds 4 replications, got 1"):
             run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
                           deltas=[0.4, 0.2, 0.1], replications=1, seed=1)
 
     def test_one_circulant_row_rejected(self, monkeypatch):
-        # circulant rows (n = 281) hold two replications each, so two
-        # replications are one independent row, which has no CLT stderr
+        # circulant rows (n = 281) hold four replications each (two windows
+        # and their sign flips), so four replications are one independent
+        # row, which has no CLT stderr; iid rows hold two
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
+        with pytest.raises(ValueError, match=r"replications must be an integer >= 5: .*, "
+                           "got 4"):
+            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
+                          deltas=[0.4, 0.2, 0.1], replications=4, seed=1)
         with pytest.raises(ValueError, match=r"replications must be an integer >= 3: .*, "
                            "got 2"):
-            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                          deltas=[0.4, 0.2, 0.1], replications=2, seed=1)
-        with pytest.raises(ValueError, match="at least 2 replications, got 1"):
-            run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,  # iid rows, one replication each
-                              deltas=[0.1, 0.05], replications=1, seed=1)
+            run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
+                              deltas=[0.1, 0.05], replications=2, seed=1)
 
     def test_exponent_regression_reported_with_stderr(self):
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
@@ -216,8 +220,10 @@ def _table(alpha, domain, deltas, reps, seed):
     return _simulate_functionals(config, [round(x / finest) for x in deltas])
 
 
-def _mean_stderr(x):
-    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
+def _row_mean_stderr(x, unit):
+    """Mean of x and the stderr of its means over whole rows of ``unit``."""
+    rows = x.reshape(-1, unit).mean(axis=1)
+    return float(x.mean()), float(rows.std(ddof=1) / math.sqrt(len(rows)))
 
 
 class TestStudiesAreViewsOfOneTable:
@@ -228,11 +234,14 @@ class TestStudiesAreViewsOfOneTable:
         table = _table(1.0, Domain.FULL_LINE, deltas, 300, 17)
         assert len(points) == 3
         for j, p in enumerate(points):
-            assert (p.p_hat, p.stderr) == _mean_stderr(table[:, j])
+            # iid rows of two: the stderr is that of the 150 pair means
+            mean, stderr = _row_mean_stderr(table[:, j], 2)
+            assert p.p_hat == mean
+            assert p.stderr == pytest.approx(stderr, rel=1e-12)
 
     def test_gap_study_reads_paired_differences(self):
-        # circulant rows (n = 281) of two replications: the stderr is that
-        # of the 150 row means
+        # circulant rows (n = 281) of four replications: the stderr is that
+        # of the 75 row means
         deltas = [0.4, 0.2, 0.1]
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
                                deltas=deltas, replications=300, seed=19)
@@ -240,9 +249,9 @@ class TestStudiesAreViewsOfOneTable:
         assert len(result.points) == 2
         for j, p in enumerate(result.points):
             x = table[:, -1] - table[:, j]
-            rows = x.reshape(150, 2).mean(axis=1)
-            assert p.gap == float(x.mean())
-            assert p.gap_stderr == pytest.approx(_mean_stderr(rows)[1], rel=1e-12)
+            mean, stderr = _row_mean_stderr(x, 4)
+            assert p.gap == mean
+            assert p.gap_stderr == pytest.approx(stderr, rel=1e-12)
 
 
 class TestCsvOutput:

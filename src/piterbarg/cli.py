@@ -3,7 +3,9 @@
 Commands
 --------
 estimate        Monte Carlo estimate plus error budget, JSON manifest.
-validate        Brownian-case check of the corrected estimate vs closed form.
+validate        Brownian-case check of the corrected estimate vs closed form;
+                on the half line also the z-score of the raw estimate
+                against the exact discrete constant.
 rate            Nested-grid Brownian rate study, CSV table.
 plan            Error budget for (alpha, delta) without simulating, JSON.
 check-manifest  Parse and sanity-check a manifest or CSV produced above.
@@ -28,7 +30,8 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .budget import budget_report, plan_horizon
-from .closed_form import piterbarg_bm_full, piterbarg_bm_half, rate_constant
+from .closed_form import (piterbarg_bm_full, piterbarg_bm_half, piterbarg_bm_half_discrete,
+                          rate_constant)
 from .estimator import Domain, EstimateResult, EstimatorConfig, estimate_constant
 from .rate_study import RATE_CSV_HEADER, rate_points_csv, run_rate_study_bm
 
@@ -147,7 +150,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
     else:
         status = "pass" if error <= model_tol + stat_width else "fail"
-    _emit_manifest(args, started, config, estimate=result, validation={
+    validation = {
         "exact": exact,
         "correction_factor": correction,
         "corrected_estimate": corrected,
@@ -155,7 +158,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "model_tolerance": model_tol,
         "stat_tolerance": None if stat is None else stat_width,
         "status": status,
-    })
+    }
+    if args.domain is Domain.HALF_LINE:
+        # The exact constant on the run's own grid, which the raw estimate
+        # targets with no model error; the status above does not read it.
+        # Where the series refuses (d, delta), null and the refusal's reason.
+        try:
+            discrete, refused = piterbarg_bm_half_discrete(args.d, args.delta), None
+        except ValueError as exc:
+            discrete, refused = None, str(exc)
+        validation["exact_discrete"] = discrete
+        validation["discrete_z"] = (None if discrete is None or result.stderr is None
+                                    else (result.estimate - discrete) / result.stderr)
+        if refused:
+            validation["exact_discrete_refused"] = refused
+    _emit_manifest(args, started, config, estimate=result, validation=validation)
     print(
         f"validate [{status}] corrected={corrected:.6f} exact={exact:.6f}",
         file=sys.stderr,

@@ -30,6 +30,7 @@ __all__ = [
     "RateConstant",
     "piterbarg_bm_full",
     "piterbarg_bm_half",
+    "piterbarg_bm_half_discrete",
     "rate_constant",
 ]
 

@@ -27,21 +27,27 @@ normals of the circulant embedding, m the smallest even 5-smooth length
 >= 2n, whose fGn sequence gives two windows: its increments [0, n) and
 [m/2, m/2 + n), disjoint windows that are each exact in law but are not
 independent of each other.  Since -B has the law of B, each window's path
-values v give two paths, v and its sign flip -v (an antithetic pair), so a
-row yields 2 paths (iid) or 4 (circulant).
+values v give two paths, v and its sign flip -v (an antithetic pair).  On
+the half line a window's increments read backwards are exact fGn too (the
+covariance depends on the lag alone), so v also gives its time reversal
+v~_j = v_n - v_{n-j} and that path's flip, whose functionals depend on the
+increments near T where v's depend on those near 0.  A row yields 2 paths
+(iid) or 4 (circulant) on the full line, and 4 or 8 on the half line.
 
-Stream contract v7: rows are grouped into blocks of B, the largest power of
+Stream contract v8: rows are grouped into blocks of B, the largest power of
 two with B * width <= 2^17 (at least 1), so B depends on the row width alone.
 Block b is the stream ``SFC64(SeedSequence(seed, spawn_key=(b,)))``, which
 is ``SeedSequence(seed).spawn(b + 1)[b]``, numpy's spawning recipe, drawn
 row after row; stream row e is row e mod B of block e // B.  Window p of the
 run is window p mod 2 of stream row p // 2 on circulant rows, and stream row
-p otherwise (contract v6's replication p).  Replication r is sign r mod 2 of
-window r // 2: the window's path for even r, bit for bit v6's replication
-r / 2, and its flip for odd r, whose functional is exp(-min(field + 2 drift))
-over each sub-grid, field = v - drift being the even replication's.  A run
-that ends inside a row keeps that row's first paths (an odd count drops
-only the last flip), so it is the first replications of any longer one.
+p otherwise (contract v6's replication p).  Replication r is variant r mod V
+of window r // V, V = 2 on the full line and 4 on the half line; variant 0
+is the window's path v, 1 its flip -v, 2 its reversal v~ and 3 the flip -v~.
+Variants 0 and 1 are, bit for bit, contract v7's replications 2 (r // V)
+and 2 (r // V) + 1, so the full line is v7 unchanged.  (There a reversal
+adds nothing: with neg = pos it is t -> -t with a flip, and the symmetric
+drift gives it the flip's functional.)  A run that ends inside a row keeps
+that row's first paths, so it is the first replications of any longer one.
 Batches start on block boundaries and a row's values depend on its own
 normals alone, so results are bit-identical no matter how replications are
 batched or spread over threads.
@@ -204,7 +210,8 @@ class _RowMap:
     """How a stream row of ``width`` normals becomes ``windows`` paths of n + 1
     values anchored at column ``neg``, "iid" (the n increments, one window) or
     "circulant" (the m normals of the embedding, two windows), and ``paths``
-    replications: each window's path and its sign flip."""
+    replications: ``variants`` of each window, its path and sign flip, and on
+    the half line (neg = 0) also their time reversals (stream contract v8)."""
 
     kind: str
     alpha: float
@@ -218,9 +225,14 @@ class _RowMap:
         return 2 if self.kind == "circulant" else 1
 
     @property
+    def variants(self) -> int:
+        """Replications per window: v and -v, and v~ and -v~ on the half line."""
+        return 2 if self.neg else 4
+
+    @property
     def paths(self) -> int:
         """Replications per stream row, the unit of every reported error."""
-        return 2 * self.windows
+        return self.variants * self.windows
 
 
 def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
@@ -234,8 +246,8 @@ def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
 def _row_bytes(rmap: _RowMap) -> int:
     # Normals, and the complex half-spectrum where there is an embedding,
     # whose m + 2 floats then take the 2(n + 1) values of its two windows
-    # (m >= 2n); else the values of the one window.  The sign flips reuse
-    # the values in place.
+    # (m >= 2n); else the values of the one window.  The other variants
+    # reuse the values in place.
     width = rmap.width
     return 8 * width + (16 * (width // 2 + 1) if rmap.kind == "circulant" else 8 * (rmap.n + 1))
 
@@ -262,7 +274,8 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     """Contiguous near-equal block shares, one per worker, walked in batches.
 
     ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows (2
-    replications an iid row, 4 a circulant one), and the table holds
+    replications an iid row, 4 a circulant one, twice that on the half
+    line), and the table holds
     ``reps`` rows of ``columns``.  The rows' ``N`` blocks go
     to ``W = min(threads, CPUs, N)`` workers, CPUs being ``_cpu_count()``,
     worker k taking blocks ``[k N / W, (k + 1) N / W)``.  Raises ValueError
@@ -282,11 +295,12 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
         for k in range(workers)
     )
     rows = min(_batch_rows(rmap), max(hi - lo for lo, hi in shares))
-    # Drift, its double for the sign flips, and output table, the spectrum
-    # at the peak of its build (the autocovariances, the first row, and the
-    # complex input and output of its FFT; it then holds less), and one set
-    # of batch buffers per worker.
-    fixed = 16 * (n + 1) + 8 * reps * columns
+    # The drift and the run's other (n + 1)-float steps between variants,
+    # one array per variant, and output table, the spectrum at the peak of
+    # its build (the autocovariances, the first row, and the complex input
+    # and output of its FFT; it then holds less), and one set of batch
+    # buffers per worker.
+    fixed = 8 * (n + 1) * rmap.variants + 8 * reps * columns
     if rmap.kind == "circulant":
         fixed += 8 * (width // 2 + 1) + 8 * width + 32 * width
     limit, source = _memory_limit()
@@ -361,7 +375,7 @@ def _row_operator(rmap: _RowMap):
 
 def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
     """Normals (later the fGn), half-spectrum and path values for ``rows`` stream
-    rows, ``rmap.windows`` paths each (their sign flips need no room); the
+    rows, ``rmap.windows`` paths each (their other variants need no room); the
     values take the floats of the half-spectrum once the irfft has consumed
     it, path after path, so the elementwise passes run unbroken."""
     n, embedded, paths = rmap.n, rmap.kind == "circulant", rmap.windows * rows
@@ -416,14 +430,14 @@ def _simulate_functionals(
     """Per-replication functionals, shape (replications, len(strides)).
 
     Row r is what the per-path reference in ``tests/oracle.py`` yields for
-    replication r under stream contract v7, bit for bit: its stream row
-    (r // 4 on circulant rows, else r // 2) of the SFC64 stream of its
-    block, its window of that row's path, a self-similarity rescale and the
-    sup over each stride's sub-grid, of the penalized field for even r and
-    of its sign flip for odd r.  A stride is an integer from 1 to the positive
-    side count, so that its sub-grid keeps a point besides the anchor;
-    anything else is a ValueError before anything is built or drawn.  The
-    batching here only amortizes the FFTs.
+    replication r under stream contract v8, bit for bit: its stream row
+    (r // rmap.paths) of the SFC64 stream of its block, its window of that
+    row's path, a self-similarity rescale and the sup over each stride's
+    sub-grid of the penalized field of variant r mod ``rmap.variants`` of
+    the window's path.  A stride is an integer from 1 to the positive side
+    count, so that its sub-grid keeps a point besides the anchor; anything
+    else is a ValueError before anything is built or drawn.  The batching
+    here only amortizes the FFTs.
 
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
@@ -432,8 +446,12 @@ def _simulate_functionals(
     built here on the calling thread and reused for all of its batches.  So
     memory follows from the config and the worker count alone: pool threads
     build nothing, and a run with one worker runs on the calling thread.
-    A batch's flips take one pass that turns each window's field v - drift
-    into v + drift in place, whose minimum gives -v's supremum.
+    A batch's variants take one in-place pass each over the windows' field:
+    v - drift (v's sup, by the max), v + drift (-v's, by the min), and on
+    the half line v + rdrift and v - rdrift, rdrift = drift[::-1] (v~'s and
+    -v~'s, by the min and the max over the reversed sub-grid of stride s,
+    k = n mod s, against v_n read off the v + rdrift field so that both
+    take exactly 0 at k = n).
     ``_fill_normals`` builds the generator of each block (B * width <= 2^17
     normals) where it draws it, so no generator is shared between threads.
     """
@@ -453,8 +471,11 @@ def _simulate_functionals(
     op = _row_operator(rmap)
     drift = _drift(neg, pos, config.delta, config.alpha, config.d)
     twice = 2.0 * drift
+    if rmap.variants == 4:  # the reversal's drift at k = n - j is drift[::-1]
+        turn, back = drift[::-1] - drift, 2.0 * drift[::-1]
     out = np.empty((reps, len(strides)))
     columns = [(j, neg % s, s) for j, s in enumerate(strides)]  # each sub-grid holds the anchor
+    n, vs = rmap.n, rmap.variants
 
     def work(share: tuple, space: tuple) -> None:
         (lo, hi), (z, w, values) = share, space
@@ -464,14 +485,29 @@ def _simulate_functionals(
             _map_rows(rmap, op, z, w, values, rows, gains)
             first = rmap.paths * start
             table = out[first : first + rmap.paths * rows]  # the run's last row may be short
-            field = values[: -(-len(table) // 2)]
+            # each variant's pass covers the windows that have that variant in
+            # the table, fewer for the later variants of a short last row
+            field = values[: len(table[0::vs])]
             np.subtract(field, drift, out=field)
             for j, col, s in columns:
-                table[0::2, j] = np.exp(field[:, col::s].max(axis=1))
-            field = field[: len(table) // 2]
+                table[0::vs, j] = np.exp(field[:, col::s].max(axis=1))
+            field = field[: len(table[1::vs])]
             np.add(field, twice, out=field)
             for j, col, s in columns:
-                table[1::2, j] = np.exp(-field[:, col::s].min(axis=1))
+                table[1::vs, j] = np.exp(-field[:, col::s].min(axis=1))
+            if vs == 2:
+                continue
+            field = field[: len(table[2::4])]
+            np.add(field, turn, out=field)
+            # v_n as this field holds it (rdrift_n = 0), so that both reversals
+            # take exactly 0 at their anchor j = 0
+            end = field[:, n].copy()
+            for j, _, s in columns:
+                table[2::4, j] = np.exp(end - field[:, n % s :: s].min(axis=1))
+            field = field[: len(table[3::4])]
+            np.subtract(field, back, out=field)
+            for j, _, s in columns:
+                table[3::4, j] = np.exp(field[:, n % s :: s].max(axis=1) - end[: len(field)])
 
     spaces = [_row_buffers(rmap, plan.rows) for _ in plan.shares]
     if len(spaces) > 1:
@@ -553,9 +589,11 @@ def estimate_constant(config: EstimatorConfig, threads: int = 1) -> EstimateResu
 
     Runs ``config.replications`` path simulations (unit-grid draw,
     self-similarity rescale to ``config.delta``, penalized supremum), each
-    window of a stream row with its sign flip, so two per iid row and four
-    per circulant row, and aggregates by sample mean for d > 1 or
-    median-of-means for d <= 1, with errors over the independent rows.
+    window of a stream row with its sign flip, and on the half line with
+    their time reversals, so two per iid row and four per circulant row on
+    the full line and twice that on the half line, and aggregates by sample
+    mean for d > 1 or median-of-means for d <= 1, with errors over the
+    independent rows.
     The result is deterministic given (config, seed) at any thread count.
     """
     functionals = _simulate_functionals(config, strides=(1,), threads=threads)

@@ -20,12 +20,14 @@ stores the weights that turn standard normals into its Hermitian
 half-spectrum, so a draw only multiplies and inverts.  A draw is a
 stationary sequence of m values whose every window of up to m/2 + 1 is
 exact fGn.  n increments embed in the shortest such m >= 2n, and under
-stream contract v7 the engine keeps two disjoint windows of each draw,
+stream contract v8 the engine keeps two disjoint windows of each draw,
 increments [0, n) and [m/2, m/2 + n), exact in law but dependent, and with
-each window's path its sign flip: four replications per row (``estimator``
-states the contract). At alpha = 1 every
-lag beyond 0 vanishes and the increments are iid N(0, 1), drawn with no map
-at all. The tests check the embedding against a Cholesky factorization of
+each window's path its sign flip, and on the half line the time reversals
+of both (a window read backwards is exact fGn too, since the covariance
+depends on the lag alone): four replications per row on the full line and
+eight on the half line (``estimator`` states the contract).  At alpha = 1
+every lag beyond 0 vanishes and the increments are iid N(0, 1), drawn with
+no map at all. The tests check the embedding against a Cholesky factorization of
 the same covariance.
 
 Paths are always simulated on the unit grid and rescaled by self-similarity

@@ -4,25 +4,30 @@
 batches, in reused buffers, filling a block of rows per ``standard_normal``
 call.  This module computes the same numbers one path at a time, each step
 in its plainest form: the stream of replication r's stream row, spawned from
-the seed's SeedSequence as stream contract v7 defines it (blocks of B rows,
+the seed's SeedSequence as stream contract v8 defines it (blocks of B rows,
 B * width <= 2^17, block b from ``SeedSequence(seed).spawn(b + 1)[b]``
 through SFC64), advanced one row at a time past the earlier rows of its
 block; the row's map to fGn; the anchored running sum, the self-similarity
-rescale, the sign and the penalized supremum over each stride's sub-grid.
-Replication r is sign r mod 2 (+ for even r) of window p = r // 2, the
-replication p of contract v6.  The map is one of two, as in the engine: n
-iid increments at alpha = 1 (stream row p), or the circulant draw of m
-normals, m that of ``circulant_spectrum(alpha, n)`` (>= 2n), built from the
-eigenvalues with complex temporaries, of which window p keeps window p mod 2
-of stream row p // 2: increments [0, n) or [m/2, m/2 + n).  A flipped path's
-supremum is taken with the engine's float operations (the unflipped field
-v - drift, plus 2 drift, its minimum negated), so that it too is bit-equal;
-the tests check it against the plain max of -v - drift to rounding.  It
-calls none of the engine's kernels, so tests can require bit-equality of
-every row without comparing the engine with itself.  The fGn
-autocovariance and the dense Cholesky draw from it check the circulant
-sampler in law, and Borwein's eta series checks the package's accelerated
-zeta(1/2).
+rescale, the variant and the penalized supremum over each stride's sub-grid.
+Replication r is variant r mod V of window p = r // V, the replication p of
+contract v6, with V = 2 on the full line and 4 on the half line: the drawn
+path v, its sign flip -v, its time reversal v~_j = v_n - v_{n-j} and -v~.
+The map is one of two, as in the engine: n iid increments at alpha = 1
+(stream row p), or the circulant draw of m normals, m that of
+``circulant_spectrum(alpha, n)`` (>= 2n), built from the eigenvalues with
+complex temporaries, of which window p keeps window p mod 2 of stream row
+p // 2: increments [0, n) or [m/2, m/2 + n).  The other variants' suprema
+are taken with the engine's float operations (v's field v - drift, moved
+in turn by 2 drift, by drift[::-1] - drift and by -2 drift[::-1], read
+against v_n as the third field holds it, and reversed), so that they too
+are bit-equal; the tests check them against the plain suprema of -v and of
+the path cumulated from the reversed increments, to rounding.  It calls
+none of the engine's kernels, so tests can require bit-equality of every
+row without comparing the engine with itself.  The fGn autocovariance and
+the dense Cholesky draw from it check the circulant sampler in law,
+Borwein's eta series checks the package's accelerated zeta(1/2), and a
+lattice solution of Lindley's recursion checks the Spitzer series of the
+discrete Brownian constant.
 """
 
 from __future__ import annotations
@@ -122,19 +127,20 @@ def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int,
 @dataclass
 class PathGrid:
     """``values[neg_count + k]`` is B(k * delta) for k = -neg_count..pos_count;
-    ``flipped`` marks the sign flip -v of a drawn path v."""
+    a replication's path is ``variant`` of them: 0 the values v themselves,
+    1 the flip -v, 2 the reversal v~_j = v_n - v_{n-j} and 3 its flip -v~
+    (2 and 3 on the half line, neg_count = 0, only)."""
 
     alpha: float
     delta: float
     neg_count: int
     pos_count: int
     values: np.ndarray
-    flipped: bool = False
+    variant: int = 0
 
 
-def window_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
-    """Drawn path of window ``index`` under ``config`` on its delta grid: the
-    replication ``index`` of stream contract v6.
+def window_fgn(config: EstimatorConfig, index: int, block: int | None = None) -> np.ndarray:
+    """The n unit-grid increments of window ``index`` under ``config``.
 
     At alpha != 1 the row is the circulant draw, two windows a row.
     ``block`` is the rows per stream block, by default ``block_rows`` of the
@@ -149,9 +155,14 @@ def window_path(config: EstimatorConfig, index: int, block: int | None = None) -
     block = block_rows(width) if block is None else block
     rng = replication_stream(config.seed, row, width, block)
     if iid:
-        fgn = rng.standard_normal(n)  # iid increments: no embedding
-    else:
-        fgn = sample_fgn(spectrum, rng, n, window)
+        return rng.standard_normal(n)  # iid increments: no embedding
+    return sample_fgn(spectrum, rng, n, window)
+
+
+def cumulated_path(config: EstimatorConfig, fgn: np.ndarray) -> PathGrid:
+    """The path of unit-grid increments ``fgn`` on ``config``'s delta grid,
+    anchored at t = 0."""
+    neg, pos = config.side_counts()
     unit = np.concatenate([[0.0], np.cumsum(fgn)])
     unit -= unit[neg]
     unit[neg] = 0.0
@@ -159,13 +170,19 @@ def window_path(config: EstimatorConfig, index: int, block: int | None = None) -
     return PathGrid(config.alpha, config.delta, neg, pos, scaled)
 
 
+def window_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
+    """Drawn path of window ``index`` under ``config`` on its delta grid: the
+    replication ``index`` of stream contract v6."""
+    return cumulated_path(config, window_fgn(config, index, block))
+
+
 def replication_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
-    """Path of replication ``index`` under stream contract v7: the drawn path
-    of window r // 2 for even r, and its sign flip for odd r."""
-    window, flipped = divmod(index, 2)
+    """Path of replication ``index`` under stream contract v8: variant r mod V
+    of window r // V, V = 4 on the half line and 2 on the full line."""
+    variants = 2 if config.side_counts()[0] else 4
+    window, variant = divmod(index, variants)
     path = window_path(config, window, block)
-    if flipped:
-        path.values, path.flipped = -path.values, True
+    path.variant = variant
     return path
 
 
@@ -178,13 +195,25 @@ class SupRecord:
 
 
 def _penalized_field(path: PathGrid, d: float) -> np.ndarray:
+    """The penalized field of ``path``'s variant at k = -neg_count..pos_count,
+    formed with the engine's float operations: v's field v - drift, and the
+    other variants' from it by the engine's in-place steps."""
     k = np.arange(-path.neg_count, path.pos_count + 1, dtype=float)
     drift = (1.0 + d) * np.abs(k * path.delta) ** path.alpha
-    if not path.flipped:
-        return math.sqrt(2.0) * path.values - drift
-    # -v's field as the engine forms it: v's field, plus 2 drift, negated
-    # (negation is exact, so -path.values is v bit for bit)
-    return -(math.sqrt(2.0) * -path.values - drift + 2.0 * drift)
+    v = math.sqrt(2.0) * path.values
+    field = v - drift
+    if path.variant == 0:
+        return field
+    field = field + 2.0 * drift
+    if path.variant == 1:
+        return -field  # negation is exact
+    # the reversal's field at j is v_n - (v + drift[::-1]) at k = n - j, and
+    # its flip's is (v - drift[::-1]) - v_n there, v_n read off the first
+    field = field + (drift[::-1] - drift)
+    end = field[-1]
+    if path.variant == 2:
+        return (end - field)[::-1]
+    return ((field - 2.0 * drift[::-1]) - end)[::-1]
 
 
 def sup_functional(path: PathGrid, d: float, domain: Domain) -> SupRecord:
@@ -209,6 +238,34 @@ def subsampled_functionals(
         z_max = float(sub.max())
         records.append(SupRecord(z_max=z_max, functional=float(np.exp(z_max))))
     return records
+
+
+def lindley_exp_max(d: float, delta: float, h: float, top: float = 30.0) -> float:
+    """E exp(M), M = max_{k >= 0} S_k for the Gaussian random walk S of steps
+    N(-(1 + d) delta, 2 delta), from Lindley's recursion W <- max(0, W + X)
+    on the lattice h * {0, ..., top / h}.
+
+    Started at W = 0, k steps of the recursion give the law of
+    max_{j <= k} S_j, whose limit is the law of M; k = 40 / (min(d, 1) delta)
+    steps leave out a tail of order e^{-40}.  A step X is rounded to the
+    nearest multiple of h (its cell probabilities from ``math.erfc``), mass
+    that lands below 0 goes to 0, and mass above ``top`` (P(M > top) is of
+    order e^{-(1 + d) top}) is dropped.  The lattice error is O(h^2).
+    Independent of the Spitzer series in ``piterbarg.closed_form``.
+    """
+    mu, sd = -(1.0 + d) * delta, math.sqrt(2.0 * delta)
+    reach = math.ceil(9.0 * sd / h)  # steps beyond 9 sd have mass below 1e-18
+    edges = (np.arange(-reach, reach + 2) - 0.5) * h
+    cdf = np.array([0.5 * math.erfc(-(e - mu) / (sd * math.sqrt(2.0))) for e in edges])
+    step = np.diff(cdf)  # P(X rounds to j h), j = -reach..reach
+    size = math.ceil(top / h) + 1
+    law = np.zeros(size)
+    law[0] = 1.0
+    for _ in range(math.ceil(40.0 / (min(d, 1.0) * delta))):
+        moved = np.convolve(law, step)  # index i + j + reach holds W + X = (i + j) h
+        law = moved[reach : reach + size].copy()
+        law[0] += moved[:reach].sum()
+    return float(law @ np.exp(h * np.arange(size)))
 
 
 def _eta_borwein(s: float, n: int = 32) -> float:

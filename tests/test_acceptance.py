@@ -28,6 +28,7 @@ from piterbarg import (
     estimate_constant,
     piterbarg_bm_full,
     piterbarg_bm_half,
+    piterbarg_bm_half_discrete,
     plan_horizon,
     rate_constant,
     run_gap_decay,
@@ -253,3 +254,31 @@ def test_gap_decay_envelope():
         f"successive-ratio factors vs 2^(-1/4): "
         f"{[f'{f:.3f}' for f in factors]} (all must be <= 2)",
     )
+
+
+def test_exact_discrete_brownian_constant():
+    # ~10 seconds: 4e5 paths of 2120 points per penalty.  No model
+    # tolerance: on the half line at alpha = 1 the estimator's target on
+    # the delta grid is exact (Spitzer's series), so the raw estimate must
+    # lie within 3 row standard errors of it, and those must be below 0.5%
+    # of it (about 0.03-0.12% here), so that a blown-up stderr cannot pass.
+    # Seed and size were fixed before the first run.
+    delta = 0.01
+    lines, ok = [], True
+    for d in (1.5, 2.0, 4.0):
+        config = EstimatorConfig(
+            alpha=1.0,
+            d=d,
+            domain=Domain.HALF_LINE,
+            delta=delta,
+            horizon=plan_horizon(delta, 1.0),
+            replications=400_000,
+            seed=SEED,
+        )
+        result = estimate_constant(config, threads=4)
+        exact = piterbarg_bm_half_discrete(d, delta)
+        z = (result.estimate - exact) / result.stderr
+        ok &= abs(z) <= 3.0 and result.stderr <= 0.005 * exact
+        lines.append(f"d={d}: {result.estimate:.6f} +- {result.stderr:.6f} "
+                     f"vs {exact:.6f} (z = {z:+.2f})")
+    report("exact discrete Brownian constant (delta = 0.01)", ok, "; ".join(lines))

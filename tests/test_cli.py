@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from piterbarg import RatePoint, rate_points_csv
+from piterbarg import RatePoint, piterbarg_bm_half_discrete, rate_points_csv
 from piterbarg.cli import _delta_list, _domain, build_parser, main
 from piterbarg.rate_study import RATE_CSV_HEADER
 
@@ -20,6 +20,8 @@ BUDGET_KEYS = ["delta", "horizon", "disc_bound", "trunc_bound", "stat_error",
                "constants", "total", "up_to_constant", "horizon_below_comfort"]
 VALIDATION_KEYS = ["exact", "correction_factor", "corrected_estimate", "abs_error",
                    "model_tolerance", "stat_tolerance", "status"]
+# the half line adds the exact discrete constant and the raw estimate's z-score
+HALF_VALIDATION_KEYS = [*VALIDATION_KEYS, "exact_discrete", "discrete_z"]
 
 # Each subcommand's flags: option string -> (required, default, type).
 FLAGS = {
@@ -245,10 +247,10 @@ class TestEstimate:
         assert "numerical failure: circulant embedding failed for alpha=0.55, m=640" in err
 
     def test_rerun_reproduces_results_fields(self, capsys, pool_sizes):
-        # 2200 replications are 1100 rows of width 179, three blocks of 512:
-        # three workers
-        _, out1, _ = run_cli(capsys, *self.ARGS, "--reps", "2200")
-        _, out2, _ = run_cli(capsys, *self.ARGS, "--reps", "2200", "--threads", "3")
+        # 4400 replications are 1100 half-line rows of width 179, three
+        # blocks of 512: three workers
+        _, out1, _ = run_cli(capsys, *self.ARGS, "--reps", "4400")
+        _, out2, _ = run_cli(capsys, *self.ARGS, "--reps", "4400", "--threads", "3")
         assert pool_sizes == [3]
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["results"] == r2["results"]  # timestamps excluded by design
@@ -271,18 +273,46 @@ class TestValidate:
         assert list(manifest["results"]) == ["estimate", "validation"]
         assert list(manifest["results"]["estimate"]) == ESTIMATE_KEYS
         validation = manifest["results"]["validation"]
-        assert list(validation) == VALIDATION_KEYS
+        assert list(validation) == HALF_VALIDATION_KEYS
         assert validation["status"] == "inconclusive"
         assert "warning" in err
+        # d = 1: median-of-means, no stderr, so no z-score
+        assert validation["exact_discrete"] == piterbarg_bm_half_discrete(1.0, 0.05)
+        assert validation["discrete_z"] is None
 
     def test_decisive_run_passes(self, capsys):
         code, out, err = run_cli(capsys, "validate", "--d", "2", "--domain", "half",
                                  "--delta", "0.05", "--reps", "20000",
                                  "--seed", "3", "--threads", "2")
         assert code == 0
-        validation = json.loads(out)["results"]["validation"]
+        results = json.loads(out)["results"]
+        validation, estimate = results["validation"], results["estimate"]
         assert validation["status"] == "pass", validation
         assert validation["exact"] == 1.5
+        exact = piterbarg_bm_half_discrete(2.0, 0.05)
+        assert validation["exact_discrete"] == exact
+        assert validation["discrete_z"] == (estimate["estimate"] - exact) / estimate["stderr"]
+        assert abs(validation["discrete_z"]) < 3.0
+
+    def test_full_line_has_no_discrete_fields(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--d", "2", "--domain", "full",
+                               "--delta", "0.1", "--reps", "50", "--seed", "3")
+        assert code in (0, 1)
+        assert list(json.loads(out)["results"]["validation"]) == VALIDATION_KEYS
+
+    def test_refused_series_is_null_with_its_reason(self, capsys, tmp_path):
+        # d = 0.001 at delta = 0.04 needs 1.5e6 terms, beyond the series' cap:
+        # the fields are null, the reason is recorded and the manifest checks
+        target = tmp_path / "v.json"
+        code, _, _ = run_cli(capsys, "validate", "--d", "0.001", "--domain", "half",
+                             "--delta", "0.04", "--reps", "20", "--seed", "3",
+                             "--out", str(target))
+        assert code == 0
+        validation = json.loads(target.read_text())["results"]["validation"]
+        assert list(validation) == [*HALF_VALIDATION_KEYS, "exact_discrete_refused"]
+        assert validation["exact_discrete"] is None and validation["discrete_z"] is None
+        assert "d=0.001, delta=0.04 needs up to" in validation["exact_discrete_refused"]
+        assert run_cli(capsys, "check-manifest", str(target))[0] == 0
 
 
 class TestRate:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle import zeta_half
+from oracle import lindley_exp_max, zeta_half
 from piterbarg import (
     Domain,
     EstimatorConfig,
@@ -120,6 +120,20 @@ class TestDiscreteBrownianConstant:
         with pytest.raises(ValueError, match="delta"):
             piterbarg_bm_half_discrete(2.0, bad)
 
+    @pytest.mark.parametrize("d,delta", [(2.0, 0.16), (1.0, 0.04)])
+    def test_series_is_the_lindley_lattice_limit(self, d, delta):
+        # a lattice solution of Lindley's recursion, whose stationary law is
+        # that of the walk's maximum, at spacings h = 0.02 and 0.01: its error
+        # is O(h^2), so e = (E_h - E_{h/2}) / 3 estimates the error at h/2.
+        # The series lies within that error of E_{h/2}, and within 1% of it
+        # of the extrapolation (4 E_{h/2} - E_h) / 3
+        exact = piterbarg_bm_half_discrete(d, delta)
+        coarse, fine = (lindley_exp_max(d, delta, h) for h in (0.02, 0.01))
+        error = (coarse - fine) / 3.0
+        assert 0.0 < error < 2e-4
+        assert abs(fine - exact) <= 1.1 * error
+        assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 0.01 * error
+
     @pytest.mark.parametrize("d", [1.5, 2.0, 4.0])
     def test_engine_agrees_within_three_row_stderrs(self, d):
         # no model tolerance: the engine on the half line at alpha = 1,
@@ -131,3 +145,5 @@ class TestDiscreteBrownianConstant:
         res = estimate_constant(cfg, threads=2)
         exact = piterbarg_bm_half_discrete(d, delta)
         assert abs(res.estimate - exact) <= 3.0 * res.stderr, (res.estimate, res.stderr, exact)
+        # a blown-up estimate has a blown-up stderr: 0.05-0.2% of it here
+        assert res.stderr <= 0.005 * exact, (res.stderr, exact)

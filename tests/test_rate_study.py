@@ -123,7 +123,7 @@ class TestRateStudyBm:
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
         with pytest.raises(ValueError, match="at least 2 independent rows, and a stream row "
-                           "holds 2 replications, got 1"):
+                           "holds 4 replications, got 1"):
             run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
                               deltas=[0.2, 0.05], replications=1, seed=1)
 
@@ -149,11 +149,11 @@ class TestGapDecay:
 
     @pytest.mark.filterwarnings("error")
     def test_nonpositive_gap_gives_nan_exponent_without_warning(self):
-        # five replications, the fewest a study takes on these grids (two
-        # rows of four), leave the gaps at 0, which has no logarithm; the fit
-        # is nan and numpy is not asked to warn
+        # nine replications, the fewest a study takes on these grids (two
+        # half-line rows of eight), leave the gaps at 0, which has no
+        # logarithm; the fit is nan and numpy is not asked to warn
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                               deltas=[0.4, 0.2, 0.1], replications=5, seed=3)
+                               deltas=[0.4, 0.2, 0.1], replications=9, seed=3)
         assert min(p.gap for p in result.points) == 0.0
         assert math.isnan(result.exponent) and math.isnan(result.exponent_stderr)
         for gaps in ([0.1, 0.0], [0.1, -0.01], [0.0, 0.0], [0.1, math.nan]):
@@ -179,24 +179,29 @@ class TestGapDecay:
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
         with pytest.raises(ValueError, match="at least 2 independent rows, and a stream "
-                           "row holds 4 replications, got 1"):
+                           "row holds 8 replications, got 1"):
             run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
                           deltas=[0.4, 0.2, 0.1], replications=1, seed=1)
 
     def test_one_circulant_row_rejected(self, monkeypatch):
-        # circulant rows (n = 281) hold four replications each (two windows
-        # and their sign flips), so four replications are one independent
-        # row, which has no CLT stderr; iid rows hold two
+        # half-line circulant rows (n = 281) hold eight replications each
+        # (two windows, their sign flips and their time reversals), so eight
+        # replications are one independent row, which has no CLT stderr;
+        # half-line iid rows hold four, and full-line circulant rows four
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
+        with pytest.raises(ValueError, match=r"replications must be an integer >= 9: .*, "
+                           "got 8"):
+            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
+                          deltas=[0.4, 0.2, 0.1], replications=8, seed=1)
         with pytest.raises(ValueError, match=r"replications must be an integer >= 5: .*, "
                            "got 4"):
-            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                          deltas=[0.4, 0.2, 0.1], replications=4, seed=1)
-        with pytest.raises(ValueError, match=r"replications must be an integer >= 3: .*, "
-                           "got 2"):
             run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
-                              deltas=[0.1, 0.05], replications=2, seed=1)
+                              deltas=[0.1, 0.05], replications=4, seed=1)
+        with pytest.raises(ValueError, match=r"replications must be an integer >= 5: .*, "
+                           "got 4"):
+            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.FULL_LINE,
+                          deltas=[0.4, 0.2, 0.1], replications=4, seed=1)
 
     def test_exponent_regression_reported_with_stderr(self):
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
@@ -240,16 +245,16 @@ class TestStudiesAreViewsOfOneTable:
             assert p.stderr == pytest.approx(stderr, rel=1e-12)
 
     def test_gap_study_reads_paired_differences(self):
-        # circulant rows (n = 281) of four replications: the stderr is that
-        # of the 75 row means
+        # half-line circulant rows (n = 281) of eight replications: the
+        # stderr is that of the 38 row means
         deltas = [0.4, 0.2, 0.1]
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                               deltas=deltas, replications=300, seed=19)
-        table = _table(0.5, Domain.HALF_LINE, deltas, 300, 19)
+                               deltas=deltas, replications=304, seed=19)
+        table = _table(0.5, Domain.HALF_LINE, deltas, 304, 19)
         assert len(result.points) == 2
         for j, p in enumerate(result.points):
             x = table[:, -1] - table[:, j]
-            mean, stderr = _row_mean_stderr(x, 4)
+            mean, stderr = _row_mean_stderr(x, 8)
             assert p.gap == mean
             assert p.gap_stderr == pytest.approx(stderr, rel=1e-12)
 

@@ -162,13 +162,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.domain is Domain.HALF_LINE:
         # The exact constant on the run's own grid, which the raw estimate
         # targets with no model error; the status above does not read it.
-        # Where the series refuses (d, delta), null and the refusal's reason.
+        # Where the series refuses (d, delta), null and the refusal's reason;
+        # the z-score is null too where the stderr is None or 0 (every
+        # functional equal, as where the drift keeps each path below 0).
         try:
             discrete, refused = piterbarg_bm_half_discrete(args.d, args.delta), None
         except ValueError as exc:
             discrete, refused = None, str(exc)
         validation["exact_discrete"] = discrete
-        validation["discrete_z"] = (None if discrete is None or result.stderr is None
+        validation["discrete_z"] = (None if discrete is None or not result.stderr
                                     else (result.estimate - discrete) / result.stderr)
         if refused:
             validation["exact_discrete_refused"] = refused

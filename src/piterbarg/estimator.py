@@ -295,12 +295,12 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
         for k in range(workers)
     )
     rows = min(_batch_rows(rmap), max(hi - lo for lo, hi in shares))
-    # The drift and the run's other (n + 1)-float steps between variants,
-    # one array per variant, and output table, the spectrum at the peak of
-    # its build (the autocovariances, the first row, and the complex input
-    # and output of its FFT; it then holds less), and one set of batch
-    # buffers per worker.
-    fixed = 8 * (n + 1) * rmap.variants + 8 * reps * columns
+    # The drift and twice it, and on the half line the reversal's step and
+    # twice the reversed drift (n + 1 floats each), the output table, the
+    # spectrum at the peak of its build (the autocovariances, the first
+    # row, and the complex input and output of its FFT; it then holds
+    # less), and one set of batch buffers per worker.
+    fixed = 8 * (n + 1) * (2 if rmap.neg else 4) + 8 * reps * columns
     if rmap.kind == "circulant":
         fixed += 8 * (width // 2 + 1) + 8 * width + 32 * width
     limit, source = _memory_limit()
@@ -472,7 +472,10 @@ def _simulate_functionals(
     drift = _drift(neg, pos, config.delta, config.alpha, config.d)
     twice = 2.0 * drift
     if rmap.variants == 4:  # the reversal's drift at k = n - j is drift[::-1]
-        turn, back = drift[::-1] - drift, 2.0 * drift[::-1]
+        # twice[::-1] copied: read backwards through a reversed view, the
+        # operand made -v~'s pass a third to a half slower (rows of 2121 and
+        # 44977 floats)
+        turn, back = drift[::-1] - drift, twice[::-1].copy()
     out = np.empty((reps, len(strides)))
     columns = [(j, neg % s, s) for j, s in enumerate(strides)]  # each sub-grid holds the anchor
     n, vs = rmap.n, rmap.variants

@@ -294,6 +294,24 @@ class TestValidate:
         assert validation["discrete_z"] == (estimate["estimate"] - exact) / estimate["stderr"]
         assert abs(validation["discrete_z"]) < 3.0
 
+    def test_zero_stderr_gives_a_null_z_score(self, capsys, tmp_path):
+        # d = 50, delta = 0.3: n = 4 and the drift keeps every path below 0,
+        # so all 8 functionals are 1.0, the stderr is 0 and P^delta rounds
+        # to 1.0; the manifest is still written, with a null z-score
+        target = tmp_path / "v.json"
+        code, _, _ = run_cli(capsys, "validate", "--d", "50", "--domain", "half",
+                             "--delta", "0.3", "--reps", "8", "--seed", "1",
+                             "--out", str(target))
+        assert code == 1
+        results = json.loads(target.read_text())["results"]
+        assert results["estimate"]["stderr"] == 0.0
+        validation = results["validation"]
+        assert list(validation) == HALF_VALIDATION_KEYS
+        assert validation["status"] == "fail"
+        assert validation["exact_discrete"] == piterbarg_bm_half_discrete(50.0, 0.3)
+        assert validation["discrete_z"] is None
+        assert run_cli(capsys, "check-manifest", str(target))[0] == 0
+
     def test_full_line_has_no_discrete_fields(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--d", "2", "--domain", "full",
                                "--delta", "0.1", "--reps", "50", "--seed", "3")

@@ -656,10 +656,9 @@ class TestBatchPlan:
             _simulate_functionals(cfg, [1])
 
     def test_plan_bytes(self):
-        # one drift array per variant (the drift, its double, and on the half
-        # line the two reversal steps), table, the spectrum's build
-        # (autocovariances, first row, complex FFT input and output) and two
-        # workers' buffers
+        # the drift and its double, and on the half line the reversal's step
+        # and the reversed double, table, the spectrum's build (autocovariances, first row, complex
+        # FFT input and output) and two workers' buffers
         plan = _batch_plan(4000, _rmap(172, 360, True), 2, 3)
         assert len(plan.shares) == 2
         assert plan.nbytes == (32 * 173 + 8 * 12000 + 8 * 181 + 8 * 360 + 32 * 360
@@ -675,22 +674,30 @@ class TestBatchPlan:
                                + 2 * plan.rows * _row_bytes(full))
 
     def test_fft_floor_yields_to_memory(self, monkeypatch):
-        # n = 2.5e7 on two workers: 8.75 GiB at the 4-row floor, over an
-        # 8 GiB limit, but 4.28 GiB at one block (one row) per batch; 400
-        # replications are 50 half-line stream rows
+        # n = 2.5e7 on two workers, full line: 8.38 GiB at the 4-row floor,
+        # over an 8 GiB limit, but 3.91 GiB at one block (one row) per batch;
+        # 200 replications are 50 stream rows.  The same 50 rows on the half
+        # line (400 replications) add only the reversal's two arrays and the
+        # 200 more table values
         n, m = 25_000_000, 50_000_000
+        full = _RowMap("circulant", 0.5, n // 2, n, m)
         assert _next_fast_len(2 * n) == m and _block_rows(m) == 1
-        fixed = 32 * (n + 1) + 8 * 400 + 8 * (m // 2 + 1) + 40 * m
+        fixed = 16 * (n + 1) + 8 * 200 + 8 * (m // 2 + 1) + 40 * m
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
-        plan = _batch_plan(400, _rmap(n, m, True), 2, 1)
+        plan = _batch_plan(200, full, 2, 1)
         assert plan.rows == _FFT_MIN_ROWS == 4
-        assert plan.nbytes == fixed + 2 * 4 * _row_bytes(_rmap(n, m, True)) > 8 * 2**30
+        assert plan.nbytes == fixed + 2 * 4 * _row_bytes(full) > 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (8 * 2**30, "physical memory"))
-        plan = _batch_plan(400, _rmap(n, m, True), 2, 1)
+        plan = _batch_plan(200, full, 2, 1)
         assert plan.rows == 1 and plan.shares == ((0, 25), (25, 50))
-        assert plan.nbytes == fixed + 2 * _row_bytes(_rmap(n, m, True)) < 4.5 * 2**30
+        assert plan.nbytes == fixed + 2 * _row_bytes(full) < 4 * 2**30
+        half = _batch_plan(400, _rmap(n, m, True), 2, 1)
+        assert half.rows == 1 and half.shares == plan.shares
+        assert half.nbytes == plan.nbytes + 16 * (n + 1) + 8 * 200 < 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (3 * 2**30, "physical memory"))
         with pytest.raises(ValueError, match=rf"needs {plan.nbytes} bytes"):
+            _batch_plan(200, full, 2, 1)
+        with pytest.raises(ValueError, match=rf"needs {half.nbytes} bytes"):
             _batch_plan(400, _rmap(n, m, True), 2, 1)
 
     def test_plan_bytes_cover_spectrum_build(self):
@@ -1355,16 +1362,26 @@ class TestPathSampler:
 
 
 class TestAggregation:
-    def _config(self, d):
-        # full-line iid rows: a path and its flip, two replications a row
-        return EstimatorConfig(alpha=1.0, d=d, domain=Domain.FULL_LINE,
+    # iid rows hold a path and its flip, and on the half line also their
+    # reversals: four replications a row there, two on the full line
+    UNITS = [(Domain.HALF_LINE, 4), (Domain.FULL_LINE, 2)]
+
+    def _config(self, d, domain=Domain.HALF_LINE):
+        return EstimatorConfig(alpha=1.0, d=d, domain=domain,
                                delta=0.1, horizon=1.0, replications=48, seed=0)
 
     def test_median_of_means_known_blocks(self):
-        # 48 values in 24 blocks of 2: block means 1.5, 3.5, ..., 47.5;
-        # median = 24.5, CI = 7th and 18th order statistics
+        # 48 values, half line: 12 blocks of 4, block means 2.5, 6.5, ...,
+        # 46.5, median = 24.5, CI = 3rd and 10th order statistics; full
+        # line: 24 blocks of 2, block means 1.5, 3.5, ..., 47.5, median =
+        # 24.5, CI = 7th and 18th order statistics
         values = np.arange(1.0, 49.0)
         res = _aggregate(values, self._config(d=0.5))
+        assert res.estimate == 24.5
+        assert res.ci_low == 10.5
+        assert res.ci_high == 38.5
+        assert res.method == "median-of-means"
+        res = _aggregate(values, self._config(d=0.5, domain=Domain.FULL_LINE))
         assert res.estimate == 24.5
         assert res.ci_low == 13.5
         assert res.ci_high == 35.5
@@ -1374,17 +1391,19 @@ class TestAggregation:
     def test_median_of_means_is_np_median(self, infs):
         # the median read off the sorted block means is np.median's, bit for
         # bit, at every block count, odd and even, and with +inf block means;
-        # iid rows hold two replications, and blocks hold whole rows
+        # blocks hold whole rows of four (half line) or two (full line)
         rng = np.random.default_rng(5)
-        for blocks in range(1, 25):
-            for reps in (2 * blocks, 6 * blocks + 1):
-                values = 1.0 + rng.pareto(0.7, reps)
-                values[rng.permutation(reps)[:min(infs, reps)]] = np.inf
-                res = _aggregate(values, self._config(d=0.5))
-                rows = np.array_split(np.arange(-(-reps // 2)), min(-(-reps // 2), 24))
-                split = [values[2 * r[0] : 2 * r[-1] + 2] for r in rows]
-                expected = float(np.median(np.sort([b.mean() for b in split])))
-                assert repr(res.estimate) == repr(expected), (blocks, reps)
+        for domain, unit in self.UNITS:
+            for blocks in range(1, 25):
+                for reps in (unit * blocks, 3 * unit * blocks + 1):
+                    values = 1.0 + rng.pareto(0.7, reps)
+                    values[rng.permutation(reps)[:min(infs, reps)]] = np.inf
+                    res = _aggregate(values, self._config(d=0.5, domain=domain))
+                    g = -(-reps // unit)
+                    rows = np.array_split(np.arange(g), min(g, 24))
+                    split = [values[unit * r[0] : unit * r[-1] + unit] for r in rows]
+                    expected = float(np.median(np.sort([b.mean() for b in split])))
+                    assert repr(res.estimate) == repr(expected), (domain, blocks, reps)
 
     def test_one_worker_run_imports_no_pool_or_masked_arrays(self):
         script = (
@@ -1428,11 +1447,30 @@ class TestAggregation:
 
     @pytest.mark.parametrize("alpha,kind", [(1.0, "iid")])
     def test_iid_pair_stderr_is_the_row_stderr(self, alpha, kind):
-        # full-line iid rows hold a path and its sign flip: the reported
-        # stderr is that of the pair means, std(ddof=1) / sqrt(G) at an even
-        # count, and at an odd one the lone last path counts as a row
-        cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.FULL_LINE, delta=0.05,
-                              horizon=5.0, replications=302, seed=2)
+        # half-line iid rows hold a path, its sign flip and their reversals:
+        # the reported stderr is that of the means of the G rows of four,
+        # std(ddof=1) / sqrt(G) where 4 divides the count, and otherwise the
+        # short last row counts as a row
+        cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE, delta=0.05,
+                              horizon=5.0, replications=304, seed=2)
+        assert _row_map(alpha, *cfg.side_counts()).kind == kind
+        assert _row_map(alpha, *cfg.side_counts()).paths == 4
+        values = _simulate_functionals(cfg, [1])[:, 0]
+        rows = values.reshape(76, 4).mean(axis=1)
+        res = _aggregate(values, cfg)
+        assert res.stderr == _std_error(values, 4)
+        assert res.stderr == pytest.approx(rows.std(ddof=1) / math.sqrt(76), rel=1e-12)
+        assert res.stderr != _std_error(values, 1)
+        for reps in (301, 302, 303):
+            short = dataclasses.replace(cfg, replications=reps)
+            sums = np.append(values[:300].reshape(75, 4).sum(axis=1), values[300:reps].sum())
+            sums -= np.append(np.full(75, 4.0), reps - 300) * values[:reps].mean()
+            expected = math.sqrt(76 / 75 * float(np.square(sums).sum())) / reps
+            assert _aggregate(values[:reps], short).stderr == pytest.approx(expected, rel=1e-12)
+        # full-line iid rows hold a path and its sign flip: the stderr of the
+        # pair means at an even count, and at an odd one the lone last path
+        # counts as a row
+        cfg = dataclasses.replace(cfg, domain=Domain.FULL_LINE, replications=302)
         assert _row_map(alpha, *cfg.side_counts()).kind == kind
         assert _row_map(alpha, *cfg.side_counts()).paths == 2
         values = _simulate_functionals(cfg, [1])[:, 0]
@@ -1480,37 +1518,40 @@ class TestAggregation:
     def test_row_stderr_covers_dependent_windows(self):
         # a row's paths are dependent: at alpha = 1.9 its two windows are
         # strongly correlated (rho about 0.5), and so are a window's path and
-        # its reversal (about 0.6), and each path's sign flip is negatively
-        # correlated with it, so the per-path stderr misstates the spread of
-        # estimates.  Over 400 independent runs of 200 replications (whole
-        # rows of one table) the stderr the estimator reports matches the
-        # runs' spread within 10%, for half-line rows of eight paths
-        # (alpha = 1.9) and of four (iid, alpha = 1), and at alpha = 1.9 the
-        # per-path one does not.  (On iid rows a path and its reversal are
-        # nearly independent, rho about 0, and the per-path stderr is off by
-        # about 7% here, too close to the runs' own noise to tell apart.)
-        for alpha, delta, domain, kind, n, paths, per_path_off in [
-                (1.9, 0.005, Domain.HALF_LINE, "circulant", 1156, 8, True),
-                (1.0, 0.01, Domain.HALF_LINE, "iid", 2120, 4, False)]:
-            cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=domain, delta=delta,
-                                  horizon=plan_horizon(delta, alpha), replications=400 * 200,
+        # its reversal (about 0.6); each path's sign flip is negatively
+        # correlated with it (rho about -0.25 at alpha = 1, d = 4), so the
+        # per-path stderr misstates the spread of estimates.  Over K
+        # independent runs of 200 replications (whole rows of one table) the
+        # stderr the estimator reports matches the runs' spread within 10%,
+        # for half-line rows of eight paths (alpha = 1.9) and of four (iid,
+        # alpha = 1), and the per-path one does not.  The alpha = 1 case
+        # takes d = 4, where the per-path stderr is off by about 15% (by
+        # about 9% at d = 2, too little to tell at any K), and K = 1600 runs,
+        # so that the spread's own noise (about 1%) stays clear of the 10%
+        for alpha, delta, d, kind, n, paths, k in [
+                (1.9, 0.005, 2.0, "circulant", 1156, 8, 400),
+                (1.0, 0.01, 4.0, "iid", 2120, 4, 1600)]:
+            cfg = EstimatorConfig(alpha=alpha, d=d, domain=Domain.HALF_LINE, delta=delta,
+                                  horizon=plan_horizon(delta, alpha), replications=k * 200,
                                   seed=3)
             rmap = _row_map(cfg.alpha, *cfg.side_counts())
             assert (rmap.kind, rmap.n, rmap.paths) == (kind, n, paths)
-            runs = _simulate_functionals(cfg, [1], threads=2)[:, 0].reshape(400, 200)
+            runs = _simulate_functionals(cfg, [1], threads=2)[:, 0].reshape(k, 200)
             run_cfg = dataclasses.replace(cfg, replications=200)
             spread = runs.mean(axis=1).std(ddof=1)
             reported = math.sqrt(np.mean([_aggregate(r, run_cfg).stderr ** 2 for r in runs]))
             per_path = math.sqrt(np.mean([_std_error(r, 1) ** 2 for r in runs]))
-            assert abs(reported / spread - 1.0) < 0.1, (alpha, domain)
-            if per_path_off:
-                assert not abs(per_path / spread - 1.0) < 0.1, (alpha, domain)
+            assert abs(reported / spread - 1.0) < 0.1, alpha
+            assert not abs(per_path / spread - 1.0) < 0.1, alpha
 
     def test_sample_mean_known_values(self):
-        # iid rows hold two replications: the stderr of the 24 pair means
+        # the stderr of the 12 row means of four (half line) and of the 24
+        # pair means (full line)
         values = np.arange(1.0, 49.0)
-        res = _aggregate(values, self._config(d=2.0))
-        assert res.estimate == values.mean()
-        expected_se = values.reshape(24, 2).mean(axis=1).std(ddof=1) / math.sqrt(24)
-        assert res.stderr == pytest.approx(expected_se, rel=1e-15)
-        assert res.stat_error() == res.stderr
+        for domain, unit in self.UNITS:
+            res = _aggregate(values, self._config(d=2.0, domain=domain))
+            assert res.estimate == values.mean()
+            g = 48 // unit
+            expected_se = values.reshape(g, unit).mean(axis=1).std(ddof=1) / math.sqrt(g)
+            assert res.stderr == pytest.approx(expected_se, rel=1e-15)
+            assert res.stat_error() == res.stderr

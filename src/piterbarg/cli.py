@@ -6,7 +6,8 @@ estimate        Monte Carlo estimate plus error budget, JSON manifest.
 validate        Brownian-case check of the corrected estimate vs closed form;
                 on the half line also the z-score of the raw estimate
                 against the exact discrete constant.
-rate            Nested-grid Brownian rate study, CSV table.
+rate            Nested-grid Brownian rate study, CSV table; on the half line
+                with each grid's exact discrete constant.
 plan            Error budget for (alpha, delta) without simulating, JSON.
 check-manifest  Parse and sanity-check a manifest or CSV produced above.
 
@@ -33,7 +34,7 @@ from .budget import budget_report, plan_horizon
 from .closed_form import (piterbarg_bm_full, piterbarg_bm_half, piterbarg_bm_half_discrete,
                           rate_constant)
 from .estimator import Domain, EstimateResult, EstimatorConfig, estimate_constant
-from .rate_study import RATE_CSV_HEADER, rate_points_csv, run_rate_study_bm
+from .rate_study import RATE_CSV_HEADER, RATE_CSV_OPTIONAL, rate_points_csv, run_rate_study_bm
 
 __all__ = ["main"]
 
@@ -243,7 +244,9 @@ def _check_csv_table(text: str) -> list[str]:
         if len(row) != width:
             problems.append(f"row {i} has {len(row)} fields, expected {width}")
             continue
-        for cell in row:
+        for name, cell in zip(rows[0], row):
+            if name in RATE_CSV_OPTIONAL and not cell:
+                continue  # e.g. p_exact_discrete off the half line
             try:
                 value = float(cell)
             except ValueError:

@@ -22,35 +22,43 @@ robust location estimates, not unbiased means.
 Each stream row of normals maps to paths in one of two ways, which
 ``_row_map`` picks and ``_map_rows`` applies, for the engine and
 ``sample_two_sided_path`` alike.  At alpha = 1 (and for a single increment)
-the row holds the n increments, iid: one window.  Otherwise it holds the m
-normals of the circulant embedding, m the smallest even 5-smooth length
->= 2n, whose fGn sequence gives two windows: its increments [0, n) and
-[m/2, m/2 + n), disjoint windows that are each exact in law but are not
+the row holds the n increments, iid.  Otherwise it holds the m normals of
+the circulant embedding, m the smallest even 5-smooth length >= 2n, which
+map to m fGn values.  Either way the row's ``width`` increments are
+cyclically stationary (trivially for iid values; for the embedding because
+its covariance is circulant), so every cyclic window of n of them is exact
+fGn (n <= m/2 + 1 on circulant rows).  The engine reads each row as such a
+ring, from four evenly spaced starts: four windows, each exact in law, not
 independent of each other.  Since -B has the law of B, each window's path
 values v give two paths, v and its sign flip -v (an antithetic pair).  On
 the half line a window's increments read backwards are exact fGn too (the
 covariance depends on the lag alone), so v also gives its time reversal
 v~_j = v_n - v_{n-j} and that path's flip, whose functionals depend on the
-increments near T where v's depend on those near 0.  A row yields 2 paths
-(iid) or 4 (circulant) on the full line, and 4 or 8 on the half line.
+increments near T where v's depend on those near 0.  A row yields 8 paths
+on the full line and 16 on the half line.
 
-Stream contract v8: rows are grouped into blocks of B, the largest power of
+Stream contract v9: rows are grouped into blocks of B, the largest power of
 two with B * width <= 2^17 (at least 1), so B depends on the row width alone.
 Block b is the stream ``SFC64(SeedSequence(seed, spawn_key=(b,)))``, which
 is ``SeedSequence(seed).spawn(b + 1)[b]``, numpy's spawning recipe, drawn
-row after row; stream row e is row e mod B of block e // B.  Window p of the
-run is window p mod 2 of stream row p // 2 on circulant rows, and stream row
-p otherwise (contract v6's replication p).  Replication r is variant r mod V
-of window r // V, V = 2 on the full line and 4 on the half line; variant 0
-is the window's path v, 1 its flip -v, 2 its reversal v~ and 3 the flip -v~.
-Variants 0 and 1 are, bit for bit, contract v7's replications 2 (r // V)
-and 2 (r // V) + 1, so the full line is v7 unchanged.  (There a reversal
-adds nothing: with neg = pos it is t -> -t with a flip, and the symmetric
-drift gives it the flip's functional.)  A run that ends inside a row keeps
-that row's first paths, so it is the first replications of any longer one.
-Batches start on block boundaries and a row's values depend on its own
-normals alone, so results are bit-identical no matter how replications are
-batched or spread over threads.
+row after row; stream row e is row e mod B of block e // B.  A row's ring
+is its n normals (iid) or its m fGn values (circulant), cumulated once into
+width + 1 prefix sums S, S[0] = 0, and multiplied by the rescale
+delta^(alpha/2) and then by sqrt(2).  Window p in {0, 1, 2, 3} starts at
+o = floor(p * width / 4) and is read cyclically, anchored at column neg:
+its value j is S[o + j] - S[o + neg], with S[width] added to each term read
+past the ring's end.  Replication r is variant r mod V of window
+(r // V) mod 4 of stream row r // (4 V), V = 2 on the full line and 4 on
+the half line; variant 0 is the window's path v, 1 its flip -v, 2 its
+reversal v~ and 3 the flip -v~.  On the half line window 0 of every row is,
+bit for bit, contract v8's first window of that row; the circulant windows
+0 and 2 start where v8's two did, and the iid window 0 is v8's one.  (On
+the full line a reversal adds nothing: with neg = pos it is t -> -t with a
+flip, and the symmetric drift gives it the flip's functional.)  A run that
+ends inside a row keeps that row's first paths, so it is the first
+replications of any longer one.  Batches start on block boundaries and a
+row's values depend on its own normals alone, so results are bit-identical
+no matter how replications are batched or spread over threads.
 
 Every reported error treats a stream row, not a path, as the independent
 unit: the CLT stderr is computed from per-row sums of deviations
@@ -205,24 +213,31 @@ def _block_rows(width: int) -> int:
 _FFT_MIN_ROWS = 4
 
 
+# Windows read off each stream row's ring (stream contract v9).
+_WINDOWS = 4
+
+# numpy's ufunc buffer size, in elements, while ``_window`` forms a window.
+_WINDOW_BUFSIZE = 256
+
+
 @dataclass(frozen=True)
 class _RowMap:
-    """How a stream row of ``width`` normals becomes ``windows`` paths of n + 1
-    values anchored at column ``neg``, "iid" (the n increments, one window) or
-    "circulant" (the m normals of the embedding, two windows), and ``paths``
-    replications: ``variants`` of each window, its path and sign flip, and on
-    the half line (neg = 0) also their time reversals (stream contract v8)."""
+    """How a stream row of ``width`` normals becomes ``paths`` replications:
+    "iid" rows hold the n increments, "circulant" ones the m normals of the
+    embedding, which map to m fGn values.  Either way the row's ``width``
+    increments are a ring, read from ``_WINDOWS`` evenly spaced starts as
+    paths of n + 1 values anchored at column ``neg``, and each window gives
+    ``variants`` replications: its path and sign flip, and on the half line
+    (neg = 0) also their time reversals (stream contract v9).  On an iid
+    row of n <= 3 increments some starts coincide (all four at n = 1), and
+    their windows are the same path: the row stays the error unit, so the
+    estimate and its error stay right, on fewer distinct paths a row."""
 
     kind: str
     alpha: float
     neg: int
     n: int
     width: int
-
-    @property
-    def windows(self) -> int:
-        """Paths of values per stream row, which ``_row_buffers`` holds."""
-        return 2 if self.kind == "circulant" else 1
 
     @property
     def variants(self) -> int:
@@ -232,7 +247,7 @@ class _RowMap:
     @property
     def paths(self) -> int:
         """Replications per stream row, the unit of every reported error."""
-        return self.variants * self.windows
+        return _WINDOWS * self.variants
 
 
 def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
@@ -244,12 +259,15 @@ def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
 
 
 def _row_bytes(rmap: _RowMap) -> int:
-    # Normals, and the complex half-spectrum where there is an embedding,
-    # whose m + 2 floats then take the 2(n + 1) values of its two windows
-    # (m >= 2n); else the values of the one window.  The other variants
-    # reuse the values in place.
+    # Normals, at least n + 1 floats, which hold each window's field in turn
+    # once the ring is cumulated, and the ring's width + 1 prefix sums: in
+    # the complex half-spectrum's m + 2 floats where there is an embedding
+    # (the irfft has consumed it by then), else in a buffer of their own.
+    # The variants reuse a window's field in place.
     width = rmap.width
-    return 8 * width + (16 * (width // 2 + 1) if rmap.kind == "circulant" else 8 * (rmap.n + 1))
+    if rmap.kind == "circulant":
+        return 8 * width + 16 * (width // 2 + 1)
+    return 16 * (width + 1)
 
 
 def _batch_rows(rmap: _RowMap) -> int:
@@ -273,10 +291,9 @@ class _BatchPlan:
 def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
     """Contiguous near-equal block shares, one per worker, walked in batches.
 
-    ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows (2
-    replications an iid row, 4 a circulant one, twice that on the half
-    line), and the table holds
-    ``reps`` rows of ``columns``.  The rows' ``N`` blocks go
+    ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows (8
+    replications a row on the full line, 16 on the half line), and the
+    table holds ``reps`` rows of ``columns``.  The rows' ``N`` blocks go
     to ``W = min(threads, CPUs, N)`` workers, CPUs being ``_cpu_count()``,
     worker k taking blocks ``[k N / W, (k + 1) N / W)``.  Raises ValueError
     for a thread count below 1, and for a run whose memory, worked out here
@@ -374,28 +391,62 @@ def _row_operator(rmap: _RowMap):
 
 
 def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
-    """Normals (later the fGn), half-spectrum and path values for ``rows`` stream
-    rows, ``rmap.windows`` paths each (their other variants need no room); the
-    values take the floats of the half-spectrum once the irfft has consumed
-    it, path after path, so the elementwise passes run unbroken."""
-    n, embedded, paths = rmap.n, rmap.kind == "circulant", rmap.windows * rows
-    w = np.empty((rows, rmap.width // 2 + 1), dtype=np.complex128) if embedded else None
-    flat = w.view(np.float64).reshape(-1) if embedded else np.empty(paths * (n + 1))
-    return np.empty((rows, rmap.width)), w, flat[: paths * (n + 1)].reshape(paths, n + 1)
+    """Buffers for ``rows`` stream rows: the normals (later the fGn) as a
+    (rows, width) view of ``flat``, the half-spectrum (or None), and the
+    (rows, width + 1) ring prefix sums, which take the floats of the
+    half-spectrum once the irfft has consumed it.  ``flat`` holds at least
+    n + 1 floats a row, so that a window's field for every row fits in it
+    once the prefix sums exist (``_window``)."""
+    width, embedded = rmap.width, rmap.kind == "circulant"
+    flat = np.empty(rows * max(width, rmap.n + 1))
+    w = np.empty((rows, width // 2 + 1), dtype=np.complex128) if embedded else None
+    sums = w.view(np.float64)[:, : width + 1] if embedded else np.empty((rows, width + 1))
+    return flat[: rows * width].reshape(rows, width), w, sums, flat
 
 
-def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, values: np.ndarray,
-              rows: int, gains: Sequence[float] = ()) -> None:
-    """Paths of the normals z[:rows] into values[:rmap.windows * rows], in
+def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, sums: np.ndarray,
+              rows: int, gains: Sequence[float] = ()) -> np.ndarray:
+    """The ring prefix sums of the normals z[:rows] in sums[:rows], from
     ``_row_buffers``, by ``op = _row_operator(rmap)``, multiplied by each of
-    ``gains`` in turn.  A circulant row's (m,) fGn is viewed as two (m/2,)
-    halves, whose first n increments are its two paths."""
-    fgn = z[:rows]
+    ``gains`` in turn; returns them.  A circulant row's ring is its (m,)
+    fGn, an iid row's its n normals."""
+    ring = z[:rows]
     if rmap.kind == "circulant":
-        fgn = _fgn_from_normals(op, fgn, w[:rows]).reshape(2 * rows, -1)[:, : rmap.n]
-    field = _two_sided_values(fgn, rmap.neg, out=values[: rmap.windows * rows])
+        ring = _fgn_from_normals(op, ring, w[:rows])
+    prefix = _two_sided_values(ring, out=sums[:rows])
     for gain in gains:
-        np.multiply(field, gain, out=field)
+        np.multiply(prefix, gain, out=prefix)
+    return prefix
+
+
+def _window(rmap: _RowMap, prefix: np.ndarray, p: int, flat: np.ndarray) -> np.ndarray:
+    """Window p of the rings whose prefix sums are ``prefix``, as a
+    (rows, n + 1) view of ``flat``: S[o + j] - S[o + neg] for the start
+    o = floor(p * width / 4), read cyclically, so that a term read past the
+    ring's end (o + j > width) is S[o + j - width] + S[width] - S[o + neg].
+    The columns before the wrap and those after it take one subtraction of
+    a per-row shift each, the shift of the anchor's part its own S value
+    (x - x is +0.0, so the anchor column is exactly 0)."""
+    width, n = rmap.width, rmap.n
+    o = p * width // _WINDOWS
+    anchor = o + rmap.neg
+    head = min(n + 1, width + 1 - o)  # the columns read before the wrap
+    if anchor <= width:
+        before = prefix[:, anchor, None]
+        after = before - prefix[:, width, None]
+    else:
+        after = prefix[:, anchor - width, None]
+        before = after + prefix[:, width, None]
+    field = flat[: len(prefix) * (n + 1)].reshape(len(prefix), n + 1)
+    with np.errstate():  # restores the buffer size on exit (numpy >= 2.0)
+        # numpy 2.4 sends a strided (rows, k) operation through ufunc
+        # buffers wherever k <= bufsize / 4: at the default 8192, three
+        # 64 KiB buffers a call and a copy that made the wrapped windows'
+        # subtractions 3-5 times slower (parts of 531-1591 columns)
+        np.setbufsize(_WINDOW_BUFSIZE)
+        np.subtract(prefix[:, o : o + head], before, out=field[:, :head])
+        np.subtract(prefix[:, 1 : n + 2 - head], after, out=field[:, head:])
+    return field
 
 
 def sample_two_sided_path(
@@ -406,9 +457,9 @@ def sample_two_sided_path(
     One stationary fGn sequence of length ``neg_count + pos_count`` is drawn
     and cumulated around the t = 0 anchor, so the resulting grid process has
     exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
-    increments.  It is one row of the engine's ``_row_map``, drawn from
-    ``rng`` (n normals, or the m of an embedding, whose first window it
-    keeps) into buffers laid out as the engine's.  Returns B(k) for
+    increments.  It is window 0 (the first n increments) of one row of the
+    engine's ``_row_map``, drawn from ``rng`` (n normals, or the m of an
+    embedding) into buffers laid out as the engine's.  Returns B(k) for
     k = -neg_count..pos_count, so ``values[neg_count]`` is exactly 0; times
     delta^(alpha/2), the path on the delta grid.
     """
@@ -418,10 +469,10 @@ def sample_two_sided_path(
     if neg_count + pos_count < 1:
         raise ValueError("need at least one increment across both sides")
     rmap = _row_map(alpha, neg_count, pos_count)
-    z, w, values = _row_buffers(rmap, 1)
+    z, w, sums, flat = _row_buffers(rmap, 1)
     rng.standard_normal(out=z[0])
-    _map_rows(rmap, _row_operator(rmap), z, w, values, 1)
-    return values[0].copy()
+    prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, 1)
+    return _window(rmap, prefix, 0, flat)[0].copy()
 
 
 def _simulate_functionals(
@@ -430,14 +481,14 @@ def _simulate_functionals(
     """Per-replication functionals, shape (replications, len(strides)).
 
     Row r is what the per-path reference in ``tests/oracle.py`` yields for
-    replication r under stream contract v8, bit for bit: its stream row
-    (r // rmap.paths) of the SFC64 stream of its block, its window of that
-    row's path, a self-similarity rescale and the sup over each stride's
-    sub-grid of the penalized field of variant r mod ``rmap.variants`` of
-    the window's path.  A stride is an integer from 1 to the positive side
-    count, so that its sub-grid keeps a point besides the anchor; anything
-    else is a ValueError before anything is built or drawn.  The batching
-    here only amortizes the FFTs.
+    replication r under stream contract v9, bit for bit: its stream row
+    (r // rmap.paths) of the SFC64 stream of its block, that row's ring
+    prefix sums times the self-similarity rescale and sqrt(2), its window
+    of the ring, and the sup over each stride's sub-grid of the penalized
+    field of variant r mod ``rmap.variants`` of the window's path.  A stride
+    is an integer from 1 to the positive side count, so that its sub-grid
+    keeps a point besides the anchor; anything else is a ValueError before
+    anything is built or drawn.  The batching here only amortizes the FFTs.
 
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
@@ -446,7 +497,9 @@ def _simulate_functionals(
     built here on the calling thread and reused for all of its batches.  So
     memory follows from the config and the worker count alone: pool threads
     build nothing, and a run with one worker runs on the calling thread.
-    A batch's variants take one in-place pass each over the windows' field:
+    A batch cumulates each row's ring once (``_map_rows``), then forms its
+    four windows in turn in the normals buffer (``_window``, one pass each),
+    and each window's variants take one in-place pass each over its field:
     v - drift (v's sup, by the max), v + drift (-v's, by the min), and on
     the half line v + rdrift and v - rdrift, rdrift = drift[::-1] (v~'s and
     -v~'s, by the min and the max over the reversed sub-grid of stride s,
@@ -478,39 +531,44 @@ def _simulate_functionals(
         turn, back = drift[::-1] - drift, twice[::-1].copy()
     out = np.empty((reps, len(strides)))
     columns = [(j, neg % s, s) for j, s in enumerate(strides)]  # each sub-grid holds the anchor
-    n, vs = rmap.n, rmap.variants
+    n, vs, paths = rmap.n, rmap.variants, rmap.paths
 
     def work(share: tuple, space: tuple) -> None:
-        (lo, hi), (z, w, values) = share, space
+        (lo, hi), (z, w, sums, flat) = share, space
         for start in range(lo, hi, plan.rows):
             rows = min(plan.rows, hi - start)
             _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
-            _map_rows(rmap, op, z, w, values, rows, gains)
-            first = rmap.paths * start
-            table = out[first : first + rmap.paths * rows]  # the run's last row may be short
-            # each variant's pass covers the windows that have that variant in
-            # the table, fewer for the later variants of a short last row
-            field = values[: len(table[0::vs])]
-            np.subtract(field, drift, out=field)
-            for j, col, s in columns:
-                table[0::vs, j] = np.exp(field[:, col::s].max(axis=1))
-            field = field[: len(table[1::vs])]
-            np.add(field, twice, out=field)
-            for j, col, s in columns:
-                table[1::vs, j] = np.exp(-field[:, col::s].min(axis=1))
-            if vs == 2:
-                continue
-            field = field[: len(table[2::4])]
-            np.add(field, turn, out=field)
-            # v_n as this field holds it (rdrift_n = 0), so that both reversals
-            # take exactly 0 at their anchor j = 0
-            end = field[:, n].copy()
-            for j, _, s in columns:
-                table[2::4, j] = np.exp(end - field[:, n % s :: s].min(axis=1))
-            field = field[: len(table[3::4])]
-            np.subtract(field, back, out=field)
-            for j, _, s in columns:
-                table[3::4, j] = np.exp(field[:, n % s :: s].max(axis=1) - end[: len(field)])
+            prefix = _map_rows(rmap, op, z, w, sums, rows, gains)
+            table = out[paths * start : paths * (start + rows)]  # the run's last row may be short
+            for p in range(_WINDOWS):
+                # window p's replications, v of row i at wins[i * paths + v];
+                # each pass covers the rows that have its variant in the
+                # table, fewer for the later ones of a short last row
+                wins = table[p * vs :]
+                if not len(wins):
+                    break
+                field = _window(rmap, prefix[: len(wins[0::paths])], p, flat)
+                np.subtract(field, drift, out=field)
+                for j, col, s in columns:
+                    wins[0::paths, j] = np.exp(field[:, col::s].max(axis=1))
+                field = field[: len(wins[1::paths])]
+                np.add(field, twice, out=field)
+                for j, col, s in columns:
+                    wins[1::paths, j] = np.exp(-field[:, col::s].min(axis=1))
+                if vs == 2:
+                    continue
+                field = field[: len(wins[2::paths])]
+                np.add(field, turn, out=field)
+                # v_n as this field holds it (rdrift_n = 0), so that both
+                # reversals take exactly 0 at their anchor j = 0
+                end = field[:, n].copy()
+                for j, _, s in columns:
+                    wins[2::paths, j] = np.exp(end - field[:, n % s :: s].min(axis=1))
+                field = field[: len(wins[3::paths])]
+                np.subtract(field, back, out=field)
+                for j, _, s in columns:
+                    wins[3::paths, j] = np.exp(field[:, n % s :: s].max(axis=1)
+                                               - end[: len(field)])
 
     spaces = [_row_buffers(rmap, plan.rows) for _ in plan.shares]
     if len(spaces) > 1:
@@ -592,9 +650,9 @@ def estimate_constant(config: EstimatorConfig, threads: int = 1) -> EstimateResu
 
     Runs ``config.replications`` path simulations (unit-grid draw,
     self-similarity rescale to ``config.delta``, penalized supremum), each
-    window of a stream row with its sign flip, and on the half line with
-    their time reversals, so two per iid row and four per circulant row on
-    the full line and twice that on the half line, and aggregates by sample
+    of a stream row's four ring windows with its sign flip, and on the half
+    line with their time reversals, so eight per row on the full line and
+    sixteen on the half line, and aggregates by sample
     mean for d > 1 or median-of-means for d <= 1, with errors over the
     independent rows.
     The result is deterministic given (config, seed) at any thread count.

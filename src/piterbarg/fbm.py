@@ -19,16 +19,20 @@ one (Wood and Chan 1994), which numpy's FFT transforms fast. The spectrum
 stores the weights that turn standard normals into its Hermitian
 half-spectrum, so a draw only multiplies and inverts.  A draw is a
 stationary sequence of m values whose every window of up to m/2 + 1 is
-exact fGn.  n increments embed in the shortest such m >= 2n, and under
-stream contract v8 the engine keeps two disjoint windows of each draw,
-increments [0, n) and [m/2, m/2 + n), exact in law but dependent, and with
-each window's path its sign flip, and on the half line the time reversals
-of both (a window read backwards is exact fGn too, since the covariance
-depends on the lag alone): four replications per row on the full line and
-eight on the half line (``estimator`` states the contract).  At alpha = 1
-every lag beyond 0 vanishes and the increments are iid N(0, 1), drawn with
-no map at all. The tests check the embedding against a Cholesky factorization of
-the same covariance.
+exact fGn, and since the embedding's covariance is circulant the draw is
+cyclically stationary too: every cyclic window of up to m/2 + 1 values,
+one that runs past the end and on from the start, is exact fGn as well.
+n increments embed in the shortest such m >= 2n, and under stream contract
+v9 the engine reads each draw as a ring from four evenly spaced starts,
+four windows that are exact in law but dependent, and with each window's
+path its sign flip, and on the half line the time reversals of both (a
+window read backwards is exact fGn too, since the covariance depends on
+the lag alone): eight replications per row on the full line and sixteen on
+the half line (``estimator`` states the contract).  At alpha = 1 every
+lag beyond 0 vanishes and the increments are iid N(0, 1), drawn with no
+map at all: a ring of n values, read from the same four starts.  The tests
+check the embedding against a Cholesky factorization of the same
+covariance.
 
 Paths are always simulated on the unit grid and rescaled by self-similarity
 (B(delta * k) has the law of delta^(alpha/2) * B(k)), so one spectrum per
@@ -203,19 +207,13 @@ def _fgn_from_normals(spectrum: CirculantSpectrum, z: np.ndarray, w: np.ndarray)
     return fgn
 
 
-def _two_sided_values(fgn: np.ndarray, neg_count: int, out: np.ndarray) -> np.ndarray:
-    """Cumulate a (batch, n) increment block into (batch, n+1) path values.
-
-    The running sum is anchored so the column at index ``neg_count`` is
-    exactly zero; entries left of the anchor are then the negated backward
-    sums, which keeps the two sides driven by one stationary sequence (they
-    are dependent for alpha != 1).  ``out`` is the (batch, n+1) buffer for
-    the result, which is returned.
+def _two_sided_values(ring: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cumulate a (batch, width) block of increments into (batch, width + 1)
+    prefix sums S, S[0] = 0 and S[k] the sum of the first k, in ``out``,
+    which is returned.  The engine reads every window of a stream row's ring
+    off one such cumulation (``estimator._window``); its name is the one the
+    traced benchmark times as the cumsum stage.
     """
     out[:, 0] = 0.0
-    np.cumsum(fgn, axis=1, out=out[:, 1:])
-    if neg_count:
-        # x - x is +0.0.  The anchor column is copied first: an operand that
-        # overlaps the output sends numpy down its slower buffered path.
-        out -= out[:, neg_count].copy()[:, None]
+    np.cumsum(ring, axis=1, out=out[:, 1:])
     return out

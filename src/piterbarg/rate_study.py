@@ -11,9 +11,11 @@ a row per path), read through one reader, ``_paired``.
 For Brownian motion (alpha = 1) the exact constants are known, and the gap
 P_exact - P^delta divided by sqrt(delta) * P^delta should approach
 -zeta(1/2)/sqrt(pi) ~= 0.8239 as delta -> 0; ``run_rate_study_bm`` measures
-that.  For alpha != 1 no exact target exists and ``run_gap_decay`` instead
-reports how fast paired gaps between grids shrink, with a fitted log-log
-decay exponent to compare against the delta^(alpha/2) envelope shape.
+that, and on the half line also reports the exact discrete constant P^delta
+of each grid, which the row's estimate targets with no model error.  For
+alpha != 1 no exact target exists and ``run_gap_decay`` instead reports how
+fast paired gaps between grids shrink, with a fitted log-log decay exponent
+to compare against the delta^(alpha/2) envelope shape.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import plan_horizon
-from .closed_form import piterbarg_bm_full, piterbarg_bm_half
+from .closed_form import piterbarg_bm_full, piterbarg_bm_half, piterbarg_bm_half_discrete
 from .estimator import Domain, EstimatorConfig, _row_unit, _simulate_functionals, _std_error
 from .fbm import _check_alpha, _check_count, _check_real
 
@@ -46,6 +48,10 @@ class RatePoint:
     gap / (sqrt(delta) * p_hat), the finite-delta proxy for the limiting
     constant.  ``gap`` can dip below zero only within statistical noise;
     consumers should flag (not fail) gap < -3 * gap_stderr.
+    ``p_exact_discrete`` is the exact half-line constant on the grid of
+    spacing delta (``piterbarg_bm_half_discrete``), which p_hat estimates
+    with no model error; None on the full line and where the series
+    refuses (delta, d), an empty CSV cell.
     """
 
     delta: float
@@ -54,9 +60,13 @@ class RatePoint:
     gap: float
     gap_stderr: float
     empirical_rate: float
+    p_exact_discrete: float | None = None
 
 
 RATE_CSV_HEADER = ",".join(f.name for f in fields(RatePoint))
+
+# The columns whose cells may be empty: the fields that default to None.
+RATE_CSV_OPTIONAL = frozenset(f.name for f in fields(RatePoint) if f.default is None)
 
 
 @dataclass(frozen=True)
@@ -115,8 +125,9 @@ def _study_table(
     horizon is plan_horizon(finest, alpha), and a spacing beyond it, whose
     grid would be the anchor alone, is refused.  The studies report CLT
     stderrs over rows, which need d > 1 (finite variance) and at least two
-    rows: three replications where a row holds two (iid), five where it
-    holds four (circulant).
+    rows: ``unit + 1`` replications, ``unit = _row_unit(config)`` being the
+    replications a stream row holds (8 on the full line, 16 on the half
+    line).
     """
     _check_real("penalty d", d, 1.0, rule="exceed 1: rate studies report CLT standard errors, "
                 "which need d > 1 (the functional has infinite variance for d <= 1)")
@@ -161,13 +172,14 @@ def run_rate_study_bm(
 
     Simulates at the finest spacing with horizon T = plan_horizon(finest, 1)
     and evaluates every coarser grid on the same paths.  P_exact comes from
-    the closed forms; d must exceed 1 so the sample mean has a finite
-    variance.  Returns one :class:`RatePoint` per spacing, in input order.
+    the closed forms, and on the half line each grid's exact discrete
+    constant from Spitzer's series; d must exceed 1 so the sample mean has
+    a finite variance.  Returns one :class:`RatePoint` per spacing, in
+    input order.
     """
     deltas, table, unit = _study_table(1.0, d, domain, deltas, replications, seed, threads)
-    exact = (
-        piterbarg_bm_half(d) if domain is Domain.HALF_LINE else piterbarg_bm_full(d)
-    )
+    half = domain is Domain.HALF_LINE
+    exact = piterbarg_bm_half(d) if half else piterbarg_bm_full(d)
     points = []
     for j, delta in enumerate(deltas):
         p_hat, stderr = _paired(table, unit, j)
@@ -180,9 +192,19 @@ def run_rate_study_bm(
                 gap=gap,
                 gap_stderr=stderr,
                 empirical_rate=gap / (math.sqrt(delta) * p_hat),
+                p_exact_discrete=_exact_discrete(d, delta) if half else None,
             )
         )
     return points
+
+
+def _exact_discrete(d: float, delta: float) -> float | None:
+    """The half-line constant on the grid of spacing delta, or None where
+    Spitzer's series refuses (d, delta)."""
+    try:
+        return piterbarg_bm_half_discrete(d, delta)
+    except ValueError:
+        return None
 
 
 def run_gap_decay(
@@ -243,6 +265,7 @@ def _loglog_slope(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
 
 
 def rate_points_csv(points: Sequence[RatePoint]) -> str:
-    """Render rate-study rows as CSV (header mandatory, repr-exact floats)."""
-    rows = (",".join(map(repr, astuple(p))) for p in points)
+    """Render rate-study rows as CSV (header mandatory, repr-exact floats, an
+    empty cell for an absent value of a ``RATE_CSV_OPTIONAL`` column)."""
+    rows = (",".join("" if x is None else repr(x) for x in astuple(p)) for p in points)
     return "".join(f"{line}\n" for line in (RATE_CSV_HEADER, *rows))

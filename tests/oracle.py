@@ -4,30 +4,37 @@
 batches, in reused buffers, filling a block of rows per ``standard_normal``
 call.  This module computes the same numbers one path at a time, each step
 in its plainest form: the stream of replication r's stream row, spawned from
-the seed's SeedSequence as stream contract v8 defines it (blocks of B rows,
+the seed's SeedSequence as stream contract v9 defines it (blocks of B rows,
 B * width <= 2^17, block b from ``SeedSequence(seed).spawn(b + 1)[b]``
 through SFC64), advanced one row at a time past the earlier rows of its
-block; the row's map to fGn; the anchored running sum, the self-similarity
-rescale, the variant and the penalized supremum over each stride's sub-grid.
-Replication r is variant r mod V of window p = r // V, the replication p of
-contract v6, with V = 2 on the full line and 4 on the half line: the drawn
-path v, its sign flip -v, its time reversal v~_j = v_n - v_{n-j} and -v~.
-The map is one of two, as in the engine: n iid increments at alpha = 1
-(stream row p), or the circulant draw of m normals, m that of
-``circulant_spectrum(alpha, n)`` (>= 2n), built from the eigenvalues with
-complex temporaries, of which window p keeps window p mod 2 of stream row
-p // 2: increments [0, n) or [m/2, m/2 + n).  The other variants' suprema
-are taken with the engine's float operations (v's field v - drift, moved
-in turn by 2 drift, by drift[::-1] - drift and by -2 drift[::-1], read
-against v_n as the third field holds it, and reversed), so that they too
-are bit-equal; the tests check them against the plain suprema of -v and of
-the path cumulated from the reversed increments, to rounding.  It calls
-none of the engine's kernels, so tests can require bit-equality of every
-row without comparing the engine with itself.  The fGn autocovariance and
-the dense Cholesky draw from it check the circulant sampler in law,
-Borwein's eta series checks the package's accelerated zeta(1/2), and a
-lattice solution of Lindley's recursion checks the Spitzer series of the
-discrete Brownian constant.
+block; the row's ring of increments; the window of the ring, the
+self-similarity rescale, the variant and the penalized supremum over each
+stride's sub-grid.  Replication r is variant r mod V of window
+p = r // V, V = 2 on the full line and 4 on the half line: the drawn path
+v, its sign flip -v, its time reversal v~_j = v_n - v_{n-j} and -v~.
+Window p is ring window p mod 4 of stream row p // 4: the n increments
+read cyclically from index floor((p mod 4) * width / 4) of the row's ring,
+which is one of two, as in the engine: n iid increments at alpha = 1, or
+the m values of the circulant draw, m that of ``circulant_spectrum(alpha,
+n)`` (>= 2n), built from the eigenvalues with complex temporaries.
+
+Each path comes two ways.  ``values`` is the plain cyclic read: the
+window's increments cumulated and anchored at t = 0, then rescaled.
+``lifted`` is sqrt(2) times the path with the engine's float operations:
+the whole ring's prefix sums, rescaled and multiplied by sqrt(2), less
+their value at the anchor (``ring_window``), from which the functionals are
+taken.  The other variants' suprema are taken with the engine's float
+operations too (v's field v - drift, moved in turn by 2 drift, by
+drift[::-1] - drift and by -2 drift[::-1], read against v_n as the third
+field holds it, and reversed), so that they too are bit-equal; the tests
+check them against the plain suprema of -v and of the path cumulated from
+the reversed increments, to rounding.  It calls none of the engine's
+kernels, so tests can require bit-equality of every row without comparing
+the engine with itself.  The fGn autocovariance and the dense Cholesky
+draw from it check the circulant sampler in law, Borwein's eta series
+checks the package's accelerated zeta(1/2), and a lattice solution of
+Lindley's recursion checks the Spitzer series of the discrete Brownian
+constant.
 """
 
 from __future__ import annotations
@@ -109,10 +116,10 @@ def cholesky_sample(alpha: float, n: int, rng: np.random.Generator) -> np.ndarra
     return lower @ rng.standard_normal(n)
 
 
-def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int,
-               window: int = 0) -> np.ndarray:
-    """Draw one exact fGn sequence from ``spectrum.m`` normals: its first n <= m/2 + 1
-    values, or with ``window`` 1 the n <= m/2 values from index m/2 on."""
+def sample_ring(spectrum: CirculantSpectrum, rng: np.random.Generator) -> np.ndarray:
+    """The ``spectrum.m`` fGn values of one circulant draw from m normals:
+    cyclically stationary, so any n <= m/2 + 1 of them read cyclically are
+    exact fGn."""
     lam, m = spectrum.eigenvalues, spectrum.m
     half = m // 2
     z = rng.standard_normal(m)
@@ -120,8 +127,15 @@ def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int,
     w[0] = np.sqrt(lam[0]) * z[0]
     w[half] = np.sqrt(lam[half]) * z[half]
     w[1:half] = np.sqrt(0.5 * lam[1:half]) * (z[1:half] + 1j * z[half + 1 :])
-    start = window * half
-    return (np.fft.irfft(w, n=m) * math.sqrt(m))[start : start + n]
+    return np.fft.irfft(w, n=m) * math.sqrt(m)
+
+
+def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw one exact fGn sequence from ``spectrum.m`` normals: its first n <= m/2 + 1 values."""
+    return sample_ring(spectrum, rng)[:n]
+
+
+WINDOWS = 4  # ring windows per stream row
 
 
 @dataclass
@@ -129,7 +143,9 @@ class PathGrid:
     """``values[neg_count + k]`` is B(k * delta) for k = -neg_count..pos_count;
     a replication's path is ``variant`` of them: 0 the values v themselves,
     1 the flip -v, 2 the reversal v~_j = v_n - v_{n-j} and 3 its flip -v~
-    (2 and 3 on the half line, neg_count = 0, only)."""
+    (2 and 3 on the half line, neg_count = 0, only).  ``lifted`` is
+    sqrt(2) v as the engine rounds it, where the path came from a stream
+    row; the penalized field reads it in place of sqrt(2) * values."""
 
     alpha: float
     delta: float
@@ -137,26 +153,63 @@ class PathGrid:
     pos_count: int
     values: np.ndarray
     variant: int = 0
+    lifted: np.ndarray | None = None
 
 
-def window_fgn(config: EstimatorConfig, index: int, block: int | None = None) -> np.ndarray:
-    """The n unit-grid increments of window ``index`` under ``config``.
-
-    At alpha != 1 the row is the circulant draw, two windows a row.
-    ``block`` is the rows per stream block, by default ``block_rows`` of the
-    row width: n normals at alpha = 1, else the embedding length m.
-    """
+def _ring_row(config: EstimatorConfig, row: int, block: int | None = None) -> np.ndarray:
+    """The ring of stream row ``row`` under ``config``: its n iid increments
+    at alpha = 1, else the m values of its circulant draw.  ``block`` is the
+    rows per stream block, by default ``block_rows`` of the row width."""
     neg, pos = config.side_counts()
     n = neg + pos
     iid = n == 1 or config.alpha == 1.0
     spectrum = None if iid else circulant_spectrum(config.alpha, n)
     width = n if spectrum is None else spectrum.m
-    row, window = (index, 0) if spectrum is None else divmod(index, 2)
     block = block_rows(width) if block is None else block
     rng = replication_stream(config.seed, row, width, block)
     if iid:
         return rng.standard_normal(n)  # iid increments: no embedding
-    return sample_fgn(spectrum, rng, n, window)
+    return sample_ring(spectrum, rng)
+
+
+def window_start(width: int, window: int) -> int:
+    """First ring index of ring window ``window`` (0..3) of a ring of ``width``."""
+    return window * width // WINDOWS
+
+
+def window_fgn(config: EstimatorConfig, index: int, block: int | None = None) -> np.ndarray:
+    """The n unit-grid increments of window ``index`` under ``config``: ring
+    window index mod 4 of stream row index // 4, read cyclically."""
+    return _cyclic_read(_ring_row(config, index // WINDOWS, block), index % WINDOWS,
+                        sum(config.side_counts()))
+
+
+def _cyclic_read(ring: np.ndarray, window: int, n: int) -> np.ndarray:
+    return np.roll(ring, -window_start(len(ring), window))[:n]
+
+
+def ring_window(ring: np.ndarray, window: int, neg: int, n: int,
+                gains: Sequence[float]) -> np.ndarray:
+    """Window ``window`` of ``ring`` as the engine rounds it: the ring's
+    prefix sums S (S[0] = 0) times each of ``gains`` in turn, read at o + j
+    for o = window_start and j = 0..n, as S[o + j - width] + S[width] past
+    the ring's end, less S[o + neg].  The part read before or after the end
+    that holds the anchor subtracts the anchor's own S value, and the other
+    part that value moved by S[width], so that the anchor is exactly 0."""
+    width = len(ring)
+    prefix = np.concatenate([[0.0], np.cumsum(ring)])
+    for gain in gains:
+        prefix = prefix * gain
+    idx = window_start(width, window) + np.arange(n + 1)
+    wrapped = idx > width
+    anchor = idx[neg]
+    if anchor <= width:
+        head, tail = prefix[anchor], prefix[anchor] - prefix[width]
+    else:
+        tail = prefix[anchor - width]
+        head = tail + prefix[width]
+    read = prefix[idx - width * wrapped]
+    return np.where(wrapped, read - tail, read - head)
 
 
 def cumulated_path(config: EstimatorConfig, fgn: np.ndarray) -> PathGrid:
@@ -171,13 +224,18 @@ def cumulated_path(config: EstimatorConfig, fgn: np.ndarray) -> PathGrid:
 
 
 def window_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
-    """Drawn path of window ``index`` under ``config`` on its delta grid: the
-    replication ``index`` of stream contract v6."""
-    return cumulated_path(config, window_fgn(config, index, block))
+    """Drawn path of window ``index`` under ``config`` on its delta grid, its
+    values the plain cyclic read and ``lifted`` the engine's rounding."""
+    neg, pos = config.side_counts()
+    ring, window = _ring_row(config, index // WINDOWS, block), index % WINDOWS
+    path = cumulated_path(config, _cyclic_read(ring, window, neg + pos))
+    path.lifted = ring_window(ring, window, neg, neg + pos,
+                              (config.delta ** (config.alpha / 2.0), math.sqrt(2.0)))
+    return path
 
 
 def replication_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
-    """Path of replication ``index`` under stream contract v8: variant r mod V
+    """Path of replication ``index`` under stream contract v9: variant r mod V
     of window r // V, V = 4 on the half line and 2 on the full line."""
     variants = 2 if config.side_counts()[0] else 4
     window, variant = divmod(index, variants)
@@ -200,7 +258,7 @@ def _penalized_field(path: PathGrid, d: float) -> np.ndarray:
     other variants' from it by the engine's in-place steps."""
     k = np.arange(-path.neg_count, path.pos_count + 1, dtype=float)
     drift = (1.0 + d) * np.abs(k * path.delta) ** path.alpha
-    v = math.sqrt(2.0) * path.values
+    v = math.sqrt(2.0) * path.values if path.lifted is None else path.lifted
     field = v - drift
     if path.variant == 0:
         return field

@@ -4,6 +4,7 @@ manifest/CSV formats, and rerun determinism."""
 import argparse
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -211,7 +212,9 @@ class TestEstimate:
     ], ids=["estimate", "validate", "rate"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_2(self, capsys, command, threads):
-        code, out, err = run_cli(capsys, *command, "--reps", "10", "--seed", "1",
+        # 40 replications: more than a row on either line, so that the rate
+        # study gets as far as the thread count
+        code, out, err = run_cli(capsys, *command, "--reps", "40", "--seed", "1",
                                  "--threads", threads)
         assert code == 2
         assert out == ""
@@ -247,10 +250,10 @@ class TestEstimate:
         assert "numerical failure: circulant embedding failed for alpha=0.55, m=640" in err
 
     def test_rerun_reproduces_results_fields(self, capsys, pool_sizes):
-        # 4400 replications are 1100 half-line rows of width 179, three
+        # 17600 replications are 1100 half-line rows of width 179, three
         # blocks of 512: three workers
-        _, out1, _ = run_cli(capsys, *self.ARGS, "--reps", "4400")
-        _, out2, _ = run_cli(capsys, *self.ARGS, "--reps", "4400", "--threads", "3")
+        _, out1, _ = run_cli(capsys, *self.ARGS, "--reps", "17600")
+        _, out2, _ = run_cli(capsys, *self.ARGS, "--reps", "17600", "--threads", "3")
         assert pool_sizes == [3]
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["results"] == r2["results"]  # timestamps excluded by design
@@ -296,11 +299,12 @@ class TestValidate:
 
     def test_zero_stderr_gives_a_null_z_score(self, capsys, tmp_path):
         # d = 50, delta = 0.3: n = 4 and the drift keeps every path below 0,
-        # so all 8 functionals are 1.0, the stderr is 0 and P^delta rounds
-        # to 1.0; the manifest is still written, with a null z-score
+        # so all 32 functionals (two rows) are 1.0, the stderr is 0 and
+        # P^delta rounds to 1.0; the manifest is still written, with a null
+        # z-score
         target = tmp_path / "v.json"
         code, _, _ = run_cli(capsys, "validate", "--d", "50", "--domain", "half",
-                             "--delta", "0.3", "--reps", "8", "--seed", "1",
+                             "--delta", "0.3", "--reps", "32", "--seed", "1",
                              "--out", str(target))
         assert code == 1
         results = json.loads(target.read_text())["results"]
@@ -340,18 +344,42 @@ class TestRate:
                                "--seed", "11")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == RATE_CSV_HEADER == "delta,p_hat,stderr,gap,gap_stderr,empirical_rate"
+        assert lines[0] == RATE_CSV_HEADER == (
+            "delta,p_hat,stderr,gap,gap_stderr,empirical_rate,p_exact_discrete")
         assert len(lines) == 3
-        for row in lines[1:]:  # repr-exact cells
+        for row, delta in zip(lines[1:], (0.2, 0.05)):  # repr-exact cells
             assert all(repr(float(cell)) == cell for cell in row.split(","))
+            # the half line's last column: the exact constant on that grid
+            assert float(row.split(",")[-1]) == piterbarg_bm_half_discrete(2.0, delta)
+
+    def test_full_line_and_refused_series_leave_the_discrete_column_empty(self, capsys,
+                                                                         tmp_path):
+        # no discrete constant on the full line; on the half line, none
+        # where the series refuses (d = 1.001 needs 60 / delta terms, beyond
+        # its cap at delta = 5e-5, but not at 1e-4); either way the CSV
+        # still checks
+        for domain, deltas, cells in [("full", "0.2,0.05", ["", ""]),
+                                      ("half", "0.0001,0.00005", [None, ""])]:
+            target = tmp_path / f"{domain}.csv"
+            code, _, _ = run_cli(capsys, "rate", "--d", "1.001", "--domain", domain,
+                                 "--deltas", deltas, "--reps", "40", "--seed", "11",
+                                 "--out", str(target))
+            assert code == 0
+            rows = [line.split(",") for line in target.read_text().splitlines()[1:]]
+            for row, cell in zip(rows, cells):
+                assert len(row) == 7
+                assert row[-1] == cell if cell is not None else float(row[-1]) > 1.0
+            assert run_cli(capsys, "check-manifest", str(target))[0] == 0
 
     def test_row_is_repr_exact(self):
         point = RatePoint(0.2, 1.1512060915223474, 0.0210884520842877,
                           0.34879390847765257, 0.0210884520842877, 0.6774867638708384)
-        assert rate_points_csv([point]) == (
-            "delta,p_hat,stderr,gap,gap_stderr,empirical_rate\n"
+        assert rate_points_csv([point, replace(point, p_exact_discrete=1.1570307785011926)]) == (
+            "delta,p_hat,stderr,gap,gap_stderr,empirical_rate,p_exact_discrete\n"
             "0.2,1.1512060915223474,0.0210884520842877,0.34879390847765257,"
-            "0.0210884520842877,0.6774867638708384\n"
+            "0.0210884520842877,0.6774867638708384,\n"
+            "0.2,1.1512060915223474,0.0210884520842877,0.34879390847765257,"
+            "0.0210884520842877,0.6774867638708384,1.1570307785011926\n"
         )
 
     def test_non_nested_deltas_exit_2(self, capsys):
@@ -453,6 +481,12 @@ class TestCheckManifest:
         target.write_text("delta,p_hat\n0.1,not-a-number\n")
         code, _, err = run_cli(capsys, "check-manifest", str(target))
         assert code == 1
+        # an empty cell passes in the p_exact_discrete column alone
+        target.write_text(RATE_CSV_HEADER + "\n0.1,1.2,0.01,0.3,0.01,0.9,\n"
+                          "0.1,1.2,,0.3,0.01,0.9,1.25\n")
+        code, _, err = run_cli(capsys, "check-manifest", str(target))
+        assert code == 1
+        assert "row 3: non-numeric cell ''" in err and "row 2" not in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "check-manifest", str(tmp_path / "nope.json"))

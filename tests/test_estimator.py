@@ -56,6 +56,7 @@ from piterbarg.estimator import (
     _RowMap,
     _simulate_functionals,
     _std_error,
+    _window,
     grid_count,
 )
 from piterbarg.fbm import _next_fast_len
@@ -63,7 +64,8 @@ from piterbarg.fbm import _next_fast_len
 
 def _rmap(n, width, embedded=False):
     """A half-line row map of n increments and rows of ``width`` normals (four
-    replications a window); the plan reads only its kind, neg, n and width."""
+    windows of four replications); the plan reads only its kind, neg, n and
+    width."""
     return _RowMap("circulant" if embedded else "iid", 0.5, 0, n, width)
 
 
@@ -222,7 +224,7 @@ class TestReplicationStreams:
 
 
 class TestStreamContract:
-    """Golden values of stream contract v8, so that a change of numpy or of
+    """Golden values of stream contract v9, so that a change of numpy or of
     the engine that moves the random stream fails here first."""
 
     @pytest.mark.parametrize("seed,expected", [
@@ -239,23 +241,25 @@ class TestStreamContract:
     def test_functional_row(self):
         # the embedding's FFT may round differently on another platform, so
         # the row is pinned to 1e-12, far below what a moved stream changes.
-        # Replication 4 is the first window of stream row 1 (n = 80, m = 160),
-        # v6's replication 2 and its value; replication 5 is its sign flip.
+        # Replication 8 is ring window 0 of stream row 1 (n = 80, m = 160),
+        # v6's replication 2 and its value (v9 rescales the ring's prefix
+        # sums before the anchor is subtracted, which moves it by rounding
+        # only); replication 9 is its sign flip.
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
-                              delta=0.05, horizon=2.0, replications=6, seed=20260810)
-        rows = _simulate_functionals(cfg, [1, 2])[4:]
+                              delta=0.05, horizon=2.0, replications=10, seed=20260810)
+        rows = _simulate_functionals(cfg, [1, 2])[8:]
         assert rows.tolist() == [pytest.approx([3.3238495930746836, 2.369413850077903], rel=1e-12),
                                  pytest.approx([1.1653361914539049] * 2, rel=1e-12)]
 
     def test_dense_functional_row(self):
         # the same config, which v5 drew from the dense map (the test keeps
-        # its name): replications 0 and 2 are the two windows of stream row
-        # 0, v6's replications 0 and 1 (the second one's sup is at the
-        # anchor), and 1 and 3 their sign flips
+        # its name): replications 0 and 4 are ring windows 0 and 2 of stream
+        # row 0, which start where v6's replications 0 and 1 did (the second
+        # one's sup is at the anchor), and 1 and 5 their sign flips
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
-                              delta=0.05, horizon=2.0, replications=5, seed=20260810)
+                              delta=0.05, horizon=2.0, replications=7, seed=20260810)
         assert _row_map(cfg.alpha, *cfg.side_counts()).kind == "circulant"
-        rows = _simulate_functionals(cfg, [1, 2])[:4]
+        rows = _simulate_functionals(cfg, [1, 2])[[0, 1, 4, 5]]
         assert rows.tolist() == [pytest.approx([5.864606875849611] * 2, rel=1e-12),
                                  pytest.approx([3.7359128726663635, 1.7303558049480385], rel=1e-12),
                                  [1.0, 1.0],
@@ -263,42 +267,41 @@ class TestStreamContract:
 
     # the column sums of the stride-1, 2 and 4 table and the estimate's
     # fields of iid (alpha = 1) and circulant (alpha = 1.5, n = 100 and 200)
-    # runs.  v8 moved the half-line ones (the time reversals join every
-    # half-line row) and kept the full-line ones of v7.  exp and the FFT may
-    # round differently on another platform, hence 1e-12, far below what a
-    # moved stream changes
+    # runs.  v9 moved all of them (four ring windows a row, on both lines).
+    # exp and the FFT may round differently on another platform, hence
+    # 1e-12, far below what a moved stream changes
     _IID_AND_CIRCULANT = {
         (1.0, "HALF_LINE", 0.5): [
-            6095.722528645187, 5723.6988457927255, 5222.892920166969,
-            2.2399070531148455, 2.096186785538604, 2.5426332553449718,
+            6221.8347350010245, 5855.0214959658615, 5300.483659906863,
+            2.131476641572563, 2.0196128929351245, 2.5535545420910433,
         ],
         (1.0, "HALF_LINE", 2.0): [
-            3225.917734437849, 3067.2009527156497, 2869.0529444528183,
-            1.2903670937751368, 0.011491041413580448, 1.267845066459661, 1.3128891210906126,
+            3251.4205174390618, 3089.7841769684246, 2909.387162825062,
+            1.3005682069756237, 0.015164910404771114, 1.2708455287534957, 1.3302908851977517,
         ],
         (1.0, "FULL_LINE", 0.5): [
-            8587.374829551676, 7995.26445396183, 7232.095056193184, 3.2321622597174464,
-            2.9927946461719586, 3.554146780573966,
+            8948.180831636102, 8316.832271505871, 7458.177550340174, 3.366724005561276,
+            2.9675679865480387, 3.5838695102728217,
         ],
         (1.0, "FULL_LINE", 2.0): [
-            3722.3324769604587, 3474.9441063878817, 3157.367370332342, 1.4889329907841828,
-            0.014603009797535515, 1.4603116175151276, 1.517554364053238,
+            3795.6621359234787, 3525.7610080459003, 3205.7944006241514, 1.518264854369389,
+            0.01660634397508016, 1.4857170182633483, 1.5508126904754298,
         ],
         (1.5, "HALF_LINE", 0.5): [
-            4404.231649680103, 4304.113712706669, 4114.00861955306,
-            1.5586810282754153, 1.5121516434633269, 1.721438017216748,
+            4491.81227932431, 4381.415430476621, 4180.59985041109,
+            1.603092238280814, 1.5025935176489886, 1.7247294804171163,
         ],
         (1.5, "HALF_LINE", 2.0): [
-            2997.2512512050193, 2935.3528993301948, 2851.583490132448,
-            1.1989005004820095, 0.010052974067126208, 1.179197033372927, 1.218603967591092,
+            3003.8444337400138, 2944.5720002087264, 2863.239335558378,
+            1.2015377734960049, 0.01020277385612748, 1.181540704195588, 1.2215348427964217,
         ],
         (1.5, "FULL_LINE", 0.5): [
-            5511.185682966447, 5360.446836548889, 5109.135897932676, 2.1052838340407245,
-            1.9186251628293998, 2.2709631597287503,
+            5979.827602258583, 5789.648935918143, 5532.959808195197, 2.1796575678121926,
+            2.1031705710942576, 2.5034819850271157,
         ],
         (1.5, "FULL_LINE", 2.0): [
-            3379.94752604649, 3283.257311693754, 3118.8347148130492, 1.3519790104185931,
-            0.012926866544397439, 1.3266428175586185, 1.3773152032785678,
+            3437.4842939007553, 3336.740608538868, 3174.548316441241, 1.3749937175603038,
+            0.014877216741461063, 1.3458349085568437, 1.4041525265637638,
         ],
     }
 
@@ -319,16 +322,18 @@ class TestStreamContract:
 
 
     def test_half_line_variants_0_and_1_are_v7s_replications(self):
-        # v7's half-line replications 2 and 3 (window 1 and its flip) at
-        # these configs, as v7 pinned them: v8's replications 4 and 5, and
-        # window 1's reversals 6 and 7 are new
-        kw = dict(d=0.7, domain=Domain.HALF_LINE, delta=0.05, horizon=2.0, replications=8,
+        # v7's half-line replications 2 and 3 (its second window and its
+        # flip) at these configs, as v7 pinned them: v9's replications 8 and
+        # 9 at alpha = 0.5 (ring window 2, which starts where v7's second
+        # window did) and 16 and 17 at alpha = 1 (window 0 of stream row 1,
+        # bit for bit v8's first window of that row)
+        kw = dict(d=0.7, domain=Domain.HALF_LINE, delta=0.05, horizon=2.0, replications=18,
                   seed=20260810)
-        v7 = {0.5: [[1.0, 1.0], [2.1361635961487466, 1.9146873520021739]],
-              1.0: [[1.0, 1.0], [1.1652798761941303, 1.1652798761941303]]}
-        for alpha, rows in v7.items():
+        v7 = {0.5: (8, [[1.0, 1.0], [2.1361635961487466, 1.9146873520021739]]),
+              1.0: (16, [[1.0, 1.0], [1.1652798761941303, 1.1652798761941303]])}
+        for alpha, (r, rows) in v7.items():
             table = _simulate_functionals(EstimatorConfig(alpha=alpha, **kw), [1, 2])
-            assert table[4:6].tolist() == [pytest.approx(row, rel=1e-12) for row in rows]
+            assert table[r : r + 2].tolist() == [pytest.approx(row, rel=1e-12) for row in rows]
 
     # grids of each row kind, both domains: iid (alpha = 1, n = 40 or 80),
     # circulant (alpha = 0.5 and 1.5, m = 80 or 160)
@@ -410,18 +415,39 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_count_inside_a_half_line_row_is_a_prefix(self, alpha):
-        # a half-line count that ends at each variant of a row's windows
-        # (4k + 1, 4k + 2, 4k + 3) is the first rows of the run that fills
-        # the row, at short and block-crossing counts
+        # a half-line count that ends at each variant of each of a row's
+        # four windows (16 k + 1, ..., 16 k + 15), odd and even, is the first
+        # rows of the run that fills the row, at short and block-crossing
+        # counts (blocks of 1024 or 2048 rows)
         kw = dict(alpha=alpha, d=0.7, domain=Domain.HALF_LINE, delta=0.05, horizon=2.0,
                   seed=9)
-        for k in (0, 1, 2, 3, 64, 129, 258, 1025):
-            full = _simulate_functionals(EstimatorConfig(replications=8 * k + 8, **kw), [1, 2],
-                                         threads=2)
-            for extra in range(1, 8):
+        for k in (0, 1, 2, 3, 64, 129, 1023, 2049):
+            full = _simulate_functionals(EstimatorConfig(replications=16 * k + 16, **kw),
+                                         [1, 2], threads=2)
+            for extra in range(1, 16):
                 short = _simulate_functionals(
-                    EstimatorConfig(replications=8 * k + extra, **kw), [1, 2])
-                assert np.array_equal(short, full[: 8 * k + extra]), (k, extra)
+                    EstimatorConfig(replications=16 * k + extra, **kw), [1, 2])
+                assert np.array_equal(short, full[: 16 * k + extra]), (k, extra)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_half_line_window_0_is_v8s_first_window(self, alpha):
+        # window 0 of every half-line stream row, its four variants at
+        # replications 16 e .. 16 e + 3, is bit for bit contract v8's first
+        # window of row e: the plain cumulation of the ring's first n
+        # increments, rescaled, as v8's oracle formed it, across blocks
+        kw = dict(alpha=alpha, d=0.7, domain=Domain.HALF_LINE, delta=0.05, horizon=2.0,
+                  seed=12)
+        cfg = EstimatorConfig(replications=1, **kw)
+        block = block_rows(_row_map(alpha, *cfg.side_counts()).width)
+        cfg = EstimatorConfig(replications=16 * (block + 2) - 5, **kw)
+        table = _simulate_functionals(cfg, [1, 2, 3], threads=2)
+        for row in (0, 1, block - 1, block, block + 1):
+            plain = cumulated_path(cfg, window_fgn(cfg, 4 * row))
+            assert plain.lifted is None
+            for variant in range(4):
+                plain.variant = variant
+                recs = subsampled_functionals(plain, cfg.d, cfg.domain, [1, 2, 3])
+                assert np.array_equal([rec.functional for rec in recs], table[16 * row + variant])
 
     @pytest.mark.parametrize("alpha,domain", _SIGN_GRIDS,
                              ids=lambda x: getattr(x, "value", x))
@@ -450,10 +476,11 @@ class TestStreamContract:
     @pytest.mark.parametrize("alpha,domain", _SIGN_GRIDS,
                              ids=lambda x: getattr(x, "value", x))
     def test_one_and_two_threads_agree(self, alpha, domain, pool_sizes):
-        # a run of several blocks and an odd count, so that the last row is
-        # short, is bit-identical at one and two threads
+        # a run of several blocks (at least two, of 1024 or 2048 rows of 8
+        # or 16) and an odd count, so that the last row is short, is
+        # bit-identical at one and two threads
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=domain, delta=0.05,
-                              horizon=2.0, replications=8 * 1024 + 7, seed=11)
+                              horizon=2.0, replications=16 * 2048 + 7, seed=11)
         assert np.array_equal(_simulate_functionals(cfg, [1, 3]),
                               _simulate_functionals(cfg, [1, 3], threads=2))
         assert pool_sizes == [2]
@@ -578,7 +605,7 @@ class TestBatchPlan:
     def test_working_set_within_budget(self):
         # a batch is one stream block, or the _FFT_MIN_ROWS floor where an
         # FFT runs; one block of B * width <= 2^17 normals and their
-        # half-spectrum or path values takes about 2 MiB
+        # half-spectrum or prefix sums takes about 2 MiB
         for n, width, embedded in _row_shapes():
             rows, block = _batch_rows(_rmap(n, width, embedded)), _block_rows(width)
             row_bytes = _row_bytes(_rmap(n, width, embedded))
@@ -602,12 +629,12 @@ class TestBatchPlan:
                 assert plan.rows == min(rows, max(hi - lo for lo, hi in plan.shares))
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
-    @pytest.mark.parametrize("reps", [1, 7, 64, 65, 320, 1000, 4099])
+    @pytest.mark.parametrize("reps", [1, 7, 64, 65, 320, 1000, 4099, 8193])
     def test_shares_are_contiguous_and_near_equal(self, reps, threads):
-        # half-line circulant rows: eight replications a stream row, blocks
-        # of 64 rows
+        # half-line circulant rows: sixteen replications a stream row,
+        # blocks of 64 rows
         plan = _batch_plan(reps, _rmap(100, 2048, True), threads, 1)
-        rows = -(-reps // 8)
+        rows = -(-reps // 16)
         nblocks = -(-rows // 64)
         assert len(plan.shares) == min(threads, nblocks)
         assert plan.shares[0][0] == 0 and plan.shares[-1][1] == rows
@@ -619,17 +646,17 @@ class TestBatchPlan:
     def test_workers_capped_at_the_cpus(self, monkeypatch):
         # 5000 threads on 2 CPUs: 2 shares and 2 buffer sets, not 5000 of
         # each (5.13 GiB at the uncapped plan); the cap leaves shares whole.
-        # 4 * 10^7 replications are 10^7 half-line iid rows of four
+        # 1.6 * 10^8 replications are 10^7 half-line iid rows of sixteen
         rmap = _row_map(1.0, 0, 2120)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(estimator, "_cpu_count", lambda: cpus)
-            plan = _batch_plan(4 * 10**7, rmap, 5000, 1)
+            plan = _batch_plan(16 * 10**7, rmap, 5000, 1)
             assert len(plan.shares) == cpus
             assert plan.shares[0][0] == 0 and plan.shares[-1][1] == 10**7
-            assert plan.nbytes == (32 * 2121 + 32 * 10**7
+            assert plan.nbytes == (32 * 2121 + 128 * 10**7
                                    + cpus * plan.rows * _row_bytes(rmap))
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
-        assert len(_batch_plan(128, _rmap(100, 2048, True), 5000, 1).shares) == 1
+        assert len(_batch_plan(1024, _rmap(100, 2048, True), 5000, 1).shares) == 1
 
     @pytest.mark.parametrize("threads", [0, -3, 1.5, True])
     def test_threads_below_one_rejected(self, threads):
@@ -659,46 +686,51 @@ class TestBatchPlan:
         # the drift and its double, and on the half line the reversal's step
         # and the reversed double, table, the spectrum's build (autocovariances, first row, complex
         # FFT input and output) and two workers' buffers
-        plan = _batch_plan(4000, _rmap(172, 360, True), 2, 3)
+        plan = _batch_plan(16000, _rmap(172, 360, True), 2, 3)
         assert len(plan.shares) == 2
-        assert plan.nbytes == (32 * 173 + 8 * 12000 + 8 * 181 + 8 * 360 + 32 * 360
+        assert plan.nbytes == (32 * 173 + 8 * 48000 + 8 * 181 + 8 * 360 + 32 * 360
                                + 2 * plan.rows * _row_bytes(_rmap(172, 360, True)))
-        plan = _batch_plan(4000, _rmap(172, 172, False), 2, 3)
+        plan = _batch_plan(16000, _rmap(172, 172, False), 2, 3)
         assert len(plan.shares) == 2
-        assert plan.nbytes == (32 * 173 + 8 * 12000
+        assert plan.nbytes == (32 * 173 + 8 * 48000
                                + 2 * plan.rows * _row_bytes(_rmap(172, 172, False)))
         full = _RowMap("circulant", 0.5, 86, 172, 360)
-        plan = _batch_plan(2000, full, 2, 3)
+        plan = _batch_plan(4000, full, 2, 3)
         assert len(plan.shares) == 2
-        assert plan.nbytes == (16 * 173 + 8 * 6000 + 8 * 181 + 8 * 360 + 32 * 360
+        assert plan.nbytes == (16 * 173 + 8 * 12000 + 8 * 181 + 8 * 360 + 32 * 360
                                + 2 * plan.rows * _row_bytes(full))
+        # a row's buffers: the normals (n + 1 floats at least, the window
+        # field's room) and the width + 1 prefix sums, in the half-spectrum
+        # where there is one
+        assert _row_bytes(full) == 8 * 360 + 16 * 181
+        assert _row_bytes(_rmap(172, 172, False)) == 8 * 173 + 8 * 173
 
     def test_fft_floor_yields_to_memory(self, monkeypatch):
         # n = 2.5e7 on two workers, full line: 8.38 GiB at the 4-row floor,
         # over an 8 GiB limit, but 3.91 GiB at one block (one row) per batch;
-        # 200 replications are 50 stream rows.  The same 50 rows on the half
-        # line (400 replications) add only the reversal's two arrays and the
-        # 200 more table values
+        # 400 replications are 50 stream rows.  The same 50 rows on the half
+        # line (800 replications) add only the reversal's two arrays and the
+        # 400 more table values
         n, m = 25_000_000, 50_000_000
         full = _RowMap("circulant", 0.5, n // 2, n, m)
         assert _next_fast_len(2 * n) == m and _block_rows(m) == 1
-        fixed = 16 * (n + 1) + 8 * 200 + 8 * (m // 2 + 1) + 40 * m
+        fixed = 16 * (n + 1) + 8 * 400 + 8 * (m // 2 + 1) + 40 * m
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
-        plan = _batch_plan(200, full, 2, 1)
+        plan = _batch_plan(400, full, 2, 1)
         assert plan.rows == _FFT_MIN_ROWS == 4
         assert plan.nbytes == fixed + 2 * 4 * _row_bytes(full) > 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (8 * 2**30, "physical memory"))
-        plan = _batch_plan(200, full, 2, 1)
+        plan = _batch_plan(400, full, 2, 1)
         assert plan.rows == 1 and plan.shares == ((0, 25), (25, 50))
         assert plan.nbytes == fixed + 2 * _row_bytes(full) < 4 * 2**30
-        half = _batch_plan(400, _rmap(n, m, True), 2, 1)
+        half = _batch_plan(800, _rmap(n, m, True), 2, 1)
         assert half.rows == 1 and half.shares == plan.shares
-        assert half.nbytes == plan.nbytes + 16 * (n + 1) + 8 * 200 < 8 * 2**30
+        assert half.nbytes == plan.nbytes + 16 * (n + 1) + 8 * 400 < 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (3 * 2**30, "physical memory"))
         with pytest.raises(ValueError, match=rf"needs {plan.nbytes} bytes"):
-            _batch_plan(200, full, 2, 1)
+            _batch_plan(400, full, 2, 1)
         with pytest.raises(ValueError, match=rf"needs {half.nbytes} bytes"):
-            _batch_plan(400, _rmap(n, m, True), 2, 1)
+            _batch_plan(800, _rmap(n, m, True), 2, 1)
 
     def test_plan_bytes_cover_spectrum_build(self):
         # the build's peak, measured, stays within what the plan counts
@@ -717,20 +749,21 @@ class TestBatchPlan:
         assert 0.5 * counted <= peak <= 1.1 * counted
 
     def test_plan_bytes_cover_batch_buffers(self):
-        # the gap study's grid on two workers of one 4-row batch each (64
-        # replications, eight a row): once a first run has cached the
+        # the gap study's grid on two workers of one 4-row batch each (128
+        # replications, sixteen a row): once a first run has cached the
         # spectrum and made numpy's lazy imports, the measured peak is the
-        # four drift arrays, the table and the buffers, with both windows'
-        # path values in the half-spectrum buffer (a separate values buffer
-        # would add 5.8 MB) and their other variants in place
+        # four drift arrays, the table and the buffers, with the ring's
+        # prefix sums in the half-spectrum buffer (a separate buffer would
+        # add 2.9 MB), each window's field in the normals buffer and the
+        # other variants in place
         import tracemalloc
 
         cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
-                              horizon=449.76, replications=64, seed=3)
+                              horizon=449.76, replications=128, seed=3)
         n = sum(cfg.side_counts())
         m = _next_fast_len(2 * n)
         assert (n, m) == (44976, 90000)
-        plan = _batch_plan(64, _rmap(n, m, True), 2, 1)
+        plan = _batch_plan(128, _rmap(n, m, True), 2, 1)
         assert plan.rows == 4 and len(plan.shares) == 2
         assert _row_bytes(_rmap(n, m, True)) == 8 * m + 16 * (m // 2 + 1)
         counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
@@ -865,7 +898,7 @@ class TestEstimateConstant:
         assert res.stderr is None
 
     def test_deterministic_across_thread_counts(self, pool_sizes):
-        cfg = self._config(replications=16000)  # four blocks of 1024 rows of four
+        cfg = self._config(replications=64000)  # four blocks of 1024 rows of sixteen
         r1 = estimate_constant(cfg, threads=1)
         r4 = estimate_constant(cfg, threads=4)
         assert r1 == r4
@@ -936,18 +969,21 @@ class TestEstimateConstant:
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_brownian_rows_use_raw_normals(self, domain):
-        # alpha = 1 has iid increments, so replication V r is the penalized
-        # sup of the cumulated row r mod B of block r // B, with no embedding
-        # in between, and V r + 1 that of its sign flip (V = 2 on the full
-        # line, 4 on the half line); block b is B rows of n normals drawn in
-        # one call from SFC64 seeded by child b of the seed's SeedSequence.
+        # alpha = 1 has iid increments, so a stream row's ring is row r mod B
+        # of block r // B, with no embedding in between: block b is B rows
+        # of n normals drawn in one call from SFC64 seeded by child b of the
+        # seed's SeedSequence.  Replication 4 V r is the penalized sup of
+        # ring window 0, the row's prefix sums rescaled and less their value
+        # at the anchor, and 4 V r + 1 that of its sign flip (V = 2 on the
+        # full line, 4 on the half line); replication V (4 r + p) is that of
+        # window p, the row read cyclically from floor(p n / 4), to rounding.
         # The run ends in a short block.
         neg, pos = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
                                    horizon=2.0, replications=1, seed=31).side_counts()
         n = neg + pos
         block, vs = _block_rows(n), _row_map(1.0, neg, pos).variants
         cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
-                              horizon=2.0, replications=vs * (block + 5), seed=31)
+                              horizon=2.0, replications=4 * vs * (block + 5), seed=31)
         table = _simulate_functionals(cfg, strides=[1], threads=1)
         blocks = [
             np.random.Generator(np.random.SFC64(child)).standard_normal((block, n))
@@ -958,12 +994,15 @@ class TestEstimateConstant:
         first = neg if domain is Domain.HALF_LINE else 0
         for r in range(block + 5):
             z = blocks[r // block][r % block]
-            values = np.concatenate([[0.0], np.cumsum(z)])
-            values -= values[neg]
-            values[neg] = 0.0
-            field = math.sqrt(2.0) * (cfg.delta ** 0.5 * values) - drift
-            assert table[vs * r, 0] == np.exp(field[first:].max())
-            assert table[vs * r + 1, 0] == np.exp(-(field + 2.0 * drift)[first:].min())
+            lifted = np.concatenate([[0.0], np.cumsum(z)]) * cfg.delta ** 0.5 * math.sqrt(2.0)
+            field = (lifted - lifted[neg]) - drift
+            assert table[4 * vs * r, 0] == np.exp(field[first:].max())
+            assert table[4 * vs * r + 1, 0] == np.exp(-(field + 2.0 * drift)[first:].min())
+            for p in range(4):
+                values = np.concatenate([[0.0], np.cumsum(np.roll(z, -(p * n // 4)))])
+                field = math.sqrt(2.0) * (cfg.delta ** 0.5 * (values - values[neg])) - drift
+                assert table[vs * (4 * r + p), 0] == pytest.approx(np.exp(field[first:].max()),
+                                                                   rel=1e-12, abs=0.0)
 
     def test_brownian_deterministic_across_threads_and_batches(self):
         # a block and 7 rows: two blocks, the second short
@@ -975,11 +1014,11 @@ class TestEstimateConstant:
         assert np.array_equal(t1, t2)
 
     def test_embedded_deterministic_across_threads_and_batches(self, pool_sizes):
-        # n = 20 increments embed in m = 40, four replications a row, so this
-        # is two batches and a short third, run by two and three workers
-        # that each reuse one set of buffers
+        # n = 20 increments embed in m = 40, eight replications a row, so
+        # this is two batches and a short third, run by two and three
+        # workers that each reuse one set of buffers
         cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
-                           horizon=0.5, replications=8 * _batch_rows(_rmap(20, 40, True)) + 9)
+                           horizon=0.5, replications=16 * _batch_rows(_rmap(20, 40, True)) + 9)
         assert _row_map(cfg.alpha, *cfg.side_counts()).width == 40
         t1 = _simulate_functionals(cfg, [1, 3], threads=1)
         for threads in (2, 3):
@@ -1006,7 +1045,7 @@ class TestEstimateConstant:
                 assert [rec.functional for rec in recs] == list(table[r])
 
     def test_small_run_splits_over_workers(self, monkeypatch):
-        # 16000 replications are 4000 rows of width 100, four blocks of 1024
+        # 64000 replications are 4000 rows of width 100, four blocks of 1024
         # rows, the last one short, and a batch is one block; two threads
         # take two contiguous blocks each and give the one-thread result.
         # Each share waits at its first block until the other share has
@@ -1021,7 +1060,7 @@ class TestEstimateConstant:
                 both_started.wait()
             fill(seed, z, first, block)
 
-        cfg = self._config(replications=16000)
+        cfg = self._config(replications=64000)
         assert sum(cfg.side_counts()) == 100 and _batch_rows(_rmap(100, 100, False)) == 1024
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
@@ -1086,7 +1125,7 @@ class TestEstimateConstant:
     def test_pool_capped_at_the_cpus(self, monkeypatch, pool_sizes):
         # the pool stand-in records its size: 5000 threads on 2 CPUs ask
         # for 2 workers, and give the one-thread table
-        cfg = self._config(replications=16000)  # four blocks of 1024 rows of four
+        cfg = self._config(replications=64000)  # four blocks of 1024 rows of sixteen
         t1 = _simulate_functionals(cfg, [1, 2])
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=5000))
@@ -1094,10 +1133,10 @@ class TestEstimateConstant:
 
     # "dense" names the short circulant grid (n = 200) that v5 mapped densely
     @pytest.mark.parametrize("kind,kw", [
-        ("iid", dict(replications=16000)),
-        pytest.param("circulant", dict(alpha=1.5, domain=Domain.FULL_LINE, replications=4096),
+        ("iid", dict(replications=64000)),
+        pytest.param("circulant", dict(alpha=1.5, domain=Domain.FULL_LINE, replications=8192),
                      id="dense-kw1"),
-        ("circulant", dict(alpha=0.5, horizon=15.0, replications=4400)),
+        ("circulant", dict(alpha=0.5, horizon=15.0, replications=8800)),
     ])
     def test_row_operator_built_once_on_calling_thread(self, monkeypatch, kind, kw):
         # two workers and several batches each: the run builds its operator
@@ -1211,7 +1250,7 @@ class TestStageSeams:
     def test_engine_stages_once_per_batch(self, monkeypatch, kind, alpha, horizon, threads):
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.FULL_LINE, delta=0.05,
-                              horizon=horizon, replications=3000, seed=5)
+                              horizon=horizon, replications=12000, seed=5)
         rmap = _row_map(alpha, *cfg.side_counts())
         assert rmap.kind == kind
         plan = _batch_plan(cfg.replications, rmap, threads, 1)
@@ -1257,10 +1296,10 @@ class _UnitNormals:
 class TestDenseRows:
     """The grids that stream contract v5 drew from a dense Schur-Cholesky
     map, 2 <= n <= 255 increments at alpha != 1.  Since v6 they are circulant
-    rows like any longer grid: m = _next_fast_len(2n) normals, two windows."""
+    rows like any longer grid: m = _next_fast_len(2n) normals, four windows."""
 
     def _config(self, **kw):
-        # n = 80 increments in m = 160, blocks of 512 rows of two windows
+        # n = 80 increments in m = 160, blocks of 512 rows of four windows
         base = dict(alpha=0.5, d=0.7, domain=Domain.FULL_LINE, delta=0.05,
                     horizon=2.0, replications=2 * 1024 + 3, seed=23)
         base.update(kw)
@@ -1276,20 +1315,20 @@ class TestDenseRows:
         rmap = _row_map(alpha, neg, pos)
         m = rmap.width
         assert rmap.kind == "circulant" and m == _next_fast_len(2 * (neg + pos))
-        z, w, values = _row_buffers(rmap, m)
+        z, w, sums, flat = _row_buffers(rmap, m)
         z[:] = np.eye(m)
-        _map_rows(rmap, _row_operator(rmap), z, w, values, m)
+        prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, m)
         expected = _cholesky_path_covariance(alpha, neg, pos)
-        for window in (0, 1):
-            a = values[window::2]  # row i: the path of unit vector i
+        for window in range(4):  # window 3 runs past the ring's end
+            a = _window(rmap, prefix, window, flat)  # row i: the path of unit vector i
             np.testing.assert_allclose(a.T @ a, expected, rtol=1e-10,
                                        atol=1e-12 * np.abs(expected).max())
 
     def test_bit_identical_across_threads_batchings_and_counts(self, monkeypatch, pool_sizes):
-        # three and a bit blocks of 512 rows of four replications: one, two
+        # three and a bit blocks of 512 rows of eight replications: one, two
         # and three workers, batches of one block and of two, and a count
         # that ends the run mid-block
-        cfg = self._config(replications=6 * 1024 + 140)
+        cfg = self._config(replications=12 * 1024 + 280)
         assert _block_rows(_row_map(cfg.alpha, *cfg.side_counts()).width) == 512
         reference = _simulate_functionals(cfg, [1, 2], threads=1)
         for threads in (2, 3):
@@ -1298,7 +1337,7 @@ class TestDenseRows:
                             lambda rmap: 2 * _block_rows(rmap.width))
         for threads in (1, 2, 3):
             assert np.array_equal(reference, _simulate_functionals(cfg, [1, 2], threads=threads))
-        for reps in (1, 5, 2 * 1024 + 3, 6 * 1024 + 33):
+        for reps in (1, 5, 4 * 1024 + 3, 12 * 1024 + 33):
             short = _simulate_functionals(self._config(replications=reps), [1, 2], threads=2)
             assert np.array_equal(short, reference[:reps])
         assert max(pool_sizes) == 3
@@ -1319,7 +1358,7 @@ class TestPathSampler:
         for r in (0, 3):
             unit = sample_two_sided_path(cfg.alpha, neg, pos,
                                          replication_stream(cfg.seed, r, m, block_rows(m)))
-            expected = window_path(cfg, 2 * r).values / cfg.delta ** (cfg.alpha / 2)
+            expected = window_path(cfg, 4 * r).values / cfg.delta ** (cfg.alpha / 2)
             assert unit[neg] == 0.0
             np.testing.assert_allclose(unit, expected, rtol=1e-12, atol=1e-14)
         a = np.array([sample_two_sided_path(cfg.alpha, neg, pos, _UnitNormals(i))
@@ -1333,20 +1372,20 @@ class TestPathSampler:
     ])
     def test_dense_row_is_the_engines_row(self, alpha, neg, pos):
         # grids v5 mapped densely: the engine's batch buffers, normals and
-        # spectrum (its gains left out) give the sampler's row, the first
-        # window of a stream row, bit for bit, in a full block and in the
-        # short next one
+        # spectrum (its gains left out) give the sampler's row, ring window 0
+        # of a stream row, bit for bit, in a full block and in the short
+        # next one
         rmap = _row_map(alpha, neg, pos)
         block = _block_rows(rmap.width)
         assert rmap.kind == "circulant" and rmap.n <= 255
         rows = block + 3
-        z, w, values = _row_buffers(rmap, rows)
+        z, w, sums, flat = _row_buffers(rmap, rows)
         _fill_normals(2027, z, 0, block)
-        _map_rows(rmap, _row_operator(rmap), z, w, values, rows)
+        values = _window(rmap, _map_rows(rmap, _row_operator(rmap), z, w, sums, rows), 0, flat)
         for r in (0, 1, block - 1, block, block + 2):
             row = sample_two_sided_path(alpha, neg, pos,
                                         replication_stream(2027, r, rmap.width, block))
-            assert np.array_equal(row, values[2 * r]), r
+            assert np.array_equal(row, values[r]), r
 
     @pytest.mark.parametrize("alpha,neg,pos", [
         (0.7, 10, 20), (1.0, 10, 20), (1.5, 0, 1), (0.7, 150, 150), (0.7, 1, 1),
@@ -1362,36 +1401,37 @@ class TestPathSampler:
 
 
 class TestAggregation:
-    # iid rows hold a path and its flip, and on the half line also their
-    # reversals: four replications a row there, two on the full line
-    UNITS = [(Domain.HALF_LINE, 4), (Domain.FULL_LINE, 2)]
+    # a row's four ring windows give a path and its flip each, and on the
+    # half line also their reversals: sixteen replications a row there,
+    # eight on the full line
+    UNITS = [(Domain.HALF_LINE, 16), (Domain.FULL_LINE, 8)]
 
     def _config(self, d, domain=Domain.HALF_LINE):
         return EstimatorConfig(alpha=1.0, d=d, domain=domain,
                                delta=0.1, horizon=1.0, replications=48, seed=0)
 
     def test_median_of_means_known_blocks(self):
-        # 48 values, half line: 12 blocks of 4, block means 2.5, 6.5, ...,
-        # 46.5, median = 24.5, CI = 3rd and 10th order statistics; full
-        # line: 24 blocks of 2, block means 1.5, 3.5, ..., 47.5, median =
-        # 24.5, CI = 7th and 18th order statistics
-        values = np.arange(1.0, 49.0)
+        # 192 values, half line: 12 blocks of 16, block means 8.5, 24.5,
+        # ..., 184.5, median = 96.5, CI = 3rd and 10th order statistics;
+        # full line: 24 blocks of 8, block means 4.5, 12.5, ..., 188.5,
+        # median = 96.5, CI = 7th and 18th order statistics
+        values = np.arange(1.0, 193.0)
         res = _aggregate(values, self._config(d=0.5))
-        assert res.estimate == 24.5
-        assert res.ci_low == 10.5
-        assert res.ci_high == 38.5
+        assert res.estimate == 96.5
+        assert res.ci_low == 40.5
+        assert res.ci_high == 152.5
         assert res.method == "median-of-means"
         res = _aggregate(values, self._config(d=0.5, domain=Domain.FULL_LINE))
-        assert res.estimate == 24.5
-        assert res.ci_low == 13.5
-        assert res.ci_high == 35.5
+        assert res.estimate == 96.5
+        assert res.ci_low == 52.5
+        assert res.ci_high == 140.5
         assert res.method == "median-of-means"
 
     @pytest.mark.parametrize("infs", [0, 1, 13], ids=["finite", "one-inf", "inf-majority"])
     def test_median_of_means_is_np_median(self, infs):
         # the median read off the sorted block means is np.median's, bit for
         # bit, at every block count, odd and even, and with +inf block means;
-        # blocks hold whole rows of four (half line) or two (full line)
+        # blocks hold whole rows of sixteen (half line) or eight (full line)
         rng = np.random.default_rng(5)
         for domain, unit in self.UNITS:
             for blocks in range(1, 25):
@@ -1447,66 +1487,67 @@ class TestAggregation:
 
     @pytest.mark.parametrize("alpha,kind", [(1.0, "iid")])
     def test_iid_pair_stderr_is_the_row_stderr(self, alpha, kind):
-        # half-line iid rows hold a path, its sign flip and their reversals:
-        # the reported stderr is that of the means of the G rows of four,
-        # std(ddof=1) / sqrt(G) where 4 divides the count, and otherwise the
-        # short last row counts as a row
+        # half-line iid rows hold four ring windows, each with its sign flip
+        # and their reversals: the reported stderr is that of the means of
+        # the G rows of sixteen, std(ddof=1) / sqrt(G) where 16 divides the
+        # count, and otherwise the short last row counts as a row
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE, delta=0.05,
-                              horizon=5.0, replications=304, seed=2)
+                              horizon=5.0, replications=608, seed=2)
         assert _row_map(alpha, *cfg.side_counts()).kind == kind
-        assert _row_map(alpha, *cfg.side_counts()).paths == 4
+        assert _row_map(alpha, *cfg.side_counts()).paths == 16
         values = _simulate_functionals(cfg, [1])[:, 0]
-        rows = values.reshape(76, 4).mean(axis=1)
+        rows = values.reshape(38, 16).mean(axis=1)
         res = _aggregate(values, cfg)
-        assert res.stderr == _std_error(values, 4)
-        assert res.stderr == pytest.approx(rows.std(ddof=1) / math.sqrt(76), rel=1e-12)
+        assert res.stderr == _std_error(values, 16)
+        assert res.stderr == pytest.approx(rows.std(ddof=1) / math.sqrt(38), rel=1e-12)
         assert res.stderr != _std_error(values, 1)
-        for reps in (301, 302, 303):
+        for reps in (593, 594, 601, 607):
             short = dataclasses.replace(cfg, replications=reps)
-            sums = np.append(values[:300].reshape(75, 4).sum(axis=1), values[300:reps].sum())
-            sums -= np.append(np.full(75, 4.0), reps - 300) * values[:reps].mean()
-            expected = math.sqrt(76 / 75 * float(np.square(sums).sum())) / reps
+            sums = np.append(values[:592].reshape(37, 16).sum(axis=1), values[592:reps].sum())
+            sums -= np.append(np.full(37, 16.0), reps - 592) * values[:reps].mean()
+            expected = math.sqrt(38 / 37 * float(np.square(sums).sum())) / reps
             assert _aggregate(values[:reps], short).stderr == pytest.approx(expected, rel=1e-12)
-        # full-line iid rows hold a path and its sign flip: the stderr of the
-        # pair means at an even count, and at an odd one the lone last path
-        # counts as a row
-        cfg = dataclasses.replace(cfg, domain=Domain.FULL_LINE, replications=302)
+        # full-line iid rows hold four windows and their sign flips: the
+        # stderr of the means of rows of eight where 8 divides the count,
+        # and at an odd one the short last row counts as a row
+        cfg = dataclasses.replace(cfg, domain=Domain.FULL_LINE, replications=304)
         assert _row_map(alpha, *cfg.side_counts()).kind == kind
-        assert _row_map(alpha, *cfg.side_counts()).paths == 2
+        assert _row_map(alpha, *cfg.side_counts()).paths == 8
         values = _simulate_functionals(cfg, [1])[:, 0]
-        pairs = values.reshape(151, 2).mean(axis=1)
+        rows = values.reshape(38, 8).mean(axis=1)
         res = _aggregate(values, cfg)
-        assert res.stderr == _std_error(values, 2)
-        assert res.stderr == pytest.approx(pairs.std(ddof=1) / math.sqrt(151), rel=1e-12)
+        assert res.stderr == _std_error(values, 8)
+        assert res.stderr == pytest.approx(rows.std(ddof=1) / math.sqrt(38), rel=1e-12)
         assert res.stderr != _std_error(values, 1)
         odd = dataclasses.replace(cfg, replications=301)
-        sums = np.append(values[:300].reshape(150, 2).sum(axis=1), values[300])
-        sums -= np.append(np.full(150, 2.0), 1.0) * values[:301].mean()
-        expected = math.sqrt(151 / 150 * float(np.square(sums).sum())) / 301
+        sums = np.append(values[:296].reshape(37, 8).sum(axis=1), values[296:301].sum())
+        sums -= np.append(np.full(37, 8.0), 5.0) * values[:301].mean()
+        expected = math.sqrt(38 / 37 * float(np.square(sums).sum())) / 301
         assert _aggregate(values[:301], odd).stderr == pytest.approx(expected, rel=1e-12)
 
     def test_short_circulant_grid_reports_the_row_stderr(self):
-        # n = 100 at alpha = 1.5 embeds like any longer grid: two windows,
-        # their flips and, on the half line, their reversals, eight paths a
-        # row, so the reported stderr is over the 38 rows, not the paths
+        # n = 100 at alpha = 1.5 embeds like any longer grid: four ring
+        # windows, their flips and, on the half line, their reversals,
+        # sixteen paths a row, so the reported stderr is over the 19 rows,
+        # not the paths
         cfg = EstimatorConfig(alpha=1.5, d=2.0, domain=Domain.HALF_LINE, delta=0.05,
                               horizon=5.0, replications=301, seed=2)
-        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 8
+        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 16
         values = _simulate_functionals(cfg, [1])[:, 0]
-        assert _aggregate(values, cfg).stderr == _std_error(values, 8) != _std_error(values, 1)
+        assert _aggregate(values, cfg).stderr == _std_error(values, 16) != _std_error(values, 1)
 
-    @pytest.mark.parametrize("reps", [3, 25, 47, 48, 49, 101, 1000])
+    @pytest.mark.parametrize("reps", [3, 25, 47, 48, 49, 101, 1000, 4001])
     def test_median_of_means_blocks_hold_whole_rows(self, reps):
-        # half-line circulant rows (n = 300) hold eight replications:
+        # half-line circulant rows (n = 300) hold sixteen replications:
         # min(24, G) blocks of whole rows, cut where np.array_split cuts the
         # G rows, so no block splits a row (a short count's last row keeps
         # its first paths)
         cfg = EstimatorConfig(alpha=0.5, d=0.5, domain=Domain.HALF_LINE, delta=0.01,
                               horizon=3.0, replications=reps, seed=0)
-        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 8
+        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 16
         values = 1.0 + np.random.default_rng(reps).pareto(0.7, reps)
-        rows = np.array_split(np.arange(-(-reps // 8)), min(24, -(-reps // 8)))
-        blocks = [values[8 * r[0] : 8 * r[-1] + 8] for r in rows]
+        rows = np.array_split(np.arange(-(-reps // 16)), min(24, -(-reps // 16)))
+        blocks = [values[16 * r[0] : 16 * r[-1] + 16] for r in rows]
         assert sum(map(len, blocks)) == reps
         means = np.sort([b.mean() for b in blocks])
         res = _aggregate(values, cfg)
@@ -1516,28 +1557,29 @@ class TestAggregation:
             assert (res.ci_low, res.ci_high) == (means[rank - 1], means[len(blocks) - rank])
 
     def test_row_stderr_covers_dependent_windows(self):
-        # a row's paths are dependent: at alpha = 1.9 its two windows are
-        # strongly correlated (rho about 0.5), and so are a window's path and
-        # its reversal (about 0.6); each path's sign flip is negatively
-        # correlated with it (rho about -0.25 at alpha = 1, d = 4), so the
-        # per-path stderr misstates the spread of estimates.  Over K
-        # independent runs of 200 replications (whole rows of one table) the
-        # stderr the estimator reports matches the runs' spread within 10%,
-        # for half-line rows of eight paths (alpha = 1.9) and of four (iid,
-        # alpha = 1), and the per-path one does not.  The alpha = 1 case
-        # takes d = 4, where the per-path stderr is off by about 15% (by
-        # about 9% at d = 2, too little to tell at any K), and K = 1600 runs,
-        # so that the spread's own noise (about 1%) stays clear of the 10%
+        # a row's paths are dependent: at alpha = 1.9, the most correlated
+        # case, its four ring windows are strongly correlated (the per-path
+        # stderr is about half the spread of estimates), and so are a
+        # window's path and its reversal; each path's sign flip is
+        # negatively correlated with it (rho about -0.25 at alpha = 1,
+        # d = 4), so the per-path stderr misstates the spread of estimates.
+        # Over K independent runs of 400 replications (25 whole rows of one
+        # table) the stderr the estimator reports matches the runs' spread
+        # within 10%, for half-line rows of sixteen paths, circulant
+        # (alpha = 1.9) and iid (alpha = 1), and the per-path one does not.
+        # The alpha = 1 case takes d = 4, where the per-path stderr is off
+        # by about 14%, and K = 1600 runs, so that the spread's own noise
+        # (about 2%) stays clear of the 10%
         for alpha, delta, d, kind, n, paths, k in [
-                (1.9, 0.005, 2.0, "circulant", 1156, 8, 400),
-                (1.0, 0.01, 4.0, "iid", 2120, 4, 1600)]:
+                (1.9, 0.005, 2.0, "circulant", 1156, 16, 400),
+                (1.0, 0.01, 4.0, "iid", 2120, 16, 1600)]:
             cfg = EstimatorConfig(alpha=alpha, d=d, domain=Domain.HALF_LINE, delta=delta,
-                                  horizon=plan_horizon(delta, alpha), replications=k * 200,
+                                  horizon=plan_horizon(delta, alpha), replications=k * 400,
                                   seed=3)
             rmap = _row_map(cfg.alpha, *cfg.side_counts())
             assert (rmap.kind, rmap.n, rmap.paths) == (kind, n, paths)
-            runs = _simulate_functionals(cfg, [1], threads=2)[:, 0].reshape(k, 200)
-            run_cfg = dataclasses.replace(cfg, replications=200)
+            runs = _simulate_functionals(cfg, [1], threads=2)[:, 0].reshape(k, 400)
+            run_cfg = dataclasses.replace(cfg, replications=400)
             spread = runs.mean(axis=1).std(ddof=1)
             reported = math.sqrt(np.mean([_aggregate(r, run_cfg).stderr ** 2 for r in runs]))
             per_path = math.sqrt(np.mean([_std_error(r, 1) ** 2 for r in runs]))
@@ -1545,8 +1587,8 @@ class TestAggregation:
             assert not abs(per_path / spread - 1.0) < 0.1, alpha
 
     def test_sample_mean_known_values(self):
-        # the stderr of the 12 row means of four (half line) and of the 24
-        # pair means (full line)
+        # the stderr of the 3 row means of sixteen (half line) and of the 6
+        # row means of eight (full line)
         values = np.arange(1.0, 49.0)
         for domain, unit in self.UNITS:
             res = _aggregate(values, self._config(d=2.0, domain=domain))
@@ -1555,3 +1597,113 @@ class TestAggregation:
             expected_se = values.reshape(g, unit).mean(axis=1).std(ddof=1) / math.sqrt(g)
             assert res.stderr == pytest.approx(expected_se, rel=1e-15)
             assert res.stat_error() == res.stderr
+
+
+class TestRingWindows:
+    """Stream contract v9 reads every stream row as a ring of its ``width``
+    increments from four evenly spaced starts; a window that runs past the
+    ring's end reads on from its start (iid windows 1 to 3, circulant
+    window 3), and is exact fGn like any other."""
+
+    # (alpha, neg, pos): iid rows on both lines, an odd count among them,
+    # and circulant rows whose window 3 wraps, on both lines
+    _GRIDS = [(1.0, 0, 40), (1.0, 20, 20), (1.0, 0, 37), (1.0, 19, 19),
+              (0.5, 0, 80), (0.5, 40, 40), (1.5, 0, 100), (1.9, 30, 30)]
+
+    @pytest.mark.parametrize("alpha,neg,pos", _GRIDS)
+    def test_windows_are_the_oracles_cyclic_read(self, alpha, neg, pos):
+        # the engine's window p of stream row r, gains left out, is the
+        # oracle's plain cyclic read of the row's ring (window 4 r + p)
+        # cumulated and anchored, to 1e-12 of the path's scale, across a
+        # block boundary; the wrapping windows are the ones named, and
+        # each window's anchor column is exactly 0
+        cfg = EstimatorConfig(alpha=alpha, d=1.5, domain=Domain.FULL_LINE if neg
+                              else Domain.HALF_LINE, delta=1.0, horizon=float(pos),
+                              replications=1, seed=21)
+        assert cfg.side_counts() == (neg, pos)
+        rmap = _row_map(alpha, neg, pos)
+        n, width = rmap.n, rmap.width
+        wraps = [p for p in range(4) if p * width // 4 + n > width]
+        assert wraps == ([1, 2, 3] if rmap.kind == "iid" else [3])
+        block = 2
+        z, w, sums, flat = _row_buffers(rmap, 5)
+        _fill_normals(cfg.seed, z, 0, block)
+        prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, 5)
+        for p in range(4):
+            field = _window(rmap, prefix, p, flat)
+            assert np.all(field[:, neg] == 0.0)
+            for r in range(5):
+                plain = cumulated_path(cfg, window_fgn(cfg, 4 * r + p, block=block)).values
+                np.testing.assert_allclose(field[r], plain, rtol=1e-12,
+                                           atol=1e-12 * np.abs(plain).max())
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_wrapping_window_increments_have_the_fgn_autocovariance(self, alpha):
+        # the increments of a wrapping window (iid window 1, circulant
+        # window 3) either side of the wrap, increment j being ring value
+        # (o + j) mod width: their sample autocovariance over 20000
+        # independent rows, at pairs (j, j + k) that straddle the wrap,
+        # matches gamma(k) at lags 0 to 6 within 4.5 standard errors
+        neg, pos = 0, 30
+        rmap = _row_map(alpha, neg, pos)
+        n, width = rmap.n, rmap.width
+        p = 1 if rmap.kind == "iid" else 3
+        wrap = width - p * width // 4  # the first increment read past the end
+        assert 7 <= wrap <= n - 6
+        rows = 20000
+        z, w, sums, flat = _row_buffers(rmap, rows)
+        _fill_normals(5, z, 0, _block_rows(width))
+        prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, rows)
+        x = np.diff(_window(rmap, prefix, p, flat), axis=1)  # increment j ends at column j + 1
+        for k in range(7):
+            for j in (wrap - max(k, 1), wrap - 1):
+                prods = x[:, j] * x[:, j + k]
+                se = prods.std(ddof=1) / math.sqrt(rows)
+                gamma = fbm._autocovariances(alpha, k)[k]
+                assert abs(prods.mean() - gamma) < 4.5 * se, (k, j, prods.mean(), gamma)
+
+    @pytest.mark.parametrize("alpha,neg,pos,same", [
+        (1.0, 0, 1, [0, 0, 0, 0]), (0.5, 0, 1, [0, 0, 0, 0]), (1.0, 0, 2, [0, 0, 2, 2]),
+        (1.0, 1, 1, [0, 0, 2, 2]), (1.0, 0, 3, [0, 0, 2, 3]),
+    ])
+    def test_coinciding_starts_repeat_a_window(self, alpha, neg, pos, same):
+        # on iid rows of n <= 3 the starts floor(p n / 4) coincide, and
+        # window p is then window same[p] bit for bit: fewer distinct
+        # paths a row, while the row stays the error unit, so the
+        # estimate and its stderr are those of the row means
+        cfg = EstimatorConfig(alpha=alpha, d=1.5, domain=Domain.FULL_LINE if neg
+                              else Domain.HALF_LINE, delta=1.0, horizon=float(pos),
+                              replications=16 * 40, seed=8)
+        rmap = _row_map(alpha, neg, pos)
+        assert rmap.kind == "iid" and [p * rmap.n // 4 for p in range(4)] == [
+            p * rmap.n // 4 for p in same]
+        rows = cfg.replications // rmap.paths
+        windows = _simulate_functionals(cfg, [1])[:, 0].reshape(rows, 4, rmap.variants)
+        for p, q in enumerate(same):
+            assert np.array_equal(windows[:, p], windows[:, q])
+        means = windows.mean(axis=(1, 2))
+        res = estimate_constant(cfg)
+        assert res.estimate == pytest.approx(means.mean(), rel=1e-14)
+        assert res.stderr == pytest.approx(means.std(ddof=1) / math.sqrt(rows), rel=1e-12)
+
+    def test_wrapped_windows_skip_the_ufunc_buffers(self):
+        # a wrapped window's head and tail (531 to 1591 columns here, the
+        # Brownian validation's rows) are formed without numpy's 64 KiB
+        # ufunc buffers, and the caller's buffer size is left as it was
+        import tracemalloc
+
+        rmap = _row_map(1.0, 0, 2120)
+        z, w, sums, flat = _row_buffers(rmap, 32)
+        _fill_normals(3, z, 0, 32)
+        prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, 32)
+        before = np.getbufsize()
+        for p in range(4):
+            _window(rmap, prefix, p, flat)  # warm
+            tracemalloc.start()
+            try:
+                _window(rmap, prefix, p, flat)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 1024, (p, peak)
+        assert np.getbufsize() == before

@@ -23,7 +23,7 @@ from piterbarg import (
 
 CONFIG = dict(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.1, horizon=1.0,
               replications=10, seed=1)
-STUDY = dict(d=2.0, domain=Domain.HALF_LINE, deltas=[0.2, 0.1], replications=10, seed=1,
+STUDY = dict(d=2.0, domain=Domain.HALF_LINE, deltas=[0.2, 0.1], replications=40, seed=1,
              threads=1)
 
 

@@ -18,7 +18,12 @@ from piterbarg import (
 )
 from piterbarg.budget import plan_horizon
 from piterbarg.estimator import _simulate_functionals
-from piterbarg.rate_study import RATE_CSV_HEADER, _loglog_slope, _nested_strides
+from piterbarg.rate_study import (
+    RATE_CSV_HEADER,
+    RATE_CSV_OPTIONAL,
+    _loglog_slope,
+    _nested_strides,
+)
 
 
 def _must_not_simulate(*args, **kwargs):
@@ -123,7 +128,7 @@ class TestRateStudyBm:
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
         with pytest.raises(ValueError, match="at least 2 independent rows, and a stream row "
-                           "holds 4 replications, got 1"):
+                           "holds 16 replications, got 1"):
             run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
                               deltas=[0.2, 0.05], replications=1, seed=1)
 
@@ -149,11 +154,11 @@ class TestGapDecay:
 
     @pytest.mark.filterwarnings("error")
     def test_nonpositive_gap_gives_nan_exponent_without_warning(self):
-        # nine replications, the fewest a study takes on these grids (two
-        # half-line rows of eight), leave the gaps at 0, which has no
+        # seventeen replications, the fewest a study takes on these grids
+        # (two half-line rows of sixteen), leave the gaps at 0, which has no
         # logarithm; the fit is nan and numpy is not asked to warn
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                               deltas=[0.4, 0.2, 0.1], replications=9, seed=3)
+                               deltas=[0.4, 0.2, 0.1], replications=17, seed=3)
         assert min(p.gap for p in result.points) == 0.0
         assert math.isnan(result.exponent) and math.isnan(result.exponent_stderr)
         for gaps in ([0.1, 0.0], [0.1, -0.01], [0.0, 0.0], [0.1, math.nan]):
@@ -179,29 +184,34 @@ class TestGapDecay:
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
         with pytest.raises(ValueError, match="at least 2 independent rows, and a stream "
-                           "row holds 8 replications, got 1"):
+                           "row holds 16 replications, got 1"):
             run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
                           deltas=[0.4, 0.2, 0.1], replications=1, seed=1)
 
     def test_one_circulant_row_rejected(self, monkeypatch):
-        # half-line circulant rows (n = 281) hold eight replications each
-        # (two windows, their sign flips and their time reversals), so eight
-        # replications are one independent row, which has no CLT stderr;
-        # half-line iid rows hold four, and full-line circulant rows four
+        # half-line circulant rows (n = 281) hold sixteen replications each
+        # (four ring windows, their sign flips and their time reversals), so
+        # sixteen replications are one independent row, which has no CLT
+        # stderr; half-line iid rows hold sixteen too, and full-line rows
+        # eight: the fewest a study takes is the row unit plus one
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
+        with pytest.raises(ValueError, match=r"replications must be an integer >= 17: .*, "
+                           "got 16"):
+            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
+                          deltas=[0.4, 0.2, 0.1], replications=16, seed=1)
+        with pytest.raises(ValueError, match=r"replications must be an integer >= 17: .*, "
+                           "got 16"):
+            run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
+                              deltas=[0.1, 0.05], replications=16, seed=1)
         with pytest.raises(ValueError, match=r"replications must be an integer >= 9: .*, "
                            "got 8"):
-            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                          deltas=[0.4, 0.2, 0.1], replications=8, seed=1)
-        with pytest.raises(ValueError, match=r"replications must be an integer >= 5: .*, "
-                           "got 4"):
-            run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
-                              deltas=[0.1, 0.05], replications=4, seed=1)
-        with pytest.raises(ValueError, match=r"replications must be an integer >= 5: .*, "
-                           "got 4"):
             run_gap_decay(alpha=0.5, d=2.0, domain=Domain.FULL_LINE,
-                          deltas=[0.4, 0.2, 0.1], replications=4, seed=1)
+                          deltas=[0.4, 0.2, 0.1], replications=8, seed=1)
+        with pytest.raises(ValueError, match=r"replications must be an integer >= 9: .*, "
+                           "got 8"):
+            run_rate_study_bm(d=2.0, domain=Domain.FULL_LINE,
+                              deltas=[0.1, 0.05], replications=8, seed=1)
 
     def test_exponent_regression_reported_with_stderr(self):
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
@@ -235,26 +245,27 @@ class TestStudiesAreViewsOfOneTable:
     def test_rate_study_reads_each_column(self):
         deltas = [0.2, 0.1, 0.05]
         points = run_rate_study_bm(d=2.0, domain=Domain.FULL_LINE, deltas=deltas,
-                                   replications=300, seed=17)
-        table = _table(1.0, Domain.FULL_LINE, deltas, 300, 17)
+                                   replications=304, seed=17)
+        table = _table(1.0, Domain.FULL_LINE, deltas, 304, 17)
         assert len(points) == 3
         for j, p in enumerate(points):
-            # iid rows of two: the stderr is that of the 150 pair means
-            mean, stderr = _row_mean_stderr(table[:, j], 2)
+            # full-line rows of eight: the stderr is that of the 38 row means
+            mean, stderr = _row_mean_stderr(table[:, j], 8)
             assert p.p_hat == mean
             assert p.stderr == pytest.approx(stderr, rel=1e-12)
+            assert p.p_exact_discrete is None  # the half line's alone
 
     def test_gap_study_reads_paired_differences(self):
-        # half-line circulant rows (n = 281) of eight replications: the
+        # half-line circulant rows (n = 281) of sixteen replications: the
         # stderr is that of the 38 row means
         deltas = [0.4, 0.2, 0.1]
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                               deltas=deltas, replications=304, seed=19)
-        table = _table(0.5, Domain.HALF_LINE, deltas, 304, 19)
+                               deltas=deltas, replications=608, seed=19)
+        table = _table(0.5, Domain.HALF_LINE, deltas, 608, 19)
         assert len(result.points) == 2
         for j, p in enumerate(result.points):
             x = table[:, -1] - table[:, j]
-            mean, stderr = _row_mean_stderr(x, 8)
+            mean, stderr = _row_mean_stderr(x, 16)
             assert p.gap == mean
             assert p.gap_stderr == pytest.approx(stderr, rel=1e-12)
 
@@ -271,3 +282,9 @@ class TestCsvOutput:
         assert parsed[0] == points[0].delta
         assert parsed[1] == points[0].p_hat  # repr floats are bit-exact
         assert parsed[5] == points[0].empirical_rate
+        assert parsed[6] == points[0].p_exact_discrete
+
+    def test_optional_columns_are_the_fields_that_may_be_none(self):
+        # check-manifest accepts an empty cell in these columns alone
+        assert RATE_CSV_OPTIONAL == {"p_exact_discrete"}
+        assert RATE_CSV_OPTIONAL <= set(RATE_CSV_HEADER.split(","))

@@ -35,7 +35,8 @@ the half line a window's increments read backwards are exact fGn too (the
 covariance depends on the lag alone), so v also gives its time reversal
 v~_j = v_n - v_{n-j} and that path's flip, whose functionals depend on the
 increments near T where v's depend on those near 0.  A row yields 8 paths
-on the full line and 16 on the half line.
+on the full line and 16 on the half line; ``_simulate_functionals`` runs
+the variants as the rows of one table.
 
 Stream contract v9: rows are grouped into blocks of B, the largest power of
 two with B * width <= 2^17 (at least 1), so B depends on the row width alone.
@@ -285,7 +286,7 @@ class _BatchPlan:
     block: int  # rows per stream block
     rows: int  # stream rows per batch buffer
     shares: tuple[tuple[int, int], ...]  # (first, stop) stream row per worker
-    nbytes: int  # drift, spectrum, output table, every worker's buffers
+    nbytes: int  # variant steps, spectrum, output table, every worker's buffers
 
 
 def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
@@ -312,12 +313,11 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
         for k in range(workers)
     )
     rows = min(_batch_rows(rmap), max(hi - lo for lo, hi in shares))
-    # The drift and twice it, and on the half line the reversal's step and
-    # twice the reversed drift (n + 1 floats each), the output table, the
+    # The variant table's steps (n + 1 floats each), the output table, the
     # spectrum at the peak of its build (the autocovariances, the first
     # row, and the complex input and output of its FFT; it then holds
     # less), and one set of batch buffers per worker.
-    fixed = 8 * (n + 1) * (2 if rmap.neg else 4) + 8 * reps * columns
+    fixed = 8 * (n + 1) * rmap.variants + 8 * reps * columns
     if rmap.kind == "circulant":
         fixed += 8 * (width // 2 + 1) + 8 * width + 32 * width
     limit, source = _memory_limit()
@@ -498,13 +498,15 @@ def _simulate_functionals(
     memory follows from the config and the worker count alone: pool threads
     build nothing, and a run with one worker runs on the calling thread.
     A batch cumulates each row's ring once (``_map_rows``), then forms its
-    four windows in turn in the normals buffer (``_window``, one pass each),
-    and each window's variants take one in-place pass each over its field:
-    v - drift (v's sup, by the max), v + drift (-v's, by the min), and on
-    the half line v + rdrift and v - rdrift, rdrift = drift[::-1] (v~'s and
-    -v~'s, by the min and the max over the reversed sub-grid of stride s,
-    k = n mod s, against v_n read off the v + rdrift field so that both
-    take exactly 0 at k = n).
+    four windows in turn in the normals buffer (``_window``, one pass each).
+    The variants are the rows ``(step, sign, anchor)`` of one table, taken
+    in turn over a window's field in place: add ``step``, then at stride s
+    exp(sign * (top - field[anchor])), top the max (sign +1) or the min
+    (sign -1) over the sub-grid anchor mod s :: s.  The steps leave
+    v - drift (v, by the max), v + drift (-v, by the min), and on the half
+    line v + rdrift and v - rdrift, rdrift = drift[::-1] (v~ by the min and
+    -v~ by the max, read at k = n - j against v_n at the anchor n), so every
+    variant is exactly 0 at its anchor.
     ``_fill_normals`` builds the generator of each block (B * width <= 2^17
     normals) where it draws it, so no generator is shared between threads.
     """
@@ -522,16 +524,17 @@ def _simulate_functionals(
     # sqrt(2) * (scale * values), in place.
     gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
     op = _row_operator(rmap)
+    n, paths = rmap.n, rmap.paths
+    # (step, sign, anchor) of v and -v, and on the half line of v~ and -v~,
+    # whose drift at k = n - j is drift[::-1]; drift becomes v's step last
     drift = _drift(neg, pos, config.delta, config.alpha, config.d)
-    twice = 2.0 * drift
-    if rmap.variants == 4:  # the reversal's drift at k = n - j is drift[::-1]
-        # twice[::-1] copied: read backwards through a reversed view, the
-        # operand made -v~'s pass a third to a half slower (rows of 2121 and
-        # 44977 floats)
-        turn, back = drift[::-1] - drift, twice[::-1].copy()
+    table = [(drift, 1, neg), (2.0 * drift, -1, neg)]
+    if rmap.variants == 4:
+        # -v~'s step copied: read backwards through a reversed view, it made
+        # the pass a third to a half slower (rows of 2121 and 44977 floats)
+        table += [(drift[::-1] - drift, -1, n), (-2.0 * drift[::-1], 1, n)]
+    np.negative(drift, out=drift)
     out = np.empty((reps, len(strides)))
-    columns = [(j, neg % s, s) for j, s in enumerate(strides)]  # each sub-grid holds the anchor
-    n, vs, paths = rmap.n, rmap.variants, rmap.paths
 
     def work(share: tuple, space: tuple) -> None:
         (lo, hi), (z, w, sums, flat) = share, space
@@ -539,36 +542,22 @@ def _simulate_functionals(
             rows = min(plan.rows, hi - start)
             _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
             prefix = _map_rows(rmap, op, z, w, sums, rows, gains)
-            table = out[paths * start : paths * (start + rows)]  # the run's last row may be short
+            batch = out[paths * start : paths * (start + rows)]  # the run's last row may be short
             for p in range(_WINDOWS):
                 # window p's replications, v of row i at wins[i * paths + v];
                 # each pass covers the rows that have its variant in the
-                # table, fewer for the later ones of a short last row
-                wins = table[p * vs :]
+                # output, fewer for the later ones of a short last row
+                wins = batch[p * rmap.variants :]
                 if not len(wins):
                     break
                 field = _window(rmap, prefix[: len(wins[0::paths])], p, flat)
-                np.subtract(field, drift, out=field)
-                for j, col, s in columns:
-                    wins[0::paths, j] = np.exp(field[:, col::s].max(axis=1))
-                field = field[: len(wins[1::paths])]
-                np.add(field, twice, out=field)
-                for j, col, s in columns:
-                    wins[1::paths, j] = np.exp(-field[:, col::s].min(axis=1))
-                if vs == 2:
-                    continue
-                field = field[: len(wins[2::paths])]
-                np.add(field, turn, out=field)
-                # v_n as this field holds it (rdrift_n = 0), so that both
-                # reversals take exactly 0 at their anchor j = 0
-                end = field[:, n].copy()
-                for j, _, s in columns:
-                    wins[2::paths, j] = np.exp(end - field[:, n % s :: s].min(axis=1))
-                field = field[: len(wins[3::paths])]
-                np.subtract(field, back, out=field)
-                for j, _, s in columns:
-                    wins[3::paths, j] = np.exp(field[:, n % s :: s].max(axis=1)
-                                               - end[: len(field)])
+                for v, (step, sign, anchor) in enumerate(table):
+                    field = field[: len(wins[v::paths])]
+                    np.add(field, step, out=field)
+                    for j, s in enumerate(strides):  # each sub-grid holds the anchor
+                        sub = field[:, anchor % s :: s]
+                        top = sub.max(axis=1) if sign > 0 else sub.min(axis=1)
+                        wins[v::paths, j] = np.exp(sign * (top - field[:, anchor]))
 
     spaces = [_row_buffers(rmap, plan.rows) for _ in plan.shares]
     if len(spaces) > 1:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import piterbarg.estimator as estimator
 from oracle import (
     PathGrid,
     cholesky_sample,
@@ -282,3 +283,45 @@ def test_exact_discrete_brownian_constant():
         lines.append(f"d={d}: {result.estimate:.6f} +- {result.stderr:.6f} "
                      f"vs {exact:.6f} (z = {z:+.2f})")
     report("exact discrete Brownian constant (delta = 0.01)", ok, "; ".join(lines))
+
+
+def test_exact_discrete_brownian_constant_on_circulant_rows(monkeypatch):
+    # ~2 seconds.  At alpha = 1 every eigenvalue of the embedding is 1, so the
+    # circulant rows' fGn is iid N(0, 1) in law, and rows forced to be
+    # circulant must reproduce Spitzer's exact value as the iid rows do:
+    # this gates the Hermitian packing, the sqrt(m) scale, the ring wrap at
+    # width m and the reversal passes on wide rows against an exact target.
+    # On the full line, where no exact value exists, the forced rows must
+    # agree with iid rows at an independent seed (two-sample |z| < 3).
+    # Tolerances as in the iid test above; seed and size fixed before the
+    # first run.
+    def forced(alpha, neg, pos):
+        n = neg + pos
+        return estimator._RowMap("circulant", 1.0, neg, n, estimator._next_fast_len(2 * n))
+
+    delta, reps = 0.04, 160_000
+
+    def config(d, domain, seed):
+        return EstimatorConfig(alpha=1.0, d=d, domain=domain, delta=delta,
+                               horizon=plan_horizon(delta, 1.0), replications=reps,
+                               seed=seed)
+
+    iid_full = estimate_constant(config(2.0, Domain.FULL_LINE, SEED + 1), threads=2)
+    monkeypatch.setattr(estimator, "_row_map", forced)
+    lines, ok = [], True
+    for d in (1.5, 2.0, 4.0):
+        result = estimate_constant(config(d, Domain.HALF_LINE, SEED), threads=2)
+        exact = piterbarg_bm_half_discrete(d, delta)
+        # a zero stderr (every path at its anchor) fails as z = inf
+        z = (result.estimate - exact) / result.stderr if result.stderr else math.inf
+        ok &= abs(z) <= 3.0 and result.stderr <= 0.005 * exact
+        lines.append(f"half d={d}: {result.estimate:.6f} +- {result.stderr:.6f} "
+                     f"vs {exact:.6f} (z = {z:+.2f})")
+    full = estimate_constant(config(2.0, Domain.FULL_LINE, SEED), threads=2)
+    spread = math.hypot(full.stderr, iid_full.stderr)
+    z = (full.estimate - iid_full.estimate) / spread if spread else math.inf
+    ok &= abs(z) < 3.0 and full.stderr <= 0.005 * full.estimate
+    lines.append(f"full d=2: {full.estimate:.6f} +- {full.stderr:.6f} vs iid rows "
+                 f"{iid_full.estimate:.6f} +- {iid_full.stderr:.6f} (z = {z:+.2f})")
+    report("exact discrete Brownian constant on circulant rows (delta = 0.04)", ok,
+           "; ".join(lines))

@@ -750,32 +750,38 @@ class TestBatchPlan:
 
     def test_plan_bytes_cover_batch_buffers(self):
         # the gap study's grid on two workers of one 4-row batch each (128
-        # replications, sixteen a row): once a first run has cached the
+        # replications, sixteen a row), and the full line's grid of the same
+        # n (64 replications, eight a row): once a first run has cached the
         # spectrum and made numpy's lazy imports, the measured peak is the
-        # four drift arrays, the table and the buffers, with the ring's
-        # prefix sums in the half-spectrum buffer (a separate buffer would
-        # add 2.9 MB), each window's field in the normals buffer and the
-        # other variants in place
+        # variant table's steps (four, or two on the full line), the output
+        # table and the buffers, with the ring's prefix sums in the
+        # half-spectrum buffer (a separate buffer would add 2.9 MB), each
+        # window's field in the normals buffer and the variants in place.
+        # What the plan does not count stays below one step: a drift kept
+        # beside the table would add n + 1 floats.
         import tracemalloc
 
-        cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
-                              horizon=449.76, replications=128, seed=3)
-        n = sum(cfg.side_counts())
-        m = _next_fast_len(2 * n)
-        assert (n, m) == (44976, 90000)
-        plan = _batch_plan(128, _rmap(n, m, True), 2, 1)
-        assert plan.rows == 4 and len(plan.shares) == 2
-        assert _row_bytes(_rmap(n, m, True)) == 8 * m + 16 * (m // 2 + 1)
-        counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
-        first = _simulate_functionals(cfg, [1], threads=2)
-        tracemalloc.start()
-        try:
-            again = _simulate_functionals(cfg, [1], threads=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(first, again)
-        assert 0.9 * counted <= peak <= 1.05 * counted
+        for domain, horizon, reps in ((Domain.HALF_LINE, 449.76, 128),
+                                      (Domain.FULL_LINE, 224.88, 64)):
+            cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=domain, delta=0.01,
+                                  horizon=horizon, replications=reps, seed=3)
+            rmap = _row_map(cfg.alpha, *cfg.side_counts())
+            n, m = rmap.n, rmap.width
+            assert (n, m) == (44976, 90000)
+            plan = _batch_plan(reps, rmap, 2, 1)
+            assert plan.rows == 4 and len(plan.shares) == 2
+            assert _row_bytes(rmap) == 8 * m + 16 * (m // 2 + 1)
+            counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
+            first = _simulate_functionals(cfg, [1], threads=2)
+            tracemalloc.start()
+            try:
+                again = _simulate_functionals(cfg, [1], threads=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(first, again)
+            assert 0.9 * counted <= peak <= 1.05 * counted
+            assert peak - counted < 8 * (n + 1)
 
     def test_eigenvalues_own_their_memory(self):
         # a real copy of the transform, not a view that keeps the complex

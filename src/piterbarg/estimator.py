@@ -36,7 +36,8 @@ covariance depends on the lag alone), so v also gives its time reversal
 v~_j = v_n - v_{n-j} and that path's flip, whose functionals depend on the
 increments near T where v's depend on those near 0.  A row yields 8 paths
 on the full line and 16 on the half line; ``_simulate_functionals`` runs
-the variants as the rows of one table.
+the variants as the rows of one table, on long grids over the column
+blocks of each window that a bound leaves as able to hold a maximum.
 
 Stream contract v9: rows are grouped into blocks of B, the largest power of
 two with B * width <= 2^17 (at least 1), so B depends on the row width alone.
@@ -220,6 +221,11 @@ _WINDOWS = 4
 # numpy's ufunc buffer size, in elements, while ``_window`` forms a window.
 _WINDOW_BUFSIZE = 256
 
+# The variant passes bound a window in blocks of about this many columns (a
+# multiple of every stride), where it spans at least _BOUND_MIN_BLOCKS.
+_BOUND_COLUMNS = 1024
+_BOUND_MIN_BLOCKS = 8
+
 
 @dataclass(frozen=True)
 class _RowMap:
@@ -263,7 +269,7 @@ def _row_bytes(rmap: _RowMap) -> int:
     # Normals, at least n + 1 floats, which hold each window's field in turn
     # once the ring is cumulated, and the ring's width + 1 prefix sums: in
     # the complex half-spectrum's m + 2 floats where there is an embedding
-    # (the irfft has consumed it by then), else in a buffer of their own.
+    # (the irfft has consumed it by then), else in floats of their own.
     # The variants reuse a window's field in place.
     width = rmap.width
     if rmap.kind == "circulant":
@@ -396,12 +402,21 @@ def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
     (rows, width + 1) ring prefix sums, which take the floats of the
     half-spectrum once the irfft has consumed it.  ``flat`` holds at least
     n + 1 floats a row, so that a window's field for every row fits in it
-    once the prefix sums exist (``_window``)."""
+    once the prefix sums exist (``_window``).
+
+    One allocation holds them all: glibc gives freed memory back to the
+    system once the top of its heap passes twice the largest block it has
+    unmapped, so a batch's buffers freed as two blocks were given back
+    after every run and faulted in again by the next (2240 page faults, 3
+    to 4 ms a call on the gap study's grid); one block keeps what a run
+    frees below that."""
     width, embedded = rmap.width, rmap.kind == "circulant"
-    flat = np.empty(rows * max(width, rmap.n + 1))
-    w = np.empty((rows, width // 2 + 1), dtype=np.complex128) if embedded else None
-    sums = w.view(np.float64)[:, : width + 1] if embedded else np.empty((rows, width + 1))
-    return flat[: rows * width].reshape(rows, width), w, sums, flat
+    spectrum = 2 * (width // 2 + 1) if embedded else width + 1  # floats a row
+    whole = np.empty(rows * (spectrum + max(width, rmap.n + 1)))
+    head = whole[: rows * spectrum].reshape(rows, spectrum)  # 16-byte aligned first
+    w = head.view(np.complex128) if embedded else None
+    flat = whole[rows * spectrum :]
+    return flat[: rows * width].reshape(rows, width), w, head[:, : width + 1], flat
 
 
 def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, sums: np.ndarray,
@@ -419,24 +434,34 @@ def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, sums: np.n
     return prefix
 
 
-def _window(rmap: _RowMap, prefix: np.ndarray, p: int, flat: np.ndarray) -> np.ndarray:
-    """Window p of the rings whose prefix sums are ``prefix``, as a
-    (rows, n + 1) view of ``flat``: S[o + j] - S[o + neg] for the start
-    o = floor(p * width / 4), read cyclically, so that a term read past the
-    ring's end (o + j > width) is S[o + j - width] + S[width] - S[o + neg].
-    The columns before the wrap and those after it take one subtraction of
-    a per-row shift each, the shift of the anchor's part its own S value
-    (x - x is +0.0, so the anchor column is exactly 0)."""
-    width, n = rmap.width, rmap.n
+def _window_shifts(rmap: _RowMap, prefix: np.ndarray, p: int) -> tuple:
+    """(o, head, before, after): window p's start, the columns it reads
+    before the ring's end, and their per-row shift and the later ones'."""
+    width = rmap.width
     o = p * width // _WINDOWS
     anchor = o + rmap.neg
-    head = min(n + 1, width + 1 - o)  # the columns read before the wrap
     if anchor <= width:
         before = prefix[:, anchor, None]
         after = before - prefix[:, width, None]
     else:
         after = prefix[:, anchor - width, None]
         before = after + prefix[:, width, None]
+    return o, min(rmap.n + 1, width + 1 - o), before, after
+
+
+def _window(rmap: _RowMap, prefix: np.ndarray, p: int, flat: np.ndarray,
+            runs: Sequence[tuple] = ()) -> np.ndarray:
+    """Window p of the rings whose prefix sums are ``prefix``, as a
+    (rows, n + 1) view of ``flat``: S[o + j] - S[o + neg] for the start
+    o = floor(p * width / 4), read cyclically, so that a term read past the
+    ring's end (o + j > width) is S[o + j - width] + S[width] - S[o + neg].
+    The columns before the wrap and those after it take one subtraction of
+    a per-row shift each, the shift of the anchor's part its own S value
+    (x - x is +0.0, so the anchor column is exactly 0).  Given ``runs``,
+    only the columns [first, stop) of each (first, stop, at) are formed,
+    from column ``at`` on."""
+    n = rmap.n
+    o, head, before, after = _window_shifts(rmap, prefix, p)
     field = flat[: len(prefix) * (n + 1)].reshape(len(prefix), n + 1)
     with np.errstate():  # restores the buffer size on exit (numpy >= 2.0)
         # numpy 2.4 sends a strided (rows, k) operation through ufunc
@@ -444,9 +469,67 @@ def _window(rmap: _RowMap, prefix: np.ndarray, p: int, flat: np.ndarray) -> np.n
         # 64 KiB buffers a call and a copy that made the wrapped windows'
         # subtractions 3-5 times slower (parts of 531-1591 columns)
         np.setbufsize(_WINDOW_BUFSIZE)
-        np.subtract(prefix[:, o : o + head], before, out=field[:, :head])
-        np.subtract(prefix[:, 1 : n + 2 - head], after, out=field[:, head:])
+        for first, stop, at in runs or [(0, n + 1, 0)]:
+            mid = min(max(first, head), stop)  # [first, mid) is read before the wrap
+            np.subtract(prefix[:, o + first : o + mid], before,
+                        out=field[:, at : at + mid - first])
+            np.subtract(prefix[:, mid + 1 - head : stop + 1 - head], after,
+                        out=field[:, at + mid - first : at + stop - first])
     return field
+
+
+def _bound_plan(rmap: _RowMap, table: list, strides: list):
+    """None where a window spans fewer than _BOUND_MIN_BLOCKS column blocks,
+    else ``kept(prefix)``: per window, the (first, stop, at) of each block
+    that may hold a variant's sub-grid extreme, packed from column ``at``
+    (``_simulate_functionals`` describes the bound)."""
+    n, width = rmap.n, rmap.width
+    lcm = math.lcm(*strides)
+    span = lcm * -(-_BOUND_COLUMNS // lcm)
+    starts = np.arange(0, n + 1, span)
+    if len(starts) < _BOUND_MIN_BLOCKS:
+        return None
+    stops = np.minimum(starts + span, n + 1)
+    anchors = np.array([anchor for _, _, anchor in table])
+    # Window p's column j < head reads S[o + j] (side 0), j >= head reads
+    # S[j + 1 - head] (side 1): the ring blocks of span prefix sums holding
+    # each block's first and last column on the sides it reaches, and each
+    # anchor's prefix sum and side
+    ring, reach, cols, ends = [], [], [], np.stack([starts, stops - 1])
+    for p in range(_WINDOWS):
+        o = p * width // _WINDOWS
+        head = min(n + 1, width + 1 - o)
+        ring.append([(o + np.minimum(ends, head - 1)) // span,
+                     (np.maximum(ends, head) + 1 - head) // span])
+        reach.append([starts < head, stops > head])
+        cols.append([np.where(anchors < head, o + anchors, anchors + 1 - head), anchors >= head])
+    ring, reach, cols = np.array(ring), np.array(reach), np.array(cols)
+    steps = [(np.maximum.reduceat(step, starts), np.minimum.reduceat(step, starts),
+              step[anchors], sign) for step, sign, _ in table]
+    win, ring_starts = np.arange(_WINDOWS)[:, None], np.arange(0, width + 1, span)
+
+    def kept(prefix: np.ndarray) -> tuple:
+        shifts = np.hstack([x for p in range(_WINDOWS)
+                            for x in _window_shifts(rmap, prefix, p)[2:]]).reshape(-1, _WINDOWS, 2)
+        bounds = []
+        for reduce, unreached in ((np.maximum, -np.inf), (np.minimum, np.inf)):
+            sides = reduce.reduce(reduce.reduceat(prefix, ring_starts, axis=1)[:, ring], axis=3)
+            bounds.append(reduce.reduce(np.where(reach, sides - shifts[..., None], unreached), axis=2))
+        top, low = bounds  # (rows, windows, blocks)
+        refs = prefix[:, cols[:, 0]] - shifts[:, win, cols[:, 1]]  # (rows, windows, variants)
+        drop = True
+        for v, (high, least, at_anchors, sign) in enumerate(steps):
+            top += high  # one add at a time, as the field takes them
+            low += least
+            refs[..., v:] += at_anchors[v:]  # variant u's anchor takes the steps up to u
+            drop &= (top < refs[..., v, None] if sign > 0 else low > refs[..., v, None]).all(axis=0)
+        runs = []
+        for first, stop in ((starts[keep], stops[keep]) for keep in ~drop):
+            at = np.cumsum(stop - first) - (stop - first)
+            runs.append(list(zip(first.tolist(), stop.tolist(), at.tolist())))
+        return runs
+
+    return kept
 
 
 def sample_two_sided_path(
@@ -502,11 +585,27 @@ def _simulate_functionals(
     The variants are the rows ``(step, sign, anchor)`` of one table, taken
     in turn over a window's field in place: add ``step``, then at stride s
     exp(sign * (top - field[anchor])), top the max (sign +1) or the min
-    (sign -1) over the sub-grid anchor mod s :: s.  The steps leave
+    (sign -1) over the sub-grid anchor mod s :: s, one exp per variant over
+    its (rows, strides) tops.  The steps leave
     v - drift (v, by the max), v + drift (-v, by the min), and on the half
     line v + rdrift and v - rdrift, rdrift = drift[::-1] (v~ by the min and
     -v~ by the max, read at k = n - j against v_n at the anchor n), so every
     variant is exactly 0 at its anchor.
+
+    Where a window spans ``_BOUND_MIN_BLOCKS`` blocks of about
+    ``_BOUND_COLUMNS`` columns (a multiple of every stride, so that packing
+    blocks keeps each sub-grid's residues), only the blocks that may hold a
+    sub-grid extreme are formed and passed (``_bound_plan``).  Window p is
+    the prefix sums S less a per-row shift, so S's max and min over the
+    ring blocks a block reads, less the shift, bound the block's values;
+    chained through each variant's per-block step max and min by the
+    field's own one-at-a-time adds, they bound all its pass sees there, as
+    IEEE rounding is monotone in each operand (x <= y gives fl(x + s) <=
+    fl(y + s)).  A block is dropped only where every variant's bound is
+    strictly below (max) or above (min) its anchor value, chained alike,
+    on every row: the anchor is in every sub-grid, so every top is the
+    full pass's, bit for bit.  NaN compares false, so a NaN bound keeps
+    its block.
     ``_fill_normals`` builds the generator of each block (B * width <= 2^17
     normals) where it draws it, so no generator is shared between threads.
     """
@@ -534,15 +633,18 @@ def _simulate_functionals(
         # the pass a third to a half slower (rows of 2121 and 44977 floats)
         table += [(drift[::-1] - drift, -1, n), (-2.0 * drift[::-1], 1, n)]
     np.negative(drift, out=drift)
+    kept = _bound_plan(rmap, table, strides)
     out = np.empty((reps, len(strides)))
 
     def work(share: tuple, space: tuple) -> None:
         (lo, hi), (z, w, sums, flat) = share, space
+        tops = np.empty((plan.rows, len(strides)))
         for start in range(lo, hi, plan.rows):
             rows = min(plan.rows, hi - start)
             _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
             prefix = _map_rows(rmap, op, z, w, sums, rows, gains)
             batch = out[paths * start : paths * (start + rows)]  # the run's last row may be short
+            runs = kept(prefix) if kept else [[(0, n + 1, 0)]] * _WINDOWS
             for p in range(_WINDOWS):
                 # window p's replications, v of row i at wins[i * paths + v];
                 # each pass covers the rows that have its variant in the
@@ -550,14 +652,28 @@ def _simulate_functionals(
                 wins = batch[p * rmap.variants :]
                 if not len(wins):
                     break
-                field = _window(rmap, prefix[: len(wins[0::paths])], p, flat)
+                field = _window(rmap, prefix[: len(wins[0::paths])], p, flat, runs[p])
+                first, stop, at = runs[p][-1]
+                field = field[:, : at + stop - first]
+                # each anchor's column once the kept blocks are packed
+                col = {a: at + a - first for first, stop, at in runs[p]
+                       for a in (neg, n) if first <= a < stop}
                 for v, (step, sign, anchor) in enumerate(table):
                     field = field[: len(wins[v::paths])]
-                    np.add(field, step, out=field)
+                    with np.errstate():  # restores the buffer size on exit
+                        # the (rows, k) adds skip the ufunc buffers, as in
+                        # _window; the reductions run faster with them
+                        np.setbufsize(_WINDOW_BUFSIZE)
+                        for first, stop, at in runs[p]:
+                            cols = field[:, at : at + stop - first]
+                            np.add(cols, step[first:stop], out=cols)
+                    top = tops[: len(field)]
                     for j, s in enumerate(strides):  # each sub-grid holds the anchor
                         sub = field[:, anchor % s :: s]
-                        top = sub.max(axis=1) if sign > 0 else sub.min(axis=1)
-                        wins[v::paths, j] = np.exp(sign * (top - field[:, anchor]))
+                        (sub.max if sign > 0 else sub.min)(axis=1, out=top[:, j])
+                    np.subtract(top, field[:, col[anchor], None], out=top)
+                    np.multiply(top, sign, out=top)
+                    wins[v::paths] = np.exp(top, out=top)
 
     spaces = [_row_buffers(rmap, plan.rows) for _ in plan.shares]
     if len(spaces) > 1:

@@ -104,6 +104,30 @@ class TestDiscreteBrownianConstant:
             ratio = (exact - values[-1]) / (math.sqrt(0.04 / 4**3) * values[-1])
             assert ratio == pytest.approx(RATE_CONSTANT_REFERENCE, abs=0.01)
 
+    def test_consecutive_gaps_approach_their_rate(self):
+        # P^delta - P is about -0.8239 sqrt(delta) P, so the consecutive gap
+        # (P^(delta/2) - P^delta) / (sqrt(delta) P) tends to
+        # (1 - 2^(-1/2)) 0.8239 = 0.2413, from below, and its distance to
+        # that limit, a next-order term in sqrt(delta), halves as delta is
+        # quartered.  Measured at delta = 0.16 ... 0.000625: the distances
+        # shrink by factors 0.506-0.575 (d = 0.5, 1, 2), down to 0.0057,
+        # 0.0073 and 0.0103 at the finest delta, and the values at d = 2 are
+        # 0.2024, 0.2211 and 0.2310 at delta = 0.01, 0.0025 and 0.000625.
+        limit = (1.0 - 2.0**-0.5) * RATE_CONSTANT_REFERENCE
+        assert limit == pytest.approx(0.2413, abs=1e-4)
+        deltas = [0.16 / 4**j for j in range(5)]
+        for d in (0.5, 1.0, 2.0):
+            exact = piterbarg_bm_half(d)
+            gaps = [(piterbarg_bm_half_discrete(d, delta / 2)
+                     - piterbarg_bm_half_discrete(d, delta)) / (math.sqrt(delta) * exact)
+                    for delta in deltas]
+            distances = [limit - g for g in gaps]
+            assert all(0.0 < b < a for a, b in zip(distances, distances[1:])), (d, gaps)
+            assert all(0.49 <= b / a <= 0.59 for a, b in zip(distances, distances[1:])), (d, gaps)
+            assert distances[-1] < 0.011, (d, gaps)
+            if d == 2.0:
+                assert gaps[2:] == pytest.approx([0.2024, 0.2211, 0.2310], abs=5e-5)
+
     def test_too_many_terms_refused_naming_d_and_delta(self):
         # 60 / (0.5 * 1e-5) = 1.2e7 terms, and products that underflow;
         # 6e5 terms are within the cap

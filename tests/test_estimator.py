@@ -1713,3 +1713,126 @@ class TestRingWindows:
                 tracemalloc.stop()
             assert peak < 16 * 1024, (p, peak)
         assert np.getbufsize() == before
+
+
+class TestBoundedPasses:
+    """The variant passes skip the column blocks whose bound cannot beat a
+    variant's anchor value (``_simulate_functionals``); every output is the
+    full passes' own, bit for bit."""
+
+    @staticmethod
+    def _full_and_bounded(monkeypatch, cfg, strides, threads=1, columns=16):
+        """The table with the full passes, the table with the bound forced
+        on at blocks of about ``columns`` columns, and the runs it kept, one
+        list of (first, stop) columns per window."""
+        monkeypatch.setattr(estimator, "_BOUND_MIN_BLOCKS", 10**9)
+        full = _simulate_functionals(cfg, strides, threads)
+        monkeypatch.setattr(estimator, "_BOUND_COLUMNS", columns)
+        monkeypatch.setattr(estimator, "_BOUND_MIN_BLOCKS", 1)
+        kept, real = [], estimator._bound_plan
+
+        def spy(*args):
+            bounded = real(*args)
+
+            def runs_of(prefix):
+                runs = bounded(prefix)
+                kept.extend([(first, stop) for first, stop, _ in window] for window in runs)
+                return runs
+
+            return runs_of
+
+        monkeypatch.setattr(estimator, "_bound_plan", spy)
+        bounded = _simulate_functionals(cfg, strides, threads)
+        monkeypatch.setattr(estimator, "_bound_plan", real)
+        return full, bounded, kept
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_forced_bound_matches_the_full_passes(self, monkeypatch, alpha, domain, threads):
+        # n = 600 (half line) or 1200 (full line) in blocks of 16 or 30
+        # columns; 1001 replications end in a short last row (variants with
+        # no output rows), and blocks of 4 rows give two workers their own
+        # shares
+        monkeypatch.setattr(estimator, "_block_rows", lambda width: 4)
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        for reps in (1, 7, 1001):
+            cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=domain, delta=0.05,
+                                  horizon=30.0, replications=reps, seed=27)
+            width = sum(cfg.side_counts()) + 1
+            for strides in ([1], [1, 2, 3, 5], [16, 8, 4, 2, 1]):
+                full, bounded, kept = self._full_and_bounded(monkeypatch, cfg, strides, threads)
+                assert np.array_equal(full, bounded), (reps, strides)
+                # every window dropped columns, and two in five of them overall
+                packed = [sum(b - a for a, b in runs) for runs in kept]
+                assert packed and max(packed) < width and sum(packed) < 0.6 * len(packed) * width
+
+    @staticmethod
+    def _marked_ring(monkeypatch, column, value):
+        """``_map_rows`` with ``value`` as the prefix sum S[column] of the first
+        row, which window 0 reads as its path's value at ``column`` (S[0] = 0
+        is its anchor's shift on the half line), and the bound reads too."""
+        real = estimator._map_rows
+
+        def marked(*args):
+            prefix = real(*args)
+            prefix[0, column] = value
+            return prefix
+
+        monkeypatch.setattr(estimator, "_map_rows", marked)
+
+    _CFG = dict(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.05, horizon=30.0,
+                replications=32, seed=4)
+    _FAR = 500  # t = 25, where the drift is 3 * 25^0.5 = 15
+
+    def test_far_block_is_dropped_unmarked(self, monkeypatch):
+        cfg = EstimatorConfig(**self._CFG)
+        full, bounded, kept = self._full_and_bounded(monkeypatch, cfg, [1, 2, 4])
+        assert np.array_equal(full, bounded)
+        assert not any(a <= self._FAR < b for a, b in kept[0])
+
+    def test_far_maximum_keeps_its_block(self, monkeypatch):
+        # v - drift is 10 at t = 25 on row 0 of window 0, far above the
+        # values near the anchor: the block that holds it must be kept
+        cfg = EstimatorConfig(**self._CFG)
+        self._marked_ring(monkeypatch, self._FAR, 25.0)
+        full, bounded, kept = self._full_and_bounded(monkeypatch, cfg, [1, 2, 4])
+        assert np.array_equal(full, bounded)
+        assert any(a <= self._FAR < b for a, b in kept[0])
+        assert np.all(bounded[0] == pytest.approx(math.exp(10.0), rel=1e-12))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nan_and_inf_in_a_droppable_block_come_out_as_before(self, monkeypatch, value):
+        cfg = EstimatorConfig(**self._CFG)
+        self._marked_ring(monkeypatch, self._FAR, value)
+        full, bounded, kept = self._full_and_bounded(monkeypatch, cfg, [1, 3, 4])
+        assert full.tobytes() == bounded.tobytes()
+        assert any(a <= self._FAR < b for a, b in kept[0])
+        if math.isnan(value):  # every variant's stride-1 and stride-4 sub-grids hold it
+            assert np.isnan(bounded[:4, [0, 2]]).all() and not np.isnan(bounded[:4, 1]).any()
+
+    def test_gap_study_grid_allocates_within_the_plan(self):
+        # the gap study's grid at its five strides takes the bound (44
+        # blocks of 1024 columns) and allocates nothing beyond what the plan
+        # counts but one step, as test_plan_bytes_cover_batch_buffers
+        # measures it at one stride
+        import tracemalloc
+
+        strides = [16, 8, 4, 2, 1]
+        cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
+                              horizon=449.76, replications=128, seed=3)
+        rmap = _row_map(cfg.alpha, *cfg.side_counts())
+        n, m = rmap.n, rmap.width
+        assert (n, m) == (44976, 90000)
+        assert (n + 1) // estimator._BOUND_COLUMNS >= estimator._BOUND_MIN_BLOCKS
+        plan = _batch_plan(cfg.replications, rmap, 2, len(strides))
+        counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
+        first = _simulate_functionals(cfg, strides, threads=2)
+        tracemalloc.start()
+        try:
+            again = _simulate_functionals(cfg, strides, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, again)
+        assert peak - counted < 8 * (n + 1), (peak, counted)

@@ -28,33 +28,39 @@ map to m fGn values.  Either way the row's ``width`` increments are
 cyclically stationary (trivially for iid values; for the embedding because
 its covariance is circulant), so every cyclic window of n of them is exact
 fGn (n <= m/2 + 1 on circulant rows).  The engine reads each row as such a
-ring, from four evenly spaced starts: four windows, each exact in law, not
-independent of each other.  Since -B has the law of B, each window's path
-values v give two paths, v and its sign flip -v (an antithetic pair).  On
-the half line a window's increments read backwards are exact fGn too (the
+ring, from W evenly spaced starts, W = 8 where alpha < 1.8 and 4 from 1.8
+on: W windows, each exact in law, not independent of each other.  Since
+-B has the law of B, each window's path values v give two paths, v and its
+sign flip -v (an antithetic pair).  On the half line a window's
+increments read backwards are exact fGn too (the
 covariance depends on the lag alone), so v also gives its time reversal
 v~_j = v_n - v_{n-j} and that path's flip, whose functionals depend on the
-increments near T where v's depend on those near 0.  A row yields 8 paths
-on the full line and 16 on the half line; ``_simulate_functionals`` runs
+increments near T where v's depend on those near 0.  A row yields 2 W paths
+on the full line and 4 W on the half line; ``_simulate_functionals`` runs
 the variants as the rows of one table, on long grids over the column
 blocks of each window that a bound leaves as able to hold a maximum.
 
-Stream contract v9: rows are grouped into blocks of B, the largest power of
+Stream contract v10: rows are grouped into blocks of B, the largest power of
 two with B * width <= 2^17 (at least 1), so B depends on the row width alone.
 Block b is the stream ``SFC64(SeedSequence(seed, spawn_key=(b,)))``, which
 is ``SeedSequence(seed).spawn(b + 1)[b]``, numpy's spawning recipe, drawn
 row after row; stream row e is row e mod B of block e // B.  A row's ring
 is its n normals (iid) or its m fGn values (circulant), cumulated once into
 width + 1 prefix sums S, S[0] = 0, and multiplied by the rescale
-delta^(alpha/2) and then by sqrt(2).  Window p in {0, 1, 2, 3} starts at
-o = floor(p * width / 4) and is read cyclically, anchored at column neg:
+delta^(alpha/2) and then by sqrt(2).  With W = 8 where alpha < 1.8 and
+W = 4 from 1.8 on, window p in {0, ..., W - 1} starts at
+o = floor(p * width / W) and is read cyclically, anchored at column neg:
 its value j is S[o + j] - S[o + neg], with S[width] added to each term read
 past the ring's end.  Replication r is variant r mod V of window
-(r // V) mod 4 of stream row r // (4 V), V = 2 on the full line and 4 on
+(r // V) mod W of stream row r // (W V), V = 2 on the full line and 4 on
 the half line; variant 0 is the window's path v, 1 its flip -v, 2 its
-reversal v~ and 3 the flip -v~.  On the half line window 0 of every row is,
-bit for bit, contract v8's first window of that row; the circulant windows
-0 and 2 start where v8's two did, and the iid window 0 is v8's one.  (On
+reversal v~ and 3 the flip -v~.  From alpha = 1.8 on that is contract v9
+exactly; below it window 2k starts at floor(2k width / 8) =
+floor(k width / 4), where v9's window k did, so v10's even windows are
+v9's, bit for bit, in a new replication order.  On the half line window 0
+of every row is, bit for bit, contract v8's first window of that row; the
+circulant windows 0 and W/2 start where v8's two did, and the iid window
+0 is v8's one.  (On
 the full line a reversal adds nothing: with neg = pos it is t -> -t with a
 flip, and the symmetric drift gives it the flip's functional.)  A run that
 ends inside a row keeps that row's first paths, so it is the first
@@ -72,6 +78,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,6 +110,10 @@ _MOM_BLOCKS = 24
 
 # Two-sided normal quantile for 95% CLT intervals.
 _Z95 = 1.959963984540054
+
+# Fewest stream rows over which a run reports its effective paths per row, a
+# ratio of two variance estimates that is noisy over fewer.
+_EFFECTIVE_MIN_ROWS = 32
 
 
 class Domain(enum.Enum):
@@ -173,6 +184,10 @@ class EstimateResult:
     ``stderr`` is present only for the sample-mean method over at least two
     stream rows; median-of-means reports an order-statistic interval instead
     (``ci_low``/``ci_high`` may be absent for very small replication counts).
+    The ``replications`` fill ``rows`` independent stream rows of
+    ``paths_per_row``.  ``effective_paths_per_row``, the independent paths
+    a row is worth, is var(ddof=1) / (stderr^2 rows) for sample-mean runs of
+    ``_EFFECTIVE_MIN_ROWS`` rows or more with a nonzero stderr, else None.
     """
 
     estimate: float
@@ -182,6 +197,9 @@ class EstimateResult:
     method: str
     replications: int
     config: EstimatorConfig
+    rows: int
+    paths_per_row: int
+    effective_paths_per_row: float | None
 
     def stat_error(self) -> float | None:
         """Statistical half-width: stderr if defined, else CI half-width."""
@@ -208,15 +226,14 @@ def _block_rows(width: int) -> int:
 
 
 # A batch that runs an FFT keeps at least this many rows: numpy builds its
-# FFT plan anew on every call (about 170 us at m = 90000, page faults
-# aside), and a 2-row floor, though it would save 5.4 MiB of peak RSS on the
-# gap study's grid, made that run 12-17% slower through the extra page
-# faults of buffers that glibc returns to the system and maps again.
+# FFT plan anew on every call (about 170 us at m = 90000).
 _FFT_MIN_ROWS = 4
 
 
-# Windows read off each stream row's ring (stream contract v9).
-_WINDOWS = 4
+# Ring windows per stream row (stream contract v10): eight below this alpha,
+# contract v9's four from it on, where a row's windows are so alike that
+# four more cost more time than they add information.
+_EIGHT_WINDOWS_BELOW = 1.8
 
 # numpy's ufunc buffer size, in elements, while ``_window`` forms a window.
 _WINDOW_BUFSIZE = 256
@@ -232,19 +249,21 @@ class _RowMap:
     """How a stream row of ``width`` normals becomes ``paths`` replications:
     "iid" rows hold the n increments, "circulant" ones the m normals of the
     embedding, which map to m fGn values.  Either way the row's ``width``
-    increments are a ring, read from ``_WINDOWS`` evenly spaced starts as
+    increments are a ring, read from ``windows`` evenly spaced starts as
     paths of n + 1 values anchored at column ``neg``, and each window gives
     ``variants`` replications: its path and sign flip, and on the half line
-    (neg = 0) also their time reversals (stream contract v9).  On an iid
-    row of n <= 3 increments some starts coincide (all four at n = 1), and
-    their windows are the same path: the row stays the error unit, so the
-    estimate and its error stay right, on fewer distinct paths a row."""
+    (neg = 0) also their time reversals (stream contract v10).  On an iid
+    row of n < windows increments some starts coincide (all of them at
+    n = 1), and their windows are the same path: the row stays the error
+    unit, so the estimate and its error stay right, on fewer distinct paths
+    a row."""
 
     kind: str
     alpha: float
     neg: int
     n: int
     width: int
+    windows: int = 4  # ``_row_map`` sets it from alpha
 
     @property
     def variants(self) -> int:
@@ -254,15 +273,16 @@ class _RowMap:
     @property
     def paths(self) -> int:
         """Replications per stream row, the unit of every reported error."""
-        return _WINDOWS * self.variants
+        return self.windows * self.variants
 
 
 def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
     """The row map of the unit grid -neg..pos, the engine's and the sampler's."""
     n = neg + pos
+    windows = 8 if alpha < _EIGHT_WINDOWS_BELOW else 4
     if n == 1 or alpha == 1.0:  # gamma(k) = 0 for k >= 1: iid N(0, 1)
-        return _RowMap("iid", alpha, neg, n, n)
-    return _RowMap("circulant", alpha, neg, n, _next_fast_len(2 * n))
+        return _RowMap("iid", alpha, neg, n, n, windows)
+    return _RowMap("circulant", alpha, neg, n, _next_fast_len(2 * n), windows)
 
 
 def _row_bytes(rmap: _RowMap) -> int:
@@ -298,11 +318,13 @@ class _BatchPlan:
 def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
     """Contiguous near-equal block shares, one per worker, walked in batches.
 
-    ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows (8
-    replications a row on the full line, 16 on the half line), and the
-    table holds ``reps`` rows of ``columns``.  The rows' ``N`` blocks go
+    ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows, and
+    the table holds ``reps`` rows of ``columns``.  The rows' ``N`` blocks go
     to ``W = min(threads, CPUs, N)`` workers, CPUs being ``_cpu_count()``,
-    worker k taking blocks ``[k N / W, (k + 1) N / W)``.  Raises ValueError
+    worker k taking blocks ``[k N / W, (k + 1) N / W)``.  Every worker's
+    buffers hold the run's batch rows, whatever its share, so that runs of
+    one config at any thread count reuse the same buffers (``_FREE``).
+    Raises ValueError
     for a thread count below 1, and for a run whose memory, worked out here
     before anything is allocated, exceeds ``_memory_limit()`` at one block
     per batch.
@@ -318,7 +340,7 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
          min(stream, (k + 1) * nblocks // workers * block))
         for k in range(workers)
     )
-    rows = min(_batch_rows(rmap), max(hi - lo for lo, hi in shares))
+    rows = min(_batch_rows(rmap), stream)
     # The variant table's steps (n + 1 floats each), the output table, the
     # spectrum at the peak of its build (the autocovariances, the first
     # row, and the complex input and output of its FFT; it then holds
@@ -397,19 +419,12 @@ def _row_operator(rmap: _RowMap):
 
 
 def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
-    """Buffers for ``rows`` stream rows: the normals (later the fGn) as a
-    (rows, width) view of ``flat``, the half-spectrum (or None), and the
-    (rows, width + 1) ring prefix sums, which take the floats of the
-    half-spectrum once the irfft has consumed it.  ``flat`` holds at least
-    n + 1 floats a row, so that a window's field for every row fits in it
-    once the prefix sums exist (``_window``).
-
-    One allocation holds them all: glibc gives freed memory back to the
-    system once the top of its heap passes twice the largest block it has
-    unmapped, so a batch's buffers freed as two blocks were given back
-    after every run and faulted in again by the next (2240 page faults, 3
-    to 4 ms a call on the gap study's grid); one block keeps what a run
-    frees below that."""
+    """Buffers for ``rows`` stream rows, in one allocation: the normals
+    (later the fGn) as a (rows, width) view of ``flat``, the half-spectrum
+    (or None), and the (rows, width + 1) ring prefix sums, which take the
+    floats of the half-spectrum once the irfft has consumed it.  ``flat``
+    holds at least n + 1 floats a row, so that a window's field for every
+    row fits in it once the prefix sums exist (``_window``)."""
     width, embedded = rmap.width, rmap.kind == "circulant"
     spectrum = 2 * (width // 2 + 1) if embedded else width + 1  # floats a row
     whole = np.empty(rows * (spectrum + max(width, rmap.n + 1)))
@@ -417,6 +432,31 @@ def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
     w = head.view(np.complex128) if embedded else None
     flat = whole[rows * spectrum :]
     return flat[: rows * width].reshape(rows, width), w, head[:, : width + 1], flat
+
+
+# Batch buffers kept between runs of the last (row map, batch rows): glibc
+# returns a freed block that large to the system, and the next run faulted
+# it in again (about 1500 faults, 2 ms a gap-study call).  list.pop and
+# list.extend are atomic under the GIL, so concurrent runs share no set.
+_FREE: dict = {}
+_FREE_LOCK = threading.Lock()  # for the key check and the emptying
+
+
+def _kept_buffers(rmap: _RowMap, rows: int, count: int) -> tuple[list, list]:
+    """The free list of (rmap, rows), which first empties ``_FREE`` of any
+    other key, and ``count`` sets of ``_row_buffers`` taken off it or made."""
+    with _FREE_LOCK:
+        free = _FREE.get((rmap, rows))
+        if free is None:
+            _FREE.clear()
+            free = _FREE[rmap, rows] = []
+    spaces = []
+    for _ in range(count):
+        try:
+            spaces.append(free.pop())
+        except IndexError:
+            spaces.append(_row_buffers(rmap, rows))
+    return free, spaces
 
 
 def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, sums: np.ndarray,
@@ -438,7 +478,7 @@ def _window_shifts(rmap: _RowMap, prefix: np.ndarray, p: int) -> tuple:
     """(o, head, before, after): window p's start, the columns it reads
     before the ring's end, and their per-row shift and the later ones'."""
     width = rmap.width
-    o = p * width // _WINDOWS
+    o = p * width // rmap.windows
     anchor = o + rmap.neg
     if anchor <= width:
         before = prefix[:, anchor, None]
@@ -453,7 +493,7 @@ def _window(rmap: _RowMap, prefix: np.ndarray, p: int, flat: np.ndarray,
             runs: Sequence[tuple] = ()) -> np.ndarray:
     """Window p of the rings whose prefix sums are ``prefix``, as a
     (rows, n + 1) view of ``flat``: S[o + j] - S[o + neg] for the start
-    o = floor(p * width / 4), read cyclically, so that a term read past the
+    o = floor(p * width / windows), read cyclically, so that a term read past the
     ring's end (o + j > width) is S[o + j - width] + S[width] - S[o + neg].
     The columns before the wrap and those after it take one subtraction of
     a per-row shift each, the shift of the anchor's part its own S value
@@ -483,7 +523,7 @@ def _bound_plan(rmap: _RowMap, table: list, strides: list):
     else ``kept(prefix)``: per window, the (first, stop, at) of each block
     that may hold a variant's sub-grid extreme, packed from column ``at``
     (``_simulate_functionals`` describes the bound)."""
-    n, width = rmap.n, rmap.width
+    n, width, windows = rmap.n, rmap.width, rmap.windows
     lcm = math.lcm(*strides)
     span = lcm * -(-_BOUND_COLUMNS // lcm)
     starts = np.arange(0, n + 1, span)
@@ -496,8 +536,8 @@ def _bound_plan(rmap: _RowMap, table: list, strides: list):
     # each block's first and last column on the sides it reaches, and each
     # anchor's prefix sum and side
     ring, reach, cols, ends = [], [], [], np.stack([starts, stops - 1])
-    for p in range(_WINDOWS):
-        o = p * width // _WINDOWS
+    for p in range(windows):
+        o = p * width // windows
         head = min(n + 1, width + 1 - o)
         ring.append([(o + np.minimum(ends, head - 1)) // span,
                      (np.maximum(ends, head) + 1 - head) // span])
@@ -506,11 +546,11 @@ def _bound_plan(rmap: _RowMap, table: list, strides: list):
     ring, reach, cols = np.array(ring), np.array(reach), np.array(cols)
     steps = [(np.maximum.reduceat(step, starts), np.minimum.reduceat(step, starts),
               step[anchors], sign) for step, sign, _ in table]
-    win, ring_starts = np.arange(_WINDOWS)[:, None], np.arange(0, width + 1, span)
+    win, ring_starts = np.arange(windows)[:, None], np.arange(0, width + 1, span)
 
     def kept(prefix: np.ndarray) -> tuple:
-        shifts = np.hstack([x for p in range(_WINDOWS)
-                            for x in _window_shifts(rmap, prefix, p)[2:]]).reshape(-1, _WINDOWS, 2)
+        shifts = np.hstack([x for p in range(windows)
+                            for x in _window_shifts(rmap, prefix, p)[2:]]).reshape(-1, windows, 2)
         bounds = []
         for reduce, unreached in ((np.maximum, -np.inf), (np.minimum, np.inf)):
             sides = reduce.reduce(reduce.reduceat(prefix, ring_starts, axis=1)[:, ring], axis=3)
@@ -564,7 +604,7 @@ def _simulate_functionals(
     """Per-replication functionals, shape (replications, len(strides)).
 
     Row r is what the per-path reference in ``tests/oracle.py`` yields for
-    replication r under stream contract v9, bit for bit: its stream row
+    replication r under stream contract v10, bit for bit: its stream row
     (r // rmap.paths) of the SFC64 stream of its block, that row's ring
     prefix sums times the self-similarity rescale and sqrt(2), its window
     of the ring, and the sup over each stride's sub-grid of the penalized
@@ -576,12 +616,14 @@ def _simulate_functionals(
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
     stream rows and walks it one block a batch (``_batch_rows``), whatever the
-    replication count, with one set of ``_row_buffers`` and the row operator
-    built here on the calling thread and reused for all of its batches.  So
-    memory follows from the config and the worker count alone: pool threads
-    build nothing, and a run with one worker runs on the calling thread.
-    A batch cumulates each row's ring once (``_map_rows``), then forms its
-    four windows in turn in the normals buffer (``_window``, one pass each).
+    replication count, with one set of ``_row_buffers``, taken off the free
+    list ``_FREE`` (or made) on the calling thread and put back at the end,
+    and the row operator built here, both reused for all of its batches.
+    So memory follows from the config and the worker count alone: pool
+    threads build nothing, and a run with one worker runs on the calling
+    thread.  A batch cumulates each row's ring once (``_map_rows``), then
+    forms its ``rmap.windows`` windows in turn in the normals buffer
+    (``_window``, one pass each).
     The variants are the rows ``(step, sign, anchor)`` of one table, taken
     in turn over a window's field in place: add ``step``, then at stride s
     exp(sign * (top - field[anchor])), top the max (sign +1) or the min
@@ -644,8 +686,8 @@ def _simulate_functionals(
             _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
             prefix = _map_rows(rmap, op, z, w, sums, rows, gains)
             batch = out[paths * start : paths * (start + rows)]  # the run's last row may be short
-            runs = kept(prefix) if kept else [[(0, n + 1, 0)]] * _WINDOWS
-            for p in range(_WINDOWS):
+            runs = kept(prefix) if kept else [[(0, n + 1, 0)]] * rmap.windows
+            for p in range(rmap.windows):
                 # window p's replications, v of row i at wins[i * paths + v];
                 # each pass covers the rows that have its variant in the
                 # output, fewer for the later ones of a short last row
@@ -675,12 +717,13 @@ def _simulate_functionals(
                     np.multiply(top, sign, out=top)
                     wins[v::paths] = np.exp(top, out=top)
 
-    spaces = [_row_buffers(rmap, plan.rows) for _ in plan.shares]
+    free, spaces = _kept_buffers(rmap, plan.rows, len(plan.shares))
     if len(spaces) > 1:
         with ThreadPoolExecutor(max_workers=len(spaces)) as pool:
             list(pool.map(work, plan.shares, spaces))
     else:
         work(plan.shares[0], spaces[0])
+    free.extend(spaces)
     return out
 
 
@@ -721,13 +764,15 @@ def _aggregate(functionals: np.ndarray, config: EstimatorConfig) -> EstimateResu
     reps = len(functionals)
     unit = _row_unit(config)
     rows = -(-reps // unit)
-    stderr = ci_low = ci_high = None
+    stderr = ci_low = ci_high = effective = None
     if config.d > 1.0:
         method = "sample-mean"
         estimate = float(functionals.mean())
         if rows >= 2:
             stderr = _std_error(functionals, unit)
             ci_low, ci_high = estimate - _Z95 * stderr, estimate + _Z95 * stderr
+        if rows >= _EFFECTIVE_MIN_ROWS and stderr:
+            effective = float(functionals.var(ddof=1)) / (stderr * stderr * rows)
     else:
         # d <= 1: infinite variance, CLT intervals invalid; median-of-means
         # over contiguous blocks of whole rows (row order is already
@@ -747,7 +792,8 @@ def _aggregate(functionals: np.ndarray, config: EstimatorConfig) -> EstimateResu
         if rank is not None:
             ci_low = float(block_means[rank - 1])
             ci_high = float(block_means[blocks - rank])
-    return EstimateResult(estimate, stderr, ci_low, ci_high, method, reps, config)
+    return EstimateResult(estimate, stderr, ci_low, ci_high, method, reps, config,
+                          rows, unit, effective)
 
 
 def estimate_constant(config: EstimatorConfig, threads: int = 1) -> EstimateResult:
@@ -755,11 +801,10 @@ def estimate_constant(config: EstimatorConfig, threads: int = 1) -> EstimateResu
 
     Runs ``config.replications`` path simulations (unit-grid draw,
     self-similarity rescale to ``config.delta``, penalized supremum), each
-    of a stream row's four ring windows with its sign flip, and on the half
-    line with their time reversals, so eight per row on the full line and
-    sixteen on the half line, and aggregates by sample
-    mean for d > 1 or median-of-means for d <= 1, with errors over the
-    independent rows.
+    of a stream row's ring windows (eight below alpha = 1.8, else four)
+    with its sign flip, and on the half line with their time reversals, and
+    aggregates by sample mean for d > 1 or median-of-means for d <= 1, with
+    errors over the independent rows.
     The result is deterministic given (config, seed) at any thread count.
     """
     functionals = _simulate_functionals(config, strides=(1,), threads=threads)

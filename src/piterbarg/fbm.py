@@ -23,14 +23,15 @@ exact fGn, and since the embedding's covariance is circulant the draw is
 cyclically stationary too: every cyclic window of up to m/2 + 1 values,
 one that runs past the end and on from the start, is exact fGn as well.
 n increments embed in the shortest such m >= 2n, and under stream contract
-v9 the engine reads each draw as a ring from four evenly spaced starts,
-four windows that are exact in law but dependent, and with each window's
-path its sign flip, and on the half line the time reversals of both (a
-window read backwards is exact fGn too, since the covariance depends on
-the lag alone): eight replications per row on the full line and sixteen on
-the half line (``estimator`` states the contract).  At alpha = 1 every
-lag beyond 0 vanishes and the increments are iid N(0, 1), drawn with no
-map at all: a ring of n values, read from the same four starts.  The tests
+v10 the engine reads each draw as a ring from W evenly spaced starts (W = 8
+where alpha < 1.8, 4 from 1.8 on), W windows that are exact in law but
+dependent, and with each window's path its sign flip, and on the half line
+the time reversals of both (a window read backwards is exact fGn too, since
+the covariance depends on the lag alone): 2 W replications per row on the
+full line and 4 W on the half line (``estimator`` states the contract).  At
+alpha = 1 every lag beyond 0 vanishes and the increments are iid N(0, 1),
+drawn with no map at all: a ring of n values, read from the same starts.
+The tests
 check the embedding against a Cholesky factorization of the same
 covariance.
 

@@ -126,8 +126,8 @@ def _study_table(
     grid would be the anchor alone, is refused.  The studies report CLT
     stderrs over rows, which need d > 1 (finite variance) and at least two
     rows: ``unit + 1`` replications, ``unit = _row_unit(config)`` being the
-    replications a stream row holds (8 on the full line, 16 on the half
-    line).
+    replications a stream row holds (16 on the full line and 32 on the half
+    line below alpha = 1.8, 8 and 16 from it on).
     """
     _check_real("penalty d", d, 1.0, rule="exceed 1: rate studies report CLT standard errors, "
                 "which need d > 1 (the functional has infinite variance for d <= 1)")

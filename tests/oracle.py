@@ -4,7 +4,7 @@
 batches, in reused buffers, filling a block of rows per ``standard_normal``
 call.  This module computes the same numbers one path at a time, each step
 in its plainest form: the stream of replication r's stream row, spawned from
-the seed's SeedSequence as stream contract v9 defines it (blocks of B rows,
+the seed's SeedSequence as stream contract v10 defines it (blocks of B rows,
 B * width <= 2^17, block b from ``SeedSequence(seed).spawn(b + 1)[b]``
 through SFC64), advanced one row at a time past the earlier rows of its
 block; the row's ring of increments; the window of the ring, the
@@ -12,8 +12,9 @@ self-similarity rescale, the variant and the penalized supremum over each
 stride's sub-grid.  Replication r is variant r mod V of window
 p = r // V, V = 2 on the full line and 4 on the half line: the drawn path
 v, its sign flip -v, its time reversal v~_j = v_n - v_{n-j} and -v~.
-Window p is ring window p mod 4 of stream row p // 4: the n increments
-read cyclically from index floor((p mod 4) * width / 4) of the row's ring,
+Window p is ring window p mod W of stream row p // W, W = 8 where
+alpha < 1.8 and 4 from 1.8 on (``ring_windows``): the n increments read
+cyclically from index floor((p mod W) * width / W) of the row's ring,
 which is one of two, as in the engine: n iid increments at alpha = 1, or
 the m values of the circulant draw, m that of ``circulant_spectrum(alpha,
 n)`` (>= 2n), built from the eigenvalues with complex temporaries.
@@ -135,7 +136,9 @@ def sample_fgn(spectrum: CirculantSpectrum, rng: np.random.Generator, n: int) ->
     return sample_ring(spectrum, rng)[:n]
 
 
-WINDOWS = 4  # ring windows per stream row
+def ring_windows(alpha: float) -> int:
+    """Ring windows per stream row: eight where alpha < 1.8, else four."""
+    return 8 if alpha < 1.8 else 4
 
 
 @dataclass
@@ -172,25 +175,26 @@ def _ring_row(config: EstimatorConfig, row: int, block: int | None = None) -> np
     return sample_ring(spectrum, rng)
 
 
-def window_start(width: int, window: int) -> int:
-    """First ring index of ring window ``window`` (0..3) of a ring of ``width``."""
-    return window * width // WINDOWS
+def window_start(width: int, window: int, windows: int) -> int:
+    """First ring index of ring window ``window`` of ``windows`` on a ring of ``width``."""
+    return window * width // windows
 
 
 def window_fgn(config: EstimatorConfig, index: int, block: int | None = None) -> np.ndarray:
     """The n unit-grid increments of window ``index`` under ``config``: ring
-    window index mod 4 of stream row index // 4, read cyclically."""
-    return _cyclic_read(_ring_row(config, index // WINDOWS, block), index % WINDOWS,
+    window index mod W of stream row index // W, read cyclically."""
+    row, window = divmod(index, ring_windows(config.alpha))
+    return _cyclic_read(_ring_row(config, row, block), window, ring_windows(config.alpha),
                         sum(config.side_counts()))
 
 
-def _cyclic_read(ring: np.ndarray, window: int, n: int) -> np.ndarray:
-    return np.roll(ring, -window_start(len(ring), window))[:n]
+def _cyclic_read(ring: np.ndarray, window: int, windows: int, n: int) -> np.ndarray:
+    return np.roll(ring, -window_start(len(ring), window, windows))[:n]
 
 
-def ring_window(ring: np.ndarray, window: int, neg: int, n: int,
+def ring_window(ring: np.ndarray, window: int, windows: int, neg: int, n: int,
                 gains: Sequence[float]) -> np.ndarray:
-    """Window ``window`` of ``ring`` as the engine rounds it: the ring's
+    """Window ``window`` of ``windows`` of ``ring`` as the engine rounds it: the ring's
     prefix sums S (S[0] = 0) times each of ``gains`` in turn, read at o + j
     for o = window_start and j = 0..n, as S[o + j - width] + S[width] past
     the ring's end, less S[o + neg].  The part read before or after the end
@@ -200,7 +204,7 @@ def ring_window(ring: np.ndarray, window: int, neg: int, n: int,
     prefix = np.concatenate([[0.0], np.cumsum(ring)])
     for gain in gains:
         prefix = prefix * gain
-    idx = window_start(width, window) + np.arange(n + 1)
+    idx = window_start(width, window, windows) + np.arange(n + 1)
     wrapped = idx > width
     anchor = idx[neg]
     if anchor <= width:
@@ -223,19 +227,23 @@ def cumulated_path(config: EstimatorConfig, fgn: np.ndarray) -> PathGrid:
     return PathGrid(config.alpha, config.delta, neg, pos, scaled)
 
 
-def window_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
+def window_path(config: EstimatorConfig, index: int, block: int | None = None,
+                windows: int | None = None) -> PathGrid:
     """Drawn path of window ``index`` under ``config`` on its delta grid, its
-    values the plain cyclic read and ``lifted`` the engine's rounding."""
+    values the plain cyclic read and ``lifted`` the engine's rounding;
+    ``windows`` a row, by default ``ring_windows`` of the config's alpha."""
     neg, pos = config.side_counts()
-    ring, window = _ring_row(config, index // WINDOWS, block), index % WINDOWS
-    path = cumulated_path(config, _cyclic_read(ring, window, neg + pos))
-    path.lifted = ring_window(ring, window, neg, neg + pos,
+    windows = ring_windows(config.alpha) if windows is None else windows
+    row, window = divmod(index, windows)
+    ring = _ring_row(config, row, block)
+    path = cumulated_path(config, _cyclic_read(ring, window, windows, neg + pos))
+    path.lifted = ring_window(ring, window, windows, neg, neg + pos,
                               (config.delta ** (config.alpha / 2.0), math.sqrt(2.0)))
     return path
 
 
 def replication_path(config: EstimatorConfig, index: int, block: int | None = None) -> PathGrid:
-    """Path of replication ``index`` under stream contract v9: variant r mod V
+    """Path of replication ``index`` under stream contract v10: variant r mod V
     of window r // V, V = 4 on the half line and 2 on the full line."""
     variants = 2 if config.side_counts()[0] else 4
     window, variant = divmod(index, variants)

@@ -16,11 +16,12 @@ from piterbarg.rate_study import RATE_CSV_HEADER
 # Output formats as they stand: ordered key lists and the CSV header.
 MANIFEST_KEYS = ["command", "tool_version", "started_at", "finished_at", "config", "results"]
 CONFIG_KEYS = ["alpha", "d", "domain", "delta", "horizon", "replications", "seed"]
-ESTIMATE_KEYS = ["estimate", "stderr", "ci_low", "ci_high", "method", "replications"]
+ESTIMATE_KEYS = ["estimate", "stderr", "ci_low", "ci_high", "method", "replications",
+                 "rows", "paths_per_row", "effective_paths_per_row"]
 BUDGET_KEYS = ["delta", "horizon", "disc_bound", "trunc_bound", "stat_error",
                "constants", "total", "up_to_constant", "horizon_below_comfort"]
 VALIDATION_KEYS = ["exact", "correction_factor", "corrected_estimate", "abs_error",
-                   "model_tolerance", "stat_tolerance", "status"]
+                   "model_tolerance", "stat_tolerance", "status", "status_against"]
 # the half line adds the exact discrete constant and the raw estimate's z-score
 HALF_VALIDATION_KEYS = [*VALIDATION_KEYS, "exact_discrete", "discrete_z"]
 
@@ -170,6 +171,20 @@ class TestEstimate:
         assert est["estimate"] >= 1.0
         assert manifest["results"]["budget"]["up_to_constant"] is True
 
+    def test_manifest_reports_the_information_rate(self, capsys, tmp_path):
+        # 1040 half-line Brownian replications are 33 rows of 32 paths (the
+        # last one short), enough rows for the effective paths per row,
+        # which check-manifest accepts
+        target = tmp_path / "e.json"
+        code, _, _ = run_cli(capsys, "estimate", "--alpha", "1", "--d", "2", "--domain", "half",
+                             "--delta", "0.05", "--reps", "1040", "--seed", "7",
+                             "--out", str(target))
+        assert code == 0
+        est = json.loads(target.read_text())["results"]["estimate"]
+        assert (est["rows"], est["paths_per_row"]) == (33, 32)
+        assert est["effective_paths_per_row"] > 1.0
+        assert run_cli(capsys, "check-manifest", str(target))[0] == 0
+
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--alpha", "1", "--domain", "half",
@@ -250,10 +265,10 @@ class TestEstimate:
         assert "numerical failure: circulant embedding failed for alpha=0.55, m=640" in err
 
     def test_rerun_reproduces_results_fields(self, capsys, pool_sizes):
-        # 17600 replications are 1100 half-line rows of width 179, three
+        # 35200 replications are 1100 half-line rows of width 179, three
         # blocks of 512: three workers
-        _, out1, _ = run_cli(capsys, *self.ARGS, "--reps", "17600")
-        _, out2, _ = run_cli(capsys, *self.ARGS, "--reps", "17600", "--threads", "3")
+        _, out1, _ = run_cli(capsys, *self.ARGS, "--reps", "35200")
+        _, out2, _ = run_cli(capsys, *self.ARGS, "--reps", "35200", "--threads", "3")
         assert pool_sizes == [3]
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["results"] == r2["results"]  # timestamps excluded by design
@@ -278,6 +293,7 @@ class TestValidate:
         validation = manifest["results"]["validation"]
         assert list(validation) == HALF_VALIDATION_KEYS
         assert validation["status"] == "inconclusive"
+        assert validation["status_against"] == "exact_discrete"
         assert "warning" in err
         # d = 1: median-of-means, no stderr, so no z-score
         assert validation["exact_discrete"] == piterbarg_bm_half_discrete(1.0, 0.05)
@@ -292,26 +308,47 @@ class TestValidate:
         validation, estimate = results["validation"], results["estimate"]
         assert validation["status"] == "pass", validation
         assert validation["exact"] == 1.5
+        # the status reads the raw estimate against the grid's exact
+        # constant, within the same 1.5% and 3 stderrs
         exact = piterbarg_bm_half_discrete(2.0, 0.05)
+        assert validation["status_against"] == "exact_discrete"
         assert validation["exact_discrete"] == exact
+        assert validation["abs_error"] == abs(estimate["estimate"] - exact)
+        assert validation["model_tolerance"] == 0.015 * exact
+        assert validation["stat_tolerance"] == 3.0 * estimate["stderr"]
         assert validation["discrete_z"] == (estimate["estimate"] - exact) / estimate["stderr"]
+        assert abs(validation["discrete_z"]) < 3.0
+
+    def test_first_order_miss_passes_against_the_exact_discrete_constant(self, capsys):
+        # d = 2 at delta = 0.3 (n = 4): the first-order corrected estimate
+        # misses the continuous constant by more than the 1.5% and 3
+        # stderrs, which the first-order status read as a fail, while the
+        # raw estimate is within them of the grid's exact constant, which
+        # the status reads
+        code, out, _ = run_cli(capsys, "validate", "--d", "2", "--domain", "half",
+                               "--delta", "0.3", "--reps", "200000", "--seed", "5")
+        validation = json.loads(out)["results"]["validation"]
+        first_order_miss = abs(validation["corrected_estimate"] - validation["exact"])
+        assert first_order_miss > 0.015 * validation["exact"] + validation["stat_tolerance"]
+        assert validation["status"] == "pass" and code == 0
         assert abs(validation["discrete_z"]) < 3.0
 
     def test_zero_stderr_gives_a_null_z_score(self, capsys, tmp_path):
         # d = 50, delta = 0.3: n = 4 and the drift keeps every path below 0,
-        # so all 32 functionals (two rows) are 1.0, the stderr is 0 and
-        # P^delta rounds to 1.0; the manifest is still written, with a null
-        # z-score
+        # so all 64 functionals (two rows) are 1.0, the stderr is 0 and
+        # P^delta rounds to 1.0, which the estimate meets exactly; the
+        # manifest is still written, with a null z-score
         target = tmp_path / "v.json"
         code, _, _ = run_cli(capsys, "validate", "--d", "50", "--domain", "half",
-                             "--delta", "0.3", "--reps", "32", "--seed", "1",
+                             "--delta", "0.3", "--reps", "64", "--seed", "1",
                              "--out", str(target))
-        assert code == 1
+        assert code == 0
         results = json.loads(target.read_text())["results"]
         assert results["estimate"]["stderr"] == 0.0
+        assert results["estimate"]["effective_paths_per_row"] is None
         validation = results["validation"]
         assert list(validation) == HALF_VALIDATION_KEYS
-        assert validation["status"] == "fail"
+        assert validation["status"] == "pass" and validation["abs_error"] == 0.0
         assert validation["exact_discrete"] == piterbarg_bm_half_discrete(50.0, 0.3)
         assert validation["discrete_z"] is None
         assert run_cli(capsys, "check-manifest", str(target))[0] == 0
@@ -320,7 +357,9 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "--d", "2", "--domain", "full",
                                "--delta", "0.1", "--reps", "50", "--seed", "3")
         assert code in (0, 1)
-        assert list(json.loads(out)["results"]["validation"]) == VALIDATION_KEYS
+        validation = json.loads(out)["results"]["validation"]
+        assert list(validation) == VALIDATION_KEYS
+        assert validation["status_against"] == "corrected"
 
     def test_refused_series_is_null_with_its_reason(self, capsys, tmp_path):
         # d = 0.001 at delta = 0.04 needs 1.5e6 terms, beyond the series' cap:
@@ -333,6 +372,7 @@ class TestValidate:
         validation = json.loads(target.read_text())["results"]["validation"]
         assert list(validation) == [*HALF_VALIDATION_KEYS, "exact_discrete_refused"]
         assert validation["exact_discrete"] is None and validation["discrete_z"] is None
+        assert validation["status_against"] == "corrected"
         assert "d=0.001, delta=0.04 needs up to" in validation["exact_discrete_refused"]
         assert run_cli(capsys, "check-manifest", str(target))[0] == 0
 

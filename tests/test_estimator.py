@@ -26,6 +26,7 @@ from oracle import (
     cumulated_path,
     replication_path,
     replication_stream,
+    ring_windows,
     subsampled_functionals,
     sup_functional,
     window_fgn,
@@ -53,6 +54,7 @@ from piterbarg.estimator import (
     _row_bytes,
     _row_map,
     _row_operator,
+    _row_unit,
     _RowMap,
     _simulate_functionals,
     _std_error,
@@ -63,9 +65,9 @@ from piterbarg.fbm import _next_fast_len
 
 
 def _rmap(n, width, embedded=False):
-    """A half-line row map of n increments and rows of ``width`` normals (four
-    windows of four replications); the plan reads only its kind, neg, n and
-    width."""
+    """A half-line row map of n increments and rows of ``width`` normals (the
+    default four windows of four replications); the plan reads only its
+    kind, neg, n, width and paths."""
     return _RowMap("circulant" if embedded else "iid", 0.5, 0, n, width)
 
 
@@ -224,7 +226,7 @@ class TestReplicationStreams:
 
 
 class TestStreamContract:
-    """Golden values of stream contract v9, so that a change of numpy or of
+    """Golden values of stream contract v10, so that a change of numpy or of
     the engine that moves the random stream fails here first."""
 
     @pytest.mark.parametrize("seed,expected", [
@@ -241,25 +243,26 @@ class TestStreamContract:
     def test_functional_row(self):
         # the embedding's FFT may round differently on another platform, so
         # the row is pinned to 1e-12, far below what a moved stream changes.
-        # Replication 8 is ring window 0 of stream row 1 (n = 80, m = 160),
-        # v6's replication 2 and its value (v9 rescales the ring's prefix
-        # sums before the anchor is subtracted, which moves it by rounding
-        # only); replication 9 is its sign flip.
+        # Replication 16 is ring window 0 of stream row 1 (n = 80, m = 160),
+        # v9's replication 8 and v6's replication 2 and its value (v9
+        # rescales the ring's prefix sums before the anchor is subtracted,
+        # which moves it by rounding only); replication 17 is its sign flip.
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
-                              delta=0.05, horizon=2.0, replications=10, seed=20260810)
-        rows = _simulate_functionals(cfg, [1, 2])[8:]
+                              delta=0.05, horizon=2.0, replications=18, seed=20260810)
+        rows = _simulate_functionals(cfg, [1, 2])[16:]
         assert rows.tolist() == [pytest.approx([3.3238495930746836, 2.369413850077903], rel=1e-12),
                                  pytest.approx([1.1653361914539049] * 2, rel=1e-12)]
 
     def test_dense_functional_row(self):
         # the same config, which v5 drew from the dense map (the test keeps
-        # its name): replications 0 and 4 are ring windows 0 and 2 of stream
-        # row 0, which start where v6's replications 0 and 1 did (the second
-        # one's sup is at the anchor), and 1 and 5 their sign flips
+        # its name): replications 0 and 8 are ring windows 0 and 4 of stream
+        # row 0, v9's replications 0 and 4 (its windows 0 and 2), which
+        # start where v6's replications 0 and 1 did (the second one's sup is
+        # at the anchor), and 1 and 9 their sign flips
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.FULL_LINE,
-                              delta=0.05, horizon=2.0, replications=7, seed=20260810)
+                              delta=0.05, horizon=2.0, replications=10, seed=20260810)
         assert _row_map(cfg.alpha, *cfg.side_counts()).kind == "circulant"
-        rows = _simulate_functionals(cfg, [1, 2])[[0, 1, 4, 5]]
+        rows = _simulate_functionals(cfg, [1, 2])[[0, 1, 8, 9]]
         assert rows.tolist() == [pytest.approx([5.864606875849611] * 2, rel=1e-12),
                                  pytest.approx([3.7359128726663635, 1.7303558049480385], rel=1e-12),
                                  [1.0, 1.0],
@@ -267,41 +270,42 @@ class TestStreamContract:
 
     # the column sums of the stride-1, 2 and 4 table and the estimate's
     # fields of iid (alpha = 1) and circulant (alpha = 1.5, n = 100 and 200)
-    # runs.  v9 moved all of them (four ring windows a row, on both lines).
+    # runs.  v10 moved all of them (eight ring windows a row below
+    # alpha = 1.8, on both lines); the values are the per-path oracle's.
     # exp and the FFT may round differently on another platform, hence
     # 1e-12, far below what a moved stream changes
     _IID_AND_CIRCULANT = {
         (1.0, "HALF_LINE", 0.5): [
-            6221.8347350010245, 5855.0214959658615, 5300.483659906863,
-            2.131476641572563, 2.0196128929351245, 2.5535545420910433,
+            6107.440815760247, 5736.228096407426, 5278.014154825809,
+            2.1224501367823567, 1.858196889766426, 2.6087897362867314,
         ],
         (1.0, "HALF_LINE", 2.0): [
-            3251.4205174390618, 3089.7841769684246, 2909.387162825062,
-            1.3005682069756237, 0.015164910404771114, 1.2708455287534957, 1.3302908851977517,
+            3281.062766920259, 3109.561543652313, 2945.022962221635,
+            1.3124251067681034, 0.02273207324821385, 1.2678710619076778, 1.356979151628529,
         ],
         (1.0, "FULL_LINE", 0.5): [
-            8948.180831636102, 8316.832271505871, 7458.177550340174, 3.366724005561276,
-            2.9675679865480387, 3.5838695102728217,
+            8590.189054369519, 8019.957531655941, 7233.266388653578, 3.031061108158581,
+            2.73054013285453, 3.6171599413822615,
         ],
         (1.0, "FULL_LINE", 2.0): [
-            3795.6621359234787, 3525.7610080459003, 3205.7944006241514, 1.518264854369389,
-            0.01660634397508016, 1.4857170182633483, 1.5508126904754298,
+            3776.7493185687877, 3524.2241677992165, 3221.330196837274, 1.5106997274275182,
+            0.0177732411330008, 1.4758648149182907, 1.5455346399367458,
         ],
         (1.5, "HALF_LINE", 0.5): [
-            4491.81227932431, 4381.415430476621, 4180.59985041109,
-            1.603092238280814, 1.5025935176489886, 1.7247294804171163,
+            4741.772984650609, 4636.517979346217, 4428.746503149981,
+            1.6759855452871553, 1.5253982162253354, 2.0340967839823487,
         ],
         (1.5, "HALF_LINE", 2.0): [
-            3003.8444337400138, 2944.5720002087264, 2863.239335558378,
-            1.2015377734960049, 0.01020277385612748, 1.181540704195588, 1.2215348427964217,
+            3049.4096966565767, 2991.7000888950383, 2911.478054909015,
+            1.2197638786626304, 0.015493715385644867, 1.1893967545200523, 1.2501310028052084,
         ],
         (1.5, "FULL_LINE", 0.5): [
-            5979.827602258583, 5789.648935918143, 5532.959808195197, 2.1796575678121926,
-            2.1031705710942576, 2.5034819850271157,
+            5700.839673115739, 5514.673730189236, 5252.640631924867, 2.0904319875722175,
+            1.9295610952987492, 2.2084520664370375,
         ],
         (1.5, "FULL_LINE", 2.0): [
-            3437.4842939007553, 3336.740608538868, 3174.548316441241, 1.3749937175603038,
-            0.014877216741461063, 1.3458349085568437, 1.4041525265637638,
+            3431.1366717074816, 3326.014077210148, 3170.4904260188523, 1.3724546686829904,
+            0.0136614353298649, 1.3456787474593321, 1.3992305899066486,
         ],
     }
 
@@ -323,14 +327,15 @@ class TestStreamContract:
 
     def test_half_line_variants_0_and_1_are_v7s_replications(self):
         # v7's half-line replications 2 and 3 (its second window and its
-        # flip) at these configs, as v7 pinned them: v9's replications 8 and
-        # 9 at alpha = 0.5 (ring window 2, which starts where v7's second
-        # window did) and 16 and 17 at alpha = 1 (window 0 of stream row 1,
-        # bit for bit v8's first window of that row)
-        kw = dict(d=0.7, domain=Domain.HALF_LINE, delta=0.05, horizon=2.0, replications=18,
+        # flip) at these configs, as v7 pinned them: v10's replications 16
+        # and 17 at alpha = 0.5 (ring window 4 of stream row 0, v9's window
+        # 2, which starts where v7's second window did) and 32 and 33 at
+        # alpha = 1 (window 0 of stream row 1, bit for bit v8's first
+        # window of that row)
+        kw = dict(d=0.7, domain=Domain.HALF_LINE, delta=0.05, horizon=2.0, replications=34,
                   seed=20260810)
-        v7 = {0.5: (8, [[1.0, 1.0], [2.1361635961487466, 1.9146873520021739]]),
-              1.0: (16, [[1.0, 1.0], [1.1652798761941303, 1.1652798761941303]])}
+        v7 = {0.5: (16, [[1.0, 1.0], [2.1361635961487466, 1.9146873520021739]]),
+              1.0: (32, [[1.0, 1.0], [1.1652798761941303, 1.1652798761941303]])}
         for alpha, (r, rows) in v7.items():
             table = _simulate_functionals(EstimatorConfig(alpha=alpha, **kw), [1, 2])
             assert table[r : r + 2].tolist() == [pytest.approx(row, rel=1e-12) for row in rows]
@@ -359,6 +364,28 @@ class TestStreamContract:
             recs = subsampled_functionals(window_path(cfg, p, block=2), cfg.d, cfg.domain,
                                           [1, 2, 3])
             assert [rec.functional for rec in recs] == list(table[vs * p])
+
+    @pytest.mark.parametrize("alpha,domain", _SIGN_GRIDS,
+                             ids=lambda x: getattr(x, "value", x))
+    def test_even_windows_are_v9s_windows(self, alpha, domain):
+        # below alpha = 1.8 ring window 2k of a stream row starts at
+        # floor(2k width / 8) = floor(k width / 4), where contract v9's
+        # window k did: each of its variants is v9's replication of that
+        # window, bit for bit, read by the oracle with four windows a row
+        cfg = EstimatorConfig(alpha=alpha, d=0.7, domain=domain, delta=0.05,
+                              horizon=2.0, replications=1, seed=14)
+        vs, ws = self._variants(cfg), ring_windows(alpha)
+        assert ws == 8
+        cfg = dataclasses.replace(cfg, replications=3 * ws * vs)
+        table = _simulate_functionals(cfg, [1, 2, 3])
+        for row in range(3):
+            for k in range(4):
+                v9 = window_path(cfg, 4 * row + k, windows=4)
+                for variant in range(vs):
+                    v9.variant = variant
+                    recs = subsampled_functionals(v9, cfg.d, cfg.domain, [1, 2, 3])
+                    assert [rec.functional for rec in recs] == list(
+                        table[(ws * row + 2 * k) * vs + variant])
 
     @pytest.mark.parametrize("alpha,domain", _SIGN_GRIDS,
                              ids=lambda x: getattr(x, "value", x))
@@ -416,38 +443,42 @@ class TestStreamContract:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_count_inside_a_half_line_row_is_a_prefix(self, alpha):
         # a half-line count that ends at each variant of each of a row's
-        # four windows (16 k + 1, ..., 16 k + 15), odd and even, is the first
-        # rows of the run that fills the row, at short and block-crossing
-        # counts (blocks of 1024 or 2048 rows)
+        # windows (u k + 1, ..., u k + u - 1, u = 32 paths a row), odd and
+        # even, is the first rows of the run that fills the row, at short
+        # and block-crossing counts (blocks of 1024 or 2048 rows)
         kw = dict(alpha=alpha, d=0.7, domain=Domain.HALF_LINE, delta=0.05, horizon=2.0,
                   seed=9)
+        u = _row_unit(EstimatorConfig(replications=1, **kw))
         for k in (0, 1, 2, 3, 64, 129, 1023, 2049):
-            full = _simulate_functionals(EstimatorConfig(replications=16 * k + 16, **kw),
+            full = _simulate_functionals(EstimatorConfig(replications=u * k + u, **kw),
                                          [1, 2], threads=2)
-            for extra in range(1, 16):
+            for extra in range(1, u):
                 short = _simulate_functionals(
-                    EstimatorConfig(replications=16 * k + extra, **kw), [1, 2])
-                assert np.array_equal(short, full[: 16 * k + extra]), (k, extra)
+                    EstimatorConfig(replications=u * k + extra, **kw), [1, 2])
+                assert np.array_equal(short, full[: u * k + extra]), (k, extra)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_half_line_window_0_is_v8s_first_window(self, alpha):
         # window 0 of every half-line stream row, its four variants at
-        # replications 16 e .. 16 e + 3, is bit for bit contract v8's first
-        # window of row e: the plain cumulation of the ring's first n
-        # increments, rescaled, as v8's oracle formed it, across blocks
+        # replications u e .. u e + 3 (u = 4 W paths a row), is bit for bit
+        # contract v8's first window of row e: the plain cumulation of the
+        # ring's first n increments, rescaled, as v8's oracle formed it,
+        # across blocks
         kw = dict(alpha=alpha, d=0.7, domain=Domain.HALF_LINE, delta=0.05, horizon=2.0,
                   seed=12)
         cfg = EstimatorConfig(replications=1, **kw)
         block = block_rows(_row_map(alpha, *cfg.side_counts()).width)
-        cfg = EstimatorConfig(replications=16 * (block + 2) - 5, **kw)
+        windows = ring_windows(alpha)
+        u = 4 * windows
+        cfg = EstimatorConfig(replications=u * (block + 2) - 5, **kw)
         table = _simulate_functionals(cfg, [1, 2, 3], threads=2)
         for row in (0, 1, block - 1, block, block + 1):
-            plain = cumulated_path(cfg, window_fgn(cfg, 4 * row))
+            plain = cumulated_path(cfg, window_fgn(cfg, windows * row))
             assert plain.lifted is None
             for variant in range(4):
                 plain.variant = variant
                 recs = subsampled_functionals(plain, cfg.d, cfg.domain, [1, 2, 3])
-                assert np.array_equal([rec.functional for rec in recs], table[16 * row + variant])
+                assert np.array_equal([rec.functional for rec in recs], table[u * row + variant])
 
     @pytest.mark.parametrize("alpha,domain", _SIGN_GRIDS,
                              ids=lambda x: getattr(x, "value", x))
@@ -476,11 +507,11 @@ class TestStreamContract:
     @pytest.mark.parametrize("alpha,domain", _SIGN_GRIDS,
                              ids=lambda x: getattr(x, "value", x))
     def test_one_and_two_threads_agree(self, alpha, domain, pool_sizes):
-        # a run of several blocks (at least two, of 1024 or 2048 rows of 8
-        # or 16) and an odd count, so that the last row is short, is
+        # a run of several blocks (at least two, of 1024 or 2048 rows of up
+        # to 32) and an odd count, so that the last row is short, is
         # bit-identical at one and two threads
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=domain, delta=0.05,
-                              horizon=2.0, replications=16 * 2048 + 7, seed=11)
+                              horizon=2.0, replications=32 * 2048 + 7, seed=11)
         assert np.array_equal(_simulate_functionals(cfg, [1, 3]),
                               _simulate_functionals(cfg, [1, 3], threads=2))
         assert pool_sizes == [2]
@@ -625,8 +656,9 @@ class TestBatchPlan:
         for reps in (1, 7, 100, 10**4, 10**6, 10**8):
             for threads in (1, 2, 4):
                 plan = _batch_plan(reps, _rmap(n, width, embedded), threads, 1)
+                # the run's batch rows, whatever the worker count
                 assert plan.rows <= rows
-                assert plan.rows == min(rows, max(hi - lo for lo, hi in plan.shares))
+                assert plan.rows == min(rows, plan.shares[-1][1])
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     @pytest.mark.parametrize("reps", [1, 7, 64, 65, 320, 1000, 4099, 8193])
@@ -646,14 +678,14 @@ class TestBatchPlan:
     def test_workers_capped_at_the_cpus(self, monkeypatch):
         # 5000 threads on 2 CPUs: 2 shares and 2 buffer sets, not 5000 of
         # each (5.13 GiB at the uncapped plan); the cap leaves shares whole.
-        # 1.6 * 10^8 replications are 10^7 half-line iid rows of sixteen
+        # 10^7 half-line iid rows of rmap.paths replications each
         rmap = _row_map(1.0, 0, 2120)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(estimator, "_cpu_count", lambda: cpus)
-            plan = _batch_plan(16 * 10**7, rmap, 5000, 1)
+            plan = _batch_plan(rmap.paths * 10**7, rmap, 5000, 1)
             assert len(plan.shares) == cpus
             assert plan.shares[0][0] == 0 and plan.shares[-1][1] == 10**7
-            assert plan.nbytes == (32 * 2121 + 128 * 10**7
+            assert plan.nbytes == (32 * 2121 + 8 * rmap.paths * 10**7
                                    + cpus * plan.rows * _row_bytes(rmap))
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert len(_batch_plan(1024, _rmap(100, 2048, True), 5000, 1).shares) == 1
@@ -749,20 +781,20 @@ class TestBatchPlan:
         assert 0.5 * counted <= peak <= 1.1 * counted
 
     def test_plan_bytes_cover_batch_buffers(self):
-        # the gap study's grid on two workers of one 4-row batch each (128
-        # replications, sixteen a row), and the full line's grid of the same
-        # n (64 replications, eight a row): once a first run has cached the
-        # spectrum and made numpy's lazy imports, the measured peak is the
-        # variant table's steps (four, or two on the full line), the output
-        # table and the buffers, with the ring's prefix sums in the
-        # half-spectrum buffer (a separate buffer would add 2.9 MB), each
-        # window's field in the normals buffer and the variants in place.
-        # What the plan does not count stays below one step: a drift kept
-        # beside the table would add n + 1 floats.
+        # the gap study's grid on two workers of one 4-row batch each (256
+        # replications, 32 a row), and the full line's grid of the same n
+        # (128 replications, 16 a row): once a first run has cached the
+        # spectrum and made numpy's lazy imports, and with the kept buffers
+        # dropped, the measured peak is the variant table's steps (four, or
+        # two on the full line), the output table and the buffers, with the
+        # ring's prefix sums in the half-spectrum buffer (a separate buffer
+        # would add 2.9 MB), each window's field in the normals buffer and
+        # the variants in place.  What the plan does not count stays below
+        # one step: a drift kept beside the table would add n + 1 floats.
         import tracemalloc
 
-        for domain, horizon, reps in ((Domain.HALF_LINE, 449.76, 128),
-                                      (Domain.FULL_LINE, 224.88, 64)):
+        for domain, horizon, reps in ((Domain.HALF_LINE, 449.76, 256),
+                                      (Domain.FULL_LINE, 224.88, 128)):
             cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=domain, delta=0.01,
                                   horizon=horizon, replications=reps, seed=3)
             rmap = _row_map(cfg.alpha, *cfg.side_counts())
@@ -773,6 +805,7 @@ class TestBatchPlan:
             assert _row_bytes(rmap) == 8 * m + 16 * (m // 2 + 1)
             counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
             first = _simulate_functionals(cfg, [1], threads=2)
+            estimator._FREE.clear()
             tracemalloc.start()
             try:
                 again = _simulate_functionals(cfg, [1], threads=2)
@@ -904,7 +937,7 @@ class TestEstimateConstant:
         assert res.stderr is None
 
     def test_deterministic_across_thread_counts(self, pool_sizes):
-        cfg = self._config(replications=64000)  # four blocks of 1024 rows of sixteen
+        cfg = self._config(replications=128000)  # four blocks of 1024 rows of 32
         r1 = estimate_constant(cfg, threads=1)
         r4 = estimate_constant(cfg, threads=4)
         assert r1 == r4
@@ -917,17 +950,17 @@ class TestEstimateConstant:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_batched_matches_per_path_pipeline(self, alpha, domain, threads,
                                                monkeypatch):
-        # blocks of two rows in batches of four: 33 replications are 17 iid
-        # rows on the full line and 9 on the half line, or 9 and 5 embedding
-        # rows, each run's last row keeping one replication; either way a
-        # later batch starts on a block boundary and the last block is
-        # short.  The engine must reproduce the per-path oracle and
-        # the public path sampler (a row's first window) bit-for-bit,
-        # including the alpha = 1 shortcut.
+        # blocks of two rows in batches of four: 8 rows and one replication
+        # (129 on the full line, 257 on the half line) are 9 stream rows,
+        # the last keeping one replication, so a later batch starts on a
+        # block boundary and the last block is short.  The engine must
+        # reproduce the per-path oracle and the public path sampler (a
+        # row's first window) bit-for-bit, including the alpha = 1 shortcut.
         monkeypatch.setattr(estimator, "_block_rows", lambda width: 2)
         monkeypatch.setattr(estimator, "_batch_rows", lambda rmap: 4)
         cfg = EstimatorConfig(alpha=alpha, d=0.3, domain=domain,
-                              delta=0.3, horizon=3.0, replications=33, seed=99)
+                              delta=0.3, horizon=3.0, replications=1, seed=99)
+        cfg = dataclasses.replace(cfg, replications=8 * _row_unit(cfg) + 1)
         table = _simulate_functionals(cfg, strides=[1, 2, 3], threads=threads)
         neg, pos = cfg.side_counts()
         rmap = _row_map(alpha, neg, pos)
@@ -945,11 +978,11 @@ class TestEstimateConstant:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_real_fft_floor_matches_oracle(self, threads):
         # nothing patched: m = 34560 gives blocks of 2 rows and the 4-row
-        # FFT floor, so 65 replications, 9 half-line stream rows of eight,
-        # are batches of 4, 4 and 1 rows on one thread and blocks [0, 2) and
-        # [2, 5) on two
+        # FFT floor, so 257 replications, 9 half-line stream rows of 32, the
+        # last holding one, are batches of 4, 4 and 1 rows on one thread and
+        # blocks [0, 2) and [2, 5) on two
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.HALF_LINE, delta=0.01,
-                              horizon=170.0, replications=65, seed=41)
+                              horizon=170.0, replications=257, seed=41)
         n = sum(cfg.side_counts())
         m = _next_fast_len(2 * n)
         assert (n, m, _block_rows(m), _batch_rows(_rmap(n, m, True))) == (17000, 34560, 2, 4)
@@ -978,18 +1011,18 @@ class TestEstimateConstant:
         # alpha = 1 has iid increments, so a stream row's ring is row r mod B
         # of block r // B, with no embedding in between: block b is B rows
         # of n normals drawn in one call from SFC64 seeded by child b of the
-        # seed's SeedSequence.  Replication 4 V r is the penalized sup of
+        # seed's SeedSequence.  Replication W V r is the penalized sup of
         # ring window 0, the row's prefix sums rescaled and less their value
-        # at the anchor, and 4 V r + 1 that of its sign flip (V = 2 on the
-        # full line, 4 on the half line); replication V (4 r + p) is that of
-        # window p, the row read cyclically from floor(p n / 4), to rounding.
-        # The run ends in a short block.
+        # at the anchor, and W V r + 1 that of its sign flip (V = 2 on the
+        # full line, 4 on the half line; W = 8 windows); replication
+        # V (W r + p) is that of window p, the row read cyclically from
+        # floor(p n / W), to rounding.  The run ends in a short block.
         neg, pos = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
                                    horizon=2.0, replications=1, seed=31).side_counts()
         n = neg + pos
-        block, vs = _block_rows(n), _row_map(1.0, neg, pos).variants
+        block, vs, ws = _block_rows(n), _row_map(1.0, neg, pos).variants, ring_windows(1.0)
         cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.05,
-                              horizon=2.0, replications=4 * vs * (block + 5), seed=31)
+                              horizon=2.0, replications=ws * vs * (block + 5), seed=31)
         table = _simulate_functionals(cfg, strides=[1], threads=1)
         blocks = [
             np.random.Generator(np.random.SFC64(child)).standard_normal((block, n))
@@ -1002,12 +1035,12 @@ class TestEstimateConstant:
             z = blocks[r // block][r % block]
             lifted = np.concatenate([[0.0], np.cumsum(z)]) * cfg.delta ** 0.5 * math.sqrt(2.0)
             field = (lifted - lifted[neg]) - drift
-            assert table[4 * vs * r, 0] == np.exp(field[first:].max())
-            assert table[4 * vs * r + 1, 0] == np.exp(-(field + 2.0 * drift)[first:].min())
-            for p in range(4):
-                values = np.concatenate([[0.0], np.cumsum(np.roll(z, -(p * n // 4)))])
+            assert table[ws * vs * r, 0] == np.exp(field[first:].max())
+            assert table[ws * vs * r + 1, 0] == np.exp(-(field + 2.0 * drift)[first:].min())
+            for p in range(ws):
+                values = np.concatenate([[0.0], np.cumsum(np.roll(z, -(p * n // ws)))])
                 field = math.sqrt(2.0) * (cfg.delta ** 0.5 * (values - values[neg])) - drift
-                assert table[vs * (4 * r + p), 0] == pytest.approx(np.exp(field[first:].max()),
+                assert table[vs * (ws * r + p), 0] == pytest.approx(np.exp(field[first:].max()),
                                                                    rel=1e-12, abs=0.0)
 
     def test_brownian_deterministic_across_threads_and_batches(self):
@@ -1020,11 +1053,11 @@ class TestEstimateConstant:
         assert np.array_equal(t1, t2)
 
     def test_embedded_deterministic_across_threads_and_batches(self, pool_sizes):
-        # n = 20 increments embed in m = 40, eight replications a row, so
+        # n = 20 increments embed in m = 40, sixteen replications a row, so
         # this is two batches and a short third, run by two and three
         # workers that each reuse one set of buffers
         cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
-                           horizon=0.5, replications=16 * _batch_rows(_rmap(20, 40, True)) + 9)
+                           horizon=0.5, replications=32 * _batch_rows(_rmap(20, 40, True)) + 9)
         assert _row_map(cfg.alpha, *cfg.side_counts()).width == 40
         t1 = _simulate_functionals(cfg, [1, 3], threads=1)
         for threads in (2, 3):
@@ -1051,7 +1084,7 @@ class TestEstimateConstant:
                 assert [rec.functional for rec in recs] == list(table[r])
 
     def test_small_run_splits_over_workers(self, monkeypatch):
-        # 64000 replications are 4000 rows of width 100, four blocks of 1024
+        # 128000 replications are 4000 rows of width 100, four blocks of 1024
         # rows, the last one short, and a batch is one block; two threads
         # take two contiguous blocks each and give the one-thread result.
         # Each share waits at its first block until the other share has
@@ -1066,7 +1099,7 @@ class TestEstimateConstant:
                 both_started.wait()
             fill(seed, z, first, block)
 
-        cfg = self._config(replications=64000)
+        cfg = self._config(replications=128000)
         assert sum(cfg.side_counts()) == 100 and _batch_rows(_rmap(100, 100, False)) == 1024
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
@@ -1131,7 +1164,7 @@ class TestEstimateConstant:
     def test_pool_capped_at_the_cpus(self, monkeypatch, pool_sizes):
         # the pool stand-in records its size: 5000 threads on 2 CPUs ask
         # for 2 workers, and give the one-thread table
-        cfg = self._config(replications=64000)  # four blocks of 1024 rows of sixteen
+        cfg = self._config(replications=128000)  # four blocks of 1024 rows of 32
         t1 = _simulate_functionals(cfg, [1, 2])
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=5000))
@@ -1139,10 +1172,10 @@ class TestEstimateConstant:
 
     # "dense" names the short circulant grid (n = 200) that v5 mapped densely
     @pytest.mark.parametrize("kind,kw", [
-        ("iid", dict(replications=64000)),
-        pytest.param("circulant", dict(alpha=1.5, domain=Domain.FULL_LINE, replications=8192),
+        ("iid", dict(replications=128000)),
+        pytest.param("circulant", dict(alpha=1.5, domain=Domain.FULL_LINE, replications=16384),
                      id="dense-kw1"),
-        ("circulant", dict(alpha=0.5, horizon=15.0, replications=8800)),
+        ("circulant", dict(alpha=0.5, horizon=15.0, replications=17600)),
     ])
     def test_row_operator_built_once_on_calling_thread(self, monkeypatch, kind, kw):
         # two workers and several batches each: the run builds its operator
@@ -1256,7 +1289,7 @@ class TestStageSeams:
     def test_engine_stages_once_per_batch(self, monkeypatch, kind, alpha, horizon, threads):
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.FULL_LINE, delta=0.05,
-                              horizon=horizon, replications=12000, seed=5)
+                              horizon=horizon, replications=24000, seed=5)
         rmap = _row_map(alpha, *cfg.side_counts())
         assert rmap.kind == kind
         plan = _batch_plan(cfg.replications, rmap, threads, 1)
@@ -1302,10 +1335,11 @@ class _UnitNormals:
 class TestDenseRows:
     """The grids that stream contract v5 drew from a dense Schur-Cholesky
     map, 2 <= n <= 255 increments at alpha != 1.  Since v6 they are circulant
-    rows like any longer grid: m = _next_fast_len(2n) normals, four windows."""
+    rows like any longer grid: m = _next_fast_len(2n) normals, read as a
+    ring."""
 
     def _config(self, **kw):
-        # n = 80 increments in m = 160, blocks of 512 rows of four windows
+        # n = 80 increments in m = 160, blocks of 512 rows of eight windows
         base = dict(alpha=0.5, d=0.7, domain=Domain.FULL_LINE, delta=0.05,
                     horizon=2.0, replications=2 * 1024 + 3, seed=23)
         base.update(kw)
@@ -1325,16 +1359,16 @@ class TestDenseRows:
         z[:] = np.eye(m)
         prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, m)
         expected = _cholesky_path_covariance(alpha, neg, pos)
-        for window in range(4):  # window 3 runs past the ring's end
+        for window in range(rmap.windows):  # the last window runs past the ring's end
             a = _window(rmap, prefix, window, flat)  # row i: the path of unit vector i
             np.testing.assert_allclose(a.T @ a, expected, rtol=1e-10,
                                        atol=1e-12 * np.abs(expected).max())
 
     def test_bit_identical_across_threads_batchings_and_counts(self, monkeypatch, pool_sizes):
-        # three and a bit blocks of 512 rows of eight replications: one, two
-        # and three workers, batches of one block and of two, and a count
-        # that ends the run mid-block
-        cfg = self._config(replications=12 * 1024 + 280)
+        # three and a bit blocks of 512 rows of sixteen replications: one,
+        # two and three workers, batches of one block and of two, and a
+        # count that ends the run mid-block
+        cfg = self._config(replications=24 * 1024 + 560)
         assert _block_rows(_row_map(cfg.alpha, *cfg.side_counts()).width) == 512
         reference = _simulate_functionals(cfg, [1, 2], threads=1)
         for threads in (2, 3):
@@ -1343,7 +1377,7 @@ class TestDenseRows:
                             lambda rmap: 2 * _block_rows(rmap.width))
         for threads in (1, 2, 3):
             assert np.array_equal(reference, _simulate_functionals(cfg, [1, 2], threads=threads))
-        for reps in (1, 5, 4 * 1024 + 3, 12 * 1024 + 33):
+        for reps in (1, 5, 8 * 1024 + 3, 24 * 1024 + 33):
             short = _simulate_functionals(self._config(replications=reps), [1, 2], threads=2)
             assert np.array_equal(short, reference[:reps])
         assert max(pool_sizes) == 3
@@ -1364,7 +1398,8 @@ class TestPathSampler:
         for r in (0, 3):
             unit = sample_two_sided_path(cfg.alpha, neg, pos,
                                          replication_stream(cfg.seed, r, m, block_rows(m)))
-            expected = window_path(cfg, 4 * r).values / cfg.delta ** (cfg.alpha / 2)
+            path = window_path(cfg, ring_windows(cfg.alpha) * r)
+            expected = path.values / cfg.delta ** (cfg.alpha / 2)
             assert unit[neg] == 0.0
             np.testing.assert_allclose(unit, expected, rtol=1e-12, atol=1e-14)
         a = np.array([sample_two_sided_path(cfg.alpha, neg, pos, _UnitNormals(i))
@@ -1407,37 +1442,40 @@ class TestPathSampler:
 
 
 class TestAggregation:
-    # a row's four ring windows give a path and its flip each, and on the
-    # half line also their reversals: sixteen replications a row there,
-    # eight on the full line
-    UNITS = [(Domain.HALF_LINE, 16), (Domain.FULL_LINE, 8)]
+    # a row's eight ring windows give a path and its flip each, and on the
+    # half line also their reversals: 32 replications a row there, 16 on
+    # the full line
+    UNITS = [(domain, _row_unit(EstimatorConfig(alpha=1.0, d=2.0, domain=domain, delta=0.1,
+                                                horizon=1.0, replications=1, seed=0)))
+             for domain in (Domain.HALF_LINE, Domain.FULL_LINE)]
 
     def _config(self, d, domain=Domain.HALF_LINE):
         return EstimatorConfig(alpha=1.0, d=d, domain=domain,
                                delta=0.1, horizon=1.0, replications=48, seed=0)
 
     def test_median_of_means_known_blocks(self):
-        # 192 values, half line: 12 blocks of 16, block means 8.5, 24.5,
-        # ..., 184.5, median = 96.5, CI = 3rd and 10th order statistics;
-        # full line: 24 blocks of 8, block means 4.5, 12.5, ..., 188.5,
-        # median = 96.5, CI = 7th and 18th order statistics
+        # 192 values, half line: 6 blocks of 32, block means 16.5, 48.5,
+        # ..., 176.5, median = 96.5, CI = 1st and 6th order statistics;
+        # full line: 12 blocks of 16, block means 8.5, 24.5, ..., 184.5,
+        # median = 96.5, CI = 3rd and 10th order statistics
+        assert self.UNITS == [(Domain.HALF_LINE, 32), (Domain.FULL_LINE, 16)]
         values = np.arange(1.0, 193.0)
         res = _aggregate(values, self._config(d=0.5))
         assert res.estimate == 96.5
-        assert res.ci_low == 40.5
-        assert res.ci_high == 152.5
+        assert res.ci_low == 16.5
+        assert res.ci_high == 176.5
         assert res.method == "median-of-means"
         res = _aggregate(values, self._config(d=0.5, domain=Domain.FULL_LINE))
         assert res.estimate == 96.5
-        assert res.ci_low == 52.5
-        assert res.ci_high == 140.5
+        assert res.ci_low == 40.5
+        assert res.ci_high == 152.5
         assert res.method == "median-of-means"
 
     @pytest.mark.parametrize("infs", [0, 1, 13], ids=["finite", "one-inf", "inf-majority"])
     def test_median_of_means_is_np_median(self, infs):
         # the median read off the sorted block means is np.median's, bit for
         # bit, at every block count, odd and even, and with +inf block means;
-        # blocks hold whole rows of sixteen (half line) or eight (full line)
+        # blocks hold whole rows of 32 (half line) or 16 (full line)
         rng = np.random.default_rng(5)
         for domain, unit in self.UNITS:
             for blocks in range(1, 25):
@@ -1493,67 +1531,57 @@ class TestAggregation:
 
     @pytest.mark.parametrize("alpha,kind", [(1.0, "iid")])
     def test_iid_pair_stderr_is_the_row_stderr(self, alpha, kind):
-        # half-line iid rows hold four ring windows, each with its sign flip
-        # and their reversals: the reported stderr is that of the means of
-        # the G rows of sixteen, std(ddof=1) / sqrt(G) where 16 divides the
-        # count, and otherwise the short last row counts as a row
-        cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE, delta=0.05,
-                              horizon=5.0, replications=608, seed=2)
-        assert _row_map(alpha, *cfg.side_counts()).kind == kind
-        assert _row_map(alpha, *cfg.side_counts()).paths == 16
-        values = _simulate_functionals(cfg, [1])[:, 0]
-        rows = values.reshape(38, 16).mean(axis=1)
-        res = _aggregate(values, cfg)
-        assert res.stderr == _std_error(values, 16)
-        assert res.stderr == pytest.approx(rows.std(ddof=1) / math.sqrt(38), rel=1e-12)
-        assert res.stderr != _std_error(values, 1)
-        for reps in (593, 594, 601, 607):
-            short = dataclasses.replace(cfg, replications=reps)
-            sums = np.append(values[:592].reshape(37, 16).sum(axis=1), values[592:reps].sum())
-            sums -= np.append(np.full(37, 16.0), reps - 592) * values[:reps].mean()
-            expected = math.sqrt(38 / 37 * float(np.square(sums).sum())) / reps
-            assert _aggregate(values[:reps], short).stderr == pytest.approx(expected, rel=1e-12)
-        # full-line iid rows hold four windows and their sign flips: the
-        # stderr of the means of rows of eight where 8 divides the count,
-        # and at an odd one the short last row counts as a row
-        cfg = dataclasses.replace(cfg, domain=Domain.FULL_LINE, replications=304)
-        assert _row_map(alpha, *cfg.side_counts()).kind == kind
-        assert _row_map(alpha, *cfg.side_counts()).paths == 8
-        values = _simulate_functionals(cfg, [1])[:, 0]
-        rows = values.reshape(38, 8).mean(axis=1)
-        res = _aggregate(values, cfg)
-        assert res.stderr == _std_error(values, 8)
-        assert res.stderr == pytest.approx(rows.std(ddof=1) / math.sqrt(38), rel=1e-12)
-        assert res.stderr != _std_error(values, 1)
-        odd = dataclasses.replace(cfg, replications=301)
-        sums = np.append(values[:296].reshape(37, 8).sum(axis=1), values[296:301].sum())
-        sums -= np.append(np.full(37, 8.0), 5.0) * values[:301].mean()
-        expected = math.sqrt(38 / 37 * float(np.square(sums).sum())) / 301
-        assert _aggregate(values[:301], odd).stderr == pytest.approx(expected, rel=1e-12)
+        # half-line iid rows hold eight ring windows, each with its sign
+        # flip and their reversals: the reported stderr is that of the
+        # means of the G rows of u = 32, std(ddof=1) / sqrt(G) where u
+        # divides the count, and otherwise the short last row counts as a
+        # row; full-line rows hold the windows and their sign flips, u = 16
+        for domain in Domain:
+            cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=domain, delta=0.05,
+                                  horizon=5.0, replications=1, seed=2)
+            u = _row_unit(cfg)
+            assert _row_map(alpha, *cfg.side_counts()).kind == kind
+            assert u == ring_windows(alpha) * (4 if domain is Domain.HALF_LINE else 2)
+            cfg = dataclasses.replace(cfg, replications=38 * u)
+            values = _simulate_functionals(cfg, [1])[:, 0]
+            rows = values.reshape(38, u).mean(axis=1)
+            res = _aggregate(values, cfg)
+            assert res.stderr == _std_error(values, u)
+            assert res.stderr == pytest.approx(rows.std(ddof=1) / math.sqrt(38), rel=1e-12)
+            assert res.stderr != _std_error(values, 1)
+            for reps in (37 * u + 1, 37 * u + 2, 37 * u + 9, 38 * u - 1):
+                short = dataclasses.replace(cfg, replications=reps)
+                sums = np.append(values[: 37 * u].reshape(37, u).sum(axis=1),
+                                 values[37 * u : reps].sum())
+                sums -= np.append(np.full(37, float(u)), reps - 37 * u) * values[:reps].mean()
+                expected = math.sqrt(38 / 37 * float(np.square(sums).sum())) / reps
+                assert _aggregate(values[:reps], short).stderr == pytest.approx(expected,
+                                                                                rel=1e-12)
 
     def test_short_circulant_grid_reports_the_row_stderr(self):
-        # n = 100 at alpha = 1.5 embeds like any longer grid: four ring
+        # n = 100 at alpha = 1.5 embeds like any longer grid: eight ring
         # windows, their flips and, on the half line, their reversals,
-        # sixteen paths a row, so the reported stderr is over the 19 rows,
-        # not the paths
+        # 32 paths a row, so the reported stderr is over the 19 rows, not
+        # the paths
         cfg = EstimatorConfig(alpha=1.5, d=2.0, domain=Domain.HALF_LINE, delta=0.05,
-                              horizon=5.0, replications=301, seed=2)
-        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 16
+                              horizon=5.0, replications=601, seed=2)
+        u = _row_unit(cfg)
+        assert u == 32 and -(-cfg.replications // u) == 19
         values = _simulate_functionals(cfg, [1])[:, 0]
-        assert _aggregate(values, cfg).stderr == _std_error(values, 16) != _std_error(values, 1)
+        assert _aggregate(values, cfg).stderr == _std_error(values, u) != _std_error(values, 1)
 
     @pytest.mark.parametrize("reps", [3, 25, 47, 48, 49, 101, 1000, 4001])
     def test_median_of_means_blocks_hold_whole_rows(self, reps):
-        # half-line circulant rows (n = 300) hold sixteen replications:
+        # half-line circulant rows (n = 300) hold u = 32 replications:
         # min(24, G) blocks of whole rows, cut where np.array_split cuts the
         # G rows, so no block splits a row (a short count's last row keeps
         # its first paths)
         cfg = EstimatorConfig(alpha=0.5, d=0.5, domain=Domain.HALF_LINE, delta=0.01,
                               horizon=3.0, replications=reps, seed=0)
-        assert _row_map(cfg.alpha, *cfg.side_counts()).paths == 16
+        u = _row_unit(cfg)
         values = 1.0 + np.random.default_rng(reps).pareto(0.7, reps)
-        rows = np.array_split(np.arange(-(-reps // 16)), min(24, -(-reps // 16)))
-        blocks = [values[16 * r[0] : 16 * r[-1] + 16] for r in rows]
+        rows = np.array_split(np.arange(-(-reps // u)), min(24, -(-reps // u)))
+        blocks = [values[u * r[0] : u * r[-1] + u] for r in rows]
         assert sum(map(len, blocks)) == reps
         means = np.sort([b.mean() for b in blocks])
         res = _aggregate(values, cfg)
@@ -1569,23 +1597,24 @@ class TestAggregation:
         # window's path and its reversal; each path's sign flip is
         # negatively correlated with it (rho about -0.25 at alpha = 1,
         # d = 4), so the per-path stderr misstates the spread of estimates.
-        # Over K independent runs of 400 replications (25 whole rows of one
-        # table) the stderr the estimator reports matches the runs' spread
-        # within 10%, for half-line rows of sixteen paths, circulant
-        # (alpha = 1.9) and iid (alpha = 1), and the per-path one does not.
-        # The alpha = 1 case takes d = 4, where the per-path stderr is off
-        # by about 14%, and K = 1600 runs, so that the spread's own noise
-        # (about 2%) stays clear of the 10%
+        # Over K independent runs of 25 whole rows of one table the stderr
+        # the estimator reports matches the runs' spread within 10%, for
+        # half-line rows of 16 paths, circulant (alpha = 1.9), and of 32,
+        # iid (alpha = 1), and the per-path one does not.  The alpha = 1
+        # case takes d = 4, where the per-path stderr is off by more than
+        # 10%, and K = 1600 runs, so that the spread's own noise (about 2%)
+        # stays clear of the 10%
         for alpha, delta, d, kind, n, paths, k in [
                 (1.9, 0.005, 2.0, "circulant", 1156, 16, 400),
-                (1.0, 0.01, 4.0, "iid", 2120, 16, 1600)]:
+                (1.0, 0.01, 4.0, "iid", 2120, 32, 1600)]:
+            size = 25 * paths
             cfg = EstimatorConfig(alpha=alpha, d=d, domain=Domain.HALF_LINE, delta=delta,
-                                  horizon=plan_horizon(delta, alpha), replications=k * 400,
+                                  horizon=plan_horizon(delta, alpha), replications=k * size,
                                   seed=3)
             rmap = _row_map(cfg.alpha, *cfg.side_counts())
             assert (rmap.kind, rmap.n, rmap.paths) == (kind, n, paths)
-            runs = _simulate_functionals(cfg, [1], threads=2)[:, 0].reshape(k, 400)
-            run_cfg = dataclasses.replace(cfg, replications=400)
+            runs = _simulate_functionals(cfg, [1], threads=2)[:, 0].reshape(k, size)
+            run_cfg = dataclasses.replace(cfg, replications=size)
             spread = runs.mean(axis=1).std(ddof=1)
             reported = math.sqrt(np.mean([_aggregate(r, run_cfg).stderr ** 2 for r in runs]))
             per_path = math.sqrt(np.mean([_std_error(r, 1) ** 2 for r in runs]))
@@ -1593,23 +1622,166 @@ class TestAggregation:
             assert not abs(per_path / spread - 1.0) < 0.1, alpha
 
     def test_sample_mean_known_values(self):
-        # the stderr of the 3 row means of sixteen (half line) and of the 6
-        # row means of eight (full line)
-        values = np.arange(1.0, 49.0)
+        # the stderr of the 3 row means of 32 (half line) and of the 6 row
+        # means of 16 (full line)
+        values = np.arange(1.0, 97.0)
         for domain, unit in self.UNITS:
             res = _aggregate(values, self._config(d=2.0, domain=domain))
             assert res.estimate == values.mean()
-            g = 48 // unit
+            g = 96 // unit
             expected_se = values.reshape(g, unit).mean(axis=1).std(ddof=1) / math.sqrt(g)
             assert res.stderr == pytest.approx(expected_se, rel=1e-15)
             assert res.stat_error() == res.stderr
 
 
+    def test_effective_paths_per_row(self):
+        # var(ddof=1) / (stderr^2 rows): at alpha = 0.5, delta = 0.04, d = 2
+        # on the half line a row of 32 paths is worth 36.5 independent ones
+        # at this seed (contract v9's rows of 16 measured 18.1); none is
+        # reported below 32 rows or for median-of-means
+        cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.04,
+                              horizon=plan_horizon(0.04, 0.5), replications=32000, seed=1)
+        res = estimate_constant(cfg)
+        assert (res.rows, res.paths_per_row) == (1000, 32)
+        values = _simulate_functionals(cfg, [1])[:, 0]
+        assert res.effective_paths_per_row == values.var(ddof=1) / (res.stderr ** 2 * 1000)
+        assert res.effective_paths_per_row > 30.0
+        short = dataclasses.replace(cfg, replications=32 * 31 + 1)
+        assert _aggregate(values[: short.replications], short).rows == 32
+        assert _aggregate(values[: short.replications], short).effective_paths_per_row > 0.0
+        fewer = dataclasses.replace(cfg, replications=32 * 31)
+        assert _aggregate(values[: fewer.replications], fewer).effective_paths_per_row is None
+        heavy = dataclasses.replace(cfg, d=0.5)
+        assert _aggregate(values, heavy).effective_paths_per_row is None
+
+
+class TestKeptBuffers:
+    """A run takes its batch buffers from a free list kept between runs of
+    one (row map, batch rows) and puts them back when it ends."""
+
+    @staticmethod
+    def _config(**kw):
+        # n = 300 increments in m = 600, batches of 128 rows of 32 paths
+        base = dict(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.05, horizon=15.0,
+                    replications=32 * 300 + 5, seed=4)
+        base.update(kw)
+        return EstimatorConfig(**base)
+
+    def test_concurrent_callers_get_their_own_buffers(self, monkeypatch):
+        # two user threads run the same config at once, each holding its
+        # buffers at the barrier: distinct buffers, and each table the
+        # sequential one, bit for bit
+        cfg = self._config()
+        expected = _simulate_functionals(cfg, [1, 2])
+        fill, held = estimator._fill_normals, {}
+        both_inside = threading.Barrier(2, timeout=30)
+
+        def spy(seed, z, first, block):
+            if first == 0:
+                held[threading.get_ident()] = z.__array_interface__["data"][0]
+                both_inside.wait()
+            fill(seed, z, first, block)
+
+        monkeypatch.setattr(estimator, "_fill_normals", spy)
+        tables = [None, None]
+
+        def call(i):
+            tables[i] = _simulate_functionals(cfg, [1, 2])
+
+        workers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(set(held.values())) == 2
+        assert all(np.array_equal(t, expected) for t in tables)
+
+    def test_stress_of_callers_on_two_grids(self):
+        # six user threads, more than the cores, on two grids at once and a
+        # short switch interval, so that runs take, return and evict each
+        # other's buffers mid-run: every table is its sequential one
+        import sys
+
+        configs = [self._config(replications=32 * 130 + 3),
+                   self._config(horizon=10.0, replications=32 * 70 + 1)]
+        expected = [_simulate_functionals(cfg, [1, 3]) for cfg in configs]
+        bad = []
+
+        def call(i):
+            for k in range(6):
+                j = (i + k) % 2
+                if not np.array_equal(_simulate_functionals(configs[j], [1, 3]), expected[j]):
+                    bad.append((i, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert bad == []
+
+    def test_repeated_call_allocates_no_batch_buffers(self, monkeypatch):
+        # the gap study's grid: a repeated run takes its buffers off the
+        # free list, so its traced peak is lower by all of them
+        import tracemalloc
+
+        cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
+                              horizon=449.76, replications=128, seed=3)
+        rmap = _row_map(cfg.alpha, *cfg.side_counts())
+        plan = _batch_plan(cfg.replications, rmap, 1, 5)
+        buffers = plan.rows * _row_bytes(rmap)
+        strides = [16, 8, 4, 2, 1]
+        peaks = []
+        for keep in (False, True):
+            _simulate_functionals(cfg, strides)
+            if not keep:
+                estimator._FREE.clear()
+            built = _counted(monkeypatch, estimator, "_row_buffers")
+            tracemalloc.start()
+            try:
+                _simulate_functionals(cfg, strides)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(built) == (0 if keep else 1)
+        assert peaks[0] - peaks[1] >= buffers
+
+    def test_alternating_thread_counts_reuse_the_buffers(self, monkeypatch):
+        # one- and two-thread runs of one config size their buffers by the
+        # run's batch rows, so they take each other's off the free list
+        cfg = self._config()
+        rmap = _row_map(cfg.alpha, *cfg.side_counts())
+        assert _batch_plan(cfg.replications, rmap, 1, 1).rows == _batch_plan(
+            cfg.replications, rmap, 2, 1).rows
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        expected = _simulate_functionals(cfg, [1], threads=2)
+        built = _counted(monkeypatch, estimator, "_row_buffers")
+        for threads in (1, 2, 1, 2):
+            assert np.array_equal(_simulate_functionals(cfg, [1], threads=threads), expected)
+        assert built == []
+
+    def test_another_grid_empties_the_free_list(self):
+        estimator._FREE.clear()
+        _simulate_functionals(self._config(), [1])
+        assert [len(free) for free in estimator._FREE.values()] == [1]
+        _simulate_functionals(self._config(horizon=10.0), [1])
+        (key, free), = estimator._FREE.items()
+        assert key[0] == _row_map(0.5, 0, 200) and len(free) == 1
+
+
 class TestRingWindows:
-    """Stream contract v9 reads every stream row as a ring of its ``width``
-    increments from four evenly spaced starts; a window that runs past the
-    ring's end reads on from its start (iid windows 1 to 3, circulant
-    window 3), and is exact fGn like any other."""
+    """Stream contract v10 reads every stream row as a ring of its ``width``
+    increments from W evenly spaced starts, W = 8 below alpha = 1.8 and 4
+    from it on; a window that runs past the ring's end reads on from its
+    start (iid windows 1 to W - 1, circulant windows 5 to 7, or 3 where
+    W = 4), and is exact fGn like any other."""
 
     # (alpha, neg, pos): iid rows on both lines, an odd count among them,
     # and circulant rows whose window 3 wraps, on both lines
@@ -1619,7 +1791,7 @@ class TestRingWindows:
     @pytest.mark.parametrize("alpha,neg,pos", _GRIDS)
     def test_windows_are_the_oracles_cyclic_read(self, alpha, neg, pos):
         # the engine's window p of stream row r, gains left out, is the
-        # oracle's plain cyclic read of the row's ring (window 4 r + p)
+        # oracle's plain cyclic read of the row's ring (window W r + p)
         # cumulated and anchored, to 1e-12 of the path's scale, across a
         # block boundary; the wrapping windows are the ones named, and
         # each window's anchor column is exactly 0
@@ -1628,33 +1800,36 @@ class TestRingWindows:
                               replications=1, seed=21)
         assert cfg.side_counts() == (neg, pos)
         rmap = _row_map(alpha, neg, pos)
-        n, width = rmap.n, rmap.width
-        wraps = [p for p in range(4) if p * width // 4 + n > width]
-        assert wraps == ([1, 2, 3] if rmap.kind == "iid" else [3])
+        n, width, ws = rmap.n, rmap.width, ring_windows(alpha)
+        assert rmap.windows == ws
+        wraps = [p for p in range(ws) if p * width // ws + n > width]
+        assert wraps == (list(range(1, ws)) if rmap.kind == "iid" else
+                         [3] if ws == 4 else [5, 6, 7])
         block = 2
         z, w, sums, flat = _row_buffers(rmap, 5)
         _fill_normals(cfg.seed, z, 0, block)
         prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, 5)
-        for p in range(4):
+        for p in range(ws):
             field = _window(rmap, prefix, p, flat)
             assert np.all(field[:, neg] == 0.0)
             for r in range(5):
-                plain = cumulated_path(cfg, window_fgn(cfg, 4 * r + p, block=block)).values
+                plain = cumulated_path(cfg, window_fgn(cfg, ws * r + p, block=block)).values
                 np.testing.assert_allclose(field[r], plain, rtol=1e-12,
                                            atol=1e-12 * np.abs(plain).max())
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
     def test_wrapping_window_increments_have_the_fgn_autocovariance(self, alpha):
-        # the increments of a wrapping window (iid window 1, circulant
-        # window 3) either side of the wrap, increment j being ring value
+        # the increments of a wrapping window (iid window W / 4, which
+        # starts where v9's window 1 did, and the last circulant window)
+        # either side of the wrap, increment j being ring value
         # (o + j) mod width: their sample autocovariance over 20000
         # independent rows, at pairs (j, j + k) that straddle the wrap,
         # matches gamma(k) at lags 0 to 6 within 4.5 standard errors
         neg, pos = 0, 30
         rmap = _row_map(alpha, neg, pos)
-        n, width = rmap.n, rmap.width
-        p = 1 if rmap.kind == "iid" else 3
-        wrap = width - p * width // 4  # the first increment read past the end
+        n, width, ws = rmap.n, rmap.width, ring_windows(alpha)
+        p = ws // 4 if rmap.kind == "iid" else ws - 1
+        wrap = width - p * width // ws  # the first increment read past the end
         assert 7 <= wrap <= n - 6
         rows = 20000
         z, w, sums, flat = _row_buffers(rmap, rows)
@@ -1669,22 +1844,24 @@ class TestRingWindows:
                 assert abs(prods.mean() - gamma) < 4.5 * se, (k, j, prods.mean(), gamma)
 
     @pytest.mark.parametrize("alpha,neg,pos,same", [
-        (1.0, 0, 1, [0, 0, 0, 0]), (0.5, 0, 1, [0, 0, 0, 0]), (1.0, 0, 2, [0, 0, 2, 2]),
-        (1.0, 1, 1, [0, 0, 2, 2]), (1.0, 0, 3, [0, 0, 2, 3]),
+        (1.0, 0, 1, [0] * 8), (0.5, 0, 1, [0] * 8), (1.0, 0, 2, [0, 0, 0, 0, 4, 4, 4, 4]),
+        (1.0, 1, 1, [0, 0, 0, 0, 4, 4, 4, 4]), (1.0, 0, 3, [0, 0, 0, 3, 3, 3, 6, 6]),
+        (1.0, 0, 5, [0, 0, 2, 2, 4, 5, 5, 7]),
     ])
     def test_coinciding_starts_repeat_a_window(self, alpha, neg, pos, same):
-        # on iid rows of n <= 3 the starts floor(p n / 4) coincide, and
+        # on iid rows of n < 8 some starts floor(p n / 8) coincide, and
         # window p is then window same[p] bit for bit: fewer distinct
         # paths a row, while the row stays the error unit, so the
         # estimate and its stderr are those of the row means
         cfg = EstimatorConfig(alpha=alpha, d=1.5, domain=Domain.FULL_LINE if neg
                               else Domain.HALF_LINE, delta=1.0, horizon=float(pos),
-                              replications=16 * 40, seed=8)
+                              replications=1, seed=8)
+        cfg = dataclasses.replace(cfg, replications=40 * _row_unit(cfg))
         rmap = _row_map(alpha, neg, pos)
-        assert rmap.kind == "iid" and [p * rmap.n // 4 for p in range(4)] == [
-            p * rmap.n // 4 for p in same]
+        assert rmap.kind == "iid" and [p * rmap.n // 8 for p in range(8)] == [
+            p * rmap.n // 8 for p in same]
         rows = cfg.replications // rmap.paths
-        windows = _simulate_functionals(cfg, [1])[:, 0].reshape(rows, 4, rmap.variants)
+        windows = _simulate_functionals(cfg, [1])[:, 0].reshape(rows, 8, rmap.variants)
         for p, q in enumerate(same):
             assert np.array_equal(windows[:, p], windows[:, q])
         means = windows.mean(axis=(1, 2))
@@ -1703,7 +1880,7 @@ class TestRingWindows:
         _fill_normals(3, z, 0, 32)
         prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, 32)
         before = np.getbufsize()
-        for p in range(4):
+        for p in range(rmap.windows):
             _window(rmap, prefix, p, flat)  # warm
             tracemalloc.start()
             try:

@@ -17,7 +17,7 @@ from piterbarg import (
     run_rate_study_bm,
 )
 from piterbarg.budget import plan_horizon
-from piterbarg.estimator import _simulate_functionals
+from piterbarg.estimator import _row_unit, _simulate_functionals
 from piterbarg.rate_study import (
     RATE_CSV_HEADER,
     RATE_CSV_OPTIONAL,
@@ -28,6 +28,14 @@ from piterbarg.rate_study import (
 
 def _must_not_simulate(*args, **kwargs):
     raise AssertionError("simulated before rejecting the request")
+
+
+def _unit(alpha, domain, finest):
+    """Replications per stream row of a study's grid: its finest spacing at
+    the planned horizon."""
+    return _row_unit(EstimatorConfig(alpha=alpha, d=2.0, domain=domain, delta=finest,
+                                     horizon=plan_horizon(finest, alpha), replications=1,
+                                     seed=1))
 
 
 class TestNestedValidation:
@@ -127,8 +135,9 @@ class TestRateStudyBm:
         # one replication has no CLT stderr (std with ddof=1 of one value)
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
+        unit = _unit(1.0, Domain.HALF_LINE, 0.05)
         with pytest.raises(ValueError, match="at least 2 independent rows, and a stream row "
-                           "holds 16 replications, got 1"):
+                           f"holds {unit} replications, got 1"):
             run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
                               deltas=[0.2, 0.05], replications=1, seed=1)
 
@@ -154,11 +163,13 @@ class TestGapDecay:
 
     @pytest.mark.filterwarnings("error")
     def test_nonpositive_gap_gives_nan_exponent_without_warning(self):
-        # seventeen replications, the fewest a study takes on these grids
-        # (two half-line rows of sixteen), leave the gaps at 0, which has no
-        # logarithm; the fit is nan and numpy is not asked to warn
+        # the row unit plus one replications, the fewest a study takes on
+        # these grids (a half-line row of 32 and one more), leave a gap at
+        # 0 at this seed, which has no logarithm; the fit is nan and numpy
+        # is not asked to warn
+        unit = _unit(0.5, Domain.HALF_LINE, 0.1)
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                               deltas=[0.4, 0.2, 0.1], replications=17, seed=3)
+                               deltas=[0.4, 0.2, 0.1], replications=unit + 1, seed=8)
         assert min(p.gap for p in result.points) == 0.0
         assert math.isnan(result.exponent) and math.isnan(result.exponent_stderr)
         for gaps in ([0.1, 0.0], [0.1, -0.01], [0.0, 0.0], [0.1, math.nan]):
@@ -183,35 +194,30 @@ class TestGapDecay:
     def test_single_replication_rejected(self, monkeypatch):
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
+        unit = _unit(0.5, Domain.HALF_LINE, 0.1)
         with pytest.raises(ValueError, match="at least 2 independent rows, and a stream "
-                           "row holds 16 replications, got 1"):
+                           f"row holds {unit} replications, got 1"):
             run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
                           deltas=[0.4, 0.2, 0.1], replications=1, seed=1)
 
     def test_one_circulant_row_rejected(self, monkeypatch):
-        # half-line circulant rows (n = 281) hold sixteen replications each
-        # (four ring windows, their sign flips and their time reversals), so
-        # sixteen replications are one independent row, which has no CLT
-        # stderr; half-line iid rows hold sixteen too, and full-line rows
-        # eight: the fewest a study takes is the row unit plus one
+        # half-line circulant rows (n = 281) hold 32 replications each
+        # (eight ring windows, their sign flips and their time reversals),
+        # so 32 replications are one independent row, which has no CLT
+        # stderr; half-line iid rows hold 32 too, and full-line rows 16:
+        # the fewest a study takes is the row unit plus one
         monkeypatch.setattr("piterbarg.rate_study._simulate_functionals",
                             _must_not_simulate)
-        with pytest.raises(ValueError, match=r"replications must be an integer >= 17: .*, "
-                           "got 16"):
-            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                          deltas=[0.4, 0.2, 0.1], replications=16, seed=1)
-        with pytest.raises(ValueError, match=r"replications must be an integer >= 17: .*, "
-                           "got 16"):
-            run_rate_study_bm(d=2.0, domain=Domain.HALF_LINE,
-                              deltas=[0.1, 0.05], replications=16, seed=1)
-        with pytest.raises(ValueError, match=r"replications must be an integer >= 9: .*, "
-                           "got 8"):
-            run_gap_decay(alpha=0.5, d=2.0, domain=Domain.FULL_LINE,
-                          deltas=[0.4, 0.2, 0.1], replications=8, seed=1)
-        with pytest.raises(ValueError, match=r"replications must be an integer >= 9: .*, "
-                           "got 8"):
-            run_rate_study_bm(d=2.0, domain=Domain.FULL_LINE,
-                              deltas=[0.1, 0.05], replications=8, seed=1)
+        for domain in Domain:
+            unit = _unit(0.5, domain, 0.1)
+            assert unit == _unit(1.0, domain, 0.05) == (32 if domain is Domain.HALF_LINE else 16)
+            message = rf"replications must be an integer >= {unit + 1}: .*, got {unit}"
+            with pytest.raises(ValueError, match=message):
+                run_gap_decay(alpha=0.5, d=2.0, domain=domain,
+                              deltas=[0.4, 0.2, 0.1], replications=unit, seed=1)
+            with pytest.raises(ValueError, match=message):
+                run_rate_study_bm(d=2.0, domain=domain,
+                                  deltas=[0.1, 0.05], replications=unit, seed=1)
 
     def test_exponent_regression_reported_with_stderr(self):
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
@@ -244,28 +250,30 @@ def _row_mean_stderr(x, unit):
 class TestStudiesAreViewsOfOneTable:
     def test_rate_study_reads_each_column(self):
         deltas = [0.2, 0.1, 0.05]
+        unit = _unit(1.0, Domain.FULL_LINE, 0.05)
         points = run_rate_study_bm(d=2.0, domain=Domain.FULL_LINE, deltas=deltas,
-                                   replications=304, seed=17)
-        table = _table(1.0, Domain.FULL_LINE, deltas, 304, 17)
+                                   replications=38 * unit, seed=17)
+        table = _table(1.0, Domain.FULL_LINE, deltas, 38 * unit, 17)
         assert len(points) == 3
         for j, p in enumerate(points):
-            # full-line rows of eight: the stderr is that of the 38 row means
-            mean, stderr = _row_mean_stderr(table[:, j], 8)
+            # full-line rows of 16: the stderr is that of the 38 row means
+            mean, stderr = _row_mean_stderr(table[:, j], unit)
             assert p.p_hat == mean
             assert p.stderr == pytest.approx(stderr, rel=1e-12)
             assert p.p_exact_discrete is None  # the half line's alone
 
     def test_gap_study_reads_paired_differences(self):
-        # half-line circulant rows (n = 281) of sixteen replications: the
+        # half-line circulant rows (n = 281) of 32 replications: the
         # stderr is that of the 38 row means
         deltas = [0.4, 0.2, 0.1]
+        unit = _unit(0.5, Domain.HALF_LINE, 0.1)
         result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
-                               deltas=deltas, replications=608, seed=19)
-        table = _table(0.5, Domain.HALF_LINE, deltas, 608, 19)
+                               deltas=deltas, replications=38 * unit, seed=19)
+        table = _table(0.5, Domain.HALF_LINE, deltas, 38 * unit, 19)
         assert len(result.points) == 2
         for j, p in enumerate(result.points):
             x = table[:, -1] - table[:, j]
-            mean, stderr = _row_mean_stderr(x, 16)
+            mean, stderr = _row_mean_stderr(x, unit)
             assert p.gap == mean
             assert p.gap_stderr == pytest.approx(stderr, rel=1e-12)
 

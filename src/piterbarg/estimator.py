@@ -31,11 +31,11 @@ fGn (n <= m/2 + 1 on circulant rows).  The engine reads each row as such a
 ring, from W evenly spaced starts, W = 8 where alpha < 1.8 and 4 from 1.8
 on: W windows, each exact in law, not independent of each other.  Since
 -B has the law of B, each window's path values v give two paths, v and its
-sign flip -v (an antithetic pair).  On the half line a window's
-increments read backwards are exact fGn too (the
-covariance depends on the lag alone), so v also gives its time reversal
-v~_j = v_n - v_{n-j} and that path's flip, whose functionals depend on the
-increments near T where v's depend on those near 0.  A row yields 2 W paths
+sign flip -v (an antithetic pair).  On the half line a window's increments
+read backwards are exact fGn too (the covariance depends on the lag
+alone), so v also gives its time reversal v~_j = v_n - v_{n-j} and that
+path's flip, whose functionals depend on the increments near T where v's
+depend on those near 0.  A row yields 2 W paths
 on the full line and 4 W on the half line; ``_simulate_functionals`` runs
 the variants as the rows of one table, on long grids over the column
 blocks of each window that a bound leaves as able to hold a maximum.
@@ -60,13 +60,13 @@ floor(k width / 4), where v9's window k did, so v10's even windows are
 v9's, bit for bit, in a new replication order.  On the half line window 0
 of every row is, bit for bit, contract v8's first window of that row; the
 circulant windows 0 and W/2 start where v8's two did, and the iid window
-0 is v8's one.  (On
-the full line a reversal adds nothing: with neg = pos it is t -> -t with a
-flip, and the symmetric drift gives it the flip's functional.)  A run that
-ends inside a row keeps that row's first paths, so it is the first
-replications of any longer one.  Batches start on block boundaries and a
-row's values depend on its own normals alone, so results are bit-identical
-no matter how replications are batched or spread over threads.
+0 is v8's one.  (On the full line a reversal adds nothing: with neg = pos
+it is t -> -t with a flip, and the symmetric drift gives it the flip's
+functional.)  A run that ends inside a row keeps that row's first paths,
+so it is the first replications of any longer one.  Batches start on
+block boundaries and a row's values depend on its own normals alone, so
+results are bit-identical no matter how replications are batched or spread
+over threads.
 
 Every reported error treats a stream row, not a path, as the independent
 unit: the CLT stderr is computed from per-row sums of deviations
@@ -212,8 +212,10 @@ class EstimateResult:
 
 def _drift(neg_count: int, pos_count: int, delta: float, alpha: float, d: float):
     """(1 + d) |k delta|^alpha on the grid k = -neg_count..pos_count."""
-    k = np.arange(-neg_count, pos_count + 1, dtype=float)
-    return (1.0 + d) * np.abs(k * delta) ** alpha
+    k = np.abs(np.arange(-neg_count, pos_count + 1, dtype=float) * delta)
+    k **= alpha  # in place: no temporary beside a run's kept buffers
+    k *= 1.0 + d
+    return k
 
 
 def _block_rows(width: int) -> int:
@@ -263,7 +265,11 @@ class _RowMap:
     neg: int
     n: int
     width: int
-    windows: int = 4  # ``_row_map`` sets it from alpha
+
+    @property
+    def windows(self) -> int:
+        """Ring windows per stream row: eight below alpha = 1.8, else four."""
+        return 8 if self.alpha < _EIGHT_WINDOWS_BELOW else 4
 
     @property
     def variants(self) -> int:
@@ -279,10 +285,9 @@ class _RowMap:
 def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
     """The row map of the unit grid -neg..pos, the engine's and the sampler's."""
     n = neg + pos
-    windows = 8 if alpha < _EIGHT_WINDOWS_BELOW else 4
     if n == 1 or alpha == 1.0:  # gamma(k) = 0 for k >= 1: iid N(0, 1)
-        return _RowMap("iid", alpha, neg, n, n, windows)
-    return _RowMap("circulant", alpha, neg, n, _next_fast_len(2 * n), windows)
+        return _RowMap("iid", alpha, neg, n, n)
+    return _RowMap("circulant", alpha, neg, n, _next_fast_len(2 * n))
 
 
 def _row_bytes(rmap: _RowMap) -> int:
@@ -324,10 +329,9 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     worker k taking blocks ``[k N / W, (k + 1) N / W)``.  Every worker's
     buffers hold the run's batch rows, whatever its share, so that runs of
     one config at any thread count reuse the same buffers (``_FREE``).
-    Raises ValueError
-    for a thread count below 1, and for a run whose memory, worked out here
-    before anything is allocated, exceeds ``_memory_limit()`` at one block
-    per batch.
+    Raises ValueError for a thread count below 1, and for a run whose
+    memory, worked out here before anything is allocated, exceeds
+    ``_memory_limit()`` at one block per batch.
     """
     threads = _check_count("threads", threads)
     n, width = rmap.n, rmap.width
@@ -436,10 +440,11 @@ def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
 
 # Batch buffers kept between runs of the last (row map, batch rows): glibc
 # returns a freed block that large to the system, and the next run faulted
-# it in again (about 1500 faults, 2 ms a gap-study call).  list.pop and
-# list.extend are atomic under the GIL, so concurrent runs share no set.
+# it in again (about 1500 faults, 2 ms a gap-study call).  Sets are taken
+# under the lock and put back by list.extend, atomic under the GIL, so
+# concurrent runs share no set.
 _FREE: dict = {}
-_FREE_LOCK = threading.Lock()  # for the key check and the emptying
+_FREE_LOCK = threading.Lock()
 
 
 def _kept_buffers(rmap: _RowMap, rows: int, count: int) -> tuple[list, list]:
@@ -450,13 +455,8 @@ def _kept_buffers(rmap: _RowMap, rows: int, count: int) -> tuple[list, list]:
         if free is None:
             _FREE.clear()
             free = _FREE[rmap, rows] = []
-    spaces = []
-    for _ in range(count):
-        try:
-            spaces.append(free.pop())
-        except IndexError:
-            spaces.append(_row_buffers(rmap, rows))
-    return free, spaces
+        kept = [free.pop() for _ in range(min(count, len(free)))]
+    return free, kept + [_row_buffers(rmap, rows) for _ in range(count - len(kept))]
 
 
 def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, sums: np.ndarray,
@@ -662,6 +662,8 @@ def _simulate_functionals(
         # among live buffers, its objects kept the heap from shrinking below
         # them (0.4 MiB more peak RSS on the bench's Brownian validation).
         from concurrent.futures import ThreadPoolExecutor
+    # before anything is built, so that another grid's kept buffers go first
+    free, spaces = _kept_buffers(rmap, plan.rows, len(plan.shares))
     # sqrt(2) * (scale * values), in place.
     gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
     op = _row_operator(rmap)
@@ -717,7 +719,6 @@ def _simulate_functionals(
                     np.multiply(top, sign, out=top)
                     wins[v::paths] = np.exp(top, out=top)
 
-    free, spaces = _kept_buffers(rmap, plan.rows, len(plan.shares))
     if len(spaces) > 1:
         with ThreadPoolExecutor(max_workers=len(spaces)) as pool:
             list(pool.map(work, plan.shares, spaces))

@@ -31,8 +31,7 @@ the covariance depends on the lag alone): 2 W replications per row on the
 full line and 4 W on the half line (``estimator`` states the contract).  At
 alpha = 1 every lag beyond 0 vanishes and the increments are iid N(0, 1),
 drawn with no map at all: a ring of n values, read from the same starts.
-The tests
-check the embedding against a Cholesky factorization of the same
+The tests check the embedding against a Cholesky factorization of the same
 covariance.
 
 Paths are always simulated on the unit grid and rescaled by self-similarity

@@ -65,10 +65,10 @@ from piterbarg.fbm import _next_fast_len
 
 
 def _rmap(n, width, embedded=False):
-    """A half-line row map of n increments and rows of ``width`` normals (the
-    default four windows of four replications); the plan reads only its
+    """A half-line row map of n increments and rows of ``width`` normals, at
+    alpha = 1.9 (four windows of four replications); the plan reads only its
     kind, neg, n, width and paths."""
-    return _RowMap("circulant" if embedded else "iid", 0.5, 0, n, width)
+    return _RowMap("circulant" if embedded else "iid", 1.9, 0, n, width)
 
 
 def _counted(monkeypatch, module, name):
@@ -726,7 +726,7 @@ class TestBatchPlan:
         assert len(plan.shares) == 2
         assert plan.nbytes == (32 * 173 + 8 * 48000
                                + 2 * plan.rows * _row_bytes(_rmap(172, 172, False)))
-        full = _RowMap("circulant", 0.5, 86, 172, 360)
+        full = _RowMap("circulant", 1.9, 86, 172, 360)
         plan = _batch_plan(4000, full, 2, 3)
         assert len(plan.shares) == 2
         assert plan.nbytes == (16 * 173 + 8 * 12000 + 8 * 181 + 8 * 360 + 32 * 360
@@ -744,7 +744,7 @@ class TestBatchPlan:
         # line (800 replications) add only the reversal's two arrays and the
         # 400 more table values
         n, m = 25_000_000, 50_000_000
-        full = _RowMap("circulant", 0.5, n // 2, n, m)
+        full = _RowMap("circulant", 1.9, n // 2, n, m)
         assert _next_fast_len(2 * n) == m and _block_rows(m) == 1
         fixed = 16 * (n + 1) + 8 * 400 + 8 * (m // 2 + 1) + 40 * m
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
@@ -1045,8 +1045,7 @@ class TestEstimateConstant:
 
     def test_brownian_deterministic_across_threads_and_batches(self):
         # a block and 7 rows: two blocks, the second short
-        n = sum(self._config().side_counts())
-        rmap = _rmap(n, n, False)
+        rmap = _row_map(1.0, *self._config().side_counts())
         cfg = self._config(replications=rmap.paths * (_batch_rows(rmap) + 7))
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
@@ -1774,6 +1773,37 @@ class TestKeptBuffers:
         _simulate_functionals(self._config(horizon=10.0), [1])
         (key, free), = estimator._FREE.items()
         assert key[0] == _row_map(0.5, 0, 200) and len(free) == 1
+
+    def test_another_grid_frees_the_kept_buffers_before_its_build(self, monkeypatch):
+        # a run on grid B after one on the gap study's grid A, whose kept
+        # buffers (2.9 MB) outweigh all B's plan counts (1.8 MB): A's are
+        # freed before B builds its spectrum or takes its buffers, so B's
+        # traced peak stays at what A's run left held (held with them, the
+        # spectrum's build alone adds 0.8 MB), within one of B's steps.
+        # The memory limit is fixed, so that reading it opens no files
+        import tracemalloc
+
+        a = self._config(delta=0.01, horizon=449.76, replications=64)
+        b = self._config(delta=0.01, horizon=100.0, replications=64)
+        ra, rb = (_row_map(c.alpha, *c.side_counts()) for c in (a, b))
+        assert (ra.width, rb.n) == (90000, 10000)
+        plan_a, plan_b = _batch_plan(64, ra, 1, 1), _batch_plan(64, rb, 1, 1)
+        assert plan_b.nbytes < plan_a.rows * _row_bytes(ra)
+        monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
+        for c in (b, a):  # numpy's lazy imports, and A's spectrum cached
+            _simulate_functionals(c, [1])
+        estimator._FREE.clear()  # so that A's run below makes its buffers
+        tracemalloc.start()
+        try:
+            _simulate_functionals(a, [1])
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _simulate_functionals(b, [1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held >= plan_a.rows * _row_bytes(ra)
+        assert peak - held < 8 * (rb.n + 1)
 
 
 class TestRingWindows:

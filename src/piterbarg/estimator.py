@@ -291,7 +291,7 @@ def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
 
 
 def _row_bytes(rmap: _RowMap) -> int:
-    # Normals, at least n + 1 floats, which hold each window's field in turn
+    # Normals, at least n + 1 floats, which hold a group of windows' fields
     # once the ring is cumulated, and the ring's width + 1 prefix sums: in
     # the complex half-spectrum's m + 2 floats where there is an embedding
     # (the irfft has consumed it by then), else in floats of their own.
@@ -416,7 +416,8 @@ def _fill_normals(seed: int, z: np.ndarray, first: int, block: int) -> None:
 
 
 def _row_operator(rmap: _RowMap):
-    """None (iid rows) or the cached spectrum of length ``rmap.width``."""
+    """None (iid rows) or the cached spectrum of length ``rmap.width``, the
+    sampler's; the engine keeps its own with its tables (``_run_tables``)."""
     if rmap.kind == "circulant":
         return _cached(_embedding_spectrum, rmap.alpha, rmap.width)
     return None
@@ -427,8 +428,9 @@ def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
     (later the fGn) as a (rows, width) view of ``flat``, the half-spectrum
     (or None), and the (rows, width + 1) ring prefix sums, which take the
     floats of the half-spectrum once the irfft has consumed it.  ``flat``
-    holds at least n + 1 floats a row, so that a window's field for every
-    row fits in it once the prefix sums exist (``_window``)."""
+    holds max(width, n + 1) floats a row, so that once the prefix sums exist
+    it holds the fields of a group of G windows, G k floats a row for k
+    columns each (``_group_windows``), and at least one whole window."""
     width, embedded = rmap.width, rmap.kind == "circulant"
     spectrum = 2 * (width // 2 + 1) if embedded else width + 1  # floats a row
     whole = np.empty(rows * (spectrum + max(width, rmap.n + 1)))
@@ -497,19 +499,21 @@ def _window(rmap: _RowMap, prefix: np.ndarray, p: int, flat: np.ndarray,
     ring's end (o + j > width) is S[o + j - width] + S[width] - S[o + neg].
     The columns before the wrap and those after it take one subtraction of
     a per-row shift each, the shift of the anchor's part its own S value
-    (x - x is +0.0, so the anchor column is exactly 0).  Given ``runs``,
-    only the columns [first, stop) of each (first, stop, at) are formed,
-    from column ``at`` on."""
-    n = rmap.n
+    (x - x is +0.0, so the anchor column is exactly 0).  Given ``runs``
+    (``_packed``), only the columns [first, stop) of each (first, stop, at)
+    are formed, from column ``at`` on, in a (rows, k) view, k the runs'
+    packed width."""
+    runs = runs or [(0, rmap.n + 1, 0)]
     o, head, before, after = _window_shifts(rmap, prefix, p)
-    field = flat[: len(prefix) * (n + 1)].reshape(len(prefix), n + 1)
+    k = _width(runs)
+    field = flat[: len(prefix) * k].reshape(len(prefix), k)
     with np.errstate():  # restores the buffer size on exit (numpy >= 2.0)
         # numpy 2.4 sends a strided (rows, k) operation through ufunc
         # buffers wherever k <= bufsize / 4: at the default 8192, three
         # 64 KiB buffers a call and a copy that made the wrapped windows'
         # subtractions 3-5 times slower (parts of 531-1591 columns)
         np.setbufsize(_WINDOW_BUFSIZE)
-        for first, stop, at in runs or [(0, n + 1, 0)]:
+        for first, stop, at in runs:
             mid = min(max(first, head), stop)  # [first, mid) is read before the wrap
             np.subtract(prefix[:, o + first : o + mid], before,
                         out=field[:, at : at + mid - first])
@@ -518,16 +522,43 @@ def _window(rmap: _RowMap, prefix: np.ndarray, p: int, flat: np.ndarray,
     return field
 
 
-def _bound_plan(rmap: _RowMap, table: list, strides: list):
-    """None where a window spans fewer than _BOUND_MIN_BLOCKS column blocks,
-    else ``kept(prefix)``: per window, the (first, stop, at) of each block
-    that may hold a variant's sub-grid extreme, packed from column ``at``
-    (``_simulate_functionals`` describes the bound)."""
+def _packed(spans) -> list:
+    """The union of the column spans (first, stop) as runs (first, stop, at),
+    overlapping and adjacent spans merged, in column order, each formed from
+    packed column ``at`` on."""
+    runs = []
+    for first, stop in sorted(spans):
+        if runs and first <= runs[-1][1]:
+            runs[-1] = (runs[-1][0], max(stop, runs[-1][1]), runs[-1][2])
+        else:
+            runs.append((first, stop, _width(runs) if runs else 0))
+    return runs
+
+
+def _width(runs: Sequence[tuple]) -> int:
+    """The packed width of runs (first, stop, at): where the last one ends."""
+    first, stop, at = runs[-1]
+    return at + stop - first
+
+
+def _group_windows(rmap: _RowMap, k: int) -> int:
+    """G, the windows whose (rows, k) fields ``flat`` holds side by side: the
+    largest power of two up to ``rmap.windows`` with G k <= max(width, n + 1),
+    the floats a row of ``flat`` holds (``_row_buffers``)."""
+    return min(rmap.windows, 1 << ((max(rmap.width, rmap.n + 1) // k).bit_length() - 1))
+
+
+def _bound_plan(rmap: _RowMap, table: list, strides: Sequence[int], columns: int,
+                min_blocks: int):
+    """None where a window spans fewer than ``min_blocks`` column blocks of
+    about ``columns`` columns, else ``kept(prefix)``: per window, the runs
+    of adjacent blocks that may hold a variant's sub-grid extreme
+    (``_packed``; ``_simulate_functionals`` describes the bound)."""
     n, width, windows = rmap.n, rmap.width, rmap.windows
     lcm = math.lcm(*strides)
-    span = lcm * -(-_BOUND_COLUMNS // lcm)
+    span = lcm * -(-columns // lcm)
     starts = np.arange(0, n + 1, span)
-    if len(starts) < _BOUND_MIN_BLOCKS:
+    if len(starts) < min_blocks:
         return None
     stops = np.minimum(starts + span, n + 1)
     anchors = np.array([anchor for _, _, anchor in table])
@@ -563,13 +594,36 @@ def _bound_plan(rmap: _RowMap, table: list, strides: list):
             low += least
             refs[..., v:] += at_anchors[v:]  # variant u's anchor takes the steps up to u
             drop &= (top < refs[..., v, None] if sign > 0 else low > refs[..., v, None]).all(axis=0)
-        runs = []
-        for first, stop in ((starts[keep], stops[keep]) for keep in ~drop):
-            at = np.cumsum(stop - first) - (stop - first)
-            runs.append(list(zip(first.tolist(), stop.tolist(), at.tolist())))
-        return runs
+        return [_packed(zip(starts[keep].tolist(), stops[keep].tolist())) for keep in ~drop]
 
+    for array in (starts, stops, ring, reach, cols, win, ring_starts,
+                  *(x for step in steps for x in step[:3])):
+        array.flags.writeable = False  # kept in fbm's slot with the run's tables
     return kept
+
+
+def _run_tables(rmap: _RowMap, delta: float, d: float, strides: tuple, columns: int,
+                min_blocks: int) -> tuple:
+    """(op, table, signs, kept), what a run of this key builds before its
+    first draw: the row operator (``_row_operator``'s spectrum, or None), the
+    variants' (step, sign, anchor) table, their signs as a (variants, 1)
+    column, and the bound plan (``_bound_plan``).  ``_simulate_functionals``
+    keeps them in ``fbm._cached``'s one slot, so every array is read-only."""
+    neg, n = rmap.neg, rmap.n
+    op = _embedding_spectrum(rmap.alpha, rmap.width) if rmap.kind == "circulant" else None
+    # (step, sign, anchor) of v and -v, and on the half line of v~ and -v~,
+    # whose drift at k = n - j is drift[::-1]; drift becomes v's step last
+    drift = _drift(neg, n - neg, delta, rmap.alpha, d)
+    table = [(drift, 1, neg), (2.0 * drift, -1, neg)]
+    if rmap.variants == 4:
+        # -v~'s step copied: read backwards through a reversed view, it made
+        # the pass a third to a half slower (rows of 2121 and 44977 floats)
+        table += [(drift[::-1] - drift, -1, n), (-2.0 * drift[::-1], 1, n)]
+    np.negative(drift, out=drift)
+    signs = np.array([[sign] for _, sign, _ in table], dtype=float)
+    for array in (signs, *(step for step, _, _ in table)):
+        array.flags.writeable = False
+    return op, table, signs, _bound_plan(rmap, table, strides, columns, min_blocks)
 
 
 def sample_two_sided_path(
@@ -618,17 +672,21 @@ def _simulate_functionals(
     stream rows and walks it one block a batch (``_batch_rows``), whatever the
     replication count, with one set of ``_row_buffers``, taken off the free
     list ``_FREE`` (or made) on the calling thread and put back at the end,
-    and the row operator built here, both reused for all of its batches.
-    So memory follows from the config and the worker count alone: pool
-    threads build nothing, and a run with one worker runs on the calling
-    thread.  A batch cumulates each row's ring once (``_map_rows``), then
-    forms its ``rmap.windows`` windows in turn in the normals buffer
-    (``_window``, one pass each).
+    and the row operator, variant table and bound plan (``_run_tables``),
+    taken from ``fbm._cached``'s one slot or built there, read-only, both
+    reused for all of its batches.  So memory follows from the config and
+    the worker count alone: pool threads build nothing, a repeated run
+    builds nothing before its first draw, and a run with one worker runs on
+    the calling thread.  A batch cumulates each row's ring once
+    (``_map_rows``), then forms its ``rmap.windows`` windows in groups of
+    G (``_group_windows``), side by side in the normals buffer, each over
+    the union of the group's kept runs (``_window``).
     The variants are the rows ``(step, sign, anchor)`` of one table, taken
-    in turn over a window's field in place: add ``step``, then at stride s
-    exp(sign * (top - field[anchor])), top the max (sign +1) or the min
-    (sign -1) over the sub-grid anchor mod s :: s, one exp per variant over
-    its (rows, strides) tops.  The steps leave
+    in turn over a group's fields in place: add ``step``, one add per run,
+    then at stride s exp(sign * (top - field[anchor])), top the max (sign
+    +1) or the min (sign -1) over the sub-grid anchor mod s :: s, one
+    reduction per stride, and one subtraction, sign multiply and exp per
+    group over its (rows, G, variants, strides) tops.  The steps leave
     v - drift (v, by the max), v + drift (-v, by the min), and on the half
     line v + rdrift and v - rdrift, rdrift = drift[::-1] (v~ by the min and
     -v~ by the max, read at k = n - j against v_n at the anchor n), so every
@@ -647,7 +705,10 @@ def _simulate_functionals(
     strictly below (max) or above (min) its anchor value, chained alike,
     on every row: the anchor is in every sub-grid, so every top is the
     full pass's, bit for bit.  NaN compares false, so a NaN bound keeps
-    its block.
+    its block.  A group's union of runs adds to a window only columns of
+    its own field, kept for another window of the group, so its tops stay
+    the full pass's too; a group computes every row of its batch and
+    stores the paths the run holds.
     ``_fill_normals`` builds the generator of each block (B * width <= 2^17
     normals) where it draws it, so no generator is shared between threads.
     """
@@ -666,58 +727,61 @@ def _simulate_functionals(
     free, spaces = _kept_buffers(rmap, plan.rows, len(plan.shares))
     # sqrt(2) * (scale * values), in place.
     gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
-    op = _row_operator(rmap)
-    n, paths = rmap.n, rmap.paths
-    # (step, sign, anchor) of v and -v, and on the half line of v~ and -v~,
-    # whose drift at k = n - j is drift[::-1]; drift becomes v's step last
-    drift = _drift(neg, pos, config.delta, config.alpha, config.d)
-    table = [(drift, 1, neg), (2.0 * drift, -1, neg)]
-    if rmap.variants == 4:
-        # -v~'s step copied: read backwards through a reversed view, it made
-        # the pass a third to a half slower (rows of 2121 and 44977 floats)
-        table += [(drift[::-1] - drift, -1, n), (-2.0 * drift[::-1], 1, n)]
-    np.negative(drift, out=drift)
-    kept = _bound_plan(rmap, table, strides)
+    # the key holds the bound's block constants too, which the plan reads
+    op, table, signs, kept = _cached(_run_tables, rmap, config.delta, config.d,
+                                     tuple(strides), _BOUND_COLUMNS, _BOUND_MIN_BLOCKS)
+    n, windows, variants, paths = rmap.n, rmap.windows, rmap.variants, rmap.paths
     out = np.empty((reps, len(strides)))
 
     def work(share: tuple, space: tuple) -> None:
         (lo, hi), (z, w, sums, flat) = share, space
-        tops = np.empty((plan.rows, len(strides)))
         for start in range(lo, hi, plan.rows):
             rows = min(plan.rows, hi - start)
             _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
             prefix = _map_rows(rmap, op, z, w, sums, rows, gains)
-            batch = out[paths * start : paths * (start + rows)]  # the run's last row may be short
-            runs = kept(prefix) if kept else [[(0, n + 1, 0)]] * rmap.windows
-            for p in range(rmap.windows):
-                # window p's replications, v of row i at wins[i * paths + v];
-                # each pass covers the rows that have its variant in the
-                # output, fewer for the later ones of a short last row
-                wins = batch[p * rmap.variants :]
-                if not len(wins):
+            # replication (i, p, v), variant v of window p of row i, is
+            # batch[i * paths + p * variants + v]; the run's last row may be
+            # short, so its whole rows are (row, window, variant) cells
+            batch = out[paths * start : paths * (start + rows)]
+            whole = len(batch) // paths
+            cells = batch[: whole * paths].reshape(whole, windows, variants, len(strides))
+            runs = kept(prefix) if kept else [[(0, n + 1, 0)]] * windows
+            size = _group_windows(rmap, _width(_packed(
+                run[:2] for window in runs for run in window)))
+            tops = np.empty((rows, size, variants, len(strides)))
+            refs = np.empty((rows, size, variants, 1))
+            for p in range(0, windows, size):
+                if p * variants >= len(batch):  # none of the group's paths is in the run
                     break
-                field = _window(rmap, prefix[: len(wins[0::paths])], p, flat, runs[p])
-                first, stop, at = runs[p][-1]
-                field = field[:, : at + stop - first]
-                # each anchor's column once the kept blocks are packed
-                col = {a: at + a - first for first, stop, at in runs[p]
+                # the group's windows p, ..., p + size - 1 over the union of
+                # their kept runs, side by side in flat as (size, rows, k)
+                group = _packed(run[:2] for window in runs[p : p + size] for run in window)
+                k = _width(group)
+                fields = flat[: size * rows * k].reshape(size, rows, k)
+                for g in range(size):
+                    _window(rmap, prefix, p + g, flat[g * rows * k :], group)
+                # each anchor's column once the kept runs are packed
+                col = {a: at + a - first for first, stop, at in group
                        for a in (neg, n) if first <= a < stop}
                 for v, (step, sign, anchor) in enumerate(table):
-                    field = field[: len(wins[v::paths])]
                     with np.errstate():  # restores the buffer size on exit
-                        # the (rows, k) adds skip the ufunc buffers, as in
+                        # the strided adds skip the ufunc buffers, as in
                         # _window; the reductions run faster with them
                         np.setbufsize(_WINDOW_BUFSIZE)
-                        for first, stop, at in runs[p]:
-                            cols = field[:, at : at + stop - first]
+                        for first, stop, at in group:
+                            cols = fields[:, :, at : at + stop - first]
                             np.add(cols, step[first:stop], out=cols)
-                    top = tops[: len(field)]
                     for j, s in enumerate(strides):  # each sub-grid holds the anchor
-                        sub = field[:, anchor % s :: s]
-                        (sub.max if sign > 0 else sub.min)(axis=1, out=top[:, j])
-                    np.subtract(top, field[:, col[anchor], None], out=top)
-                    np.multiply(top, sign, out=top)
-                    wins[v::paths] = np.exp(top, out=top)
+                        sub = fields[:, :, anchor % s :: s]
+                        (sub.max if sign > 0 else sub.min)(axis=2, out=tops[:, :, v, j].T)
+                    refs[:, :, v, 0] = fields[:, :, col[anchor]].T
+                np.subtract(tops, refs, out=tops)
+                np.multiply(tops, signs, out=tops)
+                np.exp(tops, out=tops)
+                cells[:, p : p + size] = tops[:whole]
+                tail = batch[whole * paths + p * variants : whole * paths + (p + size) * variants]
+                if len(tail):
+                    tail[:] = tops[whole].reshape(-1, len(strides))[: len(tail)]
 
     if len(spaces) > 1:
         with ThreadPoolExecutor(max_workers=len(spaces)) as pool:

@@ -791,6 +791,9 @@ class TestBatchPlan:
         # would add 2.9 MB), each window's field in the normals buffer and
         # the variants in place.  What the plan does not count stays below
         # one step: a drift kept beside the table would add n + 1 floats.
+        # The first run also keeps the steps in fbm's slot with the
+        # spectrum, so the traced run holds them without allocating them:
+        # they are added to its traced peak
         import tracemalloc
 
         for domain, horizon, reps in ((Domain.HALF_LINE, 449.76, 256),
@@ -812,6 +815,8 @@ class TestBatchPlan:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            (_, table, _, _), = fbm._SLOT.values()
+            peak += sum(step.nbytes for step, _, _ in table)
             assert np.array_equal(first, again)
             assert 0.9 * counted <= peak <= 1.05 * counted
             assert peak - counted < 8 * (n + 1)
@@ -1177,8 +1182,9 @@ class TestEstimateConstant:
         ("circulant", dict(alpha=0.5, horizon=15.0, replications=17600)),
     ])
     def test_row_operator_built_once_on_calling_thread(self, monkeypatch, kind, kw):
-        # two workers and several batches each: the run builds its operator
-        # once, before any worker starts, and no batch enters the cache
+        # two workers and several batches each: a repeated run takes its
+        # operator and tables from one cache lookup on the calling thread,
+        # builds none of them, and no batch enters the cache
         caller, built = threading.get_ident(), []
         row_operator = estimator._row_operator
 
@@ -1195,13 +1201,13 @@ class TestEstimateConstant:
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=2))
         assert len(fills) >= 4 and caller not in fills  # pool threads ran the batches
-        assert built == [(caller, 0)]
-        assert cached == ([] if kind == "iid" else [caller])
+        assert built == []
+        assert cached == [caller]
 
     def test_another_cache_entry_mid_run_builds_no_second_map(self, monkeypatch):
         # a circulant run of three batches whose second batch first caches
-        # another spectrum (as another run or a sampler call would) builds
-        # its own spectrum once, and keeps its table
+        # another spectrum (as another run or a sampler call would) keeps
+        # the spectrum and table it took from the cache: it builds none
         fill = estimator._fill_normals
 
         def evicting_fill(seed, z, first, block):
@@ -1216,7 +1222,7 @@ class TestEstimateConstant:
         builds = _counted(monkeypatch, estimator, "_embedding_spectrum")
         monkeypatch.setattr(estimator, "_fill_normals", evicting_fill)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2]))
-        assert len(builds) == 1
+        assert len(builds) == 0
 
     @pytest.mark.parametrize("kind,kw", [
         ("iid", {}),
@@ -2043,3 +2049,151 @@ class TestBoundedPasses:
             tracemalloc.stop()
         assert np.array_equal(first, again)
         assert peak - counted < 8 * (n + 1), (peak, counted)
+
+
+class TestWindowGroups:
+    """A batch forms G of its ring windows side by side in ``flat`` and runs
+    each variant over the group at once (``_group_windows``): the table is
+    the one-window passes' own, bit for bit, and the group's fields stay
+    within the floats a row of ``flat`` holds."""
+
+    @staticmethod
+    def _spied(monkeypatch):
+        """Spy on the fields the passes form: per ``_window`` call, the
+        floats from the start of its run's ``flat`` to the field's end, the
+        floats a row of ``flat`` holds times the batch rows, and the group
+        size the field's place implies."""
+        flats, fields = [], []
+        kept_buffers, window = estimator._kept_buffers, estimator._window
+
+        def spy_buffers(*args):
+            free, spaces = kept_buffers(*args)
+            flats.extend(space[3] for space in spaces)
+            return free, spaces
+
+        def spy_window(rmap, prefix, p, flat, runs=()):
+            field = window(rmap, prefix, p, flat, runs)
+            base = next(f for f in flats if np.shares_memory(f, field))  # a set may recur
+            end = (field.__array_interface__["data"][0] + field.nbytes
+                   - base.__array_interface__["data"][0]) // 8
+            fields.append((end, len(prefix) * max(rmap.width, rmap.n + 1), end // field.size))
+            return field
+
+        monkeypatch.setattr(estimator, "_kept_buffers", spy_buffers)
+        monkeypatch.setattr(estimator, "_window", spy_window)
+        return fields
+
+    def _grouped_and_single(self, monkeypatch, cfg, strides, threads):
+        """The table with the derived groups and with one window a group,
+        and the derived runs' largest group."""
+        fields = self._spied(monkeypatch)
+        grouped = _simulate_functionals(cfg, strides, threads)
+        assert fields and all(end <= room for end, room, _ in fields)
+        largest = max(size for _, _, size in fields)
+        with monkeypatch.context() as m:
+            m.setattr(estimator, "_group_windows", lambda rmap, k: 1)
+            single = _simulate_functionals(cfg, strides, threads)
+        return grouped, single, largest
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_forced_bound_grids(self, monkeypatch, alpha, domain, threads):
+        # TestBoundedPasses' grids: n = 600 or 1200 in blocks of 16 or 30
+        # columns, blocks of 4 rows on two workers, and a short last row
+        monkeypatch.setattr(estimator, "_block_rows", lambda width: 4)
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(estimator, "_BOUND_COLUMNS", 16)
+        monkeypatch.setattr(estimator, "_BOUND_MIN_BLOCKS", 1)
+        for reps in (1, 7, 1001):
+            cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=domain, delta=0.05,
+                                  horizon=30.0, replications=reps, seed=30)
+            for strides in ([1], [1, 2, 3, 5], [16, 8, 4, 2, 1]):
+                grouped, single, largest = self._grouped_and_single(
+                    monkeypatch, cfg, strides, threads)
+                assert np.array_equal(grouped, single), (reps, strides)
+                assert largest > 1  # the kept runs leave room for several windows
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("alpha,size", [(1.0, 1), (1.5, 2)], ids=["iid", "circulant"])
+    def test_unbounded_full_line_grids(self, monkeypatch, alpha, size, threads):
+        # whole windows: an iid row's flat holds one window's n + 1 floats,
+        # a circulant row's m floats hold two (n = 420, m = 864)
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        for reps in (1, 7, 1001):
+            cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.FULL_LINE, delta=0.05,
+                                  horizon=10.5, replications=reps, seed=31)
+            for strides in ([1], [1, 2, 3, 5], [16, 8, 4, 2, 1]):
+                grouped, single, largest = self._grouped_and_single(
+                    monkeypatch, cfg, strides, threads)
+                assert np.array_equal(grouped, single), (reps, strides)
+                assert largest == size
+
+    def test_gap_study_grid_runs_eight_windows_a_group(self, monkeypatch):
+        # the gap study's grid keeps at most a fifth of each window's
+        # columns, so its eight windows go in one group
+        cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
+                              horizon=449.76, replications=64, seed=32)
+        grouped, single, largest = self._grouped_and_single(
+            monkeypatch, cfg, [16, 8, 4, 2, 1], 2)
+        assert np.array_equal(grouped, single)
+        assert largest == 8
+
+
+class TestRunTables:
+    """A run's spectrum, variant table and bound plan (``_run_tables``) are
+    built once per (row map, delta, d, strides) and kept in fbm's one slot."""
+
+    _CFG = dict(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.05, horizon=15.0,
+                replications=32 * 130 + 3, seed=9)
+
+    def test_repeated_call_builds_nothing(self, monkeypatch):
+        cfg = EstimatorConfig(**self._CFG)
+        first = _simulate_functionals(cfg, [1, 3])
+        builds = [_counted(monkeypatch, estimator, name)
+                  for name in ("_embedding_spectrum", "_drift", "_bound_plan")]
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        assert np.array_equal(first, _simulate_functionals(cfg, [1, 3], threads=2))
+        assert builds == [[], [], []]
+        (op, table, signs, _), = fbm._SLOT.values()
+        assert not any(a.flags.writeable for a in (op.weights, signs, *(s for s, _, _ in table)))
+        # another penalty is another key: one build, which frees the last
+        other = dataclasses.replace(cfg, d=1.5)
+        _simulate_functionals(other, [1, 3])
+        assert [len(b) for b in builds] == [1, 1, 1] and len(fbm._SLOT) == 1
+
+    def test_stress_of_callers_switching_the_slot(self, monkeypatch):
+        # more user threads than cores, a short switch interval, and two
+        # configs of one grid that alternate, so that the slot's key
+        # switches while other runs read their tables; a forced bound puts
+        # the plan's closure among what they share.  Every table is its
+        # sequential one, bit for bit
+        monkeypatch.setattr(estimator, "_BOUND_COLUMNS", 16)
+        monkeypatch.setattr(estimator, "_BOUND_MIN_BLOCKS", 1)
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        configs = [(EstimatorConfig(**self._CFG), [1, 3]),
+                   (EstimatorConfig(**dict(self._CFG, d=0.8, replications=32 * 70 + 1)), [2])]
+        expected = [_simulate_functionals(cfg, strides) for cfg, strides in configs]
+        bad = []
+
+        def call(i):
+            for k in range(6):
+                j = (i + k) % 2
+                cfg, strides = configs[j]
+                if not np.array_equal(_simulate_functionals(cfg, strides, 1 + k % 2),
+                                      expected[j]):
+                    bad.append((i, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=call, args=(i,))
+                       for i in range(2 * os.cpu_count() + 2)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=300)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert bad == []

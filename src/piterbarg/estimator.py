@@ -416,8 +416,7 @@ def _fill_normals(seed: int, z: np.ndarray, first: int, block: int) -> None:
 
 
 def _row_operator(rmap: _RowMap):
-    """None (iid rows) or the cached spectrum of length ``rmap.width``, the
-    sampler's; the engine keeps its own with its tables (``_run_tables``)."""
+    """None (iid rows) or the cached spectrum of length ``rmap.width``."""
     if rmap.kind == "circulant":
         return _cached(_embedding_spectrum, rmap.alpha, rmap.width)
     return None
@@ -548,17 +547,16 @@ def _group_windows(rmap: _RowMap, k: int) -> int:
     return min(rmap.windows, 1 << ((max(rmap.width, rmap.n + 1) // k).bit_length() - 1))
 
 
-def _bound_plan(rmap: _RowMap, table: list, strides: Sequence[int], columns: int,
-                min_blocks: int):
-    """None where a window spans fewer than ``min_blocks`` column blocks of
-    about ``columns`` columns, else ``kept(prefix)``: per window, the runs
-    of adjacent blocks that may hold a variant's sub-grid extreme
-    (``_packed``; ``_simulate_functionals`` describes the bound)."""
+def _bound_plan(rmap: _RowMap, table: list, strides: list):
+    """None where a window spans fewer than _BOUND_MIN_BLOCKS column blocks,
+    else ``kept(prefix)``: per window, the runs of adjacent blocks that may
+    hold a variant's sub-grid extreme (``_packed``; ``_simulate_functionals``
+    describes the bound)."""
     n, width, windows = rmap.n, rmap.width, rmap.windows
     lcm = math.lcm(*strides)
-    span = lcm * -(-columns // lcm)
+    span = lcm * -(-_BOUND_COLUMNS // lcm)
     starts = np.arange(0, n + 1, span)
-    if len(starts) < min_blocks:
+    if len(starts) < _BOUND_MIN_BLOCKS:
         return None
     stops = np.minimum(starts + span, n + 1)
     anchors = np.array([anchor for _, _, anchor in table])
@@ -596,34 +594,7 @@ def _bound_plan(rmap: _RowMap, table: list, strides: Sequence[int], columns: int
             drop &= (top < refs[..., v, None] if sign > 0 else low > refs[..., v, None]).all(axis=0)
         return [_packed(zip(starts[keep].tolist(), stops[keep].tolist())) for keep in ~drop]
 
-    for array in (starts, stops, ring, reach, cols, win, ring_starts,
-                  *(x for step in steps for x in step[:3])):
-        array.flags.writeable = False  # kept in fbm's slot with the run's tables
     return kept
-
-
-def _run_tables(rmap: _RowMap, delta: float, d: float, strides: tuple, columns: int,
-                min_blocks: int) -> tuple:
-    """(op, table, signs, kept), what a run of this key builds before its
-    first draw: the row operator (``_row_operator``'s spectrum, or None), the
-    variants' (step, sign, anchor) table, their signs as a (variants, 1)
-    column, and the bound plan (``_bound_plan``).  ``_simulate_functionals``
-    keeps them in ``fbm._cached``'s one slot, so every array is read-only."""
-    neg, n = rmap.neg, rmap.n
-    op = _embedding_spectrum(rmap.alpha, rmap.width) if rmap.kind == "circulant" else None
-    # (step, sign, anchor) of v and -v, and on the half line of v~ and -v~,
-    # whose drift at k = n - j is drift[::-1]; drift becomes v's step last
-    drift = _drift(neg, n - neg, delta, rmap.alpha, d)
-    table = [(drift, 1, neg), (2.0 * drift, -1, neg)]
-    if rmap.variants == 4:
-        # -v~'s step copied: read backwards through a reversed view, it made
-        # the pass a third to a half slower (rows of 2121 and 44977 floats)
-        table += [(drift[::-1] - drift, -1, n), (-2.0 * drift[::-1], 1, n)]
-    np.negative(drift, out=drift)
-    signs = np.array([[sign] for _, sign, _ in table], dtype=float)
-    for array in (signs, *(step for step, _, _ in table)):
-        array.flags.writeable = False
-    return op, table, signs, _bound_plan(rmap, table, strides, columns, min_blocks)
 
 
 def sample_two_sided_path(
@@ -672,12 +643,10 @@ def _simulate_functionals(
     stream rows and walks it one block a batch (``_batch_rows``), whatever the
     replication count, with one set of ``_row_buffers``, taken off the free
     list ``_FREE`` (or made) on the calling thread and put back at the end,
-    and the row operator, variant table and bound plan (``_run_tables``),
-    taken from ``fbm._cached``'s one slot or built there, read-only, both
-    reused for all of its batches.  So memory follows from the config and
-    the worker count alone: pool threads build nothing, a repeated run
-    builds nothing before its first draw, and a run with one worker runs on
-    the calling thread.  A batch cumulates each row's ring once
+    and the row operator built here, both reused for all of its batches.
+    So memory follows from the config and the worker count alone: pool
+    threads build nothing, and a run with one worker runs on the calling
+    thread.  A batch cumulates each row's ring once
     (``_map_rows``), then forms its ``rmap.windows`` windows in groups of
     G (``_group_windows``), side by side in the normals buffer, each over
     the union of the group's kept runs (``_window``).
@@ -727,10 +696,19 @@ def _simulate_functionals(
     free, spaces = _kept_buffers(rmap, plan.rows, len(plan.shares))
     # sqrt(2) * (scale * values), in place.
     gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
-    # the key holds the bound's block constants too, which the plan reads
-    op, table, signs, kept = _cached(_run_tables, rmap, config.delta, config.d,
-                                     tuple(strides), _BOUND_COLUMNS, _BOUND_MIN_BLOCKS)
+    op = _row_operator(rmap)
     n, windows, variants, paths = rmap.n, rmap.windows, rmap.variants, rmap.paths
+    # (step, sign, anchor) of v and -v, and on the half line of v~ and -v~,
+    # whose drift at k = n - j is drift[::-1]; drift becomes v's step last
+    drift = _drift(neg, pos, config.delta, config.alpha, config.d)
+    table = [(drift, 1, neg), (2.0 * drift, -1, neg)]
+    if variants == 4:
+        # -v~'s step copied: read backwards through a reversed view, it made
+        # the pass a third to a half slower (rows of 2121 and 44977 floats)
+        table += [(drift[::-1] - drift, -1, n), (-2.0 * drift[::-1], 1, n)]
+    np.negative(drift, out=drift)
+    signs = np.array([[sign] for _, sign, _ in table], dtype=float)
+    kept = _bound_plan(rmap, table, strides)
     out = np.empty((reps, len(strides)))
 
     def work(share: tuple, space: tuple) -> None:

@@ -169,13 +169,12 @@ def _embedding_spectrum(alpha: float, m: int) -> CirculantSpectrum:
     return CirculantSpectrum(m=m, eigenvalues=lam, weights=weights)
 
 
-_SLOT: dict = {}  # the last operator or run tables built, by its (build, *args) key
+_SLOT: dict = {}  # the last operator built, by its (build, *args) key
 
 
 def _cached(build, *args):
-    """``build(*args)``, kept in one slot: a run holds its own operator (the
-    sampler's spectrum, or the engine's spectrum and tables), and the slot
-    spares a later run of the same key a rebuild.  A different key first
+    """``build(*args)``, kept in one slot: a run holds its own operator, and the
+    slot spares a later run of the same key a rebuild.  A different key first
     empties the slot, so the previous operator is freed before the next build
     starts and a run's memory is its own operator's alone."""
     key = (build, *args)

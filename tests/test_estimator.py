@@ -791,9 +791,6 @@ class TestBatchPlan:
         # would add 2.9 MB), each window's field in the normals buffer and
         # the variants in place.  What the plan does not count stays below
         # one step: a drift kept beside the table would add n + 1 floats.
-        # The first run also keeps the steps in fbm's slot with the
-        # spectrum, so the traced run holds them without allocating them:
-        # they are added to its traced peak
         import tracemalloc
 
         for domain, horizon, reps in ((Domain.HALF_LINE, 449.76, 256),
@@ -815,8 +812,6 @@ class TestBatchPlan:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            (_, table, _, _), = fbm._SLOT.values()
-            peak += sum(step.nbytes for step, _, _ in table)
             assert np.array_equal(first, again)
             assert 0.9 * counted <= peak <= 1.05 * counted
             assert peak - counted < 8 * (n + 1)
@@ -1182,9 +1177,8 @@ class TestEstimateConstant:
         ("circulant", dict(alpha=0.5, horizon=15.0, replications=17600)),
     ])
     def test_row_operator_built_once_on_calling_thread(self, monkeypatch, kind, kw):
-        # two workers and several batches each: a repeated run takes its
-        # operator and tables from one cache lookup on the calling thread,
-        # builds none of them, and no batch enters the cache
+        # two workers and several batches each: the run builds its operator
+        # once, before any worker starts, and no batch enters the cache
         caller, built = threading.get_ident(), []
         row_operator = estimator._row_operator
 
@@ -1201,13 +1195,13 @@ class TestEstimateConstant:
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=2))
         assert len(fills) >= 4 and caller not in fills  # pool threads ran the batches
-        assert built == []
-        assert cached == [caller]
+        assert built == [(caller, 0)]
+        assert cached == ([] if kind == "iid" else [caller])
 
     def test_another_cache_entry_mid_run_builds_no_second_map(self, monkeypatch):
         # a circulant run of three batches whose second batch first caches
-        # another spectrum (as another run or a sampler call would) keeps
-        # the spectrum and table it took from the cache: it builds none
+        # another spectrum (as another run or a sampler call would) builds
+        # its own spectrum once, and keeps its table
         fill = estimator._fill_normals
 
         def evicting_fill(seed, z, first, block):
@@ -1222,7 +1216,7 @@ class TestEstimateConstant:
         builds = _counted(monkeypatch, estimator, "_embedding_spectrum")
         monkeypatch.setattr(estimator, "_fill_normals", evicting_fill)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2]))
-        assert len(builds) == 0
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("kind,kw", [
         ("iid", {}),
@@ -2140,39 +2134,26 @@ class TestWindowGroups:
         assert largest == 8
 
 
-class TestRunTables:
-    """A run's spectrum, variant table and bound plan (``_run_tables``) are
-    built once per (row map, delta, d, strides) and kept in fbm's one slot."""
-
-    _CFG = dict(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.05, horizon=15.0,
-                replications=32 * 130 + 3, seed=9)
-
-    def test_repeated_call_builds_nothing(self, monkeypatch):
-        cfg = EstimatorConfig(**self._CFG)
-        first = _simulate_functionals(cfg, [1, 3])
-        builds = [_counted(monkeypatch, estimator, name)
-                  for name in ("_embedding_spectrum", "_drift", "_bound_plan")]
-        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
-        assert np.array_equal(first, _simulate_functionals(cfg, [1, 3], threads=2))
-        assert builds == [[], [], []]
-        (op, table, signs, _), = fbm._SLOT.values()
-        assert not any(a.flags.writeable for a in (op.weights, signs, *(s for s, _, _ in table)))
-        # another penalty is another key: one build, which frees the last
-        other = dataclasses.replace(cfg, d=1.5)
-        _simulate_functionals(other, [1, 3])
-        assert [len(b) for b in builds] == [1, 1, 1] and len(fbm._SLOT) == 1
+class TestConcurrentCallers:
+    """User threads that call the engine at once share its one-slot spectrum
+    cache and its kept batch buffers, and every table stays its own."""
 
     def test_stress_of_callers_switching_the_slot(self, monkeypatch):
         # more user threads than cores, a short switch interval, and two
-        # configs of one grid that alternate, so that the slot's key
-        # switches while other runs read their tables; a forced bound puts
-        # the plan's closure among what they share.  Every table is its
+        # configs on two grids that alternate, so that the spectrum slot and
+        # the kept buffers switch keys while other runs use theirs; a forced
+        # bound runs the grouped, bounded passes.  Every table is its
         # sequential one, bit for bit
+        callers = 2 * estimator._cpu_count() + 2  # the CPUs this process may run on
         monkeypatch.setattr(estimator, "_BOUND_COLUMNS", 16)
         monkeypatch.setattr(estimator, "_BOUND_MIN_BLOCKS", 1)
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
-        configs = [(EstimatorConfig(**self._CFG), [1, 3]),
-                   (EstimatorConfig(**dict(self._CFG, d=0.8, replications=32 * 70 + 1)), [2])]
+        base = dict(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.05, horizon=15.0,
+                    replications=32 * 130 + 3, seed=9)
+        configs = [(EstimatorConfig(**base), [1, 3]),
+                   (EstimatorConfig(**dict(base, d=0.8, horizon=12.0,
+                                           replications=32 * 70 + 1)), [2])]
+        assert len({_row_map(cfg.alpha, *cfg.side_counts()) for cfg, _ in configs}) == 2
         expected = [_simulate_functionals(cfg, strides) for cfg, strides in configs]
         bad = []
 
@@ -2187,8 +2168,7 @@ class TestRunTables:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            workers = [threading.Thread(target=call, args=(i,))
-                       for i in range(2 * os.cpu_count() + 2)]
+            workers = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
             for t in workers:
                 t.start()
             for t in workers:

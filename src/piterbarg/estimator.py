@@ -222,14 +222,10 @@ def _block_rows(width: int) -> int:
     # Largest power of two B with B * width <= 2^17, and at least 1: one
     # generator build (about 20 us, under the GIL) and one standard_normal
     # call, run without the GIL, per block.  A block is also a batch, about
-    # 2 MiB of buffers (one core's L2).  Fixed by the row width alone, so
-    # the stream never depends on the thread count.
+    # 2 MiB of buffers (one core's L2), or one row where a row is wider.
+    # Fixed by the row width alone, so the stream never depends on the
+    # thread count.
     return 1 << max(0, ((1 << 17) // width).bit_length() - 1)
-
-
-# A batch that runs an FFT keeps at least this many rows: numpy builds its
-# FFT plan anew on every call (about 170 us at m = 90000).
-_FFT_MIN_ROWS = 4
 
 
 # Ring windows per stream row (stream contract v10): eight below this alpha,
@@ -290,48 +286,44 @@ def _row_map(alpha: float, neg: int, pos: int) -> _RowMap:
     return _RowMap("circulant", alpha, neg, n, _next_fast_len(2 * n))
 
 
-def _row_bytes(rmap: _RowMap) -> int:
-    # Normals, at least n + 1 floats, which hold a group of windows' fields
-    # once the ring is cumulated, and the ring's width + 1 prefix sums: in
-    # the complex half-spectrum's m + 2 floats where there is an embedding
-    # (the irfft has consumed it by then), else in floats of their own.
-    # The variants reuse a window's field in place.
+def _row_floats(rmap: _RowMap) -> tuple[int, int]:
+    """(head, flat), the floats a row of ``_row_buffers`` takes.  ``head``
+    holds the ring's width + 1 prefix sums: in the complex half-spectrum's
+    m + 2 floats where there is an embedding (the irfft has consumed it by
+    then), else in floats of their own.  ``flat`` holds the normals, and
+    at least n + 1 floats, so that once the ring is cumulated it holds the
+    fields of a group of windows, which the variants reuse in place."""
     width = rmap.width
-    if rmap.kind == "circulant":
-        return 8 * width + 16 * (width // 2 + 1)
-    return 16 * (width + 1)
+    head = 2 * (width // 2 + 1) if rmap.kind == "circulant" else width + 1
+    return head, max(width, rmap.n + 1)
 
 
-def _batch_rows(rmap: _RowMap) -> int:
-    """Rows per batch: one stream block, or ``_FFT_MIN_ROWS`` where an FFT runs
-    and the block is shorter (blocks are powers of two, so whole blocks).
-    ``_batch_plan`` cuts it to one block where only that fits in memory."""
-    block = _block_rows(rmap.width)
-    return max(block, _FFT_MIN_ROWS) if rmap.kind == "circulant" else block
+def _row_bytes(rmap: _RowMap) -> int:
+    return 8 * sum(_row_floats(rmap))
 
 
 @dataclass(frozen=True)
 class _BatchPlan:
     """How a run's rows are batched, shared among workers and held in memory."""
 
-    block: int  # rows per stream block
-    rows: int  # stream rows per batch buffer
+    rows: int  # stream rows per batch: one block, or the whole run if shorter
+    group: int  # ring windows a worker's tops and refs are sized for
     shares: tuple[tuple[int, int], ...]  # (first, stop) stream row per worker
     nbytes: int  # variant steps, spectrum, output table, every worker's buffers
 
 
 def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
-    """Contiguous near-equal block shares, one per worker, walked in batches.
+    """Contiguous near-equal block shares, one per worker, a block a batch.
 
     ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows, and
-    the table holds ``reps`` rows of ``columns``.  The rows' ``N`` blocks go
-    to ``W = min(threads, CPUs, N)`` workers, CPUs being ``_cpu_count()``,
-    worker k taking blocks ``[k N / W, (k + 1) N / W)``.  Every worker's
-    buffers hold the run's batch rows, whatever its share, so that runs of
-    one config at any thread count reuse the same buffers (``_FREE``).
-    Raises ValueError for a thread count below 1, and for a run whose
-    memory, worked out here before anything is allocated, exceeds
-    ``_memory_limit()`` at one block per batch.
+    the table holds all their paths, rows of ``columns``.  The rows' ``N``
+    blocks go to ``W = min(threads, CPUs, N)`` workers, CPUs being
+    ``_cpu_count()``, worker k taking blocks ``[k N / W, (k + 1) N / W)``.
+    Every worker's buffers hold the run's batch rows, whatever its share,
+    so that runs of one config at any thread count reuse the same buffers
+    (``_FREE``).  Raises ValueError for a thread count below 1, and for a
+    run whose memory, worked out here before anything is allocated,
+    exceeds ``_memory_limit()``.
     """
     threads = _check_count("threads", threads)
     n, width = rmap.n, rmap.width
@@ -344,25 +336,30 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
          min(stream, (k + 1) * nblocks // workers * block))
         for k in range(workers)
     )
-    rows = min(_batch_rows(rmap), stream)
-    # The variant table's steps (n + 1 floats each), the output table, the
-    # spectrum at the peak of its build (the autocovariances, the first
-    # row, and the complex input and output of its FFT; it then holds
-    # less), and one set of batch buffers per worker.
-    fixed = 8 * (n + 1) * rmap.variants + 8 * reps * columns
+    rows = min(block, stream)
+    # The variant table's steps (n + 1 floats each), the output table of
+    # whole stream rows, the spectrum at the peak of its build (the
+    # autocovariances, the first row, and the complex input and output of
+    # its FFT; it then holds less), and per worker one set of batch
+    # buffers, the tops and refs of the largest group a batch can form
+    # (whole windows where no bound can engage, as a bound's blocks have at
+    # least _BOUND_COLUMNS columns, else any up to all the windows), a
+    # window's per-row shift and numpy's three ufunc buffers.
+    nbytes = 8 * (n + 1) * rmap.variants + 8 * stream * rmap.paths * columns
     if rmap.kind == "circulant":
-        fixed += 8 * (width // 2 + 1) + 8 * width + 32 * width
+        nbytes += 8 * (width // 2 + 1) + 8 * width + 32 * width
+    bounded = -(-(n + 1) // _BOUND_COLUMNS) >= _BOUND_MIN_BLOCKS
+    group = rmap.windows if bounded else _group_windows(rmap, n + 1)
+    nbytes += workers * (rows * (_row_bytes(rmap) + 8 * group * rmap.variants * (columns + 1) + 8)
+                         + 24 * np.getbufsize())
     limit, source = _memory_limit()
-    if fixed + workers * rows * _row_bytes(rmap) > limit:
-        rows = min(rows, block)  # the batch floors yield to memory
-    nbytes = fixed + workers * rows * _row_bytes(rmap)
     if nbytes > limit:
         m = width if rmap.kind == "circulant" else "none"
         raise ValueError(
             f"a run with n={n} increments and embedding length m={m} needs "
             f"{nbytes} bytes, more than the {limit} bytes of {source}"
         )
-    return _BatchPlan(block, rows, shares, nbytes)
+    return _BatchPlan(rows, group, shares, nbytes)
 
 
 def _cpu_count() -> int:
@@ -423,16 +420,16 @@ def _row_operator(rmap: _RowMap):
 
 
 def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
-    """Buffers for ``rows`` stream rows, in one allocation: the normals
-    (later the fGn) as a (rows, width) view of ``flat``, the half-spectrum
-    (or None), and the (rows, width + 1) ring prefix sums, which take the
-    floats of the half-spectrum once the irfft has consumed it.  ``flat``
-    holds max(width, n + 1) floats a row, so that once the prefix sums exist
-    it holds the fields of a group of G windows, G k floats a row for k
-    columns each (``_group_windows``), and at least one whole window."""
+    """Buffers for ``rows`` stream rows, in one allocation laid out by
+    ``_row_floats``: the normals (later the fGn) as a (rows, width) view of
+    ``flat``, the half-spectrum (or None), and the (rows, width + 1) ring
+    prefix sums, which take the floats of the half-spectrum once the irfft
+    has consumed it.  Once the prefix sums exist ``flat`` holds the fields
+    of a group of G windows, G k floats a row for k columns each
+    (``_group_windows``), and at least one whole window."""
     width, embedded = rmap.width, rmap.kind == "circulant"
-    spectrum = 2 * (width // 2 + 1) if embedded else width + 1  # floats a row
-    whole = np.empty(rows * (spectrum + max(width, rmap.n + 1)))
+    spectrum, floats = _row_floats(rmap)
+    whole = np.empty(rows * (spectrum + floats))
     head = whole[: rows * spectrum].reshape(rows, spectrum)  # 16-byte aligned first
     w = head.view(np.complex128) if embedded else None
     flat = whole[rows * spectrum :]
@@ -543,8 +540,8 @@ def _width(runs: Sequence[tuple]) -> int:
 def _group_windows(rmap: _RowMap, k: int) -> int:
     """G, the windows whose (rows, k) fields ``flat`` holds side by side: the
     largest power of two up to ``rmap.windows`` with G k <= max(width, n + 1),
-    the floats a row of ``flat`` holds (``_row_buffers``)."""
-    return min(rmap.windows, 1 << ((max(rmap.width, rmap.n + 1) // k).bit_length() - 1))
+    the floats a row of ``flat`` holds (``_row_floats``)."""
+    return min(rmap.windows, 1 << ((_row_floats(rmap)[1] // k).bit_length() - 1))
 
 
 def _bound_plan(rmap: _RowMap, table: list, strides: list):
@@ -636,17 +633,18 @@ def _simulate_functionals(
     field of variant r mod ``rmap.variants`` of the window's path.  A stride
     is an integer from 1 to the positive side count, so that its sub-grid
     keeps a point besides the anchor; anything else is a ValueError before
-    anything is built or drawn.  The batching here only amortizes the FFTs.
+    anything is built or drawn.
 
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
-    stream rows and walks it one block a batch (``_batch_rows``), whatever the
-    replication count, with one set of ``_row_buffers``, taken off the free
-    list ``_FREE`` (or made) on the calling thread and put back at the end,
-    and the row operator built here, both reused for all of its batches.
-    So memory follows from the config and the worker count alone: pool
-    threads build nothing, and a run with one worker runs on the calling
-    thread.  A batch cumulates each row's ring once
+    stream rows and walks it one block a batch, whatever the replication
+    count, with one set of ``_row_buffers``, taken off the free list
+    ``_FREE`` (or made) on the calling thread and put back at the end, the
+    row operator built here, and one array for the tops and refs of the
+    plan's largest group, all reused for all of its batches.  So memory
+    follows from the config and the worker count alone: pool threads build
+    no operator or buffer set, and a run with one worker runs on the
+    calling thread.  A batch cumulates each row's ring once
     (``_map_rows``), then forms its ``rmap.windows`` windows in groups of
     G (``_group_windows``), side by side in the normals buffer, each over
     the union of the group's kept runs (``_window``).
@@ -676,8 +674,9 @@ def _simulate_functionals(
     full pass's, bit for bit.  NaN compares false, so a NaN bound keeps
     its block.  A group's union of runs adds to a window only columns of
     its own field, kept for another window of the group, so its tops stay
-    the full pass's too; a group computes every row of its batch and
-    stores the paths the run holds.
+    the full pass's too.  A group computes and stores every row of its
+    batch in a table of whole stream rows, whose first ``replications``
+    rows the run returns.
     ``_fill_normals`` builds the generator of each block (B * width <= 2^17
     normals) where it draws it, so no generator is shared between threads.
     """
@@ -709,27 +708,29 @@ def _simulate_functionals(
     np.negative(drift, out=drift)
     signs = np.array([[sign] for _, sign, _ in table], dtype=float)
     kept = _bound_plan(rmap, table, strides)
-    out = np.empty((reps, len(strides)))
+    out = np.empty((-(-reps // paths) * paths, len(strides)))
 
     def work(share: tuple, space: tuple) -> None:
         (lo, hi), (z, w, sums, flat) = share, space
+        passes = np.empty(plan.rows * plan.group * variants * (len(strides) + 1))
         for start in range(lo, hi, plan.rows):
             rows = min(plan.rows, hi - start)
-            _fill_normals(config.seed, z[:rows], start // plan.block, plan.block)
+            _fill_normals(config.seed, z[:rows], start // plan.rows, plan.rows)
             prefix = _map_rows(rmap, op, z, w, sums, rows, gains)
-            # replication (i, p, v), variant v of window p of row i, is
-            # batch[i * paths + p * variants + v]; the run's last row may be
-            # short, so its whole rows are (row, window, variant) cells
-            batch = out[paths * start : paths * (start + rows)]
-            whole = len(batch) // paths
-            cells = batch[: whole * paths].reshape(whole, windows, variants, len(strides))
+            # replication (i, p, v), variant v of window p of stream row i,
+            # is out[i * paths + p * variants + v]
+            cells = out[paths * start : paths * (start + rows)].reshape(
+                rows, windows, variants, len(strides))
             runs = kept(prefix) if kept else [[(0, n + 1, 0)]] * windows
             size = _group_windows(rmap, _width(_packed(
                 run[:2] for window in runs for run in window)))
-            tops = np.empty((rows, size, variants, len(strides)))
-            refs = np.empty((rows, size, variants, 1))
+            # a group's (rows, size, variants, strides) tops and their refs
+            tops = passes[: rows * size * variants * len(strides)].reshape(
+                rows, size, variants, len(strides))
+            refs = passes[tops.size : tops.size + rows * size * variants].reshape(
+                rows, size, variants, 1)
             for p in range(0, windows, size):
-                if p * variants >= len(batch):  # none of the group's paths is in the run
+                if paths * start + p * variants >= reps:  # none of the group's paths is in the run
                     break
                 # the group's windows p, ..., p + size - 1 over the union of
                 # their kept runs, side by side in flat as (size, rows, k)
@@ -756,10 +757,7 @@ def _simulate_functionals(
                 np.subtract(tops, refs, out=tops)
                 np.multiply(tops, signs, out=tops)
                 np.exp(tops, out=tops)
-                cells[:, p : p + size] = tops[:whole]
-                tail = batch[whole * paths + p * variants : whole * paths + (p + size) * variants]
-                if len(tail):
-                    tail[:] = tops[whole].reshape(-1, len(strides))[: len(tail)]
+                cells[:, p : p + size] = tops
 
     if len(spaces) > 1:
         with ThreadPoolExecutor(max_workers=len(spaces)) as pool:
@@ -767,7 +765,7 @@ def _simulate_functionals(
     else:
         work(plan.shares[0], spaces[0])
     free.extend(spaces)
-    return out
+    return out[:reps]
 
 
 def _mom_ci_rank(blocks: int) -> int | None:

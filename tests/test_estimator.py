@@ -42,10 +42,8 @@ from piterbarg import (
     sample_two_sided_path,
 )
 from piterbarg.estimator import (
-    _FFT_MIN_ROWS,
     _aggregate,
     _batch_plan,
-    _batch_rows,
     _block_rows,
     _fill_normals,
     _map_rows,
@@ -69,6 +67,14 @@ def _rmap(n, width, embedded=False):
     alpha = 1.9 (four windows of four replications); the plan reads only its
     kind, neg, n, width and paths."""
     return _RowMap("circulant" if embedded else "iid", 1.9, 0, n, width)
+
+
+def _worker_bytes(rmap, rows, group, columns):
+    """What a plan counts per worker: a batch row's buffers, its tops and
+    refs for a group of ``group`` windows (columns + 1 floats for each
+    variant) and its window shift, and numpy's three ufunc buffers."""
+    return (rows * (_row_bytes(rmap) + 8 * group * rmap.variants * (columns + 1) + 8)
+            + 24 * np.getbufsize())
 
 
 def _counted(monkeypatch, module, name):
@@ -633,26 +639,31 @@ class TestBatchPlan:
         # a plan starts no thread: lay out more workers than the host has CPUs
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 64)
 
-    def test_working_set_within_budget(self):
-        # a batch is one stream block, or the _FFT_MIN_ROWS floor where an
-        # FFT runs; one block of B * width <= 2^17 normals and their
-        # half-spectrum or prefix sums takes about 2 MiB
-        for n, width, embedded in _row_shapes():
-            rows, block = _batch_rows(_rmap(n, width, embedded)), _block_rows(width)
-            row_bytes = _row_bytes(_rmap(n, width, embedded))
-            assert rows == (max(block, _FFT_MIN_ROWS) if embedded else block)
-            if rows == block and width <= 2**17:
-                assert rows * row_bytes <= 2**21 + 16 * rows
+    @pytest.fixture
+    def _no_memory_limit(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**62, "physical memory"))
 
+    @pytest.mark.usefixtures("_no_memory_limit")
+    def test_working_set_within_budget(self):
+        # a batch is one stream block; one block of B * width <= 2^17
+        # normals and their half-spectrum or prefix sums takes about 2 MiB
+        for n, width, embedded in _row_shapes():
+            rmap, block = _rmap(n, width, embedded), _block_rows(width)
+            rows = _batch_plan(rmap.paths * block, rmap, 1, 1).rows
+            assert rows == block
+            if width <= 2**17:
+                assert rows * _row_bytes(rmap) <= 2**21 + 16 * rows
+
+    @pytest.mark.usefixtures("_no_memory_limit")
     def test_huge_rows(self):
-        assert _batch_rows(_rmap(2**30, 2**30, False)) == 1
-        assert _batch_rows(_rmap(2**29, 2**30, True)) == _FFT_MIN_ROWS
+        for rmap in (_rmap(2**30, 2**30, False), _rmap(2**29, 2**30, True)):
+            assert _batch_plan(10**4, rmap, 2, 1).rows == _block_rows(rmap.width) == 1
 
     @pytest.mark.parametrize("n,width,embedded", [
         (172, 360, True), (2120, 2120, False), (44976, 90000, True), (20, 40, True),
     ])
     def test_batch_rows_do_not_grow_with_replications(self, n, width, embedded):
-        rows = _batch_rows(_rmap(n, width, embedded))
+        rows = _block_rows(width)
         for reps in (1, 7, 100, 10**4, 10**6, 10**8):
             for threads in (1, 2, 4):
                 plan = _batch_plan(reps, _rmap(n, width, embedded), threads, 1)
@@ -686,7 +697,7 @@ class TestBatchPlan:
             assert len(plan.shares) == cpus
             assert plan.shares[0][0] == 0 and plan.shares[-1][1] == 10**7
             assert plan.nbytes == (32 * 2121 + 8 * rmap.paths * 10**7
-                                   + cpus * plan.rows * _row_bytes(rmap))
+                                   + cpus * _worker_bytes(rmap, plan.rows, 1, 1))
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert len(_batch_plan(1024, _rmap(100, 2048, True), 5000, 1).shares) == 1
 
@@ -717,47 +728,48 @@ class TestBatchPlan:
     def test_plan_bytes(self):
         # the drift and its double, and on the half line the reversal's step
         # and the reversed double, table, the spectrum's build (autocovariances, first row, complex
-        # FFT input and output) and two workers' buffers
+        # FFT input and output) and two workers' buffers and tops and refs,
+        # of groups of two whole windows where the m floats of a circulant
+        # row hold two, one on the iid row
         plan = _batch_plan(16000, _rmap(172, 360, True), 2, 3)
         assert len(plan.shares) == 2
         assert plan.nbytes == (32 * 173 + 8 * 48000 + 8 * 181 + 8 * 360 + 32 * 360
-                               + 2 * plan.rows * _row_bytes(_rmap(172, 360, True)))
+                               + 2 * _worker_bytes(_rmap(172, 360, True), plan.rows, 2, 3))
         plan = _batch_plan(16000, _rmap(172, 172, False), 2, 3)
         assert len(plan.shares) == 2
         assert plan.nbytes == (32 * 173 + 8 * 48000
-                               + 2 * plan.rows * _row_bytes(_rmap(172, 172, False)))
+                               + 2 * _worker_bytes(_rmap(172, 172, False), plan.rows, 1, 3))
         full = _RowMap("circulant", 1.9, 86, 172, 360)
         plan = _batch_plan(4000, full, 2, 3)
         assert len(plan.shares) == 2
         assert plan.nbytes == (16 * 173 + 8 * 12000 + 8 * 181 + 8 * 360 + 32 * 360
-                               + 2 * plan.rows * _row_bytes(full))
+                               + 2 * _worker_bytes(full, plan.rows, 2, 3))
+        # a short last row's table rows are counted whole: 4001 replications
+        # take 501 rows of 8
+        assert _batch_plan(4001, full, 2, 3).nbytes == plan.nbytes + 8 * 8 * 3
         # a row's buffers: the normals (n + 1 floats at least, the window
         # field's room) and the width + 1 prefix sums, in the half-spectrum
         # where there is one
         assert _row_bytes(full) == 8 * 360 + 16 * 181
         assert _row_bytes(_rmap(172, 172, False)) == 8 * 173 + 8 * 173
 
-    def test_fft_floor_yields_to_memory(self, monkeypatch):
-        # n = 2.5e7 on two workers, full line: 8.38 GiB at the 4-row floor,
-        # over an 8 GiB limit, but 3.91 GiB at one block (one row) per batch;
-        # 400 replications are 50 stream rows.  The same 50 rows on the half
-        # line (800 replications) add only the reversal's two arrays and the
-        # 400 more table values
+    def test_widest_rows_plan_one_row_a_worker(self, monkeypatch):
+        # n = 2.5e7 on two workers, full line: one row (one block) a batch,
+        # 3.91 GiB; 400 replications are 50 stream rows.  The same 50 rows
+        # on the half line (800 replications) add only the reversal's two
+        # arrays, the 400 more table values and two more variants' tops and
+        # refs; groups may hold all four windows, as the bound engages
         n, m = 25_000_000, 50_000_000
         full = _RowMap("circulant", 1.9, n // 2, n, m)
         assert _next_fast_len(2 * n) == m and _block_rows(m) == 1
         fixed = 16 * (n + 1) + 8 * 400 + 8 * (m // 2 + 1) + 40 * m
-        monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
-        plan = _batch_plan(400, full, 2, 1)
-        assert plan.rows == _FFT_MIN_ROWS == 4
-        assert plan.nbytes == fixed + 2 * 4 * _row_bytes(full) > 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (8 * 2**30, "physical memory"))
         plan = _batch_plan(400, full, 2, 1)
         assert plan.rows == 1 and plan.shares == ((0, 25), (25, 50))
-        assert plan.nbytes == fixed + 2 * _row_bytes(full) < 4 * 2**30
+        assert plan.nbytes == fixed + 2 * _worker_bytes(full, 1, 4, 1) < 4 * 2**30
         half = _batch_plan(800, _rmap(n, m, True), 2, 1)
         assert half.rows == 1 and half.shares == plan.shares
-        assert half.nbytes == plan.nbytes + 16 * (n + 1) + 8 * 400 < 8 * 2**30
+        assert half.nbytes == plan.nbytes + 16 * (n + 1) + 8 * 400 + 2 * 8 * 4 * 2 * 2 < 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (3 * 2**30, "physical memory"))
         with pytest.raises(ValueError, match=rf"needs {plan.nbytes} bytes"):
             _batch_plan(400, full, 2, 1)
@@ -777,13 +789,16 @@ class TestBatchPlan:
         finally:
             tracemalloc.stop()
         plan = _batch_plan(1, _rmap(n, m, True), 1, 1)
-        counted = plan.nbytes - 32 * (n + 1) - 8 - plan.rows * _row_bytes(_rmap(n, m, True))
+        # less the steps, the table's one row of 16 paths, and the worker's
+        # buffers, four windows a group
+        counted = (plan.nbytes - 32 * (n + 1) - 8 * 16
+                   - _worker_bytes(_rmap(n, m, True), plan.rows, 4, 1))
         assert 0.5 * counted <= peak <= 1.1 * counted
 
     def test_plan_bytes_cover_batch_buffers(self):
-        # the gap study's grid on two workers of one 4-row batch each (256
-        # replications, 32 a row), and the full line's grid of the same n
-        # (128 replications, 16 a row): once a first run has cached the
+        # the gap study's grid on two workers of one-row batches, four each
+        # (256 replications, 32 a row), and the full line's grid of the same
+        # n (128 replications, 16 a row): once a first run has cached the
         # spectrum and made numpy's lazy imports, and with the kept buffers
         # dropped, the measured peak is the variant table's steps (four, or
         # two on the full line), the output table and the buffers, with the
@@ -801,7 +816,7 @@ class TestBatchPlan:
             n, m = rmap.n, rmap.width
             assert (n, m) == (44976, 90000)
             plan = _batch_plan(reps, rmap, 2, 1)
-            assert plan.rows == 4 and len(plan.shares) == 2
+            assert plan.rows == 1 and len(plan.shares) == 2
             assert _row_bytes(rmap) == 8 * m + 16 * (m // 2 + 1)
             counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
             first = _simulate_functionals(cfg, [1], threads=2)
@@ -815,6 +830,32 @@ class TestBatchPlan:
             assert np.array_equal(first, again)
             assert 0.9 * counted <= peak <= 1.05 * counted
             assert peak - counted < 8 * (n + 1)
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_plan_bytes_cover_group_tops(self, blocks):
+        # n = 10 on the half line at ten strides, blocks of 4096 rows, one
+        # or two batches on one worker: a group's tops (1.31 MB) rival the
+        # batch buffers (1.38 MB), and with the kept buffers dropped the
+        # traced peak stays within the plan, numpy's ufunc buffers counted
+        import tracemalloc
+
+        cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.5,
+                              horizon=5.0, replications=32 * 4096 * blocks, seed=5)
+        rmap = _row_map(cfg.alpha, *cfg.side_counts())
+        strides = list(range(1, 11))
+        plan = _batch_plan(cfg.replications, rmap, 1, len(strides))
+        assert (rmap.n, plan.rows, plan.group) == (10, 4096, 1)
+        assert 8 * plan.rows * rmap.variants * len(strides) > 0.9 * plan.rows * _row_bytes(rmap)
+        first = _simulate_functionals(cfg, strides)
+        estimator._FREE.clear()
+        tracemalloc.start()
+        try:
+            again = _simulate_functionals(cfg, strides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, again)
+        assert peak <= plan.nbytes, (peak, plan.nbytes)
 
     def test_eigenvalues_own_their_memory(self):
         # a real copy of the transform, not a view that keeps the complex
@@ -894,7 +935,6 @@ class TestBlockRows:
             assert block == 1 or block * w <= 2**17
             assert 2 * block * w > 2**17
             assert block == block_rows(w)
-            assert _batch_rows(_rmap(w, w, False)) % block == 0
         assert [_block_rows(w) for w in (360, 2120, 90_000)] == [256, 32, 1]
 
     def test_depends_on_width_alone(self, monkeypatch):
@@ -950,14 +990,12 @@ class TestEstimateConstant:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_batched_matches_per_path_pipeline(self, alpha, domain, threads,
                                                monkeypatch):
-        # blocks of two rows in batches of four: 8 rows and one replication
-        # (129 on the full line, 257 on the half line) are 9 stream rows,
-        # the last keeping one replication, so a later batch starts on a
-        # block boundary and the last block is short.  The engine must
+        # blocks of two rows: 8 rows and one replication (129 on the full
+        # line, 257 on the half line) are 9 stream rows, the last keeping
+        # one replication, so the last block is short.  The engine must
         # reproduce the per-path oracle and the public path sampler (a
         # row's first window) bit-for-bit, including the alpha = 1 shortcut.
         monkeypatch.setattr(estimator, "_block_rows", lambda width: 2)
-        monkeypatch.setattr(estimator, "_batch_rows", lambda rmap: 4)
         cfg = EstimatorConfig(alpha=alpha, d=0.3, domain=domain,
                               delta=0.3, horizon=3.0, replications=1, seed=99)
         cfg = dataclasses.replace(cfg, replications=8 * _row_unit(cfg) + 1)
@@ -976,16 +1014,16 @@ class TestEstimateConstant:
                 assert np.array_equal(unit * cfg.delta ** (cfg.alpha / 2.0), path.values)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_real_fft_floor_matches_oracle(self, threads):
-        # nothing patched: m = 34560 gives blocks of 2 rows and the 4-row
-        # FFT floor, so 257 replications, 9 half-line stream rows of 32, the
-        # last holding one, are batches of 4, 4 and 1 rows on one thread and
-        # blocks [0, 2) and [2, 5) on two
+    def test_two_row_blocks_match_oracle(self, threads):
+        # nothing patched: m = 34560 gives blocks of 2 rows, so 257
+        # replications, 9 half-line stream rows of 32, the last holding
+        # one, are batches of 2, 2, 2, 2 and 1 rows, blocks [0, 2) and
+        # [2, 5) on two threads
         cfg = EstimatorConfig(alpha=0.5, d=0.7, domain=Domain.HALF_LINE, delta=0.01,
                               horizon=170.0, replications=257, seed=41)
-        n = sum(cfg.side_counts())
-        m = _next_fast_len(2 * n)
-        assert (n, m, _block_rows(m), _batch_rows(_rmap(n, m, True))) == (17000, 34560, 2, 4)
+        rmap = _row_map(cfg.alpha, *cfg.side_counts())
+        assert (rmap.n, rmap.width, _block_rows(rmap.width)) == (17000, 34560, 2)
+        assert _batch_plan(cfg.replications, rmap, threads, 2).rows == 2
         table = _simulate_functionals(cfg, [1, 3], threads=threads)
         for r in range(cfg.replications):
             recs = subsampled_functionals(replication_path(cfg, r), cfg.d, cfg.domain, [1, 3])
@@ -1046,7 +1084,7 @@ class TestEstimateConstant:
     def test_brownian_deterministic_across_threads_and_batches(self):
         # a block and 7 rows: two blocks, the second short
         rmap = _row_map(1.0, *self._config().side_counts())
-        cfg = self._config(replications=rmap.paths * (_batch_rows(rmap) + 7))
+        cfg = self._config(replications=rmap.paths * (_block_rows(rmap.width) + 7))
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         t2 = _simulate_functionals(cfg, [1, 2], threads=2)
         assert np.array_equal(t1, t2)
@@ -1056,7 +1094,7 @@ class TestEstimateConstant:
         # this is two batches and a short third, run by two and three
         # workers that each reuse one set of buffers
         cfg = self._config(alpha=0.5, d=0.5, domain=Domain.FULL_LINE,
-                           horizon=0.5, replications=32 * _batch_rows(_rmap(20, 40, True)) + 9)
+                           horizon=0.5, replications=32 * _block_rows(40) + 9)
         assert _row_map(cfg.alpha, *cfg.side_counts()).width == 40
         t1 = _simulate_functionals(cfg, [1, 3], threads=1)
         for threads in (2, 3):
@@ -1099,7 +1137,7 @@ class TestEstimateConstant:
             fill(seed, z, first, block)
 
         cfg = self._config(replications=128000)
-        assert sum(cfg.side_counts()) == 100 and _batch_rows(_rmap(100, 100, False)) == 1024
+        assert sum(cfg.side_counts()) == 100 and _block_rows(100) == 1024
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         monkeypatch.setattr(estimator, "_fill_normals", spy)
@@ -1110,8 +1148,7 @@ class TestEstimateConstant:
         assert np.array_equal(t1, t2)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-    def test_uneven_block_shares_match_one_thread_and_oracle(self, alpha, monkeypatch,
-                                                             pool_sizes):
+    def test_uneven_block_shares_match_one_thread_and_oracle(self, alpha, pool_sizes):
         # five blocks of stream rows, the last one short, in batches of one
         # block: two workers take blocks [0, 2) and [2, 5), three take
         # [0, 1), [1, 3) and [3, 5); on circulant rows the odd replication
@@ -1120,8 +1157,6 @@ class TestEstimateConstant:
                            delta=0.05, horizon=2.0, replications=1)
         rmap = _row_map(alpha, *cfg.side_counts())
         block, paths = block_rows(rmap.width), rmap.paths
-        monkeypatch.setattr(estimator, "_batch_rows",
-                            lambda rmap: block_rows(rmap.width))
         cfg = self._config(alpha=alpha, d=0.7, domain=Domain.FULL_LINE,
                            delta=0.05, horizon=2.0, replications=paths * (4 * block + 2) + 1)
         t1 = _simulate_functionals(cfg, [1, 2], threads=1)
@@ -1363,18 +1398,13 @@ class TestDenseRows:
             np.testing.assert_allclose(a.T @ a, expected, rtol=1e-10,
                                        atol=1e-12 * np.abs(expected).max())
 
-    def test_bit_identical_across_threads_batchings_and_counts(self, monkeypatch, pool_sizes):
+    def test_bit_identical_across_threads_batchings_and_counts(self, pool_sizes):
         # three and a bit blocks of 512 rows of sixteen replications: one,
-        # two and three workers, batches of one block and of two, and a
-        # count that ends the run mid-block
+        # two and three workers, and a count that ends the run mid-block
         cfg = self._config(replications=24 * 1024 + 560)
         assert _block_rows(_row_map(cfg.alpha, *cfg.side_counts()).width) == 512
         reference = _simulate_functionals(cfg, [1, 2], threads=1)
         for threads in (2, 3):
-            assert np.array_equal(reference, _simulate_functionals(cfg, [1, 2], threads=threads))
-        monkeypatch.setattr(estimator, "_batch_rows",
-                            lambda rmap: 2 * _block_rows(rmap.width))
-        for threads in (1, 2, 3):
             assert np.array_equal(reference, _simulate_functionals(cfg, [1, 2], threads=threads))
         for reps in (1, 5, 8 * 1024 + 3, 24 * 1024 + 33):
             short = _simulate_functionals(self._config(replications=reps), [1, 2], threads=2)
@@ -1776,17 +1806,17 @@ class TestKeptBuffers:
 
     def test_another_grid_frees_the_kept_buffers_before_its_build(self, monkeypatch):
         # a run on grid B after one on the gap study's grid A, whose kept
-        # buffers (2.9 MB) outweigh all B's plan counts (1.8 MB): A's are
+        # buffers (1.44 MB) outweigh all B's plan counts (0.92 MB): A's are
         # freed before B builds its spectrum or takes its buffers, so B's
         # traced peak stays at what A's run left held (held with them, the
-        # spectrum's build alone adds 0.8 MB), within one of B's steps.
+        # spectrum's build alone adds 0.57 MB), within one of B's steps.
         # The memory limit is fixed, so that reading it opens no files
         import tracemalloc
 
         a = self._config(delta=0.01, horizon=449.76, replications=64)
-        b = self._config(delta=0.01, horizon=100.0, replications=64)
+        b = self._config(delta=0.01, horizon=50.0, replications=64)
         ra, rb = (_row_map(c.alpha, *c.side_counts()) for c in (a, b))
-        assert (ra.width, rb.n) == (90000, 10000)
+        assert (ra.width, rb.n) == (90000, 5000)
         plan_a, plan_b = _batch_plan(64, ra, 1, 1), _batch_plan(64, rb, 1, 1)
         assert plan_b.nbytes < plan_a.rows * _row_bytes(ra)
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
@@ -2132,6 +2162,42 @@ class TestWindowGroups:
             monkeypatch, cfg, [16, 8, 4, 2, 1], 2)
         assert np.array_equal(grouped, single)
         assert largest == 8
+
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("grid,size", [("bounded", 8), ("unbounded", 2)])
+    def test_short_last_row_is_a_prefix_of_whole_rows(self, monkeypatch, grid, size, threads):
+        # runs that end inside a row, one path into it up to one short of
+        # its end, on the forced-bound half line (groups of eight windows)
+        # and the circulant full line (groups of two, some of which hold
+        # none of the run's paths): in blocks of 4 rows the short row is a
+        # batch of its own, at another place of the table in each run.
+        # Each table is the first rows of a longer run's, C-contiguous and
+        # of the run's shape
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(estimator, "_block_rows", lambda width: 4)
+        if grid == "bounded":
+            monkeypatch.setattr(estimator, "_BOUND_COLUMNS", 16)
+            monkeypatch.setattr(estimator, "_BOUND_MIN_BLOCKS", 1)
+            kw = dict(alpha=0.5, domain=Domain.HALF_LINE, horizon=60.0)  # n = 1200
+        else:
+            kw = dict(alpha=1.5, domain=Domain.FULL_LINE, horizon=10.5)  # n = 420, m = 864
+
+        def run(reps):
+            cfg = EstimatorConfig(d=2.0, delta=0.05, replications=reps, seed=33, **kw)
+            return _simulate_functionals(cfg, [1, 2, 3], threads)
+
+        rmap = _row_map(kw["alpha"], *EstimatorConfig(
+            d=2.0, delta=0.05, replications=1, seed=33, **kw).side_counts())
+        paths, variants = rmap.paths, rmap.variants
+        longer = run(32 * paths)
+        fields = self._spied(monkeypatch)
+        ends = sorted({1, variants - 1, variants, variants + 1, paths - 1})
+        for k, j in zip(range(8, 32, 4), ends):
+            table = run(k * paths + j)
+            assert table.shape == (k * paths + j, 3) and table.flags.c_contiguous
+            assert np.array_equal(table, longer[: k * paths + j]), (k, j)
+        assert max(group for _, _, group in fields) == size
 
 
 class TestConcurrentCallers:

@@ -85,7 +85,6 @@ from typing import Sequence
 import numpy as np
 
 from .fbm import (
-    _cached,
     _check_alpha,
     _check_count,
     _check_real,
@@ -321,8 +320,8 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     ``_cpu_count()``, worker k taking blocks ``[k N / W, (k + 1) N / W)``.
     Every worker's buffers hold the run's batch rows, whatever its share,
     so that runs of one config at any thread count reuse the same buffers
-    (``_FREE``).  Raises ValueError for a thread count below 1, and for a
-    run whose memory, worked out here before anything is allocated,
+    (``_kept_state``).  Raises ValueError for a thread count below 1, and
+    for a run whose memory, worked out here before anything is allocated,
     exceeds ``_memory_limit()``.
     """
     threads = _check_count("threads", threads)
@@ -412,13 +411,6 @@ def _fill_normals(seed: int, z: np.ndarray, first: int, block: int) -> None:
         np.random.Generator(bits).standard_normal(out=z[i : i + block])
 
 
-def _row_operator(rmap: _RowMap):
-    """None (iid rows) or the cached spectrum of length ``rmap.width``."""
-    if rmap.kind == "circulant":
-        return _cached(_embedding_spectrum, rmap.alpha, rmap.width)
-    return None
-
-
 def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
     """Buffers for ``rows`` stream rows, in one allocation laid out by
     ``_row_floats``: the normals (later the fGn) as a (rows, width) view of
@@ -436,33 +428,34 @@ def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
     return flat[: rows * width].reshape(rows, width), w, head[:, : width + 1], flat
 
 
-# Batch buffers kept between runs of the last (row map, batch rows): glibc
-# returns a freed block that large to the system, and the next run faulted
-# it in again (about 1500 faults, 2 ms a gap-study call).  Sets are taken
-# under the lock and put back by list.extend, atomic under the GIL, so
-# concurrent runs share no set.
-_FREE: dict = {}
-_FREE_LOCK = threading.Lock()
+# The spectrum and free batch buffers of the last (row map, batch rows);
+# another key frees both before anything is built.  glibc returns a freed
+# block that large to the system, which the next run faulted in again (1500
+# faults, 2 ms a gap-study call).  Sets are taken under the lock and put
+# back by list.extend, atomic under the GIL: concurrent runs share no set.
+_SLOT: dict = {}
+_SLOT_LOCK = threading.Lock()
 
 
-def _kept_buffers(rmap: _RowMap, rows: int, count: int) -> tuple[list, list]:
-    """The free list of (rmap, rows), which first empties ``_FREE`` of any
-    other key, and ``count`` sets of ``_row_buffers`` taken off it or made."""
-    with _FREE_LOCK:
-        free = _FREE.get((rmap, rows))
-        if free is None:
-            _FREE.clear()
-            free = _FREE[rmap, rows] = []
-        kept = [free.pop() for _ in range(min(count, len(free)))]
-    return free, kept + [_row_buffers(rmap, rows) for _ in range(count - len(kept))]
+def _kept_state(rmap: _RowMap, rows: int, count: int) -> tuple:
+    """(op, free, sets) of (rmap, rows): the spectrum (None on iid rows), the
+    free list, and ``count`` sets of ``_row_buffers`` taken off it or made."""
+    with _SLOT_LOCK:
+        if (rmap, rows) not in _SLOT:
+            _SLOT.clear()
+            op = _embedding_spectrum(rmap.alpha, rmap.width) if rmap.kind == "circulant" else None
+            _SLOT[rmap, rows] = op, []
+        op, free = _SLOT[rmap, rows]
+        sets = [free.pop() for _ in range(min(count, len(free)))]
+    return op, free, sets + [_row_buffers(rmap, rows) for _ in range(count - len(sets))]
 
 
 def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, sums: np.ndarray,
               rows: int, gains: Sequence[float] = ()) -> np.ndarray:
     """The ring prefix sums of the normals z[:rows] in sums[:rows], from
-    ``_row_buffers``, by ``op = _row_operator(rmap)``, multiplied by each of
-    ``gains`` in turn; returns them.  A circulant row's ring is its (m,)
-    fGn, an iid row's its n normals."""
+    ``_row_buffers``, by the spectrum ``op`` (``_kept_state``), multiplied by
+    each of ``gains`` in turn; returns them.  A circulant row's ring is its
+    (m,) fGn, an iid row's its n normals."""
     ring = z[:rows]
     if rmap.kind == "circulant":
         ring = _fgn_from_normals(op, ring, w[:rows])
@@ -604,20 +597,27 @@ def sample_two_sided_path(
     exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
     increments.  It is window 0 (the first n increments) of one row of the
     engine's ``_row_map``, drawn from ``rng`` (n normals, or the m of an
-    embedding) into buffers laid out as the engine's.  Returns B(k) for
-    k = -neg_count..pos_count, so ``values[neg_count]`` is exactly 0; times
-    delta^(alpha/2), the path on the delta grid.
+    embedding) into a one-row buffer set of the engine's slot.  Returns B(k)
+    for k = -neg_count..pos_count, so ``values[neg_count]`` is exactly 0;
+    times delta^(alpha/2), the path on the delta grid.  A non-Generator
+    ``rng``, or a grid whose one-row plan exceeds memory, is a ValueError.
     """
     alpha = _check_alpha(alpha)
     neg_count = _check_count("neg_count", neg_count, 0, rule="be a nonnegative integer")
     pos_count = _check_count("pos_count", pos_count, 0, rule="be a nonnegative integer")
     if neg_count + pos_count < 1:
         raise ValueError("need at least one increment across both sides")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     rmap = _row_map(alpha, neg_count, pos_count)
-    z, w, sums, flat = _row_buffers(rmap, 1)
+    if (rmap, 1) not in _SLOT:  # a kept grid passed a plan at least this large
+        _batch_plan(1, rmap, 1, 1)
+    op, free, spaces = _kept_state(rmap, 1, 1)
+    z, w, sums, flat = spaces[0]
     rng.standard_normal(out=z[0])
-    prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, 1)
-    return _window(rmap, prefix, 0, flat)[0].copy()
+    path = _window(rmap, _map_rows(rmap, op, z, w, sums, 1), 0, flat)[0].copy()
+    free.extend(spaces)
+    return path
 
 
 def _simulate_functionals(
@@ -638,13 +638,13 @@ def _simulate_functionals(
     ``_batch_plan`` lays the run out before anything is allocated: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
     stream rows and walks it one block a batch, whatever the replication
-    count, with one set of ``_row_buffers``, taken off the free list
-    ``_FREE`` (or made) on the calling thread and put back at the end, the
-    row operator built here, and one array for the tops and refs of the
-    plan's largest group, all reused for all of its batches.  So memory
-    follows from the config and the worker count alone: pool threads build
-    no operator or buffer set, and a run with one worker runs on the
-    calling thread.  A batch cumulates each row's ring once
+    count, with one set of ``_row_buffers``, taken with the spectrum from
+    the slot of ``_kept_state`` (or made there) on the calling thread before
+    anything else is built and put back at the end, and one array for the
+    tops and refs of the plan's largest group, all reused for all of its
+    batches.  So memory follows from the config and the worker count alone:
+    pool threads build no spectrum or buffer set, and a run with one worker
+    runs on the calling thread.  A batch cumulates each row's ring once
     (``_map_rows``), then forms its ``rmap.windows`` windows in groups of
     G (``_group_windows``), side by side in the normals buffer, each over
     the union of the group's kept runs (``_window``).
@@ -691,11 +691,10 @@ def _simulate_functionals(
         # among live buffers, its objects kept the heap from shrinking below
         # them (0.4 MiB more peak RSS on the bench's Brownian validation).
         from concurrent.futures import ThreadPoolExecutor
-    # before anything is built, so that another grid's kept buffers go first
-    free, spaces = _kept_buffers(rmap, plan.rows, len(plan.shares))
+    # before anything is built, so that another grid's kept state goes first
+    op, free, spaces = _kept_state(rmap, plan.rows, len(plan.shares))
     # sqrt(2) * (scale * values), in place.
     gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
-    op = _row_operator(rmap)
     n, windows, variants, paths = rmap.n, rmap.windows, rmap.variants, rmap.paths
     # (step, sign, anchor) of v and -v, and on the half line of v~ and -v~,
     # whose drift at k = n - j is drift[::-1]; drift becomes v's step last

@@ -169,22 +169,6 @@ def _embedding_spectrum(alpha: float, m: int) -> CirculantSpectrum:
     return CirculantSpectrum(m=m, eigenvalues=lam, weights=weights)
 
 
-_SLOT: dict = {}  # the last operator built, by its (build, *args) key
-
-
-def _cached(build, *args):
-    """``build(*args)``, kept in one slot: a run holds its own operator, and the
-    slot spares a later run of the same key a rebuild.  A different key first
-    empties the slot, so the previous operator is freed before the next build
-    starts and a run's memory is its own operator's alone."""
-    key = (build, *args)
-    value = _SLOT.get(key)
-    if value is None:
-        _SLOT.clear()
-        value = _SLOT[key] = build(*args)
-    return value
-
-
 def _fgn_from_normals(spectrum: CirculantSpectrum, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Map (batch, m) standard normals to (batch, m) exact fGn sequences.
 

@@ -243,7 +243,8 @@ class TestEstimate:
             raise AssertionError("allocated before the memory check")
 
         monkeypatch.setattr("piterbarg.estimator._drift", unreachable)
-        monkeypatch.setattr("piterbarg.estimator._cached", unreachable)
+        monkeypatch.setattr("piterbarg.estimator._kept_state", unreachable)
+        monkeypatch.setattr("piterbarg.estimator._embedding_spectrum", unreachable)
         monkeypatch.setattr("piterbarg.estimator._cgroup_memory_max", lambda: None)
         code, out, err = run_cli(capsys, "estimate", "--alpha", alpha, "--d", "2",
                                  "--domain", "half", "--delta", "1e-9",

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -46,12 +47,12 @@ from piterbarg.estimator import (
     _batch_plan,
     _block_rows,
     _fill_normals,
+    _kept_state,
     _map_rows,
     _mom_ci_rank,
     _row_buffers,
     _row_bytes,
     _row_map,
-    _row_operator,
     _row_unit,
     _RowMap,
     _simulate_functionals,
@@ -75,6 +76,18 @@ def _worker_bytes(rmap, rows, group, columns):
     variant) and its window shift, and numpy's three ufunc buffers."""
     return (rows * (_row_bytes(rmap) + 8 * group * rmap.variants * (columns + 1) + 8)
             + 24 * np.getbufsize())
+
+
+def _spectrum(rmap):
+    """The spectrum a run maps ``rmap``'s rows by, None on iid rows."""
+    return _kept_state(rmap, 1, 0)[0]
+
+
+def _drop_buffers():
+    """Empty the engine's free list and keep its spectrum, so that the next
+    run makes its buffer sets and builds nothing else."""
+    for _, free in estimator._SLOT.values():
+        free.clear()
 
 
 def _counted(monkeypatch, module, name):
@@ -717,7 +730,8 @@ class TestBatchPlan:
             raise AssertionError("allocated before the memory check")
 
         monkeypatch.setattr(estimator, "_drift", unreachable)
-        monkeypatch.setattr(estimator, "_cached", unreachable)
+        monkeypatch.setattr(estimator, "_kept_state", unreachable)
+        monkeypatch.setattr(estimator, "_embedding_spectrum", unreachable)
         monkeypatch.setattr(estimator, "_cgroup_memory_max", lambda: None)
         cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE,
                               delta=1e-9, horizon=100.0, replications=1, seed=1)
@@ -820,7 +834,7 @@ class TestBatchPlan:
             assert _row_bytes(rmap) == 8 * m + 16 * (m // 2 + 1)
             counted = plan.nbytes - (8 * (m // 2 + 1) + 8 * m + 32 * m)
             first = _simulate_functionals(cfg, [1], threads=2)
-            estimator._FREE.clear()
+            _drop_buffers()
             tracemalloc.start()
             try:
                 again = _simulate_functionals(cfg, [1], threads=2)
@@ -847,7 +861,7 @@ class TestBatchPlan:
         assert (rmap.n, plan.rows, plan.group) == (10, 4096, 1)
         assert 8 * plan.rows * rmap.variants * len(strides) > 0.9 * plan.rows * _row_bytes(rmap)
         first = _simulate_functionals(cfg, strides)
-        estimator._FREE.clear()
+        _drop_buffers()
         tracemalloc.start()
         try:
             again = _simulate_functionals(cfg, strides)
@@ -1177,7 +1191,7 @@ class TestEstimateConstant:
         def unreachable(*args):
             raise AssertionError("built or drew before checking the strides")
 
-        for name in ("_batch_plan", "_cached", "_fill_normals"):
+        for name in ("_batch_plan", "_kept_state", "_embedding_spectrum", "_fill_normals"):
             monkeypatch.setattr(estimator, name, unreachable)
         cfg = EstimatorConfig(alpha=1.0, d=2.0, domain=Domain.HALF_LINE, delta=0.1,
                               horizon=2.0, replications=4, seed=1)
@@ -1211,47 +1225,59 @@ class TestEstimateConstant:
                      id="dense-kw1"),
         ("circulant", dict(alpha=0.5, horizon=15.0, replications=17600)),
     ])
-    def test_row_operator_built_once_on_calling_thread(self, monkeypatch, kind, kw):
-        # two workers and several batches each: the run builds its operator
-        # once, before any worker starts, and no batch enters the cache
-        caller, built = threading.get_ident(), []
-        row_operator = estimator._row_operator
+    def test_spectrum_built_once_on_calling_thread(self, monkeypatch, kind, kw):
+        # two workers and several batches each: a cold run takes its slot
+        # once and builds its spectrum there once, before any worker starts
+        # or any normals are drawn, and no batch touches the slot
+        caller, slots, built = threading.get_ident(), [], []
+        kept_state, build = estimator._kept_state, estimator._embedding_spectrum
 
-        def spy_operator(*args):
+        def spy_state(*args):
+            slots.append((threading.get_ident(), len(fills)))
+            return kept_state(*args)
+
+        def spy_build(*args):
             built.append((threading.get_ident(), len(fills)))
-            return row_operator(*args)
+            return build(*args)
 
         cfg = self._config(**kw)
         assert _row_map(cfg.alpha, *cfg.side_counts()).kind == kind
         t1 = _simulate_functionals(cfg, [1, 2])
+        estimator._SLOT.clear()
         fills = _counted(monkeypatch, estimator, "_fill_normals")
-        cached = _counted(monkeypatch, estimator, "_cached")
-        monkeypatch.setattr(estimator, "_row_operator", spy_operator)
+        monkeypatch.setattr(estimator, "_kept_state", spy_state)
+        monkeypatch.setattr(estimator, "_embedding_spectrum", spy_build)
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=2))
         assert len(fills) >= 4 and caller not in fills  # pool threads ran the batches
-        assert built == [(caller, 0)]
-        assert cached == ([] if kind == "iid" else [caller])
+        assert slots == [(caller, 0)]
+        assert built == ([] if kind == "iid" else [(caller, 0)])
 
     def test_another_cache_entry_mid_run_builds_no_second_map(self, monkeypatch):
-        # a circulant run of three batches whose second batch first caches
-        # another spectrum (as another run or a sampler call would) builds
-        # its own spectrum once, and keeps its table
-        fill = estimator._fill_normals
+        # a circulant run of three batches, during whose second batch a
+        # sampled path on another grid takes the slot, builds its own
+        # spectrum once, and keeps its table
+        fill, build, built = estimator._fill_normals, estimator._embedding_spectrum, []
 
         def evicting_fill(seed, z, first, block):
             if first == 1:
-                fbm._cached(circulant_spectrum, 0.7, 300)
+                sample_two_sided_path(0.7, 0, 150, np.random.default_rng(0))
             fill(seed, z, first, block)
 
-        # n = 100 and m = 200, blocks of 512 rows of four replications each
-        cfg = self._config(alpha=1.5, replications=4 * 1024 + 5)
+        def spy_build(alpha, m):
+            built.append((alpha, m))
+            return build(alpha, m)
+
+        # n = 100 and m = 200, blocks of 512 rows of 32 replications each
+        cfg = self._config(alpha=1.5, replications=32 * 1024 + 5)
         assert _row_map(cfg.alpha, *cfg.side_counts()).width == 200
         t1 = _simulate_functionals(cfg, [1, 2])
-        builds = _counted(monkeypatch, estimator, "_embedding_spectrum")
+        estimator._SLOT.clear()
+        monkeypatch.setattr(estimator, "_embedding_spectrum", spy_build)
         monkeypatch.setattr(estimator, "_fill_normals", evicting_fill)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2]))
-        assert len(builds) == 1
+        assert built == [(1.5, 200), (0.7, 300)]
+        assert [key for key, _ in estimator._SLOT] == [_row_map(0.7, 0, 150)]
 
     @pytest.mark.parametrize("kind,kw", [
         ("iid", {}),
@@ -1355,10 +1381,11 @@ def _cholesky_path_covariance(alpha, neg, pos):
     return path @ path.T
 
 
-class _UnitNormals:
-    """A stand-in generator whose one row of normals is unit vector i."""
+class _UnitNormals(np.random.Generator):
+    """A generator whose one row of normals is unit vector i."""
 
     def __init__(self, i):
+        super().__init__(np.random.PCG64(i))
         self.i = i
 
     def standard_normal(self, out):
@@ -1391,7 +1418,7 @@ class TestDenseRows:
         assert rmap.kind == "circulant" and m == _next_fast_len(2 * (neg + pos))
         z, w, sums, flat = _row_buffers(rmap, m)
         z[:] = np.eye(m)
-        prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, m)
+        prefix = _map_rows(rmap, _spectrum(rmap), z, w, sums, m)
         expected = _cholesky_path_covariance(alpha, neg, pos)
         for window in range(rmap.windows):  # the last window runs past the ring's end
             a = _window(rmap, prefix, window, flat)  # row i: the path of unit vector i
@@ -1451,7 +1478,7 @@ class TestPathSampler:
         rows = block + 3
         z, w, sums, flat = _row_buffers(rmap, rows)
         _fill_normals(2027, z, 0, block)
-        values = _window(rmap, _map_rows(rmap, _row_operator(rmap), z, w, sums, rows), 0, flat)
+        values = _window(rmap, _map_rows(rmap, _spectrum(rmap), z, w, sums, rows), 0, flat)
         for r in (0, 1, block - 1, block, block + 2):
             row = sample_two_sided_path(alpha, neg, pos,
                                         replication_stream(2027, r, rmap.width, block))
@@ -1468,6 +1495,35 @@ class TestPathSampler:
         rng = np.random.default_rng(8)
         sample_two_sided_path(alpha, neg, pos, rng)
         assert rng.standard_normal() == np.random.default_rng(8).standard_normal(width + 1)[-1]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_infeasible_grid_rejected_before_anything_is_built(self, monkeypatch, alpha):
+        # 10^5 increments under a 1 MiB limit: the one-row plan refuses the
+        # grid (15.4 MB on circulant rows) before a spectrum or buffer set
+        # is built
+        def unreachable(*args):
+            raise AssertionError("built before the memory check")
+
+        estimator._SLOT.clear()
+        monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**20, "physical memory"))
+        for name in ("_embedding_spectrum", "_row_buffers"):
+            monkeypatch.setattr(estimator, name, unreachable)
+        with pytest.raises(ValueError, match=r"n=100000 .* needs \d+ bytes, more than "
+                           "the 1048576 bytes of physical memory"):
+            sample_two_sided_path(alpha, 0, 100000, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rng", [np.random.RandomState(0), 7, None],
+                             ids=["RandomState", "int", "None"])
+    def test_rng_must_be_a_generator(self, monkeypatch, rng):
+        # anything but a numpy Generator is refused by name, before the slot
+        # is touched or anything is built
+        def unreachable(*args):
+            raise AssertionError("built before the rng check")
+
+        for name in ("_embedding_spectrum", "_row_buffers", "_kept_state"):
+            monkeypatch.setattr(estimator, name, unreachable)
+        with pytest.raises(ValueError, match=r"rng must be a numpy\.random\.Generator, got "):
+            sample_two_sided_path(0.5, 0, 100, rng)
 
 
 class TestAggregation:
@@ -1771,7 +1827,7 @@ class TestKeptBuffers:
         for keep in (False, True):
             _simulate_functionals(cfg, strides)
             if not keep:
-                estimator._FREE.clear()
+                _drop_buffers()
             built = _counted(monkeypatch, estimator, "_row_buffers")
             tracemalloc.start()
             try:
@@ -1797,11 +1853,11 @@ class TestKeptBuffers:
         assert built == []
 
     def test_another_grid_empties_the_free_list(self):
-        estimator._FREE.clear()
+        estimator._SLOT.clear()
         _simulate_functionals(self._config(), [1])
-        assert [len(free) for free in estimator._FREE.values()] == [1]
+        assert [len(free) for _, free in estimator._SLOT.values()] == [1]
         _simulate_functionals(self._config(horizon=10.0), [1])
-        (key, free), = estimator._FREE.items()
+        (key, (_, free)), = estimator._SLOT.items()
         assert key[0] == _row_map(0.5, 0, 200) and len(free) == 1
 
     def test_another_grid_frees_the_kept_buffers_before_its_build(self, monkeypatch):
@@ -1822,7 +1878,7 @@ class TestKeptBuffers:
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
         for c in (b, a):  # numpy's lazy imports, and A's spectrum cached
             _simulate_functionals(c, [1])
-        estimator._FREE.clear()  # so that A's run below makes its buffers
+        _drop_buffers()  # so that A's run below makes its buffers
         tracemalloc.start()
         try:
             _simulate_functionals(a, [1])
@@ -1834,6 +1890,113 @@ class TestKeptBuffers:
             tracemalloc.stop()
         assert held >= plan_a.rows * _row_bytes(ra)
         assert peak - held < 8 * (rb.n + 1)
+
+
+class TestSlot:
+    """One slot keeps the last grid's spectrum and its free batch buffers,
+    keyed by (row map, batch rows); another key frees both before it builds
+    anything (``_kept_state``)."""
+
+    def test_slot_keeps_one_key(self):
+        # a repeated key returns its spectrum and its free list's sets;
+        # another alpha, a row map of the same embedding length, another
+        # batch size and iid rows each replace the slot's one entry
+        estimator._SLOT.clear()
+        half = _row_map(0.5, 0, 100)
+        first, free, sets = _kept_state(half, 4, 1)
+        assert first.m == half.width == 200 and len(sets) == 1
+        assert np.array_equal(first.weights, fbm._embedding_spectrum(0.5, 200).weights)
+        free.extend(sets)
+        again, kept, taken = _kept_state(half, 4, 1)
+        assert again is first and kept is free and taken[0] is sets[0] and free == []
+        full = _row_map(0.5, 50, 50)
+        assert full.width == half.width
+        for rmap, rows in ((_row_map(0.7, 0, 100), 4), (full, 4), (half, 2), (half, 4)):
+            op = _kept_state(rmap, rows, 0)[0]
+            assert list(estimator._SLOT) == [(rmap, rows)] and op is not first
+        assert _kept_state(_row_map(1.0, 0, 100), 4, 0)[0] is None
+        assert len(estimator._SLOT) == 1
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0])
+    def test_previous_state_freed_before_the_next_build(self, monkeypatch, alpha):
+        # the last grid's spectrum and both of its buffer sets are
+        # unreachable before the next key builds its spectrum (alpha = 0.7)
+        # or makes its first set, so no build sits beside state its plan
+        # does not count; iid rows, which build no spectrum, free it too
+        estimator._SLOT.clear()
+        op, free, sets = _kept_state(_row_map(0.5, 0, 1000), 2, 2)
+        free.extend(sets)
+        refs = [weakref.ref(op)] + [weakref.ref(space[3].base) for space in sets]
+        del op, free, sets
+        events, build, buffers = [], estimator._embedding_spectrum, estimator._row_buffers
+
+        def spy_build(*args):
+            events.append(("build", [ref() is not None for ref in refs]))
+            return build(*args)
+
+        def spy_buffers(*args):
+            events.append(("buffers", [ref() is not None for ref in refs]))
+            return buffers(*args)
+
+        monkeypatch.setattr(estimator, "_embedding_spectrum", spy_build)
+        monkeypatch.setattr(estimator, "_row_buffers", spy_buffers)
+        assert all(ref() is not None for ref in refs)
+        _kept_state(_row_map(alpha, 0, 1000), 2, 1)
+        assert events == [("build", [False] * 3)] * (alpha != 1.0) + [("buffers", [False] * 3)]
+
+    def test_sampled_path_on_the_engines_grid_builds_nothing(self, monkeypatch):
+        # a run of one stream row has the sampler's key: a path sampled
+        # after it builds no spectrum and no buffer set, reads no memory
+        # limit (the run passed a larger plan), puts its set back, and is
+        # the path a cold slot gives, bit for bit
+        cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.1,
+                              horizon=3.0, replications=32, seed=5)
+        neg, pos = cfg.side_counts()
+        assert _batch_plan(cfg.replications, _row_map(cfg.alpha, neg, pos), 1, 1).rows == 1
+        estimator._SLOT.clear()
+        _simulate_functionals(cfg, [1])
+        (key, (_, free)), = estimator._SLOT.items()
+        assert len(free) == 1
+        with monkeypatch.context() as m:
+            built = _counted(m, estimator, "_embedding_spectrum")
+            made = _counted(m, estimator, "_row_buffers")
+            limits = _counted(m, estimator, "_memory_limit")
+            path = sample_two_sided_path(cfg.alpha, neg, pos, np.random.default_rng(6))
+        assert built == made == limits == [] and len(free) == 1
+        assert list(estimator._SLOT) == [key]
+        estimator._SLOT.clear()
+        assert np.array_equal(path, sample_two_sided_path(cfg.alpha, neg, pos,
+                                                          np.random.default_rng(6)))
+
+    def test_grid_switch_peak_within_the_plan(self, monkeypatch):
+        # a two-worker alpha = 1 run B (two workers of 8-row batches) after
+        # a one-worker run A on the gap study's grid: A's spectrum (1.08 MB)
+        # and its buffers (1.44 MB) are freed before B makes anything, so
+        # B's traced peak, over what was held before A, stays within B's
+        # plan.  The memory limit is fixed, so that reading it opens no files
+        import tracemalloc
+
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
+        a = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
+                            horizon=449.76, replications=64, seed=3)
+        b = EstimatorConfig(alpha=1.0, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
+                            horizon=100.0, replications=4096, seed=3)
+        plan = _batch_plan(b.replications, _row_map(b.alpha, *b.side_counts()), 2, 1)
+        assert (plan.rows, len(plan.shares), plan.nbytes) == (8, 2, 3314592)
+        for c in (b, a):  # numpy's lazy imports
+            _simulate_functionals(c, [1], threads=2)
+        estimator._SLOT.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _simulate_functionals(a, [1])
+            tracemalloc.reset_peak()
+            _simulate_functionals(b, [1], threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= plan.nbytes, (peak - base, plan.nbytes)
 
 
 class TestRingWindows:
@@ -1868,7 +2031,7 @@ class TestRingWindows:
         block = 2
         z, w, sums, flat = _row_buffers(rmap, 5)
         _fill_normals(cfg.seed, z, 0, block)
-        prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, 5)
+        prefix = _map_rows(rmap, _spectrum(rmap), z, w, sums, 5)
         for p in range(ws):
             field = _window(rmap, prefix, p, flat)
             assert np.all(field[:, neg] == 0.0)
@@ -1894,7 +2057,7 @@ class TestRingWindows:
         rows = 20000
         z, w, sums, flat = _row_buffers(rmap, rows)
         _fill_normals(5, z, 0, _block_rows(width))
-        prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, rows)
+        prefix = _map_rows(rmap, _spectrum(rmap), z, w, sums, rows)
         x = np.diff(_window(rmap, prefix, p, flat), axis=1)  # increment j ends at column j + 1
         for k in range(7):
             for j in (wrap - max(k, 1), wrap - 1):
@@ -1938,7 +2101,7 @@ class TestRingWindows:
         rmap = _row_map(1.0, 0, 2120)
         z, w, sums, flat = _row_buffers(rmap, 32)
         _fill_normals(3, z, 0, 32)
-        prefix = _map_rows(rmap, _row_operator(rmap), z, w, sums, 32)
+        prefix = _map_rows(rmap, _spectrum(rmap), z, w, sums, 32)
         before = np.getbufsize()
         for p in range(rmap.windows):
             _window(rmap, prefix, p, flat)  # warm
@@ -2088,12 +2251,12 @@ class TestWindowGroups:
         floats a row of ``flat`` holds times the batch rows, and the group
         size the field's place implies."""
         flats, fields = [], []
-        kept_buffers, window = estimator._kept_buffers, estimator._window
+        kept_state, window = estimator._kept_state, estimator._window
 
-        def spy_buffers(*args):
-            free, spaces = kept_buffers(*args)
+        def spy_state(*args):
+            op, free, spaces = kept_state(*args)
             flats.extend(space[3] for space in spaces)
-            return free, spaces
+            return op, free, spaces
 
         def spy_window(rmap, prefix, p, flat, runs=()):
             field = window(rmap, prefix, p, flat, runs)
@@ -2103,7 +2266,7 @@ class TestWindowGroups:
             fields.append((end, len(prefix) * max(rmap.width, rmap.n + 1), end // field.size))
             return field
 
-        monkeypatch.setattr(estimator, "_kept_buffers", spy_buffers)
+        monkeypatch.setattr(estimator, "_kept_state", spy_state)
         monkeypatch.setattr(estimator, "_window", spy_window)
         return fields
 

@@ -2,16 +2,13 @@
 statistical fidelity, and circulant-vs-Cholesky cross-checks."""
 
 import math
-import weakref
 
 import numpy as np
 import pytest
 
-import piterbarg.fbm as fbm
 from oracle import cholesky_sample, fgn_autocovariance, sample_fgn
 from piterbarg import circulant_spectrum, sample_two_sided_path
 from piterbarg.fbm import (
-    _cached,
     _embedding_spectrum,
     _fgn_from_normals,
     _next_fast_len,
@@ -127,32 +124,6 @@ class TestCirculantSpectrum:
         half = spec.m // 2
         expected = np.array([fgn_autocovariance(alpha, k) for k in range(half + 1)])
         np.testing.assert_allclose(recovered[: half + 1], expected, atol=1e-10)
-
-    def test_cache_keeps_one_spectrum(self):
-        # a second (alpha, n) evicts the first, and so does another builder,
-        # so the cache holds only the spectrum a run's memory plan counts
-        first = _cached(circulant_spectrum, 0.5, 100)
-        assert _cached(circulant_spectrum, 0.5, 100) is first
-        second = _cached(circulant_spectrum, 0.7, 100)
-        assert list(fbm._SLOT.values()) == [second]
-        assert _cached(circulant_spectrum, 0.5, 100) is not first
-        third = _cached(_embedding_spectrum, 0.5, 200)
-        assert _cached(_embedding_spectrum, 0.5, 200) is third
-        assert len(fbm._SLOT) == 1 and next(iter(fbm._SLOT.values())) is third
-
-    def test_previous_operator_freed_before_the_next_build(self):
-        # the slot lets go of its operator before a different key is built,
-        # so no build's peak sits beside a stale spectrum the plan does not count
-        previous = weakref.ref(_cached(circulant_spectrum, 0.5, 1000))
-        alive = []
-
-        def build(alpha, n):
-            alive.append(previous() is not None)
-            return circulant_spectrum(alpha, n)
-
-        assert previous() is not None
-        _cached(build, 0.7, 1000)
-        assert alive == [False]
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

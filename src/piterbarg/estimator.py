@@ -306,7 +306,6 @@ class _BatchPlan:
     """How a run's rows are batched, shared among workers and held in memory."""
 
     rows: int  # stream rows per batch: one block, or the whole run if shorter
-    group: int  # ring windows a worker's tops and refs are sized for
     shares: tuple[tuple[int, int], ...]  # (first, stop) stream row per worker
     nbytes: int  # variant steps, spectrum, output table, every worker's buffers
 
@@ -340,17 +339,11 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     # whole stream rows, the spectrum at the peak of its build (the
     # autocovariances, the first row, and the complex input and output of
     # its FFT; it then holds less), and per worker one set of batch
-    # buffers, the tops and refs of the largest group a batch can form
-    # (whole windows where no bound can engage, as a bound's blocks have at
-    # least _BOUND_COLUMNS columns, else any up to all the windows), a
-    # window's per-row shift and numpy's three ufunc buffers.
+    # buffers, a window's per-row shift and numpy's three ufunc buffers.
     nbytes = 8 * (n + 1) * rmap.variants + 8 * stream * rmap.paths * columns
     if rmap.kind == "circulant":
         nbytes += 8 * (width // 2 + 1) + 8 * width + 32 * width
-    bounded = -(-(n + 1) // _BOUND_COLUMNS) >= _BOUND_MIN_BLOCKS
-    group = rmap.windows if bounded else _group_windows(rmap, n + 1)
-    nbytes += workers * (rows * (_row_bytes(rmap) + 8 * group * rmap.variants * (columns + 1) + 8)
-                         + 24 * np.getbufsize())
+    nbytes += workers * (rows * (_row_bytes(rmap) + 8) + 24 * np.getbufsize())
     limit, source = _memory_limit()
     if nbytes > limit:
         m = width if rmap.kind == "circulant" else "none"
@@ -358,7 +351,7 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
             f"a run with n={n} increments and embedding length m={m} needs "
             f"{nbytes} bytes, more than the {limit} bytes of {source}"
         )
-    return _BatchPlan(rows, group, shares, nbytes)
+    return _BatchPlan(rows, shares, nbytes)
 
 
 def _cpu_count() -> int:
@@ -640,8 +633,7 @@ def _simulate_functionals(
     stream rows and walks it one block a batch, whatever the replication
     count, with one set of ``_row_buffers``, taken with the spectrum from
     the slot of ``_kept_state`` (or made there) on the calling thread before
-    anything else is built and put back at the end, and one array for the
-    tops and refs of the plan's largest group, all reused for all of its
+    anything else is built and put back at the end, reused for all of its
     batches.  So memory follows from the config and the worker count alone:
     pool threads build no spectrum or buffer set, and a run with one worker
     runs on the calling thread.  A batch cumulates each row's ring once
@@ -651,9 +643,11 @@ def _simulate_functionals(
     The variants are the rows ``(step, sign, anchor)`` of one table, taken
     in turn over a group's fields in place: add ``step``, one add per run,
     then at stride s exp(sign * (top - field[anchor])), top the max (sign
-    +1) or the min (sign -1) over the sub-grid anchor mod s :: s, one
-    reduction per stride, and one subtraction, sign multiply and exp per
-    group over its (rows, G, variants, strides) tops.  The steps leave
+    +1) or the min (sign -1) over the sub-grid anchor mod s :: s.  Each
+    stride's reduction writes its tops straight into the output table,
+    where one subtraction a variant takes top - field[anchor] for a max and
+    field[anchor] - top for a min (the same float, as fl(r - t) =
+    -fl(t - r)), and one exp a group finishes its cells.  The steps leave
     v - drift (v, by the max), v + drift (-v, by the min), and on the half
     line v + rdrift and v - rdrift, rdrift = drift[::-1] (v~ by the min and
     -v~ by the max, read at k = n - j against v_n at the anchor n), so every
@@ -705,13 +699,11 @@ def _simulate_functionals(
         # the pass a third to a half slower (rows of 2121 and 44977 floats)
         table += [(drift[::-1] - drift, -1, n), (-2.0 * drift[::-1], 1, n)]
     np.negative(drift, out=drift)
-    signs = np.array([[sign] for _, sign, _ in table], dtype=float)
     kept = _bound_plan(rmap, table, strides)
     out = np.empty((-(-reps // paths) * paths, len(strides)))
 
     def work(share: tuple, space: tuple) -> None:
         (lo, hi), (z, w, sums, flat) = share, space
-        passes = np.empty(plan.rows * plan.group * variants * (len(strides) + 1))
         for start in range(lo, hi, plan.rows):
             rows = min(plan.rows, hi - start)
             _fill_normals(config.seed, z[:rows], start // plan.rows, plan.rows)
@@ -723,11 +715,6 @@ def _simulate_functionals(
             runs = kept(prefix) if kept else [[(0, n + 1, 0)]] * windows
             size = _group_windows(rmap, _width(_packed(
                 run[:2] for window in runs for run in window)))
-            # a group's (rows, size, variants, strides) tops and their refs
-            tops = passes[: rows * size * variants * len(strides)].reshape(
-                rows, size, variants, len(strides))
-            refs = passes[tops.size : tops.size + rows * size * variants].reshape(
-                rows, size, variants, 1)
             for p in range(0, windows, size):
                 if paths * start + p * variants >= reps:  # none of the group's paths is in the run
                     break
@@ -741,10 +728,15 @@ def _simulate_functionals(
                 # each anchor's column once the kept runs are packed
                 col = {a: at + a - first for first, stop, at in group
                        for a in (neg, n) if first <= a < stop}
+                tops = cells[:, p : p + size]  # (rows, size, variants, strides)
                 for v, (step, sign, anchor) in enumerate(table):
                     with np.errstate():  # restores the buffer size on exit
                         # the strided adds skip the ufunc buffers, as in
-                        # _window; the reductions run faster with them
+                        # _window: through them a call of the Brownian
+                        # validation (n = 2120) took x1.29 as long, and one
+                        # of the alpha = 1.5 full line (n = 172) x1.11
+                        # (medians of 6 runs, 2 CPUs, numpy 2.4.6); the
+                        # reductions run faster with them
                         np.setbufsize(_WINDOW_BUFSIZE)
                         for first, stop, at in group:
                             cols = fields[:, :, at : at + stop - first]
@@ -752,11 +744,11 @@ def _simulate_functionals(
                     for j, s in enumerate(strides):  # each sub-grid holds the anchor
                         sub = fields[:, :, anchor % s :: s]
                         (sub.max if sign > 0 else sub.min)(axis=2, out=tops[:, :, v, j].T)
-                    refs[:, :, v, 0] = fields[:, :, col[anchor]].T
-                np.subtract(tops, refs, out=tops)
-                np.multiply(tops, signs, out=tops)
+                    # top - ref by the max, ref - top by the min, read before
+                    # the next variant's step moves the anchor's column
+                    top, ref = tops[:, :, v], fields[:, :, col[anchor]].T[:, :, None]
+                    np.subtract(*((top, ref) if sign > 0 else (ref, top)), out=top)
                 np.exp(tops, out=tops)
-                cells[:, p : p + size] = tops
 
     if len(spaces) > 1:
         with ThreadPoolExecutor(max_workers=len(spaces)) as pool:

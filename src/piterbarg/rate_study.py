@@ -244,24 +244,26 @@ def run_gap_decay(
 
 
 def _loglog_slope(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """OLS slope of ln y on ln x with its regression standard error.
+    """OLS slope of ln y on ln x with its regression standard error, from
+    closed-form sums of the centred logarithms (no LAPACK least squares).
 
     (nan, nan) for fewer than two points, or where some y is not positive
     (a paired gap can be 0 or negative at small replication counts) and so
-    has no logarithm.
+    has no logarithm; two points leave no residual, so their stderr is nan.
     """
     y = np.asarray(y, dtype=float)
     if len(y) < 2 or not np.all(y > 0.0):
         return float("nan"), float("nan")
     lx = np.log(np.asarray(x, dtype=float))
     ly = np.log(y)
-    (slope, intercept), residuals, *_ = np.polyfit(lx, ly, 1, full=True)[:2]
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    sxx = float((dx * dx).sum())
+    slope = float((dx * dy).sum()) / sxx
     dof = len(lx) - 2
-    if dof <= 0 or residuals.size == 0:
-        return float(slope), float("nan")
-    s2 = float(residuals[0]) / dof
-    sxx = float(((lx - lx.mean()) ** 2).sum())
-    return float(slope), math.sqrt(s2 / sxx)
+    if dof == 0:
+        return slope, float("nan")
+    residuals = dy - slope * dx
+    return slope, math.sqrt(float((residuals * residuals).sum()) / dof / sxx)
 
 
 def rate_points_csv(points: Sequence[RatePoint]) -> str:

@@ -70,12 +70,10 @@ def _rmap(n, width, embedded=False):
     return _RowMap("circulant" if embedded else "iid", 1.9, 0, n, width)
 
 
-def _worker_bytes(rmap, rows, group, columns):
-    """What a plan counts per worker: a batch row's buffers, its tops and
-    refs for a group of ``group`` windows (columns + 1 floats for each
-    variant) and its window shift, and numpy's three ufunc buffers."""
-    return (rows * (_row_bytes(rmap) + 8 * group * rmap.variants * (columns + 1) + 8)
-            + 24 * np.getbufsize())
+def _worker_bytes(rmap, rows):
+    """What a plan counts per worker: a batch row's buffers and its window
+    shift, and numpy's three ufunc buffers."""
+    return rows * (_row_bytes(rmap) + 8) + 24 * np.getbufsize()
 
 
 def _spectrum(rmap):
@@ -710,7 +708,7 @@ class TestBatchPlan:
             assert len(plan.shares) == cpus
             assert plan.shares[0][0] == 0 and plan.shares[-1][1] == 10**7
             assert plan.nbytes == (32 * 2121 + 8 * rmap.paths * 10**7
-                                   + cpus * _worker_bytes(rmap, plan.rows, 1, 1))
+                                   + cpus * _worker_bytes(rmap, plan.rows))
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert len(_batch_plan(1024, _rmap(100, 2048, True), 5000, 1).shares) == 1
 
@@ -742,22 +740,20 @@ class TestBatchPlan:
     def test_plan_bytes(self):
         # the drift and its double, and on the half line the reversal's step
         # and the reversed double, table, the spectrum's build (autocovariances, first row, complex
-        # FFT input and output) and two workers' buffers and tops and refs,
-        # of groups of two whole windows where the m floats of a circulant
-        # row hold two, one on the iid row
+        # FFT input and output) and two workers' buffers
         plan = _batch_plan(16000, _rmap(172, 360, True), 2, 3)
         assert len(plan.shares) == 2
         assert plan.nbytes == (32 * 173 + 8 * 48000 + 8 * 181 + 8 * 360 + 32 * 360
-                               + 2 * _worker_bytes(_rmap(172, 360, True), plan.rows, 2, 3))
+                               + 2 * _worker_bytes(_rmap(172, 360, True), plan.rows))
         plan = _batch_plan(16000, _rmap(172, 172, False), 2, 3)
         assert len(plan.shares) == 2
         assert plan.nbytes == (32 * 173 + 8 * 48000
-                               + 2 * _worker_bytes(_rmap(172, 172, False), plan.rows, 1, 3))
+                               + 2 * _worker_bytes(_rmap(172, 172, False), plan.rows))
         full = _RowMap("circulant", 1.9, 86, 172, 360)
         plan = _batch_plan(4000, full, 2, 3)
         assert len(plan.shares) == 2
         assert plan.nbytes == (16 * 173 + 8 * 12000 + 8 * 181 + 8 * 360 + 32 * 360
-                               + 2 * _worker_bytes(full, plan.rows, 2, 3))
+                               + 2 * _worker_bytes(full, plan.rows))
         # a short last row's table rows are counted whole: 4001 replications
         # take 501 rows of 8
         assert _batch_plan(4001, full, 2, 3).nbytes == plan.nbytes + 8 * 8 * 3
@@ -771,8 +767,7 @@ class TestBatchPlan:
         # n = 2.5e7 on two workers, full line: one row (one block) a batch,
         # 3.91 GiB; 400 replications are 50 stream rows.  The same 50 rows
         # on the half line (800 replications) add only the reversal's two
-        # arrays, the 400 more table values and two more variants' tops and
-        # refs; groups may hold all four windows, as the bound engages
+        # arrays and the 400 more table values
         n, m = 25_000_000, 50_000_000
         full = _RowMap("circulant", 1.9, n // 2, n, m)
         assert _next_fast_len(2 * n) == m and _block_rows(m) == 1
@@ -780,10 +775,10 @@ class TestBatchPlan:
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (8 * 2**30, "physical memory"))
         plan = _batch_plan(400, full, 2, 1)
         assert plan.rows == 1 and plan.shares == ((0, 25), (25, 50))
-        assert plan.nbytes == fixed + 2 * _worker_bytes(full, 1, 4, 1) < 4 * 2**30
+        assert plan.nbytes == fixed + 2 * _worker_bytes(full, 1) < 4 * 2**30
         half = _batch_plan(800, _rmap(n, m, True), 2, 1)
         assert half.rows == 1 and half.shares == plan.shares
-        assert half.nbytes == plan.nbytes + 16 * (n + 1) + 8 * 400 + 2 * 8 * 4 * 2 * 2 < 8 * 2**30
+        assert half.nbytes == plan.nbytes + 16 * (n + 1) + 8 * 400 < 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (3 * 2**30, "physical memory"))
         with pytest.raises(ValueError, match=rf"needs {plan.nbytes} bytes"):
             _batch_plan(400, full, 2, 1)
@@ -804,9 +799,9 @@ class TestBatchPlan:
             tracemalloc.stop()
         plan = _batch_plan(1, _rmap(n, m, True), 1, 1)
         # less the steps, the table's one row of 16 paths, and the worker's
-        # buffers, four windows a group
+        # buffers
         counted = (plan.nbytes - 32 * (n + 1) - 8 * 16
-                   - _worker_bytes(_rmap(n, m, True), plan.rows, 4, 1))
+                   - _worker_bytes(_rmap(n, m, True), plan.rows))
         assert 0.5 * counted <= peak <= 1.1 * counted
 
     def test_plan_bytes_cover_batch_buffers(self):
@@ -846,11 +841,12 @@ class TestBatchPlan:
             assert peak - counted < 8 * (n + 1)
 
     @pytest.mark.parametrize("blocks", [1, 2])
-    def test_plan_bytes_cover_group_tops(self, blocks):
+    def test_plan_bytes_cover_tops_in_the_output_table(self, blocks):
         # n = 10 on the half line at ten strides, blocks of 4096 rows, one
-        # or two batches on one worker: a group's tops (1.31 MB) rival the
-        # batch buffers (1.38 MB), and with the kept buffers dropped the
-        # traced peak stays within the plan, numpy's ufunc buffers counted
+        # or two batches on one worker: a batch's tops (1.31 MB) rival its
+        # buffers (1.38 MB) and are reduced straight into the output table,
+        # so with the kept buffers dropped the traced peak stays within the
+        # plan, numpy's ufunc buffers counted
         import tracemalloc
 
         cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.5,
@@ -858,7 +854,7 @@ class TestBatchPlan:
         rmap = _row_map(cfg.alpha, *cfg.side_counts())
         strides = list(range(1, 11))
         plan = _batch_plan(cfg.replications, rmap, 1, len(strides))
-        assert (rmap.n, plan.rows, plan.group) == (10, 4096, 1)
+        assert (rmap.n, plan.rows) == (10, 4096)
         assert 8 * plan.rows * rmap.variants * len(strides) > 0.9 * plan.rows * _row_bytes(rmap)
         first = _simulate_functionals(cfg, strides)
         _drop_buffers()
@@ -1983,7 +1979,7 @@ class TestSlot:
         b = EstimatorConfig(alpha=1.0, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
                             horizon=100.0, replications=4096, seed=3)
         plan = _batch_plan(b.replications, _row_map(b.alpha, *b.side_counts()), 2, 1)
-        assert (plan.rows, len(plan.shares), plan.nbytes) == (8, 2, 3314592)
+        assert (plan.rows, len(plan.shares), plan.nbytes) == (8, 2, 3306400)
         for c in (b, a):  # numpy's lazy imports
             _simulate_functionals(c, [1], threads=2)
         estimator._SLOT.clear()

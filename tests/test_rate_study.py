@@ -4,6 +4,7 @@ the full-scale runs live in the acceptance suite)."""
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +230,38 @@ class TestGapDecay:
         # decay exponent should be broadly compatible with the alpha/2 shape;
         # generous range since this is a tiny pilot-scale run
         assert 0.05 < result.exponent < 1.2
+
+    def test_exponent_needs_no_lapack_least_squares(self, monkeypatch):
+        # the fit sums closed forms, so numpy.linalg.lstsq, patched to raise
+        # wherever a module holds it, is never called
+        def unavailable(*args, **kwargs):
+            raise AssertionError("numpy.linalg.lstsq called")
+
+        lstsq = np.linalg.lstsq
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("lstsq") is lstsq:
+                monkeypatch.setattr(module, "lstsq", unavailable)
+        result = run_gap_decay(alpha=0.5, d=2.0, domain=Domain.HALF_LINE,
+                               deltas=[0.8, 0.4, 0.2, 0.1], replications=800, seed=21)
+        assert math.isfinite(result.exponent) and math.isfinite(result.exponent_stderr)
+
+    def test_loglog_slope_matches_polyfit(self):
+        # slope and OLS stderr against numpy's least-squares fit, over fits
+        # of 2 to 6 points; two points have no stderr
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            k = int(rng.integers(2, 7))
+            x = np.sort(rng.uniform(1e-3, 1.0, k))[::-1]
+            y = rng.uniform(1e-3, 1.0, k)
+            lx, ly = np.log(x), np.log(y)
+            (slope, _), residuals, *_ = np.polyfit(lx, ly, 1, full=True)
+            got_slope, got_stderr = _loglog_slope(x, y)
+            assert got_slope == pytest.approx(slope, rel=1e-12, abs=1e-12)
+            if k == 2:
+                assert math.isnan(got_stderr)
+            else:
+                stderr = math.sqrt(residuals[0] / (k - 2) / ((lx - lx.mean()) ** 2).sum())
+                assert got_stderr == pytest.approx(stderr, rel=1e-12, abs=1e-12)
 
 
 def _table(alpha, domain, deltas, reps, seed):

@@ -209,12 +209,30 @@ class EstimateResult:
         return None
 
 
-def _drift(neg_count: int, pos_count: int, delta: float, alpha: float, d: float):
-    """(1 + d) |k delta|^alpha on the grid k = -neg_count..pos_count."""
-    k = np.abs(np.arange(-neg_count, pos_count + 1, dtype=float) * delta)
-    k **= alpha  # in place: no temporary beside a run's kept buffers
-    k *= 1.0 + d
-    return k
+def _variant_table(steps: np.ndarray, neg: int, delta: float, alpha: float, d: float) -> list:
+    """The variants' rows (step, sign, anchor), their steps written into the
+    rows of ``steps``, a (variants, n + 1) table of ``_kept_state``'s slot,
+    in place from one transient index.  With drift = (1 + d) |k delta|^alpha
+    on k = -neg..pos: v's step is -drift and -v's 2 drift, anchored at neg,
+    and on the half line v~'s is drift[::-1] - drift and -v~'s
+    -2 drift[::-1], anchored at n (``_simulate_functionals``).  Each step
+    is the float a fresh array of the same operations holds."""
+    drift, n = steps[0], steps.shape[1] - 1
+    # the index k, one transient of n + 1 floats: alone, its free leaves
+    # the FFT scratch in place (0 faults a warm gap-study call)
+    drift[:] = np.arange(-neg, n - neg + 1, dtype=float)
+    drift *= delta
+    np.abs(drift, out=drift)
+    drift **= alpha
+    drift *= 1.0 + d
+    table = [(drift, 1, neg), (np.multiply(drift, 2.0, out=steps[1]), -1, neg)]
+    if len(steps) == 4:
+        # -v~'s step written out: read backwards through a reversed view, it
+        # made the pass a third to a half slower (rows of 2121 and 44977 floats)
+        table += [(np.subtract(drift[::-1], drift, out=steps[2]), -1, n),
+                  (np.multiply(drift[::-1], -2.0, out=steps[3]), 1, n)]
+    np.negative(drift, out=drift)  # drift becomes v's step last
+    return table
 
 
 def _block_rows(width: int) -> int:
@@ -307,7 +325,7 @@ class _BatchPlan:
 
     rows: int  # stream rows per batch: one block, or the whole run if shorter
     shares: tuple[tuple[int, int], ...]  # (first, stop) stream row per worker
-    nbytes: int  # variant steps, spectrum, output table, every worker's buffers
+    nbytes: int  # step table, spectrum, output table, every worker's buffers
 
 
 def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
@@ -318,8 +336,11 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     blocks go to ``W = min(threads, CPUs, N)`` workers, CPUs being
     ``_cpu_count()``, worker k taking blocks ``[k N / W, (k + 1) N / W)``.
     Every worker's buffers hold the run's batch rows, whatever its share,
-    so that runs of one config at any thread count reuse the same buffers
-    (``_kept_state``).  Raises ValueError for a thread count below 1, and
+    so that runs of one config at any thread count reuse the same buffers,
+    and the run's (variants, n + 1) step table is one the slot keeps, so
+    that freeing it takes no FFT scratch with the heap's top
+    (``_kept_state``); it is written in place, and keeps no index column.
+    Raises ValueError for a thread count below 1, and
     for a run whose memory, worked out here before anything is allocated,
     exceeds ``_memory_limit()``.
     """
@@ -335,7 +356,7 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
         for k in range(workers)
     )
     rows = min(block, stream)
-    # The variant table's steps (n + 1 floats each), the output table of
+    # The step table (n + 1 floats a variant), the output table of
     # whole stream rows, the spectrum at the peak of its build (the
     # autocovariances, the first row, and the complex input and output of
     # its FFT; it then holds less), and per worker one set of batch
@@ -421,26 +442,35 @@ def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
     return flat[: rows * width].reshape(rows, width), w, head[:, : width + 1], flat
 
 
-# The spectrum and free batch buffers of the last (row map, batch rows);
-# another key frees both before anything is built.  glibc returns a freed
-# block that large to the system, which the next run faulted in again (1500
-# faults, 2 ms a gap-study call).  Sets are taken under the lock and put
-# back by list.extend, atomic under the GIL: concurrent runs share no set.
+# The spectrum, free batch buffers and free step tables of the last (row
+# map, batch rows); another key frees them all before anything is built.
+# glibc returns a freed block that large to the system, which the next run
+# faulted in again (1500 faults, 2 ms a gap-study call).  Sets and tables
+# are taken under the lock and put back by list.extend, atomic under the
+# GIL: concurrent runs share none.
 _SLOT: dict = {}
 _SLOT_LOCK = threading.Lock()
 
 
-def _kept_state(rmap: _RowMap, rows: int, count: int) -> tuple:
-    """(op, free, sets) of (rmap, rows): the spectrum (None on iid rows), the
-    free list, and ``count`` sets of ``_row_buffers`` taken off it or made."""
+def _kept_state(rmap: _RowMap, rows: int, count: int, tables: int = 0) -> tuple:
+    """(op, free, sets, steps) of (rmap, rows): the spectrum (None on iid
+    rows), the slot's free lists (buffer sets, step tables), and ``count``
+    sets of ``_row_buffers`` and ``tables`` (variants, n + 1) step tables
+    (``_variant_table``) taken off them or made.  The tables are kept
+    because a run that made and freed its steps (six arrays of n + 1
+    floats) let glibc trim the heap's top, and numpy's FFT scratch with it,
+    which the next run faulted in again (511-671 faults a gap-study call)."""
     with _SLOT_LOCK:
         if (rmap, rows) not in _SLOT:
             _SLOT.clear()
             op = _embedding_spectrum(rmap.alpha, rmap.width) if rmap.kind == "circulant" else None
-            _SLOT[rmap, rows] = op, []
+            _SLOT[rmap, rows] = op, ([], [])
         op, free = _SLOT[rmap, rows]
-        sets = [free.pop() for _ in range(min(count, len(free)))]
-    return op, free, sets + [_row_buffers(rmap, rows) for _ in range(count - len(sets))]
+        sets = [free[0].pop() for _ in range(min(count, len(free[0])))]
+        steps = [free[1].pop() for _ in range(min(tables, len(free[1])))]
+    sets += [_row_buffers(rmap, rows) for _ in range(count - len(sets))]
+    steps += [np.empty((rmap.variants, rmap.n + 1)) for _ in range(tables - len(steps))]
+    return op, free, sets, steps
 
 
 def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, sums: np.ndarray,
@@ -605,11 +635,11 @@ def sample_two_sided_path(
     rmap = _row_map(alpha, neg_count, pos_count)
     if (rmap, 1) not in _SLOT:  # a kept grid passed a plan at least this large
         _batch_plan(1, rmap, 1, 1)
-    op, free, spaces = _kept_state(rmap, 1, 1)
+    op, free, spaces, _ = _kept_state(rmap, 1, 1)
     z, w, sums, flat = spaces[0]
     rng.standard_normal(out=z[0])
     path = _window(rmap, _map_rows(rmap, op, z, w, sums, 1), 0, flat)[0].copy()
-    free.extend(spaces)
+    free[0].extend(spaces)
     return path
 
 
@@ -634,9 +664,12 @@ def _simulate_functionals(
     count, with one set of ``_row_buffers``, taken with the spectrum from
     the slot of ``_kept_state`` (or made there) on the calling thread before
     anything else is built and put back at the end, reused for all of its
-    batches.  So memory follows from the config and the worker count alone:
-    pool threads build no spectrum or buffer set, and a run with one worker
-    runs on the calling thread.  A batch cumulates each row's ring once
+    batches.  The run's step table comes off the slot too, one a run, and
+    ``_variant_table`` writes its steps in place on every run, as steps
+    made and freed by each run took numpy's FFT scratch with the heap's
+    trim.  So memory follows from the config and the worker count alone:
+    pool threads build no spectrum, buffer set or table, and a run with
+    one worker runs on the calling thread.  A batch cumulates each row's ring once
     (``_map_rows``), then forms its ``rmap.windows`` windows in groups of
     G (``_group_windows``), side by side in the normals buffer, each over
     the union of the group's kept runs (``_window``).
@@ -686,19 +719,11 @@ def _simulate_functionals(
         # them (0.4 MiB more peak RSS on the bench's Brownian validation).
         from concurrent.futures import ThreadPoolExecutor
     # before anything is built, so that another grid's kept state goes first
-    op, free, spaces = _kept_state(rmap, plan.rows, len(plan.shares))
+    op, free, spaces, steps = _kept_state(rmap, plan.rows, len(plan.shares), 1)
     # sqrt(2) * (scale * values), in place.
     gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
     n, windows, variants, paths = rmap.n, rmap.windows, rmap.variants, rmap.paths
-    # (step, sign, anchor) of v and -v, and on the half line of v~ and -v~,
-    # whose drift at k = n - j is drift[::-1]; drift becomes v's step last
-    drift = _drift(neg, pos, config.delta, config.alpha, config.d)
-    table = [(drift, 1, neg), (2.0 * drift, -1, neg)]
-    if variants == 4:
-        # -v~'s step copied: read backwards through a reversed view, it made
-        # the pass a third to a half slower (rows of 2121 and 44977 floats)
-        table += [(drift[::-1] - drift, -1, n), (-2.0 * drift[::-1], 1, n)]
-    np.negative(drift, out=drift)
+    table = _variant_table(steps[0], neg, config.delta, config.alpha, config.d)
     kept = _bound_plan(rmap, table, strides)
     out = np.empty((-(-reps // paths) * paths, len(strides)))
 
@@ -755,7 +780,8 @@ def _simulate_functionals(
             list(pool.map(work, plan.shares, spaces))
     else:
         work(plan.shares[0], spaces[0])
-    free.extend(spaces)
+    free[0].extend(spaces)
+    free[1].extend(steps)
     return out[:reps]
 
 

@@ -238,11 +238,11 @@ class TestEstimate:
     @pytest.mark.parametrize("alpha", ["1", "0.5"])
     def test_grid_beyond_physical_memory_exits_2(self, capsys, monkeypatch, alpha):
         # n = 10^11 increments: rejected from the plan's byte figure, before
-        # the drift or the spectrum is built
+        # the variant table or the spectrum is built
         def unreachable(*args):
             raise AssertionError("allocated before the memory check")
 
-        monkeypatch.setattr("piterbarg.estimator._drift", unreachable)
+        monkeypatch.setattr("piterbarg.estimator._variant_table", unreachable)
         monkeypatch.setattr("piterbarg.estimator._kept_state", unreachable)
         monkeypatch.setattr("piterbarg.estimator._embedding_spectrum", unreachable)
         monkeypatch.setattr("piterbarg.estimator._cgroup_memory_max", lambda: None)

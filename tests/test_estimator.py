@@ -82,10 +82,11 @@ def _spectrum(rmap):
 
 
 def _drop_buffers():
-    """Empty the engine's free list and keep its spectrum, so that the next
-    run makes its buffer sets and builds nothing else."""
+    """Empty the engine's free lists and keep its spectrum, so that the next
+    run makes its buffer sets and step table and builds nothing else."""
     for _, free in estimator._SLOT.values():
-        free.clear()
+        for kept in free:
+            kept.clear()
 
 
 def _counted(monkeypatch, module, name):
@@ -727,7 +728,7 @@ class TestBatchPlan:
         def unreachable(*args):
             raise AssertionError("allocated before the memory check")
 
-        monkeypatch.setattr(estimator, "_drift", unreachable)
+        monkeypatch.setattr(estimator, "_variant_table", unreachable)
         monkeypatch.setattr(estimator, "_kept_state", unreachable)
         monkeypatch.setattr(estimator, "_embedding_spectrum", unreachable)
         monkeypatch.setattr(estimator, "_cgroup_memory_max", lambda: None)
@@ -809,11 +810,11 @@ class TestBatchPlan:
         # (256 replications, 32 a row), and the full line's grid of the same
         # n (128 replications, 16 a row): once a first run has cached the
         # spectrum and made numpy's lazy imports, and with the kept buffers
-        # dropped, the measured peak is the variant table's steps (four, or
-        # two on the full line), the output table and the buffers, with the
-        # ring's prefix sums in the half-spectrum buffer (a separate buffer
-        # would add 2.9 MB), each window's field in the normals buffer and
-        # the variants in place.  What the plan does not count stays below
+        # and step table dropped, the measured peak is the step table (four
+        # steps, or two on the full line), the output table and the
+        # buffers, with the ring's prefix sums in the half-spectrum buffer (a
+        # separate buffer would add 2.9 MB), each window's field in the
+        # normals buffer and the variants in place.  What the plan does not count stays below
         # one step: a drift kept beside the table would add n + 1 floats.
         import tracemalloc
 
@@ -1778,6 +1779,66 @@ class TestKeptBuffers:
         assert len(set(held.values())) == 2
         assert all(np.array_equal(t, expected) for t in tables)
 
+    def test_concurrent_runs_on_one_grid_take_their_own_step_tables(self, monkeypatch):
+        # two user threads run configs that differ only in d, which share
+        # the slot's key, each having written its steps before either draws
+        # a normal: each table is its sequential run's, bit for bit, since
+        # each run writes a step table of its own (a table both runs wrote
+        # would hold the later run's drift for both)
+        configs = [self._config(d=2.0), self._config(d=1.5)]
+        expected = [_simulate_functionals(cfg, [1, 2]) for cfg in configs]
+        fill, both_built = estimator._fill_normals, threading.Barrier(2, timeout=30)
+
+        def spy(seed, z, first, block):
+            if first == 0:
+                both_built.wait()
+            fill(seed, z, first, block)
+
+        monkeypatch.setattr(estimator, "_fill_normals", spy)
+        tables = [None, None]
+
+        def call(i):
+            tables[i] = _simulate_functionals(configs[i], [1, 2])
+
+        workers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not np.array_equal(*expected)
+        assert all(np.array_equal(t, e) for t, e in zip(tables, expected))
+        (_, (sets, steps)), = estimator._SLOT.values()
+        assert len(sets) == len(steps) == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("alpha,reps,strides", [
+        (0.5, 64, [16, 8, 4, 2, 1]),  # the gap study's grid, n = 44976
+        (1.0, 1024, [1]),  # the Brownian validation's, n = 2120
+    ], ids=["gap", "brownian"])
+    def test_warm_run_allocates_no_step(self, monkeypatch, alpha, reps, strides, threads):
+        # a run after one of its config takes its spectrum, buffers and
+        # step table from the slot and writes its steps in place: its traced
+        # peak, less the table it returns, is the index k of n + 1 floats
+        # and less than one more step, so no drift or step array is made.
+        # The memory limit is fixed, so that reading it opens no files
+        import tracemalloc
+
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
+        cfg = EstimatorConfig(alpha=alpha, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
+                              horizon=plan_horizon(0.01, alpha), replications=reps, seed=3)
+        n = sum(cfg.side_counts())
+        expected = _simulate_functionals(cfg, strides, threads)
+        tracemalloc.start()
+        try:
+            table = _simulate_functionals(cfg, strides, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table, expected)
+        assert peak - table.base.nbytes < 2 * 8 * (n + 1), (peak, table.base.nbytes, n)
+
     def test_stress_of_callers_on_two_grids(self):
         # six user threads, more than the cores, on two grids at once and a
         # short switch interval, so that runs take, return and evict each
@@ -1851,10 +1912,11 @@ class TestKeptBuffers:
     def test_another_grid_empties_the_free_list(self):
         estimator._SLOT.clear()
         _simulate_functionals(self._config(), [1])
-        assert [len(free) for _, free in estimator._SLOT.values()] == [1]
+        assert [[len(kept) for kept in free] for _, free in estimator._SLOT.values()] == [[1, 1]]
         _simulate_functionals(self._config(horizon=10.0), [1])
-        (key, (_, free)), = estimator._SLOT.items()
-        assert key[0] == _row_map(0.5, 0, 200) and len(free) == 1
+        (key, (_, (sets, tables))), = estimator._SLOT.items()
+        assert key[0] == _row_map(0.5, 0, 200) and len(sets) == len(tables) == 1
+        assert tables[0].shape == (4, 201)
 
     def test_another_grid_frees_the_kept_buffers_before_its_build(self, monkeypatch):
         # a run on grid B after one on the gap study's grid A, whose kept
@@ -1889,22 +1951,25 @@ class TestKeptBuffers:
 
 
 class TestSlot:
-    """One slot keeps the last grid's spectrum and its free batch buffers,
-    keyed by (row map, batch rows); another key frees both before it builds
-    anything (``_kept_state``)."""
+    """One slot keeps the last grid's spectrum, its free batch buffers and
+    its free step tables, keyed by (row map, batch rows); another key frees
+    them all before it builds anything (``_kept_state``)."""
 
     def test_slot_keeps_one_key(self):
-        # a repeated key returns its spectrum and its free list's sets;
-        # another alpha, a row map of the same embedding length, another
-        # batch size and iid rows each replace the slot's one entry
+        # a repeated key returns its spectrum and its free lists' sets and
+        # step tables; another alpha, a row map of the same embedding
+        # length, another batch size and iid rows each replace the slot's
+        # one entry
         estimator._SLOT.clear()
         half = _row_map(0.5, 0, 100)
-        first, free, sets = _kept_state(half, 4, 1)
-        assert first.m == half.width == 200 and len(sets) == 1
+        first, free, sets, steps = _kept_state(half, 4, 1, 1)
+        assert first.m == half.width == 200 and len(sets) == 1 and steps[0].shape == (4, 101)
         assert np.array_equal(first.weights, fbm._embedding_spectrum(0.5, 200).weights)
-        free.extend(sets)
-        again, kept, taken = _kept_state(half, 4, 1)
-        assert again is first and kept is free and taken[0] is sets[0] and free == []
+        free[0].extend(sets)
+        free[1].extend(steps)
+        again, kept, taken, tables = _kept_state(half, 4, 1, 1)
+        assert again is first and kept is free and taken[0] is sets[0]
+        assert tables[0] is steps[0] and free == ([], [])
         full = _row_map(0.5, 50, 50)
         assert full.width == half.width
         for rmap, rows in ((_row_map(0.7, 0, 100), 4), (full, 4), (half, 2), (half, 4)):
@@ -1915,15 +1980,18 @@ class TestSlot:
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0])
     def test_previous_state_freed_before_the_next_build(self, monkeypatch, alpha):
-        # the last grid's spectrum and both of its buffer sets are
-        # unreachable before the next key builds its spectrum (alpha = 0.7)
-        # or makes its first set, so no build sits beside state its plan
-        # does not count; iid rows, which build no spectrum, free it too
+        # the last grid's spectrum, both of its buffer sets and its step
+        # table are unreachable before the next key builds its spectrum
+        # (alpha = 0.7) or makes its first set, and so before it makes its
+        # table, so no build sits beside state its plan does not count; iid
+        # rows, which build no spectrum, free it too
         estimator._SLOT.clear()
-        op, free, sets = _kept_state(_row_map(0.5, 0, 1000), 2, 2)
-        free.extend(sets)
-        refs = [weakref.ref(op)] + [weakref.ref(space[3].base) for space in sets]
-        del op, free, sets
+        op, free, sets, steps = _kept_state(_row_map(0.5, 0, 1000), 2, 2, 1)
+        free[0].extend(sets)
+        free[1].extend(steps)
+        refs = ([weakref.ref(op)] + [weakref.ref(space[3].base) for space in sets]
+                + [weakref.ref(steps[0])])
+        del op, free, sets, steps
         events, build, buffers = [], estimator._embedding_spectrum, estimator._row_buffers
 
         def spy_build(*args):
@@ -1937,28 +2005,29 @@ class TestSlot:
         monkeypatch.setattr(estimator, "_embedding_spectrum", spy_build)
         monkeypatch.setattr(estimator, "_row_buffers", spy_buffers)
         assert all(ref() is not None for ref in refs)
-        _kept_state(_row_map(alpha, 0, 1000), 2, 1)
-        assert events == [("build", [False] * 3)] * (alpha != 1.0) + [("buffers", [False] * 3)]
+        steps = _kept_state(_row_map(alpha, 0, 1000), 2, 1, 1)[3]
+        assert events == [("build", [False] * 4)] * (alpha != 1.0) + [("buffers", [False] * 4)]
+        assert steps[0].shape == (4, 1001)
 
     def test_sampled_path_on_the_engines_grid_builds_nothing(self, monkeypatch):
         # a run of one stream row has the sampler's key: a path sampled
         # after it builds no spectrum and no buffer set, reads no memory
-        # limit (the run passed a larger plan), puts its set back, and is
-        # the path a cold slot gives, bit for bit
+        # limit (the run passed a larger plan), takes no step table, puts
+        # its set back, and is the path a cold slot gives, bit for bit
         cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.1,
                               horizon=3.0, replications=32, seed=5)
         neg, pos = cfg.side_counts()
         assert _batch_plan(cfg.replications, _row_map(cfg.alpha, neg, pos), 1, 1).rows == 1
         estimator._SLOT.clear()
         _simulate_functionals(cfg, [1])
-        (key, (_, free)), = estimator._SLOT.items()
-        assert len(free) == 1
+        (key, (_, (free, tables))), = estimator._SLOT.items()
+        assert len(free) == len(tables) == 1
         with monkeypatch.context() as m:
             built = _counted(m, estimator, "_embedding_spectrum")
             made = _counted(m, estimator, "_row_buffers")
             limits = _counted(m, estimator, "_memory_limit")
             path = sample_two_sided_path(cfg.alpha, neg, pos, np.random.default_rng(6))
-        assert built == made == limits == [] and len(free) == 1
+        assert built == made == limits == [] and len(free) == len(tables) == 1
         assert list(estimator._SLOT) == [key]
         estimator._SLOT.clear()
         assert np.array_equal(path, sample_two_sided_path(cfg.alpha, neg, pos,
@@ -1966,10 +2035,14 @@ class TestSlot:
 
     def test_grid_switch_peak_within_the_plan(self, monkeypatch):
         # a two-worker alpha = 1 run B (two workers of 8-row batches) after
-        # a one-worker run A on the gap study's grid: A's spectrum (1.08 MB)
-        # and its buffers (1.44 MB) are freed before B makes anything, so
-        # B's traced peak, over what was held before A, stays within B's
-        # plan.  The memory limit is fixed, so that reading it opens no files
+        # a one-worker run A on the gap study's grid: A's spectrum (1.08 MB),
+        # its buffers (1.44 MB) and its step table (1.44 MB) are freed
+        # before B makes anything, so B's traced peak, over what was held
+        # before A, stays within B's plan.  A's kept state alone outweighs
+        # B's plan, so B's peak is read from B's first build (B's rows are
+        # iid: a buffer set), and what B's call held beside A's state before
+        # that is checked on its own.  The memory limit is fixed, so that
+        # reading it opens no files
         import tracemalloc
 
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
@@ -1983,15 +2056,31 @@ class TestSlot:
         for c in (b, a):  # numpy's lazy imports
             _simulate_functionals(c, [1], threads=2)
         estimator._SLOT.clear()
+        row_buffers, first_build = estimator._row_buffers, []
+
+        def spy(*args):
+            if not first_build:
+                first_build.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+            return row_buffers(*args)
+
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             _simulate_functionals(a, [1])
+            held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
+            monkeypatch.setattr(estimator, "_row_buffers", spy)
             _simulate_functionals(b, [1], threads=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        (current, before), = first_build
+        step = 8 * (sum(b.side_counts()) + 1)
+        # A's state is gone at B's first build, and until then B's call
+        # held less than one of its steps beside it
+        assert held - base > plan.nbytes
+        assert current - base < step and before - held < step, (current - base, before - held)
         assert peak - base <= plan.nbytes, (peak - base, plan.nbytes)
 
 
@@ -2250,9 +2339,9 @@ class TestWindowGroups:
         kept_state, window = estimator._kept_state, estimator._window
 
         def spy_state(*args):
-            op, free, spaces = kept_state(*args)
+            op, free, spaces, steps = kept_state(*args)
             flats.extend(space[3] for space in spaces)
-            return op, free, spaces
+            return op, free, spaces, steps
 
         def spy_window(rmap, prefix, p, flat, runs=()):
             field = window(rmap, prefix, p, flat, runs)

@@ -76,6 +76,7 @@ unit: the CLT stderr is computed from per-row sums of deviations
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 import threading
@@ -334,7 +335,10 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     ``reps`` replications take ``ceil(reps / rmap.paths)`` stream rows, and
     the table holds all their paths, rows of ``columns``.  The rows' ``N``
     blocks go to ``W = min(threads, CPUs, N)`` workers, CPUs being
-    ``_cpu_count()``, worker k taking blocks ``[k N / W, (k + 1) N / W)``.
+    ``_cpu_count()``, worker k taking blocks ``[k N / W, (k + 1) N / W)``;
+    more than one worker run on the process's pool (``_pool``), made once
+    per process and reused, and one worker on the calling thread, which
+    imports no pool.
     Every worker's buffers hold the run's batch rows, whatever its share,
     so that runs of one config at any thread count reuse the same buffers,
     and the run's (variants, n + 1) step table is one the slot keeps, so
@@ -342,7 +346,9 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     (``_kept_state``); it is written in place, and keeps no index column.
     Raises ValueError for a thread count below 1, and
     for a run whose memory, worked out here before anything is allocated,
-    exceeds ``_memory_limit()``.
+    exceeds ``_memory_limit()``: every run is checked, against a limit read
+    once per process, so a cgroup limit lowered later in the process is
+    not seen.
     """
     threads = _check_count("threads", threads)
     n, width = rmap.n, rmap.width
@@ -403,8 +409,11 @@ def _cgroup_memory_max() -> tuple[int, str] | None:
     return None
 
 
+@functools.cache
 def _memory_limit() -> tuple[int, str]:
-    """(bytes, what they are): physical memory, or the cgroup's limit if smaller."""
+    """(bytes, what they are): physical memory, or the cgroup's limit if
+    smaller, read on the process's first call: a read took a median 0.3 ms
+    inside runs (2 CPUs, Linux), a tenth of a Brownian validation call."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     cgroup = _cgroup_memory_max()
     if cgroup is not None and cgroup[0] < physical:
@@ -471,6 +480,27 @@ def _kept_state(rmap: _RowMap, rows: int, count: int, tables: int = 0) -> tuple:
     sets += [_row_buffers(rmap, rows) for _ in range(count - len(sets))]
     steps += [np.empty((rmap.variants, rmap.n + 1)) for _ in range(tables - len(steps))]
     return op, free, sets, steps
+
+
+# The worker pool of this process, made by its first run with more than one
+# worker.  A forked child drops its copy, whose threads the child lacks.
+_POOL: list = []
+_POOL_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOL.clear)
+
+
+def _pool():
+    """This process's ``ThreadPoolExecutor`` of ``_cpu_count()`` workers,
+    made on the first call, so that a one-worker run never imports
+    ``concurrent.futures``, and reused by every later run, whatever its grid:
+    a pool made and joined per run started a run's second worker 0.35-2.8 ms
+    after its first (2 CPUs)."""
+    with _POOL_LOCK:
+        if not _POOL:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL.append(ThreadPoolExecutor(max_workers=_cpu_count()))
+        return _POOL[0]
 
 
 def _map_rows(rmap: _RowMap, op, z: np.ndarray, w: np.ndarray | None, sums: np.ndarray,
@@ -658,7 +688,8 @@ def _simulate_functionals(
     keeps a point besides the anchor; anything else is a ValueError before
     anything is built or drawn.
 
-    ``_batch_plan`` lays the run out before anything is allocated: each
+    ``_batch_plan`` lays the run out before anything is allocated, and
+    checks its bytes against the memory limit read once per process: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
     stream rows and walks it one block a batch, whatever the replication
     count, with one set of ``_row_buffers``, taken with the spectrum from
@@ -668,8 +699,11 @@ def _simulate_functionals(
     ``_variant_table`` writes its steps in place on every run, as steps
     made and freed by each run took numpy's FFT scratch with the heap's
     trim.  So memory follows from the config and the worker count alone:
-    pool threads build no spectrum, buffer set or table, and a run with
-    one worker runs on the calling thread.  A batch cumulates each row's ring once
+    pool threads build no spectrum, buffer set or table.  A run with more
+    than one worker hands its shares to the process's kept pool
+    (``_pool``), made once per process by the first such run and reused by
+    every later one; a run with one worker runs on the calling thread and
+    imports no pool.  A batch cumulates each row's ring once
     (``_map_rows``), then forms its ``rmap.windows`` windows in groups of
     G (``_group_windows``), side by side in the normals buffer, each over
     the union of the group's kept runs (``_window``).
@@ -713,11 +747,11 @@ def _simulate_functionals(
     rmap = _row_map(config.alpha, neg, pos)
     reps = int(config.replications)
     plan = _batch_plan(reps, rmap, threads, len(strides))
-    if len(plan.shares) > 1:
-        # Only a run with a pool loads it, and before the run's arrays: loaded
-        # among live buffers, its objects kept the heap from shrinking below
-        # them (0.4 MiB more peak RSS on the bench's Brownian validation).
-        from concurrent.futures import ThreadPoolExecutor
+    # Only a run with more than one worker loads the pool, and before the
+    # run's arrays: loaded among live buffers, its objects kept the heap from
+    # shrinking below them (0.4 MiB more peak RSS on the bench's Brownian
+    # validation).
+    pool = _pool() if len(plan.shares) > 1 else None
     # before anything is built, so that another grid's kept state goes first
     op, free, spaces, steps = _kept_state(rmap, plan.rows, len(plan.shares), 1)
     # sqrt(2) * (scale * values), in place.
@@ -775,9 +809,8 @@ def _simulate_functionals(
                     np.subtract(*((top, ref) if sign > 0 else (ref, top)), out=top)
                 np.exp(tops, out=tops)
 
-    if len(spaces) > 1:
-        with ThreadPoolExecutor(max_workers=len(spaces)) as pool:
-            list(pool.map(work, plan.shares, spaces))
+    if pool is not None:
+        list(pool.map(work, plan.shares, spaces))
     else:
         work(plan.shares[0], spaces[0])
     free[0].extend(spaces)

@@ -1,21 +1,23 @@
 """Fixtures shared by the test modules."""
 
-import concurrent.futures
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from piterbarg import estimator
 
-class _SerialPool:
-    """``ThreadPoolExecutor``'s context and ``map``, run in order on the calling thread."""
 
-    def __enter__(self):
-        return self
+class _RecordingPool:
+    """The kept pool's ``map``, recording each run's worker count: up to two
+    shares run on a pool of two real threads, more in order on the calling
+    thread."""
 
-    def __exit__(self, *exc):
-        return False
+    def __init__(self, threaded):
+        self.sizes, self.threaded = [], threaded
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def map(self, fn, shares, spaces):
+        self.sizes.append(len(shares))
+        return (self.threaded.map if len(shares) <= 2 else map)(fn, shares, spaces)
 
 
 @pytest.fixture
@@ -23,16 +25,20 @@ def pool_sizes(monkeypatch):
     """Any worker layout on any host, with at most two real threads.
 
     The engine sees 64 CPUs, so it lays out as many workers as it is asked
-    for (up to one per block).  A pool of two workers starts its two
-    threads; a larger one runs its shares one after another on the calling
-    thread.  The list of pool sizes the engine asks for.
+    for (up to one per block), and hands their shares to a stand-in for
+    the process's kept pool.  The list of worker counts the runs hand over.
     """
-    sizes, threaded = [], concurrent.futures.ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=2) as threaded:
+        pool = _RecordingPool(threaded)
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 64)
+        monkeypatch.setattr(estimator, "_pool", lambda: pool)
+        yield pool.sizes
 
-    def pool(max_workers):
-        sizes.append(max_workers)
-        return threaded(max_workers) if max_workers <= 2 else _SerialPool()
 
-    monkeypatch.setattr("piterbarg.estimator._cpu_count", lambda: 64)
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", pool)
-    return sizes
+@pytest.fixture
+def fresh_memory_limit():
+    """The memory limit read afresh in the test, and again after it, so that
+    a patched reader's figure stays inside the test."""
+    estimator._memory_limit.cache_clear()
+    yield
+    estimator._memory_limit.cache_clear()

@@ -236,6 +236,7 @@ class TestEstimate:
         assert f"threads must be a positive integer, got {threads}" in err
 
     @pytest.mark.parametrize("alpha", ["1", "0.5"])
+    @pytest.mark.usefixtures("fresh_memory_limit")
     def test_grid_beyond_physical_memory_exits_2(self, capsys, monkeypatch, alpha):
         # n = 10^11 increments: rejected from the plan's byte figure, before
         # the variant table or the spectrum is built

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -99,6 +100,21 @@ def _counted(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _fresh_python(script):
+    """The standard output of ``script`` run by a fresh interpreter that
+    imports this checkout's package."""
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def _simulate_into(queue, cfg, strides, threads):
+    """A forked child's run, its table put on ``queue``."""
+    queue.put(_simulate_functionals(cfg, strides, threads))
 
 
 def make_path(alpha, delta, neg, pos, rng):
@@ -723,6 +739,7 @@ class TestBatchPlan:
             estimate_constant(cfg, threads=threads)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.usefixtures("fresh_memory_limit")
     def test_grid_beyond_physical_memory_rejected_before_allocating(
             self, alpha, monkeypatch):
         def unreachable(*args):
@@ -881,6 +898,7 @@ class TestBatchPlan:
         (10**6, "memory.max", 10**6, "the cgroup's memory.max"),
         (10**6, "memory.limit_in_bytes", 10**6, "the cgroup's memory.limit_in_bytes"),
     ])
+    @pytest.mark.usefixtures("fresh_memory_limit")
     def test_memory_limit_is_the_smaller_of_physical_and_cgroup(
             self, monkeypatch, cgroup, leaf, limit, source):
         # the error names the file the limit came from: v2 memory.max or
@@ -1198,12 +1216,12 @@ class TestEstimateConstant:
 
     def test_lone_batch_runs_on_calling_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a single batch must not start a thread pool")
+            raise AssertionError("a single batch must not take a thread pool")
 
         cfg = self._config(replications=50)
         t1 = _simulate_functionals(cfg, [1])
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 4)
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(estimator, "_pool", no_pool)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1], threads=4))
 
     def test_pool_capped_at_the_cpus(self, monkeypatch, pool_sizes):
@@ -1214,6 +1232,63 @@ class TestEstimateConstant:
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2], threads=5000))
         assert pool_sizes == [2]
+
+    def test_pool_made_once_and_bounded_by_the_cpus(self):
+        # ten two-thread runs on three grids (iid, and two embeddings), two
+        # blocks each, in a fresh process: one pool, made by the first run
+        # and reused whatever the grid, holds at most a thread a CPU
+        script = (
+            "import threading\n"
+            "from piterbarg import Domain, EstimatorConfig\n"
+            "from piterbarg import estimator\n"
+            "before = threading.active_count()\n"
+            "for k in range(10):\n"
+            "    cfg = EstimatorConfig(alpha=(1.0, 0.5, 1.5)[k % 3], d=2.0, "
+            "domain=Domain.HALF_LINE, delta=0.05, horizon=5.0, replications=35200, seed=k)\n"
+            "    estimator._simulate_functionals(cfg, [1, 2], threads=2)\n"
+            "print(threading.active_count() - before, len(estimator._POOL), "
+            "estimator._cpu_count())\n"
+        )
+        threads, pools, cpus = map(int, _fresh_python(script).split())
+        assert pools == (cpus > 1) and threads <= cpus
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method on this platform")
+    # Python 3.12+ warns on a fork in a process with threads, as here the pool's
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded, use of fork"
+                                ":DeprecationWarning")
+    def test_forked_child_runs_on_a_pool_of_its_own(self, monkeypatch):
+        # a child forked after a two-thread run holds a copy of the parent's
+        # pool but none of its threads: it makes its own pool, and its
+        # two-thread run gives the parent's table
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        cfg = self._config(replications=128000)  # four blocks of 1024 rows of 32
+        table = _simulate_functionals(cfg, [1, 2], threads=2)
+        assert estimator._POOL
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_simulate_into, args=(queue, cfg, [1, 2], 2))
+        child.start()
+        try:
+            assert np.array_equal(queue.get(timeout=120), table)
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=30)
+        assert child.exitcode == 0
+
+    @pytest.mark.usefixtures("fresh_memory_limit")
+    def test_memory_limit_read_once_per_process(self, monkeypatch):
+        # two runs on two grids read the cgroup's limit once, and every
+        # later plan is still checked against it
+        reads = _counted(monkeypatch, estimator, "_cgroup_memory_max")
+        _simulate_functionals(self._config(), [1])
+        _simulate_functionals(self._config(alpha=0.5), [1])
+        assert len(reads) == 1
+        with pytest.raises(ValueError, match=r"needs \d+ bytes, more than the"):
+            _batch_plan(1, _rmap(10**11, 10**11), 1, 1)
+        assert len(reads) == 1
 
     # "dense" names the short circulant grid (n = 200) that v5 mapped densely
     @pytest.mark.parametrize("kind,kw", [
@@ -1580,12 +1655,7 @@ class TestAggregation:
             "assert estimate_constant(cfg).method == 'median-of-means'\n"
             "print(sorted({'numpy.ma', 'concurrent.futures'} & set(sys.modules)))\n"
         )
-        src = str(Path(estimator.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.stdout.strip() == "[]"
+        assert _fresh_python(script).strip() == "[]"
 
     def test_median_of_means_ci_rank_table(self):
         # Binom(K, 1/2) order-statistic ranks for K = 1..24, as scipy's

@@ -212,7 +212,7 @@ class EstimateResult:
 
 def _variant_table(steps: np.ndarray, neg: int, delta: float, alpha: float, d: float) -> list:
     """The variants' rows (step, sign, anchor), their steps written into the
-    rows of ``steps``, a (variants, n + 1) table of ``_kept_state``'s slot,
+    rows of ``steps``, a workspace's (variants, n + 1) table (``_row_buffers``),
     in place from one transient index.  With drift = (1 + d) |k delta|^alpha
     on k = -neg..pos: v's step is -drift and -v's 2 drift, anchored at neg,
     and on the half line v~'s is drift[::-1] - drift and -v~'s
@@ -324,9 +324,9 @@ def _row_bytes(rmap: _RowMap) -> int:
 class _BatchPlan:
     """How a run's rows are batched, shared among workers and held in memory."""
 
-    rows: int  # stream rows per batch: one block, or the whole run if shorter
+    rows: int  # stream rows per batch and per workspace: one block
     shares: tuple[tuple[int, int], ...]  # (first, stop) stream row per worker
-    nbytes: int  # step table, spectrum, output table, every worker's buffers
+    nbytes: int  # spectrum, output table, every worker's workspace
 
 
 def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchPlan:
@@ -339,11 +339,10 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
     more than one worker run on the process's pool (``_pool``), made once
     per process and reused, and one worker on the calling thread, which
     imports no pool.
-    Every worker's buffers hold the run's batch rows, whatever its share,
-    so that runs of one config at any thread count reuse the same buffers,
-    and the run's (variants, n + 1) step table is one the slot keeps, so
-    that freeing it takes no FFT scratch with the heap's top
-    (``_kept_state``); it is written in place, and keeps no index column.
+    Every worker takes one workspace of the grid (``_kept_state``): one
+    whole block of buffers, whatever its share or the run's length, and a
+    (variants, n + 1) step table, so that runs of the grid at any length
+    and thread count reuse the same workspaces.
     Raises ValueError for a thread count below 1, and
     for a run whose memory, worked out here before anything is allocated,
     exceeds ``_memory_limit()``: every run is checked, against a limit read
@@ -361,16 +360,16 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
          min(stream, (k + 1) * nblocks // workers * block))
         for k in range(workers)
     )
-    rows = min(block, stream)
-    # The step table (n + 1 floats a variant), the output table of
-    # whole stream rows, the spectrum at the peak of its build (the
-    # autocovariances, the first row, and the complex input and output of
-    # its FFT; it then holds less), and per worker one set of batch
-    # buffers, a window's per-row shift and numpy's three ufunc buffers.
-    nbytes = 8 * (n + 1) * rmap.variants + 8 * stream * rmap.paths * columns
+    # The output table of whole stream rows, the spectrum at the peak of
+    # its build (the autocovariances, the first row, and the complex input
+    # and output of its FFT; it then holds less), and per worker one
+    # workspace (a block's buffers and a step table of n + 1 floats a
+    # variant), a window's per-row shift and numpy's three ufunc buffers.
+    nbytes = 8 * stream * rmap.paths * columns
     if rmap.kind == "circulant":
         nbytes += 8 * (width // 2 + 1) + 8 * width + 32 * width
-    nbytes += workers * (rows * (_row_bytes(rmap) + 8) + 24 * np.getbufsize())
+    nbytes += workers * (block * (_row_bytes(rmap) + 8) + 8 * (n + 1) * rmap.variants
+                         + 24 * np.getbufsize())
     limit, source = _memory_limit()
     if nbytes > limit:
         m = width if rmap.kind == "circulant" else "none"
@@ -378,7 +377,7 @@ def _batch_plan(reps: int, rmap: _RowMap, threads: int, columns: int) -> _BatchP
             f"a run with n={n} increments and embedding length m={m} needs "
             f"{nbytes} bytes, more than the {limit} bytes of {source}"
         )
-    return _BatchPlan(rows, shares, nbytes)
+    return _BatchPlan(block, shares, nbytes)
 
 
 def _cpu_count() -> int:
@@ -435,51 +434,51 @@ def _fill_normals(seed: int, z: np.ndarray, first: int, block: int) -> None:
 
 
 def _row_buffers(rmap: _RowMap, rows: int) -> tuple:
-    """Buffers for ``rows`` stream rows, in one allocation laid out by
-    ``_row_floats``: the normals (later the fGn) as a (rows, width) view of
-    ``flat``, the half-spectrum (or None), and the (rows, width + 1) ring
-    prefix sums, which take the floats of the half-spectrum once the irfft
-    has consumed it.  Once the prefix sums exist ``flat`` holds the fields
-    of a group of G windows, G k floats a row for k columns each
-    (``_group_windows``), and at least one whole window."""
+    """A workspace: buffers for ``rows`` stream rows and a step table, in
+    one allocation laid out by ``_row_floats``: the normals (later the fGn)
+    as a (rows, width) view of ``flat``, the half-spectrum (or None), the
+    (rows, width + 1) ring prefix sums, which take the floats of the
+    half-spectrum once the irfft has consumed it, ``flat``, and at its end
+    the (variants, n + 1) steps of ``_variant_table``.  Once the prefix
+    sums exist ``flat`` holds the fields of a group of G windows, G k
+    floats a row for k columns each (``_group_windows``), and at least one
+    whole window."""
     width, embedded = rmap.width, rmap.kind == "circulant"
     spectrum, floats = _row_floats(rmap)
-    whole = np.empty(rows * (spectrum + floats))
+    whole = np.empty(rows * (spectrum + floats) + rmap.variants * (rmap.n + 1))
     head = whole[: rows * spectrum].reshape(rows, spectrum)  # 16-byte aligned first
     w = head.view(np.complex128) if embedded else None
-    flat = whole[rows * spectrum :]
-    return flat[: rows * width].reshape(rows, width), w, head[:, : width + 1], flat
+    flat = whole[rows * spectrum : rows * (spectrum + floats)]
+    steps = whole[rows * (spectrum + floats) :].reshape(rmap.variants, rmap.n + 1)
+    return flat[: rows * width].reshape(rows, width), w, head[:, : width + 1], flat, steps
 
 
-# The spectrum, free batch buffers and free step tables of the last (row
-# map, batch rows); another key frees them all before anything is built.
-# glibc returns a freed block that large to the system, which the next run
-# faulted in again (1500 faults, 2 ms a gap-study call).  Sets and tables
-# are taken under the lock and put back by list.extend, atomic under the
-# GIL: concurrent runs share none.
+# The spectrum and free workspaces of the last row map; another frees them
+# before anything is built.  glibc returns a freed block that large to the
+# system, which the next run faulted in again (1500 faults, 2 ms a
+# gap-study call).  Workspaces are taken under the lock and put back by
+# list.extend, atomic under the GIL: concurrent runs share none.
 _SLOT: dict = {}
 _SLOT_LOCK = threading.Lock()
 
 
-def _kept_state(rmap: _RowMap, rows: int, count: int, tables: int = 0) -> tuple:
-    """(op, free, sets, steps) of (rmap, rows): the spectrum (None on iid
-    rows), the slot's free lists (buffer sets, step tables), and ``count``
-    sets of ``_row_buffers`` and ``tables`` (variants, n + 1) step tables
-    (``_variant_table``) taken off them or made.  The tables are kept
-    because a run that made and freed its steps (six arrays of n + 1
-    floats) let glibc trim the heap's top, and numpy's FFT scratch with it,
+def _kept_state(rmap: _RowMap, count: int) -> tuple:
+    """(op, free, spaces) of ``rmap``: the spectrum (None on iid rows), the
+    slot's free list, and ``count`` workspaces (``_row_buffers`` of one
+    block) taken off it, last put back first, or made.  A run writes its
+    steps into its first workspace's table, which is the one the last run
+    wrote, so the table stays with the heap: steps made and freed by each
+    run let glibc trim the heap's top, and numpy's FFT scratch with it,
     which the next run faulted in again (511-671 faults a gap-study call)."""
     with _SLOT_LOCK:
-        if (rmap, rows) not in _SLOT:
+        if rmap not in _SLOT:
             _SLOT.clear()
             op = _embedding_spectrum(rmap.alpha, rmap.width) if rmap.kind == "circulant" else None
-            _SLOT[rmap, rows] = op, ([], [])
-        op, free = _SLOT[rmap, rows]
-        sets = [free[0].pop() for _ in range(min(count, len(free[0])))]
-        steps = [free[1].pop() for _ in range(min(tables, len(free[1])))]
-    sets += [_row_buffers(rmap, rows) for _ in range(count - len(sets))]
-    steps += [np.empty((rmap.variants, rmap.n + 1)) for _ in range(tables - len(steps))]
-    return op, free, sets, steps
+            _SLOT[rmap] = op, []
+        op, free = _SLOT[rmap]
+        spaces = [free.pop() for _ in range(min(count, len(free)))]
+    spaces += [_row_buffers(rmap, _block_rows(rmap.width)) for _ in range(count - len(spaces))]
+    return op, free, spaces
 
 
 # The worker pool of this process, made by its first run with more than one
@@ -650,7 +649,7 @@ def sample_two_sided_path(
     exactly the fBM covariance: Var B(k) = |k|^alpha with stationary
     increments.  It is window 0 (the first n increments) of one row of the
     engine's ``_row_map``, drawn from ``rng`` (n normals, or the m of an
-    embedding) into a one-row buffer set of the engine's slot.  Returns B(k)
+    embedding) into a workspace of the engine's slot.  Returns B(k)
     for k = -neg_count..pos_count, so ``values[neg_count]`` is exactly 0;
     times delta^(alpha/2), the path on the delta grid.  A non-Generator
     ``rng``, or a grid whose one-row plan exceeds memory, is a ValueError.
@@ -663,13 +662,13 @@ def sample_two_sided_path(
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     rmap = _row_map(alpha, neg_count, pos_count)
-    if (rmap, 1) not in _SLOT:  # a kept grid passed a plan at least this large
+    if rmap not in _SLOT:  # a kept grid passed a plan at least this large
         _batch_plan(1, rmap, 1, 1)
-    op, free, spaces, _ = _kept_state(rmap, 1, 1)
-    z, w, sums, flat = spaces[0]
+    op, free, spaces = _kept_state(rmap, 1)
+    z, w, sums, flat, _ = spaces[0]
     rng.standard_normal(out=z[0])
     path = _window(rmap, _map_rows(rmap, op, z, w, sums, 1), 0, flat)[0].copy()
-    free[0].extend(spaces)
+    free.extend(spaces)
     return path
 
 
@@ -692,14 +691,12 @@ def _simulate_functionals(
     checks its bytes against the memory limit read once per process: each
     worker gets one contiguous share of whole blocks of ``_block_rows(width)``
     stream rows and walks it one block a batch, whatever the replication
-    count, with one set of ``_row_buffers``, taken with the spectrum from
+    count, in one workspace (``_row_buffers``), taken with the spectrum from
     the slot of ``_kept_state`` (or made there) on the calling thread before
-    anything else is built and put back at the end, reused for all of its
-    batches.  The run's step table comes off the slot too, one a run, and
-    ``_variant_table`` writes its steps in place on every run, as steps
-    made and freed by each run took numpy's FFT scratch with the heap's
-    trim.  So memory follows from the config and the worker count alone:
-    pool threads build no spectrum, buffer set or table.  A run with more
+    anything else is built and put back at the end.  ``_variant_table``
+    writes the run's steps into its first workspace's table, which every
+    worker reads.  So memory follows from the config and the worker count
+    alone: pool threads build no spectrum or workspace.  A run with more
     than one worker hands its shares to the process's kept pool
     (``_pool``), made once per process by the first such run and reused by
     every later one; a run with one worker runs on the calling thread and
@@ -753,16 +750,16 @@ def _simulate_functionals(
     # validation).
     pool = _pool() if len(plan.shares) > 1 else None
     # before anything is built, so that another grid's kept state goes first
-    op, free, spaces, steps = _kept_state(rmap, plan.rows, len(plan.shares), 1)
+    op, free, spaces = _kept_state(rmap, len(plan.shares))
     # sqrt(2) * (scale * values), in place.
     gains = (config.delta ** (config.alpha / 2.0), _SQRT2)
     n, windows, variants, paths = rmap.n, rmap.windows, rmap.variants, rmap.paths
-    table = _variant_table(steps[0], neg, config.delta, config.alpha, config.d)
+    table = _variant_table(spaces[0][4], neg, config.delta, config.alpha, config.d)
     kept = _bound_plan(rmap, table, strides)
     out = np.empty((-(-reps // paths) * paths, len(strides)))
 
     def work(share: tuple, space: tuple) -> None:
-        (lo, hi), (z, w, sums, flat) = share, space
+        (lo, hi), (z, w, sums, flat, _) = share, space
         for start in range(lo, hi, plan.rows):
             rows = min(plan.rows, hi - start)
             _fill_normals(config.seed, z[:rows], start // plan.rows, plan.rows)
@@ -813,8 +810,7 @@ def _simulate_functionals(
         list(pool.map(work, plan.shares, spaces))
     else:
         work(plan.shares[0], spaces[0])
-    free[0].extend(spaces)
-    free[1].extend(steps)
+    free.extend(reversed(spaces))  # the first on top: its table is the next run's
     return out[:reps]
 
 

@@ -71,23 +71,24 @@ def _rmap(n, width, embedded=False):
     return _RowMap("circulant" if embedded else "iid", 1.9, 0, n, width)
 
 
-def _worker_bytes(rmap, rows):
-    """What a plan counts per worker: a batch row's buffers and its window
-    shift, and numpy's three ufunc buffers."""
-    return rows * (_row_bytes(rmap) + 8) + 24 * np.getbufsize()
+def _worker_bytes(rmap):
+    """What a plan counts per worker: a workspace (a block's buffers and a
+    step table), a block row's window shift, and numpy's three ufunc
+    buffers."""
+    return (_block_rows(rmap.width) * (_row_bytes(rmap) + 8)
+            + 8 * rmap.variants * (rmap.n + 1) + 24 * np.getbufsize())
 
 
 def _spectrum(rmap):
     """The spectrum a run maps ``rmap``'s rows by, None on iid rows."""
-    return _kept_state(rmap, 1, 0)[0]
+    return _kept_state(rmap, 0)[0]
 
 
 def _drop_buffers():
-    """Empty the engine's free lists and keep its spectrum, so that the next
-    run makes its buffer sets and step table and builds nothing else."""
+    """Empty the engine's free list and keep its spectrum, so that the next
+    run makes its workspaces and builds nothing else."""
     for _, free in estimator._SLOT.values():
-        for kept in free:
-            kept.clear()
+        free.clear()
 
 
 def _counted(monkeypatch, module, name):
@@ -695,9 +696,8 @@ class TestBatchPlan:
         for reps in (1, 7, 100, 10**4, 10**6, 10**8):
             for threads in (1, 2, 4):
                 plan = _batch_plan(reps, _rmap(n, width, embedded), threads, 1)
-                # the run's batch rows, whatever the worker count
-                assert plan.rows <= rows
-                assert plan.rows == min(rows, plan.shares[-1][1])
+                # one block, whatever the run's length or worker count
+                assert plan.rows == rows
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     @pytest.mark.parametrize("reps", [1, 7, 64, 65, 320, 1000, 4099, 8193])
@@ -715,8 +715,8 @@ class TestBatchPlan:
         assert sum(sizes) == nblocks and max(sizes) - min(sizes) <= 1
 
     def test_workers_capped_at_the_cpus(self, monkeypatch):
-        # 5000 threads on 2 CPUs: 2 shares and 2 buffer sets, not 5000 of
-        # each (5.13 GiB at the uncapped plan); the cap leaves shares whole.
+        # 5000 threads on 2 CPUs: 2 shares and 2 workspaces, not 5000 of
+        # each (8.67 GiB at the uncapped plan); the cap leaves shares whole.
         # 10^7 half-line iid rows of rmap.paths replications each
         rmap = _row_map(1.0, 0, 2120)
         for cpus in (1, 2, 3):
@@ -724,8 +724,7 @@ class TestBatchPlan:
             plan = _batch_plan(rmap.paths * 10**7, rmap, 5000, 1)
             assert len(plan.shares) == cpus
             assert plan.shares[0][0] == 0 and plan.shares[-1][1] == 10**7
-            assert plan.nbytes == (32 * 2121 + 8 * rmap.paths * 10**7
-                                   + cpus * _worker_bytes(rmap, plan.rows))
+            assert plan.nbytes == 8 * rmap.paths * 10**7 + cpus * _worker_bytes(rmap)
         monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
         assert len(_batch_plan(1024, _rmap(100, 2048, True), 5000, 1).shares) == 1
 
@@ -756,22 +755,22 @@ class TestBatchPlan:
             _simulate_functionals(cfg, [1])
 
     def test_plan_bytes(self):
-        # the drift and its double, and on the half line the reversal's step
-        # and the reversed double, table, the spectrum's build (autocovariances, first row, complex
-        # FFT input and output) and two workers' buffers
+        # the table, the spectrum's build (autocovariances, first row,
+        # complex FFT input and output) and two workers' workspaces, each a
+        # block's buffers and a step table: the drift and its double, and on
+        # the half line the reversal's step and the reversed double
         plan = _batch_plan(16000, _rmap(172, 360, True), 2, 3)
         assert len(plan.shares) == 2
-        assert plan.nbytes == (32 * 173 + 8 * 48000 + 8 * 181 + 8 * 360 + 32 * 360
-                               + 2 * _worker_bytes(_rmap(172, 360, True), plan.rows))
+        assert plan.nbytes == (8 * 48000 + 8 * 181 + 8 * 360 + 32 * 360
+                               + 2 * _worker_bytes(_rmap(172, 360, True)))
         plan = _batch_plan(16000, _rmap(172, 172, False), 2, 3)
         assert len(plan.shares) == 2
-        assert plan.nbytes == (32 * 173 + 8 * 48000
-                               + 2 * _worker_bytes(_rmap(172, 172, False), plan.rows))
+        assert plan.nbytes == 8 * 48000 + 2 * _worker_bytes(_rmap(172, 172, False))
         full = _RowMap("circulant", 1.9, 86, 172, 360)
         plan = _batch_plan(4000, full, 2, 3)
         assert len(plan.shares) == 2
-        assert plan.nbytes == (16 * 173 + 8 * 12000 + 8 * 181 + 8 * 360 + 32 * 360
-                               + 2 * _worker_bytes(full, plan.rows))
+        assert plan.nbytes == (8 * 12000 + 8 * 181 + 8 * 360 + 32 * 360
+                               + 2 * _worker_bytes(full))
         # a short last row's table rows are counted whole: 4001 replications
         # take 501 rows of 8
         assert _batch_plan(4001, full, 2, 3).nbytes == plan.nbytes + 8 * 8 * 3
@@ -783,20 +782,20 @@ class TestBatchPlan:
 
     def test_widest_rows_plan_one_row_a_worker(self, monkeypatch):
         # n = 2.5e7 on two workers, full line: one row (one block) a batch,
-        # 3.91 GiB; 400 replications are 50 stream rows.  The same 50 rows
+        # 4.28 GiB; 400 replications are 50 stream rows.  The same 50 rows
         # on the half line (800 replications) add only the reversal's two
-        # arrays and the 400 more table values
+        # steps to each worker's table and the 400 more table values
         n, m = 25_000_000, 50_000_000
         full = _RowMap("circulant", 1.9, n // 2, n, m)
         assert _next_fast_len(2 * n) == m and _block_rows(m) == 1
-        fixed = 16 * (n + 1) + 8 * 400 + 8 * (m // 2 + 1) + 40 * m
+        fixed = 8 * 400 + 8 * (m // 2 + 1) + 40 * m
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (8 * 2**30, "physical memory"))
         plan = _batch_plan(400, full, 2, 1)
         assert plan.rows == 1 and plan.shares == ((0, 25), (25, 50))
-        assert plan.nbytes == fixed + 2 * _worker_bytes(full, 1) < 4 * 2**30
+        assert plan.nbytes == fixed + 2 * _worker_bytes(full) == 4_600_396_504
         half = _batch_plan(800, _rmap(n, m, True), 2, 1)
         assert half.rows == 1 and half.shares == plan.shares
-        assert half.nbytes == plan.nbytes + 16 * (n + 1) + 8 * 400 < 8 * 2**30
+        assert half.nbytes == plan.nbytes + 2 * 16 * (n + 1) + 8 * 400 < 8 * 2**30
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (3 * 2**30, "physical memory"))
         with pytest.raises(ValueError, match=rf"needs {plan.nbytes} bytes"):
             _batch_plan(400, full, 2, 1)
@@ -816,23 +815,22 @@ class TestBatchPlan:
         finally:
             tracemalloc.stop()
         plan = _batch_plan(1, _rmap(n, m, True), 1, 1)
-        # less the steps, the table's one row of 16 paths, and the worker's
-        # buffers
-        counted = (plan.nbytes - 32 * (n + 1) - 8 * 16
-                   - _worker_bytes(_rmap(n, m, True), plan.rows))
+        # less the table's one row of 16 paths and the worker's workspace
+        counted = plan.nbytes - 8 * 16 - _worker_bytes(_rmap(n, m, True))
         assert 0.5 * counted <= peak <= 1.1 * counted
 
     def test_plan_bytes_cover_batch_buffers(self):
         # the gap study's grid on two workers of one-row batches, four each
         # (256 replications, 32 a row), and the full line's grid of the same
         # n (128 replications, 16 a row): once a first run has cached the
-        # spectrum and made numpy's lazy imports, and with the kept buffers
-        # and step table dropped, the measured peak is the step table (four
-        # steps, or two on the full line), the output table and the
-        # buffers, with the ring's prefix sums in the half-spectrum buffer (a
-        # separate buffer would add 2.9 MB), each window's field in the
-        # normals buffer and the variants in place.  What the plan does not count stays below
-        # one step: a drift kept beside the table would add n + 1 floats.
+        # spectrum and made numpy's lazy imports, and with the kept
+        # workspaces dropped, the measured peak is the output table and two
+        # workspaces, each one block's buffers and a step table (four steps,
+        # or two on the full line), with the ring's prefix sums in the
+        # half-spectrum buffer (a separate buffer would add 2.9 MB), each
+        # window's field in the normals buffer and the variants in place.
+        # What the plan does not count stays below one step: a drift kept
+        # beside the table would add n + 1 floats.
         import tracemalloc
 
         for domain, horizon, reps in ((Domain.HALF_LINE, 449.76, 256),
@@ -863,7 +861,7 @@ class TestBatchPlan:
         # n = 10 on the half line at ten strides, blocks of 4096 rows, one
         # or two batches on one worker: a batch's tops (1.31 MB) rival its
         # buffers (1.38 MB) and are reduced straight into the output table,
-        # so with the kept buffers dropped the traced peak stays within the
+        # so with the kept workspaces dropped the traced peak stays within the
         # plan, numpy's ufunc buffers counted
         import tracemalloc
 
@@ -1349,7 +1347,7 @@ class TestEstimateConstant:
         monkeypatch.setattr(estimator, "_fill_normals", evicting_fill)
         assert np.array_equal(t1, _simulate_functionals(cfg, [1, 2]))
         assert built == [(1.5, 200), (0.7, 300)]
-        assert [key for key, _ in estimator._SLOT] == [_row_map(0.7, 0, 150)]
+        assert list(estimator._SLOT) == [_row_map(0.7, 0, 150)]
 
     @pytest.mark.parametrize("kind,kw", [
         ("iid", {}),
@@ -1488,7 +1486,7 @@ class TestDenseRows:
         rmap = _row_map(alpha, neg, pos)
         m = rmap.width
         assert rmap.kind == "circulant" and m == _next_fast_len(2 * (neg + pos))
-        z, w, sums, flat = _row_buffers(rmap, m)
+        z, w, sums, flat, _ = _row_buffers(rmap, m)
         z[:] = np.eye(m)
         prefix = _map_rows(rmap, _spectrum(rmap), z, w, sums, m)
         expected = _cholesky_path_covariance(alpha, neg, pos)
@@ -1548,7 +1546,7 @@ class TestPathSampler:
         block = _block_rows(rmap.width)
         assert rmap.kind == "circulant" and rmap.n <= 255
         rows = block + 3
-        z, w, sums, flat = _row_buffers(rmap, rows)
+        z, w, sums, flat, _ = _row_buffers(rmap, rows)
         _fill_normals(2027, z, 0, block)
         values = _window(rmap, _map_rows(rmap, _spectrum(rmap), z, w, sums, rows), 0, flat)
         for r in (0, 1, block - 1, block, block + 2):
@@ -1808,8 +1806,8 @@ class TestAggregation:
 
 
 class TestKeptBuffers:
-    """A run takes its batch buffers from a free list kept between runs of
-    one (row map, batch rows) and puts them back when it ends."""
+    """A run takes its workspaces from a free list kept between runs on one
+    grid (row map) and puts them back when it ends."""
 
     @staticmethod
     def _config(**kw):
@@ -1853,8 +1851,8 @@ class TestKeptBuffers:
         # two user threads run configs that differ only in d, which share
         # the slot's key, each having written its steps before either draws
         # a normal: each table is its sequential run's, bit for bit, since
-        # each run writes a step table of its own (a table both runs wrote
-        # would hold the later run's drift for both)
+        # each run writes the step table of a workspace of its own (a table
+        # both runs wrote would hold the later run's drift for both)
         configs = [self._config(d=2.0), self._config(d=1.5)]
         expected = [_simulate_functionals(cfg, [1, 2]) for cfg in configs]
         fill, both_built = estimator._fill_normals, threading.Barrier(2, timeout=30)
@@ -1878,8 +1876,8 @@ class TestKeptBuffers:
             assert not t.is_alive()
         assert not np.array_equal(*expected)
         assert all(np.array_equal(t, e) for t, e in zip(tables, expected))
-        (_, (sets, steps)), = estimator._SLOT.values()
-        assert len(sets) == len(steps) == 2
+        (_, free), = estimator._SLOT.values()
+        assert len(free) == 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("alpha,reps,strides", [
@@ -1887,8 +1885,8 @@ class TestKeptBuffers:
         (1.0, 1024, [1]),  # the Brownian validation's, n = 2120
     ], ids=["gap", "brownian"])
     def test_warm_run_allocates_no_step(self, monkeypatch, alpha, reps, strides, threads):
-        # a run after one of its config takes its spectrum, buffers and
-        # step table from the slot and writes its steps in place: its traced
+        # a run after one of its config takes its spectrum and workspaces
+        # from the slot and writes its steps in place: its traced
         # peak, less the table it returns, is the index k of n + 1 floats
         # and less than one more step, so no drift or step array is made.
         # The memory limit is fixed, so that reading it opens no files
@@ -1940,8 +1938,8 @@ class TestKeptBuffers:
         assert bad == []
 
     def test_repeated_call_allocates_no_batch_buffers(self, monkeypatch):
-        # the gap study's grid: a repeated run takes its buffers off the
-        # free list, so its traced peak is lower by all of them
+        # the gap study's grid: a repeated run takes its workspace off the
+        # free list, so its traced peak is lower by its buffers and more
         import tracemalloc
 
         cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
@@ -1966,8 +1964,8 @@ class TestKeptBuffers:
         assert peaks[0] - peaks[1] >= buffers
 
     def test_alternating_thread_counts_reuse_the_buffers(self, monkeypatch):
-        # one- and two-thread runs of one config size their buffers by the
-        # run's batch rows, so they take each other's off the free list
+        # one- and two-thread runs of one config take workspaces of one
+        # block, so they take each other's off the free list
         cfg = self._config()
         rmap = _row_map(cfg.alpha, *cfg.side_counts())
         assert _batch_plan(cfg.replications, rmap, 1, 1).rows == _batch_plan(
@@ -1979,21 +1977,55 @@ class TestKeptBuffers:
             assert np.array_equal(_simulate_functionals(cfg, [1], threads=threads), expected)
         assert built == []
 
+    def test_a_run_writes_its_steps_into_the_last_runs_first_table(self, monkeypatch):
+        # one- and two-thread runs alternating on the gap study's grid (two
+        # one-row blocks): each run writes its steps into its first
+        # workspace's table, which is the previous run's first workspace's,
+        # so a second worker's table is never written; two workspaces in
+        # all, and every table the sequential one
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        cfg = self._config(delta=0.01, horizon=449.76, replications=64)
+        expected = _simulate_functionals(cfg, [1, 2])
+        estimator._SLOT.clear()
+        firsts, tables = [], []
+        kept_state, variant_table = estimator._kept_state, estimator._variant_table
+
+        def spy_state(*args):
+            op, free, spaces = kept_state(*args)
+            firsts.append(spaces[0])
+            return op, free, spaces
+
+        def spy_table(steps, *args):
+            tables.append(steps)
+            return variant_table(steps, *args)
+
+        monkeypatch.setattr(estimator, "_kept_state", spy_state)
+        monkeypatch.setattr(estimator, "_variant_table", spy_table)
+        made = _counted(monkeypatch, estimator, "_row_buffers")
+        for threads in (1, 2, 1, 2, 2, 1):
+            assert np.array_equal(_simulate_functionals(cfg, [1, 2], threads=threads), expected)
+        assert len(made) == 2 and len(tables) == 6
+        for previous, table in zip(firsts, tables[1:]):
+            assert np.shares_memory(table, previous[4])
+        (_, free), = estimator._SLOT.values()
+        assert len(free) == 2 and not np.shares_memory(free[0][4], tables[0])
+
     def test_another_grid_empties_the_free_list(self):
         estimator._SLOT.clear()
         _simulate_functionals(self._config(), [1])
-        assert [[len(kept) for kept in free] for _, free in estimator._SLOT.values()] == [[1, 1]]
+        assert [len(free) for _, free in estimator._SLOT.values()] == [1]
         _simulate_functionals(self._config(horizon=10.0), [1])
-        (key, (_, (sets, tables))), = estimator._SLOT.items()
-        assert key[0] == _row_map(0.5, 0, 200) and len(sets) == len(tables) == 1
-        assert tables[0].shape == (4, 201)
+        (key, (_, free)), = estimator._SLOT.items()
+        assert key == _row_map(0.5, 0, 200) and len(free) == 1
+        assert free[0][4].shape == (4, 201)
 
     def test_another_grid_frees_the_kept_buffers_before_its_build(self, monkeypatch):
         # a run on grid B after one on the gap study's grid A, whose kept
-        # buffers (1.44 MB) outweigh all B's plan counts (0.92 MB): A's are
-        # freed before B builds its spectrum or takes its buffers, so B's
-        # traced peak stays at what A's run left held (held with them, the
-        # spectrum's build alone adds 0.57 MB), within one of B's steps.
+        # workspace (2.88 MB: buffers and step table) outweighs all B's plan
+        # counts (2.08 MB): A's is freed before B builds its spectrum or
+        # makes its workspace, so B's traced peak stays at what A's run left
+        # held (held with them, the spectrum's build alone adds 0.57 MB),
+        # within one of B's steps.
         # The memory limit is fixed, so that reading it opens no files
         import tracemalloc
 
@@ -2002,11 +2034,12 @@ class TestKeptBuffers:
         ra, rb = (_row_map(c.alpha, *c.side_counts()) for c in (a, b))
         assert (ra.width, rb.n) == (90000, 5000)
         plan_a, plan_b = _batch_plan(64, ra, 1, 1), _batch_plan(64, rb, 1, 1)
-        assert plan_b.nbytes < plan_a.rows * _row_bytes(ra)
+        kept = plan_a.rows * _row_bytes(ra) + 8 * ra.variants * (ra.n + 1)
+        assert plan_b.nbytes < kept
         monkeypatch.setattr(estimator, "_memory_limit", lambda: (2**40, "physical memory"))
         for c in (b, a):  # numpy's lazy imports, and A's spectrum cached
             _simulate_functionals(c, [1])
-        _drop_buffers()  # so that A's run below makes its buffers
+        _drop_buffers()  # so that A's run below makes its workspace
         tracemalloc.start()
         try:
             _simulate_functionals(a, [1])
@@ -2016,52 +2049,49 @@ class TestKeptBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert held >= plan_a.rows * _row_bytes(ra)
+        assert held >= kept
         assert peak - held < 8 * (rb.n + 1)
 
 
 class TestSlot:
-    """One slot keeps the last grid's spectrum, its free batch buffers and
-    its free step tables, keyed by (row map, batch rows); another key frees
-    them all before it builds anything (``_kept_state``)."""
+    """One slot keeps the last grid's spectrum and its free workspaces,
+    keyed by the row map alone; another row map frees them all before it
+    builds anything (``_kept_state``)."""
 
     def test_slot_keeps_one_key(self):
-        # a repeated key returns its spectrum and its free lists' sets and
-        # step tables; another alpha, a row map of the same embedding
-        # length, another batch size and iid rows each replace the slot's
-        # one entry
+        # a repeated row map returns its spectrum and its free workspaces,
+        # each one block's buffers and a step table; another alpha, a row
+        # map of the same embedding length and iid rows each replace the
+        # slot's one entry
         estimator._SLOT.clear()
         half = _row_map(0.5, 0, 100)
-        first, free, sets, steps = _kept_state(half, 4, 1, 1)
-        assert first.m == half.width == 200 and len(sets) == 1 and steps[0].shape == (4, 101)
+        first, free, sets = _kept_state(half, 1)
+        assert first.m == half.width == 200 and len(sets) == 1
+        assert len(sets[0][0]) == _block_rows(200) and sets[0][4].shape == (4, 101)
         assert np.array_equal(first.weights, fbm._embedding_spectrum(0.5, 200).weights)
-        free[0].extend(sets)
-        free[1].extend(steps)
-        again, kept, taken, tables = _kept_state(half, 4, 1, 1)
-        assert again is first and kept is free and taken[0] is sets[0]
-        assert tables[0] is steps[0] and free == ([], [])
+        free.extend(sets)
+        again, kept, taken = _kept_state(half, 1)
+        assert again is first and kept is free and taken[0] is sets[0] and free == []
         full = _row_map(0.5, 50, 50)
         assert full.width == half.width
-        for rmap, rows in ((_row_map(0.7, 0, 100), 4), (full, 4), (half, 2), (half, 4)):
-            op = _kept_state(rmap, rows, 0)[0]
-            assert list(estimator._SLOT) == [(rmap, rows)] and op is not first
-        assert _kept_state(_row_map(1.0, 0, 100), 4, 0)[0] is None
+        for rmap in (_row_map(0.7, 0, 100), full, half):
+            op = _kept_state(rmap, 0)[0]
+            assert list(estimator._SLOT) == [rmap] and op is not first
+        assert _kept_state(_row_map(1.0, 0, 100), 0)[0] is None
         assert len(estimator._SLOT) == 1
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0])
     def test_previous_state_freed_before_the_next_build(self, monkeypatch, alpha):
-        # the last grid's spectrum, both of its buffer sets and its step
-        # table are unreachable before the next key builds its spectrum
-        # (alpha = 0.7) or makes its first set, and so before it makes its
-        # table, so no build sits beside state its plan does not count; iid
-        # rows, which build no spectrum, free it too
+        # the last grid's spectrum and both of its workspaces are
+        # unreachable before the next row map builds its spectrum
+        # (alpha = 0.7) or makes its first workspace, so no build sits
+        # beside state its plan does not count; iid rows, which build no
+        # spectrum, free it too
         estimator._SLOT.clear()
-        op, free, sets, steps = _kept_state(_row_map(0.5, 0, 1000), 2, 2, 1)
-        free[0].extend(sets)
-        free[1].extend(steps)
-        refs = ([weakref.ref(op)] + [weakref.ref(space[3].base) for space in sets]
-                + [weakref.ref(steps[0])])
-        del op, free, sets, steps
+        op, free, sets = _kept_state(_row_map(0.5, 0, 1000), 2)
+        free.extend(sets)
+        refs = [weakref.ref(op)] + [weakref.ref(space[3].base) for space in sets]
+        del op, free, sets
         events, build, buffers = [], estimator._embedding_spectrum, estimator._row_buffers
 
         def spy_build(*args):
@@ -2075,42 +2105,66 @@ class TestSlot:
         monkeypatch.setattr(estimator, "_embedding_spectrum", spy_build)
         monkeypatch.setattr(estimator, "_row_buffers", spy_buffers)
         assert all(ref() is not None for ref in refs)
-        steps = _kept_state(_row_map(alpha, 0, 1000), 2, 1, 1)[3]
-        assert events == [("build", [False] * 4)] * (alpha != 1.0) + [("buffers", [False] * 4)]
-        assert steps[0].shape == (4, 1001)
+        sets = _kept_state(_row_map(alpha, 0, 1000), 1)[2]
+        assert events == [("build", [False] * 3)] * (alpha != 1.0) + [("buffers", [False] * 3)]
+        assert sets[0][4].shape == (4, 1001)
 
     def test_sampled_path_on_the_engines_grid_builds_nothing(self, monkeypatch):
-        # a run of one stream row has the sampler's key: a path sampled
-        # after it builds no spectrum and no buffer set, reads no memory
-        # limit (the run passed a larger plan), takes no step table, puts
-        # its set back, and is the path a cold slot gives, bit for bit
+        # a run of any length has the sampler's key: a path sampled after
+        # it builds no spectrum and no workspace, reads no memory limit
+        # (the run passed a larger plan), puts its workspace back, and is
+        # the path a cold slot gives, bit for bit
         cfg = EstimatorConfig(alpha=0.5, d=2.0, domain=Domain.HALF_LINE, delta=0.1,
-                              horizon=3.0, replications=32, seed=5)
+                              horizon=3.0, replications=320, seed=5)
         neg, pos = cfg.side_counts()
-        assert _batch_plan(cfg.replications, _row_map(cfg.alpha, neg, pos), 1, 1).rows == 1
         estimator._SLOT.clear()
         _simulate_functionals(cfg, [1])
-        (key, (_, (free, tables))), = estimator._SLOT.items()
-        assert len(free) == len(tables) == 1
+        (key, (_, free)), = estimator._SLOT.items()
+        assert key == _row_map(cfg.alpha, neg, pos) and len(free) == 1
         with monkeypatch.context() as m:
             built = _counted(m, estimator, "_embedding_spectrum")
             made = _counted(m, estimator, "_row_buffers")
             limits = _counted(m, estimator, "_memory_limit")
             path = sample_two_sided_path(cfg.alpha, neg, pos, np.random.default_rng(6))
-        assert built == made == limits == [] and len(free) == len(tables) == 1
+        assert built == made == limits == [] and len(free) == 1
         assert list(estimator._SLOT) == [key]
         estimator._SLOT.clear()
         assert np.array_equal(path, sample_two_sided_path(cfg.alpha, neg, pos,
                                                           np.random.default_rng(6)))
 
+    def test_runs_of_any_length_and_a_sampled_path_share_the_grids_state(self, monkeypatch):
+        # the heavy-tailed full-line grid (n = 172, m = 360, blocks of 256
+        # rows of 16 paths): a one-replication call, a two-block run on two
+        # workers, a sampled path and the run again build the spectrum once
+        # and make each workspace once (the second worker's being the one
+        # new), and the repeated run gives the first one's table
+        monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+        one, run = (EstimatorConfig(alpha=1.5, d=0.5, domain=Domain.FULL_LINE, delta=0.05,
+                                    horizon=plan_horizon(0.05, 1.5), replications=reps, seed=3)
+                    for reps in (1, 8192))
+        neg, pos = run.side_counts()
+        rmap = _row_map(run.alpha, neg, pos)
+        plan = _batch_plan(run.replications, rmap, 2, 1)
+        assert (rmap.width, plan.shares) == (360, ((0, 256), (256, 512)))
+        estimator._SLOT.clear()
+        built = _counted(monkeypatch, estimator, "_embedding_spectrum")
+        made = _counted(monkeypatch, estimator, "_row_buffers")
+        _simulate_functionals(one, [1])
+        first = _simulate_functionals(run, [1], threads=2)
+        sample_two_sided_path(run.alpha, neg, pos, np.random.default_rng(0))
+        again = _simulate_functionals(run, [1], threads=2)
+        assert len(built) == 1 and len(made) == 2
+        assert np.array_equal(first, again)
+        assert list(estimator._SLOT) == [rmap] and len(estimator._SLOT[rmap][1]) == 2
+
     def test_grid_switch_peak_within_the_plan(self, monkeypatch):
         # a two-worker alpha = 1 run B (two workers of 8-row batches) after
-        # a one-worker run A on the gap study's grid: A's spectrum (1.08 MB),
-        # its buffers (1.44 MB) and its step table (1.44 MB) are freed
+        # a one-worker run A on the gap study's grid: A's spectrum (1.08 MB)
+        # and its workspace (2.88 MB: buffers and step table) are freed
         # before B makes anything, so B's traced peak, over what was held
         # before A, stays within B's plan.  A's kept state alone outweighs
         # B's plan, so B's peak is read from B's first build (B's rows are
-        # iid: a buffer set), and what B's call held beside A's state before
+        # iid: a workspace), and what B's call held beside A's state before
         # that is checked on its own.  The memory limit is fixed, so that
         # reading it opens no files
         import tracemalloc
@@ -2122,7 +2176,7 @@ class TestSlot:
         b = EstimatorConfig(alpha=1.0, d=2.0, domain=Domain.HALF_LINE, delta=0.01,
                             horizon=100.0, replications=4096, seed=3)
         plan = _batch_plan(b.replications, _row_map(b.alpha, *b.side_counts()), 2, 1)
-        assert (plan.rows, len(plan.shares), plan.nbytes) == (8, 2, 3306400)
+        assert (plan.rows, len(plan.shares), plan.nbytes) == (8, 2, 3626432)
         for c in (b, a):  # numpy's lazy imports
             _simulate_functionals(c, [1], threads=2)
         estimator._SLOT.clear()
@@ -2184,7 +2238,7 @@ class TestRingWindows:
         assert wraps == (list(range(1, ws)) if rmap.kind == "iid" else
                          [3] if ws == 4 else [5, 6, 7])
         block = 2
-        z, w, sums, flat = _row_buffers(rmap, 5)
+        z, w, sums, flat, _ = _row_buffers(rmap, 5)
         _fill_normals(cfg.seed, z, 0, block)
         prefix = _map_rows(rmap, _spectrum(rmap), z, w, sums, 5)
         for p in range(ws):
@@ -2210,7 +2264,7 @@ class TestRingWindows:
         wrap = width - p * width // ws  # the first increment read past the end
         assert 7 <= wrap <= n - 6
         rows = 20000
-        z, w, sums, flat = _row_buffers(rmap, rows)
+        z, w, sums, flat, _ = _row_buffers(rmap, rows)
         _fill_normals(5, z, 0, _block_rows(width))
         prefix = _map_rows(rmap, _spectrum(rmap), z, w, sums, rows)
         x = np.diff(_window(rmap, prefix, p, flat), axis=1)  # increment j ends at column j + 1
@@ -2254,7 +2308,7 @@ class TestRingWindows:
         import tracemalloc
 
         rmap = _row_map(1.0, 0, 2120)
-        z, w, sums, flat = _row_buffers(rmap, 32)
+        z, w, sums, flat, _ = _row_buffers(rmap, 32)
         _fill_normals(3, z, 0, 32)
         prefix = _map_rows(rmap, _spectrum(rmap), z, w, sums, 32)
         before = np.getbufsize()
@@ -2409,9 +2463,9 @@ class TestWindowGroups:
         kept_state, window = estimator._kept_state, estimator._window
 
         def spy_state(*args):
-            op, free, spaces, steps = kept_state(*args)
+            op, free, spaces = kept_state(*args)
             flats.extend(space[3] for space in spaces)
-            return op, free, spaces, steps
+            return op, free, spaces
 
         def spy_window(rmap, prefix, p, flat, runs=()):
             field = window(rmap, prefix, p, flat, runs)
